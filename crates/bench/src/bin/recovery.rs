@@ -4,15 +4,16 @@
 //! (the real FastMap pipeline, not uniform noise), lets snapshots and
 //! compaction happen organically, SIGKILLs the writer mid-flight, and
 //! measures what a cold restart sees: bytes on disk, recovery
-//! wall-time, and recovered structure — once for the columnar format
-//! and once for the legacy verbatim layout, same workload.
+//! wall-time, recovered structure, and how much smaller the stored
+//! snapshots are than the same store images encoded row-wise (the
+//! stored-vs-decoded ratio `inspect_wal` reports).
 //!
 //! ```text
 //! cargo run --release -p semtree-bench --bin recovery -- \
 //!     --points 3000 --json BENCH_PR7.json
 //! ```
 //!
-//! The process re-execs itself (`--child DIR FORMAT N SEED`) as the
+//! The process re-execs itself (`--child DIR N SEED`) as the
 //! victim writer so the kill is a real `SIGKILL` across a process
 //! boundary, exactly like the fault-injection tests.
 
@@ -71,19 +72,17 @@ fn config() -> DistConfig {
         .with_max_partitions(PARTITIONS * 2)
 }
 
-fn wal_options(columnar: bool) -> WalOptions {
-    WalOptions {
-        // Small segments and a tight cadence so sealing, snapshots and
-        // compaction all fire many times within the run.
-        segment_bytes: 64 * 1024,
-        snapshot_every: 512,
-        columnar,
-    }
+fn wal_options() -> WalOptions {
+    // Small segments and a tight cadence so sealing, snapshots and
+    // compaction all fire many times within the run.
+    WalOptions::default()
+        .with_segment_bytes(64 * 1024)
+        .with_snapshot_every(512)
 }
 
 /// The victim writer: build the durable tree, insert the whole corpus,
 /// report readiness, then idle until the parent kills the process.
-fn run_child(dir: &Path, columnar: bool, documents: usize, seed: u64) -> Result<(), BenchError> {
+fn run_child(dir: &Path, documents: usize, seed: u64) -> Result<(), BenchError> {
     let pts = occurrence_points(documents, seed);
     let sample: Vec<Vec<f64>> = pts.iter().take(1024).cloned().collect();
     let tree = build_local_durable(
@@ -92,7 +91,7 @@ fn run_child(dir: &Path, columnar: bool, documents: usize, seed: u64) -> Result<
         PARTITIONS,
         &sample,
         dir,
-        wal_options(columnar),
+        wal_options(),
     )
     .map_err(|e| BenchError::Build(format!("durable tree: {e}")))?;
     for (i, p) in pts.iter().enumerate() {
@@ -108,55 +107,16 @@ fn run_child(dir: &Path, columnar: bool, documents: usize, seed: u64) -> Result<
 
 /// One measured crash-and-recover cycle.
 struct RunResult {
-    format: &'static str,
     points: usize,
     segment_disk_bytes: u64,
-    /// Sealed (cold) segment bytes — everything except the hot tail,
-    /// which stays row-oriented by design in both formats.
-    sealed_disk_bytes: u64,
     snapshot_disk_bytes: u64,
     recovery_ms: f64,
+    /// Row-wise bytes of every snapshotted store image over the bytes
+    /// actually stored.
     snapshot_ratio: f64,
 }
 
-impl RunResult {
-    fn disk_bytes(&self) -> u64 {
-        self.segment_disk_bytes + self.snapshot_disk_bytes
-    }
-
-    /// Snapshots + compacted (sealed) WAL: the bytes the columnar
-    /// engine owns, excluding the row-oriented hot tail both formats
-    /// share.
-    fn cold_bytes(&self) -> u64 {
-        self.sealed_disk_bytes + self.snapshot_disk_bytes
-    }
-}
-
-/// Sealed segment bytes in `dir`: every segment file except the
-/// highest-indexed one (the hot tail a writer appends to).
-fn sealed_bytes(dir: &Path) -> u64 {
-    let mut files: Vec<(String, u64)> = std::fs::read_dir(dir.join("segments"))
-        .map(|entries| {
-            entries
-                .filter_map(Result::ok)
-                .filter_map(|e| {
-                    let len = e.metadata().ok()?.len();
-                    Some((e.file_name().to_string_lossy().into_owned(), len))
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    files.sort();
-    files.pop();
-    files.into_iter().map(|(_, len)| len).sum()
-}
-
-fn measure(
-    dir: &Path,
-    inspection: &WalInspection,
-    format: &'static str,
-    recovery_ms: f64,
-) -> RunResult {
+fn measure(inspection: &WalInspection, recovery_ms: f64) -> RunResult {
     let points = inspection
         .partitions
         .iter()
@@ -175,10 +135,8 @@ fn measure(
         decoded as f64 / stored as f64
     };
     RunResult {
-        format,
         points,
         segment_disk_bytes: inspection.report.segment_disk_bytes,
-        sealed_disk_bytes: sealed_bytes(dir),
         snapshot_disk_bytes: inspection.report.snapshot_disk_bytes,
         recovery_ms,
         snapshot_ratio,
@@ -187,17 +145,11 @@ fn measure(
 
 /// Spawn the victim writer, wait until the corpus is fully inserted,
 /// SIGKILL it, then time a cold recovery of the directory.
-fn crash_and_recover(
-    dir: &Path,
-    columnar: bool,
-    documents: usize,
-    seed: u64,
-) -> Result<RunResult, BenchError> {
+fn crash_and_recover(dir: &Path, documents: usize, seed: u64) -> Result<RunResult, BenchError> {
     let exe = std::env::current_exe()?;
     let mut child = Command::new(exe)
         .arg("--child")
         .arg(dir)
-        .arg(if columnar { "columnar" } else { "legacy" })
         .arg(documents.to_string())
         .arg(seed.to_string())
         .stdout(Stdio::piped())
@@ -222,12 +174,7 @@ fn crash_and_recover(
     let inspection = inspect_wal(dir)
         .map_err(|e| BenchError::Build(format!("recover killed directory: {e}")))?;
     let recovery_ms = started.elapsed().as_secs_f64() * 1000.0;
-    Ok(measure(
-        dir,
-        &inspection,
-        if columnar { "columnar" } else { "verbatim" },
-        recovery_ms,
-    ))
+    Ok(measure(&inspection, recovery_ms))
 }
 
 /// Append one record to a JSON array file, creating it if needed.
@@ -273,19 +220,18 @@ fn main() {
 fn run() -> Result<(), BenchError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("--child") {
-        let [dir, format, points, seed] = &args[1..] else {
+        let [dir, points, seed] = &args[1..] else {
             return Err(BenchError::Usage(
-                "--child needs DIR FORMAT POINTS SEED".to_string(),
+                "--child needs DIR POINTS SEED".to_string(),
             ));
         };
-        let columnar = format == "columnar";
         let points: usize = points
             .parse()
             .map_err(|_| BenchError::Usage(format!("bad point count: {points}")))?;
         let seed: u64 = seed
             .parse()
             .map_err(|_| BenchError::Usage(format!("bad seed: {seed}")))?;
-        return run_child(&PathBuf::from(dir), columnar, points, seed);
+        return run_child(&PathBuf::from(dir), points, seed);
     }
 
     let mut documents = 200usize;
@@ -321,70 +267,44 @@ fn run() -> Result<(), BenchError> {
         "corpus: {documents} reqgen documents (seed {seed}), embedded occurrence stream, \
          {PARTITIONS} partitions"
     );
-    let columnar_dir = scratch("columnar");
-    let legacy_dir = scratch("legacy");
-    let col = crash_and_recover(&columnar_dir, true, documents, seed)?;
-    let row = crash_and_recover(&legacy_dir, false, documents, seed)?;
+    let dir = scratch("run");
+    let run = crash_and_recover(&dir, documents, seed)?;
+    std::fs::remove_dir_all(&dir).ok();
 
-    if col.points != row.points {
-        return Err(BenchError::Bound(format!(
-            "formats recovered different corpora ({} vs {} points)",
-            col.points, row.points
-        )));
-    }
-    if col.points == 0 {
+    if run.points == 0 {
         return Err(BenchError::Bound("recovery lost the corpus".to_string()));
     }
-    let disk_ratio = row.disk_bytes() as f64 / col.disk_bytes() as f64;
-    let cold_ratio = row.cold_bytes() as f64 / col.cold_bytes() as f64;
-
-    for r in [&col, &row] {
-        println!(
-            "{:>9}: {} points, {} segment bytes ({} sealed) + {} snapshot bytes on disk, \
-             snapshot ratio {:.2}x, recovery {:.1} ms",
-            r.format,
-            r.points,
-            r.segment_disk_bytes,
-            r.sealed_disk_bytes,
-            r.snapshot_disk_bytes,
-            r.snapshot_ratio,
-            r.recovery_ms
-        );
-    }
-    println!("whole-directory ratio (verbatim / columnar): {disk_ratio:.2}x");
-    println!("snapshots + sealed WAL ratio (verbatim / columnar): {cold_ratio:.2}x");
+    println!(
+        "{} points, {} segment bytes + {} snapshot bytes on disk, \
+         snapshot stored-vs-decoded ratio {:.2}x, recovery {:.1} ms",
+        run.points,
+        run.segment_disk_bytes,
+        run.snapshot_disk_bytes,
+        run.snapshot_ratio,
+        run.recovery_ms
+    );
 
     if let Some(path) = json {
         let record = format!(
-            "{{\"name\": \"recovery-columnar-vs-verbatim\", \"documents\": {documents}, \
+            "{{\"name\": \"recovery-columnar\", \"documents\": {documents}, \
              \"points\": {}, \"partitions\": {PARTITIONS}, \
-             \"columnar_disk_bytes\": {}, \"verbatim_disk_bytes\": {}, \
-             \"disk_ratio\": {disk_ratio:.2}, \"cold_ratio\": {cold_ratio:.2}, \
-             \"columnar_snapshot_ratio\": {:.2}, \
-             \"columnar_recovery_ms\": {:.1}, \"verbatim_recovery_ms\": {:.1}}}",
-            col.points,
-            col.disk_bytes(),
-            row.disk_bytes(),
-            col.snapshot_ratio,
-            col.recovery_ms,
-            row.recovery_ms
+             \"segment_disk_bytes\": {}, \"snapshot_disk_bytes\": {}, \
+             \"snapshot_ratio\": {:.2}, \"recovery_ms\": {:.1}}}",
+            run.points,
+            run.segment_disk_bytes,
+            run.snapshot_disk_bytes,
+            run.snapshot_ratio,
+            run.recovery_ms
         );
         append_json_record(&path, &record)?;
         println!("appended to {path}");
     }
 
-    std::fs::remove_dir_all(&columnar_dir).ok();
-    std::fs::remove_dir_all(&legacy_dir).ok();
-
-    if cold_ratio < 5.0 {
+    if run.snapshot_ratio < 5.0 {
         return Err(BenchError::Bound(format!(
-            "columnar snapshots + sealed WAL must be >= 5x smaller (got {cold_ratio:.2}x)"
-        )));
-    }
-    if col.recovery_ms > row.recovery_ms * 1.5 {
-        return Err(BenchError::Bound(format!(
-            "columnar recovery must not be slower ({:.1} ms vs {:.1} ms)",
-            col.recovery_ms, row.recovery_ms
+            "stored snapshots must be >= 5x smaller than their row-wise images \
+             (got {:.2}x)",
+            run.snapshot_ratio
         )));
     }
     Ok(())
@@ -394,54 +314,35 @@ fn run() -> Result<(), BenchError> {
 mod tests {
     use super::*;
 
-    /// In-process (no SIGKILL) version of the measurement: same corpus
-    /// through both formats, recovered cold — the 5x floor the CI
+    /// In-process (no SIGKILL) version of the measurement: the corpus
+    /// recovered cold — the 5x stored-vs-decoded floor the CI
     /// recovery-bench job enforces end-to-end.
     #[test]
     fn columnar_directory_is_5x_smaller_and_recovers_the_same_corpus() {
         let pts = occurrence_points(150, 7);
-        let n = pts.len();
         let sample: Vec<Vec<f64>> = pts.iter().take(256).cloned().collect();
-        let mut results = Vec::new();
-        for columnar in [true, false] {
-            let dir = scratch(if columnar { "test-col" } else { "test-row" });
-            let tree = build_local_durable(
-                config(),
-                CostModel::zero(),
-                PARTITIONS,
-                &sample,
-                &dir,
-                wal_options(columnar),
-            )
-            .expect("build");
-            for (i, p) in pts.iter().enumerate() {
-                dist_insert(&tree, p, i as u64);
-            }
-            tree.shutdown();
-            let started = Instant::now();
-            let inspection = inspect_wal(&dir).expect("inspect");
-            let ms = started.elapsed().as_secs_f64() * 1000.0;
-            results.push(measure(
-                &dir,
-                &inspection,
-                if columnar { "columnar" } else { "verbatim" },
-                ms,
-            ));
-            std::fs::remove_dir_all(&dir).ok();
+        let dir = scratch("test");
+        let tree = build_local_durable(
+            config(),
+            CostModel::zero(),
+            PARTITIONS,
+            &sample,
+            &dir,
+            wal_options(),
+        )
+        .expect("build");
+        for (i, p) in pts.iter().enumerate() {
+            dist_insert(&tree, p, i as u64);
         }
-        let (col, row) = (&results[0], &results[1]);
-        assert_eq!(col.points, n);
-        assert_eq!(row.points, n);
-        let cold_ratio = row.cold_bytes() as f64 / col.cold_bytes() as f64;
-        assert!(
-            cold_ratio >= 5.0,
-            "snapshots + sealed WAL ratio {cold_ratio:.2}x below the 5x floor \
-             ({} vs {} bytes)",
-            row.cold_bytes(),
-            col.cold_bytes()
-        );
-        assert!(col.snapshot_ratio >= 5.0, "{:.2}", col.snapshot_ratio);
-        let whole = row.disk_bytes() as f64 / col.disk_bytes() as f64;
-        assert!(whole > 1.5, "whole-directory ratio {whole:.2}x");
+        tree.shutdown();
+        let started = Instant::now();
+        let inspection = inspect_wal(&dir).expect("inspect");
+        let ms = started.elapsed().as_secs_f64() * 1000.0;
+        let run = measure(&inspection, ms);
+        std::fs::remove_dir_all(&dir).ok();
+
+        assert_eq!(run.points, pts.len());
+        assert!(run.snapshot_ratio >= 5.0, "{:.2}", run.snapshot_ratio);
+        assert!(run.snapshot_disk_bytes > 0 && run.segment_disk_bytes > 0);
     }
 }

@@ -57,6 +57,26 @@ pub struct Outcome {
     pub findings: Vec<Finding>,
     /// Production files scanned.
     pub files_checked: usize,
+    /// Size-of-the-code numbers per crate, ascending crate name.
+    pub census: Vec<CrateCensus>,
+}
+
+/// How much code one crate is — the tracked "less code" numbers the
+/// JSON report carries next to the findings.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CrateCensus {
+    /// Crate directory name under `crates/`.
+    pub crate_name: String,
+    /// Lines in every `.rs` file under the crate's `src/` (tests,
+    /// comments and blanks included — `wc -l`).
+    pub lines: usize,
+    /// Lines starting (after indentation) with
+    /// `pub fn|struct|enum|trait|const|type`.
+    pub pub_items: usize,
+    /// Locks the crate has ranked in [`rules::LOCK_RANKS`].
+    pub lock_ranks: usize,
+    /// Sum of the crate's `check.allow` counts.
+    pub allowed: usize,
 }
 
 impl Outcome {
@@ -149,6 +169,39 @@ pub fn lock_census(files: &[SourceFile]) -> Vec<(String, String)> {
     census
 }
 
+/// Count lines and public items per crate and attribute lock ranks and
+/// allowlist counts to their crate. `files` must be sorted by path
+/// (as [`collect_sources`] returns them).
+pub fn census(files: &[SourceFile], entries: &[allow::AllowEntry]) -> Vec<CrateCensus> {
+    const PUB_ITEMS: [&str; 6] = ["fn ", "struct ", "enum ", "trait ", "const ", "type "];
+    let mut out: Vec<CrateCensus> = Vec::new();
+    for file in files {
+        let name = &file.crate_name;
+        if out.last().map(|c| &c.crate_name) != Some(name) {
+            let prefix = format!("crates/{name}/");
+            let listed = entries.iter().filter(|e| e.path.starts_with(&prefix));
+            out.push(CrateCensus {
+                crate_name: name.clone(),
+                lines: 0,
+                pub_items: 0,
+                lock_ranks: rules::LOCK_RANKS.iter().filter(|r| r.0 == name).count(),
+                allowed: listed.map(|e| e.count).sum(),
+            });
+        }
+        let Some(entry) = out.last_mut() else {
+            continue;
+        };
+        entry.lines += file.source.lines().count();
+        entry.pub_items += file
+            .source
+            .lines()
+            .filter_map(|line| line.trim_start().strip_prefix("pub "))
+            .filter(|rest| PUB_ITEMS.iter().any(|kind| rest.starts_with(kind)))
+            .count();
+    }
+    out
+}
+
 /// Check the workspace rooted at `root` (the directory containing
 /// `crates/` and `check.allow`).
 pub fn check_workspace(root: &Path) -> Result<Outcome, CheckError> {
@@ -188,6 +241,7 @@ pub fn check_workspace(root: &Path) -> Result<Outcome, CheckError> {
     Ok(Outcome {
         findings,
         files_checked: files.len(),
+        census: census(&files, &entries),
     })
 }
 

@@ -6,7 +6,8 @@ use crate::Outcome;
 
 /// Render the outcome as a SARIF-shaped JSON document (subset:
 /// `runs[0].tool.driver` + one `results` entry per finding with
-/// `ruleId`, `level`, `message.text`, and one physical location).
+/// `ruleId`, `level`, `message.text`, and one physical location; the
+/// run's `properties` carry `filesChecked` and the per-crate `census`).
 /// Dependency-free, deterministic, and stable enough for CI to parse.
 #[must_use]
 pub fn to_json(outcome: &Outcome) -> String {
@@ -21,9 +22,23 @@ pub fn to_json(outcome: &Outcome) -> String {
     }
     out.push_str("]}},\n");
     out.push_str(&format!(
-        "      \"properties\": {{\"filesChecked\": {}}},\n",
+        "      \"properties\": {{\"filesChecked\": {}, \"census\": {{",
         outcome.files_checked
     ));
+    for (i, c) in outcome.census.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(&format!(
+            "{}: {{\"lines\": {}, \"pubItems\": {}, \"lockRanks\": {}, \"allowed\": {}}}",
+            json_string(&c.crate_name),
+            c.lines,
+            c.pub_items,
+            c.lock_ranks,
+            c.allowed
+        ));
+    }
+    out.push_str("}},\n");
     out.push_str("      \"results\": [\n");
     for (i, f) in outcome.findings.iter().enumerate() {
         out.push_str("        ");
@@ -172,6 +187,13 @@ mod tests {
                 message: "acquired `a` while \"b\" held\nchain".to_string(),
             }],
             files_checked: 3,
+            census: vec![crate::CrateCensus {
+                crate_name: "net".to_string(),
+                lines: 120,
+                pub_items: 7,
+                lock_ranks: 2,
+                allowed: 1,
+            }],
         };
         let json = to_json(&outcome);
         assert!(json.contains("\"ruleId\": \"lock-order\""));
@@ -179,6 +201,9 @@ mod tests {
         assert!(json.contains("\\n"));
         assert!(json.contains("\"startLine\": 12"));
         assert!(json.contains("\"filesChecked\": 3"));
+        assert!(json.contains(
+            "\"census\": {\"net\": {\"lines\": 120, \"pubItems\": 7, \"lockRanks\": 2, \"allowed\": 1}}"
+        ));
         // Every reported rule id has an explanation.
         assert!(explain("lock-flow").is_some());
         assert!(explain("nope").is_none());

@@ -140,3 +140,59 @@ fn boxed_error_in_public_api_is_caught() {
     assert_eq!(f[0].line, line_of(&injected, "fn regressed"));
     assert_eq!(f[0].rule, "no-boxed-errors");
 }
+
+#[test]
+fn census_counts_lines_pub_items_lock_ranks_and_allowances_per_crate() {
+    use semtree_check::{allow, census, CrateCensus, SourceFile};
+    let file = |rel: &str, krate: &str, source: &str| SourceFile {
+        rel: rel.to_string(),
+        crate_name: krate.to_string(),
+        source: source.to_string(),
+    };
+    let files = [
+        file(
+            "crates/dist/src/a.rs",
+            "dist",
+            "pub fn a() {}\n    pub struct B;\npub(crate) fn hidden() {}\nfn private() {}\n",
+        ),
+        file(
+            "crates/dist/src/b.rs",
+            "dist",
+            "pub const C: u8 = 0;\n// pub fn in_a_comment()\n",
+        ),
+        file(
+            "crates/wal/src/lib.rs",
+            "wal",
+            "pub use x::Y;\npub type T = u8;\n",
+        ),
+    ];
+    let entries = allow::parse(
+        "crates/dist/src/a.rs no-panics 2 -- why\n\
+         crates/dist/src/b.rs no-panics 1 -- why\n\
+         crates/kdtree/src/tree.rs no-panics 4 -- another crate\n",
+    )
+    .expect("allowlist parses");
+    let ranks = |krate: &str| rules::LOCK_RANKS.iter().filter(|r| r.0 == krate).count();
+    let expect = |krate: &str, lines, pub_items, allowed| CrateCensus {
+        crate_name: krate.to_string(),
+        lines,
+        pub_items,
+        lock_ranks: ranks(krate),
+        allowed,
+    };
+    assert!(ranks("dist") > 0);
+    assert_eq!(
+        census(&files, &entries),
+        [expect("dist", 6, 3, 3), expect("wal", 2, 1, 0)]
+    );
+
+    // On the real workspace the allowances add up to all of check.allow.
+    let root = workspace_root();
+    let listed = allow::parse(&std::fs::read_to_string(root.join("check.allow")).unwrap())
+        .expect("check.allow parses");
+    let outcome = check_workspace(&root).expect("driver runs");
+    assert_eq!(
+        outcome.census.iter().map(|c| c.allowed).sum::<usize>(),
+        listed.iter().map(|e| e.count).sum::<usize>()
+    );
+}

@@ -201,7 +201,6 @@ COMMANDS:
                  --serve-queue N   global in-flight bound    [default 1024]
                  --serve-depth N   per-connection pipeline   [default 64]
                  --serve-reactors N reactor shards           [default 0 = cores/2]
-                 --serve-poller P  epoll | epoll-edge | poll [default epoll on linux]
     worker     join a deployment and host partitions until shutdown
                  --join ADDR       the coordinator's cluster-addr (required)
                  --wal-dir DIR     write-ahead log directory; a worker

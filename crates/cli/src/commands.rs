@@ -140,7 +140,7 @@ fn audit(parsed: &ParsedArgs) -> Result<String, String> {
 
 fn stats(parsed: &ParsedArgs) -> Result<String, String> {
     let index = load(parsed)?;
-    let stats = index.tree_stats();
+    let stats = index.tree_stats().map_err(|e| e.to_string())?;
     let mut out = format!(
         "{} triples in R^{}, {} partitions ({} routing-only)\n",
         index.len(),

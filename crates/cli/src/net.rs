@@ -20,9 +20,8 @@ use std::time::{Duration, Instant};
 
 use semtree_cluster::{CostModel, LatencyHistogram, LatencySnapshot};
 use semtree_dist::{
-    build_tree, build_tree_durable, inspect_wal, join_cluster, join_cluster_durable,
-    serve_clients_with, serve_cluster, CapacityPolicy, ClientMetrics, ClientResp, DistConfig,
-    NetClient, PendingReply, PipelinedClient, PollerBackend, ServeOptions,
+    build_tree, inspect_wal, join_cluster, serve_clients_with, serve_cluster, CapacityPolicy,
+    ClientMetrics, ClientResp, DistConfig, NetClient, PendingReply, PipelinedClient, ServeOptions,
 };
 
 use crate::args::ParsedArgs;
@@ -115,19 +114,15 @@ pub fn serve(parsed: &ParsedArgs) -> Result<String, String> {
     println!("workers-joined: {workers}");
 
     let sample = demo_sample(config.dims(), sample_size, seed);
-    let tree = match parsed.get("wal-dir") {
-        Some(dir) => build_tree_durable(
-            &fabric,
-            config,
-            CostModel::zero(),
-            partitions,
-            &sample,
-            Path::new(dir),
-        )
-        .map_err(|e| e.to_string())?,
-        None => build_tree(&fabric, config, CostModel::zero(), partitions, &sample)
-            .map_err(|e| e.to_string())?,
-    };
+    let tree = build_tree(
+        &fabric,
+        config,
+        CostModel::zero(),
+        partitions,
+        &sample,
+        parsed.get("wal-dir").map(Path::new),
+    )
+    .map_err(|e| e.to_string())?;
 
     let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, client_port))
         .map_err(|e| format!("cannot bind client port: {e}"))?;
@@ -138,14 +133,11 @@ pub fn serve(parsed: &ParsedArgs) -> Result<String, String> {
     let _ = std::io::stdout().flush();
 
     let defaults = ServeOptions::default();
-    let mut options = ServeOptions::default()
+    let options = ServeOptions::default()
         .with_executors(parsed.get_usize("serve-workers", defaults.executors)?)
         .with_global_depth(parsed.get_usize("serve-queue", defaults.global_depth)?)
         .with_per_conn_depth(parsed.get_usize("serve-depth", defaults.per_conn_depth)?)
         .with_reactors(parsed.get_usize("serve-reactors", defaults.reactors)?);
-    if let Some(name) = parsed.get("serve-poller") {
-        options = options.with_backend(PollerBackend::parse(name)?);
-    }
     serve_clients_with(&listener, &tree, &options).map_err(|e| e.to_string())?;
     let inserted = tree.len();
     tree.shutdown();
@@ -160,11 +152,9 @@ pub fn serve(parsed: &ParsedArgs) -> Result<String, String> {
 pub fn worker(parsed: &ParsedArgs) -> Result<String, String> {
     let addr = parse_addr(parsed.require("join")?)?;
     let timeout = Duration::from_secs(parsed.get_u64("timeout", 30)?);
-    let handle = match parsed.get("wal-dir") {
-        Some(dir) => join_cluster_durable(addr, CostModel::zero(), timeout, Path::new(dir))
-            .map_err(|e| e.to_string())?,
-        None => join_cluster(addr, CostModel::zero(), timeout).map_err(|e| e.to_string())?,
-    };
+    let wal_dir = parsed.get("wal-dir").map(Path::new);
+    let handle =
+        join_cluster(addr, CostModel::zero(), timeout, wal_dir).map_err(|e| e.to_string())?;
     println!(
         "worker: process {} listening on {}",
         handle.process_index(),
@@ -191,7 +181,6 @@ pub fn worker(parsed: &ParsedArgs) -> Result<String, String> {
 /// Human name of a snapshot payload format byte.
 fn format_name(format: u8) -> &'static str {
     match format {
-        0 => "verbatim",
         1 => "columnar",
         _ => "unknown",
     }

@@ -105,6 +105,10 @@ pub enum ClusterError {
     /// A bounded wait (e.g. for workers to join) expired before its
     /// condition held.
     Timeout(String),
+    /// The request itself is malformed (wrong dimensionality, non-finite
+    /// coordinate, negative or non-finite radius). Raised before the
+    /// request reaches any partition; nothing was executed.
+    InvalidRequest(String),
 }
 
 impl fmt::Display for ClusterError {
@@ -116,6 +120,7 @@ impl fmt::Display for ClusterError {
             ClusterError::SpawnFailed(msg) => write!(f, "could not spawn compute node: {msg}"),
             ClusterError::Remote(msg) => write!(f, "remote handler error: {msg}"),
             ClusterError::Timeout(msg) => write!(f, "timed out: {msg}"),
+            ClusterError::InvalidRequest(msg) => write!(f, "invalid request: {msg}"),
         }
     }
 }

@@ -1,6 +1,6 @@
 //! The assembled SemTree index.
 
-use semtree_cluster::MetricsSnapshot;
+use semtree_cluster::{ClusterError, MetricsSnapshot};
 use semtree_dist::{DistConfig, DistSemTree, GlobalStats, Neighbor, Query, QueryOutcome};
 use semtree_distance::{MemoizedDistance, TripleDistance};
 use semtree_fastmap::{Embedding, FastMap};
@@ -311,9 +311,11 @@ impl SemTree {
     }
 
     /// Distributed-tree statistics (per-partition).
-    #[must_use]
-    pub fn tree_stats(&self) -> GlobalStats {
-        self.tree.global_stats()
+    ///
+    /// # Errors
+    /// Fails when a partition in the walk is unreachable.
+    pub fn tree_stats(&self) -> Result<GlobalStats, ClusterError> {
+        self.tree.try_global_stats()
     }
 
     /// Interconnect metrics.
@@ -596,7 +598,7 @@ mod tests {
         assert!(idx.triple(TripleId(0)).is_some());
         assert!(idx.triple(TripleId(9999)).is_none());
         assert!(idx.store().len() == idx.len());
-        let stats = idx.tree_stats();
+        let stats = idx.tree_stats().expect("stats");
         assert_eq!(stats.total_points(), 32);
         idx.shutdown();
     }

@@ -1,13 +1,13 @@
 //! Columnar snapshot-blob codec for [`StoreImage`].
 //!
-//! A verbatim store image serializes every node row-by-row, repeating
-//! point coordinates and node framing for each entry. This module
+//! A row-wise store image serializes every node one after the other,
+//! repeating point coordinates and node framing for each entry. This module
 //! regroups the image into `semtree-colz` columns — node kinds and
 //! parent slots run-length encode, depths delta-encode, coordinates go
 //! through the adaptive point codec — which is what makes per-partition
 //! snapshots (the dominant on-disk bytes of a quiescent WAL) compress.
-//! The WAL tags blobs written this way `SNAPSHOT_FORMAT_COLUMNAR`;
-//! verbatim blobs keep working unchanged.
+//! The WAL tags blobs written this way `SNAPSHOT_FORMAT_COLUMNAR` — the
+//! only snapshot payload format it writes or reads.
 //!
 //! Blob layout (all columns in order; every count cross-checked on
 //! decode):

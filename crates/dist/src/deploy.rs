@@ -26,7 +26,7 @@ use semtree_cluster::{
     Cluster, ClusterError, ComputeNodeId, CostModel, Transport, MAX_REACTOR_SHARDS,
     READ_RETRY_BUCKETS,
 };
-use semtree_kdtree::SplitRule;
+use semtree_kdtree::{Neighbor, SplitRule};
 use semtree_net::{
     decode_exact, dial_with_timeout, encode_frame_v2, read_frame, split_frame_v2, write_frame,
     Decode, DecodeError, Encode, NetFabric,
@@ -218,74 +218,46 @@ pub fn serve_cluster(
 /// the root partition lives on the coordinator, data partitions are
 /// placed round-robin on the joined workers.
 ///
+/// With a `wal_dir`, every mutation of the coordinator's partitions is
+/// written ahead to a WAL there, and their state is periodically
+/// snapshotted. The coordinator owns the routing tree and the cluster
+/// membership, so *restarting* it is not supported — `wal_dir` must not
+/// already hold a log. (Worker restarts are the supported
+/// crash-recovery path; see [`join_cluster`].)
+///
 /// # Errors
-/// Fails when a data partition cannot be spawned or seeded.
+/// Fails when a data partition cannot be spawned or seeded, or — with a
+/// `wal_dir` — the config cannot be deployed or the directory already
+/// holds a WAL.
 pub fn build_tree(
     fabric: &Arc<DistFabric>,
     config: DistConfig,
     cost: CostModel,
     partitions: usize,
     sample: &[Vec<f64>],
-) -> Result<DistSemTree, ClusterError> {
-    DistSemTree::over_transport(
-        fabric.local_fabric(),
-        Arc::clone(fabric) as Arc<dyn Transport<Req, Resp>>,
-        config,
-        cost,
-        partitions,
-        sample,
-    )
-}
-
-/// [`build_tree`] with durability: every mutation of the coordinator's
-/// partitions is written ahead to a WAL under `wal_dir`, and their state
-/// is periodically snapshotted there.
-///
-/// The coordinator owns the routing tree and the cluster membership, so
-/// *restarting* it is not supported — `wal_dir` must not already hold a
-/// log. (Worker restarts are the supported crash-recovery path; see
-/// [`join_cluster_durable`].)
-///
-/// # Errors
-/// Fails when the config cannot be deployed, `wal_dir` already holds a
-/// WAL, or a data partition cannot be spawned or seeded.
-pub fn build_tree_durable(
-    fabric: &Arc<DistFabric>,
-    config: DistConfig,
-    cost: CostModel,
-    partitions: usize,
-    sample: &[Vec<f64>],
-    wal_dir: &Path,
+    wal_dir: Option<&Path>,
 ) -> Result<DistSemTree, DeployError> {
-    if Wal::exists(wal_dir) {
-        return Err(DeployError::Config(format!(
-            "{} already holds a write-ahead log; coordinator restart is not \
-             supported — point --wal-dir at a fresh directory",
-            wal_dir.display()
-        )));
-    }
-    let blob = NetDeployConfig::from_config(&config)?.to_bytes();
-    let wal = Wal::create(wal_dir, 0, &blob, WalOptions::default())?;
-    Ok(DistSemTree::over_transport_with_wal(
-        fabric.local_fabric(),
-        Arc::clone(fabric) as Arc<dyn Transport<Req, Resp>>,
+    let wal = wal_dir
+        .map(|dir| create_wal(dir, &config, WalOptions::default()))
+        .transpose()?;
+    let transport = Arc::clone(fabric) as Arc<dyn Transport<Req, Resp>>;
+    Ok(DistSemTree::build_on(
+        Cluster::from_parts(fabric.local_fabric(), transport),
         config,
         cost,
         partitions,
         sample,
-        Some(WalHandle::new(wal)),
+        wal,
     )?)
 }
 
-/// [`build_tree_durable`] without the network: the whole deployment
+/// Durable [`build_tree`] without the network: the whole deployment
 /// runs on the in-process simulated cluster, but every partition
 /// mutation still goes through a real WAL under `wal_dir`. This is what
 /// the recovery benchmark and offline durability tests drive — the
 /// on-disk artifacts are byte-compatible with a networked worker's.
 ///
-/// `options` selects the on-disk format: the default writes columnar
-/// snapshots and compacted segments, `columnar: false` reproduces the
-/// legacy verbatim layout byte-for-byte.
+/// `options` tunes segment size and snapshot cadence.
 ///
 /// # Errors
 /// Fails when the config cannot be deployed, `wal_dir` already holds a
@@ -298,22 +270,32 @@ pub fn build_local_durable(
     wal_dir: &Path,
     options: WalOptions,
 ) -> Result<DistSemTree, DeployError> {
-    if Wal::exists(wal_dir) {
-        return Err(DeployError::Config(format!(
-            "{} already holds a write-ahead log; point it at a fresh directory",
-            wal_dir.display()
-        )));
-    }
-    let blob = NetDeployConfig::from_config(&config)?.to_bytes();
-    let wal = Wal::create(wal_dir, 0, &blob, options)?;
-    Ok(DistSemTree::build_on_with_wal(
+    let wal = create_wal(wal_dir, &config, options)?;
+    Ok(DistSemTree::build_on(
         Cluster::new(cost),
         config,
         cost,
         partitions,
         sample,
-        Some(WalHandle::new(wal)),
+        Some(wal),
     )?)
+}
+
+/// Start the root process's WAL in a directory that holds none yet.
+fn create_wal(
+    wal_dir: &Path,
+    config: &DistConfig,
+    options: WalOptions,
+) -> Result<Arc<WalHandle>, DeployError> {
+    if Wal::exists(wal_dir) {
+        return Err(DeployError::Config(format!(
+            "{} already holds a write-ahead log; coordinator restart is not \
+             supported — point --wal-dir at a fresh directory",
+            wal_dir.display()
+        )));
+    }
+    let blob = NetDeployConfig::from_config(config)?.to_bytes();
+    Ok(WalHandle::new(Wal::create(wal_dir, 0, &blob, options)?))
 }
 
 /// A joined worker process: hosts partitions on request until the
@@ -324,38 +306,27 @@ pub struct WorkerHandle {
     recovered: Vec<u32>,
 }
 
+/// Make `fabric`'s local side host partitions on request: every member
+/// the coordinator spawns here is a fresh actor sharing `shared`.
+fn host_partitions(fabric: &DistFabric, shared: &Arc<SharedConfig>) {
+    let local = fabric.local_fabric();
+    shared.set_metrics(local.metrics_handle());
+    let shared = Arc::clone(shared);
+    local.set_node_factory(Box::new(move || {
+        Box::new(PartitionActor::fresh(Arc::clone(&shared)))
+    }));
+}
+
 /// Join a deployment as a worker: dial the coordinator, decode the
 /// shipped configuration, and install the partition factory so
 /// coordinator-initiated spawns land here.
 ///
-/// # Errors
-/// Fails when the coordinator is unreachable or its config is corrupt.
-pub fn join_cluster(
-    coordinator: SocketAddr,
-    cost: CostModel,
-    timeout: Duration,
-) -> Result<WorkerHandle, DeployError> {
-    let (fabric, blob) = DistFabric::join(coordinator, cost, timeout)?;
-    let net_config: NetDeployConfig = decode_exact(&blob)?;
-    let config = net_config.to_config();
-    let shared = SharedConfig::new(&config);
-    shared.set_metrics(fabric.local_fabric().metrics_handle());
-    fabric.local_fabric().set_node_factory(Box::new(move || {
-        Box::new(PartitionActor::fresh(Arc::clone(&shared)))
-    }));
-    Ok(WorkerHandle {
-        fabric,
-        config,
-        recovered: Vec::new(),
-    })
-}
-
-/// [`join_cluster`] with durability: partition mutations are written
-/// ahead to a WAL under `wal_dir`, and if that directory already holds a
-/// log from a previous run, the worker **recovers** — it replays
-/// snapshot + tail into the exact partition stores it hosted before the
-/// crash, rejoins the coordinator under its old process index, and
-/// resumes serving its old routes.
+/// With a `wal_dir`, partition mutations are written ahead to a WAL
+/// there, and if that directory already holds a log from a previous
+/// run, the worker **recovers** — it replays snapshot + tail into the
+/// exact partition stores it hosted before the crash, rejoins the
+/// coordinator under its old process index, and resumes serving its old
+/// routes.
 ///
 /// Recovery re-spawns partitions in ascending local index so every
 /// recovered partition keeps its pre-crash [`ComputeNodeId`]; gaps
@@ -365,44 +336,44 @@ pub fn join_cluster(
 /// short tail.
 ///
 /// # Errors
-/// Fails when the coordinator is unreachable, refuses the rejoin, or the
-/// WAL is corrupt or does not replay cleanly.
-pub fn join_cluster_durable(
+/// Fails when the coordinator is unreachable, its config is corrupt, it
+/// refuses the rejoin, or the WAL is corrupt or does not replay cleanly.
+pub fn join_cluster(
+    coordinator: SocketAddr,
+    cost: CostModel,
+    timeout: Duration,
+    wal_dir: Option<&Path>,
+) -> Result<WorkerHandle, DeployError> {
+    if let Some(dir) = wal_dir.filter(|dir| Wal::exists(dir)) {
+        return recover_and_rejoin(coordinator, cost, timeout, dir);
+    }
+    // First boot. A durable worker persists the coordinator's config
+    // blob in the manifest so recovery can rebuild stores without it.
+    let (fabric, blob) = DistFabric::join(coordinator, cost, timeout)?;
+    let config = decode_exact::<NetDeployConfig>(&blob)?.to_config();
+    let wal = wal_dir
+        .map(|dir| Wal::create(dir, fabric.process_index(), &blob, WalOptions::default()))
+        .transpose()?
+        .map(WalHandle::new);
+    host_partitions(&fabric, &SharedConfig::new(&config, wal));
+    Ok(WorkerHandle {
+        fabric,
+        config,
+        recovered: Vec::new(),
+    })
+}
+
+/// The restart half of [`join_cluster`].
+fn recover_and_rejoin(
     coordinator: SocketAddr,
     cost: CostModel,
     timeout: Duration,
     wal_dir: &Path,
 ) -> Result<WorkerHandle, DeployError> {
-    if !Wal::exists(wal_dir) {
-        // First boot: join fresh, then persist the coordinator's config
-        // blob in the manifest so recovery can rebuild stores without it.
-        let (fabric, blob) = DistFabric::join(coordinator, cost, timeout)?;
-        let net_config: NetDeployConfig = decode_exact(&blob)?;
-        let config = net_config.to_config();
-        let wal = Wal::create(
-            wal_dir,
-            fabric.process_index(),
-            &blob,
-            WalOptions::default(),
-        )?;
-        let shared = SharedConfig::new_with_wal(&config, Some(WalHandle::new(wal)));
-        shared.set_metrics(fabric.local_fabric().metrics_handle());
-        let factory_shared = Arc::clone(&shared);
-        fabric.local_fabric().set_node_factory(Box::new(move || {
-            Box::new(PartitionActor::fresh(Arc::clone(&factory_shared)))
-        }));
-        return Ok(WorkerHandle {
-            fabric,
-            config,
-            recovered: Vec::new(),
-        });
-    }
-
-    // Restart: replay the log into partition stores *before* touching the
+    // Replay the log into partition stores *before* touching the
     // network, so a corrupt WAL fails fast without a half-joined worker.
     let (wal, state) = Wal::resume(wal_dir, WalOptions::default())?;
-    let net_config: NetDeployConfig = decode_exact(&state.config)?;
-    let config = net_config.to_config();
+    let config = decode_exact::<NetDeployConfig>(&state.config)?.to_config();
     let mut stores: BTreeMap<u32, PartitionStore> = replay_stores(&state)
         .map_err(DeployError::Config)?
         .into_iter()
@@ -421,8 +392,7 @@ pub fn join_cluster_durable(
 
     let fabric = DistFabric::rejoin(coordinator, cost, timeout, state.process_index, &recovered)?;
     let handle = WalHandle::new(wal);
-    let shared = SharedConfig::new_with_wal(&config, Some(Arc::clone(&handle)));
-    shared.set_metrics(fabric.local_fabric().metrics_handle());
+    let shared = SharedConfig::new(&config, Some(Arc::clone(&handle)));
 
     // Re-spawn in ascending local index: the local fabric assigns indices
     // sequentially, so this reproduces every pre-crash partition id.
@@ -453,10 +423,7 @@ pub fn join_cluster_durable(
             )));
         }
     }
-    let factory_shared = Arc::clone(&shared);
-    local.set_node_factory(Box::new(move || {
-        Box::new(PartitionActor::fresh(Arc::clone(&factory_shared)))
-    }));
+    host_partitions(&fabric, &shared);
 
     // Fold the replayed history into fresh snapshots and drop the
     // segments they supersede: the next restart replays almost nothing.
@@ -569,40 +536,10 @@ pub enum ClientResp {
     Stats(Vec<(u32, PartitionStats)>),
     /// Invariant violations (empty = healthy).
     Violations(Vec<String>),
-    /// Interconnect counters.
-    Metrics {
-        /// Requests delivered.
-        messages: u64,
-        /// Bytes carried (exact encoded frame bytes under TCP).
-        bytes: u64,
-        /// Response payload bytes travelling back to callers.
-        response_bytes: u64,
-        /// Compute nodes spawned.
-        spawned_nodes: u64,
-        /// Client requests with recorded end-to-end latency.
-        latency_count: u64,
-        /// Median request latency (nanoseconds, conservative bucket floor).
-        p50_nanos: u64,
-        /// 99th-percentile request latency (nanoseconds).
-        p99_nanos: u64,
-        /// 99.9th-percentile request latency (nanoseconds).
-        p999_nanos: u64,
-        /// Total writer-race retries across optimistic lock-free reads.
-        reads_retried: u64,
-        /// Optimistic reads bucketed by retry count
-        /// (see [`semtree_cluster::read_retry_bucket_index`]).
-        read_retries: [u64; READ_RETRY_BUCKETS],
-        /// Reactor shards serving the client port (0 = no reactor);
-        /// only the first `reactor_shards` entries of the shard arrays
-        /// are live.
-        reactor_shards: u64,
-        /// Requests completed, by owning reactor shard (boxed so the
-        /// rarely-built metrics reply doesn't inflate every hot
-        /// `ClientResp` moved through the serving path).
-        shard_served: Box<[u64; MAX_REACTOR_SHARDS]>,
-        /// Requests shed at admission, by owning reactor shard.
-        shard_shed: Box<[u64; MAX_REACTOR_SHARDS]>,
-    },
+    /// Interconnect counters and serving-latency quantiles (boxed so the
+    /// rarely-built metrics reply doesn't inflate every hot `ClientResp`
+    /// moved through the serving path).
+    Metrics(Box<ClientMetrics>),
     /// The request failed.
     Error(String),
     /// One neighbor list per query of a [`ClientReq::KnnBatch`], in
@@ -688,39 +625,22 @@ impl Encode for ClientResp {
                 out.push(3);
                 v.encode(out);
             }
-            ClientResp::Metrics {
-                messages,
-                bytes,
-                response_bytes,
-                spawned_nodes,
-                latency_count,
-                p50_nanos,
-                p99_nanos,
-                p999_nanos,
-                reads_retried,
-                read_retries,
-                reactor_shards,
-                shard_served,
-                shard_shed,
-            } => {
+            ClientResp::Metrics(m) => {
                 out.push(4);
-                messages.encode(out);
-                bytes.encode(out);
-                response_bytes.encode(out);
-                spawned_nodes.encode(out);
-                latency_count.encode(out);
-                p50_nanos.encode(out);
-                p99_nanos.encode(out);
-                p999_nanos.encode(out);
-                reads_retried.encode(out);
-                for bucket in read_retries {
-                    bucket.encode(out);
-                }
-                reactor_shards.encode(out);
-                for count in shard_served.iter() {
-                    count.encode(out);
-                }
-                for count in shard_shed.iter() {
+                let head = [
+                    m.messages,
+                    m.bytes,
+                    m.response_bytes,
+                    m.spawned_nodes,
+                    m.latency_count,
+                    m.p50_nanos,
+                    m.p99_nanos,
+                    m.p999_nanos,
+                    m.reads_retried,
+                ];
+                let counts = head.iter().chain(&m.read_retries);
+                let counts = counts.chain([&m.reactor_shards]);
+                for count in counts.chain(&m.shard_served).chain(&m.shard_shed) {
                     count.encode(out);
                 }
             }
@@ -737,6 +657,14 @@ impl Encode for ClientResp {
     }
 }
 
+fn decode_counts<const N: usize>(buf: &mut &[u8]) -> Result<[u64; N], DecodeError> {
+    let mut counts = [0u64; N];
+    for count in &mut counts {
+        *count = u64::decode(buf)?;
+    }
+    Ok(counts)
+}
+
 impl Decode for ClientResp {
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
         match u8::decode(buf)? {
@@ -744,7 +672,7 @@ impl Decode for ClientResp {
             1 => Ok(ClientResp::Neighbors(Vec::decode(buf)?)),
             2 => Ok(ClientResp::Stats(Vec::decode(buf)?)),
             3 => Ok(ClientResp::Violations(Vec::decode(buf)?)),
-            4 => Ok(ClientResp::Metrics {
+            4 => Ok(ClientResp::Metrics(Box::new(ClientMetrics {
                 messages: u64::decode(buf)?,
                 bytes: u64::decode(buf)?,
                 response_bytes: u64::decode(buf)?,
@@ -754,29 +682,11 @@ impl Decode for ClientResp {
                 p99_nanos: u64::decode(buf)?,
                 p999_nanos: u64::decode(buf)?,
                 reads_retried: u64::decode(buf)?,
-                read_retries: {
-                    let mut buckets = [0u64; READ_RETRY_BUCKETS];
-                    for bucket in &mut buckets {
-                        *bucket = u64::decode(buf)?;
-                    }
-                    buckets
-                },
+                read_retries: decode_counts(buf)?,
                 reactor_shards: u64::decode(buf)?,
-                shard_served: {
-                    let mut counts = Box::new([0u64; MAX_REACTOR_SHARDS]);
-                    for count in counts.iter_mut() {
-                        *count = u64::decode(buf)?;
-                    }
-                    counts
-                },
-                shard_shed: {
-                    let mut counts = Box::new([0u64; MAX_REACTOR_SHARDS]);
-                    for count in counts.iter_mut() {
-                        *count = u64::decode(buf)?;
-                    }
-                    counts
-                },
-            }),
+                shard_served: decode_counts(buf)?,
+                shard_shed: decode_counts(buf)?,
+            }))),
             5 => Ok(ClientResp::Error(String::decode(buf)?)),
             6 => Ok(ClientResp::NeighborBatches(Vec::decode(buf)?)),
             7 => Ok(ClientResp::Overloaded),
@@ -785,103 +695,18 @@ impl Decode for ClientResp {
     }
 }
 
-/// A remote client is untrusted input: a wrong-dimension point must be
-/// rejected here, before it reaches a partition actor (where it would
-/// kill the node and with it the whole deployment).
-fn dims_mismatch(tree: &DistSemTree, point: &[f64]) -> Option<ClientResp> {
-    (point.len() != tree.dims()).then(|| {
-        ClientResp::Error(format!(
-            "point has {} dimensions, the index expects {}",
-            point.len(),
-            tree.dims()
-        ))
-    })
-}
-
-/// Map an insert outcome to its wire response. These `*_resp` mappers
-/// are shared by the blocking ([`answer`]) and pipelined
-/// (`TreeService::call_pipelined`) serving paths, so both produce
-/// byte-identical responses by construction.
-fn done_resp(outcome: Result<QueryOutcome, ClusterError>) -> ClientResp {
+/// A data-plane outcome as its wire reply — the one mapping behind the
+/// blocking and pipelined serving paths, so both produce byte-identical
+/// responses by construction.
+fn to_resp(outcome: Result<QueryOutcome, ClusterError>) -> ClientResp {
+    let pairs = |hits: Vec<Neighbor<u64>>| hits.into_iter().map(|n| (n.dist, n.payload)).collect();
     match outcome {
-        Ok(_) => ClientResp::Done,
+        Ok(QueryOutcome::Inserted) => ClientResp::Done,
+        Ok(QueryOutcome::Neighbors(hits)) => ClientResp::Neighbors(pairs(hits)),
+        Ok(QueryOutcome::NeighborBatches(batches)) => {
+            ClientResp::NeighborBatches(batches.into_iter().map(pairs).collect())
+        }
         Err(e) => ClientResp::Error(e.to_string()),
-    }
-}
-
-/// Map a k-NN / range outcome to its wire response.
-fn neighbors_resp(outcome: Result<QueryOutcome, ClusterError>) -> ClientResp {
-    match outcome.and_then(QueryOutcome::neighbors) {
-        Ok(hits) => ClientResp::Neighbors(hits.into_iter().map(|n| (n.dist, n.payload)).collect()),
-        Err(e) => ClientResp::Error(e.to_string()),
-    }
-}
-
-/// Map a batched k-NN outcome to its wire response.
-fn batches_resp(outcome: Result<QueryOutcome, ClusterError>) -> ClientResp {
-    match outcome.and_then(QueryOutcome::neighbor_batches) {
-        Ok(batches) => ClientResp::NeighborBatches(
-            batches
-                .into_iter()
-                .map(|hits| hits.into_iter().map(|n| (n.dist, n.payload)).collect())
-                .collect(),
-        ),
-        Err(e) => ClientResp::Error(e.to_string()),
-    }
-}
-
-fn answer(tree: &DistSemTree, req: ClientReq) -> ClientResp {
-    match req {
-        ClientReq::Insert { point, payload } => {
-            if let Some(err) = dims_mismatch(tree, &point) {
-                return err;
-            }
-            done_resp(tree.query(Query::Insert { point, payload }))
-        }
-        ClientReq::Knn { point, k } => {
-            if let Some(err) = dims_mismatch(tree, &point) {
-                return err;
-            }
-            neighbors_resp(tree.query(Query::Knn { point, k }))
-        }
-        ClientReq::Range { point, radius } => {
-            if let Some(err) = dims_mismatch(tree, &point) {
-                return err;
-            }
-            neighbors_resp(tree.query(Query::Range { point, radius }))
-        }
-        ClientReq::Stats => match tree.try_global_stats() {
-            Ok(stats) => ClientResp::Stats(stats.partitions),
-            Err(e) => ClientResp::Error(e.to_string()),
-        },
-        ClientReq::Verify => ClientResp::Violations(tree.verify()),
-        ClientReq::Metrics => {
-            let m = tree.metrics();
-            ClientResp::Metrics {
-                messages: m.messages,
-                bytes: m.bytes,
-                response_bytes: m.response_bytes,
-                spawned_nodes: m.spawned_nodes,
-                latency_count: m.latency.count,
-                p50_nanos: m.latency.p50_nanos(),
-                p99_nanos: m.latency.p99_nanos(),
-                p999_nanos: m.latency.p999_nanos(),
-                reads_retried: m.reads_retried,
-                read_retries: m.read_retries,
-                reactor_shards: m.reactor_shards,
-                shard_served: Box::new(m.shard_served),
-                shard_shed: Box::new(m.shard_shed),
-            }
-        }
-        ClientReq::Shutdown => ClientResp::Done,
-        ClientReq::KnnBatch { points, k } => {
-            for point in &points {
-                if let Some(err) = dims_mismatch(tree, point) {
-                    return err;
-                }
-            }
-            batches_resp(tree.query(Query::KnnBatch { points, k }))
-        }
     }
 }
 
@@ -898,8 +723,6 @@ pub struct ServeOptions {
     pub per_conn_depth: usize,
     /// Reactor shard count; `0` = automatic (half the cores, ≥ 1).
     pub reactors: usize,
-    /// Readiness backend (epoll on Linux by default, poll elsewhere).
-    pub backend: semtree_reactor::Backend,
 }
 
 impl Default for ServeOptions {
@@ -910,7 +733,6 @@ impl Default for ServeOptions {
             global_depth: d.global_depth,
             per_conn_depth: d.per_conn_depth,
             reactors: d.reactors,
-            backend: d.backend,
         }
     }
 }
@@ -944,13 +766,6 @@ impl ServeOptions {
         self.reactors = reactors;
         self
     }
-
-    /// Readiness backend every reactor shard uses.
-    #[must_use]
-    pub fn with_backend(mut self, backend: semtree_reactor::Backend) -> Self {
-        self.backend = backend;
-        self
-    }
 }
 
 /// [`semtree_reactor::Service`] adapter: decodes [`ClientReq`] frames,
@@ -959,21 +774,67 @@ struct TreeService<'a> {
     tree: &'a DistSemTree,
 }
 
-impl semtree_reactor::Service for TreeService<'_> {
-    fn call(&self, request: &[u8]) -> semtree_reactor::ServiceReply {
+impl TreeService<'_> {
+    /// The one request lowering, shared by the blocking and pipelined
+    /// serving paths: a data-plane frame becomes its [`Query`] (a remote
+    /// client is untrusted input, and [`DistSemTree::query`] /
+    /// [`DistSemTree::submit_query`] validate it before any partition
+    /// sees it). `Err` is the complete synchronous reply: a malformed
+    /// frame, or a control-plane request answered here.
+    fn lower(&self, request: &[u8]) -> Result<Query, semtree_reactor::ServiceReply> {
+        let reply = |resp: ClientResp, shutdown| {
+            Err(semtree_reactor::ServiceReply {
+                payload: resp.to_bytes(),
+                shutdown,
+            })
+        };
         let req: ClientReq = match decode_exact(request) {
             Ok(req) => req,
-            Err(e) => {
-                return semtree_reactor::ServiceReply {
-                    payload: ClientResp::Error(format!("bad request: {e}")).to_bytes(),
-                    shutdown: false,
-                };
-            }
+            Err(e) => return reply(ClientResp::Error(format!("bad request: {e}")), false),
         };
-        let shutdown = req == ClientReq::Shutdown;
-        semtree_reactor::ServiceReply {
-            payload: answer(self.tree, req).to_bytes(),
-            shutdown,
+        let tree = self.tree;
+        match req {
+            ClientReq::Insert { point, payload } => Ok(Query::Insert { point, payload }),
+            ClientReq::Knn { point, k } => Ok(Query::Knn { point, k }),
+            ClientReq::Range { point, radius } => Ok(Query::Range { point, radius }),
+            ClientReq::KnnBatch { points, k } => Ok(Query::KnnBatch { points, k }),
+            ClientReq::Stats => match tree.try_global_stats() {
+                Ok(stats) => reply(ClientResp::Stats(stats.partitions), false),
+                Err(e) => reply(ClientResp::Error(e.to_string()), false),
+            },
+            ClientReq::Verify => reply(ClientResp::Violations(tree.verify()), false),
+            ClientReq::Metrics => {
+                let m = tree.metrics();
+                let metrics = ClientMetrics {
+                    messages: m.messages,
+                    bytes: m.bytes,
+                    response_bytes: m.response_bytes,
+                    spawned_nodes: m.spawned_nodes,
+                    latency_count: m.latency.count,
+                    p50_nanos: m.latency.p50_nanos(),
+                    p99_nanos: m.latency.p99_nanos(),
+                    p999_nanos: m.latency.p999_nanos(),
+                    reads_retried: m.reads_retried,
+                    read_retries: m.read_retries,
+                    reactor_shards: m.reactor_shards,
+                    shard_served: m.shard_served,
+                    shard_shed: m.shard_shed,
+                };
+                reply(ClientResp::Metrics(Box::new(metrics)), false)
+            }
+            ClientReq::Shutdown => reply(ClientResp::Done, true),
+        }
+    }
+}
+
+impl semtree_reactor::Service for TreeService<'_> {
+    fn call(&self, request: &[u8]) -> semtree_reactor::ServiceReply {
+        match self.lower(request) {
+            Ok(query) => semtree_reactor::ServiceReply {
+                payload: to_resp(self.tree.query(query)).to_bytes(),
+                shutdown: false,
+            },
+            Err(reply) => reply,
         }
     }
 
@@ -986,51 +847,25 @@ impl semtree_reactor::Service for TreeService<'_> {
     /// immediately — the client's response is completed from whatever
     /// thread finishes the partition work (the root actor's thread, or
     /// a `semtree-net` demux reader when partitions are remote), via
-    /// the [`semtree_reactor::ReplyToken`]. Control-plane requests,
-    /// malformed frames, and dimension rejects answer synchronously;
-    /// the response bytes are identical to [`Service::call`]'s on every
-    /// path because both go through the same `*_resp` mappers.
+    /// the [`semtree_reactor::ReplyToken`]. Control-plane requests and
+    /// malformed frames answer synchronously; the response bytes are
+    /// identical to [`Service::call`]'s on every path because both go
+    /// through the same [`lower`](TreeService::lower) and [`to_resp`].
     fn call_pipelined(
         &self,
         request: &[u8],
         token: semtree_reactor::ReplyToken,
     ) -> semtree_reactor::Dispatch {
-        let req: ClientReq = match decode_exact(request) {
-            Ok(req) => req,
-            Err(_) => return semtree_reactor::Dispatch::Sync(token, self.call(request)),
-        };
-        type ToResp = fn(Result<QueryOutcome, ClusterError>) -> ClientResp;
-        let (query, to_resp): (Query, ToResp) = match req {
-            ClientReq::Insert { point, payload } if dims_mismatch(self.tree, &point).is_none() => {
-                (Query::Insert { point, payload }, done_resp)
-            }
-            ClientReq::Knn { point, k } if dims_mismatch(self.tree, &point).is_none() => {
-                (Query::Knn { point, k }, neighbors_resp)
-            }
-            ClientReq::Range { point, radius } if dims_mismatch(self.tree, &point).is_none() => {
-                (Query::Range { point, radius }, neighbors_resp)
-            }
-            ClientReq::KnnBatch { points, k }
-                if points.iter().all(|p| dims_mismatch(self.tree, p).is_none()) =>
-            {
-                (Query::KnnBatch { points, k }, batches_resp)
-            }
-            req => {
-                let shutdown = req == ClientReq::Shutdown;
-                return semtree_reactor::Dispatch::Sync(
-                    token,
-                    semtree_reactor::ServiceReply {
-                        payload: answer(self.tree, req).to_bytes(),
-                        shutdown,
-                    },
+        match self.lower(request) {
+            Ok(query) => {
+                self.tree.submit_query(
+                    query,
+                    Box::new(move |outcome| token.complete(to_resp(outcome).to_bytes(), false)),
                 );
+                semtree_reactor::Dispatch::Completed
             }
-        };
-        self.tree.submit_query(
-            query,
-            Box::new(move |outcome| token.complete(to_resp(outcome).to_bytes(), false)),
-        );
-        semtree_reactor::Dispatch::Completed
+            Err(reply) => semtree_reactor::Dispatch::Sync(token, reply),
+        }
     }
 }
 
@@ -1046,14 +881,6 @@ impl semtree_reactor::Service for TreeService<'_> {
 /// # Errors
 /// Fails when the listener itself breaks; per-connection errors just
 /// drop that connection.
-pub fn serve_clients(listener: &TcpListener, tree: &DistSemTree) -> io::Result<()> {
-    serve_clients_with(listener, tree, &ServeOptions::default())
-}
-
-/// [`serve_clients`] with explicit queue depths and executor count.
-///
-/// # Errors
-/// Same as [`serve_clients`].
 pub fn serve_clients_with(
     listener: &TcpListener,
     tree: &DistSemTree,
@@ -1065,7 +892,6 @@ pub fn serve_clients_with(
         per_conn_depth: options.per_conn_depth,
         metrics: Some(tree.metrics_handle()),
         reactors: options.reactors,
-        backend: options.backend,
     };
     let service = TreeService { tree };
     semtree_reactor::serve(listener, &service, &config)?;
@@ -1219,35 +1045,7 @@ impl NetClient {
     /// Propagates transport and server-side failures.
     pub fn metrics(&mut self) -> io::Result<ClientMetrics> {
         match self.call(&ClientReq::Metrics)? {
-            ClientResp::Metrics {
-                messages,
-                bytes,
-                response_bytes,
-                spawned_nodes,
-                latency_count,
-                p50_nanos,
-                p99_nanos,
-                p999_nanos,
-                reads_retried,
-                read_retries,
-                reactor_shards,
-                shard_served,
-                shard_shed,
-            } => Ok(ClientMetrics {
-                messages,
-                bytes,
-                response_bytes,
-                spawned_nodes,
-                latency_count,
-                p50_nanos,
-                p99_nanos,
-                p999_nanos,
-                reads_retried,
-                read_retries,
-                reactor_shards,
-                shard_served: *shard_served,
-                shard_shed: *shard_shed,
-            }),
+            ClientResp::Metrics(m) => Ok(*m),
             other => Err(unexpected(&other)),
         }
     }
@@ -1539,35 +1337,52 @@ mod tests {
 
     #[test]
     fn wrong_dimension_requests_are_rejected_not_fatal() {
+        use semtree_reactor::Service as _;
         let tree = DistSemTree::single(DistConfig::new(2), semtree_cluster::CostModel::zero());
+        let service = TreeService { tree: &tree };
+        // The blocking `Service::call` path (the reactor only drives the
+        // pipelined one).
+        let call = |req: ClientReq| -> ClientResp {
+            decode_exact(&service.call(&req.to_bytes()).payload).unwrap()
+        };
+        let point = |coords: &[f64]| coords.to_vec();
         for req in [
             ClientReq::Insert {
-                point: vec![1.0, 2.0, 3.0],
+                point: point(&[1.0, 2.0, 3.0]),
                 payload: 0,
             },
             ClientReq::Knn {
-                point: vec![1.0],
+                point: point(&[1.0]),
                 k: 3,
             },
             ClientReq::Range {
-                point: vec![],
+                point: point(&[]),
                 radius: 1.0,
             },
+            ClientReq::KnnBatch {
+                points: vec![point(&[1.0, 2.0]), point(&[1.0])],
+                k: 3,
+            },
         ] {
+            let resp = call(req);
             assert!(
-                matches!(answer(&tree, req), ClientResp::Error(msg) if msg.contains("dimensions")),
-                "wrong-dimension request must come back as a typed error"
+                matches!(&resp, ClientResp::Error(msg) if msg.contains("dimensions")),
+                "wrong-dimension request must come back as a typed error, got {resp:?}"
             );
         }
         // The tree survived every bad request.
-        tree.query(Query::insert(&[1.0, 2.0], 7))
-            .and_then(QueryOutcome::inserted)
-            .expect("insert");
-        let hits = tree
-            .query(Query::knn(&[1.0, 2.0], 1))
-            .and_then(QueryOutcome::neighbors)
-            .expect("knn");
-        assert_eq!(hits[0].payload, 7);
+        let (point, payload) = (point(&[1.0, 2.0]), 7);
+        assert_eq!(
+            call(ClientReq::Insert {
+                point: point.clone(),
+                payload
+            }),
+            ClientResp::Done
+        );
+        assert_eq!(
+            call(ClientReq::Knn { point, k: 1 }),
+            ClientResp::Neighbors(vec![(0.0, payload)])
+        );
         tree.shutdown();
     }
 
@@ -1609,35 +1424,28 @@ mod tests {
             let back: ClientReq = decode_exact(&req.to_bytes()).unwrap();
             assert_eq!(back, req);
         }
+        let mut metrics = ClientMetrics {
+            messages: 3,
+            bytes: 120,
+            response_bytes: 48,
+            spawned_nodes: 2,
+            latency_count: 17,
+            p50_nanos: 2_048,
+            p99_nanos: 65_536,
+            p999_nanos: 131_072,
+            reads_retried: 5,
+            read_retries: [10, 3, 1, 0, 1, 0, 0, 0],
+            reactor_shards: 2,
+            ..ClientMetrics::default()
+        };
+        metrics.shard_served[..2].copy_from_slice(&[11, 6]);
+        metrics.shard_shed[1] = 4;
         let resps = [
             ClientResp::Done,
             ClientResp::Neighbors(vec![(0.5, 9)]),
             ClientResp::Stats(vec![(0, PartitionStats::default())]),
             ClientResp::Violations(vec!["broken".into()]),
-            ClientResp::Metrics {
-                messages: 3,
-                bytes: 120,
-                response_bytes: 48,
-                spawned_nodes: 2,
-                latency_count: 17,
-                p50_nanos: 2_048,
-                p99_nanos: 65_536,
-                p999_nanos: 131_072,
-                reads_retried: 5,
-                read_retries: [10, 3, 1, 0, 1, 0, 0, 0],
-                reactor_shards: 2,
-                shard_served: {
-                    let mut served = Box::new([0u64; MAX_REACTOR_SHARDS]);
-                    served[0] = 11;
-                    served[1] = 6;
-                    served
-                },
-                shard_shed: {
-                    let mut shed = Box::new([0u64; MAX_REACTOR_SHARDS]);
-                    shed[1] = 4;
-                    shed
-                },
-            },
+            ClientResp::Metrics(Box::new(metrics)),
             ClientResp::Error("nope".into()),
             ClientResp::NeighborBatches(vec![vec![(0.5, 9), (1.0, 2)], vec![]]),
             ClientResp::Overloaded,

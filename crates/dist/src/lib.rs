@@ -34,7 +34,7 @@
 //! | Field | Reference | Here |
 //! |---|---|---|
 //! | Node status `S` | Not/Left/Right/All visited | implicit in the recursion |
-//! | Number of points `K` | results wanted | `k` argument of [`DistSemTree::knn`] |
+//! | Number of points `K` | results wanted | `k` of [`Query::Knn`] |
 //! | Distance `D` | current worst / range radius | the `worst` pruning hint / `radius` |
 //! | Result-set `Rs` | the k best so far | the bounded max-heap |
 //! | Point `P` | query point | `point` argument |
@@ -43,7 +43,7 @@
 //!
 //! ```
 //! use semtree_cluster::CostModel;
-//! use semtree_dist::{CapacityPolicy, DistConfig, DistSemTree};
+//! use semtree_dist::{DistConfig, DistSemTree, Query, QueryOutcome};
 //!
 //! let config = DistConfig::new(2).with_bucket_size(8);
 //! // Three partitions (paper Figure 5's "3 partitions" series): one root
@@ -51,9 +51,13 @@
 //! let sample: Vec<Vec<f64>> = (0..32).map(|i| vec![f64::from(i), 0.0]).collect();
 //! let tree = DistSemTree::with_fanout(config, CostModel::zero(), 3, &sample);
 //! for i in 0..100u32 {
-//!     tree.insert(&[f64::from(i % 10), f64::from(i / 10)], u64::from(i));
+//!     tree.query(Query::insert(&[f64::from(i % 10), f64::from(i / 10)], u64::from(i)))
+//!         .unwrap();
 //! }
-//! let hits = tree.knn(&[3.1, 4.8], 3);
+//! let hits = tree
+//!     .query(Query::knn(&[3.1, 4.8], 3))
+//!     .and_then(QueryOutcome::neighbors)
+//!     .unwrap();
 //! assert_eq!(hits.len(), 3);
 //! assert_eq!(hits[0].payload, 53);
 //! tree.shutdown();
@@ -69,15 +73,14 @@ mod store;
 mod tree;
 
 pub use deploy::{
-    build_local_durable, build_tree, build_tree_durable, join_cluster, join_cluster_durable,
-    serve_clients, serve_clients_with, serve_cluster, ClientMetrics, ClientReq, ClientResp,
-    DeployError, DistFabric, NetClient, NetDeployConfig, PendingReply, PipelinedClient,
-    ServeOptions, WorkerHandle,
+    build_local_durable, build_tree, join_cluster, serve_clients_with, serve_cluster,
+    ClientMetrics, ClientReq, ClientResp, DeployError, DistFabric, NetClient, NetDeployConfig,
+    PendingReply, PipelinedClient, ServeOptions, WorkerHandle,
 };
 pub use proto::{PartitionStats, Req, Resp};
 pub use recovery::{inspect_wal, SnapshotCompression, WalInspection};
 pub use semtree_kdtree::Neighbor;
-pub use semtree_reactor::{effective_reactors, Backend as PollerBackend};
+pub use semtree_reactor::effective_reactors;
 pub use semtree_wal::WalOptions;
 pub use store::LocalNodeId;
 pub use tree::{CapacityPolicy, DistConfig, DistSemTree, GlobalStats, Query, QueryOutcome};

@@ -27,10 +27,9 @@ use std::sync::Arc;
 
 use semtree_kdtree::versioned::{ReadGuard, StdShim, TreeReader, TreeWriter, Txn, VersionedTree};
 use semtree_kdtree::{ReadStats, SplitRule};
+use semtree_par::metric::euclidean;
 
-use crate::store::{
-    choose_split, euclidean, Bucket, Child, KnnState, LocalNodeId, PNodeKind, PartitionStore,
-};
+use crate::store::{choose_split, Bucket, Child, KnnState, LocalNodeId, PNodeKind, PartitionStore};
 
 /// Shared, lock-free read side of a [`Mirror`]. Clone the [`Arc`]
 /// freely; reads are valid only while the partition stays fully local.

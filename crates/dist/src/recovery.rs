@@ -15,8 +15,7 @@ use std::sync::Arc;
 use semtree_cluster::ComputeNodeId;
 use semtree_net::decode_exact;
 use semtree_wal::{
-    SequencedLog, Snapshot, Wal, WalError, WalRecord, WalReport, WalState,
-    SNAPSHOT_FORMAT_COLUMNAR, SNAPSHOT_FORMAT_VERBATIM,
+    SequencedLog, Snapshot, Wal, WalError, WalRecord, WalReport, WalState, SNAPSHOT_FORMAT_COLUMNAR,
 };
 
 use crate::deploy::NetDeployConfig;
@@ -130,42 +129,23 @@ impl WalHandle {
         Ok((appended.snapshot_due, out))
     }
 
-    /// Snapshot one partition's full store image, superseding its log
-    /// records and compacting fully covered segments. The blob format
-    /// follows the WAL's columnar setting: columnar-enabled logs store
-    /// the image through the `semtree-colz` column codec, legacy logs
-    /// keep the verbatim row encoding.
+    /// Snapshot one partition's full store image (through the
+    /// `semtree-colz` column codec), superseding its log records and
+    /// compacting fully covered segments.
     pub(crate) fn snapshot_image(
         &self,
         partition: ComputeNodeId,
         image: &StoreImage,
     ) -> Result<(), WalError> {
-        use semtree_net::Encode as _;
-        self.log.with_sink(|wal| {
-            let (format, blob) = if wal.columnar_enabled() {
-                (
-                    SNAPSHOT_FORMAT_COLUMNAR,
-                    crate::colimage::encode_image(image),
-                )
-            } else {
-                (SNAPSHOT_FORMAT_VERBATIM, image.to_bytes())
-            };
-            wal.snapshot(partition.0, format, &blob)
-        })?;
+        let blob = crate::colimage::encode_image(image);
+        self.log
+            .with_sink(|wal| wal.snapshot(partition.0, SNAPSHOT_FORMAT_COLUMNAR, &blob))?;
         Ok(())
     }
 
     /// Delete sealed segments fully covered by snapshots.
     pub(crate) fn compact(&self) -> Result<usize, WalError> {
         self.log.with_sink(|wal| wal.compact())
-    }
-}
-
-impl std::fmt::Debug for WalHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WalHandle")
-            .field("dir", &self.log.with_sink(|wal| wal.dir().to_path_buf()))
-            .finish()
     }
 }
 
@@ -263,25 +243,16 @@ fn missing(
     store.ok_or_else(|| format!("lsn {lsn}: record for unknown partition {partition}"))
 }
 
-/// Decode a snapshot blob according to its recorded payload format —
-/// the single dispatch point between the legacy verbatim image encoding
-/// and the columnar one.
+/// Decode a snapshot blob (the WAL has already rejected every payload
+/// format but the columnar one).
 pub(crate) fn decode_snapshot_image(snap: &Snapshot) -> Result<StoreImage, String> {
-    match snap.format {
-        SNAPSHOT_FORMAT_VERBATIM => decode_exact(&snap.blob)
-            .map_err(|e| format!("partition {} snapshot: {e}", snap.partition)),
-        SNAPSHOT_FORMAT_COLUMNAR => crate::colimage::decode_image(&snap.blob)
-            .map_err(|e| format!("partition {} snapshot: {e}", snap.partition)),
-        other => Err(format!(
-            "partition {} snapshot: unknown payload format {other}",
-            snap.partition
-        )),
-    }
+    crate::colimage::decode_image(&snap.blob)
+        .map_err(|e| format!("partition {} snapshot: {e}", snap.partition))
 }
 
 /// One partition's snapshot compression footprint: what its blob costs
-/// on disk versus what the decoded store image costs in the verbatim row
-/// encoding (the size a pre-columnar WAL would have stored).
+/// on disk versus what the decoded store image costs in the row-wise
+/// `Encode` form (the uncompressed baseline).
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotCompression {
     /// Compute-node id of the partition.
@@ -290,13 +261,13 @@ pub struct SnapshotCompression {
     pub format: u8,
     /// Bytes of the blob as stored in the snapshot file.
     pub stored_bytes: usize,
-    /// Bytes of the same image in the verbatim row encoding.
+    /// Bytes of the same image in the row-wise baseline encoding.
     pub decoded_bytes: usize,
 }
 
 impl SnapshotCompression {
-    /// Verbatim-to-stored compression ratio (1.0 for verbatim blobs;
-    /// 0 stored bytes reports a ratio of 1.0 to stay finite).
+    /// Baseline-to-stored compression ratio (0 stored bytes reports a
+    /// ratio of 1.0 to stay finite).
     #[must_use]
     pub fn ratio(&self) -> f64 {
         if self.stored_bytes == 0 {
@@ -357,8 +328,7 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
 
-    use semtree_cluster::{Cluster, CostModel};
-    use semtree_net::Encode as _;
+    use semtree_cluster::CostModel;
     use semtree_wal::WalOptions;
 
     use crate::store::StoreImage;
@@ -383,19 +353,8 @@ mod tests {
     }
 
     fn durable_tree(dir: &Path, config: &DistConfig, options: WalOptions) -> DistSemTree {
-        let blob = crate::deploy::NetDeployConfig::from_config(config)
-            .expect("deployable config")
-            .to_bytes();
-        let wal = Wal::create(dir, 0, &blob, options).expect("create wal");
-        DistSemTree::build_on_with_wal(
-            Cluster::new(CostModel::zero()),
-            config.clone(),
-            CostModel::zero(),
-            1,
-            &[],
-            Some(WalHandle::new(wal)),
-        )
-        .expect("build durable tree")
+        crate::deploy::build_local_durable(config.clone(), CostModel::zero(), 1, &[], dir, options)
+            .expect("build durable tree")
     }
 
     #[test]
@@ -479,67 +438,6 @@ mod tests {
             "snapshot + compaction changed the replayed structure"
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn legacy_v0_wal_recovers_identically_through_the_columnar_reader() {
-        let dir_legacy = scratch_dir("v0-legacy");
-        let dir_columnar = scratch_dir("v0-columnar");
-        let config = DistConfig::new(2)
-            .with_bucket_size(4)
-            .with_max_partitions(4)
-            .with_capacity(CapacityPolicy::MaxPoints(40));
-        let legacy = WalOptions::default()
-            .with_segment_bytes(4096)
-            .with_snapshot_every(64)
-            .with_columnar(false);
-        let columnar = WalOptions::default().with_columnar(true);
-        for (dir, options) in [(&dir_legacy, legacy), (&dir_columnar, columnar)] {
-            let tree = durable_tree(dir, &config, options);
-            for i in 0..120u64 {
-                tree.query(Query::insert(&[(i % 11) as f64, (i / 11) as f64], i))
-                    .and_then(QueryOutcome::inserted)
-                    .expect("insert");
-            }
-            tree.shutdown();
-        }
-
-        // The legacy directory is true v0 on disk: headerless segments
-        // and version-1 verbatim snapshots.
-        for entry in std::fs::read_dir(dir_legacy.join("segments")).unwrap() {
-            let bytes = std::fs::read(entry.unwrap().path()).unwrap();
-            if bytes.len() >= 4 {
-                assert_ne!(&bytes[0..4], b"SSEG", "legacy segment grew a header");
-            }
-        }
-
-        // One reader, two formats, same workload: identical stores —
-        // node ids, parents, buckets, remote links, point counters.
-        let legacy_images = replayed_images(&dir_legacy);
-        let columnar_images = replayed_images(&dir_columnar);
-        assert_eq!(
-            legacy_images, columnar_images,
-            "columnar storage changed the recovered structure"
-        );
-
-        // Migration path: resume the v0 directory with columnar options,
-        // re-snapshot, compact. Replay must still see the same stores.
-        let (wal, _) = Wal::resume(&dir_legacy, columnar).expect("resume v0 dir");
-        let handle = WalHandle::new(wal);
-        for (partition, image) in &legacy_images {
-            handle
-                .snapshot_image(ComputeNodeId(*partition), image)
-                .expect("snapshot");
-        }
-        handle.compact().expect("compact");
-        drop(handle);
-        assert_eq!(
-            replayed_images(&dir_legacy),
-            legacy_images,
-            "migrating a v0 directory to columnar changed the replayed structure"
-        );
-        std::fs::remove_dir_all(&dir_legacy).ok();
-        std::fs::remove_dir_all(&dir_columnar).ok();
     }
 
     #[test]

@@ -2,7 +2,8 @@
 
 use semtree_cluster::{ClusterError, ComputeNodeId};
 use semtree_kdtree::SplitRule;
-use semtree_net::{Decode, DecodeError, Encode};
+use semtree_net::Encode;
+use semtree_par::metric::euclidean;
 
 use crate::deploy::{split_rule_from_tag, split_rule_tag};
 use crate::proto::PartitionStats;
@@ -192,14 +193,6 @@ impl KnnState {
         v.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("distances are finite"));
         v
     }
-}
-
-pub(crate) fn euclidean(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        .sqrt()
 }
 
 /// One partition's fragment of the global KD-tree.
@@ -953,10 +946,12 @@ impl PartitionStore {
     }
 }
 
-/// Codec-serializable twin of a [`PartitionStore`]: what a WAL snapshot
-/// blob contains, and what the structural recovery tests compare
+/// Structural twin of a [`PartitionStore`]: what `colimage` encodes into
+/// a WAL snapshot blob, and what the structural recovery tests compare
 /// (`PartialEq` covers arena order, depths, parent backlinks, remote
-/// links and the point counter — not just query answers).
+/// links and the point counter — not just query answers). Its row-wise
+/// [`Encode`] is never stored; it is the size baseline compression
+/// ratios are reported against.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct StoreImage {
     pub(crate) dims: usize,
@@ -1025,33 +1020,11 @@ impl Encode for StoreImage {
     }
 }
 
-impl Decode for StoreImage {
-    fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(StoreImage {
-            dims: usize::decode(buf)?,
-            bucket_size: usize::decode(buf)?,
-            split_rule: u8::decode(buf)?,
-            points: usize::decode(buf)?,
-            nodes: Vec::decode(buf)?,
-        })
-    }
-}
-
 impl Encode for NodeImage {
     fn encode(&self, out: &mut Vec<u8>) {
         self.kind.encode(out);
         self.depth.encode(out);
         self.parent.encode(out);
-    }
-}
-
-impl Decode for NodeImage {
-    fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(NodeImage {
-            kind: NodeKindImage::decode(buf)?,
-            depth: u32::decode(buf)?,
-            parent: Option::decode(buf)?,
-        })
     }
 }
 
@@ -1078,23 +1051,6 @@ impl Encode for NodeKindImage {
     }
 }
 
-impl Decode for NodeKindImage {
-    fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(buf)? {
-            0 => Ok(NodeKindImage::Routing {
-                split_dim: usize::decode(buf)?,
-                split_val: f64::decode(buf)?,
-                left: ChildImage::decode(buf)?,
-                right: ChildImage::decode(buf)?,
-            }),
-            1 => Ok(NodeKindImage::Leaf {
-                bucket: Vec::decode(buf)?,
-            }),
-            other => Err(DecodeError::new(format!("bad NodeKindImage tag {other}"))),
-        }
-    }
-}
-
 impl Encode for ChildImage {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -1107,19 +1063,6 @@ impl Encode for ChildImage {
                 partition.encode(out);
                 node.encode(out);
             }
-        }
-    }
-}
-
-impl Decode for ChildImage {
-    fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(buf)? {
-            0 => Ok(ChildImage::Local(u32::decode(buf)?)),
-            1 => Ok(ChildImage::Remote {
-                partition: u32::decode(buf)?,
-                node: u32::decode(buf)?,
-            }),
-            other => Err(DecodeError::new(format!("bad ChildImage tag {other}"))),
         }
     }
 }

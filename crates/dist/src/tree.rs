@@ -6,8 +6,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use semtree_cluster::{
-    ChannelFabric, Cluster, ClusterError, ClusterMetrics, CompleteFn, ComputeNodeId, CostModel,
-    Transport,
+    Cluster, ClusterError, ClusterMetrics, CompleteFn, ComputeNodeId, CostModel,
 };
 use semtree_kdtree::{Neighbor, SplitRule};
 
@@ -158,11 +157,7 @@ pub(crate) struct SharedConfig {
 }
 
 impl SharedConfig {
-    pub(crate) fn new(config: &DistConfig) -> Arc<Self> {
-        Self::new_with_wal(config, None)
-    }
-
-    pub(crate) fn new_with_wal(config: &DistConfig, wal: Option<Arc<WalHandle>>) -> Arc<Self> {
+    pub(crate) fn new(config: &DistConfig, wal: Option<Arc<WalHandle>>) -> Arc<Self> {
         Arc::new(SharedConfig {
             dims: config.dims,
             bucket_size: config.bucket_size,
@@ -402,39 +397,27 @@ fn to_neighbors(candidates: Vec<(f64, u64)>) -> Vec<Neighbor<u64>> {
         .collect()
 }
 
-/// Map an insert's actor response. Shared by the blocking and pipelined
-/// query paths so both produce identical outcomes.
-fn expect_done(resp: Resp) -> Result<QueryOutcome, ClusterError> {
+/// Decode the root actor's reply — the one `Resp` → [`QueryOutcome`]
+/// mapping, shared by the blocking and pipelined paths. A reply of the
+/// wrong shape for the request surfaces through the typed
+/// [`QueryOutcome`] accessors.
+fn decode(resp: Resp) -> Result<QueryOutcome, ClusterError> {
     match resp {
         Resp::Done => Ok(QueryOutcome::Inserted),
-        Resp::Error(msg) => Err(ClusterError::Remote(msg)),
-        other => Err(ClusterError::Remote(format!(
-            "expected done, got {other:?}"
-        ))),
-    }
-}
-
-/// Map a search's actor response to its raw candidate list.
-fn expect_candidates(resp: Resp) -> Result<Vec<(f64, u64)>, ClusterError> {
-    match resp {
-        Resp::Candidates(c) => Ok(c),
-        Resp::Error(msg) => Err(ClusterError::Remote(msg)),
-        other => Err(ClusterError::Remote(format!(
-            "expected candidates, got {other:?}"
-        ))),
-    }
-}
-
-/// Map a batched search's actor response.
-fn expect_batches(resp: Resp) -> Result<QueryOutcome, ClusterError> {
-    match resp {
+        Resp::Candidates(c) => Ok(QueryOutcome::Neighbors(to_neighbors(c))),
         Resp::CandidateBatches(b) => Ok(QueryOutcome::NeighborBatches(
             b.into_iter().map(to_neighbors).collect(),
         )),
-        Resp::Error(msg) => Err(ClusterError::Remote(msg)),
-        other => Err(ClusterError::Remote(format!(
-            "expected candidate batches, got {other:?}"
-        ))),
+        other => Err(unexpected("a query outcome", other)),
+    }
+}
+
+/// The error for a reply that is not the shape the request calls for: the
+/// actor's own failure report, or a protocol mismatch.
+fn unexpected(expected: &str, resp: Resp) -> ClusterError {
+    match resp {
+        Resp::Error(msg) => ClusterError::Remote(msg),
+        other => ClusterError::Remote(format!("expected {expected}, got {other:?}")),
     }
 }
 
@@ -443,6 +426,36 @@ fn sorted_range_outcome(candidates: Vec<(f64, u64)>) -> QueryOutcome {
     let mut out = to_neighbors(candidates);
     out.sort_by(|a, b| a.dist.total_cmp(&b.dist));
     QueryOutcome::Neighbors(out)
+}
+
+/// [`decode`] for range replies, which leave the actors unsorted.
+fn decode_range(resp: Resp) -> Result<QueryOutcome, ClusterError> {
+    match resp {
+        Resp::Candidates(c) => Ok(sorted_range_outcome(c)),
+        other => decode(other),
+    }
+}
+
+/// How a lowered [`Query`] turns the root actor's reply into its outcome.
+type Decode = fn(Resp) -> Result<QueryOutcome, ClusterError>;
+
+/// A validated [`Query`] after [`DistSemTree::lower`]: either already
+/// answered by the lock-free read path, or the message for the root
+/// partition's actor plus the decoder for its reply.
+enum Lowered {
+    Answered(QueryOutcome),
+    Send(Req, Decode),
+}
+
+/// Bump the facade's insert counter when `outcome` acknowledges one.
+fn count_insert(
+    inserted: &AtomicU64,
+    outcome: Result<QueryOutcome, ClusterError>,
+) -> Result<QueryOutcome, ClusterError> {
+    if matches!(outcome, Ok(QueryOutcome::Inserted)) {
+        inserted.fetch_add(1, Ordering::Relaxed);
+    }
+    outcome
 }
 
 /// The distributed SemTree: a cluster of partition actors behind a
@@ -461,7 +474,7 @@ impl DistSemTree {
     /// Single-partition tree (the sequential baseline, "1 partition").
     #[must_use]
     pub fn single(config: DistConfig, cost: CostModel) -> Self {
-        DistSemTree::build_on(Cluster::new(cost), config, cost, 1, &[])
+        DistSemTree::build_on(Cluster::new(cost), config, cost, 1, &[], None)
             .expect("in-process construction cannot fail")
     }
 
@@ -480,14 +493,16 @@ impl DistSemTree {
         partitions: usize,
         sample: &[Vec<f64>],
     ) -> Self {
-        DistSemTree::build_on(Cluster::new(cost), config, cost, partitions, sample)
+        DistSemTree::build_on(Cluster::new(cost), config, cost, partitions, sample, None)
             .expect("in-process construction cannot fail")
     }
 
-    /// Build over an explicit [`Transport`] — `local` hosts this process's
-    /// nodes (the root partition always lives here), `transport` routes
-    /// and *places* the data partitions: under `semtree-net` they land on
-    /// worker processes, round-robin.
+    /// Shared construction path: install the member factory, then spawn
+    /// the root on `cluster`'s local fabric and the data partitions through
+    /// its transport, which *places* them: under `semtree-net` they land
+    /// on worker processes, round-robin. With a `wal`, the locally hosted
+    /// partitions (at least the root) log every mutation and snapshot
+    /// their initial state.
     ///
     /// # Errors
     /// Fails when a data partition cannot be spawned or seeded — e.g. no
@@ -496,54 +511,7 @@ impl DistSemTree {
     /// # Panics
     /// Panics on the same configuration errors as
     /// [`with_fanout`](DistSemTree::with_fanout).
-    pub fn over_transport(
-        local: Arc<ChannelFabric<Req, Resp>>,
-        transport: Arc<dyn Transport<Req, Resp>>,
-        config: DistConfig,
-        cost: CostModel,
-        partitions: usize,
-        sample: &[Vec<f64>],
-    ) -> Result<Self, ClusterError> {
-        DistSemTree::over_transport_with_wal(
-            local, transport, config, cost, partitions, sample, None,
-        )
-    }
-
-    /// [`over_transport`](DistSemTree::over_transport) with a WAL: the
-    /// locally hosted partitions (at least the root) log every mutation
-    /// and snapshot their initial state.
-    pub(crate) fn over_transport_with_wal(
-        local: Arc<ChannelFabric<Req, Resp>>,
-        transport: Arc<dyn Transport<Req, Resp>>,
-        config: DistConfig,
-        cost: CostModel,
-        partitions: usize,
-        sample: &[Vec<f64>],
-        wal: Option<Arc<WalHandle>>,
-    ) -> Result<Self, ClusterError> {
-        DistSemTree::build_on_with_wal(
-            Cluster::from_parts(local, transport),
-            config,
-            cost,
-            partitions,
-            sample,
-            wal,
-        )
-    }
-
-    /// Shared construction path: install the member factory, then spawn
-    /// the root locally and the data partitions through the transport.
-    fn build_on(
-        cluster: Cluster<PartitionActor>,
-        config: DistConfig,
-        cost: CostModel,
-        partitions: usize,
-        sample: &[Vec<f64>],
-    ) -> Result<Self, ClusterError> {
-        DistSemTree::build_on_with_wal(cluster, config, cost, partitions, sample, None)
-    }
-
-    pub(crate) fn build_on_with_wal(
+    pub(crate) fn build_on(
         cluster: Cluster<PartitionActor>,
         config: DistConfig,
         cost: CostModel,
@@ -552,72 +520,66 @@ impl DistSemTree {
         wal: Option<Arc<WalHandle>>,
     ) -> Result<Self, ClusterError> {
         assert!(partitions > 0, "at least one partition is required");
-        let shared = SharedConfig::new_with_wal(&config, wal);
+        let shared = SharedConfig::new(&config, wal);
         shared.set_metrics(cluster.metrics_handle());
         install_member_factory(&cluster, &shared);
 
-        if partitions == 1 {
-            assert!(shared.try_reserve_partition());
-            // Build the root store explicitly so its initial image can be
-            // snapshotted once the spawn assigns the partition id.
-            let store = PartitionStore::new_leaf_with_rule(
+        let store = if partitions == 1 {
+            PartitionStore::new_leaf_with_rule(
                 config.dims,
                 config.bucket_size,
                 config.split_rule,
                 Vec::new(),
                 0,
+            )
+        } else {
+            assert!(
+                partitions >= 3,
+                "a routing root needs at least two data partitions (use 1, or ≥ 3)"
             );
-            let image = shared.wal.as_ref().map(|_| store.to_image());
-            let root = cluster.spawn(PartitionActor::with_store(store, Arc::clone(&shared)));
-            snapshot_initial(&shared, root, image)?;
-            return Ok(DistSemTree {
-                cluster,
-                root,
-                shared,
-                inserted: Arc::new(AtomicU64::new(0)),
-                cost,
-            });
-        }
-        assert!(
-            partitions >= 3,
-            "a routing root needs at least two data partitions (use 1, or ≥ 3)"
-        );
-        assert!(
-            config.max_partitions >= partitions,
-            "max_partitions ({}) below requested partitions ({partitions})",
-            config.max_partitions
-        );
-        assert!(
-            !sample.is_empty(),
-            "a non-empty sample is required to choose the fan-out splits"
-        );
-        for p in sample {
-            assert_eq!(p.len(), config.dims, "sample dimensionality mismatch");
-        }
+            assert!(
+                config.max_partitions >= partitions,
+                "max_partitions ({}) below requested partitions ({partitions})",
+                config.max_partitions
+            );
+            assert!(
+                !sample.is_empty(),
+                "a non-empty sample is required to choose the fan-out splits"
+            );
+            for p in sample {
+                assert_eq!(p.len(), config.dims, "sample dimensionality mismatch");
+            }
 
-        // Data partitions are spawned as the recursion reaches its leaves;
-        // the root's routing tree is assembled in a local store whose first
-        // pushed node (the routing root) becomes node 0.
-        let mut store = PartitionStore::empty_arena(config.dims, config.bucket_size);
-        let mut sample: Vec<&[f64]> = sample.iter().map(Vec::as_slice).collect();
-        let root_child = build_fanout(
-            &cluster,
-            &shared,
-            &mut store,
-            &mut sample,
-            partitions - 1,
-            0,
-            config.dims,
-        )?;
-        match root_child {
-            Child::Local(id) => debug_assert_eq!(id, LocalNodeId(0)),
-            Child::Remote { .. } => unreachable!("fan-out of ≥2 leaves roots locally"),
-        }
+            // Data partitions are spawned as the recursion reaches its
+            // leaves; the root's routing tree is assembled in a local store
+            // whose first pushed node (the routing root) becomes node 0.
+            let mut store = PartitionStore::empty_arena(config.dims, config.bucket_size);
+            let mut sample: Vec<&[f64]> = sample.iter().map(Vec::as_slice).collect();
+            let root_child = build_fanout(
+                &cluster,
+                &shared,
+                &mut store,
+                &mut sample,
+                partitions - 1,
+                0,
+                config.dims,
+            )?;
+            match root_child {
+                Child::Local(id) => debug_assert_eq!(id, LocalNodeId(0)),
+                Child::Remote { .. } => unreachable!("fan-out of ≥2 leaves roots locally"),
+            }
+            store
+        };
 
-        assert!(shared.try_reserve_partition()); // the root partition itself
+        // The root partition itself. Its initial image is snapshotted once
+        // the spawn has assigned the partition id.
+        assert!(shared.try_reserve_partition());
         let image = shared.wal.as_ref().map(|_| store.to_image());
         let root = cluster.spawn(PartitionActor::with_store(store, Arc::clone(&shared)));
-        snapshot_initial(&shared, root, image)?;
+        if let (Some(wal), Some(image)) = (shared.wal.as_ref(), image) {
+            wal.snapshot_image(root, &image)
+                .map_err(|e| ClusterError::Remote(format!("wal snapshot failed: {e}")))?;
+        }
         Ok(DistSemTree {
             cluster,
             root,
@@ -640,63 +602,17 @@ impl DistSemTree {
     /// (`reads_retried`).
     ///
     /// # Errors
-    /// Fails when a partition the operation must visit is unreachable
+    /// [`ClusterError::InvalidRequest`] when the query is malformed (see
+    /// [`validate`](DistSemTree::validate)) — nothing was sent; otherwise
+    /// fails when a partition the operation must visit is unreachable
     /// (dead node, network fault) or reports a failure of its own.
     pub fn query(&self, query: Query) -> Result<QueryOutcome, ClusterError> {
-        match query {
-            Query::Insert { point, payload } => {
-                let outcome = expect_done(self.cluster.call(
-                    self.root,
-                    Req::Insert {
-                        node: LocalNodeId(0),
-                        point,
-                        payload,
-                    },
-                )?)?;
-                self.inserted.fetch_add(1, Ordering::Relaxed);
-                Ok(outcome)
-            }
-            Query::Knn { point, k } => {
-                if let Some((hits, retries)) = self.direct_read(|h| h.knn(&point, k, None)) {
-                    self.shared.record_read_retries(retries);
-                    return Ok(QueryOutcome::Neighbors(to_neighbors(hits)));
-                }
-                let candidates = expect_candidates(self.cluster.call(
-                    self.root,
-                    Req::Knn {
-                        node: LocalNodeId(0),
-                        point,
-                        k,
-                        worst: None,
-                    },
-                )?)?;
-                Ok(QueryOutcome::Neighbors(to_neighbors(candidates)))
-            }
-            Query::KnnBatch { points, k } => expect_batches(self.cluster.call(
-                self.root,
-                Req::KnnBatch {
-                    node: LocalNodeId(0),
-                    points,
-                    k,
-                },
-            )?),
-            Query::Range { point, radius } => {
-                let candidates =
-                    if let Some((hits, retries)) = self.direct_read(|h| h.range(&point, radius)) {
-                        self.shared.record_read_retries(retries);
-                        hits
-                    } else {
-                        expect_candidates(self.cluster.call(
-                            self.root,
-                            Req::Range {
-                                node: LocalNodeId(0),
-                                point,
-                                radius,
-                            },
-                        )?)?
-                    };
-                Ok(sorted_range_outcome(candidates))
-            }
+        match self.lower(query)? {
+            Lowered::Answered(outcome) => Ok(outcome),
+            Lowered::Send(req, decode) => count_insert(
+                &self.inserted,
+                self.cluster.call(self.root, req).and_then(decode),
+            ),
         }
     }
 
@@ -705,173 +621,117 @@ impl DistSemTree {
     /// with the identical outcome the blocking path would have produced,
     /// on whatever thread finishes the work — the root actor's thread
     /// in-process, a network demux reader under `semtree-net`, or this
-    /// thread when the lock-free read fast path answers inline. This is
-    /// what lets one serving executor keep hundreds of worker round
-    /// trips in flight.
+    /// thread when validation rejects the query or the lock-free read
+    /// fast path answers inline. This is what lets one serving executor
+    /// keep hundreds of worker round trips in flight.
     pub fn submit_query(&self, query: Query, complete: CompleteFn<QueryOutcome>) {
-        match query {
-            Query::Insert { point, payload } => {
+        match self.lower(query) {
+            Err(e) => complete(Err(e)),
+            Ok(Lowered::Answered(outcome)) => complete(Ok(outcome)),
+            Ok(Lowered::Send(req, decode)) => {
                 let inserted = Arc::clone(&self.inserted);
                 self.cluster.submit(
                     self.root,
-                    Req::Insert {
-                        node: LocalNodeId(0),
-                        point,
-                        payload,
-                    },
+                    req,
                     Box::new(move |resp| {
-                        let outcome = resp.and_then(expect_done);
-                        if outcome.is_ok() {
-                            inserted.fetch_add(1, Ordering::Relaxed);
-                        }
-                        complete(outcome);
-                    }),
-                );
-            }
-            Query::Knn { point, k } => {
-                if let Some((hits, retries)) = self.direct_read(|h| h.knn(&point, k, None)) {
-                    self.shared.record_read_retries(retries);
-                    complete(Ok(QueryOutcome::Neighbors(to_neighbors(hits))));
-                    return;
-                }
-                self.cluster.submit(
-                    self.root,
-                    Req::Knn {
-                        node: LocalNodeId(0),
-                        point,
-                        k,
-                        worst: None,
-                    },
-                    Box::new(move |resp| {
-                        complete(
-                            resp.and_then(expect_candidates)
-                                .map(|c| QueryOutcome::Neighbors(to_neighbors(c))),
-                        );
-                    }),
-                );
-            }
-            Query::KnnBatch { points, k } => {
-                self.cluster.submit(
-                    self.root,
-                    Req::KnnBatch {
-                        node: LocalNodeId(0),
-                        points,
-                        k,
-                    },
-                    Box::new(move |resp| complete(resp.and_then(expect_batches))),
-                );
-            }
-            Query::Range { point, radius } => {
-                if let Some((hits, retries)) = self.direct_read(|h| h.range(&point, radius)) {
-                    self.shared.record_read_retries(retries);
-                    complete(Ok(sorted_range_outcome(hits)));
-                    return;
-                }
-                self.cluster.submit(
-                    self.root,
-                    Req::Range {
-                        node: LocalNodeId(0),
-                        point,
-                        radius,
-                    },
-                    Box::new(move |resp| {
-                        complete(resp.and_then(expect_candidates).map(sorted_range_outcome));
+                        complete(count_insert(&inserted, resp.and_then(decode)));
                     }),
                 );
             }
         }
     }
 
+    /// The one request lowering behind [`query`](DistSemTree::query) and
+    /// [`submit_query`](DistSemTree::submit_query): validate, try the
+    /// lock-free read path, otherwise build the root actor's message and
+    /// name the decoder for its reply.
+    fn lower(&self, query: Query) -> Result<Lowered, ClusterError> {
+        self.validate(&query)?;
+        let node = LocalNodeId(0);
+        Ok(match query {
+            Query::Insert { point, payload } => Lowered::Send(
+                Req::Insert {
+                    node,
+                    point,
+                    payload,
+                },
+                decode,
+            ),
+            Query::Knn { point, k } => match self.direct_read(|h| h.knn(&point, k, None)) {
+                Some(hits) => Lowered::Answered(QueryOutcome::Neighbors(to_neighbors(hits))),
+                None => Lowered::Send(
+                    Req::Knn {
+                        node,
+                        point,
+                        k,
+                        worst: None,
+                    },
+                    decode,
+                ),
+            },
+            Query::KnnBatch { points, k } => {
+                Lowered::Send(Req::KnnBatch { node, points, k }, decode)
+            }
+            Query::Range { point, radius } => match self.direct_read(|h| h.range(&point, radius)) {
+                Some(hits) => Lowered::Answered(sorted_range_outcome(hits)),
+                None => Lowered::Send(
+                    Req::Range {
+                        node,
+                        point,
+                        radius,
+                    },
+                    decode_range,
+                ),
+            },
+        })
+    }
+
+    /// The input contract of every data operation, checked once here —
+    /// before the read path and before any actor — for in-process and
+    /// served callers alike: every point has exactly `dims` finite
+    /// coordinates, and a range radius is finite and non-negative.
+    /// (`PartitionStore` asserts the same as internal invariants; a
+    /// request that reached them would kill its partition's actor.)
+    fn validate(&self, query: &Query) -> Result<(), ClusterError> {
+        let dims = self.shared.dims;
+        let check = |point: &Vec<f64>| {
+            if point.len() != dims {
+                return Err(ClusterError::InvalidRequest(format!(
+                    "point has {} dimensions, the index expects {dims}",
+                    point.len()
+                )));
+            }
+            if !point.iter().all(|c| c.is_finite()) {
+                return Err(ClusterError::InvalidRequest(
+                    "point has a non-finite coordinate".into(),
+                ));
+            }
+            Ok(())
+        };
+        match query {
+            Query::Insert { point, .. } | Query::Knn { point, .. } => check(point),
+            Query::KnnBatch { points, .. } => points.iter().try_for_each(check),
+            Query::Range { point, radius } => {
+                check(point)?;
+                if radius.is_finite() && *radius >= 0.0 {
+                    Ok(())
+                } else {
+                    Err(ClusterError::InvalidRequest(format!(
+                        "radius {radius} is not a finite non-negative number"
+                    )))
+                }
+            }
+        }
+    }
+
     /// Try the lock-free read fast path: only when the root partition
     /// has registered a [`ReadHandle`] and it is still fully local.
-    fn direct_read<T>(&self, read: impl FnOnce(&ReadHandle) -> Option<T>) -> Option<T> {
+    /// Writer-race retries land in the cluster metrics.
+    fn direct_read<T>(&self, read: impl FnOnce(&ReadHandle) -> Option<(T, u64)>) -> Option<T> {
         let handle = self.shared.read_handle(self.root)?;
-        read(&handle)
-    }
-
-    /// Insert a point via the distributed insertion algorithm, starting
-    /// "from the root node of the root partition".
-    ///
-    /// # Errors
-    /// Fails when the target partition is unreachable (dead node, network
-    /// fault) or reports a failure of its own.
-    #[deprecated(note = "use DistSemTree::query with Query::Insert")]
-    pub fn try_insert(&self, point: &[f64], payload: u64) -> Result<(), ClusterError> {
-        self.query(Query::insert(point, payload))?.inserted()
-    }
-
-    /// Infallible insert for healthy clusters.
-    ///
-    /// # Panics
-    /// Panics when the insert fails.
-    #[deprecated(note = "use DistSemTree::query with Query::Insert")]
-    pub fn insert(&self, point: &[f64], payload: u64) {
-        self.query(Query::insert(point, payload))
-            .and_then(QueryOutcome::inserted)
-            .expect("distributed insert failed");
-    }
-
-    /// Distributed k-nearest query; hits come back closest first.
-    ///
-    /// # Errors
-    /// Fails when any partition the search must visit is unreachable.
-    #[deprecated(note = "use DistSemTree::query with Query::Knn")]
-    pub fn try_knn(&self, point: &[f64], k: usize) -> Result<Vec<Neighbor<u64>>, ClusterError> {
-        self.query(Query::knn(point, k))?.neighbors()
-    }
-
-    /// Infallible k-nearest query for healthy clusters.
-    ///
-    /// # Panics
-    /// Panics when the query fails.
-    #[deprecated(note = "use DistSemTree::query with Query::Knn")]
-    #[must_use]
-    pub fn knn(&self, point: &[f64], k: usize) -> Vec<Neighbor<u64>> {
-        self.query(Query::knn(point, k))
-            .and_then(QueryOutcome::neighbors)
-            .expect("distributed knn failed")
-    }
-
-    /// Batched distributed k-nearest query: every query in `points` is
-    /// answered in one round trip to the root partition, which fans
-    /// fully-local batches out over its worker pool. Answers come back
-    /// in query order, each closest first — identical to issuing
-    /// [`Query::Knn`] per query.
-    ///
-    /// # Errors
-    /// Fails when any partition a search must visit is unreachable.
-    #[deprecated(note = "use DistSemTree::query with Query::KnnBatch")]
-    pub fn try_knn_batch(
-        &self,
-        points: &[Vec<f64>],
-        k: usize,
-    ) -> Result<Vec<Vec<Neighbor<u64>>>, ClusterError> {
-        self.query(Query::knn_batch(points, k))?.neighbor_batches()
-    }
-
-    /// Distributed range query (inclusive radius); hits closest first.
-    ///
-    /// # Errors
-    /// Fails when any partition the search must visit is unreachable.
-    #[deprecated(note = "use DistSemTree::query with Query::Range")]
-    pub fn try_range(
-        &self,
-        point: &[f64],
-        radius: f64,
-    ) -> Result<Vec<Neighbor<u64>>, ClusterError> {
-        self.query(Query::range(point, radius))?.neighbors()
-    }
-
-    /// Infallible range query for healthy clusters.
-    ///
-    /// # Panics
-    /// Panics when the query fails.
-    #[deprecated(note = "use DistSemTree::query with Query::Range")]
-    #[must_use]
-    pub fn range(&self, point: &[f64], radius: f64) -> Vec<Neighbor<u64>> {
-        self.query(Query::range(point, radius))
-            .and_then(QueryOutcome::neighbors)
-            .expect("distributed range failed")
+        let (hits, retries) = read(&handle)?;
+        self.shared.record_read_retries(retries);
+        Some(hits)
     }
 
     /// Number of points inserted through this facade.
@@ -933,24 +793,10 @@ impl DistSemTree {
                     queue.extend(stats.remote_children_ids());
                     out.partitions.push((pid.0, stats));
                 }
-                Resp::Error(msg) => return Err(ClusterError::Remote(msg)),
-                other => {
-                    return Err(ClusterError::Remote(format!(
-                        "expected stats, got {other:?}"
-                    )))
-                }
+                other => return Err(unexpected("stats", other)),
             }
         }
         Ok(out)
-    }
-
-    /// Infallible [`try_global_stats`](DistSemTree::try_global_stats).
-    ///
-    /// # Panics
-    /// Panics when any partition is unreachable.
-    #[must_use]
-    pub fn global_stats(&self) -> GlobalStats {
-        self.try_global_stats().expect("partition walk failed")
     }
 
     /// Check every partition's structural invariants plus cross-partition
@@ -994,24 +840,10 @@ impl DistSemTree {
         for &(pid, _) in &stats.partitions {
             match self.cluster.call(ComputeNodeId(pid), Req::Export)? {
                 Resp::Points(pts) => out.extend(pts),
-                Resp::Error(msg) => return Err(ClusterError::Remote(msg)),
-                other => {
-                    return Err(ClusterError::Remote(format!(
-                        "expected points, got {other:?}"
-                    )))
-                }
+                other => return Err(unexpected("points", other)),
             }
         }
         Ok(out)
-    }
-
-    /// Infallible [`try_export_points`](DistSemTree::try_export_points).
-    ///
-    /// # Panics
-    /// Panics when any partition is unreachable.
-    #[must_use]
-    pub fn export_points(&self) -> Vec<(Vec<f64>, u64)> {
-        self.try_export_points().expect("export failed")
     }
 
     /// Rebuild this tree balanced across exactly `partitions` partitions —
@@ -1021,9 +853,13 @@ impl DistSemTree {
     /// cluster is shut down, and a fresh fan-out tree is loaded from them.
     /// The explicit layout supersedes any dynamic capacity policy the old
     /// tree had (the policy is reset to [`CapacityPolicy::Unlimited`]).
-    #[must_use]
-    pub fn repartitioned(self, partitions: usize) -> DistSemTree {
-        let points = self.export_points();
+    ///
+    /// # Errors
+    /// Fails when a partition of the old tree cannot be exported or a
+    /// re-insert into the new one fails; the old cluster is shut down
+    /// either way.
+    pub fn repartitioned(self, partitions: usize) -> Result<DistSemTree, ClusterError> {
+        let points = self.try_export_points();
         let config = DistConfig {
             dims: self.shared.dims,
             bucket_size: self.shared.bucket_size,
@@ -1033,6 +869,7 @@ impl DistSemTree {
         };
         let cost = self.cost;
         self.shutdown();
+        let points = points?;
         let tree = if partitions <= 1 || points.is_empty() {
             DistSemTree::single(config, cost)
         } else {
@@ -1040,31 +877,18 @@ impl DistSemTree {
             DistSemTree::with_fanout(config, cost, partitions, &sample)
         };
         for (coords, payload) in points {
-            tree.query(Query::insert(&coords, payload))
-                .and_then(QueryOutcome::inserted)
-                .expect("re-insert during repartition failed");
+            tree.query(Query::Insert {
+                point: coords,
+                payload,
+            })?;
         }
-        tree
+        Ok(tree)
     }
 
     /// Stop every partition's compute node.
     pub fn shutdown(self) {
         self.cluster.shutdown();
     }
-}
-
-/// Write a just-spawned local partition's initial image to the WAL, now
-/// that the spawn has assigned its partition id.
-fn snapshot_initial(
-    shared: &Arc<SharedConfig>,
-    partition: ComputeNodeId,
-    image: Option<crate::store::StoreImage>,
-) -> Result<(), ClusterError> {
-    if let (Some(wal), Some(image)) = (shared.wal.as_ref(), image) {
-        wal.snapshot_image(partition, &image)
-            .map_err(|e| ClusterError::Remote(format!("wal snapshot failed: {e}")))?;
-    }
-    Ok(())
 }
 
 /// Install the factory the transport uses for member spawns: every new
@@ -1108,12 +932,7 @@ fn build_fanout(
             },
         )? {
             Resp::Done => {}
-            Resp::Error(msg) => return Err(ClusterError::Remote(msg)),
-            other => {
-                return Err(ClusterError::Remote(format!(
-                    "unexpected AdoptLeaf reply {other:?}"
-                )))
-            }
+            other => return Err(unexpected("an AdoptLeaf acknowledgement", other)),
         }
         return Ok(Child::Remote {
             partition: pid,
@@ -1171,6 +990,7 @@ fn build_fanout(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use semtree_par::metric::euclidean;
 
     fn grid(n: usize) -> Vec<(Vec<f64>, u64)> {
         (0..n)
@@ -1179,21 +999,19 @@ mod tests {
     }
 
     fn brute_knn(points: &[(Vec<f64>, u64)], q: &[f64], k: usize) -> Vec<(f64, u64)> {
-        let mut all: Vec<(f64, u64)> = points
-            .iter()
-            .map(|(c, p)| {
-                let d = c
-                    .iter()
-                    .zip(q)
-                    .map(|(x, y)| (x - y) * (x - y))
-                    .sum::<f64>()
-                    .sqrt();
-                (d, *p)
-            })
-            .collect();
+        let mut all: Vec<(f64, u64)> = points.iter().map(|(c, p)| (euclidean(c, q), *p)).collect();
         all.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
         all.truncate(k);
         all
+    }
+
+    /// `m`-partition tree with room for 16 (no capacity policy, so none
+    /// beyond `m` is ever built) and leaf buckets of `bucket`.
+    fn fanout(dims: usize, bucket: usize, m: usize, sample: &[Vec<f64>]) -> DistSemTree {
+        let config = DistConfig::new(dims)
+            .with_bucket_size(bucket)
+            .with_max_partitions(16);
+        DistSemTree::with_fanout(config, CostModel::zero(), m, sample)
     }
 
     fn ins(tree: &DistSemTree, point: &[f64], payload: u64) {
@@ -1212,27 +1030,6 @@ mod tests {
         tree.query(Query::range(point, radius))
             .and_then(QueryOutcome::neighbors)
             .expect("range failed")
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_answer_correctly() {
-        // The pre-`Query` entry points remain as thin wrappers; this is the
-        // one test that exercises them directly.
-        let tree = DistSemTree::single(DistConfig::new(1).with_bucket_size(4), CostModel::zero());
-        for i in 0..20u64 {
-            tree.insert(&[i as f64], i);
-        }
-        tree.try_insert(&[20.0], 20).expect("try_insert");
-        assert_eq!(tree.knn(&[3.2], 2).len(), 2);
-        assert_eq!(tree.try_knn(&[3.2], 2).expect("try_knn").len(), 2);
-        assert_eq!(tree.range(&[5.0], 1.0).len(), 3);
-        assert_eq!(tree.try_range(&[5.0], 1.0).expect("try_range").len(), 3);
-        let batches = tree
-            .try_knn_batch(&[vec![1.1], vec![9.9]], 3)
-            .expect("try_knn_batch");
-        assert_eq!(batches.len(), 2);
-        tree.shutdown();
     }
 
     #[test]
@@ -1255,14 +1052,7 @@ mod tests {
         let got = range_q(&tree, &q, 3.0);
         let want = points
             .iter()
-            .filter(|(c, _)| {
-                c.iter()
-                    .zip(&q)
-                    .map(|(x, y)| (x - y) * (x - y))
-                    .sum::<f64>()
-                    .sqrt()
-                    <= 3.0
-            })
+            .filter(|(c, _)| euclidean(c, &q) <= 3.0)
             .count();
         assert_eq!(got.len(), want);
         tree.shutdown();
@@ -1273,14 +1063,7 @@ mod tests {
         let points = grid(400);
         let sample: Vec<Vec<f64>> = points.iter().map(|(c, _)| c.clone()).take(100).collect();
         for m in [1usize, 3, 5, 9] {
-            let tree = DistSemTree::with_fanout(
-                DistConfig::new(2)
-                    .with_bucket_size(8)
-                    .with_max_partitions(16),
-                CostModel::zero(),
-                m,
-                &sample,
-            );
+            let tree = fanout(2, 8, m, &sample);
             for (c, p) in &points {
                 ins(&tree, c, *p);
             }
@@ -1297,14 +1080,7 @@ mod tests {
             let got_range = range_q(&tree, &q, 4.0);
             let want_range = points
                 .iter()
-                .filter(|(c, _)| {
-                    c.iter()
-                        .zip(&q)
-                        .map(|(x, y)| (x - y) * (x - y))
-                        .sum::<f64>()
-                        .sqrt()
-                        <= 4.0
-                })
+                .filter(|(c, _)| euclidean(c, &q) <= 4.0)
                 .count();
             assert_eq!(got_range.len(), want_range, "M={m}");
             tree.shutdown();
@@ -1319,14 +1095,7 @@ mod tests {
             .collect();
         let sample: Vec<Vec<f64>> = points.iter().map(|(c, _)| c.clone()).take(100).collect();
         for m in [1usize, 5] {
-            let tree = DistSemTree::with_fanout(
-                DistConfig::new(2)
-                    .with_bucket_size(8)
-                    .with_max_partitions(16),
-                CostModel::zero(),
-                m,
-                &sample,
-            );
+            let tree = fanout(2, 8, m, &sample);
             for (c, p) in &points {
                 ins(&tree, c, *p);
             }
@@ -1353,22 +1122,64 @@ mod tests {
         }
     }
 
+    /// Every malformed query, for a `dims`-dimensional tree.
+    fn hostile_queries() -> Vec<Query> {
+        vec![
+            Query::insert(&[1.0, 2.0, 3.0], 0),
+            Query::insert(&[f64::NAN, 2.0], 0),
+            Query::knn(&[1.0, 2.0, 3.0], 3),
+            Query::knn(&[1.0, f64::NEG_INFINITY], 3),
+            Query::knn_batch(&[vec![1.0, 2.0], vec![1.0]], 3),
+            Query::range(&[], 1.0),
+            Query::range(&[1.0, 2.0], -1.0),
+            Query::range(&[1.0, 2.0], f64::NAN),
+            Query::range(&[1.0, 2.0], f64::INFINITY),
+        ]
+    }
+
+    #[test]
+    fn hostile_queries_are_rejected_before_any_partition_and_the_tree_survives() {
+        let sample: Vec<Vec<f64>> = (0..32).map(|i| vec![f64::from(i), 0.0]).collect();
+        for m in [1usize, 3] {
+            let tree = fanout(2, 4, m, &sample);
+            for i in 0..20u64 {
+                ins(&tree, &[(i % 32) as f64, (i / 32) as f64], i);
+            }
+            for (i, bad) in hostile_queries().into_iter().enumerate() {
+                // Blocking and pipelined entry points reject identically,
+                // and the pipelined one completes inline.
+                let blocking = tree.query(bad.clone());
+                assert!(
+                    matches!(blocking, Err(ClusterError::InvalidRequest(_))),
+                    "M={m}: {bad:?} → {blocking:?}"
+                );
+                let (tx, rx) = std::sync::mpsc::channel();
+                tree.submit_query(
+                    bad.clone(),
+                    Box::new(move |outcome| tx.send(outcome).expect("receiver alive")),
+                );
+                assert_eq!(rx.try_recv().expect("completed inline"), blocking);
+
+                // Nothing reached an actor: the same tree keeps taking
+                // writes and reads, and stays structurally sound.
+                let probe = [(i % 32) as f64, 50.0];
+                ins(&tree, &probe, 100 + i as u64);
+                assert_eq!(knn_q(&tree, &probe, 1)[0].payload, 100 + i as u64);
+                assert_eq!(tree.verify(), Vec::<String>::new(), "M={m}: {bad:?}");
+            }
+            tree.shutdown();
+        }
+    }
+
     #[test]
     fn fanout_root_is_routing_only_and_counts_match_formula() {
         let sample: Vec<Vec<f64>> = (0..64).map(|i| vec![f64::from(i), 0.0]).collect();
         for m in [3usize, 5, 9] {
-            let tree = DistSemTree::with_fanout(
-                DistConfig::new(2)
-                    .with_bucket_size(8)
-                    .with_max_partitions(16),
-                CostModel::zero(),
-                m,
-                &sample,
-            );
+            let tree = fanout(2, 8, m, &sample);
             for i in 0..200u64 {
                 ins(&tree, &[(i % 64) as f64, (i / 64) as f64], i);
             }
-            let stats = tree.global_stats();
+            let stats = tree.try_global_stats().expect("stats");
             assert_eq!(stats.partition_count(), m);
             // Root partition stores nothing: pure routing.
             assert_eq!(stats.partitions[0].1.points, 0, "M={m}");
@@ -1386,14 +1197,7 @@ mod tests {
         let sample: Vec<Vec<f64>> = (0..64).map(|i| vec![f64::from(i)]).collect();
         let mut message_counts = Vec::new();
         for m in [1usize, 3, 5] {
-            let tree = DistSemTree::with_fanout(
-                DistConfig::new(1)
-                    .with_bucket_size(8)
-                    .with_max_partitions(16),
-                CostModel::zero(),
-                m,
-                &sample,
-            );
+            let tree = fanout(1, 8, m, &sample);
             tree.reset_metrics();
             for i in 0..100u64 {
                 ins(&tree, &[(i % 64) as f64], i);
@@ -1426,7 +1230,7 @@ mod tests {
             tree.partition_count() > 1,
             "over-capacity partition must have spawned others"
         );
-        let stats = tree.global_stats();
+        let stats = tree.try_global_stats().expect("stats");
         assert_eq!(stats.total_points(), 300);
         for (_, p) in &stats.partitions {
             assert!(p.points <= 40, "partition holds {} > capacity", p.points);
@@ -1454,7 +1258,7 @@ mod tests {
             ins(&tree, &[i as f64], i);
         }
         assert!(tree.partition_count() > 1);
-        assert_eq!(tree.global_stats().total_points(), 100);
+        assert_eq!(tree.try_global_stats().expect("stats").total_points(), 100);
         tree.shutdown();
     }
 
@@ -1471,7 +1275,7 @@ mod tests {
             ins(&tree, &[i as f64], i);
         }
         assert_eq!(tree.partition_count(), 3, "cap respected");
-        assert_eq!(tree.global_stats().total_points(), 200);
+        assert_eq!(tree.try_global_stats().expect("stats").total_points(), 200);
         tree.shutdown();
     }
 
@@ -1506,14 +1310,7 @@ mod tests {
         // same distributed tree concurrently ("using M−1 data partitions,
         // we can perform … parallel operations maximizing our throughput").
         let sample: Vec<Vec<f64>> = (0..128).map(|i| vec![f64::from(i)]).collect();
-        let tree = Arc::new(DistSemTree::with_fanout(
-            DistConfig::new(1)
-                .with_bucket_size(8)
-                .with_max_partitions(16),
-            CostModel::zero(),
-            5,
-            &sample,
-        ));
+        let tree = Arc::new(fanout(1, 8, 5, &sample));
         let threads: Vec<_> = (0..4u64)
             .map(|t| {
                 let tree = Arc::clone(&tree);
@@ -1529,7 +1326,7 @@ mod tests {
             th.join().unwrap();
         }
         assert_eq!(tree.len(), 400);
-        assert_eq!(tree.global_stats().total_points(), 400);
+        assert_eq!(tree.try_global_stats().expect("stats").total_points(), 400);
 
         // Concurrent queries agree with a sequential pass.
         let expected = knn_q(&tree, &[64.2], 5);
@@ -1552,14 +1349,7 @@ mod tests {
     fn verify_reports_healthy_trees_clean() {
         let sample: Vec<Vec<f64>> = (0..64).map(|i| vec![f64::from(i)]).collect();
         for m in [1usize, 3, 5] {
-            let tree = DistSemTree::with_fanout(
-                DistConfig::new(1)
-                    .with_bucket_size(8)
-                    .with_max_partitions(16),
-                CostModel::zero(),
-                m,
-                &sample,
-            );
+            let tree = fanout(1, 8, m, &sample);
             for i in 0..150u64 {
                 ins(&tree, &[(i % 64) as f64], i);
             }
@@ -1588,18 +1378,11 @@ mod tests {
     #[test]
     fn export_returns_every_point() {
         let sample: Vec<Vec<f64>> = (0..32).map(|i| vec![f64::from(i)]).collect();
-        let tree = DistSemTree::with_fanout(
-            DistConfig::new(1)
-                .with_bucket_size(4)
-                .with_max_partitions(8),
-            CostModel::zero(),
-            3,
-            &sample,
-        );
+        let tree = fanout(1, 4, 3, &sample);
         for i in 0..80u64 {
             ins(&tree, &[(i % 32) as f64], i);
         }
-        let mut exported = tree.export_points();
+        let mut exported = tree.try_export_points().expect("export");
         assert_eq!(exported.len(), 80);
         exported.sort_by_key(|&(_, p)| p);
         let payloads: Vec<u64> = exported.iter().map(|&(_, p)| p).collect();
@@ -1626,10 +1409,10 @@ mod tests {
         }
         let before = knn_q(&tree, &[77.3], 5);
 
-        let tree = tree.repartitioned(5);
+        let tree = tree.repartitioned(5).expect("repartition");
         assert_eq!(tree.partition_count(), 5);
         assert_eq!(tree.len(), 200);
-        assert_eq!(tree.global_stats().total_points(), 200);
+        assert_eq!(tree.try_global_stats().expect("stats").total_points(), 200);
         assert_eq!(tree.verify(), Vec::<String>::new());
 
         let after = knn_q(&tree, &[77.3], 5);

@@ -108,6 +108,7 @@ pub fn encode_error(err: &ClusterError) -> (u8, u32, String) {
         ClusterError::SpawnFailed(msg) => (3, 0, msg.clone()),
         ClusterError::Remote(msg) => (4, 0, msg.clone()),
         ClusterError::Timeout(msg) => (5, 0, msg.clone()),
+        ClusterError::InvalidRequest(msg) => (6, 0, msg.clone()),
     }
 }
 
@@ -122,6 +123,7 @@ pub fn decode_error(code: u8, node: u32, message: String) -> ClusterError {
         3 => ClusterError::SpawnFailed(message),
         4 => ClusterError::Remote(message),
         5 => ClusterError::Timeout(message),
+        6 => ClusterError::InvalidRequest(message),
         other => ClusterError::Remote(format!("unknown error code {other}: {message}")),
     }
 }
@@ -321,6 +323,7 @@ mod tests {
             ClusterError::SpawnFailed("process full".into()),
             ClusterError::Remote("handler failure".into()),
             ClusterError::Timeout("membership wait expired".into()),
+            ClusterError::InvalidRequest("point has 3 dimensions".into()),
         ];
         for err in errors {
             let (code, node, message) = encode_error(&err);

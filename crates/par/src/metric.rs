@@ -7,6 +7,7 @@
 //! materialization and never runs in an inner loop.
 
 /// Squared Euclidean distance between two equal-length vectors.
+#[inline]
 #[must_use]
 pub fn euclidean_sq(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "dimension mismatch");
@@ -14,6 +15,7 @@ pub fn euclidean_sq(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Euclidean distance between two equal-length vectors.
+#[inline]
 #[must_use]
 pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
     euclidean_sq(a, b).sqrt()

@@ -7,10 +7,10 @@
 //! round-trip. This crate replaces it with a **dependency-free
 //! readiness loop** over non-blocking `std::net` sockets:
 //!
-//! - [`sys`]: the readiness backends (the only `unsafe` in the
+//! - [`sys`]: the readiness syscalls (the only `unsafe` in the
 //!   workspace) behind one `Poller` trait — persistent-registration
-//!   `epoll` (level- or edge-triggered) on Linux, portable `poll(2)`
-//!   everywhere, all `EINTR`-retrying and safe above the syscalls;
+//!   level-triggered `epoll` on Linux, portable `poll(2)` elsewhere,
+//!   `EINTR`-retrying and safe above the syscalls;
 //! - [`buffer`]: per-connection frame re-assembly and partial-write
 //!   resumption over the existing u32-length-prefixed framing;
 //! - [`queue`]: bounded global + per-connection admission with
@@ -41,7 +41,7 @@ pub use reactor::{
     effective_reactors, serve, Dispatch, ReactorConfig, ReactorReport, ReplyToken, Service,
     ServiceReply, DRAIN_BUDGET, MAX_REACTORS,
 };
-pub use sys::{Backend, Interest};
+pub use sys::Interest;
 
 #[cfg(test)]
 mod tests {

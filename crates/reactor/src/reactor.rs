@@ -45,7 +45,7 @@ use semtree_net::{encode_frame_v2, split_frame_v2};
 
 use crate::buffer::{FrameReader, WriteQueue};
 use crate::queue::{Push, ServeQueue};
-use crate::sys::{new_poller, Backend, Event, Interest, Poller};
+use crate::sys::{new_poller, Event, Interest, Poller};
 
 /// Poller token of a shard's wake pipe.
 const TOKEN_WAKE: u64 = u64::MAX;
@@ -127,8 +127,6 @@ pub struct ReactorConfig {
     /// Reactor shard count; `0` means automatic (half the available
     /// cores, at least one). Capped at [`MAX_REACTORS`].
     pub reactors: usize,
-    /// Readiness backend every shard uses.
-    pub backend: Backend,
 }
 
 impl Default for ReactorConfig {
@@ -139,7 +137,6 @@ impl Default for ReactorConfig {
             per_conn_depth: 64,
             metrics: None,
             reactors: 0,
-            backend: Backend::default(),
         }
     }
 }
@@ -336,11 +333,9 @@ pub fn serve<SVC: Service>(
         let mut handles = Vec::new();
         for (shard, wake_rx) in wake_rxs.iter().enumerate().skip(1) {
             let router = &router;
-            handles.push(
-                scope.spawn(move || shard_loop(shard, None, wake_rx, router, service, config)),
-            );
+            handles.push(scope.spawn(move || shard_loop(shard, None, wake_rx, router, service)));
         }
-        let r0 = shard_loop(0, Some(listener), &wake_rxs[0], &router, service, config);
+        let r0 = shard_loop(0, Some(listener), &wake_rxs[0], &router, service);
         // Shard 0 is back (shutdown or fatal error): stop the others.
         router.stopping.store(true, Ordering::SeqCst);
         for port in &router.shards {
@@ -397,9 +392,8 @@ fn shard_loop<SVC: Service>(
     wake_rx: &UnixStream,
     router: &Arc<Router>,
     service: &SVC,
-    config: &ReactorConfig,
 ) -> io::Result<u64> {
-    let mut poller = new_poller(config.backend)?;
+    let mut poller = new_poller()?;
     poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
     let mut listener_armed = false;
     if let Some(l) = listener {

@@ -46,7 +46,7 @@ mod record;
 pub use crc32::crc32;
 pub use log::{
     Appended, PartitionReport, Snapshot, Wal, WalError, WalOptions, WalReport, WalState,
-    SNAPSHOT_FORMAT_COLUMNAR, SNAPSHOT_FORMAT_VERBATIM,
+    SNAPSHOT_FORMAT_COLUMNAR,
 };
 pub use ordering::{RecordSink, SequencedLog};
 pub use record::WalRecord;
@@ -137,7 +137,7 @@ mod tests {
         }
         assert!(due, "4th record must trip snapshot_every = 4");
         let covered = wal
-            .snapshot(7, SNAPSHOT_FORMAT_VERBATIM, b"store-image")
+            .snapshot(7, SNAPSHOT_FORMAT_COLUMNAR, b"store-image")
             .unwrap();
         assert_eq!(covered, 4);
 
@@ -167,7 +167,7 @@ mod tests {
         let wal = Wal::create(&dir, 1, b"", options).unwrap();
         wal.append(&insert(7, 0)).unwrap();
         wal.append(&insert(8, 1)).unwrap();
-        wal.snapshot(7, SNAPSHOT_FORMAT_VERBATIM, b"seven").unwrap();
+        wal.snapshot(7, SNAPSHOT_FORMAT_COLUMNAR, b"seven").unwrap();
 
         let state = Wal::load(&dir).unwrap();
         let live: Vec<u32> = state
@@ -239,7 +239,7 @@ mod tests {
         let dir = tmpdir("snap-corrupt");
         let wal = Wal::create(&dir, 1, b"", WalOptions::default()).unwrap();
         wal.append(&insert(7, 0)).unwrap();
-        wal.snapshot(7, SNAPSHOT_FORMAT_VERBATIM, b"image").unwrap();
+        wal.snapshot(7, SNAPSHOT_FORMAT_COLUMNAR, b"image").unwrap();
         drop(wal);
 
         let snap = dir.join("snapshots").join("part-7.snap");
@@ -256,8 +256,7 @@ mod tests {
         let dir = tmpdir("columnar-compact");
         let options = WalOptions::default()
             .with_segment_bytes(1)
-            .with_snapshot_every(u64::MAX)
-            .with_columnar(true);
+            .with_snapshot_every(u64::MAX);
         let wal = Wal::create(&dir, 1, b"", options).unwrap();
         for i in 0..20 {
             wal.append(&insert(7, i)).unwrap();
@@ -267,7 +266,7 @@ mod tests {
         // Snapshotting 7 triggers compaction: its single-record segments
         // die, and every surviving sealed segment (all partition 8) is
         // rewritten as a columnar block.
-        wal.snapshot(7, SNAPSHOT_FORMAT_VERBATIM, b"seven").unwrap();
+        wal.snapshot(7, SNAPSHOT_FORMAT_COLUMNAR, b"seven").unwrap();
         drop(wal);
 
         let mut sealed_columnar = 0;
@@ -302,35 +301,75 @@ mod tests {
         assert_eq!(lsn, state.next_lsn);
     }
 
-    #[test]
-    fn legacy_mode_writes_headerless_v0_files() {
-        let dir = tmpdir("legacy-mode");
-        let options = WalOptions::default().with_columnar(false);
-        let wal = Wal::create(&dir, 1, b"cfg", options).unwrap();
-        for i in 0..5 {
-            wal.append(&insert(7, i)).unwrap();
-        }
-        wal.snapshot(7, SNAPSHOT_FORMAT_VERBATIM, b"image").unwrap();
-        wal.append(&insert(7, 9)).unwrap();
+    /// A loadable directory — open segment 2, one snapshot of partition 7
+    /// — for the retired-generation tests to overwrite with hand-built bytes.
+    fn healthy_dir(name: &str) -> PathBuf {
+        let dir = tmpdir(name);
+        let wal = Wal::create(&dir, 1, b"cfg", WalOptions::default()).unwrap();
+        wal.append(&insert(7, 0)).unwrap();
+        wal.snapshot(7, SNAPSHOT_FORMAT_COLUMNAR, b"image").unwrap();
+        wal.append(&insert(7, 1)).unwrap();
         drop(wal);
+        Wal::load(&dir).expect("untouched directory loads");
+        dir
+    }
 
-        // Segment files carry no header: the first bytes are a frame
-        // length, not the SSEG magic.
-        for entry in std::fs::read_dir(dir.join("segments")).unwrap() {
-            let bytes = std::fs::read(entry.unwrap().path()).unwrap();
-            if bytes.len() >= 4 {
-                assert_ne!(&bytes[0..4], b"SSEG");
-            }
+    fn assert_unsupported_generation(dir: &std::path::Path) {
+        match Wal::load(dir) {
+            Err(WalError::Corrupt(msg)) => assert!(msg.contains("unsupported generation"), "{msg}"),
+            other => panic!("expected WalError::Corrupt, got {other:?}"),
         }
-        // Verbatim snapshots use the legacy v1 layout: version word 1
-        // right after the magic, no format byte.
-        let snap = std::fs::read(dir.join("snapshots").join("part-7.snap")).unwrap();
-        assert_eq!(u32::from_le_bytes(snap[4..8].try_into().unwrap()), 1);
+    }
 
-        let state = Wal::load(&dir).unwrap();
-        assert_eq!(state.snapshots[&7].format, SNAPSHOT_FORMAT_VERBATIM);
-        assert_eq!(state.snapshots[&7].blob, b"image");
-        assert_eq!(state.live_tail().count(), 1);
+    /// A checksummed snapshot file of partition 7 at LSN 1: `SNAP`,
+    /// `version`, partition, lsn, `tail` (what the generation under test
+    /// puts before the blob), blob, crc.
+    fn write_snapshot_file(dir: &std::path::Path, version: u32, tail: &[u8]) {
+        let mut body = Vec::new();
+        (u32::from_le_bytes(*b"SNAP"), version, 7u32, 1u64).encode(&mut body);
+        body.extend_from_slice(tail);
+        b"image".to_vec().encode(&mut body);
+        crc32(&body).encode(&mut body);
+        std::fs::write(dir.join("snapshots").join("part-7.snap"), body).unwrap();
+    }
+
+    #[test]
+    fn headerless_v0_segments_are_rejected_as_corrupt() {
+        let dir = healthy_dir("v0-segment");
+        // What a pre-SSEG build wrote: `[u32 len][u32 crc][u64 lsn][record]`
+        // row frames from byte 0.
+        let payload = (2u64, insert(7, 1)).to_bytes();
+        let mut v0 = (u32::try_from(payload.len()).unwrap(), crc32(&payload)).to_bytes();
+        v0.extend_from_slice(&payload);
+        std::fs::write(dir.join("segments").join("seg-000002.wal"), v0).unwrap();
+        assert_unsupported_generation(&dir);
+    }
+
+    #[test]
+    fn v1_snapshot_files_are_rejected_as_corrupt() {
+        let dir = healthy_dir("v1-snapshot");
+        // Version word 1, no payload-format byte before the blob.
+        write_snapshot_file(&dir, 1, &[]);
+        assert_unsupported_generation(&dir);
+    }
+
+    #[test]
+    fn v2_snapshots_with_an_unknown_format_byte_are_rejected_as_corrupt() {
+        let dir = healthy_dir("v2-unknown-format");
+        // The hand-built layout is the real one: format 1 loads …
+        write_snapshot_file(&dir, 2, &[SNAPSHOT_FORMAT_COLUMNAR]);
+        assert_eq!(Wal::load(&dir).unwrap().snapshots[&7].blob, b"image");
+        // … the retired verbatim format (0) and a never-assigned one don't,
+        // and the writer refuses to produce them in the first place.
+        let (wal, _) = Wal::resume(&dir, WalOptions::default()).unwrap();
+        for format in [0u8, 9] {
+            assert!(matches!(
+                wal.snapshot(8, format, b"image"),
+                Err(WalError::Corrupt(_))
+            ));
+            write_snapshot_file(&dir, 2, &[format]);
+            assert_unsupported_generation(&dir);
+        }
     }
 
     #[test]

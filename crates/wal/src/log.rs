@@ -6,20 +6,19 @@
 //! ```text
 //! <wal-dir>/
 //!   MANIFEST                  magic, version, process index, config blob, crc
-//!   segments/seg-000001.wal   ["SSEG" ver codec] [u32 len][u32 crc][u64 lsn][record]…
-//!   snapshots/part-65537.snap magic, version, partition, covered lsn, [format], blob, crc
+//!   segments/seg-000001.wal   "SSEG" ver codec, then [u32 len][u32 crc][u64 lsn][record]… or one block
+//!   snapshots/part-65537.snap magic, version, partition, covered lsn, format, blob, crc
 //! ```
 //!
-//! Segment files carry an optional 6-byte header (`SSEG`, version,
-//! codec). Headerless files are the legacy v0 row format and stay fully
-//! readable — the magic cannot collide with a v0 frame because read as
-//! a frame length it exceeds [`MAX_RECORD_LEN`]. Codec 0 is
-//! row-oriented frames (the hot tail — appends never pay encode
-//! latency); codec 1 is one `semtree-colz` columnar block, produced
-//! when a segment seals (and by compaction, for sealed row segments a
-//! resumed v0 directory left behind — see [`crate::colseg`]). Snapshot files similarly version their payload:
-//! v1 files hold a verbatim blob, v2 files add a payload-format byte
-//! (see [`SNAPSHOT_FORMAT_VERBATIM`] / [`SNAPSHOT_FORMAT_COLUMNAR`]).
+//! Every segment file starts with a 6-byte header (`SSEG`, version,
+//! codec). Codec 0 is row-oriented frames (the open segment — appends
+//! never pay encode latency); codec 1 is one `semtree-colz` columnar
+//! block, written when a segment seals (and by compaction, for the row
+//! tail a resumed session left behind — see [`crate::colseg`]). Every
+//! snapshot file is the version-2 layout, whose payload-format byte is
+//! [`SNAPSHOT_FORMAT_COLUMNAR`]. Files of the two retired generations
+//! (headerless v0 segments, version-1 or verbatim-format snapshots)
+//! are rejected as [`WalError::Corrupt`], naming the generation.
 //!
 //! Every record frame and every snapshot file is CRC-32 checksummed.
 //! Appends are written and flushed record-by-record (a killed *process*
@@ -60,31 +59,21 @@ const FORMAT_VERSION: u32 = 1;
 /// Upper bound on a single record frame; larger lengths mean corruption.
 const MAX_RECORD_LEN: u32 = 256 * 1024 * 1024;
 
-/// `b"SSEG"` — first four bytes of a versioned segment file. A legacy
-/// v0 segment cannot start with these bytes: read as a v0 frame length
-/// they are `0x4745_5353`, far above [`MAX_RECORD_LEN`].
+/// `b"SSEG"` — first four bytes of every segment file.
 const SEGMENT_MAGIC: [u8; 4] = *b"SSEG";
 /// Version byte following the segment magic.
 const SEGMENT_VERSION: u8 = 1;
 /// Segment codec byte: row-oriented record frames (appendable).
 const SEGMENT_CODEC_ROWS: u8 = 0;
-/// Segment codec byte: one columnar block (compaction output).
+/// Segment codec byte: one columnar block (sealed segments).
 const SEGMENT_CODEC_COLUMNAR: u8 = 1;
-/// Total length of a versioned segment header: magic, version, codec.
+/// Total length of a segment header: magic, version, codec.
 const SEGMENT_HEADER_LEN: usize = 6;
 
-/// Snapshot file version whose payload is the bare blob (legacy v0
-/// layout — what every pre-columnar build wrote and still reads).
-const SNAPSHOT_VERSION_V1: u32 = 1;
-/// Snapshot file version that carries a payload-format byte before the
-/// blob.
-const SNAPSHOT_VERSION_V2: u32 = 2;
+/// The snapshot file version: a payload-format byte precedes the blob.
+const SNAPSHOT_VERSION: u32 = 2;
 
-/// Snapshot payload format: the blob is the store image verbatim.
-/// Snapshots written with this format use the legacy v1 file layout
-/// byte-for-byte, so old readers still accept them.
-pub const SNAPSHOT_FORMAT_VERBATIM: u8 = 0;
-/// Snapshot payload format: the blob is a columnar-compressed store
+/// The snapshot payload format: the blob is a columnar-compressed store
 /// image (`semtree-dist` owns the column layout).
 pub const SNAPSHOT_FORMAT_COLUMNAR: u8 = 1;
 
@@ -129,11 +118,6 @@ pub struct WalOptions {
     /// Report a partition as snapshot-due after this many records since
     /// its last snapshot.
     pub snapshot_every: u64,
-    /// Write versioned segment headers and columnar-compress sealed
-    /// segments at compaction time. When false the WAL produces
-    /// byte-identical legacy v0 output (headerless row segments); either
-    /// setting reads both formats.
-    pub columnar: bool,
 }
 
 impl Default for WalOptions {
@@ -141,7 +125,6 @@ impl Default for WalOptions {
         WalOptions {
             segment_bytes: 4 * 1024 * 1024,
             snapshot_every: 256,
-            columnar: true,
         }
     }
 }
@@ -159,13 +142,6 @@ impl WalOptions {
     #[must_use]
     pub fn with_snapshot_every(mut self, snapshot_every: u64) -> Self {
         self.snapshot_every = snapshot_every;
-        self
-    }
-
-    /// Toggle columnar segment compression (off = legacy v0 bytes).
-    #[must_use]
-    pub fn with_columnar(mut self, columnar: bool) -> Self {
-        self.columnar = columnar;
         self
     }
 }
@@ -189,9 +165,7 @@ pub struct Snapshot {
     pub partition: u32,
     /// Every record of this partition with `lsn ≤` this is superseded.
     pub lsn: u64,
-    /// Payload format of `blob`: [`SNAPSHOT_FORMAT_VERBATIM`] or
-    /// [`SNAPSHOT_FORMAT_COLUMNAR`]. Legacy v1 snapshot files decode as
-    /// verbatim.
+    /// Payload format of `blob` ([`SNAPSHOT_FORMAT_COLUMNAR`]).
     pub format: u8,
     /// The serialized store (opaque to the WAL; `semtree-dist` owns the
     /// format).
@@ -361,7 +335,7 @@ impl Wal {
         config.to_vec().encode(&mut body);
         write_atomic(&manifest_path(dir), &checksummed(body))?;
 
-        let file = open_segment(dir, 1, options.columnar)?;
+        let file = open_segment(dir, 1)?;
         Ok(Wal {
             dir: dir.to_path_buf(),
             process_index,
@@ -386,7 +360,7 @@ impl Wal {
     pub fn resume(dir: &Path, options: WalOptions) -> Result<(Wal, WalState), WalError> {
         let scan = scan(dir)?;
         let next_segment = scan.segments.last().map_or(1, |s| s.index + 1);
-        let file = open_segment(dir, next_segment, options.columnar)?;
+        let file = open_segment(dir, next_segment)?;
 
         let mut sealed = BTreeMap::new();
         for (pos, segment) in scan.segments.iter().enumerate() {
@@ -447,7 +421,7 @@ impl Wal {
         let appended = Self::stage_in(&self.options, &mut inner, record)?;
         inner.file.flush()?;
         if inner.segment_written >= self.options.segment_bytes {
-            Self::seal_in(&self.dir, &mut inner, self.options.columnar)?;
+            Self::seal_in(&self.dir, &mut inner)?;
         }
         Ok(appended)
     }
@@ -509,33 +483,26 @@ impl Wal {
         let inner = inner.get_mut();
         inner.file.flush()?;
         if inner.segment_written >= options.segment_bytes {
-            Self::seal_in(dir, inner, options.columnar)?;
+            Self::seal_in(dir, inner)?;
         }
         Ok(())
     }
 
     /// Persist a snapshot of `partition` covering everything appended so
     /// far, then reclaim any segments it makes fully dead. `format` tags
-    /// how the blob is encoded ([`SNAPSHOT_FORMAT_VERBATIM`] or
-    /// [`SNAPSHOT_FORMAT_COLUMNAR`]); verbatim snapshots are written in
-    /// the legacy v1 file layout so pre-columnar readers accept them.
-    /// Returns the covered LSN.
+    /// how the blob is encoded and must be [`SNAPSHOT_FORMAT_COLUMNAR`],
+    /// the one format [`Wal::load`] reads back. Returns the covered LSN.
     pub fn snapshot(&self, partition: u32, format: u8, blob: &[u8]) -> Result<u64, WalError> {
+        check_snapshot_format(format)?;
         let mut inner = self.inner.lock();
         let lsn = inner.next_lsn - 1;
 
         let mut body = Vec::new();
         SNAPSHOT_MAGIC.encode(&mut body);
-        if format == SNAPSHOT_FORMAT_VERBATIM {
-            SNAPSHOT_VERSION_V1.encode(&mut body);
-            partition.encode(&mut body);
-            lsn.encode(&mut body);
-        } else {
-            SNAPSHOT_VERSION_V2.encode(&mut body);
-            partition.encode(&mut body);
-            lsn.encode(&mut body);
-            body.push(format);
-        }
+        SNAPSHOT_VERSION.encode(&mut body);
+        partition.encode(&mut body);
+        lsn.encode(&mut body);
+        body.push(format);
         blob.to_vec().encode(&mut body);
         write_atomic(&snapshot_path(&self.dir, partition), &checksummed(body))?;
 
@@ -550,7 +517,7 @@ impl Wal {
                 .iter()
                 .all(|(p, &top)| inner.snapshot_lsn.get(p).copied().unwrap_or(0) >= top);
         if current_dead {
-            Self::seal_in(&self.dir, &mut inner, self.options.columnar)?;
+            Self::seal_in(&self.dir, &mut inner)?;
         }
         self.compact_locked(&mut inner)?;
         Ok(lsn)
@@ -581,45 +548,30 @@ impl Wal {
         self.process_index
     }
 
-    /// Whether this manager writes the columnar formats (versioned
-    /// segment headers, seal- and compaction-time columnar rewrite) —
-    /// what callers consult to pick a snapshot payload format.
-    pub fn columnar_enabled(&self) -> bool {
-        self.options.columnar
-    }
-
     /// Summarise a WAL directory without mutating it.
     pub fn inspect(dir: &Path) -> Result<WalReport, WalError> {
         WalReport::from_state(dir, &Wal::load(dir)?)
     }
 
-    fn seal_in(dir: &Path, inner: &mut Inner, columnar: bool) -> Result<(), WalError> {
+    fn seal_in(dir: &Path, inner: &mut Inner) -> Result<(), WalError> {
         inner.file.sync_data()?;
         let coverage = std::mem::take(&mut inner.current_coverage);
         let sealed_index = inner.segment_index;
-        if columnar {
-            // A sealed segment never grows again, so re-encode it as one
-            // columnar block right away — cold records shouldn't wait for
-            // a compaction cycle to shed their row framing. write_atomic
-            // keeps the crash window torn-free: either the old row file
-            // or the complete columnar file is on disk.
-            let (segment, _) = read_segment(dir, sealed_index, false)?;
-            write_atomic(
-                &segment_path(dir, sealed_index),
-                &columnar_segment_bytes(&segment.records)?,
-            )?;
-        }
+        // A sealed segment never grows again, so re-encode it right away
+        // — cold records shouldn't wait for a compaction cycle to shed
+        // their row framing.
+        rewrite_columnar(dir, sealed_index, false)?;
         inner.sealed.insert(
             sealed_index,
             SealedInfo {
                 coverage,
-                columnar,
+                columnar: true,
                 allow_torn: false,
             },
         );
         inner.segment_index += 1;
         inner.segment_written = 0;
-        inner.file = open_segment(dir, inner.segment_index, columnar)?;
+        inner.file = open_segment(dir, inner.segment_index)?;
         Ok(())
     }
 
@@ -638,25 +590,33 @@ impl Wal {
             fs::remove_file(segment_path(&self.dir, *index))?;
             inner.sealed.remove(index);
         }
-        if self.options.columnar {
-            // Rewrite every surviving row segment as one columnar block.
-            // Sealed files never grow again, so the rewrite is a pure
-            // re-encode; write_atomic keeps crash windows torn-free.
-            for (&index, info) in inner.sealed.iter_mut() {
-                if info.columnar {
-                    continue;
-                }
-                let (segment, _) = read_segment(&self.dir, index, info.allow_torn)?;
-                write_atomic(
-                    &segment_path(&self.dir, index),
-                    &columnar_segment_bytes(&segment.records)?,
-                )?;
-                info.columnar = true;
-                info.allow_torn = false;
-            }
+        // Rewrite every surviving row segment (the tail a resumed session
+        // left behind).
+        for (&index, info) in inner.sealed.iter_mut().filter(|(_, info)| !info.columnar) {
+            rewrite_columnar(&self.dir, index, info.allow_torn)?;
+            info.columnar = true;
+            info.allow_torn = false;
         }
         Ok(dead.len())
     }
+}
+
+/// Re-encode a sealed row segment as one columnar block. Sealed files
+/// never grow again, so this is a pure re-encode, and write_atomic keeps
+/// the crash window torn-free: either the old row file or the complete
+/// columnar file is on disk.
+fn rewrite_columnar(dir: &Path, index: u64, allow_torn: bool) -> Result<(), WalError> {
+    let (segment, _) = read_segment(dir, index, allow_torn)?;
+    write_atomic(
+        &segment_path(dir, index),
+        &columnar_segment_bytes(&segment.records)?,
+    )
+}
+
+/// The 6-byte header every segment file starts with.
+fn segment_header(codec: u8) -> [u8; SEGMENT_HEADER_LEN] {
+    let [m0, m1, m2, m3] = SEGMENT_MAGIC;
+    [m0, m1, m2, m3, SEGMENT_VERSION, codec]
 }
 
 /// Serialize records as a complete columnar segment file:
@@ -670,32 +630,21 @@ fn columnar_segment_bytes(records: &[(u64, WalRecord)]) -> Result<Vec<u8>, WalEr
         ))
     })?;
     let mut bytes = Vec::with_capacity(SEGMENT_HEADER_LEN + 8 + block.len());
-    bytes.extend_from_slice(&SEGMENT_MAGIC);
-    bytes.push(SEGMENT_VERSION);
-    bytes.push(SEGMENT_CODEC_COLUMNAR);
+    bytes.extend_from_slice(&segment_header(SEGMENT_CODEC_COLUMNAR));
     block_len.encode(&mut bytes);
     crc32(&block).encode(&mut bytes);
     bytes.extend_from_slice(&block);
     Ok(bytes)
 }
 
-fn open_segment(dir: &Path, index: u64, versioned: bool) -> Result<File, WalError> {
+fn open_segment(dir: &Path, index: u64) -> Result<File, WalError> {
     let path = segment_path(dir, index);
     let mut file = OpenOptions::new()
         .create_new(true)
         .append(true)
         .open(path)?;
-    if versioned {
-        file.write_all(&[
-            SEGMENT_MAGIC[0],
-            SEGMENT_MAGIC[1],
-            SEGMENT_MAGIC[2],
-            SEGMENT_MAGIC[3],
-            SEGMENT_VERSION,
-            SEGMENT_CODEC_ROWS,
-        ])?;
-        file.flush()?;
-    }
+    file.write_all(&segment_header(SEGMENT_CODEC_ROWS))?;
+    file.flush()?;
     Ok(file)
 }
 
@@ -796,9 +745,8 @@ fn scan(dir: &Path) -> Result<Scan, WalError> {
     })
 }
 
-/// Read one segment file, dispatching on its header: headerless files
-/// are legacy v0 row frames; `SSEG`-headed files are versioned rows or
-/// a columnar block. `last` tolerates a torn final frame (row formats
+/// Read one segment file, dispatching on its header codec: row frames
+/// or a columnar block. `last` tolerates a torn final frame (row codec
 /// only — columnar files are written atomically, so any damage there is
 /// corruption).
 fn read_segment(dir: &Path, index: u64, last: bool) -> Result<(SegmentScan, bool), WalError> {
@@ -806,44 +754,46 @@ fn read_segment(dir: &Path, index: u64, last: bool) -> Result<(SegmentScan, bool
     let mut bytes = Vec::new();
     File::open(&path)?.read_to_end(&mut bytes)?;
 
-    let body = if bytes.starts_with(&SEGMENT_MAGIC) {
-        if bytes.len() < SEGMENT_HEADER_LEN {
-            // A crash between create and header flush can leave a
-            // partial header — only acceptable in the newest segment.
-            if last {
-                return Ok((empty_scan(index), true));
-            }
-            return Err(WalError::Corrupt(format!(
-                "{}: truncated segment header",
-                path.display()
-            )));
+    if bytes.len() < SEGMENT_HEADER_LEN && SEGMENT_MAGIC.starts_with(&bytes[..bytes.len().min(4)]) {
+        // A crash between create and header flush leaves an empty file
+        // (nothing to lose) or a partial header — the latter only
+        // acceptable in the newest segment.
+        if bytes.is_empty() || last {
+            return Ok((scan_of(index, Vec::new(), false), !bytes.is_empty()));
         }
-        if bytes[4] != SEGMENT_VERSION {
-            return Err(WalError::Corrupt(format!(
-                "{}: unsupported segment version {}",
-                path.display(),
-                bytes[4]
-            )));
+        return Err(WalError::Corrupt(format!(
+            "{}: truncated segment header",
+            path.display()
+        )));
+    }
+    if !bytes.starts_with(&SEGMENT_MAGIC) {
+        return Err(WalError::Corrupt(format!(
+            "{}: no SSEG header — headerless v0 segments are an unsupported generation",
+            path.display()
+        )));
+    }
+    if bytes[4] != SEGMENT_VERSION {
+        return Err(WalError::Corrupt(format!(
+            "{}: unsupported segment version {}",
+            path.display(),
+            bytes[4]
+        )));
+    }
+    let body = &bytes[SEGMENT_HEADER_LEN..];
+    match bytes[5] {
+        SEGMENT_CODEC_ROWS => {
+            let (records, torn) = scan_row_frames(&path, body, last)?;
+            Ok((scan_of(index, records, false), torn))
         }
-        match bytes[5] {
-            SEGMENT_CODEC_ROWS => &bytes[SEGMENT_HEADER_LEN..],
-            SEGMENT_CODEC_COLUMNAR => {
-                let records = read_columnar_body(&path, &bytes[SEGMENT_HEADER_LEN..])?;
-                return Ok((scan_of(index, records, true), false));
-            }
-            codec => {
-                return Err(WalError::Corrupt(format!(
-                    "{}: unsupported segment codec {codec}",
-                    path.display()
-                )))
-            }
+        SEGMENT_CODEC_COLUMNAR => {
+            let records = read_columnar_body(&path, body)?;
+            Ok((scan_of(index, records, true), false))
         }
-    } else {
-        &bytes[..]
-    };
-
-    let (records, torn) = scan_row_frames(&path, body, last)?;
-    Ok((scan_of(index, records, false), torn))
+        codec => Err(WalError::Corrupt(format!(
+            "{}: unsupported segment codec {codec}",
+            path.display()
+        ))),
+    }
 }
 
 /// Build a [`SegmentScan`] from decoded records, deriving coverage.
@@ -859,10 +809,6 @@ fn scan_of(index: u64, records: Vec<(u64, WalRecord)>, columnar: bool) -> Segmen
         coverage,
         columnar,
     }
-}
-
-fn empty_scan(index: u64) -> SegmentScan {
-    scan_of(index, Vec::new(), false)
 }
 
 /// Validate and decode a columnar segment body:
@@ -953,6 +899,18 @@ fn scan_row_frames(
     Ok((records, torn))
 }
 
+/// The one payload format this build writes and reads.
+fn check_snapshot_format(format: u8) -> Result<(), WalError> {
+    if format == SNAPSHOT_FORMAT_COLUMNAR {
+        Ok(())
+    } else {
+        Err(WalError::Corrupt(format!(
+            "snapshot payload format {format} is an unsupported generation \
+             (this build reads format {SNAPSHOT_FORMAT_COLUMNAR})"
+        )))
+    }
+}
+
 fn read_snapshot(path: &Path) -> Result<Snapshot, WalError> {
     let bytes = fs::read(path)?;
     let body = verify_checksum(path, &bytes)?;
@@ -965,22 +923,20 @@ fn read_snapshot(path: &Path) -> Result<Snapshot, WalError> {
             path.display()
         )));
     }
-    if version != SNAPSHOT_VERSION_V1 && version != SNAPSHOT_VERSION_V2 {
+    if version != SNAPSHOT_VERSION {
         return Err(WalError::Corrupt(format!(
-            "unsupported snapshot version {version}"
+            "{}: snapshot version {version} is an unsupported generation \
+             (this build reads version {SNAPSHOT_VERSION})",
+            path.display()
         )));
     }
     let partition = u32::decode(&mut rest)?;
     let lsn = u64::decode(&mut rest)?;
-    let format = if version == SNAPSHOT_VERSION_V2 {
-        let (&format, tail) = rest.split_first().ok_or_else(|| {
-            WalError::Corrupt(format!("{} missing payload format byte", path.display()))
-        })?;
-        rest = tail;
-        format
-    } else {
-        SNAPSHOT_FORMAT_VERBATIM
-    };
+    let (&format, tail) = rest.split_first().ok_or_else(|| {
+        WalError::Corrupt(format!("{} missing payload format byte", path.display()))
+    })?;
+    check_snapshot_format(format)?;
+    rest = tail;
     let blob = Vec::<u8>::decode(&mut rest)?;
     if !rest.is_empty() {
         return Err(WalError::Corrupt(format!(
@@ -1034,8 +990,8 @@ pub struct PartitionReport {
     pub snapshot_bytes: usize,
     /// Size of the whole snapshot file on disk (header + blob + crc).
     pub snapshot_disk_bytes: u64,
-    /// Payload format of the snapshot blob ([`SNAPSHOT_FORMAT_VERBATIM`]
-    /// or [`SNAPSHOT_FORMAT_COLUMNAR`]).
+    /// Payload format of the snapshot blob
+    /// ([`SNAPSHOT_FORMAT_COLUMNAR`]).
     pub snapshot_format: u8,
     /// Live `partition-create` records.
     pub creates: usize,

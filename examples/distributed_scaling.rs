@@ -71,7 +71,7 @@ fn main() {
         build_series.push(m as f64, build.as_secs_f64());
         query_series.push(m as f64, query.as_secs_f64());
 
-        let stats = index.tree_stats();
+        let stats = index.tree_stats().expect("partition walk");
         assert_eq!(stats.partition_count(), m);
         index.shutdown();
     }

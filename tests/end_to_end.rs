@@ -219,7 +219,7 @@ fn paper_scale_pipeline() {
     builder.add_store(&corpus.store);
     let index = builder.build().unwrap();
     assert_eq!(index.len(), stats.triples);
-    assert_eq!(index.tree_stats().partition_count(), 9);
+    assert_eq!(index.tree_stats().expect("stats").partition_count(), 9);
 
     // Effectiveness spot-check at K = 10 over 50 queries.
     let oracle = GroundTruthOracle::new(&corpus);

@@ -9,6 +9,7 @@ use semtree_dist::{
     build_tree, join_cluster, serve_cluster, CapacityPolicy, DistConfig, DistSemTree, Neighbor,
     Query, QueryOutcome,
 };
+use semtree_integration::sample_points;
 
 fn insert(tree: &DistSemTree, point: &[f64], payload: u64) {
     tree.query(Query::insert(point, payload))
@@ -16,39 +17,13 @@ fn insert(tree: &DistSemTree, point: &[f64], payload: u64) {
         .expect("insert");
 }
 
-fn knn_pairs(tree: &DistSemTree, point: &[f64], k: usize) -> Vec<(f64, u64)> {
-    tree.query(Query::knn(point, k))
+/// A k-NN or range query's hits as `(distance, payload)` pairs.
+fn pairs(tree: &DistSemTree, query: Query) -> Vec<(f64, u64)> {
+    tree.query(query)
         .and_then(QueryOutcome::neighbors)
-        .expect("knn")
+        .expect("read query")
         .into_iter()
         .map(|n: Neighbor<u64>| (n.dist, n.payload))
-        .collect()
-}
-
-fn range_pairs(tree: &DistSemTree, point: &[f64], radius: f64) -> Vec<(f64, u64)> {
-    tree.query(Query::range(point, radius))
-        .and_then(QueryOutcome::neighbors)
-        .expect("range")
-        .into_iter()
-        .map(|n: Neighbor<u64>| (n.dist, n.payload))
-        .collect()
-}
-
-fn sample_points(dims: usize, n: usize, seed: u64) -> Vec<Vec<f64>> {
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    (0..n)
-        .map(|_| {
-            (0..dims)
-                .map(|_| (next() >> 11) as f64 / (1u64 << 53) as f64 * 100.0)
-                .collect()
-        })
         .collect()
 }
 
@@ -72,6 +47,7 @@ fn channel_and_tcp_fabrics_agree_on_every_query() {
                 fabric.listen_addr(),
                 CostModel::zero(),
                 Duration::from_secs(10),
+                None,
             )
             .expect("worker join")
         })
@@ -80,7 +56,7 @@ fn channel_and_tcp_fabrics_agree_on_every_query() {
         .wait_for_workers(2, Duration::from_secs(10))
         .expect("workers joined");
     let tcp_tree =
-        build_tree(&fabric, config.clone(), CostModel::zero(), 3, &sample).expect("tcp tree");
+        build_tree(&fabric, config.clone(), CostModel::zero(), 3, &sample, None).expect("tcp tree");
 
     // The in-process reference over the default channel fabric.
     let channel_tree = DistSemTree::with_fanout(config, CostModel::zero(), 3, &sample);
@@ -91,13 +67,10 @@ fn channel_and_tcp_fabrics_agree_on_every_query() {
     }
 
     for query in points.iter().step_by(17) {
-        let tcp = knn_pairs(&tcp_tree, query, 9);
-        let channel = knn_pairs(&channel_tree, query, 9);
-        assert_eq!(tcp, channel, "knn around {query:?}");
-
-        let tcp = range_pairs(&tcp_tree, query, 12.5);
-        let channel = range_pairs(&channel_tree, query, 12.5);
-        assert_eq!(tcp, channel, "range around {query:?}");
+        for q in [Query::knn(query, 9), Query::range(query, 12.5)] {
+            let (tcp, channel) = (pairs(&tcp_tree, q.clone()), pairs(&channel_tree, q.clone()));
+            assert_eq!(tcp, channel, "{q:?}");
+        }
     }
 
     // A batched k-NN over TCP answers exactly like per-query k-NN over
@@ -110,7 +83,7 @@ fn channel_and_tcp_fabrics_agree_on_every_query() {
         .expect("batched knn");
     assert_eq!(batches.len(), batch_queries.len());
     for (query, batch) in batch_queries.iter().zip(&batches) {
-        let channel = knn_pairs(&channel_tree, query, 9);
+        let channel = pairs(&channel_tree, Query::knn(query, 9));
         let tcp: Vec<(f64, u64)> = batch.iter().map(|n| (n.dist, n.payload)).collect();
         assert_eq!(tcp, channel, "knn batch around {query:?}");
     }
@@ -119,8 +92,8 @@ fn channel_and_tcp_fabrics_agree_on_every_query() {
     // forced build-partition over the wire (partitions beyond the fan-out).
     assert_eq!(tcp_tree.verify(), Vec::<String>::new());
     assert_eq!(channel_tree.verify(), Vec::<String>::new());
-    let tcp_stats = tcp_tree.global_stats();
-    let channel_stats = channel_tree.global_stats();
+    let tcp_stats = tcp_tree.try_global_stats().expect("stats");
+    let channel_stats = channel_tree.try_global_stats().expect("stats");
     assert_eq!(tcp_stats.total_points(), points.len());
     assert_eq!(
         tcp_stats.partition_count(),
@@ -144,4 +117,67 @@ fn channel_and_tcp_fabrics_agree_on_every_query() {
         w.join().expect("worker shut down cleanly");
     }
     channel_tree.shutdown();
+}
+
+/// `submit_query` dispatched and waited for: the pipelined entry point
+/// driven like the blocking one.
+fn submit_and_wait(
+    tree: &DistSemTree,
+    query: Query,
+) -> Result<QueryOutcome, semtree_cluster::ClusterError> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    tree.submit_query(
+        query,
+        Box::new(move |outcome| tx.send(outcome).expect("receiver alive")),
+    );
+    rx.recv_timeout(Duration::from_secs(10))
+        .expect("submit_query completes exactly once")
+}
+
+/// The blocking and pipelined entry points share one request lowering:
+/// for every query kind, on a tree answered by the lock-free read path
+/// (1 partition) and on one answered through actor mailboxes (4), both
+/// return the same outcome — values, order, and error alike.
+#[test]
+fn query_and_submit_query_agree_on_every_kind() {
+    let dims = 2;
+    let sample = sample_points(dims, 64, 5);
+    let points = sample_points(dims, 200, 91);
+    for partitions in [1usize, 4] {
+        let config = DistConfig::new(dims)
+            .with_bucket_size(8)
+            .with_max_partitions(8);
+        let tree = DistSemTree::with_fanout(config, CostModel::zero(), partitions, &sample);
+
+        // Insert: half through each entry point, both acknowledge alike
+        // and both count.
+        for (payload, point) in points.iter().enumerate() {
+            let q = Query::insert(point, payload as u64);
+            let outcome = if payload % 2 == 0 {
+                tree.query(q)
+            } else {
+                submit_and_wait(&tree, q)
+            };
+            assert_eq!(outcome, Ok(QueryOutcome::Inserted), "M={partitions}");
+        }
+        assert_eq!(tree.len(), points.len(), "M={partitions}");
+
+        let probes: Vec<Vec<f64>> = points.iter().step_by(23).cloned().collect();
+        let mut reads: Vec<Query> = vec![Query::knn_batch(&probes, 7), Query::knn_batch(&[], 7)];
+        for probe in &probes {
+            reads.push(Query::knn(probe, 7));
+            reads.push(Query::range(probe, 15.0));
+            reads.push(Query::range(probe, 0.0));
+        }
+        // A rejected query takes the same (validation) exit on both.
+        reads.push(Query::knn(&[1.0], 7));
+        for q in reads {
+            let blocking = tree.query(q.clone());
+            let pipelined = submit_and_wait(&tree, q.clone());
+            assert_eq!(blocking, pipelined, "M={partitions}: {q:?}");
+        }
+
+        assert_eq!(tree.verify(), Vec::<String>::new(), "M={partitions}");
+        tree.shutdown();
+    }
 }

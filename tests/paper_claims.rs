@@ -87,7 +87,7 @@ fn root_partition_structure() {
         for i in 0..500u64 {
             insert(&tree, &[(i % 256) as f64], i);
         }
-        let stats = tree.global_stats();
+        let stats = tree.try_global_stats().expect("stats");
         assert_eq!(stats.partition_count(), m);
         assert_eq!(stats.partitions[0].1.points, 0, "root stores nothing");
         assert_eq!(stats.root_routing_nodes(), m - 2);
@@ -181,7 +181,7 @@ fn build_partition_creates_routing_only_partitions() {
     for i in 0..400u64 {
         insert(&tree, &[i as f64], i);
     }
-    let stats = tree.global_stats();
+    let stats = tree.try_global_stats().expect("stats");
     assert!(stats.partition_count() > 1);
     assert_eq!(stats.total_points(), 400);
     // The original partition keeps shedding leaves until it routes more

@@ -13,27 +13,10 @@ use std::time::Duration;
 use semtree_cluster::CostModel;
 use semtree_dist::{
     serve_clients_with, ClientReq, ClientResp, DistConfig, DistSemTree, NetClient, PipelinedClient,
-    PollerBackend, Query, QueryOutcome, ServeOptions,
+    Query, QueryOutcome, ServeOptions,
 };
+use semtree_integration::sample_points;
 use semtree_reactor::DRAIN_BUDGET;
-
-fn sample_points(dims: usize, n: usize, seed: u64) -> Vec<Vec<f64>> {
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    (0..n)
-        .map(|_| {
-            (0..dims)
-                .map(|_| (next() >> 11) as f64 / (1u64 << 53) as f64 * 100.0)
-                .collect()
-        })
-        .collect()
-}
 
 /// A populated single-process tree plus the expected k-NN answer for
 /// each query, computed directly (no network) before serving starts.
@@ -130,6 +113,38 @@ fn pipelined_replies_complete_out_of_order_but_never_mismatched() {
     shutdown(addr, handle);
 }
 
+/// Pipeline `burst` copies of an expensive batched k-NN on one
+/// connection and tally `(served, shed)`: every reply must be either the
+/// full batch answer or a typed `Overloaded`.
+fn overload_burst(
+    client: &mut PipelinedClient,
+    heavy: &[Vec<f64>],
+    k: usize,
+    burst: u64,
+) -> (u64, u64) {
+    let pending: Vec<_> = (0..burst)
+        .map(|_| client.knn_batch(heavy, k).expect("submit"))
+        .collect();
+    let (mut served, mut shed) = (0u64, 0u64);
+    for reply in pending {
+        match reply.wait().expect("reply") {
+            ClientResp::NeighborBatches(batches) => {
+                assert_eq!(batches.len(), heavy.len());
+                served += 1;
+            }
+            ClientResp::Overloaded => shed += 1,
+            other => panic!("unexpected reply under overload: {other:?}"),
+        }
+    }
+    assert_eq!(served + shed, burst);
+    assert!(served >= 1, "admitted requests must still be answered");
+    assert!(
+        shed >= 1,
+        "a {burst}-deep burst through a 1-slot queue must shed (served {served})"
+    );
+    (served, shed)
+}
+
 #[test]
 fn queue_overflow_sheds_typed_overloaded_replies() {
     let k = 8;
@@ -146,30 +161,8 @@ fn queue_overflow_sheds_typed_overloaded_replies() {
     let (addr, handle) = spawn_server(tree, options);
 
     let mut client = PipelinedClient::connect(addr, Duration::from_secs(5)).expect("connect");
-    let heavy: Vec<Vec<f64>> = sample_points(2, 512, 47);
     let burst = 48;
-    let pending: Vec<_> = (0..burst)
-        .map(|_| client.knn_batch(&heavy, k).expect("submit"))
-        .collect();
-
-    let mut served = 0u32;
-    let mut shed = 0u32;
-    for reply in pending {
-        match reply.wait().expect("reply") {
-            ClientResp::NeighborBatches(batches) => {
-                assert_eq!(batches.len(), heavy.len());
-                served += 1;
-            }
-            ClientResp::Overloaded => shed += 1,
-            other => panic!("unexpected reply under overload: {other:?}"),
-        }
-    }
-    assert_eq!(served + shed, burst);
-    assert!(served >= 1, "admitted requests must still be answered");
-    assert!(
-        shed >= 1,
-        "a 48-deep burst through a 1-slot queue must shed (served {served})"
-    );
+    let (_, shed) = overload_burst(&mut client, &sample_points(2, 512, 47), k, burst);
 
     // The shed connection is still usable for regular traffic.
     let q = &queries[0];
@@ -180,17 +173,14 @@ fn queue_overflow_sheds_typed_overloaded_replies() {
 }
 
 /// v1 (sequential, uncorrelated) and v2 (pipelined, correlated) framing
-/// interleaved on the same multi-shard epoll port: responses must route
+/// interleaved on the same multi-shard port: responses must route
 /// by connection and correlation id, never by arrival order.
 #[test]
-#[cfg(target_os = "linux")]
 fn v1_and_v2_clients_interleave_on_a_sharded_epoll_port() {
     let k = 4;
     let queries = sample_points(2, 24, 67);
     let (tree, expected) = tree_with_reference(500, &queries, k);
-    let options = ServeOptions::default()
-        .with_reactors(2)
-        .with_backend(PollerBackend::Epoll);
+    let options = ServeOptions::default().with_reactors(2);
     let (addr, handle) = spawn_server(tree, options);
 
     let mut v2 = PipelinedClient::connect(addr, Duration::from_secs(5)).expect("v2 connect");
@@ -271,72 +261,105 @@ fn saturated_pipelined_connection_cannot_starve_a_light_one() {
     shutdown(addr, handle);
 }
 
-/// Deliberate overload through the multi-shard epoll path: the global
+/// Deliberate overload through the multi-shard path: the global
 /// admission bound sheds with typed `Overloaded` replies, the shed
 /// counters attribute every shed to the owning shard, and the
 /// connection stays usable.
 #[test]
-#[cfg(target_os = "linux")]
 fn multi_shard_epoll_path_sheds_and_attributes_overload() {
     let k = 8;
     let queries = sample_points(2, 8, 79);
     let (tree, _) = tree_with_reference(3_000, &queries, k);
     let options = ServeOptions::default()
         .with_reactors(2)
-        .with_backend(PollerBackend::Epoll)
         .with_executors(1)
         .with_global_depth(1)
         .with_per_conn_depth(64);
     let (addr, handle) = spawn_server(tree, options);
 
     let mut client = PipelinedClient::connect(addr, Duration::from_secs(5)).expect("connect");
-    let heavy: Vec<Vec<f64>> = sample_points(2, 512, 83);
-    let burst = 48;
-    let pending: Vec<_> = (0..burst)
-        .map(|_| client.knn_batch(&heavy, k).expect("submit"))
-        .collect();
-
-    let mut served = 0u64;
-    let mut shed = 0u64;
-    for reply in pending {
-        match reply.wait().expect("reply") {
-            ClientResp::NeighborBatches(batches) => {
-                assert_eq!(batches.len(), heavy.len());
-                served += 1;
-            }
-            ClientResp::Overloaded => shed += 1,
-            other => panic!("unexpected reply under overload: {other:?}"),
-        }
-    }
-    assert_eq!(served + shed, burst);
-    assert!(served >= 1, "admitted requests must still be answered");
-    assert!(
-        shed >= 1,
-        "a 48-deep burst through a 1-slot queue must shed"
-    );
+    let (served, shed) = overload_burst(&mut client, &sample_points(2, 512, 83), k, 48);
 
     // The per-shard counters must account for exactly the sheds this
     // (only) client observed, and the topology must report both shards.
     let metrics = client.submit(&ClientReq::Metrics).expect("submit metrics");
     match metrics.wait().expect("metrics reply") {
-        ClientResp::Metrics {
-            reactor_shards,
-            shard_served,
-            shard_shed,
-            ..
-        } => {
-            assert_eq!(reactor_shards, 2, "both reactor shards must report");
+        ClientResp::Metrics(m) => {
+            assert_eq!(m.reactor_shards, 2, "both reactor shards must report");
             assert_eq!(
-                shard_shed.iter().sum::<u64>(),
+                m.shard_shed.iter().sum::<u64>(),
                 shed,
                 "every shed must be attributed to its owning shard"
             );
             assert!(
-                shard_served.iter().sum::<u64>() >= served,
+                m.shard_served.iter().sum::<u64>() >= served,
                 "served counters must cover the completed burst"
             );
         }
         other => panic!("expected Metrics, got {other:?}"),
+    }
+
+    shutdown(addr, handle);
+}
+
+/// Hostile input on the client port: wrong-dimension and non-finite
+/// points (alone or inside a batch) and negative, NaN or infinite radii
+/// each come back as a typed `invalid request` error — and none of them
+/// reaches a partition actor, whose internal asserts would kill it: after
+/// every bad request an insert and a k-NN still succeed and the tree
+/// verifies clean.
+#[test]
+fn hostile_requests_get_typed_errors_and_the_partition_survives() {
+    let (tree, _) = tree_with_reference(40, &[], 1);
+    let (addr, handle) = spawn_server(tree, ServeOptions::default());
+    let mut raw = PipelinedClient::connect(addr, Duration::from_secs(5)).expect("connect");
+    let mut client = NetClient::connect(addr, Duration::from_secs(5)).expect("connect");
+
+    let insert = |point: &[f64]| ClientReq::Insert {
+        point: point.to_vec(),
+        payload: 0,
+    };
+    let knn = |point: &[f64]| ClientReq::Knn {
+        point: point.to_vec(),
+        k: 3,
+    };
+    let range = |point: &[f64], radius| ClientReq::Range {
+        point: point.to_vec(),
+        radius,
+    };
+    let hostile = [
+        insert(&[1.0, 2.0, 3.0]),
+        insert(&[f64::NAN, 2.0]),
+        knn(&[1.0]),
+        knn(&[f64::INFINITY, 0.0]),
+        ClientReq::KnnBatch {
+            points: vec![vec![1.0, 2.0], vec![1.0, 2.0, 3.0]],
+            k: 3,
+        },
+        range(&[], 1.0),
+        range(&[1.0, 2.0], -1.0),
+        range(&[1.0, 2.0], f64::NAN),
+        range(&[1.0, 2.0], f64::INFINITY),
+    ];
+    for (i, req) in hostile.iter().enumerate() {
+        match raw.submit(req).expect("submit").wait().expect("reply") {
+            ClientResp::Error(msg) => {
+                assert!(msg.contains("invalid request"), "{req:?} → {msg}");
+            }
+            other => panic!("{req:?} must be rejected, got {other:?}"),
+        }
+        let payload = 1_000 + i as u64;
+        let probe = [200.0 + i as f64, 200.0];
+        client
+            .insert(&probe, payload)
+            .expect("insert after a bad request");
+        let hits = client.knn(&probe, 1).expect("knn after a bad request");
+        assert_eq!(hits, vec![(0.0, payload)], "after {req:?}");
+        assert_eq!(
+            client.verify().expect("verify"),
+            Vec::<String>::new(),
+            "after {req:?}"
+        );
     }
 
     shutdown(addr, handle);
@@ -359,18 +382,14 @@ fn metrics_over_the_wire_report_latency_quantiles() {
     }
     let metrics = client.submit(&ClientReq::Metrics).expect("submit metrics");
     match metrics.wait().expect("metrics reply") {
-        ClientResp::Metrics {
-            latency_count,
-            p50_nanos,
-            p99_nanos,
-            ..
-        } => {
+        ClientResp::Metrics(m) => {
             assert!(
-                latency_count >= queries.len() as u64,
-                "every served request must be recorded, got {latency_count}"
+                m.latency_count >= queries.len() as u64,
+                "every served request must be recorded, got {}",
+                m.latency_count
             );
-            assert!(p50_nanos > 0, "median latency cannot be zero nanoseconds");
-            assert!(p99_nanos >= p50_nanos, "quantiles must be monotone");
+            assert!(m.p50_nanos > 0, "median latency cannot be zero nanoseconds");
+            assert!(m.p99_nanos >= m.p50_nanos, "quantiles must be monotone");
         }
         other => panic!("expected Metrics, got {other:?}"),
     }
