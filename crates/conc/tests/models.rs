@@ -24,6 +24,7 @@ use semtree_conc::explore::{explore, explore_random, replay, Options};
 use semtree_conc::model::ModelShim;
 use semtree_conc::shim::Shim;
 use semtree_distance::MemoizedDistance;
+use semtree_kdtree::versioned::{Child, NeedsMailbox, TreeWriter};
 use semtree_kdtree::{KdConfig, VersionedKdTree};
 use semtree_net::ConnRegistry;
 use semtree_par::ChunkedQueue;
@@ -89,6 +90,12 @@ const TARGETS: &[Target] = &[
         name: "kdtree_read_split",
         what: "Versioned KD-tree optimistic knn vs insert/split: every validated read equals the prefix its version names",
         body: kdtree_read_split,
+        spurious_budget: 0,
+    },
+    Target {
+        name: "partition_read_relink",
+        what: "Partition tree optimistic knn vs build-partition relink: the whole pre-relink answer or needs-the-mailbox, never a read missing the evicted leaf",
+        body: partition_read_relink,
         spurious_budget: 0,
     },
     Target {
@@ -571,6 +578,73 @@ fn kdtree_read_split() {
     let got: Vec<u64> = hits.iter().map(|h| h.payload).collect();
     assert_eq!(got, EXPECTED[3]);
     drop(tree);
+}
+
+// ---------------------------------------------------------------------
+// Target 8b: a partition's lock-free reader vs build-partition.
+// ---------------------------------------------------------------------
+
+/// A partition whose root routes over two leaves evicts the right one
+/// the way its actor does — copy the bucket out (a plain read: the leaf
+/// keeps its points), then relink the parent edge to another partition —
+/// while a reader without a message fabric runs a bounded optimistic
+/// 2-NN whose nearest point lives in that leaf. A validated read is
+/// either the complete pre-relink answer or the refusal that sends the
+/// query to the mailbox; it never answers from the surviving leaf alone.
+fn partition_read_relink() {
+    let mut writer = TreeWriter::<ModelShim>::new(KdConfig::new(1).with_bucket_size(2));
+    assert_eq!(writer.push_leaf(0, None, &[]), Some(0));
+    let mut splits = Vec::new();
+    for (payload, x) in [1.0, 2.0, 3.0].into_iter().enumerate() {
+        let stored = writer.insert(0, &[x], payload as u64, &NeedsMailbox, &mut splits);
+        assert_eq!(stored, Some(Ok(true)));
+    }
+    // One split: root → leaves 1 = {1.0, 2.0} and 2 = {3.0}; version 6.
+    assert_eq!((splits.len(), writer.tree().nodes()), (1, 3));
+    let tree = Arc::clone(writer.tree());
+
+    let evictor = ModelShim::spawn(move || {
+        let leaf = writer.tree().node(2).expect("the right leaf");
+        let whole = [(vec![3.0], 2)];
+        assert_eq!(leaf.bucket(), whole, "detach is a read of the whole bucket");
+        let to = Child::Remote {
+            partition: 9,
+            node: 0,
+        };
+        assert_eq!(writer.relink(2, to), Ok(1));
+        writer
+    });
+
+    let observer = {
+        let tree = Arc::clone(&tree);
+        ModelShim::spawn(move || {
+            let read = tree.read_bounded(3, |t| t.knn(0, &[3.1], 2, None, &NeedsMailbox));
+            if let Some((answer, stats)) = read {
+                match answer {
+                    Ok(hits) => {
+                        let payloads: Vec<u64> = hits.iter().map(|h| h.1).collect();
+                        assert_eq!(payloads, [2, 1], "answer lost the evicted leaf");
+                        assert_eq!(stats.version, 6, "pre-relink answers predate it");
+                    }
+                    Err(NeedsMailbox) => assert_eq!(stats.version, 8, "refused early"),
+                }
+            }
+        })
+    };
+
+    let writer = ModelShim::join(evictor);
+    ModelShim::join(observer);
+
+    // Quiescent: the link is in place and the first attempt validates.
+    let (answer, stats) = tree.read(|t| t.knn(0, &[3.1], 2, None, &NeedsMailbox));
+    assert_eq!(
+        (answer, stats.version, stats.retries),
+        (Err(NeedsMailbox), 8, 0)
+    );
+    // The surviving leaf still answers walks that stay on its side.
+    let (local, _) = tree.read(|t| t.knn(0, &[1.0], 1, None, &NeedsMailbox));
+    assert_eq!(local, Ok(vec![(0.0, 0)]));
+    drop(writer);
 }
 
 // ---------------------------------------------------------------------

@@ -3,27 +3,24 @@
 use std::sync::Arc;
 
 use semtree_cluster::{ClusterError, ComputeNodeId, Handler, NodeCtx};
+use semtree_kdtree::versioned::{NeedsMailbox, RemoteOps};
 use semtree_par::Pool;
 
-use crate::mirror::{Mirror, ReadHandle};
 use crate::proto::{Req, Resp};
-use crate::store::{KnnState, LocalNodeId, PartitionStore, RemoteOps};
-use crate::tree::SharedConfig;
+use crate::store::{LocalNodeId, PartitionStore};
+use crate::tree::{unexpected, SharedConfig};
 
 /// Hosts one partition of the SemTree and speaks the [`Req`]/[`Resp`]
-/// protocol. Single-threaded per partition, like one MPJ rank — except
-/// for reads: while the partition is fully local, they go through the
-/// lock-free [`Mirror`], so [`Req::KnnBatch`] fans out over `pool` and
-/// the coordinator can bypass the mailbox entirely via the registered
-/// [`ReadHandle`].
+/// protocol. Single-threaded per partition, like one MPJ rank, and the
+/// only writer of its store's tree — so it reads that tree directly,
+/// without validation. Other threads read the same tree lock-free: the
+/// coordinator through the registered
+/// [`ReadHandle`](crate::store::ReadHandle), and this actor's own `pool`
+/// workers when a [`Req::KnnBatch`] fans out.
 pub(crate) struct PartitionActor {
     store: PartitionStore,
     shared: Arc<SharedConfig>,
     pool: Pool,
-    /// Seqlock mirror of `store`, maintained on every local mutation.
-    mirror: Mirror,
-    /// The mirror's shared read side (also registered in `shared`).
-    handle: Arc<ReadHandle>,
     registered: bool,
 }
 
@@ -31,37 +28,35 @@ impl PartitionActor {
     /// An empty partition (fresh leaf at depth 0; an [`Req::AdoptLeaf`]
     /// normally follows immediately and resets the depth).
     pub(crate) fn fresh(shared: Arc<SharedConfig>) -> Self {
-        let store = PartitionStore::new_leaf_with_rule(
-            shared.dims,
-            shared.bucket_size,
-            shared.split_rule,
-            Vec::new(),
-            0,
-        );
-        Self::with_store(store, shared)
+        Self::with_store(PartitionStore::raw_leaf(shared.kd, &[], 0), shared)
     }
 
     /// A partition with a pre-built store (the fan-out root, or a
     /// WAL-recovered partition).
     pub(crate) fn with_store(store: PartitionStore, shared: Arc<SharedConfig>) -> Self {
-        let mirror = Mirror::from_store(&store, shared.dims, shared.bucket_size, shared.split_rule);
-        let handle = mirror.handle();
         PartitionActor {
             store,
             shared,
             pool: Pool::new(),
-            mirror,
-            handle,
             registered: false,
         }
+    }
+
+    /// Publish the lock-free read side of the current store; the
+    /// coordinator uses it to serve k-NN and range queries without
+    /// entering this mailbox.
+    fn register(&mut self, ctx: &NodeCtx<Req, Resp>) {
+        self.shared
+            .register_read_handle(ctx.node_id(), self.store.read_handle());
+        self.registered = true;
     }
 
     /// The build-partition algorithm (§III-B.2): while the resource
     /// condition fires and compute nodes remain, move the biggest leaf to a
     /// newly created partition and link it. The new partition is placed by
-    /// the transport — on another OS process under `semtree-net`. If the
-    /// transfer fails the leaf is restored in place, so an error never
-    /// loses points.
+    /// the transport — on another OS process under `semtree-net`. The leaf
+    /// keeps its points until the relink, so a failed transfer loses
+    /// nothing and needs no undo.
     fn enforce_capacity(&mut self, ctx: &NodeCtx<Req, Resp>) -> Result<(), ClusterError> {
         while self.shared.capacity.exceeded(self.store.points()) {
             let Some(candidate) = self.store.eviction_candidate() else {
@@ -70,68 +65,110 @@ impl PartitionActor {
             if !self.shared.try_reserve_partition() {
                 break; // no compute node available to host a new partition
             }
-            let (bucket, depth) = self.store.detach_leaf(candidate);
-            let new_partition = match ctx.spawn_member() {
+            let new_partition = match self.transfer_leaf(ctx, candidate) {
                 Ok(id) => id,
                 Err(e) => {
-                    self.store.restore_leaf(candidate, bucket);
                     self.shared.release_partition();
                     return Err(e);
                 }
             };
-            let wire_bucket: Vec<(Vec<f64>, u64)> =
-                bucket.iter().map(|(c, p)| (c.to_vec(), *p)).collect();
-            match ctx.call(
-                new_partition,
-                Req::AdoptLeaf {
-                    bucket: wire_bucket,
-                    depth,
-                },
-            ) {
-                Ok(Resp::Done) => {}
-                Ok(Resp::Error(msg)) => {
-                    self.store.restore_leaf(candidate, bucket);
-                    self.shared.release_partition();
-                    return Err(ClusterError::Remote(msg));
-                }
-                Ok(other) => {
-                    self.store.restore_leaf(candidate, bucket);
-                    self.shared.release_partition();
-                    return Err(ClusterError::Remote(format!(
-                        "unexpected AdoptLeaf reply {other:?}"
-                    )));
-                }
-                Err(e) => {
-                    self.store.restore_leaf(candidate, bucket);
-                    self.shared.release_partition();
-                    return Err(e);
-                }
-            }
             // Write-ahead of the relink: the relink runs as the apply
             // half of the flushed migration record, so a crash between
             // the two replays the migration from the log and the remote
             // link survives. (The adoption itself is durable in the
             // *target* process's WAL via its PartitionCreate record.)
             let store = &mut self.store;
-            if let Some(wal) = &self.shared.wal {
-                wal.apply_migration(
-                    ctx.node_id(),
-                    candidate,
-                    new_partition,
-                    LocalNodeId(0),
-                    || {
-                        store.relink_to_partition(candidate, new_partition, LocalNodeId(0));
-                    },
-                )
-                .map_err(|e| ClusterError::Remote(format!("wal append failed: {e}")))?;
-            } else {
-                store.relink_to_partition(candidate, new_partition, LocalNodeId(0));
-            }
-            // The partition now has a remote link: freeze the mirror
-            // *before* any later write is acknowledged, so lock-free
-            // readers can never miss an acknowledged insert.
-            self.mirror.deactivate();
+            let root = LocalNodeId(0);
+            let relinked = match &self.shared.wal {
+                Some(wal) => {
+                    wal.apply_migration(ctx.node_id(), candidate, new_partition, root, || {
+                        store.relink_to_partition(candidate, new_partition, root)
+                    })
+                    .map_err(|e| ClusterError::Remote(format!("wal append failed: {e}")))?
+                    .1
+                }
+                None => store.relink_to_partition(candidate, new_partition, root),
+            };
+            relinked.map_err(ClusterError::Remote)?;
         }
+        Ok(())
+    }
+
+    /// Copy `candidate`'s bucket into a freshly spawned partition.
+    fn transfer_leaf(
+        &self,
+        ctx: &NodeCtx<Req, Resp>,
+        candidate: LocalNodeId,
+    ) -> Result<ComputeNodeId, ClusterError> {
+        let (bucket, depth) = self.store.detach_leaf(candidate).ok_or_else(|| {
+            ClusterError::Remote(format!("eviction candidate {} is not a leaf", candidate.0))
+        })?;
+        let new_partition = ctx.spawn_member()?;
+        match ctx.call(new_partition, Req::AdoptLeaf { bucket, depth })? {
+            Resp::Done => Ok(new_partition),
+            other => Err(unexpected("an AdoptLeaf acknowledgement", other)),
+        }
+    }
+
+    /// [`Req::Insert`]. Write-ahead: `apply_insert` flushes the record
+    /// before running the store mutation, so the mutation can never
+    /// outrun its log entry. If navigation forwards the point to another
+    /// partition the record stays behind as a no-op on replay (the
+    /// receiving partition logs its own copy on arrival).
+    fn insert(
+        &mut self,
+        ctx: &NodeCtx<Req, Resp>,
+        node: LocalNodeId,
+        point: &[f64],
+        payload: u64,
+    ) -> Result<(), String> {
+        let remote = FabricRemote { ctx };
+        let store = &mut self.store;
+        let mut splits = Vec::new();
+        let mut apply = || store.insert_logged(node, point, payload, &remote, &mut splits);
+        let (mut due, stored_here) = match &self.shared.wal {
+            Some(wal) => wal
+                .apply_insert(ctx.node_id(), node, point, payload, apply)
+                .map_err(wal_failed)?,
+            None => (false, apply()),
+        };
+        let stored_here = stored_here?;
+        if let Some(wal) = &self.shared.wal {
+            due |= wal.log_splits(ctx.node_id(), &splits).map_err(wal_failed)?;
+        }
+        self.maybe_snapshot(ctx, due).map_err(|e| e.to_string())?;
+        if stored_here {
+            // On failure the point is stored and the tree intact, but the
+            // client should know capacity could not be enforced.
+            self.enforce_capacity(ctx)
+                .map_err(|e| format!("build-partition failed: {e}"))?;
+        }
+        Ok(())
+    }
+
+    /// [`Req::AdoptLeaf`]. Write-ahead of this partition's birth: the
+    /// store is built only after the PartitionCreate record is flushed.
+    /// The splits the adopted bucket triggers are logged right after, so
+    /// the replayed arena is id-for-id identical.
+    fn adopt(
+        &mut self,
+        ctx: &NodeCtx<Req, Resp>,
+        bucket: &[(Vec<f64>, u64)],
+        depth: u32,
+    ) -> Result<(), String> {
+        let kd = self.shared.kd;
+        let mut splits = Vec::new();
+        let mut build = || PartitionStore::new_leaf_logged(kd, bucket, depth, &mut splits);
+        if let Some(wal) = &self.shared.wal {
+            let created = wal.apply_create(ctx.node_id(), depth, bucket, build);
+            self.store = created.map_err(wal_failed)?.1;
+            let due = wal.log_splits(ctx.node_id(), &splits).map_err(wal_failed)?;
+            self.maybe_snapshot(ctx, due).map_err(|e| e.to_string())?;
+        } else {
+            self.store = build();
+        }
+        // A new tree: readers of the old one must find this one.
+        self.register(ctx);
         Ok(())
     }
 
@@ -153,62 +190,6 @@ impl PartitionActor {
     }
 }
 
-/// [`RemoteOps`] stub for partitions with no remote links: a traversal
-/// there can never cross a border, so the batched k-NN worker threads
-/// need no (non-`Sync`) message fabric behind them. Any call is a logic
-/// error and surfaces as a remote failure rather than a panic.
-struct NoRemote;
-
-impl NoRemote {
-    fn bug<T>() -> Result<T, ClusterError> {
-        Err(ClusterError::Remote(
-            "remote operation reached during a local-only batch".into(),
-        ))
-    }
-}
-
-impl RemoteOps for NoRemote {
-    fn insert(
-        &self,
-        _partition: ComputeNodeId,
-        _node: LocalNodeId,
-        _point: &[f64],
-        _payload: u64,
-    ) -> Result<(), ClusterError> {
-        Self::bug()
-    }
-
-    fn knn(
-        &self,
-        _partition: ComputeNodeId,
-        _node: LocalNodeId,
-        _point: &[f64],
-        _k: usize,
-        _worst: Option<f64>,
-    ) -> Result<Vec<(f64, u64)>, ClusterError> {
-        Self::bug()
-    }
-
-    fn range(
-        &self,
-        _partition: ComputeNodeId,
-        _node: LocalNodeId,
-        _point: &[f64],
-        _radius: f64,
-    ) -> Result<Vec<(f64, u64)>, ClusterError> {
-        Self::bug()
-    }
-
-    fn range_parallel(
-        &self,
-        _targets: [(ComputeNodeId, LocalNodeId); 2],
-        _point: &[f64],
-        _radius: f64,
-    ) -> Result<[Vec<(f64, u64)>; 2], ClusterError> {
-        Self::bug()
-    }
-}
-
 /// [`RemoteOps`] over the live message fabric.
 struct FabricRemote<'a> {
     ctx: &'a NodeCtx<Req, Resp>,
@@ -218,50 +199,46 @@ impl FabricRemote<'_> {
     fn expect_candidates(resp: Resp) -> Result<Vec<(f64, u64)>, ClusterError> {
         match resp {
             Resp::Candidates(c) => Ok(c),
-            Resp::Error(msg) => Err(ClusterError::Remote(msg)),
-            other => Err(ClusterError::Remote(format!(
-                "expected candidates, got {other:?}"
-            ))),
+            other => Err(unexpected("candidates", other)),
         }
     }
 }
 
 impl RemoteOps for FabricRemote<'_> {
+    type Error = ClusterError;
+
     fn insert(
         &self,
-        partition: ComputeNodeId,
-        node: LocalNodeId,
+        partition: u32,
+        node: u32,
         point: &[f64],
         payload: u64,
     ) -> Result<(), ClusterError> {
         match self.ctx.call(
-            partition,
+            ComputeNodeId(partition),
             Req::Insert {
-                node,
+                node: LocalNodeId(node),
                 point: point.to_vec(),
                 payload,
             },
         )? {
             Resp::Done => Ok(()),
-            Resp::Error(msg) => Err(ClusterError::Remote(msg)),
-            other => Err(ClusterError::Remote(format!(
-                "expected done, got {other:?}"
-            ))),
+            other => Err(unexpected("done", other)),
         }
     }
 
     fn knn(
         &self,
-        partition: ComputeNodeId,
-        node: LocalNodeId,
+        partition: u32,
+        node: u32,
         point: &[f64],
         k: usize,
         worst: Option<f64>,
     ) -> Result<Vec<(f64, u64)>, ClusterError> {
         Self::expect_candidates(self.ctx.call(
-            partition,
+            ComputeNodeId(partition),
             Req::Knn {
-                node,
+                node: LocalNodeId(node),
                 point: point.to_vec(),
                 k,
                 worst,
@@ -271,15 +248,15 @@ impl RemoteOps for FabricRemote<'_> {
 
     fn range(
         &self,
-        partition: ComputeNodeId,
-        node: LocalNodeId,
+        partition: u32,
+        node: u32,
         point: &[f64],
         radius: f64,
     ) -> Result<Vec<(f64, u64)>, ClusterError> {
         Self::expect_candidates(self.ctx.call(
-            partition,
+            ComputeNodeId(partition),
             Req::Range {
-                node,
+                node: LocalNodeId(node),
                 point: point.to_vec(),
                 radius,
             },
@@ -288,28 +265,36 @@ impl RemoteOps for FabricRemote<'_> {
 
     fn range_parallel(
         &self,
-        targets: [(ComputeNodeId, LocalNodeId); 2],
+        targets: [(u32, u32); 2],
         point: &[f64],
         radius: f64,
     ) -> Result<[Vec<(f64, u64)>; 2], ClusterError> {
-        let calls = targets
-            .iter()
-            .map(|&(partition, node)| {
-                (
-                    partition,
-                    Req::Range {
-                        node,
-                        point: point.to_vec(),
-                        radius,
-                    },
-                )
-            })
-            .collect();
-        let mut resps = self.ctx.call_many(calls)?.into_iter();
-        let a = Self::expect_candidates(resps.next().expect("two responses"))?;
-        let b = Self::expect_candidates(resps.next().expect("two responses"))?;
-        Ok([a, b])
+        let range = |(partition, node)| {
+            let req = Req::Range {
+                node: LocalNodeId(node),
+                point: point.to_vec(),
+                radius,
+            };
+            (ComputeNodeId(partition), req)
+        };
+        let resps = self.ctx.call_many(targets.map(range).to_vec())?;
+        match <[Resp; 2]>::try_from(resps) {
+            Ok([a, b]) => Ok([Self::expect_candidates(a)?, Self::expect_candidates(b)?]),
+            Err(resps) => Err(ClusterError::Remote(format!(
+                "scatter of two requests gathered {} replies",
+                resps.len()
+            ))),
+        }
     }
+}
+
+/// An operation's outcome as the reply that carries it.
+fn reply<T>(outcome: Result<T, String>, ok: impl FnOnce(T) -> Resp) -> Resp {
+    outcome.map_or_else(Resp::Error, ok)
+}
+
+fn wal_failed(e: semtree_wal::WalError) -> String {
+    format!("wal append failed: {e}")
 }
 
 impl Handler for PartitionActor {
@@ -318,12 +303,9 @@ impl Handler for PartitionActor {
 
     fn handle(&mut self, ctx: &NodeCtx<Req, Resp>, req: Req) -> Resp {
         if !self.registered {
-            // Publish the lock-free read side once the hosting node is
-            // known; the coordinator uses it to serve k-NN and range
-            // queries without entering this mailbox.
-            self.shared
-                .register_read_handle(ctx.node_id(), Arc::clone(&self.handle));
-            self.registered = true;
+            // The hosting node is only known once the first message
+            // arrives.
+            self.register(ctx);
         }
         let remote = FabricRemote { ctx };
         match req {
@@ -331,200 +313,44 @@ impl Handler for PartitionActor {
                 node,
                 point,
                 payload,
-            } => {
-                // Write-ahead: `apply_insert` flushes the record before
-                // running the store mutation, so the mutation can never
-                // outrun its log entry. If navigation forwards the point
-                // to another partition the record stays behind as a
-                // no-op on replay (the receiving partition logs its own
-                // copy on arrival).
-                let mut due = false;
-                let store = &mut self.store;
-                let mut splits = Vec::new();
-                let inserted = if let Some(wal) = &self.shared.wal {
-                    match wal.apply_insert(ctx.node_id(), node, &point, payload, || {
-                        store.insert_logged(node, &point, payload, &remote, &mut splits)
-                    }) {
-                        Ok((d, inserted)) => {
-                            due = d;
-                            inserted
-                        }
-                        Err(e) => return Resp::Error(format!("wal append failed: {e}")),
-                    }
-                } else {
-                    store.insert_logged(node, &point, payload, &remote, &mut splits)
-                };
-                match inserted {
-                    Ok(stored_here) => {
-                        if stored_here {
-                            // Keep the mirror in lockstep before the
-                            // write can be acknowledged.
-                            self.mirror.insert(&point, payload);
-                        }
-                        if let Some(wal) = &self.shared.wal {
-                            match wal.log_splits(ctx.node_id(), &splits) {
-                                Ok(d) => due |= d,
-                                Err(e) => return Resp::Error(format!("wal append failed: {e}")),
-                            }
-                        }
-                        if let Err(e) = self.maybe_snapshot(ctx, due) {
-                            return Resp::Error(e.to_string());
-                        }
-                        if stored_here {
-                            if let Err(e) = self.enforce_capacity(ctx) {
-                                // The point is stored; the failed
-                                // build-partition left the tree intact (leaf
-                                // restored) but the client should know
-                                // capacity could not be enforced.
-                                return Resp::Error(format!("build-partition failed: {e}"));
-                            }
-                        }
-                        Resp::Done
-                    }
-                    Err(e) => Resp::Error(e.to_string()),
-                }
-            }
+            } => reply(self.insert(ctx, node, &point, payload), |()| Resp::Done),
             Req::Knn {
                 node,
                 point,
                 k,
                 worst,
-            } => {
-                // Fully-local partition: serve through the lock-free
-                // mirror (identical answer, retry accounting for free).
-                if node == LocalNodeId(0) {
-                    if let Some((hits, retries)) = self.handle.knn(&point, k, worst) {
-                        self.shared.record_read_retries(retries);
-                        return Resp::Candidates(hits);
-                    }
-                }
-                let mut state = KnnState::new(k, worst);
-                match self.store.knn(node, &point, &mut state, &remote) {
-                    Ok(()) => Resp::Candidates(state.into_candidates()),
-                    Err(e) => Resp::Error(e.to_string()),
-                }
-            }
+            } => reply(
+                self.store.knn(node, &point, k, worst, &remote),
+                Resp::Candidates,
+            ),
             Req::Range {
                 node,
                 point,
                 radius,
-            } => {
-                if node == LocalNodeId(0) {
-                    if let Some((hits, retries)) = self.handle.range(&point, radius) {
-                        self.shared.record_read_retries(retries);
-                        return Resp::Candidates(hits);
-                    }
-                }
-                let mut out = Vec::new();
-                match self.store.range(node, &point, radius, &mut out, &remote) {
-                    Ok(()) => Resp::Candidates(out),
-                    Err(e) => Resp::Error(e.to_string()),
-                }
-            }
+            } => reply(
+                self.store.range(node, &point, radius, &remote),
+                Resp::Candidates,
+            ),
             Req::AdoptLeaf { bucket, depth } => {
-                // Write-ahead of this partition's birth: the store is
-                // built only after the PartitionCreate record is
-                // flushed. The splits the adopted bucket triggers are
-                // logged right after, so the replayed arena is
-                // id-for-id identical.
-                let shared = &self.shared;
-                let mut splits = Vec::new();
-                let mut build = || {
-                    let bucket = bucket
-                        .iter()
-                        .map(|(c, p)| (c.clone().into_boxed_slice(), *p))
-                        .collect();
-                    PartitionStore::new_leaf_logged(
-                        shared.dims,
-                        shared.bucket_size,
-                        shared.split_rule,
-                        bucket,
-                        depth,
-                        &mut splits,
-                    )
-                };
-                if let Some(wal) = &shared.wal {
-                    let store = match wal.apply_create(ctx.node_id(), depth, &bucket, build) {
-                        Ok((_, store)) => store,
-                        Err(e) => return Resp::Error(format!("wal append failed: {e}")),
-                    };
-                    self.store = store;
-                    let due = match wal.log_splits(ctx.node_id(), &splits) {
-                        Ok(due) => due,
-                        Err(e) => return Resp::Error(format!("wal append failed: {e}")),
-                    };
-                    if let Err(e) = self.maybe_snapshot(ctx, due) {
-                        return Resp::Error(e.to_string());
-                    }
-                } else {
-                    self.store = build();
-                }
-                self.mirror.rebuild(&self.store);
-                Resp::Done
+                reply(self.adopt(ctx, &bucket, depth), |()| Resp::Done)
             }
             Req::KnnBatch { node, points, k } => {
-                if self.store.has_remote_children() {
+                let store = &self.store;
+                let batches: Result<Vec<_>, String> = if store.has_remote_children() {
                     // Border partition: traversals may cross into other
                     // partitions, and the fabric context is single-threaded
                     // — answer the batch sequentially. It still collapses
                     // the client's round trips into one.
-                    let mut batches = Vec::with_capacity(points.len());
-                    for point in &points {
-                        let mut state = KnnState::new(k, None);
-                        match self.store.knn(node, point, &mut state, &remote) {
-                            Ok(()) => batches.push(state.into_candidates()),
-                            Err(e) => return Resp::Error(e.to_string()),
-                        }
-                    }
-                    Resp::CandidateBatches(batches)
-                } else if node == LocalNodeId(0) && self.handle.is_active() {
-                    // Fully local partition: fan the queries out over the
-                    // worker pool through the lock-free mirror. Each
-                    // query's answer is identical to the sequential path.
-                    let handle = &self.handle;
-                    let results = self
-                        .pool
-                        .map(points.len(), &|i| handle.knn(&points[i], k, None));
-                    let mut batches = Vec::with_capacity(results.len());
-                    for (i, r) in results.into_iter().enumerate() {
-                        match r {
-                            Some((hits, retries)) => {
-                                self.shared.record_read_retries(retries);
-                                batches.push(hits);
-                            }
-                            None => {
-                                // Mirror rejected the query (e.g. a
-                                // dimensionality mismatch): sequential
-                                // store path for this one.
-                                let mut state = KnnState::new(k, None);
-                                match self.store.knn(node, &points[i], &mut state, &NoRemote) {
-                                    Ok(()) => batches.push(state.into_candidates()),
-                                    Err(e) => return Resp::Error(e.to_string()),
-                                }
-                            }
-                        }
-                    }
-                    Resp::CandidateBatches(batches)
+                    let knn = |point: &Vec<f64>| store.knn(node, point, k, None, &remote);
+                    points.iter().map(knn).collect()
                 } else {
-                    // Fully local partition with a frozen mirror: fan
-                    // out over the pool directly against the store.
-                    let store = &self.store;
-                    let results = self.pool.map(points.len(), &|i| {
-                        let mut state = KnnState::new(k, None);
-                        store
-                            .knn(node, &points[i], &mut state, &NoRemote)
-                            .map(|()| state.into_candidates())
-                            .map_err(|e| e.to_string())
-                    });
-                    let mut batches = Vec::with_capacity(results.len());
-                    for r in results {
-                        match r {
-                            Ok(c) => batches.push(c),
-                            Err(e) => return Resp::Error(e),
-                        }
-                    }
-                    Resp::CandidateBatches(batches)
-                }
+                    // No remote links: fan the queries out over the worker
+                    // pool, each worker running the same walk on the same
+                    // tree with nothing behind it to cross into.
+                    let knn = |i: usize| store.knn(node, &points[i], k, None, &NeedsMailbox);
+                    self.pool.map(points.len(), &knn).into_iter().collect()
+                };
+                reply(batches, Resp::CandidateBatches)
             }
             Req::Stats => Resp::Stats(self.store.stats()),
             Req::Verify => Resp::Violations(self.store.verify()),

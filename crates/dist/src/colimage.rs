@@ -30,7 +30,7 @@
 
 use semtree_colz::{ColumnCodec, DeltaColumn, F64Column, PointsColumn, RleColumn, UIntColumn};
 
-use crate::store::{ChildImage, NodeImage, NodeKindImage, StoreImage};
+use crate::store::{Child as ChildImage, NodeImage, NodeKindImage, StoreImage};
 
 const KIND_ROUTING: u64 = 0;
 const KIND_LEAF: u64 = 1;

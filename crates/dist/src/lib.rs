@@ -66,7 +66,6 @@
 mod actor;
 mod colimage;
 mod deploy;
-mod mirror;
 mod proto;
 mod recovery;
 mod store;

@@ -13,6 +13,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use semtree_cluster::ComputeNodeId;
+use semtree_kdtree::versioned::SplitEvent;
 use semtree_net::decode_exact;
 use semtree_wal::{
     SequencedLog, Snapshot, Wal, WalError, WalRecord, WalReport, WalState, SNAPSHOT_FORMAT_COLUMNAR,
@@ -20,7 +21,7 @@ use semtree_wal::{
 
 use crate::deploy::NetDeployConfig;
 use crate::proto::PartitionStats;
-use crate::store::{LocalNodeId, PartitionStore, SplitEvent, StoreImage};
+use crate::store::{LocalNodeId, PartitionStore, StoreImage};
 
 /// Shared write side of the WAL: every partition actor of a process logs
 /// through one of these. Appends are serialized by the wrapping
@@ -75,11 +76,11 @@ impl WalHandle {
         for s in splits {
             let appended = self.log.append(&WalRecord::LeafSplit {
                 partition: partition.0,
-                leaf: s.leaf.0,
+                leaf: s.leaf,
                 split_dim: s.split_dim,
                 split_val: s.split_val,
-                left: s.left.0,
-                right: s.right.0,
+                left: s.left,
+                right: s.right,
             })?;
             due |= appended.snapshot_due;
         }
@@ -155,6 +156,7 @@ impl WalHandle {
 pub(crate) fn replay_stores(state: &WalState) -> Result<Vec<(u32, PartitionStore)>, String> {
     let config: NetDeployConfig =
         decode_exact(&state.config).map_err(|e| format!("wal config blob: {e}"))?;
+    let kd = config.to_config().kd();
 
     let mut stores: BTreeMap<u32, PartitionStore> = BTreeMap::new();
     for (&partition, snap) in &state.snapshots {
@@ -169,19 +171,9 @@ pub(crate) fn replay_stores(state: &WalState) -> Result<Vec<(u32, PartitionStore
                 depth,
                 bucket,
             } => {
-                let bucket = bucket
-                    .iter()
-                    .map(|(c, p)| (c.clone().into_boxed_slice(), *p))
-                    .collect();
                 stores.insert(
                     *partition,
-                    PartitionStore::raw_leaf(
-                        config.dims,
-                        config.bucket_size,
-                        config.split_rule,
-                        bucket,
-                        *depth as u32,
-                    ),
+                    PartitionStore::raw_leaf(kd, bucket, *depth as u32),
                 );
             }
             WalRecord::PointInsert {
@@ -207,11 +199,11 @@ pub(crate) fn replay_stores(state: &WalState) -> Result<Vec<(u32, PartitionStore
                 let store = missing(stores.get_mut(partition), *partition, *lsn)?;
                 store
                     .apply_split(&SplitEvent {
-                        leaf: LocalNodeId(*leaf),
+                        leaf: *leaf,
                         split_dim: *split_dim,
                         split_val: *split_val,
-                        left: LocalNodeId(*left),
-                        right: LocalNodeId(*right),
+                        left: *left,
+                        right: *right,
                     })
                     .map_err(|e| format!("lsn {lsn}: {e}"))?;
             }
@@ -223,7 +215,7 @@ pub(crate) fn replay_stores(state: &WalState) -> Result<Vec<(u32, PartitionStore
             } => {
                 let store = missing(stores.get_mut(partition), *partition, *lsn)?;
                 store
-                    .apply_migration(
+                    .relink_to_partition(
                         LocalNodeId(*evicted),
                         ComputeNodeId(*target_partition),
                         LocalNodeId(*target_node),
@@ -396,10 +388,10 @@ mod tests {
                 matches!(
                     &n.kind,
                     crate::store::NodeKindImage::Routing {
-                        left: crate::store::ChildImage::Remote { .. },
+                        left: crate::store::Child::Remote { .. },
                         ..
                     } | crate::store::NodeKindImage::Routing {
-                        right: crate::store::ChildImage::Remote { .. },
+                        right: crate::store::Child::Remote { .. },
                         ..
                     }
                 )

@@ -8,13 +8,12 @@ use std::sync::{Arc, Mutex, OnceLock};
 use semtree_cluster::{
     Cluster, ClusterError, ClusterMetrics, CompleteFn, ComputeNodeId, CostModel,
 };
-use semtree_kdtree::{Neighbor, SplitRule};
+use semtree_kdtree::{KdConfig, Neighbor, SplitRule};
 
 use crate::actor::PartitionActor;
-use crate::mirror::ReadHandle;
 use crate::proto::{PartitionStats, Req, Resp};
 use crate::recovery::WalHandle;
-use crate::store::{Child, LocalNodeId, PNodeKind, PartitionStore};
+use crate::store::{Child, LocalNodeId, PartitionStore, ReadHandle};
 
 /// The per-partition *resource condition* of the insertion algorithm: "the
 /// condition can be dynamically evaluated at run-time — for example, it may
@@ -126,6 +125,13 @@ impl DistConfig {
     pub fn bucket_size(&self) -> usize {
         self.bucket_size
     }
+
+    /// The per-partition tree configuration this implies.
+    pub(crate) fn kd(&self) -> KdConfig {
+        KdConfig::new(self.dims)
+            .with_bucket_size(self.bucket_size)
+            .with_split_rule(self.split_rule)
+    }
 }
 
 /// Planar points (`dims = 2`) with [`DistConfig::new`]'s defaults —
@@ -139,16 +145,15 @@ impl Default for DistConfig {
 
 /// Configuration + partition accounting shared by every actor.
 pub(crate) struct SharedConfig {
-    pub(crate) dims: usize,
-    pub(crate) bucket_size: usize,
-    pub(crate) split_rule: SplitRule,
+    /// Dimensions, bucket size and split rule of every partition's tree.
+    pub(crate) kd: KdConfig,
     pub(crate) capacity: CapacityPolicy,
     pub(crate) max_partitions: usize,
     /// The process-wide WAL, `None` when running without durability.
     pub(crate) wal: Option<Arc<WalHandle>>,
     partitions: AtomicUsize,
-    /// Lock-free read handles registered by fully-local partition
-    /// actors, keyed by hosting compute node. Leaf lock (rank 21 in
+    /// Lock-free read handles registered by partition actors, keyed by
+    /// hosting compute node. Leaf lock (rank 21 in
     /// semtree-check's order): nothing is acquired while it is held.
     read_handles: Mutex<HashMap<ComputeNodeId, Arc<ReadHandle>>>,
     /// Metrics sink for optimistic-read retry accounting; set once the
@@ -159,9 +164,7 @@ pub(crate) struct SharedConfig {
 impl SharedConfig {
     pub(crate) fn new(config: &DistConfig, wal: Option<Arc<WalHandle>>) -> Arc<Self> {
         Arc::new(SharedConfig {
-            dims: config.dims,
-            bucket_size: config.bucket_size,
-            split_rule: config.split_rule,
+            kd: config.kd(),
             capacity: config.capacity.clone(),
             max_partitions: config.max_partitions,
             wal,
@@ -414,7 +417,7 @@ fn decode(resp: Resp) -> Result<QueryOutcome, ClusterError> {
 
 /// The error for a reply that is not the shape the request calls for: the
 /// actor's own failure report, or a protocol mismatch.
-fn unexpected(expected: &str, resp: Resp) -> ClusterError {
+pub(crate) fn unexpected(expected: &str, resp: Resp) -> ClusterError {
     match resp {
         Resp::Error(msg) => ClusterError::Remote(msg),
         other => ClusterError::Remote(format!("expected {expected}, got {other:?}")),
@@ -525,13 +528,7 @@ impl DistSemTree {
         install_member_factory(&cluster, &shared);
 
         let store = if partitions == 1 {
-            PartitionStore::new_leaf_with_rule(
-                config.dims,
-                config.bucket_size,
-                config.split_rule,
-                Vec::new(),
-                0,
-            )
+            PartitionStore::raw_leaf(shared.kd, &[], 0)
         } else {
             assert!(
                 partitions >= 3,
@@ -552,8 +549,11 @@ impl DistSemTree {
 
             // Data partitions are spawned as the recursion reaches its
             // leaves; the root's routing tree is assembled in a local store
-            // whose first pushed node (the routing root) becomes node 0.
-            let mut store = PartitionStore::empty_arena(config.dims, config.bucket_size);
+            // whose first pushed node (the routing root) becomes node 0. It
+            // never holds a point, so its images keep recording the default
+            // split rule.
+            let routing_only = KdConfig::new(config.dims).with_bucket_size(config.bucket_size);
+            let mut store = PartitionStore::empty_arena(routing_only);
             let mut sample: Vec<&[f64]> = sample.iter().map(Vec::as_slice).collect();
             let root_child = build_fanout(
                 &cluster,
@@ -561,13 +561,9 @@ impl DistSemTree {
                 &mut store,
                 &mut sample,
                 partitions - 1,
-                0,
-                config.dims,
+                (0, None),
             )?;
-            match root_child {
-                Child::Local(id) => debug_assert_eq!(id, LocalNodeId(0)),
-                Child::Remote { .. } => unreachable!("fan-out of ≥2 leaves roots locally"),
-            }
+            debug_assert_eq!(root_child, Child::Local(0), "≥ 2 leaves root locally");
             store
         };
 
@@ -593,13 +589,14 @@ impl DistSemTree {
     /// data operation.
     ///
     /// Writes always travel through the root partition's actor mailbox
-    /// (preserving WAL-before-apply ordering). Reads take a lock-free
-    /// fast path when the root partition is fully local: they run
-    /// against the actor's seqlock [`Mirror`](crate::mirror::Mirror)
-    /// without entering the mailbox, retrying only when racing an
-    /// in-flight insert, and the answer is byte-identical to the
-    /// mailbox path. Retries land in the cluster metrics
-    /// (`reads_retried`).
+    /// (preserving WAL-before-apply ordering). Reads first walk the root
+    /// partition's tree — the same seqlock arena its actor writes —
+    /// lock-free on the calling thread, retrying only when racing an
+    /// in-flight insert. A walk that enters no remote child is answered
+    /// inline, byte-identical to the mailbox path, after build-partition
+    /// too; one that would have to cross a partition border is dropped
+    /// and the query goes through the mailbox, whose actor can cross.
+    /// Retries land in the cluster metrics (`reads_retried`).
     ///
     /// # Errors
     /// [`ClusterError::InvalidRequest`] when the query is malformed (see
@@ -690,10 +687,10 @@ impl DistSemTree {
     /// before the read path and before any actor — for in-process and
     /// served callers alike: every point has exactly `dims` finite
     /// coordinates, and a range radius is finite and non-negative.
-    /// (`PartitionStore` asserts the same as internal invariants; a
-    /// request that reached them would kill its partition's actor.)
+    /// (`PartitionStore` re-checks dimensionality on its side of the
+    /// wire and answers a mismatch with an error reply.)
     fn validate(&self, query: &Query) -> Result<(), ClusterError> {
-        let dims = self.shared.dims;
+        let dims = self.shared.kd.dims();
         let check = |point: &Vec<f64>| {
             if point.len() != dims {
                 return Err(ClusterError::InvalidRequest(format!(
@@ -724,9 +721,9 @@ impl DistSemTree {
         }
     }
 
-    /// Try the lock-free read fast path: only when the root partition
-    /// has registered a [`ReadHandle`] and it is still fully local.
-    /// Writer-race retries land in the cluster metrics.
+    /// Try the lock-free read path: `None` until the root partition has
+    /// registered its [`ReadHandle`], and whenever the walk needs the
+    /// mailbox. Writer-race retries land in the cluster metrics.
     fn direct_read<T>(&self, read: impl FnOnce(&ReadHandle) -> Option<(T, u64)>) -> Option<T> {
         let handle = self.shared.read_handle(self.root)?;
         let (hits, retries) = read(&handle)?;
@@ -755,7 +752,7 @@ impl DistSemTree {
     /// The point dimensionality this tree was configured with.
     #[must_use]
     pub fn dims(&self) -> usize {
-        self.shared.dims
+        self.shared.kd.dims()
     }
 
     /// Interconnect metrics (messages, bytes, spawns, simulated delay).
@@ -861,8 +858,8 @@ impl DistSemTree {
     pub fn repartitioned(self, partitions: usize) -> Result<DistSemTree, ClusterError> {
         let points = self.try_export_points();
         let config = DistConfig {
-            dims: self.shared.dims,
-            bucket_size: self.shared.bucket_size,
+            dims: self.shared.kd.dims(),
+            bucket_size: self.shared.kd.bucket_size(),
             capacity: CapacityPolicy::Unlimited,
             max_partitions: self.shared.max_partitions.max(partitions),
             split_rule: SplitRule::Cycle,
@@ -906,14 +903,14 @@ pub(crate) fn install_member_factory(
 /// Recursive fan-out construction: a routing tree over `target_leaves`
 /// regions; each region leaf becomes a freshly spawned data partition,
 /// placed by the transport (a remote process under `semtree-net`).
+/// `at` is the global depth and the parent edge of the node to build.
 fn build_fanout(
     cluster: &Cluster<PartitionActor>,
     shared: &Arc<SharedConfig>,
     store: &mut PartitionStore,
     sample: &mut [&[f64]],
     target_leaves: usize,
-    depth: u32,
-    dims: usize,
+    (depth, parent): (u32, Option<(u32, bool)>),
 ) -> Result<Child, ClusterError> {
     if target_leaves <= 1 {
         assert!(shared.try_reserve_partition(), "partition budget exhausted");
@@ -935,11 +932,11 @@ fn build_fanout(
             other => return Err(unexpected("an AdoptLeaf acknowledgement", other)),
         }
         return Ok(Child::Remote {
-            partition: pid,
-            node: LocalNodeId(0),
+            partition: pid.0,
+            node: 0,
         });
     }
-    let dim = depth as usize % dims;
+    let dim = depth as usize % shared.kd.dims();
     sample.sort_by(|a, b| a[dim].partial_cmp(&b[dim]).expect("finite coordinates"));
     let split_val = sample[sample.len() / 2][dim];
     // Left region gets the larger half of the leaf budget.
@@ -949,42 +946,24 @@ fn build_fanout(
     // where possible.
     let boundary = sample.partition_point(|p| p[dim] <= split_val);
     let boundary = boundary.clamp(1, sample.len().saturating_sub(1).max(1));
-    let node = store.push_node(
-        PNodeKind::Routing {
-            split_dim: dim,
-            split_val,
-            left: Child::Local(LocalNodeId(u32::MAX)), // patched below
-            right: Child::Local(LocalNodeId(u32::MAX)),
-        },
-        depth,
-    );
+    // Parents are pushed before their children (so the root is node 0)
+    // and patched once each side exists; node 0 is no one's child, which
+    // makes it the placeholder.
+    let arena_full = || ClusterError::Remote("fan-out exhausted the node arena".into());
+    let unset = [Child::Local(0); 2];
+    let node = store
+        .push_routing(depth, parent, dim, split_val, unset)
+        .ok_or_else(arena_full)?;
     let (left_sample, right_sample) = sample.split_at_mut(boundary);
-    let left = build_fanout(
-        cluster,
-        shared,
-        store,
-        left_sample,
-        left_target,
-        depth + 1,
-        dims,
-    )?;
-    let right = build_fanout(
-        cluster,
-        shared,
-        store,
-        right_sample,
-        right_target,
-        depth + 1,
-        dims,
-    )?;
-    if let Child::Local(id) = left {
-        store.set_parent(id, node, true);
+    let sides = [(left_sample, left_target), (right_sample, right_target)];
+    for (is_left, (sample, target)) in [true, false].into_iter().zip(sides) {
+        let at = (depth + 1, Some((node.0, is_left)));
+        let child = build_fanout(cluster, shared, store, sample, target, at)?;
+        if !store.set_child(node, is_left, child) {
+            return Err(arena_full());
+        }
     }
-    if let Child::Local(id) = right {
-        store.set_parent(id, node, false);
-    }
-    store.patch_routing_children(node, left, right);
-    Ok(Child::Local(node))
+    Ok(Child::Local(node.0))
 }
 
 #[cfg(test)]
@@ -1211,8 +1190,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn capacity_policy_triggers_build_partition() {
+    /// 300 points on a line into one partition capped at 40: the insert
+    /// stream forces build-partition several times over.
+    fn overflowed_tree() -> (DistSemTree, Vec<(Vec<f64>, u64)>) {
         let tree = DistSemTree::single(
             DistConfig::new(1)
                 .with_bucket_size(16)
@@ -1226,6 +1206,12 @@ mod tests {
         for (c, p) in &points {
             ins(&tree, c, *p);
         }
+        (tree, points)
+    }
+
+    #[test]
+    fn capacity_policy_triggers_build_partition() {
+        let (tree, points) = overflowed_tree();
         assert!(
             tree.partition_count() > 1,
             "over-capacity partition must have spawned others"
@@ -1243,6 +1229,93 @@ mod tests {
             assert!((g.dist - w.0).abs() < 1e-9);
         }
         tree.shutdown();
+    }
+
+    #[test]
+    fn reads_far_from_every_border_stay_lock_free_after_build_partition() {
+        let (tree, points) = overflowed_tree();
+        let stats = tree.try_global_stats().expect("stats");
+        let root = &stats.partitions[0].1;
+        assert!(root.edge_nodes > 0 && root.points > 0, "root: {root:?}");
+        // One query beside every stored point (off-grid, so no distance
+        // ties): the root still holds some, and a walk that stays inside
+        // its leaves sends no message at all.
+        let (mut inline, mut crossed) = (0, 0);
+        for (c, _) in &points {
+            let q = [c[0] + 0.25];
+            let before = tree.metrics().messages;
+            let pairs: Vec<(f64, u64)> = knn_q(&tree, &q, 3)
+                .iter()
+                .map(|n| (n.dist, n.payload))
+                .collect();
+            assert_eq!(pairs, brute_knn(&points, &q, 3), "knn at {q:?}");
+            assert_eq!(range_q(&tree, &q, 0.5).len(), 1, "range at {q:?}");
+            if tree.metrics().messages == before {
+                inline += 1;
+            } else {
+                crossed += 1;
+            }
+        }
+        assert!(
+            inline > 0,
+            "reads that enter no remote child skip the mailbox"
+        );
+        assert!(crossed > 0, "reads across a border go through it");
+        tree.shutdown();
+    }
+
+    #[test]
+    fn widest_spread_rule_reaches_the_partition_tree() {
+        // Two x values, 200 y values: cycling wastes every even level on
+        // x, the widest-spread rule never does.
+        let points: Vec<(Vec<f64>, u64)> = (0..200u32)
+            .map(|i| {
+                (
+                    vec![f64::from(i % 2), f64::from(i * 37 % 200)],
+                    u64::from(i),
+                )
+            })
+            .collect();
+        let shape = |rule| {
+            let tree = DistSemTree::single(
+                DistConfig::new(2).with_bucket_size(4).with_split_rule(rule),
+                CostModel::zero(),
+            );
+            let mut seq = semtree_kdtree::KdTree::new(
+                KdConfig::new(2).with_bucket_size(4).with_split_rule(rule),
+            );
+            for (c, p) in &points {
+                ins(&tree, c, *p);
+                seq.insert(c, *p);
+            }
+            let stats = tree
+                .try_global_stats()
+                .expect("stats")
+                .partitions
+                .remove(0)
+                .1;
+            let reference = semtree_kdtree::TreeShape::of(&seq);
+            assert_eq!(
+                (stats.leaves, stats.routing),
+                (reference.leaves, reference.routing),
+                "{rule:?}"
+            );
+            for q in [[0.2, 17.5], [0.9, 120.3], [0.5, 199.0]] {
+                let got: Vec<(u64, u64)> = knn_q(&tree, &q, 6)
+                    .iter()
+                    .map(|n| (n.dist.to_bits(), n.payload))
+                    .collect();
+                let want: Vec<(u64, u64)> = seq
+                    .knn(&q, 6)
+                    .iter()
+                    .map(|n| (n.dist.to_bits(), n.payload))
+                    .collect();
+                assert_eq!(got, want, "{rule:?} at {q:?}");
+            }
+            tree.shutdown();
+            (stats.leaves, stats.routing)
+        };
+        assert_ne!(shape(SplitRule::WidestSpread), shape(SplitRule::Cycle));
     }
 
     #[test]

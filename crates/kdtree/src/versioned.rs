@@ -1,54 +1,62 @@
-//! Seqlock-versioned KD-tree: lock-free optimistic readers under a
-//! single writer.
+//! The seqlock arena tree: one writer publishing in place, lock-free
+//! optimistic readers.
 //!
-//! The sequential [`crate::KdTree`] requires `&mut` for inserts and `&`
-//! for searches, so sharing one across threads forces a lock and every
-//! reader queues behind every writer. This module removes the reader
-//! side of that lock with the optimistic scheme used by modern in-memory
-//! indexes (congee/ART-OLC style, adapted to a bucketed KD-tree):
+//! This is the one bucketed KD-tree layout every concurrent consumer
+//! shares: a `semtree-dist` partition *is* a [`TreeWriter`] (its actor
+//! writes it, every reader reads it), and [`VersionedKdTree`] is the
+//! same tree with no remote links. The sequential [`crate::KdTree`]
+//! stays separate on purpose, as the independent reference the parity
+//! suites compare against.
 //!
-//! - **Append-only node arena.** Nodes live in chunked, write-once slots
-//!   ([`std::sync::OnceLock`]); a node is never mutated after
-//!   publication except for the routing node's packed child word, which
-//!   is a single atomic. Readers therefore never observe a torn node.
-//! - **Copy-on-write structural updates.** An insert clones the target
-//!   leaf's bucket, builds the replacement leaf (or, on overflow, the
-//!   whole replacement subtree) in fresh slots, then swings exactly one
-//!   pointer — the parent's child word or the root word — with a single
-//!   release store.
+//! - **Publish-once node arena with stable ids.** Nodes live in chunked
+//!   write-once slots ([`std::sync::OnceLock`]); a node's id is its
+//!   arena index for life (root = 0), so logged split records, snapshot
+//!   images and cross-partition links keep naming the same node.
+//! - **Append-only buckets.** A leaf owns a first block of
+//!   `bucket_size + 1` point slots — coordinates and payloads as flat,
+//!   write-once words, so a scan walks contiguous memory — plus a
+//!   publish-once overflow link (unsplittable duplicates, replayed
+//!   inserts whose split record is still to come, adopted over-full
+//!   buckets). An insert fills one slot, then publishes it through the
+//!   bucket's length word — nothing is cloned and nothing dies.
+//! - **Splits publish, they do not replace.** An over-full leaf becomes
+//!   a routing node by publishing its routing part once, after both
+//!   children are fully built. Each child edge is one atomic word
+//!   holding `Local(node)` or `Remote{partition, node}`, so relinking a
+//!   subtree to another partition is one release store.
 //! - **A tree-level seqlock.** The writer brackets every mutation with
 //!   `version += 1` (odd = in progress, even = quiescent). A reader
 //!   snapshots the version, traverses without any lock, then validates
 //!   the version is unchanged; on mismatch it retries and reports the
 //!   retry count so the serving layer can surface contention.
 //!
-//! Why readers can never return a torn result: every word a reader
-//! loads (version, root, child words) is stored with release ordering
-//! and loaded with acquire ordering, and every node reachable through
-//! those words was fully written before the word was published. If a
-//! traversal overlaps a writer transaction, the reader either saw only
-//! pre-transaction words (the result is the pre-state, and the final
-//! version check passes because it re-reads the pre-transaction value)
-//! or it saw at least one post-transaction word — in which case the
-//! acquire load that observed it also makes the writer's *entry* store
+//! The words that mutate after publication are the version, a leaf's
+//! length, and a routing node's two child words; everything else is
+//! write-once. Why a validated read is never torn: every mutable word
+//! is stored with release ordering and loaded with acquire ordering,
+//! and whatever it guards (a point's words, a child node, a routing
+//! part) was fully written first. A traversal that overlaps a writer
+//! transaction either saw only pre-transaction words (the pre-state,
+//! and validation passes) or saw at least one post-transaction word —
+//! whose acquire load also makes the writer's *entry* store
 //! (`version = odd`) visible, so validation fails and the read retries.
-//! Structural safety does not depend on validation at all: child words
-//! only ever point at fully-published nodes, and no stored edge ever
-//! points back at an existing node, so any interleaving of old and new
-//! edges is still acyclic and every traversal terminates.
+//! Structural safety does not depend on validation: an unpublished slot
+//! reads as `None` ("retry"), edges only ever point at higher ids, and
+//! so any mix of old and new words is acyclic and every walk ends.
 //!
-//! All of this is safe Rust (the workspace denies `unsafe`): the arena
-//! trades reclamation for simplicity — superseded nodes stay allocated
-//! for the life of the tree, which is the right call for partition
-//! mirrors that are rebuilt wholesale on topology changes.
+//! All of this is safe Rust (the workspace denies `unsafe`), so nothing
+//! is freed while the tree lives. What stays behind is bounded per
+//! point and independent of how many inserts ran: the bucket of a leaf
+//! that split or was evicted — `bucket_size + 1` slots per routing
+//! node, one to two dead slots per live point.
 //!
-//! The module is generic over the leaf payload `L` and the
-//! [`semtree_conc::shim::Shim`], so the same code runs under real
-//! atomics in production ([`VersionedKdTree`]) and under the
-//! deterministic model checker (`kdtree_read_split` in
-//! `crates/conc/tests/models.rs`).
+//! The module is generic over the [`semtree_conc::shim::Shim`], so the
+//! same code runs under real atomics in production and under the
+//! deterministic model checker (`kdtree_read_split` and
+//! `partition_read_relink` in `crates/conc/tests/models.rs`).
 
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 
 pub use semtree_conc::shim::{Shim, StdShim};
@@ -59,8 +67,8 @@ use crate::search::Neighbor;
 use crate::tree::{KdConfig, SplitRule};
 
 /// Number of arena chunks. Chunk `c` holds `64 << c` slots, so 25
-/// chunks cap the arena at ~2.1 billion nodes — comfortably inside
-/// `u32` indices, which must pack two to a child word.
+/// chunks cap the arena at ~2.1 billion nodes — below `2^31`, which
+/// leaves a child word's tag bit free.
 const MAX_CHUNKS: usize = 25;
 /// Total slot capacity across all chunks.
 const MAX_NODES: u64 = 64 * ((1 << MAX_CHUNKS as u64) - 1);
@@ -77,33 +85,95 @@ fn chunk_capacity(chunk: usize) -> usize {
     64 << chunk
 }
 
-/// Pack two node indices into one child word (left high, right low).
-fn pack_children(left: u32, right: u32) -> u64 {
-    (u64::from(left) << 32) | u64::from(right)
-}
-
-fn unpack_children(word: u64) -> (u32, u32) {
-    #[allow(clippy::cast_possible_truncation)]
-    let right = word as u32;
-    ((word >> 32) as u32, right)
-}
-
-/// One immutable-after-publication tree node.
-pub struct VNode<L, S: Shim> {
-    depth: u32,
-    kind: VKind<L, S>,
-}
-
-enum VKind<L, S: Shim> {
-    /// Interior node: split plane plus the one mutable word — both
-    /// child indices packed into a single atomic so a structural swing
-    /// is one release store, never a half-updated pair.
-    Routing {
-        split_dim: u32,
-        split_val: f64,
-        children: S::AtomicU64,
+/// A child edge: a node of this arena, or the root of a sub-tree hosted
+/// by another partition (the paper's *direct link*).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Child {
+    /// Arena index in this tree.
+    Local(u32),
+    /// `node` in the arena of `partition`.
+    Remote {
+        /// Hosting partition.
+        partition: u32,
+        /// Arena index there.
+        node: u32,
     },
-    Leaf(L),
+}
+
+impl Child {
+    /// One atomic word: partition high, `node << 1 | is_remote` low.
+    /// `None` for a node id the arena cannot hold (corrupt input only).
+    fn pack(self) -> Option<u64> {
+        let (partition, node, tag) = match self {
+            Child::Local(node) => (0, node, 0),
+            Child::Remote { partition, node } => (partition, node, 1),
+        };
+        (u64::from(node) < MAX_NODES)
+            .then_some(u64::from(partition) << 32 | u64::from(node) << 1 | tag)
+    }
+
+    fn unpack(word: u64) -> Self {
+        #[allow(clippy::cast_possible_truncation)]
+        let node = (word as u32) >> 1;
+        if word & 1 == 0 {
+            Child::Local(node)
+        } else {
+            Child::Remote {
+                partition: (word >> 32) as u32,
+                node,
+            }
+        }
+    }
+}
+
+/// A run of point slots plus the overflow link. Coordinates (`f64`
+/// bits, row-major, `dims` words per slot) and payloads are plain words,
+/// so a leaf scan walks contiguous memory. A word is written once, before
+/// the leaf's length covers its slot; the length's release/acquire pair
+/// is what publishes it, hence `Relaxed` here.
+struct Block {
+    coords: Box<[AtomicU64]>,
+    payloads: Box<[AtomicU64]>,
+    next: OnceLock<Box<Block>>,
+}
+
+impl Block {
+    fn with_capacity(slots: usize, dims: usize) -> Self {
+        let zeroed = |words| (0..words).map(|_| AtomicU64::new(0)).collect();
+        Block {
+            coords: zeroed(slots * dims),
+            payloads: zeroed(slots),
+            next: OnceLock::new(),
+        }
+    }
+
+    /// Fill slot `at` (writer only, before the length covers it).
+    fn write(&self, at: usize, point: &[f64], payload: u64) {
+        let row = &self.coords[at * point.len()..][..point.len()];
+        for (word, c) in row.iter().zip(point) {
+            word.store(c.to_bits(), Relaxed);
+        }
+        self.payloads[at].store(payload, Relaxed);
+    }
+}
+
+struct Routing<S: Shim> {
+    split_dim: usize,
+    split_val: f64,
+    /// `[left, right]` packed [`Child`] words — the only mutable part.
+    children: [S::AtomicU64; 2],
+}
+
+/// One arena node: a leaf until its routing part is published.
+pub struct Node<S: Shim = StdShim> {
+    depth: u32,
+    parent: Option<(u32, bool)>,
+    /// Coordinates per point.
+    dims: usize,
+    /// Published points in `bucket`; stored (release) after the slot.
+    len: S::AtomicU64,
+    bucket: Block,
+    routing: OnceLock<Routing<S>>,
 }
 
 /// A routing node's fields as read at one instant.
@@ -113,48 +183,263 @@ pub struct RoutingView {
     pub split_dim: usize,
     /// Split value `Sv`; points with `coords[Sr] <= Sv` go left.
     pub split_val: f64,
-    /// Left child arena index.
-    pub left: u32,
-    /// Right child arena index.
-    pub right: u32,
+    /// Left child edge.
+    pub left: Child,
+    /// Right child edge.
+    pub right: Child,
 }
 
-impl<L, S: Shim> VNode<L, S> {
-    /// Depth of this node (root = 0).
+impl<S: Shim> Node<S> {
+    /// *Global* depth of this node (the root partition's root = 0), so
+    /// the split-dimension cycle stays aligned across partitions.
     #[must_use]
     pub fn depth(&self) -> u32 {
         self.depth
     }
 
-    /// The leaf payload, when this is a leaf.
+    /// `(parent, is_left_child)`; `None` for the arena root.
     #[must_use]
-    pub fn as_leaf(&self) -> Option<&L> {
-        match &self.kind {
-            VKind::Leaf(leaf) => Some(leaf),
-            VKind::Routing { .. } => None,
+    pub fn parent(&self) -> Option<(u32, bool)> {
+        self.parent
+    }
+
+    /// The routing fields (children loaded with acquire), or `None`
+    /// while this node is a leaf.
+    #[must_use]
+    pub fn routing(&self) -> Option<RoutingView> {
+        let r = self.routing.get()?;
+        Some(RoutingView {
+            split_dim: r.split_dim,
+            split_val: r.split_val,
+            left: Child::unpack(S::load_acquire(&r.children[0])),
+            right: Child::unpack(S::load_acquire(&r.children[1])),
+        })
+    }
+
+    /// Points in this leaf's bucket (0 once it split or was evicted).
+    #[must_use]
+    pub fn point_count(&self) -> usize {
+        if self.routing.get().is_some() {
+            return 0;
+        }
+        S::load_acquire(&self.len) as usize
+    }
+
+    /// The bucket copied out, in insertion order (complete for the
+    /// writer, which cannot race itself).
+    #[must_use]
+    pub fn bucket(&self) -> Vec<(Vec<f64>, u64)> {
+        let mut out = Vec::with_capacity(self.point_count());
+        let _ = self.scan(&mut Vec::new(), |coords, payload| {
+            out.push((coords.to_vec(), payload));
+        });
+        out
+    }
+
+    /// Visit the bucket's points in insertion order, each staged in
+    /// `row`. `None` when the overflow link the length promises is not
+    /// published yet — a writer race, never absence.
+    fn scan(&self, row: &mut Vec<f64>, mut visit: impl FnMut(&[f64], u64)) -> Option<()> {
+        let mut left = self.point_count();
+        let mut block = &self.bucket;
+        loop {
+            let slots = block
+                .coords
+                .chunks_exact(self.dims)
+                .zip(&block.payloads[..]);
+            for (words, payload) in slots.take(left) {
+                row.clear();
+                row.extend(words.iter().map(|w| f64::from_bits(w.load(Relaxed))));
+                visit(row, payload.load(Relaxed));
+            }
+            left = left.saturating_sub(block.payloads.len());
+            if left == 0 {
+                return Some(());
+            }
+            block = block.next.get()?;
+        }
+    }
+}
+
+/// One leaf split, in the exact form the WAL logs it: the leaf that
+/// became a routing node, the chosen plane, and the arena ids handed to
+/// the two children. Replay re-applies the event verbatim instead of
+/// re-deriving the split, so a recovered arena is id-for-id identical.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SplitEvent {
+    /// The leaf that split.
+    pub leaf: u32,
+    /// Chosen split dimension.
+    pub split_dim: usize,
+    /// Chosen split value.
+    pub split_val: f64,
+    /// Arena id of the new left child.
+    pub left: u32,
+    /// Arena id of the new right child.
+    pub right: u32,
+}
+
+/// Search hits: `(distance, payload)` pairs.
+type Hits = Vec<(f64, u64)>;
+
+/// Every remote operation a traversal may need when it reaches a
+/// [`Child::Remote`] edge. The partition actor implements it over the
+/// message fabric; a lock-free reader passes [`NeedsMailbox`]. Each
+/// operation can fail, and the failure ends the traversal.
+pub trait RemoteOps {
+    /// Why a crossing failed.
+    type Error;
+    /// Forward an insert to the sub-tree at `node` of `partition`.
+    fn insert(
+        &self,
+        partition: u32,
+        node: u32,
+        point: &[f64],
+        payload: u64,
+    ) -> Result<(), Self::Error>;
+    /// k-NN below `node` of `partition`, pruned by the current `worst`.
+    fn knn(
+        &self,
+        partition: u32,
+        node: u32,
+        point: &[f64],
+        k: usize,
+        worst: Option<f64>,
+    ) -> Result<Vec<(f64, u64)>, Self::Error>;
+    /// Range search below `node` of `partition`.
+    fn range(
+        &self,
+        partition: u32,
+        node: u32,
+        point: &[f64],
+        radius: f64,
+    ) -> Result<Vec<(f64, u64)>, Self::Error>;
+    /// Both children of a border node at once (§III-B.4: "the
+    /// navigation is performed in a parallel way"); one after the other
+    /// unless the implementor can do better.
+    fn range_parallel(
+        &self,
+        [(lp, ln), (rp, rn)]: [(u32, u32); 2],
+        point: &[f64],
+        radius: f64,
+    ) -> Result<[Vec<(f64, u64)>; 2], Self::Error> {
+        let left = self.range(lp, ln, point, radius)?;
+        Ok([left, self.range(rp, rn, point, radius)?])
+    }
+}
+
+/// The [`RemoteOps`] of a caller with no message fabric behind it, and
+/// the error it answers every crossing with: the walk stops at the
+/// first remote child it would actually enter, and the operation has to
+/// go through the owning partition's mailbox instead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NeedsMailbox;
+
+impl std::fmt::Display for NeedsMailbox {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("the walk reached a remote child and needs the partition's mailbox")
+    }
+}
+
+impl RemoteOps for NeedsMailbox {
+    type Error = NeedsMailbox;
+    fn insert(&self, _: u32, _: u32, _: &[f64], _: u64) -> Result<(), NeedsMailbox> {
+        Err(NeedsMailbox)
+    }
+    fn knn(
+        &self,
+        _: u32,
+        _: u32,
+        _: &[f64],
+        _: usize,
+        _: Option<f64>,
+    ) -> Result<Vec<(f64, u64)>, NeedsMailbox> {
+        Err(NeedsMailbox)
+    }
+    fn range(&self, _: u32, _: u32, _: &[f64], _: f64) -> Result<Vec<(f64, u64)>, NeedsMailbox> {
+        Err(NeedsMailbox)
+    }
+}
+
+/// Result-set state for a k-nearest traversal: bounded max-heap plus the
+/// caller's pruning hint (the paper's `D`, "the distance between the
+/// interested point and the most distant one in the result-set"). On a
+/// distance tie the first-seen candidate stays.
+struct KnnState {
+    k: usize,
+    hint: Option<f64>,
+    heap: BinaryHeap<Candidate>,
+}
+
+struct Candidate {
+    dist: f64,
+    payload: u64,
+}
+impl PartialEq for Candidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+impl Eq for Candidate {}
+impl PartialOrd for Candidate {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Candidate {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.dist.total_cmp(&other.dist)
+    }
+}
+
+impl KnnState {
+    fn new(k: usize, hint: Option<f64>) -> Self {
+        KnnState {
+            k,
+            hint,
+            heap: BinaryHeap::new(),
         }
     }
 
-    /// The routing fields (children loaded with acquire), when this is
-    /// an interior node.
-    #[must_use]
-    pub fn as_routing(&self) -> Option<RoutingView> {
-        match &self.kind {
-            VKind::Leaf(_) => None,
-            VKind::Routing {
-                split_dim,
-                split_val,
-                children,
-            } => {
-                let (left, right) = unpack_children(S::load_acquire(children));
-                Some(RoutingView {
-                    split_dim: *split_dim as usize,
-                    split_val: *split_val,
-                    left,
-                    right,
-                })
+    /// Offer a candidate; ignored when it cannot improve the global result.
+    fn offer(&mut self, dist: f64, payload: u64) {
+        if self.hint.is_some_and(|h| dist >= h) {
+            return;
+        }
+        if self.heap.len() < self.k {
+            self.heap.push(Candidate { dist, payload });
+        } else if let Some(top) = self.heap.peek() {
+            if dist < top.dist {
+                self.heap.pop();
+                self.heap.push(Candidate { dist, payload });
             }
         }
+    }
+
+    /// Upper bound on a useful candidate distance, `None` when any point
+    /// could still qualify (`|Rs| < K` with no hint).
+    fn bound(&self) -> Option<f64> {
+        let own = (self.heap.len() >= self.k)
+            .then(|| self.heap.peek().map(|c| c.dist))
+            .flatten();
+        match (own, self.hint) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (Some(a), None) => Some(a),
+            (None, h) => h,
+        }
+    }
+
+    /// The paper's descend condition: result set not full, or the
+    /// splitting hyperplane closer than the current worst.
+    fn must_descend(&self, plane_dist: f64) -> bool {
+        self.bound().is_none_or(|b| plane_dist < b)
+    }
+
+    /// Drain into ascending-distance candidates.
+    fn into_candidates(self) -> Vec<(f64, u64)> {
+        let mut v: Vec<(f64, u64)> = self.heap.into_iter().map(|c| (c.dist, c.payload)).collect();
+        v.sort_by(|a, b| a.0.total_cmp(&b.0));
+        v
     }
 }
 
@@ -187,138 +472,57 @@ pub struct ReadStats {
 }
 
 /// One lazily-allocated arena chunk: a block of publish-once node slots.
-type NodeChunk<L, S> = Box<[OnceLock<VNode<L, S>>]>;
+type NodeChunk<S> = Box<[OnceLock<Node<S>>]>;
 
-/// The shared versioned tree. Construct with [`VersionedTree::channel`],
-/// which splits ownership into one [`TreeWriter`] and cloneable
-/// [`TreeReader`]s.
-pub struct VersionedTree<L, S: Shim = StdShim> {
+/// The shared tree. Mutated only through its unique [`TreeWriter`];
+/// everyone else holds an `Arc<Tree>` and reads — validated through
+/// [`Tree::read`] when a writer may be running.
+pub struct Tree<S: Shim = StdShim> {
+    config: KdConfig,
     /// Tree-level seqlock: odd while a writer transaction is open.
     version: S::AtomicU64,
-    /// Arena index of the root node.
-    root: S::AtomicU64,
-    /// Next free arena slot (written by the single writer only).
+    /// Published nodes (written by the single writer only).
     next: S::AtomicU64,
-    chunks: Box<[OnceLock<NodeChunk<L, S>>]>,
+    chunks: Box<[OnceLock<NodeChunk<S>>]>,
 }
 
-/// The single mutating handle. Deliberately **not** `Clone`: writers
-/// stay single-threaded per tree, which is what makes the plain
-/// version counter a sufficient write lock.
-pub struct TreeWriter<L, S: Shim = StdShim> {
-    tree: Arc<VersionedTree<L, S>>,
+/// An open writer transaction: readers observe the version as odd and
+/// retry until it is dropped.
+struct Txn<'t, S: Shim> {
+    tree: &'t Tree<S>,
+    entry_version: u64,
 }
 
-/// A lock-free read handle; clone freely across threads.
-pub struct TreeReader<L, S: Shim = StdShim> {
-    tree: Arc<VersionedTree<L, S>>,
-}
-
-impl<L, S: Shim> Clone for TreeReader<L, S> {
-    fn clone(&self) -> Self {
-        TreeReader {
-            tree: Arc::clone(&self.tree),
-        }
+impl<S: Shim> Drop for Txn<'_, S> {
+    fn drop(&mut self) {
+        // Close the seqlock: odd → next even. Everything stored inside
+        // the transaction happens-before this release store.
+        S::store_release(&self.tree.version, self.entry_version + 1);
     }
 }
 
-impl<L, S: Shim> TreeReader<L, S> {
-    /// Optimistic read; see [`VersionedTree::read`].
-    pub fn read<R>(
-        &self,
-        attempt: impl FnMut(&ReadGuard<'_, L, S>) -> Option<R>,
-    ) -> (R, ReadStats) {
-        self.tree.read(attempt)
-    }
-
-    /// Bounded-retry read; see [`VersionedTree::read_bounded`].
-    pub fn read_bounded<R>(
-        &self,
-        attempts: u64,
-        attempt: impl FnMut(&ReadGuard<'_, L, S>) -> Option<R>,
-    ) -> Option<(R, ReadStats)> {
-        self.tree.read_bounded(attempts, attempt)
-    }
-}
-
-/// One consistent-attempt view handed to read closures. All node
-/// lookups may observe an in-flight writer; a closure must treat
-/// [`ReadGuard::node`] returning `None` as "retry", never as absence.
-pub struct ReadGuard<'t, L, S: Shim> {
-    tree: &'t VersionedTree<L, S>,
-}
-
-impl<L, S: Shim> ReadGuard<'_, L, S> {
-    /// Current root index.
+impl<S: Shim> Tree<S> {
+    /// Dimensions, bucket size and split rule of this tree.
     #[must_use]
-    pub fn root(&self) -> u32 {
+    pub fn config(&self) -> &KdConfig {
+        &self.config
+    }
+
+    /// Published arena nodes: live leaves and routing nodes, plus the
+    /// leaves a relink left unreachable.
+    #[must_use]
+    pub fn nodes(&self) -> u32 {
         #[allow(clippy::cast_possible_truncation)]
-        let idx = S::load_acquire(&self.tree.root) as u32;
-        idx
+        let nodes = S::load_acquire(&self.next) as u32;
+        nodes
     }
 
-    /// The node at `idx`, or `None` when the slot is not yet published
-    /// (the reader raced the writer and must retry).
+    /// The node at `idx`, or `None` when the slot is not (yet)
+    /// published — for a racing reader "retry", never absence.
     #[must_use]
-    pub fn node(&self, idx: u32) -> Option<&VNode<L, S>> {
-        self.tree.node(idx)
-    }
-}
-
-impl<L, S: Shim> VersionedTree<L, S> {
-    /// Build a tree whose root is a depth-0 leaf holding `root_leaf`,
-    /// returning the unique writer and a first reader — mpsc-style
-    /// split ownership, hence "channel" rather than "new".
-    pub fn channel(root_leaf: L) -> (TreeWriter<L, S>, TreeReader<L, S>) {
-        let tree = Arc::new(VersionedTree {
-            version: S::atomic_u64(0),
-            root: S::atomic_u64(0),
-            next: S::atomic_u64(0),
-            chunks: (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect(),
-        });
-        // Publish the root leaf before any reader exists; no
-        // transaction needed. The very first append cannot exhaust the
-        // arena.
-        let root = tree.append(VNode {
-            depth: 0,
-            kind: VKind::Leaf(root_leaf),
-        });
-        debug_assert_eq!(root, Some(0));
-        let writer = TreeWriter {
-            tree: Arc::clone(&tree),
-        };
-        let reader = TreeReader { tree };
-        (writer, reader)
-    }
-
-    fn node(&self, idx: u32) -> Option<&VNode<L, S>> {
+    pub fn node(&self, idx: u32) -> Option<&Node<S>> {
         let (chunk, offset) = locate(idx);
         self.chunks.get(chunk)?.get()?.get(offset)?.get()
-    }
-
-    /// Append a node, returning its index, or `None` when the arena is
-    /// exhausted. Writer-only.
-    fn append(&self, node: VNode<L, S>) -> Option<u32> {
-        let idx = S::load(&self.next);
-        if idx >= MAX_NODES {
-            return None;
-        }
-        #[allow(clippy::cast_possible_truncation)]
-        let idx32 = idx as u32;
-        let (chunk, offset) = locate(idx32);
-        let slot = self.chunks[chunk].get_or_init(|| {
-            (0..chunk_capacity(chunk))
-                .map(|_| OnceLock::new())
-                .collect()
-        });
-        // `set` fails only if the slot was already published, which a
-        // single writer never does; treat it as exhaustion rather than
-        // corrupting the arena.
-        if slot.get(offset)?.set(node).is_err() {
-            return None;
-        }
-        S::store(&self.next, idx + 1);
-        Some(idx32)
     }
 
     /// Run `attempt` until it returns a value that validates against an
@@ -333,280 +537,624 @@ impl<L, S: Shim> VersionedTree<L, S> {
     /// against the same open transaction — on a loaded or single-core
     /// host that starves the very writer it is waiting on and the retry
     /// counter climbs by millions per second.
-    pub fn read<R>(
-        &self,
-        mut attempt: impl FnMut(&ReadGuard<'_, L, S>) -> Option<R>,
-    ) -> (R, ReadStats) {
+    pub fn read<R>(&self, mut attempt: impl FnMut(&Self) -> Option<R>) -> (R, ReadStats) {
         let mut retries = 0u64;
         loop {
-            if let Some(done) = self.read_once(&mut attempt) {
-                return (
-                    done.0,
-                    ReadStats {
-                        version: done.1,
-                        retries,
-                    },
-                );
+            if let Some((value, version)) = self.read_once(&mut attempt) {
+                return (value, ReadStats { version, retries });
             }
             retries = retries.saturating_add(1);
             backoff(retries);
         }
     }
 
-    /// Like [`VersionedTree::read`] but gives up after `attempts`
-    /// failed validations instead of spinning — the form the bounded
-    /// model checker drives, where an unbounded retry loop would be an
+    /// Like [`Tree::read`] but gives up after `attempts` failed
+    /// validations instead of spinning — the form the bounded model
+    /// checker drives, where an unbounded retry loop would be an
     /// unbounded schedule.
     pub fn read_bounded<R>(
         &self,
         attempts: u64,
-        mut attempt: impl FnMut(&ReadGuard<'_, L, S>) -> Option<R>,
+        mut attempt: impl FnMut(&Self) -> Option<R>,
     ) -> Option<(R, ReadStats)> {
-        for retries in 0..attempts {
-            if let Some(done) = self.read_once(&mut attempt) {
-                return Some((
-                    done.0,
-                    ReadStats {
-                        version: done.1,
-                        retries,
-                    },
-                ));
-            }
-        }
-        None
+        (0..attempts).find_map(|retries| {
+            let (value, version) = self.read_once(&mut attempt)?;
+            Some((value, ReadStats { version, retries }))
+        })
     }
 
-    fn read_once<R>(
-        &self,
-        attempt: &mut impl FnMut(&ReadGuard<'_, L, S>) -> Option<R>,
-    ) -> Option<(R, u64)> {
+    fn read_once<R>(&self, attempt: &mut impl FnMut(&Self) -> Option<R>) -> Option<(R, u64)> {
         let v1 = S::load_acquire(&self.version);
         if v1 & 1 == 1 {
             return None; // writer transaction open
         }
-        let value = attempt(&ReadGuard { tree: self })?;
-        if S::load_acquire(&self.version) == v1 {
-            Some((value, v1))
-        } else {
-            None
-        }
-    }
-}
-
-/// An open writer transaction: readers observe the version as odd and
-/// retry until [`Txn`] is dropped. All structural mutations happen
-/// through a transaction.
-pub struct Txn<'w, L, S: Shim = StdShim> {
-    tree: &'w VersionedTree<L, S>,
-    entry_version: u64,
-}
-
-impl<L, S: Shim> TreeWriter<L, S> {
-    /// A new reader handle for this tree.
-    #[must_use]
-    pub fn reader(&self) -> TreeReader<L, S> {
-        TreeReader {
-            tree: Arc::clone(&self.tree),
-        }
+        let value = attempt(self)?;
+        (S::load_acquire(&self.version) == v1).then_some((value, v1))
     }
 
-    /// Open a transaction (bumps the version to odd with a release
-    /// store).
-    pub fn begin(&mut self) -> Txn<'_, L, S> {
-        let v = S::load(&self.tree.version);
-        S::store_release(&self.tree.version, v | 1);
+    /// The one k-NN walk (§III-B.3): the `k` candidates nearest `point`
+    /// below `start`, ascending, pruned by the caller's `worst` when
+    /// given. Outer `None`: an unpublished slot (or an unknown `start`)
+    /// — a racing reader retries. `Some(Err(_))`: a remote child the
+    /// walk had to enter failed or was refused.
+    pub fn knn<R: RemoteOps>(
+        &self,
+        start: u32,
+        point: &[f64],
+        k: usize,
+        worst: Option<f64>,
+        remote: &R,
+    ) -> Option<Result<Hits, R::Error>> {
+        let mut state = KnnState::new(k, worst);
+        // Explicit stack: the far-side descend condition is evaluated only
+        // after the near side finished (classic backtracking), and deep
+        // chain partitions cannot overflow the call stack.
+        enum Task {
+            Visit(Child),
+            CheckFar { far: Child, plane_dist: f64 },
+        }
+        let mut row = Vec::new();
+        let mut stack = vec![Task::Visit(Child::Local(start))];
+        while let Some(task) = stack.pop() {
+            let child = match task {
+                Task::CheckFar { far, plane_dist } if state.must_descend(plane_dist) => far,
+                Task::CheckFar { .. } => continue,
+                Task::Visit(child) => child,
+            };
+            let node = match child {
+                Child::Remote { partition, node } => {
+                    // Cross the border: ship the query and the current
+                    // worst distance, merge the partial result set back.
+                    match remote.knn(partition, node, point, state.k, state.bound()) {
+                        Ok(hits) => hits.into_iter().for_each(|(d, p)| state.offer(d, p)),
+                        Err(e) => return Some(Err(e)),
+                    }
+                    continue;
+                }
+                Child::Local(id) => self.node(id)?,
+            };
+            match node.routing() {
+                None => node.scan(&mut row, |coords, payload| {
+                    state.offer(euclidean(coords, point), payload);
+                })?,
+                Some(r) => {
+                    let delta = point[r.split_dim] - r.split_val;
+                    let (near, far) = if delta <= 0.0 {
+                        (r.left, r.right)
+                    } else {
+                        (r.right, r.left)
+                    };
+                    stack.push(Task::CheckFar {
+                        far,
+                        plane_dist: delta.abs(),
+                    });
+                    stack.push(Task::Visit(near));
+                }
+            }
+        }
+        Some(Ok(state.into_candidates()))
+    }
+
+    /// The one range walk (§III-B.4) from `start`: both children are
+    /// descended whenever `|P[Sr] − Sv| <= D`, in parallel when both are
+    /// remote. Hits come back in traversal order; outcome as for
+    /// [`Tree::knn`].
+    pub fn range<R: RemoteOps>(
+        &self,
+        start: u32,
+        point: &[f64],
+        radius: f64,
+        remote: &R,
+    ) -> Option<Result<Hits, R::Error>> {
+        let (mut out, mut row) = (Vec::new(), Vec::new());
+        let mut stack = vec![Child::Local(start)];
+        while let Some(child) = stack.pop() {
+            let node = match child {
+                Child::Remote { partition, node } => {
+                    match remote.range(partition, node, point, radius) {
+                        Ok(hits) => out.extend(hits),
+                        Err(e) => return Some(Err(e)),
+                    }
+                    continue;
+                }
+                Child::Local(id) => self.node(id)?,
+            };
+            let Some(r) = node.routing() else {
+                node.scan(&mut row, |coords, payload| {
+                    let d = euclidean(coords, point);
+                    if d <= radius {
+                        out.push((d, payload));
+                    }
+                })?;
+                continue;
+            };
+            let delta = point[r.split_dim] - r.split_val;
+            if delta.abs() > radius {
+                stack.push(if delta <= 0.0 { r.left } else { r.right });
+            } else if let (
+                Child::Remote {
+                    partition: lp,
+                    node: ln,
+                },
+                Child::Remote {
+                    partition: rp,
+                    node: rn,
+                },
+            ) = (r.left, r.right)
+            {
+                // Border case with both children remote: search the two
+                // partitions in parallel and merge.
+                match remote.range_parallel([(lp, ln), (rp, rn)], point, radius) {
+                    Ok([l, r]) => {
+                        out.extend(l);
+                        out.extend(r);
+                    }
+                    Err(e) => return Some(Err(e)),
+                }
+            } else {
+                stack.push(r.left);
+                stack.push(r.right);
+            }
+        }
+        Some(Ok(out))
+    }
+
+    /// Walk from `start` to the leaf that owns `point`, or to the remote
+    /// child the point must be forwarded to.
+    fn navigate(&self, start: u32, point: &[f64]) -> Option<Child> {
+        let mut at = start;
+        loop {
+            let Some(r) = self.node(at)?.routing() else {
+                return Some(Child::Local(at));
+            };
+            let child = if point[r.split_dim] <= r.split_val {
+                r.left
+            } else {
+                r.right
+            };
+            match child {
+                Child::Local(next) => at = next,
+                Child::Remote { .. } => return Some(child),
+            }
+        }
+    }
+
+    // Writer-only from here on: reached through `TreeWriter`'s `&mut
+    // self` methods, inside a transaction once a reader can exist.
+
+    fn begin(&self) -> Txn<'_, S> {
+        let v = S::load(&self.version);
+        S::store_release(&self.version, v | 1);
         Txn {
-            tree: &self.tree,
+            tree: self,
             entry_version: v | 1,
         }
     }
 
-    /// Writer-side node access outside a transaction (the writer is the
-    /// only mutator, so its own view is always consistent).
-    #[must_use]
-    pub fn node(&self, idx: u32) -> Option<&VNode<L, S>> {
-        self.tree.node(idx)
-    }
-
-    /// Writer-side root index.
-    #[must_use]
-    pub fn root(&self) -> u32 {
-        #[allow(clippy::cast_possible_truncation)]
-        let idx = S::load(&self.tree.root) as u32;
-        idx
-    }
-}
-
-impl<L, S: Shim> Txn<'_, L, S> {
-    /// Current root index.
-    #[must_use]
-    pub fn root(&self) -> u32 {
-        #[allow(clippy::cast_possible_truncation)]
-        let idx = S::load(&self.tree.root) as u32;
-        idx
-    }
-
-    /// The node at `idx`. Within a transaction the writer sees all of
-    /// its own appends.
-    #[must_use]
-    pub fn node(&self, idx: u32) -> Option<&VNode<L, S>> {
-        self.tree.node(idx)
-    }
-
-    /// Publish a fresh leaf; returns its index, or `None` when the
-    /// arena is exhausted (the caller abandons the transaction — no
-    /// pointer has swung, so the logical tree is unchanged).
-    pub fn alloc_leaf(&mut self, depth: u32, leaf: L) -> Option<u32> {
-        self.tree.append(VNode {
-            depth,
-            kind: VKind::Leaf(leaf),
-        })
-    }
-
-    /// Publish a fresh routing node over two already-published
-    /// children.
-    pub fn alloc_routing(
-        &mut self,
+    /// Publish a node in the next arena slot; `None` when the arena is
+    /// exhausted or a point has the wrong dimensionality. A node born
+    /// routing gets no point slots.
+    fn push(
+        &self,
         depth: u32,
+        parent: Option<(u32, bool)>,
+        points: &[(Vec<f64>, u64)],
+        routing: Option<Routing<S>>,
+    ) -> Option<u32> {
+        let idx = S::load(&self.next);
+        let dims = self.config.dims();
+        if idx >= MAX_NODES || points.iter().any(|(c, _)| c.len() != dims) {
+            return None;
+        }
+        let slots = match routing {
+            Some(_) => 0,
+            None => points.len().max(self.config.bucket_size() + 1),
+        };
+        let node = Node {
+            depth,
+            parent,
+            dims,
+            len: S::atomic_u64(points.len() as u64),
+            bucket: Block::with_capacity(slots, dims),
+            routing: routing.map_or_else(OnceLock::new, OnceLock::from),
+        };
+        for (at, (coords, payload)) in points.iter().enumerate() {
+            node.bucket.write(at, coords, *payload);
+        }
+        #[allow(clippy::cast_possible_truncation)]
+        let idx32 = idx as u32;
+        let (chunk, offset) = locate(idx32);
+        let slot = self.chunks.get(chunk)?.get_or_init(|| {
+            (0..chunk_capacity(chunk))
+                .map(|_| OnceLock::new())
+                .collect()
+        });
+        // `set` fails only if the slot was already published, which a
+        // single writer never does; treat it as exhaustion rather than
+        // corrupting the arena.
+        slot.get(offset)?.set(node).ok()?;
+        S::store_release(&self.next, idx + 1);
+        Some(idx32)
+    }
+
+    /// Publish one point in `leaf`'s next free slot, then its length.
+    fn append(&self, leaf: u32, point: &[f64], payload: u64) -> Option<()> {
+        let node = self.node(leaf).filter(|n| n.dims == point.len())?;
+        let len = S::load(&node.len);
+        let (mut block, mut at) = (&node.bucket, len as usize);
+        while at >= block.payloads.len() {
+            at -= block.payloads.len();
+            let grow = || {
+                Box::new(Block::with_capacity(
+                    self.config.bucket_size() + 1,
+                    node.dims,
+                ))
+            };
+            block = block.next.get_or_init(grow);
+        }
+        block.write(at, point, payload);
+        S::store_release(&node.len, len + 1);
+        Some(())
+    }
+
+    /// Turn leaf `node` into a routing node over two published children.
+    fn set_routing(
+        &self,
+        node: u32,
         split_dim: usize,
         split_val: f64,
-        left: u32,
-        right: u32,
-    ) -> Option<u32> {
-        #[allow(clippy::cast_possible_truncation)]
-        let dim = split_dim as u32;
-        self.tree.append(VNode {
-            depth,
-            kind: VKind::Routing {
-                split_dim: dim,
-                split_val,
-                children: S::atomic_u64(pack_children(left, right)),
-            },
-        })
+        children: [Child; 2],
+    ) -> bool {
+        match (self.node(node), new_routing(split_dim, split_val, children)) {
+            (Some(node), Some(routing)) => node.routing.set(routing).is_ok(),
+            _ => false,
+        }
     }
 
-    /// Swing one child edge of routing node `parent` to `child`
-    /// (release store of the packed word). Returns `false` when
-    /// `parent` is not a routing node.
-    pub fn set_child(&mut self, parent: u32, left_side: bool, child: u32) -> bool {
-        let Some(node) = self.tree.node(parent) else {
+    /// Store one child word of routing node `parent` (release).
+    fn set_child(&self, parent: u32, left_side: bool, child: Child) -> bool {
+        let routing = self.node(parent).and_then(|n| n.routing.get());
+        let (Some(routing), Some(word)) = (routing, child.pack()) else {
             return false;
         };
-        let VKind::Routing { children, .. } = &node.kind else {
-            return false;
-        };
-        let (left, right) = unpack_children(S::load(children));
-        let word = if left_side {
-            pack_children(child, right)
-        } else {
-            pack_children(left, child)
-        };
-        S::store_release(children, word);
+        S::store_release(&routing.children[usize::from(!left_side)], word);
         true
     }
 
-    /// Swing the root pointer to `idx`.
-    pub fn set_root(&mut self, idx: u32) {
-        S::store_release(&self.tree.root, u64::from(idx));
+    /// Partition `leaf`'s copied-out `bucket` at the plane into two
+    /// freshly pushed children at depth `below` (`<=` goes left). The
+    /// leaf itself is untouched until [`Tree::set_routing`].
+    fn push_children(
+        &self,
+        (leaf, below): (u32, u32),
+        bucket: Vec<(Vec<f64>, u64)>,
+        split_dim: usize,
+        split_val: f64,
+    ) -> Option<(u32, u32)> {
+        if S::load(&self.next) + 2 > MAX_NODES {
+            return None;
+        }
+        let (lb, rb): (Vec<_>, Vec<_>) = bucket
+            .into_iter()
+            .partition(|(c, _)| c[split_dim] <= split_val);
+        let left = self.push(below, Some((leaf, true)), &lb, None)?;
+        Some((left, self.push(below, Some((leaf, false)), &rb, None)?))
+    }
+
+    /// Split `leaf` while it is over capacity and a plane exists,
+    /// reporting each split parent-first; an unsplittable bucket (all
+    /// duplicates) stays over-full.
+    fn split(&self, leaf: u32, splits: &mut Vec<SplitEvent>) {
+        let Some(node) = self.node(leaf) else { return };
+        if node.point_count() <= self.config.bucket_size() {
+            return;
+        }
+        let bucket = node.bucket();
+        let Some((split_dim, split_val)) = choose_split(&bucket, &self.config, node.depth) else {
+            return;
+        };
+        let below = (leaf, node.depth + 1);
+        let Some((left, right)) = self.push_children(below, bucket, split_dim, split_val) else {
+            return;
+        };
+        splits.push(SplitEvent {
+            leaf,
+            split_dim,
+            split_val,
+            left,
+            right,
+        });
+        self.split(left, splits);
+        self.split(right, splits);
+        // Children first, fully built; then the parent turns routing.
+        self.set_routing(
+            leaf,
+            split_dim,
+            split_val,
+            [Child::Local(left), Child::Local(right)],
+        );
     }
 }
 
-impl<L, S: Shim> Drop for Txn<'_, L, S> {
-    fn drop(&mut self) {
-        // Close the seqlock: odd → next even. Everything stored inside
-        // the transaction happens-before this release store.
-        S::store_release(&self.tree.version, self.entry_version + 1);
+fn new_routing<S: Shim>(
+    split_dim: usize,
+    split_val: f64,
+    children: [Child; 2],
+) -> Option<Routing<S>> {
+    Some(Routing {
+        split_dim,
+        split_val,
+        children: [
+            S::atomic_u64(children[0].pack()?),
+            S::atomic_u64(children[1].pack()?),
+        ],
+    })
+}
+
+/// Split-plane selection, identical to [`crate::KdTree`]'s: the rule's
+/// preferred dimension (cycle by depth, or widest spread), stepping to
+/// the next when degenerate; median value adjusted so both sides are
+/// non-empty, or the minimum under the worst-case rule.
+fn choose_split(bucket: &[(Vec<f64>, u64)], config: &KdConfig, depth: u32) -> Option<(usize, f64)> {
+    let dims = config.dims();
+    let spread = |dim: usize| {
+        let (lo, hi) = bucket
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), (c, _)| {
+                (lo.min(c[dim]), hi.max(c[dim]))
+            });
+        hi - lo
+    };
+    let preferred = match config.split_rule() {
+        SplitRule::Cycle | SplitRule::DegenerateMin => depth as usize % dims,
+        // The first dimension of the widest spread (`max_by` keeps the
+        // last maximum, so look from the back).
+        SplitRule::WidestSpread => (0..dims)
+            .rev()
+            .max_by(|&a, &b| spread(a).total_cmp(&spread(b)))
+            .unwrap_or(0),
+    };
+    for dim in (0..dims).map(|offset| (preferred + offset) % dims) {
+        let mut values: Vec<f64> = bucket.iter().map(|(c, _)| c[dim]).collect();
+        values.sort_by(f64::total_cmp);
+        let (min, max) = (*values.first()?, *values.last()?);
+        if max == min {
+            continue;
+        }
+        if config.split_rule() == SplitRule::DegenerateMin {
+            // Worst-case rule: peel only the minimum-valued points left.
+            return Some((dim, min));
+        }
+        let mid = values[values.len() / 2];
+        let val = if mid < max {
+            mid
+        } else {
+            values.iter().rev().find(|&&v| v < max).copied()?
+        };
+        return Some((dim, val));
+    }
+    None
+}
+
+/// The single mutating handle of a [`Tree`]. Deliberately **not**
+/// `Clone`: writers stay single-threaded per tree, which is what makes
+/// the plain version counter a sufficient write lock. Every mutation is
+/// one seqlock transaction.
+pub struct TreeWriter<S: Shim = StdShim> {
+    tree: Arc<Tree<S>>,
+}
+
+impl<S: Shim> TreeWriter<S> {
+    /// An arena with no nodes yet; the first push becomes the root.
+    #[must_use]
+    pub fn new(config: KdConfig) -> Self {
+        TreeWriter {
+            tree: Arc::new(Tree {
+                config,
+                version: S::atomic_u64(0),
+                next: S::atomic_u64(0),
+                chunks: (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect(),
+            }),
+        }
+    }
+
+    /// The tree: the writer's own view (it is the only mutator, so it
+    /// reads without validation), and the handle lock-free readers clone.
+    #[must_use]
+    pub fn tree(&self) -> &Arc<Tree<S>> {
+        &self.tree
+    }
+
+    /// Publish a leaf holding `points` at *global* depth `depth`, with
+    /// **no** capacity check; `None` when the arena is exhausted. No
+    /// transaction: until an edge names it (or it is the root) a pushed
+    /// node is invisible to readers.
+    pub fn push_leaf(
+        &mut self,
+        depth: u32,
+        parent: Option<(u32, bool)>,
+        points: &[(Vec<f64>, u64)],
+    ) -> Option<u32> {
+        self.tree.push(depth, parent, points, None)
+    }
+
+    /// Publish a node that is born routing (snapshot images, the
+    /// fan-out builder); `None` when a child id cannot be stored or the
+    /// arena is exhausted.
+    pub fn push_routing(
+        &mut self,
+        depth: u32,
+        parent: Option<(u32, bool)>,
+        split_dim: usize,
+        split_val: f64,
+        children: [Child; 2],
+    ) -> Option<u32> {
+        let routing = new_routing(split_dim, split_val, children)?;
+        self.tree.push(depth, parent, &[], Some(routing))
+    }
+
+    /// Point one child edge of routing node `parent` at `child` (one
+    /// release store). `false` when `parent` is not a routing node.
+    pub fn set_child(&mut self, parent: u32, left_side: bool, child: Child) -> bool {
+        let _txn = self.tree.begin();
+        self.tree.set_child(parent, left_side, child)
+    }
+
+    /// The one insert (§III-B.1): navigate from `start`; a point that
+    /// reaches a remote child is forwarded (`Ok(false)`, no
+    /// transaction), otherwise it is published in its leaf and the leaf
+    /// split while over capacity, all in one transaction (`Ok(true)`,
+    /// splits appended to `splits`). Outer `None`: `start` is not a
+    /// node of this arena.
+    pub fn insert<R: RemoteOps>(
+        &mut self,
+        start: u32,
+        point: &[f64],
+        payload: u64,
+        remote: &R,
+        splits: &mut Vec<SplitEvent>,
+    ) -> Option<Result<bool, R::Error>> {
+        match self.tree.navigate(start, point)? {
+            Child::Remote { partition, node } => Some(
+                remote
+                    .insert(partition, node, point, payload)
+                    .map(|()| false),
+            ),
+            Child::Local(leaf) => {
+                let _txn = self.tree.begin();
+                self.tree.append(leaf, point, payload)?;
+                self.tree.split(leaf, splits);
+                Some(Ok(true))
+            }
+        }
+    }
+
+    /// Re-apply a logged insert: same navigation, same bucket append,
+    /// but **no** split — splits replay from their own records.
+    /// `Some(false)` (a no-op) when navigation reaches a remote child.
+    pub fn append(&mut self, start: u32, point: &[f64], payload: u64) -> Option<bool> {
+        let Child::Local(leaf) = self.tree.navigate(start, point)? else {
+            return Some(false);
+        };
+        let _txn = self.tree.begin();
+        self.tree.append(leaf, point, payload)?;
+        Some(true)
+    }
+
+    /// Split `leaf` while it is over capacity (an adopted bucket may
+    /// arrive over-full), reporting the splits.
+    pub fn split(&mut self, leaf: u32, splits: &mut Vec<SplitEvent>) {
+        let _txn = self.tree.begin();
+        self.tree.split(leaf, splits);
+    }
+
+    /// Re-apply a logged [`SplitEvent`] verbatim.
+    ///
+    /// # Errors
+    /// Fails when the log and the tree disagree — a corrupt or
+    /// out-of-order WAL.
+    pub fn apply_split(&mut self, event: &SplitEvent) -> Result<(), String> {
+        let SplitEvent {
+            leaf,
+            split_dim,
+            split_val,
+            ..
+        } = *event;
+        let Some(node) = self.tree.node(leaf) else {
+            return Err(format!("split of unknown node {leaf}"));
+        };
+        if node.routing.get().is_some() {
+            return Err(format!("split of routing node {leaf}"));
+        }
+        if split_dim >= self.tree.config.dims() {
+            return Err(format!("split of node {leaf} on dimension {split_dim}"));
+        }
+        let _txn = self.tree.begin();
+        let (left, right) = self
+            .tree
+            .push_children((leaf, node.depth + 1), node.bucket(), split_dim, split_val)
+            .ok_or("node arena exhausted")?;
+        if (left, right) != (event.left, event.right) {
+            return Err(format!(
+                "split of node {leaf} allocated children {left}/{right}, log says {}/{}",
+                event.left, event.right
+            ));
+        }
+        let children = [Child::Local(left), Child::Local(right)];
+        self.tree.set_routing(leaf, split_dim, split_val, children);
+        Ok(())
+    }
+
+    /// Build-partition's relink (§III-B.2): point leaf `evicted`'s
+    /// parent edge at `to` and empty the leaf, in one transaction — a
+    /// reader sees the leaf's points until then and validates against
+    /// neither half alone. Returns how many points left the tree.
+    ///
+    /// # Errors
+    /// Fails when `evicted` is not a leaf below the arena root or `to`
+    /// cannot be stored.
+    pub fn relink(&mut self, evicted: u32, to: Child) -> Result<usize, String> {
+        let Some(node) = self.tree.node(evicted) else {
+            return Err(format!("migration of unknown node {evicted}"));
+        };
+        if node.routing.get().is_some() {
+            return Err(format!("migration of routing node {evicted}"));
+        }
+        let Some((parent, is_left)) = node.parent else {
+            return Err("migration of the partition root".to_string());
+        };
+        let points = node.point_count();
+        let _txn = self.tree.begin();
+        if !self.tree.set_child(parent, is_left, to) {
+            return Err(format!("node {evicted} cannot be relinked to {to:?}"));
+        }
+        S::store_release(&node.len, 0);
+        Ok(points)
     }
 }
 
 // ---------------------------------------------------------------------
-// The concrete point tree used by benches, tests and the model target.
+// The facade used by benches, tests and the `kdtree_read_split` model
+// target: the same tree with no remote links.
 // ---------------------------------------------------------------------
-
-/// Leaf bucket: insertion-ordered `(coords, payload)` pairs.
-pub type VBucket = Vec<(Box<[f64]>, u64)>;
 
 /// Writer half of a concurrently-readable bucketed KD-tree with the
 /// same split semantics as [`crate::KdTree`]. Obtain readers with
 /// [`VersionedKdTree::reader`].
 pub struct VersionedKdTree<S: Shim = StdShim> {
-    writer: TreeWriter<VBucket, S>,
-    config: KdConfig,
+    writer: TreeWriter<S>,
     len: usize,
 }
 
 /// Cloneable lock-free read handle over a [`VersionedKdTree`].
 pub struct VersionedKdReader<S: Shim = StdShim> {
-    reader: TreeReader<VBucket, S>,
-    config: KdConfig,
+    tree: Arc<Tree<S>>,
 }
 
 impl<S: Shim> Clone for VersionedKdReader<S> {
     fn clone(&self) -> Self {
         VersionedKdReader {
-            reader: self.reader.clone(),
-            config: self.config,
+            tree: Arc::clone(&self.tree),
         }
     }
-}
-
-/// k-NN candidate ordered lexicographically by `(distance, payload)`.
-/// The payload tie-break makes every search result deterministic
-/// regardless of traversal interleaving, which the parity tests and
-/// the model target rely on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Cand {
-    dist: f64,
-    payload: u64,
-}
-
-impl Eq for Cand {}
-
-impl PartialOrd for Cand {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Cand {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.dist
-            .total_cmp(&other.dist)
-            .then_with(|| self.payload.cmp(&other.payload))
-    }
-}
-
-/// Explicit-stack traversal task (mirrors the sequential searcher).
-enum Task {
-    Visit(u32),
-    CheckFar { idx: u32, plane_dist: f64 },
 }
 
 impl<S: Shim> VersionedKdTree<S> {
     /// Empty tree under `config`.
     #[must_use]
     pub fn new(config: KdConfig) -> Self {
-        let (writer, _) = VersionedTree::channel(Vec::new());
-        VersionedKdTree {
-            writer,
-            config,
-            len: 0,
-        }
+        let mut writer = TreeWriter::new(config);
+        let root = writer.push_leaf(0, None, &[]);
+        debug_assert_eq!(root, Some(0), "the first push cannot exhaust the arena");
+        VersionedKdTree { writer, len: 0 }
     }
 
     /// A new lock-free read handle.
     #[must_use]
     pub fn reader(&self) -> VersionedKdReader<S> {
         VersionedKdReader {
-            reader: self.writer.reader(),
-            config: self.config,
+            tree: Arc::clone(self.writer.tree()),
         }
-    }
-
-    /// The tree configuration.
-    #[must_use]
-    pub fn config(&self) -> &KdConfig {
-        &self.config
     }
 
     /// Points stored.
@@ -621,136 +1169,45 @@ impl<S: Shim> VersionedKdTree<S> {
         self.len == 0
     }
 
-    /// Insert one point. Returns `false` only when the node arena is
-    /// exhausted (the tree is unchanged in that case).
-    ///
-    /// The insert navigates to the target leaf, republishes it with the
-    /// point appended — splitting copy-on-write into a fresh subtree
-    /// when the bucket overflows — and swings a single pointer, all
-    /// inside one seqlock transaction.
+    /// Insert one point in one seqlock transaction: one slot and the
+    /// leaf's length are published, and the leaf splits in place when
+    /// the bucket overflows. Returns `false` only when the point could
+    /// not be stored (the tree is unchanged in that case).
     pub fn insert(&mut self, point: &[f64], payload: u64) -> bool {
-        assert_eq!(point.len(), self.config.dims(), "dimensionality mismatch");
-        let config = self.config;
-        let mut txn = self.writer.begin();
-        let mut idx = txn.root();
-        let mut parent: Option<(u32, bool)> = None;
-        let (leaf_idx, depth) = loop {
-            let Some(node) = txn.node(idx) else {
-                // Unreachable for the writer (its own view is always
-                // consistent); bail without swinging anything.
-                return false;
-            };
-            let depth = node.depth();
-            match node.as_routing() {
-                Some(r) => {
-                    let left_side = point[r.split_dim] <= r.split_val;
-                    parent = Some((idx, left_side));
-                    idx = if left_side { r.left } else { r.right };
-                }
-                None => break (idx, depth),
-            }
-        };
-        let mut bucket = match txn.node(leaf_idx).and_then(VNode::as_leaf) {
-            Some(bucket) => bucket.clone(),
-            None => return false,
-        };
-        bucket.push((point.into(), payload));
-        let Some(new_idx) = build_subtree(&mut txn, &config, bucket, depth) else {
-            return false;
-        };
-        match parent {
-            Some((p, left_side)) => {
-                if !txn.set_child(p, left_side, new_idx) {
-                    return false;
-                }
-            }
-            None => txn.set_root(new_idx),
-        }
-        self.len += 1;
-        true
+        let dims = self.writer.tree().config.dims();
+        assert_eq!(point.len(), dims, "dimensionality mismatch");
+        let stored = self
+            .writer
+            .insert(0, point, payload, &NeedsMailbox, &mut Vec::new());
+        let stored = stored == Some(Ok(true));
+        self.len += usize::from(stored);
+        stored
     }
 }
 
-/// Copy-on-write subtree build: identical split decisions to
-/// [`crate::KdTree`] (cycle/widest/degenerate rules, `<=` partition,
-/// unsplittable buckets stay leaves).
-fn build_subtree<S: Shim>(
-    txn: &mut Txn<'_, VBucket, S>,
-    config: &KdConfig,
-    bucket: VBucket,
-    depth: u32,
-) -> Option<u32> {
-    if bucket.len() <= config.bucket_size() {
-        return txn.alloc_leaf(depth, bucket);
-    }
-    let Some((split_dim, split_val)) = choose_split(&bucket, config, depth) else {
-        return txn.alloc_leaf(depth, bucket);
-    };
-    let (left, right): (VBucket, VBucket) = bucket
-        .into_iter()
-        .partition(|(coords, _)| coords[split_dim] <= split_val);
-    let left_idx = build_subtree(txn, config, left, depth + 1)?;
-    let right_idx = build_subtree(txn, config, right, depth + 1)?;
-    txn.alloc_routing(depth, split_dim, split_val, left_idx, right_idx)
-}
-
-/// Split selection over raw buckets, mirroring the sequential tree's
-/// `choose_split_at` semantics exactly (the parity proptest in this
-/// module guards against drift).
-fn choose_split(bucket: &VBucket, config: &KdConfig, depth: u32) -> Option<(usize, f64)> {
-    let dims = config.dims();
-    let preferred = match config.split_rule() {
-        SplitRule::Cycle | SplitRule::DegenerateMin => depth as usize % dims,
-        SplitRule::WidestSpread => widest_dim(bucket, dims),
-    };
-    for offset in 0..dims {
-        let dim = (preferred + offset) % dims;
-        let mut values: Vec<f64> = bucket.iter().map(|(c, _)| c[dim]).collect();
-        values.sort_by(f64::total_cmp);
-        let (min, max) = (values[0], *values.last()?);
-        if max == min {
-            continue;
-        }
-        if config.split_rule() == SplitRule::DegenerateMin {
-            return Some((dim, min));
-        }
-        let mid = values[values.len() / 2];
-        let val = if mid < max {
-            mid
-        } else {
-            values.iter().rev().find(|&&v| v < max).copied()?
-        };
-        return Some((dim, val));
-    }
-    None
-}
-
-fn widest_dim(bucket: &VBucket, dims: usize) -> usize {
-    let mut best = 0;
-    let mut best_spread = f64::NEG_INFINITY;
-    for dim in 0..dims {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for (coords, _) in bucket {
-            lo = lo.min(coords[dim]);
-            hi = hi.max(coords[dim]);
-        }
-        if hi - lo > best_spread {
-            best_spread = hi - lo;
-            best = dim;
-        }
-    }
-    best
+/// A facade walk's outcome, sorted by `(distance, payload)`. A facade
+/// tree has no remote links, so the refusal arm cannot be taken.
+fn neighbors(walked: Option<Result<Hits, NeedsMailbox>>) -> Option<Vec<Neighbor<u64>>> {
+    let mut hits = walked?.ok()?;
+    hits.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let neighbor = |(dist, payload)| Neighbor { dist, payload };
+    Some(hits.into_iter().map(neighbor).collect())
 }
 
 impl<S: Shim> VersionedKdReader<S> {
+    fn check(&self, query: &[f64]) {
+        let dims = self.tree.config.dims();
+        assert_eq!(query.len(), dims, "dimensionality mismatch");
+    }
+
     /// The `k` nearest stored points, sorted by `(distance, payload)`,
     /// plus retry accounting. Lock-free: retries only when racing a
     /// writer transaction.
     #[must_use]
     pub fn knn(&self, query: &[f64], k: usize) -> (Vec<Neighbor<u64>>, ReadStats) {
-        assert_eq!(query.len(), self.config.dims(), "dimensionality mismatch");
-        self.reader.tree.read(|guard| knn_attempt(guard, query, k))
+        self.check(query);
+        let walk = |tree: &Tree<S>| neighbors(tree.knn(0, query, k, None, &NeedsMailbox));
+        self.tree.read(walk)
     }
 
     /// Bounded-retry [`VersionedKdReader::knn`] for the model checker:
@@ -762,25 +1219,23 @@ impl<S: Shim> VersionedKdReader<S> {
         k: usize,
         attempts: u64,
     ) -> Option<(Vec<Neighbor<u64>>, ReadStats)> {
-        self.reader
-            .tree
-            .read_bounded(attempts, |guard| knn_attempt(guard, query, k))
+        let walk = |tree: &Tree<S>| neighbors(tree.knn(0, query, k, None, &NeedsMailbox));
+        self.tree.read_bounded(attempts, walk)
     }
 
     /// All stored points within `radius` of `query`, sorted by
     /// `(distance, payload)`, plus retry accounting.
     #[must_use]
     pub fn range(&self, query: &[f64], radius: f64) -> (Vec<Neighbor<u64>>, ReadStats) {
-        assert_eq!(query.len(), self.config.dims(), "dimensionality mismatch");
+        self.check(query);
         assert!(radius >= 0.0, "radius must be non-negative");
-        self.reader
-            .tree
-            .read(|guard| range_attempt(guard, query, radius))
+        let walk = |tree: &Tree<S>| neighbors(tree.range(0, query, radius, &NeedsMailbox));
+        self.tree.read(walk)
     }
 
     /// Answer a batch of k-NN queries, fanning out over `pool`. Each
-    /// worker reads through its own optimistic guard; the second return
-    /// value is the total retries across the batch.
+    /// worker reads through its own optimistic attempt; the second
+    /// return value is the total retries across the batch.
     #[must_use]
     pub fn knn_batch(
         &self,
@@ -789,129 +1244,12 @@ impl<S: Shim> VersionedKdReader<S> {
         pool: &Pool,
     ) -> (Vec<Vec<Neighbor<u64>>>, u64) {
         let per_query = pool.map(queries.len(), &|i| self.knn(&queries[i], k));
-        let mut retries = 0u64;
-        let mut out = Vec::with_capacity(per_query.len());
-        for (hits, stats) in per_query {
-            retries += stats.retries;
-            out.push(hits);
-        }
-        (out, retries)
+        let retries = per_query.iter().map(|(_, stats)| stats.retries).sum();
+        (
+            per_query.into_iter().map(|(hits, _)| hits).collect(),
+            retries,
+        )
     }
-}
-
-/// One optimistic k-NN traversal attempt; `None` on any sign of a
-/// writer race (unpublished slot).
-fn knn_attempt<S: Shim>(
-    guard: &ReadGuard<'_, VBucket, S>,
-    query: &[f64],
-    k: usize,
-) -> Option<Vec<Neighbor<u64>>> {
-    if k == 0 {
-        return Some(Vec::new());
-    }
-    let mut heap: BinaryHeap<Cand> = BinaryHeap::with_capacity(k + 1);
-    let mut stack = vec![Task::Visit(guard.root())];
-    while let Some(task) = stack.pop() {
-        let idx = match task {
-            Task::Visit(idx) => idx,
-            Task::CheckFar { idx, plane_dist } => {
-                let descend = heap.len() < k || heap.peek().is_some_and(|w| plane_dist < w.dist);
-                if !descend {
-                    continue;
-                }
-                idx
-            }
-        };
-        let node = guard.node(idx)?;
-        match node.as_routing() {
-            Some(r) => {
-                let delta = query[r.split_dim] - r.split_val;
-                let (near, far) = if delta <= 0.0 {
-                    (r.left, r.right)
-                } else {
-                    (r.right, r.left)
-                };
-                stack.push(Task::CheckFar {
-                    idx: far,
-                    plane_dist: delta.abs(),
-                });
-                stack.push(Task::Visit(near));
-            }
-            None => {
-                let bucket = node.as_leaf()?;
-                for (coords, payload) in bucket {
-                    let cand = Cand {
-                        dist: euclidean(coords, query),
-                        payload: *payload,
-                    };
-                    if heap.len() < k {
-                        heap.push(cand);
-                    } else if heap.peek().is_some_and(|w| cand < *w) {
-                        heap.pop();
-                        heap.push(cand);
-                    }
-                }
-            }
-        }
-    }
-    let mut hits = heap.into_vec();
-    hits.sort_unstable();
-    Some(
-        hits.into_iter()
-            .map(|c| Neighbor {
-                dist: c.dist,
-                payload: c.payload,
-            })
-            .collect(),
-    )
-}
-
-/// One optimistic range traversal attempt (same descent rule as the
-/// sequential tree: both children when `|P[Sr] − Sv| <= D`).
-fn range_attempt<S: Shim>(
-    guard: &ReadGuard<'_, VBucket, S>,
-    query: &[f64],
-    radius: f64,
-) -> Option<Vec<Neighbor<u64>>> {
-    let mut out = Vec::new();
-    let mut stack = vec![guard.root()];
-    while let Some(idx) = stack.pop() {
-        let node = guard.node(idx)?;
-        match node.as_routing() {
-            Some(r) => {
-                let delta = query[r.split_dim] - r.split_val;
-                if delta.abs() <= radius {
-                    stack.push(r.left);
-                    stack.push(r.right);
-                } else if delta <= 0.0 {
-                    stack.push(r.left);
-                } else {
-                    stack.push(r.right);
-                }
-            }
-            None => {
-                let bucket = node.as_leaf()?;
-                for (coords, payload) in bucket {
-                    let dist = euclidean(coords, query);
-                    if dist <= radius {
-                        out.push(Cand {
-                            dist,
-                            payload: *payload,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    out.sort_unstable();
-    Some(
-        out.into_iter()
-            .map(|c| Neighbor {
-                dist: c.dist,
-                payload: c.payload,
-            })
-            .collect(),
-    )
 }
 
 #[cfg(test)]
@@ -947,9 +1285,22 @@ mod tests {
 
     #[test]
     fn children_pack_roundtrip() {
-        for (l, r) in [(0, 0), (1, 2), (u32::MAX, 7), (123_456, u32::MAX)] {
-            assert_eq!(unpack_children(pack_children(l, r)), (l, r));
+        let top = (MAX_NODES - 1) as u32;
+        for child in [
+            Child::Local(0),
+            Child::Local(top),
+            Child::Remote {
+                partition: 0,
+                node: 0,
+            },
+            Child::Remote {
+                partition: u32::MAX,
+                node: top,
+            },
+        ] {
+            assert_eq!(child.pack().map(Child::unpack), Some(child));
         }
+        assert_eq!(Child::Local(top + 1).pack(), None, "beyond the arena");
     }
 
     #[test]
@@ -992,12 +1343,13 @@ mod tests {
             .enumerate()
         {
             assert!(tree.insert(coords, i as u64));
-            let (hits, _) = reader.knn(coords, 1);
+            let (hits, stats) = reader.knn(coords, 1);
             assert_eq!(
                 hits[0].payload, i as u64,
                 "read-your-writes after insert {i}"
             );
             assert_eq!(hits[0].dist, 0.0);
+            assert_eq!(stats.version, 2 * (i as u64 + 1), "one transaction each");
         }
         assert_eq!(tree.len(), 4);
     }
@@ -1014,6 +1366,20 @@ mod tests {
         let (hits, _) = tree.reader().knn(&[15.4], 3);
         let payloads: Vec<u64> = hits.iter().map(|h| h.payload).collect();
         assert_eq!(payloads, vec![15, 16, 14]);
+    }
+
+    #[test]
+    fn unsplittable_duplicates_spill_into_the_overflow_link() {
+        let mut tree = VersionedKdTree::<StdShim>::new(KdConfig::new(2).with_bucket_size(2));
+        for i in 0..20u64 {
+            assert!(tree.insert(&[1.0, 1.0], i));
+        }
+        let arena = tree.writer.tree();
+        assert_eq!(arena.nodes(), 1, "duplicates never split");
+        assert_eq!(arena.node(0).map(Node::point_count), Some(20));
+        let (hits, _) = tree.reader().range(&[1.0, 1.0], 0.0);
+        let payloads: Vec<u64> = hits.iter().map(|h| h.payload).collect();
+        assert_eq!(payloads, (0..20).collect::<Vec<u64>>());
     }
 
     #[test]
