@@ -45,9 +45,10 @@ pub const LOCK_RANKS: &[(&str, &str, u32)] = &[
     // and the demux reader take it briefly and call nothing ranked
     // while holding it.
     ("dist", "inflight", 20),
-    // The coordinator's registry of lock-free partition read handles.
-    // A leaf lock: register/lookup copy an Arc in and out and call
-    // nothing ranked while holding it.
+    // The process's registry of the partition trees its actors host,
+    // read lock-free by every other thread. A leaf lock, shared by
+    // lookups: register/lookup copy an Arc in and out and call nothing
+    // ranked while holding it.
     ("dist", "read_handles", 21),
     // crates/net
     ("net", "peers", 31),

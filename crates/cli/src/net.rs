@@ -366,7 +366,7 @@ pub fn net_query(parsed: &ParsedArgs) -> Result<String, String> {
             Ok(format!(
                 "messages: {}\nbytes: {}\nresponse-bytes: {}\nspawned-nodes: {}\n\
                  latency-count: {}\np50-us: {:.1}\np99-us: {:.1}\np999-us: {:.1}\n\
-                 reads-retried: {}\nread-retry-histogram: {histogram}\n\
+                 reads-retried: {}\nread-retry-histogram: {histogram}\nreads-crossed: {}\n\
                  reactor-shards: {}\nshard-served: {}\nshard-shed: {}\n",
                 m.messages,
                 m.bytes,
@@ -377,6 +377,7 @@ pub fn net_query(parsed: &ParsedArgs) -> Result<String, String> {
                 m.p99_nanos as f64 / 1000.0,
                 m.p999_nanos as f64 / 1000.0,
                 m.reads_retried,
+                m.reads_crossed,
                 m.reactor_shards,
                 per_shard(&m.shard_served),
                 per_shard(&m.shard_shed),

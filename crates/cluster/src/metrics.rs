@@ -215,6 +215,8 @@ pub struct ClusterMetricsG<S: Shim = StdShim> {
     reads_retried: S::AtomicU64,
     /// Optimistic reads by retry count (see [`read_retry_bucket_index`]).
     read_retries: [S::AtomicU64; READ_RETRY_BUCKETS],
+    /// Partition borders optimistic reads crossed in place.
+    reads_crossed: S::AtomicU64,
     /// Reactor shards actually serving (0 when no reactor is attached).
     reactor_shards: S::AtomicU64,
     /// Requests completed, by owning reactor shard.
@@ -252,6 +254,10 @@ pub struct MetricsSnapshot {
     /// Optimistic reads bucketed by how often each retried
     /// (see [`read_retry_bucket_index`]).
     pub read_retries: [u64; READ_RETRY_BUCKETS],
+    /// Partition borders optimistic reads crossed in place — each one a
+    /// sub-walk run on the reading thread instead of a message to the
+    /// partition's actor.
+    pub reads_crossed: u64,
     /// Reactor shards serving (0 when no reactor is attached); only the
     /// first `reactor_shards` entries of the shard arrays are live.
     pub reactor_shards: u64,
@@ -282,6 +288,7 @@ impl<S: Shim> ClusterMetricsG<S> {
             request_latency: LatencyHistogramG::new_in(),
             reads_retried: S::atomic_u64(0),
             read_retries: std::array::from_fn(|_| S::atomic_u64(0)),
+            reads_crossed: S::atomic_u64(0),
             reactor_shards: S::atomic_u64(0),
             shard_served: std::array::from_fn(|_| S::atomic_u64(0)),
             shard_shed: std::array::from_fn(|_| S::atomic_u64(0)),
@@ -318,11 +325,18 @@ impl<S: Shim> ClusterMetricsG<S> {
     }
 
     /// Account one completed optimistic (seqlock) read that validated
-    /// after `retries` writer races. Zero-retry reads land in bucket 0,
-    /// so the histogram's sum is the total optimistic read count.
+    /// after `retries` writer races, summed over every partition it
+    /// entered. Zero-retry reads land in bucket 0, so the histogram's
+    /// sum is the total optimistic read count.
     pub fn record_read_retries(&self, retries: u64) {
         S::fetch_add(&self.reads_retried, retries);
         S::fetch_add(&self.read_retries[read_retry_bucket_index(retries)], 1);
+    }
+
+    /// Account `crossed` partition borders one optimistic read crossed
+    /// in place.
+    pub fn record_reads_crossed(&self, crossed: u64) {
+        S::fetch_add(&self.reads_crossed, crossed);
     }
 
     /// Declare how many reactor shards are serving (the reactor calls
@@ -387,6 +401,7 @@ impl<S: Shim> ClusterMetricsG<S> {
             latency: self.request_latency.snapshot(),
             reads_retried: S::load(&self.reads_retried),
             read_retries: std::array::from_fn(|i| S::load(&self.read_retries[i])),
+            reads_crossed: S::load(&self.reads_crossed),
             reactor_shards: S::load(&self.reactor_shards),
             shard_served: std::array::from_fn(|i| S::load(&self.shard_served[i])),
             shard_shed: std::array::from_fn(|i| S::load(&self.shard_shed[i])),
@@ -405,6 +420,7 @@ impl<S: Shim> ClusterMetricsG<S> {
         for b in &self.read_retries {
             S::store(b, 0);
         }
+        S::store(&self.reads_crossed, 0);
         // The shard count survives a reset: it describes topology, not
         // traffic, and experiment phases reset between measurements.
         for b in &self.shard_served {
@@ -555,8 +571,11 @@ mod tests {
         m.record_read_retries(0);
         m.record_read_retries(2);
         m.record_read_retries(5);
+        m.record_reads_crossed(3);
+        m.record_reads_crossed(1);
         let s = m.snapshot();
         assert_eq!(s.reads_retried, 7);
+        assert_eq!(s.reads_crossed, 4);
         assert_eq!(s.read_retries.iter().sum::<u64>(), 3, "one entry per read");
         assert_eq!(s.read_retries[0], 1);
         assert_eq!(s.read_retries[2], 1);

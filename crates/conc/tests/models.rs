@@ -24,7 +24,7 @@ use semtree_conc::explore::{explore, explore_random, replay, Options};
 use semtree_conc::model::ModelShim;
 use semtree_conc::shim::Shim;
 use semtree_distance::MemoizedDistance;
-use semtree_kdtree::versioned::{Child, NeedsMailbox, TreeWriter};
+use semtree_kdtree::versioned::{Child, InPlace, NeedsMailbox, Tree, TreeWriter};
 use semtree_kdtree::{KdConfig, VersionedKdTree};
 use semtree_net::ConnRegistry;
 use semtree_par::ChunkedQueue;
@@ -96,6 +96,12 @@ const TARGETS: &[Target] = &[
         name: "partition_read_relink",
         what: "Partition tree optimistic knn vs build-partition relink: the whole pre-relink answer or needs-the-mailbox, never a read missing the evicted leaf",
         body: partition_read_relink,
+        spurious_budget: 0,
+    },
+    Target {
+        name: "cross_partition_read_migration",
+        what: "In-place crossing vs build-partition into a registered tree: a validated answer is the whole point set through the old leaf or through the new partition, never its pre-adoption tree",
+        body: cross_partition_read_migration,
         spurious_budget: 0,
     },
     Target {
@@ -596,7 +602,13 @@ fn partition_read_relink() {
     assert_eq!(writer.push_leaf(0, None, &[]), Some(0));
     let mut splits = Vec::new();
     for (payload, x) in [1.0, 2.0, 3.0].into_iter().enumerate() {
-        let stored = writer.insert(0, &[x], payload as u64, &NeedsMailbox, &mut splits);
+        let stored = writer.insert(
+            0,
+            &[x],
+            payload as u64,
+            &InPlace::<ModelShim, _>::nowhere(),
+            &mut splits,
+        );
         assert_eq!(stored, Some(Ok(true)));
     }
     // One split: root → leaves 1 = {1.0, 2.0} and 2 = {3.0}; version 6.
@@ -618,7 +630,9 @@ fn partition_read_relink() {
     let observer = {
         let tree = Arc::clone(&tree);
         ModelShim::spawn(move || {
-            let read = tree.read_bounded(3, |t| t.knn(0, &[3.1], 2, None, &NeedsMailbox));
+            let read = tree.read_bounded(3, |t| {
+                t.knn(0, &[3.1], 2, None, &InPlace::<ModelShim, _>::nowhere())
+            });
             if let Some((answer, stats)) = read {
                 match answer {
                     Ok(hits) => {
@@ -636,15 +650,104 @@ fn partition_read_relink() {
     ModelShim::join(observer);
 
     // Quiescent: the link is in place and the first attempt validates.
-    let (answer, stats) = tree.read(|t| t.knn(0, &[3.1], 2, None, &NeedsMailbox));
+    let (answer, stats) =
+        tree.read(|t| t.knn(0, &[3.1], 2, None, &InPlace::<ModelShim, _>::nowhere()));
     assert_eq!(
         (answer, stats.version, stats.retries),
         (Err(NeedsMailbox), 8, 0)
     );
     // The surviving leaf still answers walks that stay on its side.
-    let (local, _) = tree.read(|t| t.knn(0, &[1.0], 1, None, &NeedsMailbox));
+    let (local, _) = tree.read(|t| t.knn(0, &[1.0], 1, None, &InPlace::<ModelShim, _>::nowhere()));
     assert_eq!(local, Ok(vec![(0.0, 0)]));
     drop(writer);
+}
+
+// ---------------------------------------------------------------------
+// Target 8c: a lock-free reader crossing into a partition being built.
+// ---------------------------------------------------------------------
+
+/// Partition 1 (the tree of `partition_read_relink`) migrates its right
+/// leaf to partition 3 the way the two actors do between them: copy the
+/// bucket out, build partition 3's tree from it, register that tree over
+/// the empty one a fresh actor registers at its first message, and only
+/// then relink — one transaction on partition 1. Meanwhile a reader
+/// enters partition 1 the way every in-place crossing enters a
+/// partition, and crosses into partition 3 wherever it finds the link.
+/// Each tree is validated against its own version, so whatever the
+/// interleaving a validated answer is the whole point set: through the
+/// old leaf or through the new partition — never partition 3's
+/// pre-adoption tree, never a point from both sides.
+fn cross_partition_read_migration() {
+    type Registry = <ModelShim as Shim>::Mutex<Vec<(u32, Arc<Tree<ModelShim>>)>>;
+    fn lookup(registry: &Registry, partition: u32) -> Option<Arc<Tree<ModelShim>>> {
+        let registered = ModelShim::lock(registry);
+        let found = registered.iter().rev().find(|(id, _)| *id == partition);
+        found.map(|(_, tree)| Arc::clone(tree))
+    }
+
+    let config = KdConfig::new(1).with_bucket_size(2);
+    let mut source = TreeWriter::<ModelShim>::new(config);
+    assert_eq!(source.push_leaf(0, None, &[]), Some(0));
+    let nowhere = InPlace::<ModelShim, _>::nowhere();
+    for (payload, x) in [1.0, 2.0, 3.0].into_iter().enumerate() {
+        let stored = source.insert(0, &[x], payload as u64, &nowhere, &mut Vec::new());
+        assert_eq!(stored, Some(Ok(true)));
+    }
+    let mut fresh = TreeWriter::<ModelShim>::new(config);
+    assert_eq!(fresh.push_leaf(0, None, &[]), Some(0));
+    let registry: Arc<Registry> = Arc::new(ModelShim::mutex(vec![
+        (1, Arc::clone(source.tree())),
+        (3, Arc::clone(fresh.tree())),
+    ]));
+
+    let migration = {
+        let registry = Arc::clone(&registry);
+        ModelShim::spawn(move || {
+            let bucket = source.tree().node(2).expect("the right leaf").bucket();
+            let mut target = TreeWriter::<ModelShim>::new(config);
+            assert_eq!(target.push_leaf(1, None, &bucket), Some(0));
+            // Registration first: the link below is what sends readers
+            // to look partition 3 up.
+            ModelShim::lock(&registry).push((3, Arc::clone(target.tree())));
+            let to = Child::Remote {
+                partition: 3,
+                node: 0,
+            };
+            assert_eq!(source.relink(2, to), Ok(1));
+            (source, target)
+        })
+    };
+
+    let observer = {
+        let registry = Arc::clone(&registry);
+        ModelShim::spawn(move || {
+            // Bounded like every model read; exhaustion is the refusal.
+            let reader = InPlace::new(|p| lookup(&registry, p)).bounded(3);
+            let walk = |t: &Tree<ModelShim>| t.knn(0, &[3.1], 2, None, &reader);
+            if let Ok(hits) = reader.enter((1, 0), &[3.1], walk) {
+                let payloads: Vec<u64> = hits.iter().map(|h| h.1).collect();
+                assert_eq!(
+                    payloads,
+                    [2, 1],
+                    "after {} crossings the answer is not the point set",
+                    reader.crossed()
+                );
+            }
+        })
+    };
+
+    let trees = ModelShim::join(migration);
+    ModelShim::join(observer);
+
+    // Quiescent: the read crosses once and nothing is left to race.
+    let reader = InPlace::new(|p| lookup(&registry, p));
+    let walk = |t: &Tree<ModelShim>| t.knn(0, &[3.1], 2, None, &reader);
+    let payloads = reader
+        .enter((1, 0), &[3.1], walk)
+        .map(|hits| hits.iter().map(|h| h.1).collect::<Vec<u64>>());
+    assert_eq!(payloads, Ok(vec![2, 1]));
+    assert_eq!((reader.crossed(), reader.retries()), (1, 0));
+    drop(trees);
 }
 
 // ---------------------------------------------------------------------

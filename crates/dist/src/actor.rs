@@ -13,15 +13,26 @@ use crate::tree::{unexpected, SharedConfig};
 /// Hosts one partition of the SemTree and speaks the [`Req`]/[`Resp`]
 /// protocol. Single-threaded per partition, like one MPJ rank, and the
 /// only writer of its store's tree — so it reads that tree directly,
-/// without validation. Other threads read the same tree lock-free: the
-/// coordinator through the registered
-/// [`ReadHandle`](crate::store::ReadHandle), and this actor's own `pool`
-/// workers when a [`Req::KnnBatch`] fans out.
+/// without validation. Other threads read the same tree lock-free once
+/// it is registered with [`SharedConfig`]: client threads, whose reads
+/// start at the root partition and cross into this one in place, and the
+/// `pool` workers of whichever actor fans a [`Req::KnnBatch`] out.
 pub(crate) struct PartitionActor {
     store: PartitionStore,
     shared: Arc<SharedConfig>,
     pool: Pool,
-    registered: bool,
+    /// The hosting node, once the tree is registered under it.
+    registered: Option<ComputeNodeId>,
+}
+
+impl Drop for PartitionActor {
+    /// The actor is gone — shut down, or its thread panicked — and
+    /// writes fail from here on, so reads must too: withdraw the tree.
+    fn drop(&mut self) {
+        if let Some(node) = self.registered {
+            self.shared.unregister_read_handle(node, self.store.tree());
+        }
+    }
 }
 
 impl PartitionActor {
@@ -38,17 +49,16 @@ impl PartitionActor {
             store,
             shared,
             pool: Pool::new(),
-            registered: false,
+            registered: None,
         }
     }
 
-    /// Publish the lock-free read side of the current store; the
-    /// coordinator uses it to serve k-NN and range queries without
-    /// entering this mailbox.
+    /// Publish the current store's tree; lock-free readers use it to
+    /// serve k-NN and range queries without entering this mailbox.
     fn register(&mut self, ctx: &NodeCtx<Req, Resp>) {
         self.shared
-            .register_read_handle(ctx.node_id(), self.store.read_handle());
-        self.registered = true;
+            .register_read_handle(ctx.node_id(), self.store.tree());
+        self.registered = Some(ctx.node_id());
     }
 
     /// The build-partition algorithm (§III-B.2): while the resource
@@ -302,7 +312,7 @@ impl Handler for PartitionActor {
     type Resp = Resp;
 
     fn handle(&mut self, ctx: &NodeCtx<Req, Resp>, req: Req) -> Resp {
-        if !self.registered {
+        if self.registered.is_none() {
             // The hosting node is only known once the first message
             // arrives.
             self.register(ctx);
@@ -335,22 +345,30 @@ impl Handler for PartitionActor {
                 reply(self.adopt(ctx, &bucket, depth), |()| Resp::Done)
             }
             Req::KnnBatch { node, points, k } => {
-                let store = &self.store;
-                let batches: Result<Vec<_>, String> = if store.has_remote_children() {
-                    // Border partition: traversals may cross into other
-                    // partitions, and the fabric context is single-threaded
-                    // — answer the batch sequentially. It still collapses
-                    // the client's round trips into one.
-                    let knn = |point: &Vec<f64>| store.knn(node, point, k, None, &remote);
-                    points.iter().map(knn).collect()
-                } else {
-                    // No remote links: fan the queries out over the worker
-                    // pool, each worker running the same walk on the same
-                    // tree with nothing behind it to cross into.
-                    let knn = |i: usize| store.knn(node, &points[i], k, None, &NeedsMailbox);
-                    self.pool.map(points.len(), &knn).into_iter().collect()
+                // Fan the queries out over the worker pool, each worker
+                // walking this partition's tree and crossing in place
+                // into the partitions this process hosts. The fabric
+                // context is single-threaded, so a query that must enter
+                // a partition on another process is re-run here, one
+                // after the other, over the fabric.
+                let (store, shared) = (&self.store, &self.shared);
+                let in_place = |i: usize| {
+                    let reader = shared.reader();
+                    let answer = store.try_knn(node, &points[i], k, None, &reader);
+                    // This tree is the actor's own: only what the walk
+                    // read across a border was read optimistically.
+                    if reader.crossed() > 0 {
+                        shared.record_read(&reader);
+                    }
+                    answer
                 };
-                reply(batches, Resp::CandidateBatches)
+                let answers = self.pool.map(points.len(), &in_place);
+                let over_fabric = |(answer, point): (_, &Vec<f64>)| match answer? {
+                    Ok(hits) => Ok(hits),
+                    Err(NeedsMailbox) => store.knn(node, point, k, None, &remote),
+                };
+                let batches = answers.into_iter().zip(&points).map(over_fabric);
+                reply(batches.collect(), Resp::CandidateBatches)
             }
             Req::Stats => Resp::Stats(self.store.stats()),
             Req::Verify => Resp::Violations(self.store.verify()),

@@ -639,7 +639,7 @@ impl Encode for ClientResp {
                     m.reads_retried,
                 ];
                 let counts = head.iter().chain(&m.read_retries);
-                let counts = counts.chain([&m.reactor_shards]);
+                let counts = counts.chain([&m.reads_crossed, &m.reactor_shards]);
                 for count in counts.chain(&m.shard_served).chain(&m.shard_shed) {
                     count.encode(out);
                 }
@@ -683,6 +683,7 @@ impl Decode for ClientResp {
                 p999_nanos: u64::decode(buf)?,
                 reads_retried: u64::decode(buf)?,
                 read_retries: decode_counts(buf)?,
+                reads_crossed: u64::decode(buf)?,
                 reactor_shards: u64::decode(buf)?,
                 shard_served: decode_counts(buf)?,
                 shard_shed: decode_counts(buf)?,
@@ -816,6 +817,7 @@ impl TreeService<'_> {
                     p999_nanos: m.latency.p999_nanos(),
                     reads_retried: m.reads_retried,
                     read_retries: m.read_retries,
+                    reads_crossed: m.reads_crossed,
                     reactor_shards: m.reactor_shards,
                     shard_served: m.shard_served,
                     shard_shed: m.shard_shed,
@@ -924,6 +926,9 @@ pub struct ClientMetrics {
     /// Optimistic reads bucketed by retry count
     /// (see [`semtree_cluster::read_retry_bucket_index`]).
     pub read_retries: [u64; READ_RETRY_BUCKETS],
+    /// Partition borders optimistic reads crossed in place, each one
+    /// instead of a message to the partition's actor.
+    pub reads_crossed: u64,
     /// Reactor shards serving the client port (0 = no reactor).
     pub reactor_shards: u64,
     /// Requests completed, by owning reactor shard (first
@@ -1435,6 +1440,7 @@ mod tests {
             p999_nanos: 131_072,
             reads_retried: 5,
             read_retries: [10, 3, 1, 0, 1, 0, 0, 0],
+            reads_crossed: 21,
             reactor_shards: 2,
             ..ClientMetrics::default()
         };

@@ -7,7 +7,7 @@ use std::fmt::Display;
 use std::sync::Arc;
 
 use semtree_cluster::ComputeNodeId;
-use semtree_kdtree::versioned::{NeedsMailbox, Node, RemoteOps, SplitEvent, Tree, TreeWriter};
+use semtree_kdtree::versioned::{Node, RemoteOps, SplitEvent, Tree, TreeWriter};
 use semtree_kdtree::KdConfig;
 use semtree_net::Encode;
 
@@ -27,55 +27,13 @@ pub struct LocalNodeId(pub u32);
 /// A leaf's stored points in wire form: `(coordinates, payload)` pairs.
 pub(crate) type Bucket = Vec<(Vec<f64>, u64)>;
 
-/// Lock-free read side of a partition's tree, for threads other than
-/// its actor: a validated read contains every acknowledged write, and a
-/// walk that would enter a remote child is refused — `None`, "needs the
-/// mailbox" — so the caller falls back to the actor, which can cross.
-pub(crate) struct ReadHandle {
-    tree: Arc<Tree>,
-}
-
-impl ReadHandle {
-    /// One validated walk from the partition root: `(hits, retries)`, or
-    /// `None` when the point is malformed or the walk needs the mailbox.
-    fn read(
-        &self,
-        point: &[f64],
-        walk: impl Fn(&Tree) -> Option<Result<Vec<(f64, u64)>, NeedsMailbox>>,
-    ) -> Option<(Vec<(f64, u64)>, u64)> {
-        if point.len() != self.tree.config().dims() {
-            return None;
-        }
-        let (answer, stats) = self.tree.read(walk);
-        Some((answer.ok()?, stats.retries))
-    }
-
-    /// Optimistic k-NN, byte-identical to the actor's walk.
-    pub(crate) fn knn(
-        &self,
-        point: &[f64],
-        k: usize,
-        hint: Option<f64>,
-    ) -> Option<(Vec<(f64, u64)>, u64)> {
-        self.read(point, |tree| tree.knn(0, point, k, hint, &NeedsMailbox))
-    }
-
-    /// Optimistic range search, as [`ReadHandle::knn`].
-    pub(crate) fn range(&self, point: &[f64], radius: f64) -> Option<(Vec<(f64, u64)>, u64)> {
-        let walk = |tree: &Tree| tree.range(0, point, radius, &NeedsMailbox);
-        (radius >= 0.0).then(|| self.read(point, walk))?
-    }
-}
+/// Search hits in wire form: `(distance, payload)` pairs.
+type Hits = Vec<(f64, u64)>;
 
 /// One partition's fragment of the global KD-tree.
 pub(crate) struct PartitionStore {
     writer: TreeWriter,
     points: usize,
-    /// Whether any routing node links to another partition. A partition
-    /// without remote links answers whole traversals without the message
-    /// fabric, which is what lets a batched k-NN fan out over worker
-    /// threads. Links never disappear.
-    remote_links: bool,
 }
 
 impl PartitionStore {
@@ -109,19 +67,15 @@ impl PartitionStore {
         PartitionStore {
             writer: TreeWriter::new(config),
             points: 0,
-            remote_links: false,
         }
     }
 
-    fn tree(&self) -> &Tree {
+    /// The tree: this actor's own view, and the handle threads other
+    /// than the actor read lock-free — validated, through
+    /// [`InPlace`](semtree_kdtree::versioned::InPlace) — once the actor
+    /// has registered it.
+    pub(crate) fn tree(&self) -> &Arc<Tree> {
         self.writer.tree()
-    }
-
-    /// A lock-free reader of this partition's tree.
-    pub(crate) fn read_handle(&self) -> Arc<ReadHandle> {
-        Arc::new(ReadHandle {
-            tree: Arc::clone(self.writer.tree()),
-        })
     }
 
     /// Push a routing node (the fan-out builder allocates parents before
@@ -134,7 +88,6 @@ impl PartitionStore {
         split_val: f64,
         children: [Child; 2],
     ) -> Option<LocalNodeId> {
-        self.remote_links |= children.iter().any(|c| matches!(c, Child::Remote { .. }));
         self.writer
             .push_routing(depth, parent, split_dim, split_val, children)
             .map(LocalNodeId)
@@ -143,7 +96,6 @@ impl PartitionStore {
     /// Point one edge of routing node `parent` at `child`; `false` when
     /// `parent` is not a routing node.
     pub(crate) fn set_child(&mut self, parent: LocalNodeId, left_side: bool, child: Child) -> bool {
-        self.remote_links |= matches!(child, Child::Remote { .. });
         self.writer.set_child(parent.0, left_side, child)
     }
 
@@ -172,10 +124,13 @@ impl PartitionStore {
 
     /// The actor's view of a walk's outcome: it is the tree's only
     /// writer, so a walk from a checked start cannot come up short.
+    fn whole<T>(walked: Option<T>) -> Result<T, String> {
+        walked.ok_or_else(|| "partition arena is inconsistent".to_string())
+    }
+
+    /// [`whole`](Self::whole), with a failed crossing as its message.
     fn settled<T, E: Display>(walked: Option<Result<T, E>>) -> Result<T, String> {
-        walked
-            .ok_or("partition arena is inconsistent")?
-            .map_err(|e| e.to_string())
+        Self::whole(walked)?.map_err(|e| e.to_string())
     }
 
     // ------------------------------------------------------------------
@@ -237,8 +192,22 @@ impl PartitionStore {
         worst: Option<f64>,
         remote: &R,
     ) -> Result<Vec<(f64, u64)>, String> {
+        self.try_knn(start, point, k, worst, remote)?
+            .map_err(|e| e.to_string())
+    }
+
+    /// [`knn`](Self::knn) with a failed crossing left typed, for the
+    /// caller that can still answer the query another way.
+    pub(crate) fn try_knn<R: RemoteOps>(
+        &self,
+        start: LocalNodeId,
+        point: &[f64],
+        k: usize,
+        worst: Option<f64>,
+        remote: &R,
+    ) -> Result<Result<Hits, R::Error>, String> {
         self.check(start, point)?;
-        Self::settled(self.tree().knn(start.0, point, k, worst, remote))
+        Self::whole(self.tree().knn(start.0, point, k, worst, remote))
     }
 
     pub(crate) fn range<R: RemoteOps<Error: Display>>(
@@ -255,10 +224,6 @@ impl PartitionStore {
     // ------------------------------------------------------------------
     // Build partition (§III-B.2)
     // ------------------------------------------------------------------
-
-    pub(crate) fn has_remote_children(&self) -> bool {
-        self.remote_links
-    }
 
     /// The largest leaf that is not the partition root (the "leaf node
     /// candidate `Lc`" of Figure 2), if any.
@@ -296,7 +261,6 @@ impl PartitionStore {
             node: remote_node.0,
         };
         self.points -= self.writer.relink(evicted.0, to)?;
-        self.remote_links = true;
         Ok(())
     }
 
@@ -579,18 +543,21 @@ impl Encode for NodeKindImage {
 mod tests {
     use super::*;
     use semtree_cluster::ClusterError;
+    use semtree_kdtree::versioned::{InPlace, StdShim};
     use semtree_par::metric::euclidean;
     use std::cell::RefCell;
 
     /// Records what crosses the border: forwarded inserts' payloads and
-    /// the `worst` hint of every remote k-NN.
+    /// the `worst` hint of every remote k-NN. Searches are answered by
+    /// the actor walk of the partition `behind` the border, if any.
     #[derive(Default)]
-    struct Recorder {
+    struct Recorder<'a> {
         inserts: RefCell<Vec<u64>>,
         worsts: RefCell<Vec<Option<f64>>>,
+        behind: Option<&'a PartitionStore>,
     }
 
-    impl RemoteOps for Recorder {
+    impl RemoteOps for Recorder<'_> {
         type Error = ClusterError;
         fn insert(&self, _: u32, _: u32, _: &[f64], payload: u64) -> Result<(), ClusterError> {
             self.inserts.borrow_mut().push(payload);
@@ -599,23 +566,57 @@ mod tests {
         fn knn(
             &self,
             _: u32,
-            _: u32,
-            _: &[f64],
-            _: usize,
+            node: u32,
+            point: &[f64],
+            k: usize,
             worst: Option<f64>,
         ) -> Result<Vec<(f64, u64)>, ClusterError> {
             self.worsts.borrow_mut().push(worst);
-            Ok(vec![])
+            let walk = |t: &PartitionStore| t.knn(LocalNodeId(node), point, k, worst, self);
+            self.behind
+                .map_or(Ok(vec![]), walk)
+                .map_err(ClusterError::Remote)
         }
         fn range(
             &self,
             _: u32,
-            _: u32,
-            _: &[f64],
-            _: f64,
+            node: u32,
+            point: &[f64],
+            radius: f64,
         ) -> Result<Vec<(f64, u64)>, ClusterError> {
-            Ok(vec![])
+            let walk = |t: &PartitionStore| t.range(LocalNodeId(node), point, radius, self);
+            self.behind
+                .map_or(Ok(vec![]), walk)
+                .map_err(ClusterError::Remote)
         }
+    }
+
+    /// The partitions a lock-free read can reach, by id; it starts at the
+    /// first one's root.
+    type Hosted<'a> = [(u32, &'a PartitionStore)];
+
+    fn reader<'a>(
+        hosted: &'a Hosted<'a>,
+    ) -> InPlace<StdShim, impl Fn(u32) -> Option<Arc<Tree>> + 'a> {
+        let lookup = |p| hosted.iter().find(|(id, _)| *id == p);
+        InPlace::new(move |p| lookup(p).map(|(_, s)| Arc::clone(s.tree())))
+    }
+
+    /// A client thread's lock-free k-NN: `(hits, retries, borders
+    /// crossed)`, or `None` when it needs the mailbox.
+    fn read_knn(hosted: &Hosted, q: &[f64], k: usize) -> Option<(Hits, u64, u64)> {
+        let reader = reader(hosted);
+        let walk = |t: &Tree| t.knn(0, q, k, None, &reader);
+        let hits = reader.enter((hosted[0].0, 0), q, walk).ok()?;
+        Some((hits, reader.retries(), reader.crossed()))
+    }
+
+    /// [`read_knn`] for a range search: `(hits, retries)`.
+    fn read_range(hosted: &Hosted, q: &[f64], radius: f64) -> Option<(Hits, u64)> {
+        let reader = reader(hosted);
+        let walk = |t: &Tree| t.range(0, q, radius, &reader);
+        let hits = reader.enter((hosted[0].0, 0), q, walk).ok()?;
+        Some((hits, reader.retries()))
     }
 
     fn store(bucket_size: usize) -> PartitionStore {
@@ -761,7 +762,6 @@ mod tests {
         // The evicted points are gone from this partition.
         assert_eq!(stats.points, 60 - bucket.len());
         assert_eq!(s.points(), 60 - bucket.len());
-        assert!(s.has_remote_children());
         assert_eq!(s.verify(), Vec::<String>::new());
     }
 
@@ -809,54 +809,94 @@ mod tests {
         assert!(s
             .relink_to_partition(LocalNodeId(0), ComputeNodeId(1), LocalNodeId(0))
             .is_err());
-        assert!(!s.has_remote_children());
+        assert!(s.stats().remote_children.is_empty());
     }
 
     #[test]
     fn read_handle_knn_matches_actor_walk_byte_for_byte() {
         let mut s = store(4);
         fill_grid(&mut s, 60);
-        let handle = s.read_handle();
         let queries = [[3.1, 4.2], [0.0, 0.0], [9.5, 5.5], [4.0, 4.0]];
         let rec = Recorder::default();
         for q in queries {
             for k in [1, 3, 8] {
                 let expect = s.knn(LocalNodeId(0), &q, k, None, &rec).unwrap();
-                assert_eq!(handle.knn(&q, k, None), Some((expect, 0)), "q={q:?} k={k}");
+                assert_eq!(
+                    read_knn(&[(0, &s)], &q, k),
+                    Some((expect, 0, 0)),
+                    "q={q:?} k={k}"
+                );
             }
             let expect = s.range(LocalNodeId(0), &q, 2.0, &rec).unwrap();
-            assert_eq!(handle.range(&q, 2.0), Some((expect, 0)), "q={q:?}");
+            assert_eq!(
+                read_range(&[(0, &s)], &q, 2.0),
+                Some((expect, 0)),
+                "q={q:?}"
+            );
         }
-        // After an eviction the same handle still answers walks that stay
-        // local, and refuses — rather than truncates — the ones that
-        // would have to cross into partition 7.
-        let bucket = evict(&mut s);
+        // After an eviction a reader with nothing behind the link still
+        // answers walks that stay local, and refuses — rather than
+        // truncates — the ones that would have to cross into partition 7.
+        let cand = s.eviction_candidate().expect("leaves exist after splits");
+        let (bucket, depth) = s.detach_leaf(cand).expect("candidate is a leaf");
+        s.relink_to_partition(cand, ComputeNodeId(7), LocalNodeId(0))
+            .expect("relink");
         let (gone, _) = &bucket[0];
-        assert_eq!(handle.knn(gone, 1, None), None, "needs the mailbox");
-        assert_eq!(handle.range(gone, 0.5), None, "needs the mailbox");
+        assert_eq!(read_knn(&[(0, &s)], gone, 1), None, "needs the mailbox");
+        assert_eq!(read_range(&[(0, &s)], gone, 0.5), None, "needs the mailbox");
         let local = queries
             .iter()
-            .filter_map(|q| handle.knn(q, 1, None))
+            .filter_map(|q| read_knn(&[(0, &s)], q, 1))
             .count();
         assert!(local > 0, "reads far from the border stay lock-free");
         for q in queries {
-            if let Some((hits, _)) = handle.knn(&q, 3, None) {
+            if let Some((hits, _, crossed)) = read_knn(&[(0, &s)], &q, 3) {
                 assert_eq!(hits, s.knn(LocalNodeId(0), &q, 3, None, &rec).unwrap());
+                assert_eq!(crossed, 0);
                 assert!(
                     rec.worsts.borrow().is_empty(),
                     "the actor walk stayed local too"
                 );
             }
         }
+        // With partition 7's tree readable too, the same reads cross the
+        // border in place: the walk the two actors would run between
+        // them, crossing as often and shipping the same `worst`, so the
+        // candidates and their order are the same, ties included.
+        let config = *s.tree().config();
+        let t = PartitionStore::new_leaf_logged(config, &bucket, depth, &mut Vec::new());
+        let hosted = [(0, &s), (7, &t)];
+        let points = queries.iter().map(|q| q.to_vec());
+        for q in points.chain(bucket.iter().map(|(c, _)| c.clone())) {
+            for k in [1, 3, 8, 70] {
+                let actors = Recorder {
+                    behind: Some(&t),
+                    ..Recorder::default()
+                };
+                let expect = s.knn(LocalNodeId(0), &q, k, None, &actors).unwrap();
+                let crossings = actors.worsts.borrow().len() as u64;
+                assert_eq!(
+                    read_knn(&hosted, &q, k),
+                    Some((expect, 0, crossings)),
+                    "q={q:?} k={k}"
+                );
+            }
+            let actors = Recorder {
+                behind: Some(&t),
+                ..Recorder::default()
+            };
+            let expect = s.range(LocalNodeId(0), &q, 2.0, &actors).unwrap();
+            assert_eq!(read_range(&hosted, &q, 2.0), Some((expect, 0)), "q={q:?}");
+        }
+        assert_eq!(read_knn(&hosted, gone, 70).map(|r| r.0.len()), Some(60));
     }
 
     #[test]
     fn dimension_mismatch_is_rejected_not_panicking() {
         let mut s = store(4);
         fill_grid(&mut s, 10);
-        let handle = s.read_handle();
-        assert!(handle.knn(&[1.0, 2.0, 3.0], 2, None).is_none());
-        assert!(handle.range(&[1.0], 1.0).is_none());
+        assert!(read_knn(&[(0, &s)], &[1.0, 2.0, 3.0], 2).is_none());
+        assert!(read_range(&[(0, &s)], &[1.0], 1.0).is_none());
         // The actor's side of the wire rejects the same, plus unknown nodes.
         let rec = Recorder::default();
         let invalid =
@@ -945,6 +985,5 @@ mod tests {
         let decoded = crate::colimage::decode_image(&image).expect("decode");
         let rebuilt = PartitionStore::from_image(&decoded).expect("rebuild");
         assert_eq!(rebuilt.to_image(), s.to_image());
-        assert_eq!(rebuilt.has_remote_children(), s.has_remote_children());
     }
 }

@@ -3,17 +3,18 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use semtree_cluster::{
     Cluster, ClusterError, ClusterMetrics, CompleteFn, ComputeNodeId, CostModel,
 };
+use semtree_kdtree::versioned::{InPlace, StdShim, Tree};
 use semtree_kdtree::{KdConfig, Neighbor, SplitRule};
 
 use crate::actor::PartitionActor;
 use crate::proto::{PartitionStats, Req, Resp};
 use crate::recovery::WalHandle;
-use crate::store::{Child, LocalNodeId, PartitionStore, ReadHandle};
+use crate::store::{Child, LocalNodeId, PartitionStore};
 
 /// The per-partition *resource condition* of the insertion algorithm: "the
 /// condition can be dynamically evaluated at run-time — for example, it may
@@ -152,10 +153,11 @@ pub(crate) struct SharedConfig {
     /// The process-wide WAL, `None` when running without durability.
     pub(crate) wal: Option<Arc<WalHandle>>,
     partitions: AtomicUsize,
-    /// Lock-free read handles registered by partition actors, keyed by
-    /// hosting compute node. Leaf lock (rank 21 in
-    /// semtree-check's order): nothing is acquired while it is held.
-    read_handles: Mutex<HashMap<ComputeNodeId, Arc<ReadHandle>>>,
+    /// The trees of the partitions this process hosts, registered by
+    /// their actors and read lock-free by every other thread, keyed by
+    /// hosting compute node. Leaf lock (rank 21 in semtree-check's
+    /// order): nothing is acquired while it is held, and readers share it.
+    read_handles: RwLock<HashMap<ComputeNodeId, Arc<Tree>>>,
     /// Metrics sink for optimistic-read retry accounting; set once the
     /// owning fabric is known, absent in bare unit-test stores.
     metrics: OnceLock<Arc<ClusterMetrics>>,
@@ -169,27 +171,48 @@ impl SharedConfig {
             max_partitions: config.max_partitions,
             wal,
             partitions: AtomicUsize::new(0),
-            read_handles: Mutex::new(HashMap::new()),
+            read_handles: RwLock::new(HashMap::new()),
             metrics: OnceLock::new(),
         })
     }
 
-    /// Publish (or refresh) the lock-free read handle for the partition
-    /// hosted on `node`.
-    pub(crate) fn register_read_handle(&self, node: ComputeNodeId, handle: Arc<ReadHandle>) {
+    /// Publish (or replace) the tree of the partition hosted on `node`.
+    pub(crate) fn register_read_handle(&self, node: ComputeNodeId, tree: &Arc<Tree>) {
         self.read_handles
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(node, handle);
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(node, Arc::clone(tree));
     }
 
-    /// The read handle registered for `node`, if any.
-    pub(crate) fn read_handle(&self, node: ComputeNodeId) -> Option<Arc<ReadHandle>> {
+    /// Withdraw `node`'s tree once its actor is gone — a dead partition
+    /// must fail reads the way it fails writes, not answer them from a
+    /// frozen tree — unless the entry is no longer `tree`.
+    pub(crate) fn unregister_read_handle(&self, node: ComputeNodeId, tree: &Arc<Tree>) {
+        let mut handles = self
+            .read_handles
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        if handles
+            .get(&node)
+            .is_some_and(|held| Arc::ptr_eq(held, tree))
+        {
+            handles.remove(&node);
+        }
+    }
+
+    /// The tree registered for `node`, if this process hosts it.
+    fn read_handle(&self, node: ComputeNodeId) -> Option<Arc<Tree>> {
         self.read_handles
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(&node)
             .cloned()
+    }
+
+    /// A lock-free reader for one read: it crosses in place into every
+    /// partition registered here and needs the mailbox for the rest.
+    pub(crate) fn reader(&self) -> InPlace<StdShim, impl Fn(u32) -> Option<Arc<Tree>> + '_> {
+        InPlace::new(|partition| self.read_handle(ComputeNodeId(partition)))
     }
 
     /// Attach the cluster metrics sink (idempotent; first caller wins).
@@ -197,11 +220,13 @@ impl SharedConfig {
         let _ = self.metrics.set(metrics);
     }
 
-    /// Account one optimistic read that validated after `retries`
-    /// writer races; a no-op when no metrics sink is attached.
-    pub(crate) fn record_read_retries(&self, retries: u64) {
+    /// Account the one read `reader` served — its writer-race retries
+    /// over every partition and the borders it crossed — whether or not
+    /// it was answered; a no-op when no metrics sink is attached.
+    pub(crate) fn record_read(&self, reader: &InPlace<StdShim, impl Fn(u32) -> Option<Arc<Tree>>>) {
         if let Some(m) = self.metrics.get() {
-            m.record_read_retries(retries);
+            m.record_read_retries(reader.retries());
+            m.record_reads_crossed(reader.crossed());
         }
     }
 
@@ -592,11 +617,16 @@ impl DistSemTree {
     /// (preserving WAL-before-apply ordering). Reads first walk the root
     /// partition's tree — the same seqlock arena its actor writes —
     /// lock-free on the calling thread, retrying only when racing an
-    /// in-flight insert. A walk that enters no remote child is answered
-    /// inline, byte-identical to the mailbox path, after build-partition
-    /// too; one that would have to cross a partition border is dropped
-    /// and the query goes through the mailbox, whose actor can cross.
-    /// Retries land in the cluster metrics (`reads_retried`).
+    /// in-flight insert, and cross a partition border in place: the
+    /// sub-walk the other partition's actor would run, on that
+    /// partition's own tree, validated against its own version. The
+    /// answer is byte-identical to the mailbox path's, after
+    /// build-partition too, and makes the same promise: every
+    /// acknowledged write, no snapshot across partitions. Only a walk
+    /// that must enter a partition another process hosts is dropped and
+    /// sent through the mailbox, whose actor can reach it. Retries and
+    /// crossings land in the cluster metrics (`reads_retried`,
+    /// `reads_crossed`).
     ///
     /// # Errors
     /// [`ClusterError::InvalidRequest`] when the query is malformed (see
@@ -654,7 +684,7 @@ impl DistSemTree {
                 },
                 decode,
             ),
-            Query::Knn { point, k } => match self.direct_read(|h| h.knn(&point, k, None)) {
+            Query::Knn { point, k } => match self.direct_knn(&point, k) {
                 Some(hits) => Lowered::Answered(QueryOutcome::Neighbors(to_neighbors(hits))),
                 None => Lowered::Send(
                     Req::Knn {
@@ -669,7 +699,7 @@ impl DistSemTree {
             Query::KnnBatch { points, k } => {
                 Lowered::Send(Req::KnnBatch { node, points, k }, decode)
             }
-            Query::Range { point, radius } => match self.direct_read(|h| h.range(&point, radius)) {
+            Query::Range { point, radius } => match self.direct_range(&point, radius) {
                 Some(hits) => Lowered::Answered(sorted_range_outcome(hits)),
                 None => Lowered::Send(
                     Req::Range {
@@ -721,14 +751,26 @@ impl DistSemTree {
         }
     }
 
-    /// Try the lock-free read path: `None` until the root partition has
-    /// registered its [`ReadHandle`], and whenever the walk needs the
-    /// mailbox. Writer-race retries land in the cluster metrics.
-    fn direct_read<T>(&self, read: impl FnOnce(&ReadHandle) -> Option<(T, u64)>) -> Option<T> {
-        let handle = self.shared.read_handle(self.root)?;
-        let (hits, retries) = read(&handle)?;
-        self.shared.record_read_retries(retries);
-        Some(hits)
+    /// The lock-free read path: one validated walk from the root
+    /// partition's root on this thread, crossing in place into every
+    /// partition this process hosts. `None` when it needs the mailbox: a
+    /// partition it must enter is hosted by another process, or has not
+    /// registered its tree (yet, or any more).
+    fn direct_knn(&self, point: &[f64], k: usize) -> Option<Vec<(f64, u64)>> {
+        let reader = self.shared.reader();
+        let walk = |tree: &Tree| tree.knn(0, point, k, None, &reader);
+        let answer = reader.enter((self.root.0, 0), point, walk);
+        self.shared.record_read(&reader);
+        answer.ok()
+    }
+
+    /// [`direct_knn`](Self::direct_knn) for a range search.
+    fn direct_range(&self, point: &[f64], radius: f64) -> Option<Vec<(f64, u64)>> {
+        let reader = self.shared.reader();
+        let walk = |tree: &Tree| tree.range(0, point, radius, &reader);
+        let answer = reader.enter((self.root.0, 0), point, walk);
+        self.shared.record_read(&reader);
+        answer.ok()
     }
 
     /// Number of points inserted through this facade.
@@ -1238,29 +1280,88 @@ mod tests {
         let root = &stats.partitions[0].1;
         assert!(root.edge_nodes > 0 && root.points > 0, "root: {root:?}");
         // One query beside every stored point (off-grid, so no distance
-        // ties): the root still holds some, and a walk that stays inside
-        // its leaves sends no message at all.
-        let (mut inline, mut crossed) = (0, 0);
+        // ties), small and wide. Far from every border or across several
+        // of them, the walk runs on this thread and sends no message:
+        // this process hosts every partition.
+        let before = tree.metrics();
         for (c, _) in &points {
             let q = [c[0] + 0.25];
-            let before = tree.metrics().messages;
-            let pairs: Vec<(f64, u64)> = knn_q(&tree, &q, 3)
-                .iter()
-                .map(|n| (n.dist, n.payload))
-                .collect();
-            assert_eq!(pairs, brute_knn(&points, &q, 3), "knn at {q:?}");
-            assert_eq!(range_q(&tree, &q, 0.5).len(), 1, "range at {q:?}");
-            if tree.metrics().messages == before {
-                inline += 1;
-            } else {
-                crossed += 1;
+            for k in [3, 90] {
+                let pairs: Vec<(f64, u64)> = knn_q(&tree, &q, k)
+                    .iter()
+                    .map(|n| (n.dist, n.payload))
+                    .collect();
+                assert_eq!(pairs, brute_knn(&points, &q, k), "{k}-nn at {q:?}");
             }
+            assert_eq!(range_q(&tree, &q, 0.5).len(), 1, "range at {q:?}");
+            let wide = points.iter().filter(|(p, _)| (p[0] - q[0]).abs() <= 60.0);
+            assert_eq!(
+                range_q(&tree, &q, 60.0).len(),
+                wide.count(),
+                "range at {q:?}"
+            );
         }
-        assert!(
-            inline > 0,
-            "reads that enter no remote child skip the mailbox"
-        );
-        assert!(crossed > 0, "reads across a border go through it");
+        let after = tree.metrics();
+        assert_eq!(after.messages, before.messages, "no read took a mailbox");
+        assert!(after.reads_crossed > 0, "borders are crossed in place");
+        assert_eq!(after.reads_retried, 0, "and nothing was writing");
+        tree.shutdown();
+    }
+
+    #[test]
+    fn reads_into_a_dead_partition_fail_like_the_mailbox_path() {
+        use std::sync::atomic::AtomicBool;
+        // The capacity condition is evaluated by whichever actor stored
+        // the point, so arming it kills exactly that partition: its
+        // thread panics with the point already in its tree.
+        let armed = Arc::new(AtomicBool::new(false));
+        let trip = Arc::clone(&armed);
+        let fault = CapacityPolicy::Dynamic(Arc::new(move |_| {
+            assert!(!trip.load(Ordering::SeqCst), "injected fault");
+            false
+        }));
+        let config = DistConfig::new(1)
+            .with_bucket_size(8)
+            .with_max_partitions(16)
+            .with_capacity(fault);
+        let sample: Vec<Vec<f64>> = (0..64).map(|i| vec![f64::from(i)]).collect();
+        let tree = DistSemTree::with_fanout(config, CostModel::zero(), 3, &sample);
+        for i in 0..64u32 {
+            ins(&tree, &[f64::from(i)], u64::from(i));
+        }
+        assert_eq!(knn_q(&tree, &[62.8], 1)[0].payload, 63);
+        armed.store(true, Ordering::SeqCst);
+        let died = tree.query(Query::insert(&[63.0], 99));
+        armed.store(false, Ordering::SeqCst);
+        assert!(matches!(died, Err(ClusterError::Remote(_))), "{died:?}");
+
+        // The dead partition's tree is withdrawn as its actor unwinds
+        // (just after the failed insert was answered). From then on a
+        // read that must enter it fails the way every write does — it
+        // is not answered from the frozen tree, which holds payload 99.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        let lock_free = loop {
+            let outcome = tree.query(Query::knn(&[62.8], 1));
+            if outcome.is_err() || std::time::Instant::now() > deadline {
+                break outcome;
+            }
+            std::thread::yield_now();
+        };
+        let knn = Req::Knn {
+            node: LocalNodeId(0),
+            point: vec![62.8],
+            k: 1,
+            worst: None,
+        };
+        let mailbox = tree.cluster.call(tree.root, knn).and_then(decode);
+        assert!(mailbox.is_err(), "{mailbox:?}");
+        assert_eq!(lock_free, mailbox);
+        assert!(tree.query(Query::range(&[62.8], 1.0)).is_err());
+        // A read that stays inside the live partitions is still answered,
+        // in place.
+        let before = tree.metrics().messages;
+        assert_eq!(knn_q(&tree, &[3.2], 1)[0].payload, 3);
+        assert_eq!(tree.metrics().messages, before);
         tree.shutdown();
     }
 

@@ -55,7 +55,9 @@
 //! deterministic model checker (`kdtree_read_split` and
 //! `partition_read_relink` in `crates/conc/tests/models.rs`).
 
+use std::cell::Cell;
 use std::collections::BinaryHeap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 
@@ -284,8 +286,8 @@ type Hits = Vec<(f64, u64)>;
 
 /// Every remote operation a traversal may need when it reaches a
 /// [`Child::Remote`] edge. The partition actor implements it over the
-/// message fabric; a lock-free reader passes [`NeedsMailbox`]. Each
-/// operation can fail, and the failure ends the traversal.
+/// message fabric; a lock-free reader passes [`InPlace`]. Each operation
+/// can fail, and the failure ends the traversal.
 pub trait RemoteOps {
     /// Why a crossing failed.
     type Error;
@@ -328,10 +330,10 @@ pub trait RemoteOps {
     }
 }
 
-/// The [`RemoteOps`] of a caller with no message fabric behind it, and
-/// the error it answers every crossing with: the walk stops at the
-/// first remote child it would actually enter, and the operation has to
-/// go through the owning partition's mailbox instead.
+/// Why a lock-free walk stopped at a [`Child::Remote`] edge: the target
+/// partition's tree is not readable from here — another process hosts it
+/// — so the operation has to go through the owning partition's mailbox.
+/// Inserts always do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NeedsMailbox;
 
@@ -341,23 +343,122 @@ impl std::fmt::Display for NeedsMailbox {
     }
 }
 
-impl RemoteOps for NeedsMailbox {
+/// The [`RemoteOps`] of a lock-free reader: a crossing runs the sub-walk
+/// the target partition's actor would run, in place, on the tree `lookup`
+/// finds for that partition, under that tree's own validated
+/// [`Tree::read`], and hands the candidates back for the same merge.
+/// Each partition is validated against its own version word; nothing
+/// validates two partitions together, which is the mailbox path's
+/// contract too (its sub-walks run at different times on different
+/// actors). A partition `lookup` does not know is refused with
+/// [`NeedsMailbox`]; with a lookup that knows none, every crossing is.
+///
+/// One value serves one read: it sums the retries of every validation
+/// and counts the crossings made.
+pub struct InPlace<S: Shim, L> {
+    lookup: L,
+    /// Failed validations allowed per partition entry before it is
+    /// refused; `None` retries until one validates.
+    attempts: Option<u64>,
+    retries: Cell<u64>,
+    crossed: Cell<u64>,
+    shim: PhantomData<fn() -> S>,
+}
+
+impl<S: Shim> InPlace<S, fn(u32) -> Option<Arc<Tree<S>>>> {
+    /// The reader of a tree with nothing behind its remote links.
+    #[must_use]
+    pub fn nowhere() -> Self {
+        InPlace::new(|_| None)
+    }
+}
+
+impl<S: Shim, L: Fn(u32) -> Option<Arc<Tree<S>>>> InPlace<S, L> {
+    /// A reader that crosses into every partition `lookup` finds.
+    pub fn new(lookup: L) -> Self {
+        InPlace {
+            lookup,
+            attempts: None,
+            retries: Cell::new(0),
+            crossed: Cell::new(0),
+            shim: PhantomData,
+        }
+    }
+
+    /// Give up on a partition — as if it were not found — after
+    /// `attempts` failed validations. The form the bounded model checker
+    /// drives (see [`Tree::read_bounded`]).
+    #[must_use]
+    pub fn bounded(mut self, attempts: u64) -> Self {
+        self.attempts = Some(attempts);
+        self
+    }
+
+    /// Writer races lost so far, over every partition entered.
+    pub fn retries(&self) -> u64 {
+        self.retries.get()
+    }
+
+    /// [`Child::Remote`] edges followed in place, to a validated answer
+    /// from the other side, so far.
+    pub fn crossed(&self) -> u64 {
+        self.crossed.get()
+    }
+
+    /// One validated `walk` over `partition`'s tree: how a lock-free read
+    /// starts (at the root partition) and how each of its crossings
+    /// continues. Refused when the partition is not readable here, or
+    /// `node` or `point` do not fit its tree (the mailbox path reports
+    /// those).
+    ///
+    /// # Errors
+    /// [`NeedsMailbox`], from here or from a crossing inside `walk`.
+    pub fn enter<T>(
+        &self,
+        (partition, node): (u32, u32),
+        point: &[f64],
+        walk: impl Fn(&Tree<S>) -> Option<Result<T, NeedsMailbox>>,
+    ) -> Result<T, NeedsMailbox> {
+        let tree = (self.lookup)(partition).ok_or(NeedsMailbox)?;
+        if point.len() != tree.config.dims() || node >= tree.nodes() {
+            return Err(NeedsMailbox);
+        }
+        let (answer, stats) = match self.attempts {
+            None => tree.read(&walk),
+            Some(attempts) => tree.read_bounded(attempts, &walk).ok_or(NeedsMailbox)?,
+        };
+        self.retries.set(self.retries.get() + stats.retries);
+        answer
+    }
+}
+
+impl<S: Shim, L: Fn(u32) -> Option<Arc<Tree<S>>>> RemoteOps for InPlace<S, L> {
     type Error = NeedsMailbox;
     fn insert(&self, _: u32, _: u32, _: &[f64], _: u64) -> Result<(), NeedsMailbox> {
         Err(NeedsMailbox)
     }
     fn knn(
         &self,
-        _: u32,
-        _: u32,
-        _: &[f64],
-        _: usize,
-        _: Option<f64>,
+        partition: u32,
+        node: u32,
+        point: &[f64],
+        k: usize,
+        worst: Option<f64>,
     ) -> Result<Vec<(f64, u64)>, NeedsMailbox> {
-        Err(NeedsMailbox)
+        let walk = |tree: &Tree<S>| tree.knn(node, point, k, worst, self);
+        self.enter((partition, node), point, walk)
+            .inspect(|_| self.crossed.set(self.crossed.get() + 1))
     }
-    fn range(&self, _: u32, _: u32, _: &[f64], _: f64) -> Result<Vec<(f64, u64)>, NeedsMailbox> {
-        Err(NeedsMailbox)
+    fn range(
+        &self,
+        partition: u32,
+        node: u32,
+        point: &[f64],
+        radius: f64,
+    ) -> Result<Vec<(f64, u64)>, NeedsMailbox> {
+        let walk = |tree: &Tree<S>| tree.range(node, point, radius, self);
+        self.enter((partition, node), point, walk)
+            .inspect(|_| self.crossed.set(self.crossed.get() + 1))
     }
 }
 
@@ -1176,9 +1277,13 @@ impl<S: Shim> VersionedKdTree<S> {
     pub fn insert(&mut self, point: &[f64], payload: u64) -> bool {
         let dims = self.writer.tree().config.dims();
         assert_eq!(point.len(), dims, "dimensionality mismatch");
-        let stored = self
-            .writer
-            .insert(0, point, payload, &NeedsMailbox, &mut Vec::new());
+        let stored = self.writer.insert(
+            0,
+            point,
+            payload,
+            &InPlace::<S, _>::nowhere(),
+            &mut Vec::new(),
+        );
         let stored = stored == Some(Ok(true));
         self.len += usize::from(stored);
         stored
@@ -1206,7 +1311,8 @@ impl<S: Shim> VersionedKdReader<S> {
     #[must_use]
     pub fn knn(&self, query: &[f64], k: usize) -> (Vec<Neighbor<u64>>, ReadStats) {
         self.check(query);
-        let walk = |tree: &Tree<S>| neighbors(tree.knn(0, query, k, None, &NeedsMailbox));
+        let walk =
+            |tree: &Tree<S>| neighbors(tree.knn(0, query, k, None, &InPlace::<S, _>::nowhere()));
         self.tree.read(walk)
     }
 
@@ -1219,7 +1325,8 @@ impl<S: Shim> VersionedKdReader<S> {
         k: usize,
         attempts: u64,
     ) -> Option<(Vec<Neighbor<u64>>, ReadStats)> {
-        let walk = |tree: &Tree<S>| neighbors(tree.knn(0, query, k, None, &NeedsMailbox));
+        let walk =
+            |tree: &Tree<S>| neighbors(tree.knn(0, query, k, None, &InPlace::<S, _>::nowhere()));
         self.tree.read_bounded(attempts, walk)
     }
 
@@ -1229,7 +1336,8 @@ impl<S: Shim> VersionedKdReader<S> {
     pub fn range(&self, query: &[f64], radius: f64) -> (Vec<Neighbor<u64>>, ReadStats) {
         self.check(query);
         assert!(radius >= 0.0, "radius must be non-negative");
-        let walk = |tree: &Tree<S>| neighbors(tree.range(0, query, radius, &NeedsMailbox));
+        let walk =
+            |tree: &Tree<S>| neighbors(tree.range(0, query, radius, &InPlace::<S, _>::nowhere()));
         self.tree.read(walk)
     }
 

@@ -346,3 +346,120 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Lock-free reads cross partition borders in place (DESIGN.md §14)
+    /// while the tree underneath them is being partitioned: a reader
+    /// races the inserts of a capacity-bound tree, so leaves migrate to
+    /// new partitions between — and during — its walks. Every answer
+    /// holds each point acknowledged before the read began, exactly
+    /// once, and nothing that was never inserted; once the writer
+    /// finishes, answers are bit-for-bit the sequential reference's and
+    /// no read sends a message.
+    #[test]
+    fn reads_crossing_partitions_under_build_partition_keep_every_acknowledged_point(
+        points in prop::collection::vec(
+            prop::collection::vec(-20.0f64..20.0, 2),
+            40..160
+        ),
+        query in prop::collection::vec(-20.0f64..20.0, 2),
+        k in 1usize..8,
+        radius in 1.0f64..30.0,
+    ) {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        use semtree_dist::CapacityPolicy;
+
+        let tree = Arc::new(DistSemTree::single(
+            DistConfig::new(2)
+                .with_bucket_size(4)
+                .with_capacity(CapacityPolicy::MaxPoints(12))
+                .with_max_partitions(32),
+            CostModel::zero(),
+        ));
+        let points = Arc::new(points);
+        let acknowledged = Arc::new(AtomicUsize::new(0));
+        let done = Arc::new(AtomicBool::new(false));
+        let racing_reader = {
+            let (tree, points) = (Arc::clone(&tree), Arc::clone(&points));
+            let (acknowledged, done) = (Arc::clone(&acknowledged), Arc::clone(&done));
+            let query = query.clone();
+            std::thread::spawn(move || {
+                // Every hit is a stored point at its true distance, and
+                // no point is reported from both sides of a migration.
+                let genuine = |hits: &[semtree_dist::Neighbor<u64>]| {
+                    let mut seen = std::collections::HashSet::new();
+                    for hit in hits {
+                        let stored = &points[hit.payload as usize];
+                        assert!((hit.dist - euclid(stored, &query)).abs() < 1e-9);
+                        assert!(seen.insert(hit.payload), "point {} twice", hit.payload);
+                    }
+                };
+                while !done.load(Ordering::Acquire) {
+                    let before = acknowledged.load(Ordering::Acquire);
+                    let mut owed: Vec<f64> =
+                        points[..before].iter().map(|p| euclid(p, &query)).collect();
+                    owed.sort_by(f64::total_cmp);
+
+                    let in_range = dist_query(&tree, Query::range(&query, radius));
+                    genuine(&in_range);
+                    let owed_in_range = owed.iter().filter(|d| **d <= radius - 1e-9).count();
+                    assert!(
+                        in_range.len() >= owed_in_range,
+                        "range lost an acknowledged point: {} < {owed_in_range}",
+                        in_range.len()
+                    );
+
+                    let nearest = dist_query(&tree, Query::knn(&query, k));
+                    genuine(&nearest);
+                    assert!(nearest.len() >= k.min(before), "k-NN came up short");
+                    for (hit, owed) in nearest.iter().zip(&owed) {
+                        assert!(
+                            hit.dist <= owed + 1e-9,
+                            "k-NN lost an acknowledged point: {} > {owed}",
+                            hit.dist
+                        );
+                    }
+                }
+            })
+        };
+
+        let config = KdConfig::new(2).with_bucket_size(4);
+        let mut seq = KdTree::new(config);
+        for (i, p) in points.iter().enumerate() {
+            tree.query(Query::insert(p, i as u64))
+                .and_then(QueryOutcome::inserted)
+                .expect("distributed insert");
+            acknowledged.store(i + 1, Ordering::Release);
+            seq.insert(p, i as u64);
+        }
+        done.store(true, Ordering::Release);
+        racing_reader.join().expect("racing reader");
+
+        // Quiescent parity with the sequential reference, in place.
+        let messages = tree.metrics().messages;
+        let nearest = dist_query(&tree, Query::knn(&query, k));
+        let want = seq.knn(&query, k);
+        prop_assert_eq!(nearest.len(), want.len());
+        for (h, w) in nearest.iter().zip(&want) {
+            prop_assert_eq!(h.dist.to_bits(), w.dist.to_bits());
+        }
+        let in_range = dist_query(&tree, Query::range(&query, radius));
+        let mut want_range = seq.range(&query, radius);
+        want_range.sort_by(|a, b| a.dist.total_cmp(&b.dist));
+        prop_assert_eq!(in_range.len(), want_range.len());
+        for (h, w) in in_range.iter().zip(&want_range) {
+            prop_assert_eq!(h.dist.to_bits(), w.dist.to_bits());
+        }
+        let mut got: Vec<u64> = in_range.iter().map(|h| h.payload).collect();
+        let mut expect: Vec<u64> = want_range.iter().map(|w| w.payload).collect();
+        got.sort_unstable();
+        expect.sort_unstable();
+        prop_assert_eq!(got, expect);
+        prop_assert_eq!(tree.metrics().messages, messages, "a quiescent read took a mailbox");
+
+        prop_assert_eq!(tree.verify(), Vec::<String>::new());
+        Arc::try_unwrap(tree).ok().expect("sole owner").shutdown();
+    }
+}
