@@ -41,10 +41,14 @@ pub const LOCK_RANKS: &[(&str, &str, u32)] = &[
     ("cluster", "router", 12),
     ("cluster", "factory", 13),
     ("cluster", "generation", 14),
-    // crates/dist — the pipelined client's correlation map. Submitters
-    // and the demux reader take it briefly and call nothing ranked
-    // while holding it.
-    ("dist", "inflight", 20),
+    // crates/dist — the pipelined client. `reader` is the read half of
+    // its socket, held by whichever waiter is reading — across the
+    // blocking `read`, which is the design: one thread at a time
+    // re-assembles replies. Under it only `replies`, the correlation
+    // table, which submitters and waiters take briefly and call nothing
+    // ranked while holding.
+    ("dist", "reader", 19),
+    ("dist", "replies", 20),
     // The process's registry of the partition trees its actors host,
     // read lock-free by every other thread. A leaf lock, shared by
     // lookups: register/lookup copy an Arc in and out and call nothing

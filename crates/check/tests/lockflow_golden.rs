@@ -256,17 +256,17 @@ impl Q {
 
 #[test]
 fn guard_returning_helper_propagates_the_acquisition_to_callers() {
-    // The lock_inflight pattern: a helper returns the guard, so the
+    // The lock_replies pattern: a helper returns the guard, so the
     // caller's `let` binding holds the lock — here across a recv.
     let files = [src(
         "crates/dist/src/client.rs",
         "dist",
         r#"
-fn lock_inflight(inflight: &Mutex<u32>) -> std::sync::MutexGuard<'_, u32> {
-    inflight.lock()
+fn lock_replies(replies: &Mutex<u32>) -> std::sync::MutexGuard<'_, u32> {
+    replies.lock()
 }
-fn outer(inflight: &Mutex<u32>, rx: &Receiver<u32>) {
-    let st = lock_inflight(inflight);
+fn outer(replies: &Mutex<u32>, rx: &Receiver<u32>) {
+    let st = lock_replies(replies);
     let _ = rx.recv();
     drop(st);
 }
@@ -278,7 +278,7 @@ fn outer(inflight: &Mutex<u32>, rx: &Receiver<u32>) {
         .collect();
     assert_eq!(findings.len(), 1, "{findings:#?}");
     assert!(
-        findings[0].message.contains("`inflight`"),
+        findings[0].message.contains("`replies`"),
         "{}",
         findings[0].message
     );

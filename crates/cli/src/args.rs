@@ -200,7 +200,7 @@ COMMANDS:
                  --serve-workers N reactor executor threads  [default 4]
                  --serve-queue N   global in-flight bound    [default 1024]
                  --serve-depth N   per-connection pipeline   [default 64]
-                 --serve-reactors N reactor shards           [default 0 = cores/2]
+                 --serve-reactors N reactor shards, 0 = cores/2 [default 1]
     worker     join a deployment and host partitions until shutdown
                  --join ADDR       the coordinator's cluster-addr (required)
                  --wal-dir DIR     write-ahead log directory; a worker

@@ -427,16 +427,26 @@ fn settle(
 /// order rather than submission order. Returns how many were settled.
 /// The server completes out of order, so FIFO settling would leave
 /// finished replies occupying window slots — and the pipeline stalled —
-/// while the oldest request is still running.
+/// while the oldest request is still running. The client reads replies
+/// only when asked, so the first slot still in flight looks at the
+/// socket (once, filing whatever has arrived for any slot) and the
+/// slots behind it take what that read filed.
 fn harvest_ready(
     window: &mut VecDeque<(Instant, PendingReply)>,
     hist: &LatencyHistogram,
     report: &mut ConnReport,
 ) -> usize {
     let mut settled = 0;
+    let mut probed = false;
     let mut i = 0;
     while i < window.len() {
-        match window[i].1.try_take() {
+        let pending = &window[i].1;
+        let taken = if probed {
+            pending.take_filed()
+        } else {
+            pending.try_take()
+        };
+        match taken {
             Some(outcome) => {
                 let Some((started, _)) = window.remove(i) else {
                     break;
@@ -444,7 +454,10 @@ fn harvest_ready(
                 settle(started, outcome, hist, report);
                 settled += 1;
             }
-            None => i += 1,
+            None => {
+                probed = true;
+                i += 1;
+            }
         }
     }
     settled

@@ -16,11 +16,11 @@
 //! invariant — the paper's resource condition is per-node anyway.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::time::{Duration, Instant};
 
 use semtree_cluster::{
     Cluster, ClusterError, ComputeNodeId, CostModel, Transport, MAX_REACTOR_SHARDS,
@@ -28,9 +28,10 @@ use semtree_cluster::{
 };
 use semtree_kdtree::{Neighbor, SplitRule};
 use semtree_net::{
-    decode_exact, dial_with_timeout, encode_frame_v2, read_frame, split_frame_v2, write_frame,
-    Decode, DecodeError, Encode, NetFabric,
+    append_frame, decode_exact, dial_with_timeout, read_frame, split_frame_v2, write_frame, Decode,
+    DecodeError, Encode, NetFabric,
 };
+use semtree_reactor::{recv_nowait, FrameReader, INLINE_MAX_K};
 use semtree_wal::{Wal, WalError, WalOptions};
 
 use crate::actor::PartitionActor;
@@ -550,6 +551,10 @@ pub enum ClientResp {
     Overloaded,
 }
 
+/// Wire tag of [`ClientReq::Knn`], the one request the reactor shard
+/// looks for before decoding anything.
+const KNN_TAG: u8 = 1;
+
 impl Encode for ClientReq {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
@@ -559,7 +564,7 @@ impl Encode for ClientReq {
                 payload.encode(out);
             }
             ClientReq::Knn { point, k } => {
-                out.push(1);
+                out.push(KNN_TAG);
                 point.encode(out);
                 k.encode(out);
             }
@@ -588,7 +593,7 @@ impl Decode for ClientReq {
                 point: Vec::decode(buf)?,
                 payload: u64::decode(buf)?,
             }),
-            1 => Ok(ClientReq::Knn {
+            KNN_TAG => Ok(ClientReq::Knn {
                 point: Vec::decode(buf)?,
                 k: usize::decode(buf)?,
             }),
@@ -722,7 +727,8 @@ pub struct ServeOptions {
     /// Per-connection pipeline depth; beyond it the reactor stops
     /// reading that socket (backpressure, nothing is shed).
     pub per_conn_depth: usize,
-    /// Reactor shard count; `0` = automatic (half the cores, ≥ 1).
+    /// Reactor shard count, one by default; `0` = automatic (half the
+    /// cores, ≥ 1).
     pub reactors: usize,
 }
 
@@ -868,6 +874,31 @@ impl semtree_reactor::Service for TreeService<'_> {
             }
             Err(reply) => semtree_reactor::Dispatch::Sync(token, reply),
         }
+    }
+
+    /// What the shard answers itself is decided by what the request
+    /// says: a single-point k-NN with `k` ≤ [`INLINE_MAX_K`], whenever
+    /// [`DistSemTree::answer_direct`] settles it — rejected as invalid,
+    /// or read lock-free (4 µs of tree against a longer hand-off to an
+    /// executor). Anything else is declined on its tag byte; a larger
+    /// `k`, or a read that needs a mailbox, costs one decode more. The
+    /// reply bytes are the executor path's: same `answer_direct` (where
+    /// `lower` starts too), same [`to_resp`].
+    fn call_inline(&self, request: &[u8]) -> Option<semtree_reactor::ServiceReply> {
+        if request.first() != Some(&KNN_TAG) {
+            return None;
+        }
+        let ClientReq::Knn { point, k } = decode_exact(request).ok()? else {
+            return None;
+        };
+        if k > INLINE_MAX_K {
+            return None;
+        }
+        let outcome = self.tree.answer_direct(&Query::Knn { point, k })?;
+        Some(semtree_reactor::ServiceReply {
+            payload: to_resp(outcome).to_bytes(),
+            shutdown: false,
+        })
     }
 }
 
@@ -1082,16 +1113,8 @@ fn unexpected(resp: &ClientResp) -> io::Error {
 // Pipelined client
 // ----------------------------------------------------------------------
 
-/// Correlation-id waiters shared between submitters and the demux
-/// reader thread.
-struct Inflight {
-    waiters: HashMap<u64, mpsc::Sender<io::Result<ClientResp>>>,
-    /// Why the connection became unusable, once it has.
-    dead: Option<String>,
-}
-
-fn lock_inflight(inflight: &Mutex<Inflight>) -> std::sync::MutexGuard<'_, Inflight> {
-    inflight
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -1100,40 +1123,230 @@ fn dead_conn(reason: &str) -> io::Error {
     io::Error::new(io::ErrorKind::BrokenPipe, reason.to_string())
 }
 
-/// One in-flight request submitted on a [`PipelinedClient`].
+/// The correlation table of one pipelined connection: what was
+/// submitted and not answered yet, and the answers nobody has claimed
+/// yet.
+#[derive(Default)]
+struct Replies {
+    /// Submitted requests whose reply has not been read off the socket;
+    /// `true` once the [`PendingReply`] was dropped, so the reply is
+    /// discarded when it arrives.
+    waiting: HashMap<u64, bool>,
+    /// Replies read by whoever was reading, until their owners claim
+    /// them.
+    filed: HashMap<u64, io::Result<ClientResp>>,
+    /// Why the connection became unusable, once it has.
+    dead: Option<String>,
+}
+
+impl Replies {
+    /// The connection is unusable from here on; the first reason stays.
+    fn fail(&mut self, reason: String) {
+        self.dead.get_or_insert(reason);
+    }
+
+    /// File the reply to request `corr`; one nobody is waiting for
+    /// (never submitted, or answered twice) is a protocol violation.
+    fn file(&mut self, corr: u64, reply: io::Result<ClientResp>) {
+        match self.waiting.remove(&corr) {
+            Some(false) => drop(self.filed.insert(corr, reply)),
+            Some(true) => {}
+            None => self.fail(format!("reply with unknown correlation id {corr}")),
+        }
+    }
+
+    /// Take request `corr`'s outcome if it is settled: its reply was
+    /// filed, or it never will be. `None` while it is in flight.
+    fn claim(&mut self, corr: u64) -> Option<io::Result<ClientResp>> {
+        if let Some(reply) = self.filed.remove(&corr) {
+            return Some(reply);
+        }
+        if let Some(reason) = &self.dead {
+            return Some(Err(dead_conn(reason)));
+        }
+        if !self.waiting.contains_key(&corr) {
+            return Some(Err(io::Error::other("pipelined reply was already taken")));
+        }
+        None
+    }
+}
+
+/// How long one socket read may take.
+#[derive(Clone, Copy)]
+enum Patience {
+    /// Only what has already arrived.
+    Probe,
+    /// Block, up to the timeout when there is one.
+    Wait(Option<Duration>),
+}
+
+/// The read side of a pipelined connection, used by whichever waiter
+/// holds its lock.
+struct ReadHalf {
+    frames: FrameReader,
+    scratch: Box<[u8]>,
+    /// The socket's read timeout as last set (set only when it changes).
+    timeout: Option<Duration>,
+}
+
+impl ReadHalf {
+    /// One read off the socket into the re-assembly buffer; `Ok(0)`
+    /// means the server closed.
+    fn fill(&mut self, mut stream: &TcpStream, patience: Patience) -> io::Result<usize> {
+        let n = match patience {
+            Patience::Probe => recv_nowait(stream, &mut self.scratch)?,
+            Patience::Wait(timeout) => {
+                if self.timeout != timeout {
+                    stream.set_read_timeout(timeout)?;
+                    self.timeout = timeout;
+                }
+                stream.read(&mut self.scratch)?
+            }
+        };
+        self.frames.extend(&self.scratch[..n]);
+        Ok(n)
+    }
+}
+
+/// What a [`PipelinedClient`] and its [`PendingReply`]s share. There is
+/// no reader thread: a reply is read off the socket by whoever waits
+/// for one, and a reply read on someone else's behalf is filed in
+/// `replies` for its owner. Lock order: `reader`, then `replies`.
+struct PipelinedConn {
+    stream: TcpStream,
+    /// Held for the whole of a wait — across its blocking reads — so one
+    /// thread at a time re-assembles frames; a second waiter queues here
+    /// and usually finds its reply filed when it gets in.
+    reader: Mutex<ReadHalf>,
+    /// Held briefly, never across I/O: submitters are not kept waiting
+    /// by a reader.
+    replies: Mutex<Replies>,
+}
+
+impl PipelinedConn {
+    /// File every complete reply already buffered — any protocol
+    /// violation kills the connection — then claim `corr`'s outcome.
+    fn file_buffered(&self, reader: &mut ReadHalf, corr: u64) -> Option<io::Result<ClientResp>> {
+        let mut replies = lock(&self.replies);
+        while replies.dead.is_none() {
+            let frame = match reader.frames.peek_frame() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
+                Err(e) => {
+                    replies.fail(format!("malformed pipelined reply: {e}"));
+                    break;
+                }
+            };
+            match split_frame_v2(frame) {
+                Ok(Some((answered, body))) => {
+                    let reply = decode_exact::<ClientResp>(body)
+                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
+                    replies.file(answered, reply);
+                }
+                Ok(None) => {
+                    replies.fail("unpipelined (v1) reply on a pipelined connection".into());
+                }
+                Err(e) => replies.fail(format!("malformed pipelined reply: {e}")),
+            }
+            reader.frames.consume_frame();
+        }
+        replies.claim(corr)
+    }
+
+    /// One socket read; `false` when nothing arrived within `patience`.
+    /// A closed or failing socket kills the connection, which settles
+    /// every claim.
+    fn read_more(&self, reader: &mut ReadHalf, patience: Patience) -> bool {
+        loop {
+            let failure = match reader.fill(&self.stream, patience) {
+                Ok(0) => "server closed the pipelined connection".to_string(),
+                Ok(_) => return true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    return false
+                }
+                Err(e) => format!("pipelined read failed: {e}"),
+            };
+            lock(&self.replies).fail(failure);
+            return true;
+        }
+    }
+
+    /// Read replies until `corr`'s is among them, the connection dies,
+    /// or `timeout` passes.
+    fn wait_for(&self, corr: u64, timeout: Option<Duration>) -> io::Result<ClientResp> {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let mut reader = lock(&self.reader);
+        let mut patience = timeout;
+        loop {
+            if let Some(settled) = self.file_buffered(&mut reader, corr) {
+                return settled;
+            }
+            if patience == Some(Duration::ZERO)
+                || !self.read_more(&mut reader, Patience::Wait(patience))
+            {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "pipelined reply still in flight",
+                ));
+            }
+            // That read brought other requests' replies only: go on for
+            // what is left of the caller's timeout.
+            patience = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        }
+    }
+
+    /// [`wait_for`](Self::wait_for) that never blocks: at most one
+    /// non-blocking read, and none at all while another thread is
+    /// reading (it files what arrives).
+    fn probe_for(&self, corr: u64) -> Option<io::Result<ClientResp>> {
+        let mut reader = match self.reader.try_lock() {
+            Ok(reader) => reader,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return lock(&self.replies).claim(corr),
+        };
+        let settled = self.file_buffered(&mut reader, corr);
+        if settled.is_some() || !self.read_more(&mut reader, Patience::Probe) {
+            return settled;
+        }
+        self.file_buffered(&mut reader, corr)
+    }
+}
+
+/// One in-flight request submitted on a [`PipelinedClient`]. Dropping
+/// it discards the answer.
 pub struct PendingReply {
-    rx: mpsc::Receiver<io::Result<ClientResp>>,
+    corr: u64,
+    conn: Arc<PipelinedConn>,
 }
 
 impl PendingReply {
-    /// Block until the response arrives (or the connection dies).
+    /// Block until the response arrives (or the connection dies),
+    /// reading it — and filing any other request's reply that comes
+    /// first — off the socket on this thread.
     ///
     /// # Errors
     /// Transport failures, decode failures, and connection loss all
     /// surface as typed [`io::Error`]s — never a hang.
     pub fn wait(self) -> io::Result<ClientResp> {
-        match self.rx.recv() {
-            Ok(result) => result,
-            Err(_) => Err(dead_conn("pipelined connection closed before reply")),
-        }
+        self.conn.wait_for(self.corr, None)
     }
 
     /// [`wait`](Self::wait) with an upper bound; `TimedOut` when it
-    /// elapses with the request still in flight.
+    /// elapses with the request still in flight (the connection stays
+    /// usable). The bound counts from when this thread gets to read: a
+    /// second thread waiting on the same connection first waits for the
+    /// reading thread to finish its own wait.
     ///
     /// # Errors
     /// Same as [`wait`](Self::wait), plus [`io::ErrorKind::TimedOut`].
     pub fn wait_timeout(self, timeout: Duration) -> io::Result<ClientResp> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(result) => result,
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "pipelined reply still in flight",
-            )),
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                Err(dead_conn("pipelined connection closed before reply"))
-            }
-        }
+        self.conn.wait_for(self.corr, Some(timeout))
     }
 
     /// Non-blocking probe: `Some` with the settled outcome when the
@@ -1141,14 +1354,18 @@ impl PendingReply {
     /// while it is still in flight. Lets a caller holding a window of
     /// pending replies harvest completions in arrival order instead of
     /// submission order — under pipelining the two routinely differ.
+    /// Looks at the socket at most once per call, and not at all when
+    /// the reply is already filed.
     pub fn try_take(&self) -> Option<io::Result<ClientResp>> {
-        match self.rx.try_recv() {
-            Ok(result) => Some(result),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => {
-                Some(Err(dead_conn("pipelined connection closed before reply")))
-            }
-        }
+        self.conn.probe_for(self.corr)
+    }
+
+    /// [`try_take`](Self::try_take) without the look at the socket: only
+    /// a reply some earlier read already filed. A scan over a window of
+    /// pending replies probes once, with the first `try_take` that
+    /// comes back empty, and takes the rest with this.
+    pub fn take_filed(&self) -> Option<io::Result<ClientResp>> {
+        lock(&self.conn.replies).claim(self.corr)
     }
 
     /// Wait and unwrap a [`ClientResp::Neighbors`] reply.
@@ -1175,41 +1392,54 @@ impl PendingReply {
     }
 }
 
+impl Drop for PendingReply {
+    fn drop(&mut self) {
+        let mut replies = lock(&self.conn.replies);
+        if replies.filed.remove(&self.corr).is_none() {
+            if let Some(abandoned) = replies.waiting.get_mut(&self.corr) {
+                *abandoned = true;
+            }
+        }
+    }
+}
+
 /// A pipelined client of the coordinator's query port: many requests in
 /// flight over **one** connection, each tagged with a v2 correlation id
-/// and completed out of order by a demux reader thread.
+/// and completed out of order.
 ///
 /// Submitting returns a [`PendingReply`] immediately; the answer is
-/// claimed later with [`PendingReply::wait`]. Compared to a pool of
-/// [`NetClient`]s, one pipelined connection keeps the server's executor
-/// pool busy without paying a round trip per request.
+/// claimed later with [`PendingReply::wait`], which is also when it is
+/// read: the client runs no thread of its own, so until someone waits,
+/// replies stay in the socket (and, past its buffers, in the server's
+/// write queue). Compared to a pool of [`NetClient`]s, one pipelined
+/// connection keeps the server busy without paying a round trip per
+/// request.
 pub struct PipelinedClient {
-    writer: TcpStream,
-    inflight: Arc<Mutex<Inflight>>,
+    conn: Arc<PipelinedConn>,
     next_corr: u64,
-    reader: Option<std::thread::JoinHandle<()>>,
+    /// The outgoing frame, rebuilt in place for every submit.
+    frame: Vec<u8>,
 }
 
 impl PipelinedClient {
-    /// Dial the coordinator's client port, retrying until `timeout`,
-    /// and start the demux reader.
+    /// Dial the coordinator's client port, retrying until `timeout`.
     ///
     /// # Errors
     /// Fails when the port never comes up.
     pub fn connect(addr: SocketAddr, timeout: Duration) -> io::Result<Self> {
-        let writer = dial_with_timeout(addr, timeout)?;
-        let reader_stream = writer.try_clone()?;
-        let inflight = Arc::new(Mutex::new(Inflight {
-            waiters: HashMap::new(),
-            dead: None,
-        }));
-        let reader_inflight = Arc::clone(&inflight);
-        let reader = std::thread::spawn(move || demux_replies(reader_stream, &reader_inflight));
+        let conn = PipelinedConn {
+            stream: dial_with_timeout(addr, timeout)?,
+            reader: Mutex::new(ReadHalf {
+                frames: FrameReader::new(),
+                scratch: vec![0; 64 * 1024].into_boxed_slice(),
+                timeout: None,
+            }),
+            replies: Mutex::default(),
+        };
         Ok(PipelinedClient {
-            writer,
-            inflight,
+            conn: Arc::new(conn),
             next_corr: 0,
-            reader: Some(reader),
+            frame: Vec::new(),
         })
     }
 
@@ -1219,27 +1449,33 @@ impl PipelinedClient {
         self.next_corr
     }
 
-    /// Submit one request without waiting for its reply.
+    /// Submit one request without waiting for its reply: one frame, one
+    /// `write`.
     ///
     /// # Errors
     /// Fails fast when the connection is already dead or the write
     /// fails; the returned [`PendingReply`] then never existed.
     pub fn submit(&mut self, req: &ClientReq) -> io::Result<PendingReply> {
         let corr = self.next_corr;
-        let (tx, rx) = mpsc::channel();
         {
-            let mut st = lock_inflight(&self.inflight);
-            if let Some(reason) = &st.dead {
+            let mut replies = lock(&self.conn.replies);
+            if let Some(reason) = &replies.dead {
                 return Err(dead_conn(reason));
             }
-            st.waiters.insert(corr, tx);
+            replies.waiting.insert(corr, false);
         }
         self.next_corr += 1;
-        if let Err(e) = write_frame(&mut self.writer, &encode_frame_v2(corr, &req.to_bytes())) {
-            lock_inflight(&self.inflight).waiters.remove(&corr);
+        self.frame.clear();
+        let sent = append_frame(&mut self.frame, Some(corr), &req.to_bytes())
+            .and_then(|()| (&self.conn.stream).write_all(&self.frame));
+        if let Err(e) = sent {
+            lock(&self.conn.replies).waiting.remove(&corr);
             return Err(e);
         }
-        Ok(PendingReply { rx })
+        Ok(PendingReply {
+            corr,
+            conn: Arc::clone(&self.conn),
+        })
     }
 
     /// Submit a k-nearest query; claim it with
@@ -1281,43 +1517,8 @@ impl PipelinedClient {
 
 impl Drop for PipelinedClient {
     fn drop(&mut self) {
-        let _ = self.writer.shutdown(std::net::Shutdown::Both);
-        if let Some(reader) = self.reader.take() {
-            let _ = reader.join();
-        }
-    }
-}
-
-/// Reader-thread body: route each v2 reply to its waiter; on any
-/// protocol violation or transport failure, fail every outstanding
-/// waiter with a typed error and mark the connection dead.
-fn demux_replies(mut stream: TcpStream, inflight: &Mutex<Inflight>) {
-    let failure = loop {
-        let payload = match read_frame(&mut stream) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => break "server closed the pipelined connection".to_string(),
-            Err(e) => break format!("pipelined read failed: {e}"),
-        };
-        let (corr, body) = match split_frame_v2(&payload) {
-            Ok(Some(pair)) => pair,
-            Ok(None) => break "unpipelined (v1) reply on a pipelined connection".to_string(),
-            Err(e) => break format!("malformed pipelined reply: {e}"),
-        };
-        let result = decode_exact::<ClientResp>(body)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
-        // Take the waiter out under the lock, deliver after releasing
-        // it: `tx.send` must never run while `inflight` is held.
-        let waiter = lock_inflight(inflight).waiters.remove(&corr);
-        match waiter {
-            // A dropped PendingReply just discards its answer.
-            Some(tx) => drop(tx.send(result)),
-            None => break format!("reply with unknown correlation id {corr}"),
-        }
-    };
-    let mut st = lock_inflight(inflight);
-    st.dead = Some(failure.clone());
-    for (_, tx) in st.waiters.drain() {
-        let _ = tx.send(Err(dead_conn(&failure)));
+        // Replies still pending see the close as the connection's death.
+        let _ = self.conn.stream.shutdown(std::net::Shutdown::Both);
     }
 }
 

@@ -669,11 +669,14 @@ impl DistSemTree {
     }
 
     /// The one request lowering behind [`query`](DistSemTree::query) and
-    /// [`submit_query`](DistSemTree::submit_query): validate, try the
-    /// lock-free read path, otherwise build the root actor's message and
-    /// name the decoder for its reply.
+    /// [`submit_query`](DistSemTree::submit_query): whatever
+    /// [`answer_direct`](DistSemTree::answer_direct) settles is settled;
+    /// otherwise build the root actor's message and name the decoder for
+    /// its reply.
     fn lower(&self, query: Query) -> Result<Lowered, ClusterError> {
-        self.validate(&query)?;
+        if let Some(settled) = self.answer_direct(&query) {
+            return settled.map(Lowered::Answered);
+        }
         let node = LocalNodeId(0);
         Ok(match query {
             Query::Insert { point, payload } => Lowered::Send(
@@ -684,33 +687,52 @@ impl DistSemTree {
                 },
                 decode,
             ),
-            Query::Knn { point, k } => match self.direct_knn(&point, k) {
-                Some(hits) => Lowered::Answered(QueryOutcome::Neighbors(to_neighbors(hits))),
-                None => Lowered::Send(
-                    Req::Knn {
-                        node,
-                        point,
-                        k,
-                        worst: None,
-                    },
-                    decode,
-                ),
-            },
+            Query::Knn { point, k } => Lowered::Send(
+                Req::Knn {
+                    node,
+                    point,
+                    k,
+                    worst: None,
+                },
+                decode,
+            ),
             Query::KnnBatch { points, k } => {
                 Lowered::Send(Req::KnnBatch { node, points, k }, decode)
             }
-            Query::Range { point, radius } => match self.direct_range(&point, radius) {
-                Some(hits) => Lowered::Answered(sorted_range_outcome(hits)),
-                None => Lowered::Send(
-                    Req::Range {
-                        node,
-                        point,
-                        radius,
-                    },
-                    decode_range,
-                ),
-            },
+            Query::Range { point, radius } => Lowered::Send(
+                Req::Range {
+                    node,
+                    point,
+                    radius,
+                },
+                decode_range,
+            ),
         })
+    }
+
+    /// The first half of the lowering, for a caller that must not wait
+    /// (a reactor shard answering on its own thread): everything about
+    /// `query` that can be settled here and now without a message —
+    /// its rejection by [`validate`](DistSemTree::validate), or a k-NN
+    /// or range search the lock-free read path completes. `None` means
+    /// the query needs a mailbox (a write, a batch, a read that must
+    /// enter a partition hosted elsewhere, or one that kept losing to
+    /// writers): hand it to [`query`](DistSemTree::query) or
+    /// [`submit_query`](DistSemTree::submit_query), which start here too.
+    pub fn answer_direct(&self, query: &Query) -> Option<Result<QueryOutcome, ClusterError>> {
+        if let Err(rejected) = self.validate(query) {
+            return Some(Err(rejected));
+        }
+        let outcome = match query {
+            Query::Knn { point, k } => {
+                QueryOutcome::Neighbors(to_neighbors(self.direct_knn(point, *k)?))
+            }
+            Query::Range { point, radius } => {
+                sorted_range_outcome(self.direct_range(point, *radius)?)
+            }
+            Query::Insert { .. } | Query::KnnBatch { .. } => return None,
+        };
+        Some(Ok(outcome))
     }
 
     /// The input contract of every data operation, checked once here —

@@ -1,0 +1,393 @@
+//! The pipelined client against hostile and awkward servers.
+//!
+//! `PipelinedClient` has no reader thread: replies are read by whoever
+//! waits. These tests put a scripted fake server on a loopback socket
+//! and check the client's half of the frame-level contract — whatever
+//! bytes come back, every outstanding `PendingReply` ends in its own
+//! correct answer or in the typed dead-connection error (`BrokenPipe`),
+//! never a panic, never a hang (every wait here has a timeout), and
+//! nothing is allocated on the word of a length prefix.
+
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::mpsc;
+use std::thread::JoinHandle;
+use std::time::Duration;
+
+use proptest::prelude::*;
+use semtree_cluster::CostModel;
+use semtree_dist::{
+    serve_clients_with, ClientResp, DistConfig, DistSemTree, NetClient, PendingReply,
+    PipelinedClient, Query, ServeOptions,
+};
+use semtree_net::{append_frame, read_frame, Encode, MAX_FRAME_LEN};
+
+const WAIT: Duration = Duration::from_secs(10);
+
+/// One move of the fake server.
+enum Step {
+    /// Read this many request frames off the client first.
+    Expect(usize),
+    /// Write these bytes with one `write_all`.
+    Send(Vec<u8>),
+    /// Give the client time to read what was sent so far on its own.
+    Pause,
+    /// Block until the test says go.
+    Hold(mpsc::Receiver<()>),
+    /// Close the connection now.
+    Close,
+}
+
+/// Accept one connection and play `script`; unless it closed, keep the
+/// socket open — swallowing whatever the client still sends — until the
+/// client goes away.
+fn fake_server(script: Vec<Step>) -> (SocketAddr, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let handle = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        stream.set_nodelay(true).expect("nodelay");
+        for step in script {
+            match step {
+                Step::Expect(n) => {
+                    for _ in 0..n {
+                        read_frame(&mut stream).expect("request").expect("frame");
+                    }
+                }
+                Step::Send(bytes) => stream.write_all(&bytes).expect("send"),
+                Step::Pause => std::thread::sleep(Duration::from_millis(2)),
+                Step::Hold(go) => go.recv().expect("go"),
+                Step::Close => return,
+            }
+        }
+        let mut sink = [0u8; 4096];
+        while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+    });
+    (addr, handle)
+}
+
+fn connect(addr: SocketAddr) -> PipelinedClient {
+    PipelinedClient::connect(addr, WAIT).expect("connect")
+}
+
+/// Submit `n` requests (correlation ids `0..n`).
+fn submit_n(client: &mut PipelinedClient, n: u64) -> Vec<PendingReply> {
+    (0..n)
+        .map(|i| client.knn(&[i as f64, 0.0], 1).expect("submit"))
+        .collect()
+}
+
+/// The reply only request `corr` may get.
+fn answer(corr: u64) -> ClientResp {
+    ClientResp::Neighbors(vec![(corr as f64 + 0.5, corr)])
+}
+
+/// `answer(corr)` as the server frames it.
+fn reply_frame(corr: u64) -> Vec<u8> {
+    let mut wire = Vec::new();
+    append_frame(&mut wire, Some(corr), &answer(corr).to_bytes()).expect("frame");
+    wire
+}
+
+fn assert_dead(outcome: std::io::Result<ClientResp>, what: &str) {
+    match outcome {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
+        other => panic!("{what}: expected the dead-connection error, got {other:?}"),
+    }
+}
+
+/// How a hostile server ends an otherwise valid reply stream.
+#[derive(Debug, Clone)]
+enum Ending {
+    /// Half a reply frame, then EOF.
+    Truncated(usize),
+    /// A length prefix past the frame cap (nothing behind it).
+    Oversized(u32),
+    /// A reply without the v2 header.
+    V1,
+    /// A well-formed reply to a request nobody sent.
+    UnknownCorr(u64),
+    /// A second reply to a request already answered.
+    Duplicate,
+    /// Bytes.
+    Garbage(Vec<u8>),
+}
+
+fn ending() -> impl Strategy<Value = Ending> {
+    prop_oneof![
+        (1usize..20).prop_map(Ending::Truncated),
+        (1u32..1_000_000)
+            .prop_map(|past| Ending::Oversized(u32::try_from(MAX_FRAME_LEN).unwrap() + past)),
+        Just(Ending::V1),
+        (1_000u64..u64::MAX).prop_map(Ending::UnknownCorr),
+        Just(Ending::Duplicate),
+        prop::collection::vec(0u8..=255u8, 1..64).prop_map(Ending::Garbage),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Valid replies in any order and any segmentation, then one
+    /// violation: what was answered before it is delivered, everything
+    /// else — outstanding then, or submitted later — gets `BrokenPipe`.
+    #[test]
+    fn a_violation_kills_the_connection_but_not_the_answers_before_it(
+        total in 1u64..10,
+        answered in 0usize..10,
+        shuffle in prop::collection::vec(0usize..1000, 10),
+        cuts in prop::collection::vec(0usize..1000, 0..4),
+        ending in ending(),
+    ) {
+        // The ids answered, in the order the server answers them.
+        let mut order: Vec<u64> = (0..total).collect();
+        order.sort_by_key(|&corr| shuffle[usize::try_from(corr).unwrap()]);
+        order.truncate(answered.min(order.len()));
+
+        let mut wire: Vec<u8> = order.iter().flat_map(|&corr| reply_frame(corr)).collect();
+        match &ending {
+            Ending::Truncated(keep) => {
+                let unanswered = (0..total).find(|corr| !order.contains(corr));
+                let frame = reply_frame(unanswered.unwrap_or(total));
+                wire.extend_from_slice(&frame[..(*keep).min(frame.len() - 1)]);
+            }
+            Ending::Oversized(len) => wire.extend_from_slice(&len.to_be_bytes()),
+            Ending::V1 => append_frame(&mut wire, None, &answer(0).to_bytes()).unwrap(),
+            Ending::UnknownCorr(corr) => wire.extend(reply_frame(*corr)),
+            Ending::Duplicate => wire.extend(reply_frame(order.first().copied().unwrap_or(total))),
+            Ending::Garbage(bytes) => wire.extend_from_slice(bytes),
+        }
+
+        let mut script = vec![Step::Expect(usize::try_from(total).unwrap())];
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (wire.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut sent = 0;
+        for cut in cuts {
+            script.push(Step::Send(wire[sent..cut].to_vec()));
+            script.push(Step::Pause);
+            sent = cut;
+        }
+        script.push(Step::Send(wire[sent..].to_vec()));
+        script.push(Step::Close);
+
+        let (addr, server) = fake_server(script);
+        let mut client = connect(addr);
+        let pending = submit_n(&mut client, total);
+        for (corr, reply) in (0..total).zip(pending) {
+            let outcome = reply.wait_timeout(WAIT);
+            if order.contains(&corr) {
+                prop_assert_eq!(outcome.expect("answered before the violation"), answer(corr));
+            } else if !matches!(ending, Ending::Garbage(_)) {
+                assert_dead(outcome, "unanswered request");
+            } else {
+                // Garbage may, one time in 2^72, spell a reply header;
+                // it must still settle, and never as a timeout.
+                prop_assert!(!matches!(&outcome, Err(e) if e.kind() == std::io::ErrorKind::TimedOut));
+            }
+        }
+        // The connection is dead for good. A later submit fails at once
+        // when the violation has been read already (or the write hits
+        // the closed socket); otherwise its reply is the same error.
+        match client.knn(&[0.0, 0.0], 1) {
+            Err(e) => prop_assert!(
+                matches!(e.kind(), std::io::ErrorKind::BrokenPipe | std::io::ErrorKind::ConnectionReset),
+                "{e}"
+            ),
+            Ok(late) => assert_dead(late.wait_timeout(WAIT), "request after the violation"),
+        }
+        server.join().expect("fake server");
+    }
+
+    /// Nothing but noise, then EOF.
+    #[test]
+    fn random_bytes_never_hang_or_panic_the_client(
+        noise in prop::collection::vec(0u8..=255u8, 0..600),
+    ) {
+        let (addr, server) = fake_server(vec![Step::Expect(3), Step::Send(noise), Step::Close]);
+        let mut client = connect(addr);
+        for reply in submit_n(&mut client, 3) {
+            if let Err(e) = reply.wait_timeout(WAIT) {
+                prop_assert!(
+                    matches!(e.kind(), std::io::ErrorKind::BrokenPipe | std::io::ErrorKind::InvalidData),
+                    "{e}"
+                );
+            }
+        }
+        server.join().expect("fake server");
+    }
+}
+
+#[test]
+fn replies_split_at_every_byte_boundary_reassemble() {
+    // Two replies, out of order, cut in two at every byte (cut 0 and the
+    // full length put both in one segment).
+    let wire: Vec<u8> = [reply_frame(1), reply_frame(0)].concat();
+    for cut in 0..=wire.len() {
+        let (addr, server) = fake_server(vec![
+            Step::Expect(2),
+            Step::Send(wire[..cut].to_vec()),
+            Step::Pause,
+            Step::Send(wire[cut..].to_vec()),
+        ]);
+        let mut client = connect(addr);
+        let pending = submit_n(&mut client, 2);
+        for (corr, reply) in (0..2).zip(pending) {
+            assert_eq!(
+                reply.wait_timeout(WAIT).expect("reply"),
+                answer(corr),
+                "cut {cut}"
+            );
+        }
+        drop(client);
+        server.join().expect("fake server");
+    }
+}
+
+#[test]
+fn two_threads_waiting_on_one_connection_both_finish() {
+    let (go_tx, go_rx) = mpsc::channel();
+    // Reply 1 first, so whichever thread reads files the other's answer.
+    let wire = [reply_frame(1), reply_frame(0)].concat();
+    let (addr, server) = fake_server(vec![Step::Expect(2), Step::Hold(go_rx), Step::Send(wire)]);
+    let mut client = connect(addr);
+    let pending = submit_n(&mut client, 2);
+    let barrier = std::sync::Barrier::new(3);
+    std::thread::scope(|scope| {
+        let waiters: Vec<_> = pending
+            .into_iter()
+            .map(|reply| {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    barrier.wait();
+                    reply.wait_timeout(WAIT)
+                })
+            })
+            .collect();
+        // Both threads are about to wait (or already are) when the
+        // server is let go.
+        barrier.wait();
+        go_tx.send(()).expect("go");
+        for (corr, waiter) in (0..2).zip(waiters) {
+            assert_eq!(waiter.join().expect("waiter").expect("reply"), answer(corr));
+        }
+    });
+    drop(client);
+    server.join().expect("fake server");
+}
+
+#[test]
+fn a_timed_out_wait_leaves_the_connection_usable() {
+    let (go_tx, go_rx) = mpsc::channel();
+    let (addr, server) = fake_server(vec![
+        Step::Expect(2),
+        Step::Hold(go_rx),
+        Step::Send([reply_frame(0), reply_frame(1)].concat()),
+    ]);
+    let mut client = connect(addr);
+    let silent = client.knn(&[0.0, 0.0], 1).expect("submit");
+    assert!(
+        silent.try_take().is_none(),
+        "nothing has been sent back yet"
+    );
+    let timed_out = silent.wait_timeout(Duration::from_millis(40)).unwrap_err();
+    assert_eq!(timed_out.kind(), std::io::ErrorKind::TimedOut);
+
+    // The abandoned request's late reply is discarded, not a violation.
+    let next = client.knn(&[1.0, 0.0], 1).expect("submit after a timeout");
+    go_tx.send(()).expect("go");
+    assert_eq!(next.wait_timeout(WAIT).expect("reply"), answer(1));
+    let after = client.knn(&[2.0, 0.0], 1);
+    assert!(after.is_ok(), "the connection is still alive");
+    drop(client);
+    server.join().expect("fake server");
+}
+
+#[test]
+fn try_take_reads_what_has_arrived_and_take_filed_never_reads() {
+    let (go_tx, go_rx) = mpsc::channel();
+    let (addr, server) = fake_server(vec![
+        Step::Expect(3),
+        Step::Send(reply_frame(2)),
+        Step::Hold(go_rx),
+        Step::Send([reply_frame(0), reply_frame(1)].concat()),
+    ]);
+    let mut client = connect(addr);
+    let pending = submit_n(&mut client, 3);
+    // Poll the oldest until the newest's reply has been seen on the way.
+    let newest = loop {
+        assert!(pending[0].try_take().is_none(), "request 0 is unanswered");
+        if let Some(reply) = pending[2].take_filed() {
+            break reply;
+        }
+        std::thread::yield_now();
+    };
+    assert_eq!(newest.expect("reply 2"), answer(2));
+    assert!(pending[1].take_filed().is_none());
+    go_tx.send(()).expect("go");
+    // `take_filed` alone never makes progress; one `try_take` reads both.
+    let oldest = loop {
+        if let Some(reply) = pending[0].try_take() {
+            break reply;
+        }
+        std::thread::yield_now();
+    };
+    assert_eq!(oldest.expect("reply 0"), answer(0));
+    let mut middle = pending[1].take_filed();
+    while middle.is_none() {
+        // The two replies may have come in two segments.
+        middle = pending[1].try_take();
+    }
+    assert_eq!(middle.unwrap().expect("reply 1"), answer(1));
+    // A reply is handed over once.
+    assert!(matches!(pending[1].try_take(), Some(Err(_))));
+    drop(client);
+    server.join().expect("fake server");
+}
+
+#[test]
+fn dropping_the_client_fails_what_is_still_pending() {
+    let (addr, server) = fake_server(vec![Step::Expect(1)]);
+    let mut client = connect(addr);
+    let pending = client.knn(&[0.0, 0.0], 1).expect("submit");
+    drop(client);
+    assert_dead(pending.wait_timeout(WAIT), "request pending at drop");
+    server.join().expect("fake server");
+}
+
+/// The server must keep reading — and the client must find every
+/// answer — when nothing is claimed until everything is submitted:
+/// without a reader thread the replies wait in the socket buffers and
+/// the server's write queue.
+#[test]
+fn twenty_thousand_knns_submitted_before_the_first_claim_all_resolve() {
+    let tree = DistSemTree::single(DistConfig::new(2).with_bucket_size(8), CostModel::zero());
+    let points: Vec<[f64; 2]> = (0..64u32)
+        .map(|i| [f64::from(i % 8), f64::from(i / 8)])
+        .collect();
+    for (i, p) in points.iter().enumerate() {
+        tree.query(Query::insert(p, i as u64)).expect("insert");
+    }
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| serve_clients_with(&listener, &tree, &ServeOptions::default()));
+        let mut client = connect(addr);
+        let pending: Vec<PendingReply> = (0..20_000usize)
+            .map(|i| client.knn(&points[i % points.len()], 1).expect("submit"))
+            .collect();
+        for (i, reply) in pending.into_iter().enumerate() {
+            let hits = match reply.wait_timeout(WAIT).expect("reply") {
+                ClientResp::Neighbors(hits) => hits,
+                other => panic!("request {i}: {other:?}"),
+            };
+            assert_eq!(hits, vec![(0.0, (i % points.len()) as u64)], "request {i}");
+        }
+        drop(client);
+        NetClient::connect(addr, WAIT)
+            .expect("connect")
+            .shutdown()
+            .expect("shutdown");
+        server.join().expect("server thread").expect("serve");
+    });
+    tree.shutdown();
+}

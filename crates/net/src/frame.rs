@@ -13,12 +13,43 @@ use std::time::{Duration, Instant};
 /// corrupted or hostile stream rather than allocated.
 pub const MAX_FRAME_LEN: usize = 256 * 1024 * 1024;
 
-/// Write one frame (length prefix + payload) and flush it.
-pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
+/// Append one whole frame to `out`: the length prefix, the v2 header
+/// when `corr` is given, then `body` — the same bytes as
+/// [`write_frame`] over [`encode_frame_v2`] (or over the bare body),
+/// built in place so a writer can hand the socket many frames at once.
+///
+/// # Errors
+/// [`io::ErrorKind::InvalidInput`] when the frame's payload exceeds the
+/// u32 length-prefix range; `out` is untouched.
+pub fn append_frame(out: &mut Vec<u8>, corr: Option<u64>, body: &[u8]) -> io::Result<()> {
+    let header = if corr.is_some() {
+        FRAME_V2_HEADER_LEN
+    } else {
+        0
+    };
+    let len = u32::try_from(header + body.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds u32 length"))?;
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(payload)?;
+    out.reserve(frame_overhead(header + body.len()));
+    out.extend_from_slice(&len.to_be_bytes());
+    if let Some(corr) = corr {
+        push_v2_header(out, corr);
+    }
+    out.extend_from_slice(body);
+    Ok(())
+}
+
+fn push_v2_header(out: &mut Vec<u8>, corr_id: u64) {
+    out.push(FRAME_V2);
+    out.extend_from_slice(&corr_id.to_le_bytes());
+}
+
+/// Write one frame (length prefix + payload) and flush it. Prefix and
+/// payload leave in one `write`: on a `TCP_NODELAY` socket two writes
+/// are two segments and two syscalls.
+pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    let mut framed = Vec::new();
+    append_frame(&mut framed, None, payload)?;
+    stream.write_all(&framed)?;
     stream.flush()
 }
 
@@ -79,8 +110,7 @@ pub const FRAME_V2_HEADER_LEN: usize = 9;
 #[must_use]
 pub fn encode_frame_v2(corr_id: u64, body: &[u8]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(FRAME_V2_HEADER_LEN + body.len());
-    payload.push(FRAME_V2);
-    payload.extend_from_slice(&corr_id.to_le_bytes());
+    push_v2_header(&mut payload, corr_id);
     payload.extend_from_slice(body);
     payload
 }
@@ -164,6 +194,50 @@ mod tests {
         assert_eq!(read_frame(&mut reader).unwrap().unwrap().len(), 300);
         // Clean close at a frame boundary.
         assert_eq!(read_frame(&mut reader).unwrap(), None);
+    }
+
+    /// Counts `write` calls; accepts everything offered.
+    struct CountingSink {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        let mut sink = CountingSink {
+            bytes: Vec::new(),
+            writes: 0,
+        };
+        for (sent, payload) in [&b"hello"[..], b"", &[7u8; 70_000]].into_iter().enumerate() {
+            write_frame(&mut sink, payload).unwrap();
+            assert_eq!(sink.writes, sent + 1, "one write per frame");
+        }
+        let mut reader: &[u8] = &sink.bytes;
+        assert_eq!(read_frame(&mut reader).unwrap().unwrap(), b"hello");
+        assert_eq!(read_frame(&mut reader).unwrap().unwrap(), b"");
+        assert_eq!(read_frame(&mut reader).unwrap().unwrap(), [7u8; 70_000]);
+    }
+
+    #[test]
+    fn append_frame_is_write_frame_over_the_v2_payload() {
+        let mut appended = Vec::new();
+        append_frame(&mut appended, Some(42), b"body").unwrap();
+        append_frame(&mut appended, None, b"plain").unwrap();
+        let mut written = Vec::new();
+        write_frame(&mut written, &encode_frame_v2(42, b"body")).unwrap();
+        write_frame(&mut written, b"plain").unwrap();
+        assert_eq!(appended, written);
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //! Non-blocking sockets deliver bytes in arbitrary chunks, so the
 //! reactor accumulates them here: [`FrameReader`] re-assembles complete
 //! `[u32 BE length][payload]` frames out of whatever arrived, and
-//! [`WriteQueue`] tracks partially written responses so a `WouldBlock`
-//! mid-frame resumes at the right offset. Both are pure in-memory state
+//! [`WriteQueue`] coalesces the responses queued in one readiness turn
+//! into one buffer — one `write` — and resumes at the right offset
+//! after a `WouldBlock` mid-frame. Both are pure in-memory state
 //! machines, unit-testable without sockets.
 
-use std::collections::VecDeque;
 use std::io::{self, Write};
 
-use semtree_net::MAX_FRAME_LEN;
+use semtree_net::{append_frame, MAX_FRAME_LEN};
 
 /// Incremental parser for length-prefixed frames.
 #[derive(Debug, Default)]
@@ -49,18 +49,36 @@ impl FrameReader {
     /// exceeds [`MAX_FRAME_LEN`] — the stream is hostile or corrupt and
     /// the connection should be dropped.
     pub fn has_frame(&self) -> io::Result<bool> {
+        self.peek_frame().map(|frame| frame.is_some())
+    }
+
+    /// The next complete frame's payload, borrowed from the buffer and
+    /// left in place ([`consume_frame`](Self::consume_frame) moves past
+    /// it), or `None` when more bytes are needed.
+    ///
+    /// # Errors
+    /// Same as [`has_frame`](Self::has_frame).
+    pub fn peek_frame(&self) -> io::Result<Option<&[u8]>> {
         let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
-            return Ok(false);
-        }
-        let len = u32::from_be_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
+        let Some((prefix, rest)) = avail.split_first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = u32::from_be_bytes(*prefix) as usize;
         if len > MAX_FRAME_LEN {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("frame length {len} exceeds maximum {MAX_FRAME_LEN}"),
             ));
         }
-        Ok(avail.len() >= 4 + len)
+        Ok(rest.get(..len))
+    }
+
+    /// Move past the frame [`peek_frame`](Self::peek_frame) returns; a
+    /// no-op when it returns none.
+    pub fn consume_frame(&mut self) {
+        if let Ok(Some(frame)) = self.peek_frame() {
+            self.pos += 4 + frame.len();
+        }
     }
 
     /// Consume and return the next complete frame's payload, or `None`
@@ -69,22 +87,22 @@ impl FrameReader {
     /// # Errors
     /// Same as [`has_frame`](Self::has_frame).
     pub fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
-        if !self.has_frame()? {
-            return Ok(None);
-        }
-        let avail = &self.buf[self.pos..];
-        let len = u32::from_be_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
-        let payload = avail[4..4 + len].to_vec();
-        self.pos += 4 + len;
-        Ok(Some(payload))
+        let frame = self.peek_frame()?.map(<[u8]>::to_vec);
+        self.consume_frame();
+        Ok(frame)
     }
 }
 
-/// Outbound frames with partial-write resumption.
+/// Most idle storage a drained [`WriteQueue`] keeps for its next turn;
+/// a connection that once buffered a large backlog gives the rest back.
+const IDLE_WRITE_CAPACITY: usize = 64 * 1024;
+
+/// Outbound frames, back to back in one buffer, with partial-write
+/// resumption.
 #[derive(Debug, Default)]
 pub struct WriteQueue {
-    queue: VecDeque<Vec<u8>>,
-    /// Bytes of the front buffer already written to the socket.
+    buf: Vec<u8>,
+    /// Bytes of `buf` already written to the socket.
     offset: usize,
 }
 
@@ -95,60 +113,60 @@ impl WriteQueue {
         WriteQueue::default()
     }
 
-    /// Queue one frame (length prefix is prepended here).
+    /// Queue one frame (the length prefix is prepended here): v2
+    /// (correlated) when `corr` is given, as the request was.
     ///
     /// # Errors
-    /// [`io::ErrorKind::InvalidInput`] when `payload` exceeds the u32
+    /// [`io::ErrorKind::InvalidInput`] when the frame exceeds the u32
     /// length-prefix range.
-    pub fn push_frame(&mut self, payload: &[u8]) -> io::Result<()> {
-        let len = u32::try_from(payload.len())
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds u32 length"))?;
-        let mut framed = Vec::with_capacity(4 + payload.len());
-        framed.extend_from_slice(&len.to_be_bytes());
-        framed.extend_from_slice(payload);
-        self.queue.push_back(framed);
-        Ok(())
+    pub fn push_frame(&mut self, corr: Option<u64>, body: &[u8]) -> io::Result<()> {
+        if self.offset > 0 && self.offset * 2 >= self.buf.len() {
+            // Written bytes are at least half the buffer: dropping them
+            // moves less than it frees.
+            self.buf.drain(..self.offset);
+            self.offset = 0;
+        }
+        append_frame(&mut self.buf, corr, body)
     }
 
     /// Nothing left to write?
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.offset == self.buf.len()
     }
 
     /// Bytes queued but not yet written.
     #[must_use]
     pub fn pending_bytes(&self) -> usize {
-        self.queue.iter().map(Vec::len).sum::<usize>() - self.offset
+        self.buf.len() - self.offset
     }
 
-    /// Write as much as the socket will take without blocking. Returns
-    /// once the queue is drained or the write would block.
+    /// Write as much as the socket will take without blocking — every
+    /// queued frame in one `write` when it takes them all. Returns once
+    /// the queue is drained or the write would block.
     ///
     /// # Errors
     /// Propagates socket errors other than `WouldBlock`/`Interrupted`;
     /// a zero-length write surfaces as [`io::ErrorKind::WriteZero`].
     pub fn write_to(&mut self, stream: &mut impl Write) -> io::Result<()> {
-        while let Some(front) = self.queue.front() {
-            match stream.write(&front[self.offset..]) {
+        while !self.is_empty() {
+            match stream.write(&self.buf[self.offset..]) {
                 Ok(0) => {
                     return Err(io::Error::new(
                         io::ErrorKind::WriteZero,
                         "socket accepted zero bytes",
                     ));
                 }
-                Ok(n) => {
-                    self.offset += n;
-                    if self.offset == front.len() {
-                        self.queue.pop_front();
-                        self.offset = 0;
-                    }
-                }
+                Ok(n) => self.offset += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
+        // Drained: the storage is reused by the next turn's replies.
+        self.buf.clear();
+        self.buf.shrink_to(IDLE_WRITE_CAPACITY);
+        self.offset = 0;
         Ok(())
     }
 }
@@ -239,8 +257,8 @@ mod tests {
     #[test]
     fn write_queue_resumes_partial_writes_across_would_block() {
         let mut wq = WriteQueue::new();
-        wq.push_frame(b"hello pipelined world").unwrap();
-        wq.push_frame(b"second frame").unwrap();
+        wq.push_frame(None, b"hello pipelined world").unwrap();
+        wq.push_frame(None, b"second frame").unwrap();
         let mut sink = Throttled {
             sink: Vec::new(),
             cap: 5,
@@ -254,5 +272,125 @@ mod tests {
         expected.extend(framed(b"second frame"));
         assert_eq!(sink.sink, expected);
         assert_eq!(wq.pending_bytes(), 0);
+    }
+
+    /// Takes everything offered and counts the `write` calls.
+    struct Counting {
+        sink: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.sink.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_turn_of_replies_leaves_in_one_write() {
+        let mut wq = WriteQueue::new();
+        let mut expected = Vec::new();
+        for corr in 0..8u64 {
+            wq.push_frame(Some(corr), &corr.to_le_bytes()).unwrap();
+            expected.extend(framed(&semtree_net::encode_frame_v2(
+                corr,
+                &corr.to_le_bytes(),
+            )));
+        }
+        assert_eq!(wq.pending_bytes(), expected.len());
+        let mut sink = Counting {
+            sink: Vec::new(),
+            writes: 0,
+        };
+        wq.write_to(&mut sink).unwrap();
+        assert_eq!(sink.writes, 1, "eight queued replies, one write");
+        assert_eq!(sink.sink, expected);
+        assert!(wq.is_empty());
+    }
+
+    #[test]
+    fn would_block_mid_buffer_then_more_frames_keeps_order_and_counts() {
+        let mut wq = WriteQueue::new();
+        wq.push_frame(None, b"first reply of the turn").unwrap();
+        wq.push_frame(None, b"second").unwrap();
+        let mut expected = framed(b"first reply of the turn");
+        expected.extend(framed(b"second"));
+        // Seven bytes leave — mid-frame — then the socket blocks.
+        let mut sink = Throttled {
+            sink: Vec::new(),
+            cap: 7,
+            calls_until_block: 1,
+        };
+        wq.write_to(&mut sink).unwrap();
+        assert_eq!(sink.sink.len(), 7);
+        assert_eq!(wq.pending_bytes(), expected.len() - 7);
+        // More replies are queued behind the half-written buffer.
+        for late in [&b"third"[..], &[5u8; 300]] {
+            wq.push_frame(None, late).unwrap();
+            expected.extend(framed(late));
+            assert_eq!(wq.pending_bytes(), expected.len() - 7);
+        }
+        sink.cap = usize::MAX;
+        sink.calls_until_block = 1;
+        wq.write_to(&mut sink).unwrap();
+        assert_eq!(sink.sink, expected, "frames on the wire, in order");
+        assert_eq!(wq.pending_bytes(), 0);
+        assert!(wq.is_empty());
+
+        // Once drained the same storage carries the next turn.
+        let storage = (wq.buf.as_ptr(), wq.buf.capacity());
+        wq.push_frame(None, b"next turn").unwrap();
+        assert_eq!((wq.buf.as_ptr(), wq.buf.capacity()), storage);
+        assert_eq!(wq.pending_bytes(), 4 + 9);
+    }
+
+    #[test]
+    fn written_prefix_is_dropped_instead_of_growing_forever() {
+        // A socket that takes half of every offer and then blocks: the
+        // queue is never empty, yet its buffer must not keep every byte
+        // ever queued.
+        let mut wq = WriteQueue::new();
+        let mut sink = Throttled {
+            sink: Vec::new(),
+            cap: 0,
+            calls_until_block: 1,
+        };
+        let mut expected = Vec::new();
+        for round in 0..200u32 {
+            wq.push_frame(None, &[round as u8; 256]).unwrap();
+            expected.extend(framed(&[round as u8; 256]));
+            sink.cap = wq.pending_bytes() / 2;
+            sink.calls_until_block = 1;
+            wq.write_to(&mut sink).unwrap();
+            assert!(!wq.is_empty());
+            assert!(wq.buf.len() <= 4 * 260, "round {round}: {}", wq.buf.len());
+        }
+        sink.cap = usize::MAX;
+        sink.calls_until_block = 1;
+        wq.write_to(&mut sink).unwrap();
+        assert_eq!(sink.sink, expected);
+    }
+
+    #[test]
+    fn peeked_frames_are_borrowed_and_stay_until_consumed() {
+        let mut reader = FrameReader::new();
+        let mut wire = framed(b"one");
+        wire.extend(framed(b"two"));
+        reader.extend(&wire[..wire.len() - 1]);
+        assert_eq!(reader.peek_frame().unwrap(), Some(&b"one"[..]));
+        assert_eq!(reader.peek_frame().unwrap(), Some(&b"one"[..]));
+        reader.consume_frame();
+        // The second frame is one byte short: nothing to see or consume.
+        assert_eq!(reader.peek_frame().unwrap(), None);
+        reader.consume_frame();
+        assert_eq!(reader.buffered(), wire.len() - 1 - 7);
+        reader.extend(&wire[wire.len() - 1..]);
+        assert_eq!(reader.next_frame().unwrap().unwrap(), b"two");
+        assert_eq!(reader.buffered(), 0);
     }
 }

@@ -10,7 +10,8 @@
 //! - [`sys`]: the readiness syscalls (the only `unsafe` in the
 //!   workspace) behind one `Poller` trait — persistent-registration
 //!   level-triggered `epoll` on Linux, portable `poll(2)` elsewhere,
-//!   `EINTR`-retrying and safe above the syscalls;
+//!   `EINTR`-retrying and safe above the syscalls — plus the one
+//!   non-blocking `recv` the pipelined client probes its socket with;
 //! - [`buffer`]: per-connection frame re-assembly and partial-write
 //!   resumption over the existing u32-length-prefixed framing;
 //! - [`queue`]: bounded global + per-connection admission with
@@ -18,10 +19,12 @@
 //!   `semtree-conc` model checker can explore the queue-full /
 //!   connection-close race;
 //! - [`reactor`]: N sharded event loops (accept-balanced connection
-//!   ownership, per-shard wake pipes and completion lists) feeding an
-//!   executor pool behind the [`Service`] trait — shedding overload
-//!   with a typed response, completing pipelined replies from any
-//!   thread via [`ReplyToken`], and recording per-request latency and
+//!   ownership, per-shard wake pipes and completion lists) that answer
+//!   on their own thread what the [`Service`] takes inline
+//!   ([`Service::call_inline`]) and feed an executor pool with the rest
+//!   — shedding overload with a typed response, completing pipelined
+//!   replies from any thread via [`ReplyToken`], flushing a turn's
+//!   replies in one write, and recording per-request latency and
 //!   per-shard served/shed counters into the shared
 //!   [`semtree_cluster::MetricsSnapshot`].
 //!
@@ -39,9 +42,9 @@ pub use buffer::{FrameReader, WriteQueue};
 pub use queue::{Push, ServeQueue};
 pub use reactor::{
     effective_reactors, serve, Dispatch, ReactorConfig, ReactorReport, ReplyToken, Service,
-    ServiceReply, DRAIN_BUDGET, MAX_REACTORS,
+    ServiceReply, DRAIN_BUDGET, INLINE_MAX_K, MAX_REACTORS,
 };
-pub use sys::Interest;
+pub use sys::{recv_nowait, Interest};
 
 #[cfg(test)]
 mod tests {
@@ -54,7 +57,9 @@ mod tests {
     use semtree_net::{encode_frame_v2, read_frame, split_frame_v2, write_frame};
 
     /// Echoes the body back; byte `0xFF` alone means "shut down"; body
-    /// `[0xEE]` sleeps briefly (to hold queue slots in overload tests).
+    /// `[0xEE]` sleeps briefly (to hold queue slots in overload tests);
+    /// a body starting with `0x11` is answered inline on the shard.
+    /// `calls` counts executor-side calls only.
     struct Echo {
         calls: AtomicU64,
     }
@@ -73,18 +78,36 @@ mod tests {
         fn overloaded(&self) -> Vec<u8> {
             b"OVERLOADED".to_vec()
         }
+        fn call_inline(&self, request: &[u8]) -> Option<ServiceReply> {
+            (request.first() == Some(&0x11)).then(|| ServiceReply {
+                payload: request.to_vec(),
+                shutdown: false,
+            })
+        }
     }
 
     fn serve_echo(
         config: ReactorConfig,
     ) -> (std::net::SocketAddr, std::thread::JoinHandle<ReactorReport>) {
+        let (addr, handle) = serve_counting_echo(config);
+        (addr, std::thread::spawn(move || handle.join().unwrap().0))
+    }
+
+    /// [`serve_echo`] that also yields how many requests the executors ran.
+    fn serve_counting_echo(
+        config: ReactorConfig,
+    ) -> (
+        std::net::SocketAddr,
+        std::thread::JoinHandle<(ReactorReport, u64)>,
+    ) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let handle = std::thread::spawn(move || {
             let echo = Echo {
                 calls: AtomicU64::new(0),
             };
-            serve(&listener, &echo, &config).unwrap()
+            let report = serve(&listener, &echo, &config).unwrap();
+            (report, echo.calls.load(Ordering::Relaxed))
         });
         (addr, handle)
     }
@@ -216,6 +239,67 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!(snap.latency.count, 9); // 8 echoes + shutdown
         assert!(snap.latency.p99_nanos() > 0);
+    }
+
+    #[test]
+    fn inline_answers_never_reach_an_executor_and_are_counted() {
+        let metrics = std::sync::Arc::new(semtree_cluster::ClusterMetrics::default());
+        let config = ReactorConfig {
+            metrics: Some(std::sync::Arc::clone(&metrics)),
+            ..ReactorConfig::default()
+        };
+        let (addr, handle) = serve_counting_echo(config);
+        let mut stream = TcpStream::connect(addr).unwrap();
+        // Two DRAIN_BUDGETs of inline requests in one burst (the second
+        // half is re-pumped), then a v1 one.
+        let burst = 2 * DRAIN_BUDGET as u64;
+        for i in 0..burst {
+            write_frame(&mut stream, &encode_frame_v2(i, &[0x11, i as u8])).unwrap();
+        }
+        for i in 0..burst {
+            let payload = read_frame(&mut stream).unwrap().unwrap();
+            let (corr, body) = split_frame_v2(&payload).unwrap().expect("v2 reply");
+            assert_eq!(
+                (corr, body),
+                (i, &[0x11, i as u8][..]),
+                "inline replies in order"
+            );
+        }
+        write_frame(&mut stream, &[0x11, 0xAB]).unwrap();
+        assert_eq!(read_frame(&mut stream).unwrap().unwrap(), [0x11, 0xAB]);
+        drop(stream);
+        shutdown_server(addr);
+        let (report, executed) = handle.join().unwrap();
+        assert_eq!(executed, 1, "only the shutdown request reached an executor");
+        assert_eq!(report.served, burst + 2);
+        let snap = metrics.snapshot();
+        assert_eq!(
+            snap.latency.count,
+            burst + 2,
+            "inline answers are timed too"
+        );
+        assert_eq!(snap.shard_served.iter().sum::<u64>(), burst + 2);
+    }
+
+    #[test]
+    fn inline_replies_overtake_a_slow_executor_request_on_one_connection() {
+        let (addr, handle) = serve_echo(ReactorConfig::default());
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write_frame(&mut stream, &encode_frame_v2(0, &[0xEE])).unwrap();
+        for i in 1..=4u64 {
+            write_frame(&mut stream, &encode_frame_v2(i, &[0x11])).unwrap();
+        }
+        let mut order = Vec::new();
+        for _ in 0..5 {
+            let payload = read_frame(&mut stream).unwrap().unwrap();
+            let (corr, body) = split_frame_v2(&payload).unwrap().expect("v2 reply");
+            assert_eq!(body, if corr == 0 { [0xEE] } else { [0x11] });
+            order.push(corr);
+        }
+        assert_eq!(order, [1, 2, 3, 4, 0], "the 30 ms request comes back last");
+        drop(stream);
+        shutdown_server(addr);
+        handle.join().unwrap();
     }
 
     #[test]

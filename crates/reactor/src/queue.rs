@@ -43,6 +43,11 @@ struct QueueState<T> {
     /// removed when its connection closes; late completions then only
     /// release the global slot.
     per_conn: HashMap<u64, usize>,
+    /// Threads blocked on the condvar (executors in
+    /// [`pop`](ServeQueue::pop), idle-waiters). Counted under the mutex
+    /// the wait releases, so a notifier that reads zero has nobody to
+    /// wake: whoever parks later re-checks the state first.
+    parked: usize,
     closed: bool,
     /// A release was attempted on an empty slot count — a bookkeeping
     /// bug. Never set in a correct reactor; the model checker asserts
@@ -68,6 +73,7 @@ impl<T: Send + 'static, S: Shim> ServeQueue<T, S> {
                 jobs: VecDeque::new(),
                 global: 0,
                 per_conn: HashMap::new(),
+                parked: 0,
                 closed: false,
                 underflowed: false,
             }),
@@ -80,7 +86,7 @@ impl<T: Send + 'static, S: Shim> ServeQueue<T, S> {
     /// executor. On [`Push::Granted`] the caller owes exactly one
     /// [`complete`](Self::complete) for the slot.
     pub fn push(&self, conn: u64, job: T) -> Push {
-        {
+        let parked = {
             let mut st = S::lock(&self.inner);
             if st.closed {
                 return Push::Closed;
@@ -91,8 +97,11 @@ impl<T: Send + 'static, S: Shim> ServeQueue<T, S> {
             st.global += 1;
             *st.per_conn.entry(conn).or_insert(0) += 1;
             st.jobs.push_back((conn, job));
+            st.parked
+        };
+        if parked > 0 {
+            S::notify_one(&self.cv);
         }
-        S::notify_one(&self.cv);
         Push::Granted
     }
 
@@ -109,7 +118,9 @@ impl<T: Send + 'static, S: Shim> ServeQueue<T, S> {
             if st.closed {
                 return None;
             }
+            st.parked += 1;
             st = S::wait(&self.cv, st, &self.inner);
+            st.parked -= 1;
         }
     }
 
@@ -117,7 +128,7 @@ impl<T: Send + 'static, S: Shim> ServeQueue<T, S> {
     /// after [`close_conn`](Self::close_conn) — the global slot is
     /// still released exactly once.
     pub fn complete(&self, conn: u64) {
-        {
+        let parked = {
             let mut st = S::lock(&self.inner);
             if let Some(g) = st.global.checked_sub(1) {
                 st.global = g;
@@ -131,9 +142,12 @@ impl<T: Send + 'static, S: Shim> ServeQueue<T, S> {
                     st.underflowed = true;
                 }
             }
-        }
+            st.parked
+        };
         // Wake idle-waiters (and any parked executor re-checking close).
-        S::notify_all(&self.cv);
+        if parked > 0 {
+            S::notify_all(&self.cv);
+        }
     }
 
     /// Forget connection `conn`'s per-connection accounting (it
@@ -180,8 +194,10 @@ impl<T: Send + 'static, S: Shim> ServeQueue<T, S> {
             if now >= deadline {
                 return false;
             }
+            st.parked += 1;
             let (guard, _timed_out) = S::wait_timeout(&self.cv, st, &self.inner, deadline - now);
             st = guard;
+            st.parked -= 1;
         }
     }
 

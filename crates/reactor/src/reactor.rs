@@ -8,15 +8,21 @@
 //! to the least-loaded shard over a lock-protected inbox plus a wake
 //! pipe; after that the connection lives and dies on its owning shard
 //! (its fd is registered with that shard's poller exactly once).
-//! Responses flow back through per-shard completion lists, so
-//! out-of-order completion under pipelining is the natural case — each
-//! v2 frame carries its correlation id home.
+//! A request the service can answer without blocking
+//! ([`Service::call_inline`]) never leaves the shard that decoded it:
+//! the reply is framed straight into the connection's write queue, and
+//! every reply queued in one readiness turn leaves in one `write`.
+//! Everything else is admitted to the executor pool, and its response
+//! flows back through per-shard completion lists, so out-of-order
+//! completion under pipelining is the natural case — each v2 frame
+//! carries its correlation id home.
 //!
-//! Completions are routed by an `Arc`'d [`ReplyToken`], which makes the
-//! reply path location-independent: an executor can answer inline
-//! ([`Dispatch::Sync`]), or a [`Service`] can take the token across
-//! threads and complete the response later from a transport's demux
-//! callback ([`Dispatch::Completed`]) — the pipelined worker hop.
+//! Executor completions are routed by an `Arc`'d [`ReplyToken`], which
+//! makes the reply path location-independent: an executor can answer
+//! synchronously ([`Dispatch::Sync`]), or a [`Service`] can take the
+//! token across threads and complete the response later from a
+//! transport's demux callback ([`Dispatch::Completed`]) — the pipelined
+//! worker hop.
 //!
 //! Connection lifecycle: `Accepted → Reading ⇄ Backpressured → Draining
 //! → Closed`. *Backpressured* means the connection's in-flight count
@@ -41,7 +47,7 @@ use std::time::Instant;
 
 use semtree_cluster::ClusterMetrics;
 use semtree_conc::sync::Mutex;
-use semtree_net::{encode_frame_v2, split_frame_v2};
+use semtree_net::split_frame_v2;
 
 use crate::buffer::{FrameReader, WriteQueue};
 use crate::queue::{Push, ServeQueue};
@@ -63,6 +69,16 @@ pub const MAX_REACTORS: usize = 32;
 /// shard re-pumps them on its next iteration without waiting for new
 /// socket readiness.
 pub const DRAIN_BUDGET: usize = 32;
+
+/// Largest `k` of a k-NN that a [`Service`] may answer on the shard
+/// thread ([`Service::call_inline`]). The shard is the one thread all of
+/// its connections share, so what runs on it must be as bounded as the
+/// drain budget is: up to one default leaf bucket (32 points) of results
+/// is a descent plus a scan of a bucket or two — microseconds, less than
+/// the executor hand-off it saves — and a connection's turn stays within
+/// `DRAIN_BUDGET` such reads. A larger `k` scans leaves in proportion
+/// and a range search has no bound at all; both go to the executors.
+pub const INLINE_MAX_K: usize = 32;
 
 /// The shard index encoded in connection id `id`.
 fn conn_shard(id: u64) -> usize {
@@ -108,6 +124,17 @@ pub trait Service: Sync {
     fn call_pipelined(&self, request: &[u8], token: ReplyToken) -> Dispatch {
         Dispatch::Sync(token, self.call(request))
     }
+
+    /// Answer `request` right now on the reactor shard that decoded it,
+    /// or decline with `None`, which sends it to the executors
+    /// unchanged. Only for work that neither blocks nor waits on another
+    /// thread and is small next to the executor hand-off (see
+    /// [`INLINE_MAX_K`]): every connection of the shard waits while it
+    /// runs. Declining must be cheap — every request is offered here
+    /// first. The default declines everything.
+    fn call_inline(&self, _request: &[u8]) -> Option<ServiceReply> {
+        None
+    }
 }
 
 /// Tunables for [`serve`].
@@ -125,7 +152,8 @@ pub struct ReactorConfig {
     /// and per-shard served/shed counters.
     pub metrics: Option<Arc<ClusterMetrics>>,
     /// Reactor shard count; `0` means automatic (half the available
-    /// cores, at least one). Capped at [`MAX_REACTORS`].
+    /// cores, at least one). Capped at [`MAX_REACTORS`]. The default is
+    /// one: no committed measurement shows several shards beating one.
     pub reactors: usize,
 }
 
@@ -136,7 +164,7 @@ impl Default for ReactorConfig {
             global_depth: 1024,
             per_conn_depth: 64,
             metrics: None,
-            reactors: 0,
+            reactors: 1,
         }
     }
 }
@@ -170,7 +198,8 @@ struct Job {
 /// One finished response travelling back to its owning shard.
 struct Completion {
     conn: u64,
-    /// Full reply payload (v2 header already prepended when required).
+    corr: Option<u64>,
+    /// Encoded response body; the shard frames it into the write queue.
     payload: Vec<u8>,
 }
 
@@ -206,6 +235,29 @@ struct Router {
     served: AtomicU64,
 }
 
+impl Router {
+    /// Count one answered request of `shard`'s and its serving latency
+    /// (admission → reply ready) — on the shard for an inline answer, on
+    /// the completing thread otherwise.
+    fn record_served(&self, shard: usize, admitted: Instant) {
+        let elapsed = u64::try_from(admitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        if let Some(metrics) = &self.metrics {
+            metrics.record_latency(elapsed);
+            metrics.record_shard_served(shard);
+        }
+        self.served.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Ask the whole reactor to drain and return: every shard must
+    /// notice, not just the one that saw the request.
+    fn request_stop(&self) {
+        self.stopping.store(true, Ordering::SeqCst);
+        for port in &self.shards {
+            port.wake();
+        }
+    }
+}
+
 /// The write-side handle for one admitted request: whoever holds it
 /// answers the client. Created by the executor loop; either completed
 /// inline ([`Dispatch::Sync`]) or carried to another thread by a
@@ -225,16 +277,7 @@ impl ReplyToken {
     pub fn complete(mut self, payload: Vec<u8>, shutdown: bool) {
         self.armed = false;
         let shard = conn_shard(self.conn);
-        let elapsed = u64::try_from(self.admitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if let Some(metrics) = &self.router.metrics {
-            metrics.record_latency(elapsed);
-            metrics.record_shard_served(shard);
-        }
-        self.router.served.fetch_add(1, Ordering::Relaxed);
-        let framed = match self.corr {
-            Some(corr) => encode_frame_v2(corr, &payload),
-            None => payload,
-        };
+        self.router.record_served(shard, self.admitted);
         if shutdown {
             self.router.stopping.store(true, Ordering::SeqCst);
         }
@@ -243,14 +286,12 @@ impl ReplyToken {
             .lock()
             .push(Completion {
                 conn: self.conn,
-                payload: framed,
+                corr: self.corr,
+                payload,
             });
         self.router.queue.complete(self.conn);
         if shutdown {
-            // Every shard must notice the drain, not just the owner.
-            for port in &self.router.shards {
-                port.wake();
-            }
+            self.router.request_stop();
         } else {
             self.router.shards[shard].wake();
         }
@@ -337,10 +378,7 @@ pub fn serve<SVC: Service>(
         }
         let r0 = shard_loop(0, Some(listener), &wake_rxs[0], &router, service);
         // Shard 0 is back (shutdown or fatal error): stop the others.
-        router.stopping.store(true, Ordering::SeqCst);
-        for port in &router.shards {
-            port.wake();
-        }
+        router.request_stop();
         let mut shed = 0u64;
         let mut first_err = None;
         match r0 {
@@ -408,6 +446,9 @@ fn shard_loop<SVC: Service>(
     // Connections the fairness budget left with admissible buffered
     // frames; re-pumped next iteration without new socket readiness.
     let mut repump: Vec<u64> = Vec::new();
+    // Connections touched in one iteration: (id, readable, writable,
+    // error).
+    let mut touched: Vec<(u64, bool, bool, bool)> = Vec::new();
     let mut drain_deadline: Option<Instant> = None;
 
     loop {
@@ -421,12 +462,9 @@ fn shard_loop<SVC: Service>(
         let timeout = if repump.is_empty() { 50 } else { 0 };
         poller.wait(&mut events, timeout)?;
 
-        // Connections touched this iteration: (id, readable, writable,
-        // error). Budget leftovers first, then kernel readiness.
-        let mut touched: Vec<(u64, bool, bool, bool)> = Vec::new();
-        for id in repump.drain(..) {
-            touched.push((id, false, false, false));
-        }
+        // Budget leftovers first, then kernel readiness.
+        touched.clear();
+        touched.extend(repump.drain(..).map(|id| (id, false, false, false)));
         let mut wake_ready = false;
         let mut accept_ready = false;
         for ev in &events {
@@ -438,7 +476,8 @@ fn shard_loop<SVC: Service>(
         }
 
         if wake_ready {
-            while matches!((&*wake_rx).read(&mut scratch), Ok(n) if n > 0) {}
+            // A read that fills the buffer may have left pokes behind.
+            while matches!((&*wake_rx).read(&mut scratch), Ok(n) if n == scratch.len()) {}
         }
 
         // ---- adopt sockets handed off by the accepting shard.
@@ -477,7 +516,8 @@ fn shard_loop<SVC: Service>(
             // A completion for a vanished connection is dropped: its
             // queue slot was already released by the reply token.
             if let Some(conn) = conns.get_mut(&completion.conn) {
-                if conn.writer.push_frame(&completion.payload).is_err() {
+                let queued = conn.writer.push_frame(completion.corr, &completion.payload);
+                if queued.is_err() {
                     // Response exceeds the frame format: nothing valid
                     // can be sent; drop the connection.
                     close_conn(&mut *poller, router, &mut conns, completion.conn);
@@ -624,8 +664,10 @@ fn adopt(
     touched.push((id, true, false, false));
 }
 
-/// Read until `WouldBlock`, buffering into the connection's
-/// [`FrameReader`]. Returns `true` when the connection died.
+/// Read what the socket holds into the connection's [`FrameReader`]:
+/// until a read comes back short (the socket is drained, and the
+/// level-triggered poller re-reports anything that arrives later) or
+/// `WouldBlock`. Returns `true` when the connection died.
 fn read_ready(conns: &mut HashMap<u64, Conn>, conn_id: u64, scratch: &mut [u8]) -> bool {
     let Some(conn) = conns.get_mut(&conn_id) else {
         return false;
@@ -635,7 +677,12 @@ fn read_ready(conns: &mut HashMap<u64, Conn>, conn_id: u64, scratch: &mut [u8]) 
             // EOF: the client is gone. Frames it already pipelined are
             // moot — nobody is reading replies — so drop the connection.
             Ok(0) => return true,
-            Ok(n) => conn.reader.extend(&scratch[..n]),
+            Ok(n) => {
+                conn.reader.extend(&scratch[..n]);
+                if n < scratch.len() {
+                    return false;
+                }
+            }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => return true,
@@ -643,9 +690,10 @@ fn read_ready(conns: &mut HashMap<u64, Conn>, conn_id: u64, scratch: &mut [u8]) 
     }
 }
 
-/// Parse and admit buffered frames while the connection has pipeline
-/// slots and fairness budget. Returns `(died, leftover)`: `died` when
-/// the stream is corrupt, `leftover` when admissible frames remain
+/// Parse buffered frames while the connection has pipeline slots and
+/// fairness budget: answer on this thread what the service takes inline,
+/// admit the rest to the executors. Returns `(died, leftover)`: `died`
+/// when the stream is corrupt, `leftover` when admissible frames remain
 /// after the budget ran out (the caller re-pumps next iteration).
 fn pump_conn<SVC: Service>(
     shard: usize,
@@ -671,41 +719,51 @@ fn pump_conn<SVC: Service>(
             // also re-pumps, so the next pass reports it as death.
             return (false, matches!(conn.reader.has_frame(), Ok(true) | Err(_)));
         }
-        let payload = match conn.reader.next_frame() {
+        // Borrowed from the read buffer: an inline answer never copies
+        // the request, an admitted one copies it once, into its job.
+        let payload = match conn.reader.peek_frame() {
             Ok(Some(payload)) => payload,
             Ok(None) => return (false, false),
             // Hostile length prefix — the stream is unrecoverable.
             Err(_) => return (true, false),
         };
         budget -= 1;
-        let (corr, body) = match split_frame_v2(&payload) {
-            Ok(Some((corr, body))) => (Some(corr), body.to_vec()),
+        let (corr, body) = match split_frame_v2(payload) {
+            Ok(Some((corr, body))) => (Some(corr), body),
             Ok(None) => (None, payload),
             // Truncated v2 header — desynchronised stream.
             Err(_) => return (true, false),
         };
-        let job = Job {
-            corr,
-            body,
-            admitted: Instant::now(),
-        };
-        match router.queue.push(conn_id, job) {
-            Push::Granted => {}
-            Push::GlobalFull => {
-                *shed += 1;
-                if let Some(metrics) = &router.metrics {
-                    metrics.record_shard_shed(shard);
-                }
-                let reply = service.overloaded();
-                let framed = match corr {
-                    Some(corr) => encode_frame_v2(corr, &reply),
-                    None => reply,
-                };
-                if conn.writer.push_frame(&framed).is_err() {
-                    return (true, false);
-                }
+        let admitted = Instant::now();
+        let reply = if let Some(reply) = service.call_inline(body) {
+            router.record_served(shard, admitted);
+            if reply.shutdown {
+                router.request_stop();
             }
-            Push::Closed => return (true, false),
+            Some(reply.payload)
+        } else {
+            let job = Job {
+                corr,
+                body: body.to_vec(),
+                admitted,
+            };
+            match router.queue.push(conn_id, job) {
+                Push::Granted => None,
+                Push::GlobalFull => {
+                    *shed += 1;
+                    if let Some(metrics) = &router.metrics {
+                        metrics.record_shard_shed(shard);
+                    }
+                    Some(service.overloaded())
+                }
+                Push::Closed => return (true, false),
+            }
+        };
+        conn.reader.consume_frame();
+        if let Some(reply) = reply {
+            if conn.writer.push_frame(corr, &reply).is_err() {
+                return (true, false);
+            }
         }
     }
 }

@@ -7,7 +7,9 @@
 //! querying the tree directly — out-of-order completion must never
 //! mis-deliver a reply.
 
+use std::io::Write;
 use std::net::TcpListener;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use semtree_cluster::CostModel;
@@ -16,7 +18,8 @@ use semtree_dist::{
     Query, QueryOutcome, ServeOptions,
 };
 use semtree_integration::sample_points;
-use semtree_reactor::DRAIN_BUDGET;
+use semtree_net::{append_frame, decode_exact, read_frame, split_frame_v2, Encode};
+use semtree_reactor::{DRAIN_BUDGET, INLINE_MAX_K};
 
 /// A populated single-process tree plus the expected k-NN answer for
 /// each query, computed directly (no network) before serving starts.
@@ -34,16 +37,9 @@ fn tree_with_reference(
             .and_then(QueryOutcome::inserted)
             .expect("insert");
     }
-    let expected: Vec<Vec<(f64, u64)>> = queries
+    let expected = queries
         .iter()
-        .map(|q| {
-            tree.query(Query::knn(q, k))
-                .and_then(QueryOutcome::neighbors)
-                .expect("knn")
-                .into_iter()
-                .map(|h| (h.dist, h.payload))
-                .collect()
-        })
+        .map(|q| in_process_knn(&tree, q, k))
         .collect();
     (tree, expected)
 }
@@ -394,5 +390,243 @@ fn metrics_over_the_wire_report_latency_quantiles() {
         other => panic!("expected Metrics, got {other:?}"),
     }
 
+    shutdown(addr, handle);
+}
+
+/// In-process k-NN as the `(distance, payload)` pairs the wire carries.
+fn in_process_knn(tree: &DistSemTree, q: &[f64], k: usize) -> Vec<(f64, u64)> {
+    tree.query(Query::knn(q, k))
+        .and_then(QueryOutcome::neighbors)
+        .expect("in-process knn")
+        .into_iter()
+        .map(|h| (h.dist, h.payload))
+        .collect()
+}
+
+fn bits(hits: &[(f64, u64)]) -> Vec<(u64, u64)> {
+    hits.iter().map(|&(d, p)| (d.to_bits(), p)).collect()
+}
+
+/// What is answered on the reactor shard (`k` up to `INLINE_MAX_K`) and
+/// what an executor answers (`k` one above) are both the bytes
+/// `DistSemTree::query` gives in-process, on a single-partition tree
+/// and on a partitioned one whose reads cross borders in place.
+#[test]
+fn inline_and_executor_answers_are_the_in_process_bytes() {
+    let queries = sample_points(2, 40, 89);
+    let points = sample_points(2, 1_200, 11);
+    let config = DistConfig::new(2)
+        .with_bucket_size(16)
+        .with_max_partitions(16);
+    for partitions in [1, 4] {
+        let tree = if partitions == 1 {
+            DistSemTree::single(config.clone(), CostModel::zero())
+        } else {
+            DistSemTree::with_fanout(
+                config.clone(),
+                CostModel::zero(),
+                partitions,
+                &points[..200],
+            )
+        };
+        for (i, p) in points.iter().enumerate() {
+            tree.query(Query::insert(p, i as u64)).expect("insert");
+        }
+        let ks = [1, INLINE_MAX_K, INLINE_MAX_K + 1];
+        let expected: Vec<Vec<Vec<(f64, u64)>>> = ks
+            .iter()
+            .map(|&k| {
+                queries
+                    .iter()
+                    .map(|q| in_process_knn(&tree, q, k))
+                    .collect()
+            })
+            .collect();
+        let (addr, handle) = spawn_server(tree, ServeOptions::default());
+        let mut client = PipelinedClient::connect(addr, Duration::from_secs(5)).expect("connect");
+        for (&k, expected) in ks.iter().zip(&expected) {
+            let pending: Vec<_> = queries
+                .iter()
+                .map(|q| client.knn(q, k).expect("submit"))
+                .collect();
+            for ((reply, want), q) in pending.into_iter().zip(expected).zip(&queries) {
+                let got = reply.wait_neighbors().expect("knn reply");
+                assert_eq!(got.len(), k);
+                assert_eq!(
+                    bits(&got),
+                    bits(want),
+                    "{partitions} partitions, k {k}, query {q:?}"
+                );
+            }
+        }
+        shutdown(addr, handle);
+    }
+}
+
+/// Which thread answers is decided by what the request says. One
+/// connection sends, in a single write, a long batch, a k-NN one above
+/// `INLINE_MAX_K`, then k-NNs of `k` ≤ `INLINE_MAX_K` — a wrong-dimension
+/// and a NaN one among them. The shard answers the small ones in the
+/// turn that admits the batch, so on the wire they all precede the
+/// batch's reply, each under its own correlation id, the bad ones as
+/// the typed rejection; the larger k-NN, although sent before them,
+/// takes the executor hand-off and arrives after them. Every one of
+/// them is in the latency histogram and the shard's served count, and
+/// the partition outlives the bad input.
+#[test]
+fn inline_replies_overtake_a_busy_executor_and_are_counted() {
+    let k = 4;
+    let queries = sample_points(2, 32, 23);
+    let (tree, expected) = tree_with_reference(3_000, &queries, k);
+    let over = in_process_knn(&tree, &queries[0], INLINE_MAX_K + 1);
+    let heavy = sample_points(2, 4_096, 47);
+    let options = ServeOptions::default().with_executors(1).with_reactors(1);
+    let (addr, handle) = spawn_server(tree, options);
+
+    let mut requests = vec![
+        ClientReq::KnnBatch {
+            points: heavy.clone(),
+            k: 8,
+        },
+        ClientReq::Knn {
+            point: queries[0].clone(),
+            k: INLINE_MAX_K + 1,
+        },
+    ];
+    let small = |point: &[f64]| ClientReq::Knn {
+        point: point.to_vec(),
+        k,
+    };
+    requests.extend(queries.iter().map(|q| small(q)));
+    requests.extend([small(&[1.0]), small(&[f64::NAN, 0.0])]);
+    let mut wire = Vec::new();
+    for (corr, req) in requests.iter().enumerate() {
+        append_frame(&mut wire, Some(corr as u64), &req.to_bytes()).expect("frame");
+    }
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    stream.write_all(&wire).expect("send");
+
+    let mut arrival = Vec::new();
+    for _ in &requests {
+        let payload = read_frame(&mut stream).expect("reply").expect("frame");
+        let (corr, body) = split_frame_v2(&payload).expect("v2").expect("correlated");
+        let resp: ClientResp = decode_exact(body).expect("decodes");
+        match (usize::try_from(corr).expect("corr"), resp) {
+            (0, ClientResp::NeighborBatches(batches)) => assert_eq!(batches.len(), heavy.len()),
+            (1, ClientResp::Neighbors(got)) => assert_eq!(got, over),
+            (i, ClientResp::Neighbors(got)) if i < 2 + queries.len() => {
+                assert_eq!(got, expected[i - 2], "query {}", i - 2);
+            }
+            (i, ClientResp::Error(msg)) if i >= 2 + queries.len() => {
+                assert!(msg.contains("invalid request"), "{msg}");
+            }
+            (i, other) => panic!("request {i}: {other:?}"),
+        }
+        arrival.push(corr);
+    }
+    let small_ones: Vec<u64> = (2..requests.len() as u64).collect();
+    assert_eq!(
+        arrival[..small_ones.len()],
+        small_ones,
+        "answered in order, on the shard"
+    );
+    // The k-NN above the bound was sent before all of them and still
+    // arrives after: it went through the executor, like the batch.
+    let mut executed = arrival[small_ones.len()..].to_vec();
+    executed.sort_unstable();
+    assert_eq!(executed, [0, 1]);
+    drop(stream);
+
+    let mut v1 = NetClient::connect(addr, Duration::from_secs(5)).expect("connect");
+    let m = v1.metrics().expect("metrics");
+    let sent = requests.len() as u64;
+    assert_eq!(m.latency_count, sent, "every request is in the histogram");
+    assert_eq!(m.shard_served.iter().sum::<u64>(), sent);
+    assert_eq!(m.shard_shed.iter().sum::<u64>(), 0);
+
+    // The partition took no harm from the rejected requests.
+    v1.insert(&[500.0, 500.0], 9_999).expect("insert");
+    assert_eq!(v1.knn(&[500.0, 500.0], 1).expect("knn"), vec![(0.0, 9_999)]);
+    assert_eq!(v1.verify().expect("verify"), Vec::<String>::new());
+    shutdown(addr, handle);
+}
+
+/// A 4-partition tree served while another client inserts: every k-NN —
+/// answered on the shard, or by an executor (`k` above the bound, or the
+/// shard's lock-free read gave up) — is the brute-force answer over the
+/// inserts acknowledged before it was sent, plus whichever of the
+/// inserts in flight meanwhile it happened to see.
+#[test]
+fn served_knns_beside_an_inserter_match_brute_force_over_the_acknowledged_prefix() {
+    let points = sample_points(2, 1_500, 97);
+    let queries = sample_points(2, 48, 101);
+    let config = DistConfig::new(2)
+        .with_bucket_size(8)
+        .with_max_partitions(16);
+    let tree = DistSemTree::with_fanout(config, CostModel::zero(), 4, &points[..256]);
+    assert_eq!(tree.partition_count(), 4);
+    let (addr, handle) = spawn_server(tree, ServeOptions::default());
+
+    let dist = |a: &[f64], b: &[f64]| -> f64 {
+        let sq: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
+        sq.sqrt()
+    };
+    let acked = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut writer = NetClient::connect(addr, Duration::from_secs(5)).expect("connect");
+            for (i, p) in points.iter().enumerate() {
+                writer.insert(p, i as u64).expect("insert");
+                acked.store(i + 1, Ordering::SeqCst);
+            }
+        });
+
+        let mut client = PipelinedClient::connect(addr, Duration::from_secs(5)).expect("connect");
+        let mut round = 0;
+        let mut last = false;
+        while !last {
+            // One more round once the inserter is done: the full set.
+            last = acked.load(Ordering::SeqCst) == points.len();
+            let q = &queries[round % queries.len()];
+            let k = if round % 3 == 0 { INLINE_MAX_K + 1 } else { 5 };
+            round += 1;
+
+            let before = acked.load(Ordering::SeqCst);
+            let got = client
+                .knn(q, k)
+                .and_then(|reply| reply.wait_timeout(Duration::from_secs(30)))
+                .expect("knn reply");
+            let ClientResp::Neighbors(got) = got else {
+                panic!("round {round}: {got:?}");
+            };
+            // Acknowledged by now, plus the one insert that may be applied
+            // and not acknowledged yet.
+            let after = (acked.load(Ordering::SeqCst) + 1).min(points.len());
+
+            let mut visible: Vec<usize> = (0..before).collect();
+            for &(_, payload) in &got {
+                let id = usize::try_from(payload).expect("payload");
+                assert!(id < after, "round {round}: point {id} was never inserted");
+                if id >= before {
+                    visible.push(id);
+                }
+            }
+            let mut brute: Vec<(f64, u64)> = visible
+                .iter()
+                .map(|&id| (dist(&points[id], q), id as u64))
+                .collect();
+            brute.sort_by(|a, b| a.0.total_cmp(&b.0));
+            brute.truncate(k);
+            assert_eq!(
+                bits(&got),
+                bits(&brute),
+                "round {round}: k {k}, {before} acknowledged before, {after} possible after"
+            );
+        }
+        assert!(round > 3, "the reader must overlap the inserter");
+    });
     shutdown(addr, handle);
 }
