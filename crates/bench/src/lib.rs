@@ -218,7 +218,7 @@ pub fn pick_radius(points: &[Vec<f64>], q: f64) -> f64 {
     if dists.is_empty() {
         return 0.1;
     }
-    dists.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
+    dists.sort_by(f64::total_cmp);
     let idx = ((q.clamp(0.0, 1.0)) * (dists.len() - 1) as f64) as usize;
     dists[idx]
 }

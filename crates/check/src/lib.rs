@@ -57,7 +57,8 @@ pub struct Outcome {
     pub findings: Vec<Finding>,
     /// Production files scanned.
     pub files_checked: usize,
-    /// Size-of-the-code numbers per crate, ascending crate name.
+    /// Size-of-the-code numbers per crate, ascending crate name, then
+    /// the benchmark package (`perfbench`), which is counted only.
     pub census: Vec<CrateCensus>,
 }
 
@@ -65,7 +66,7 @@ pub struct Outcome {
 /// JSON report carries next to the findings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrateCensus {
-    /// Crate directory name under `crates/`.
+    /// Crate directory name under `crates/`, or `perfbench`.
     pub crate_name: String,
     /// Lines in every `.rs` file under the crate's `src/` (tests,
     /// comments and blanks included — `wc -l`).
@@ -238,10 +239,20 @@ pub fn check_workspace(root: &Path) -> Result<Outcome, CheckError> {
     };
     let findings = allow::apply(&entries, findings);
 
+    // The benchmark is a package of its own outside `crates/`: it is
+    // counted, after the crates, and never linted.
+    let mut rows = census(&files, &entries);
+    let mut perfbench = Vec::new();
+    let perfbench_src = root.join("perfbench").join("src");
+    if perfbench_src.is_dir() {
+        read_sources(root, &perfbench_src, "perfbench", &mut perfbench)?;
+    }
+    rows.extend(census(&perfbench, &[]));
+
     Ok(Outcome {
         findings,
         files_checked: files.len(),
-        census: census(&files, &entries),
+        census: rows,
     })
 }
 
@@ -273,24 +284,33 @@ pub fn collect_sources(root: &Path) -> Result<Vec<SourceFile>, CheckError> {
         if !src.is_dir() {
             continue;
         }
-        walk_rs(&src, &mut |path| {
-            let source =
-                fs::read_to_string(path).map_err(|e| CheckError::Io(path.to_path_buf(), e))?;
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(path)
-                .to_string_lossy()
-                .replace('\\', "/");
-            out.push(SourceFile {
-                rel,
-                crate_name: crate_name.clone(),
-                source,
-            });
-            Ok(())
-        })?;
+        read_sources(root, &src, &crate_name, &mut out)?;
     }
     out.sort_by(|a, b| a.rel.cmp(&b.rel));
     Ok(out)
+}
+
+/// Read every `.rs` file under `dir`, in path order, as `crate_name`'s.
+fn read_sources(
+    root: &Path,
+    dir: &Path,
+    crate_name: &str,
+    out: &mut Vec<SourceFile>,
+) -> Result<(), CheckError> {
+    walk_rs(dir, &mut |path| {
+        let source = fs::read_to_string(path).map_err(|e| CheckError::Io(path.to_path_buf(), e))?;
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(path)
+            .to_string_lossy()
+            .replace('\\', "/");
+        out.push(SourceFile {
+            rel,
+            crate_name: crate_name.to_string(),
+            source,
+        });
+        Ok(())
+    })
 }
 
 fn walk_rs(

@@ -91,6 +91,7 @@ fn main() -> ExitCode {
         }
     }
 
+    print!("{}", semtree_check::report::census_table(&outcome));
     if outcome.is_clean() {
         println!(
             "semtree-check: {} files clean ({})",

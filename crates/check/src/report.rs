@@ -52,6 +52,30 @@ pub fn to_json(outcome: &Outcome) -> String {
     out
 }
 
+/// The census as an aligned text table with a totals row — what a CI
+/// log shows, so each change's delta can be read off two runs.
+#[must_use]
+pub fn census_table(outcome: &Outcome) -> String {
+    let row = |name: &str, cells: [usize; 4]| {
+        let [lines, pub_items, lock_ranks, allowed] = cells;
+        format!("{name:<10} {lines:>7} {pub_items:>9} {lock_ranks:>10} {allowed:>10}\n")
+    };
+    let mut out = format!(
+        "{:<10} {:>7} {:>9} {:>10} {:>10}\n",
+        "crate", "lines", "pub items", "lock ranks", "allowances"
+    );
+    let mut total = [0; 4];
+    for c in &outcome.census {
+        let cells = [c.lines, c.pub_items, c.lock_ranks, c.allowed];
+        for (sum, cell) in total.iter_mut().zip(cells) {
+            *sum += cell;
+        }
+        out.push_str(&row(&c.crate_name, cells));
+    }
+    out.push_str(&row("total", total));
+    out
+}
+
 fn result_json(f: &Finding) -> String {
     format!(
         "{{\"ruleId\": {}, \"level\": \"error\", \"message\": {{\"text\": {}}}, \
@@ -204,6 +228,12 @@ mod tests {
         assert!(json.contains(
             "\"census\": {\"net\": {\"lines\": 120, \"pubItems\": 7, \"lockRanks\": 2, \"allowed\": 1}}"
         ));
+        assert_eq!(
+            census_table(&outcome),
+            "crate        lines pub items lock ranks allowances\n\
+             net            120         7          2          1\n\
+             total          120         7          2          1\n"
+        );
         // Every reported rule id has an explanation.
         assert!(explain("lock-flow").is_some());
         assert!(explain("nope").is_none());

@@ -66,10 +66,8 @@ pub const LOCK_RANKS: &[(&str, &str, u32)] = &[
     // crates/colz holds no locks at all: every codec is a pure function
     // over byte slices, so the crate is a lock-free leaf of the
     // hierarchy — it may be called with any rank held.
-    // crates/par — leaf locks: pool internals never call back into
-    // ranked subsystems while holding a deque or result-buffer lock.
-    ("par", "deques", 50),
-    ("par", "parts", 51),
+    // crates/par — a leaf lock: `map_vec` holds the feed only to take
+    // the next item, never while the caller's closure runs.
     ("par", "feed", 52),
     // crates/distance
     ("distance", "shards", 60),

@@ -195,4 +195,11 @@ fn census_counts_lines_pub_items_lock_ranks_and_allowances_per_crate() {
         outcome.census.iter().map(|c| c.allowed).sum::<usize>(),
         listed.iter().map(|e| e.count).sum::<usize>()
     );
+    // The benchmark package is counted last, and only counted.
+    let perfbench = outcome.census.last().expect("census rows");
+    assert_eq!(perfbench.crate_name, "perfbench");
+    assert!(perfbench.lines > 0 && perfbench.pub_items > 0);
+    assert_eq!((perfbench.lock_ranks, perfbench.allowed), (0, 0));
+    let perfbench_files = |path: &str| path.starts_with("perfbench/");
+    assert!(!outcome.findings.iter().any(|f| perfbench_files(&f.path)));
 }

@@ -117,7 +117,6 @@ pub fn serve(parsed: &ParsedArgs) -> Result<String, String> {
     let tree = build_tree(
         &fabric,
         config,
-        CostModel::zero(),
         partitions,
         &sample,
         parsed.get("wal-dir").map(Path::new),

@@ -237,9 +237,10 @@ impl<S: Shim> Default for ClusterMetricsG<S> {
 /// A point-in-time copy of [`ClusterMetrics`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Requests delivered between nodes (responses are not double-counted).
+    /// Messages delivered between nodes: every request a mailbox or a
+    /// socket accepted and every response, so one call counts two.
     pub messages: u64,
-    /// Total payload bytes carried by those requests.
+    /// Total payload bytes carried by those messages, both directions.
     pub bytes: u64,
     /// Total payload bytes carried by the responses coming back.
     pub response_bytes: u64,

@@ -35,7 +35,7 @@ impl<H: Handler> crate::transport::DynHandler<H::Req, H::Resp> for H {
 
 struct Envelope<Req, Resp> {
     req: Req,
-    reply: crate::transport::ReplySlot<Resp>,
+    reply: ReplySlot<Resp>,
 }
 
 /// A live node's inbox sender; `None` once the node has shut down.
@@ -211,52 +211,27 @@ impl<Req: Wire + Send + 'static, Resp: Wire + Send + 'static> ChannelFabric<Req,
 impl<Req: Wire + Send + 'static, Resp: Wire + Send + 'static> Transport<Req, Resp>
     for ChannelFabric<Req, Resp>
 {
-    fn send(&self, target: ComputeNodeId, req: Req) -> Result<ReplyHandle<Resp>, ClusterError> {
-        if target.process() != self.process_index {
-            // A remote id can only reach a bare channel fabric when no
-            // composite transport is routing — i.e. the node is unknown
-            // by construction.
-            return Err(ClusterError::UnknownNode(target));
-        }
-        let sender = {
+    fn dispatch(&self, target: ComputeNodeId, req: Req, reply: ReplySlot<Resp>) {
+        // An id owned by another process can only reach a bare channel
+        // fabric when no composite transport is routing, so it is as
+        // unknown as a slot that never existed or has shut down.
+        let sender = if target.process() == self.process_index {
             let nodes = self.nodes.read();
-            match nodes.get(target.local_index()) {
-                Some(Some(tx)) => tx.clone(),
-                // Never existed, or existed and was shut down.
-                _ => return Err(ClusterError::UnknownNode(target)),
-            }
+            nodes.get(target.local_index()).cloned().flatten()
+        } else {
+            None
         };
-        self.record(req.wire_size());
-        let (slot, handle) = ReplyHandle::pair(target);
-        sender
-            .send(Envelope { req, reply: slot })
-            .map_err(|_| ClusterError::NodeDied(target))?;
-        Ok(handle)
-    }
-
-    fn submit(&self, target: ComputeNodeId, req: Req, complete: CompleteFn<Resp>) {
-        if target.process() != self.process_index {
-            complete(Err(ClusterError::UnknownNode(target)));
+        let Some(sender) = sender else {
+            reply.fill(Err(ClusterError::UnknownNode(target)));
             return;
-        }
-        let sender = {
-            let nodes = self.nodes.read();
-            match nodes.get(target.local_index()) {
-                Some(Some(tx)) => tx.clone(),
-                _ => {
-                    complete(Err(ClusterError::UnknownNode(target)));
-                    return;
-                }
-            }
         };
-        self.record(req.wire_size());
-        let slot = ReplySlot::with_callback(target, complete);
-        // On send failure the unfilled slot inside the rejected envelope
-        // drops, which runs the callback with `NodeDied` — exactly once
-        // either way. The node thread otherwise fills it (invoking the
-        // callback there) when the response is ready, so the submitter
-        // never blocks on this request.
-        let _ = sender.send(Envelope { req, reply: slot });
+        let bytes = req.wire_size();
+        // A mailbox whose node thread is gone hands the envelope back and
+        // the unfilled slot in it drops, which reports `NodeDied`. Only a
+        // request the mailbox accepted is metered.
+        if sender.send(Envelope { req, reply }).is_ok() {
+            self.record(bytes);
+        }
     }
 
     fn spawn_handler(&self, handler: BoxHandler<Req, Resp>) -> Result<ComputeNodeId, ClusterError> {
@@ -333,7 +308,7 @@ impl<Req: Wire + Send + 'static, Resp: Wire + Send + 'static> NodeCtx<Req, Resp>
             target, self.id,
             "a node must not call itself (would deadlock)"
         );
-        self.fabric.route()?.send(target, req)?.wait()
+        self.fabric.route()?.send(target, req).wait()
     }
 
     /// Fan a set of requests out and wait for every response ("the
@@ -342,13 +317,13 @@ impl<Req: Wire + Send + 'static, Resp: Wire + Send + 'static> NodeCtx<Req, Resp>
     /// discarded.
     pub fn call_many(&self, calls: Vec<(ComputeNodeId, Req)>) -> Result<Vec<Resp>, ClusterError> {
         let route = self.fabric.route()?;
-        let handles = calls
+        let handles: Vec<_> = calls
             .into_iter()
             .map(|(target, req)| {
                 assert_ne!(target, self.id, "a node must not call itself");
                 route.send(target, req)
             })
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect();
         handles.into_iter().map(ReplyHandle::wait).collect()
     }
 
@@ -421,7 +396,7 @@ impl<H: Handler> Cluster<H> {
 
     /// Blocking request from outside the cluster (the "client").
     pub fn call(&self, target: ComputeNodeId, req: H::Req) -> Result<H::Resp, ClusterError> {
-        self.transport.send(target, req)?.wait()
+        self.transport.send(target, req).wait()
     }
 
     /// Pipelined request from outside the cluster: `complete` runs
@@ -692,10 +667,38 @@ mod tests {
         let node = cluster.spawn(Echo);
         let transport = cluster.transport();
         cluster.shutdown();
-        match transport.send(node, 1) {
-            Err(ClusterError::UnknownNode(id)) => assert_eq!(id, node),
-            other => panic!("expected UnknownNode, got {:?}", other.map(|_| ())),
+        assert_eq!(
+            transport.send(node, 1).wait(),
+            Err(ClusterError::UnknownNode(node))
+        );
+    }
+
+    /// Dies on its first request.
+    struct Doomed;
+    impl Handler for Doomed {
+        type Req = u64;
+        type Resp = u64;
+        fn handle(&mut self, _ctx: &NodeCtx<u64, u64>, _req: u64) -> u64 {
+            panic!("doomed node (expected by the test)")
         }
+    }
+
+    #[test]
+    fn a_request_to_a_dead_node_is_not_metered_as_delivered() {
+        let cluster = Cluster::new(CostModel::zero());
+        let node = cluster.spawn(Doomed);
+        assert_eq!(cluster.call(node, 1), Err(ClusterError::NodeDied(node)));
+        // The mailbox outlives the panic by the rest of the unwinding;
+        // once it is gone a request is refused, and must leave no trace.
+        let refused = (0..10_000).any(|_| {
+            std::thread::yield_now();
+            let before = cluster.metrics();
+            assert_eq!(cluster.call(node, 2), Err(ClusterError::NodeDied(node)));
+            let after = cluster.metrics();
+            (after.messages, after.bytes) == (before.messages, before.bytes)
+        });
+        assert!(refused, "every request to the dead node was metered");
+        cluster.shutdown();
     }
 
     #[test]

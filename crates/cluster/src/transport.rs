@@ -143,37 +143,33 @@ pub struct ReplyHandle<Resp> {
 /// reader), so it must be quick and must not block on the transport.
 pub type CompleteFn<Resp> = Box<dyn FnOnce(Result<Resp, ClusterError>) + Send>;
 
-/// Where a [`ReplySlot`]'s outcome goes.
-enum ReplySink<Resp> {
-    /// A waiting [`ReplyHandle`] (synchronous callers).
-    Channel(mpsc::Sender<Result<Resp, ClusterError>>),
-    /// A completion callback (pipelined callers, [`Transport::submit`]).
-    Callback(CompleteFn<Resp>),
-}
-
-/// The responder side of one in-flight request.
+/// The responder side of one in-flight request: a completion callback
+/// that runs exactly once, on [`fill`](ReplySlot::fill) or — with
+/// [`ClusterError::NodeDied`] — when the slot is dropped unfilled
+/// (responder gone, connection torn down).
 pub struct ReplySlot<Resp> {
-    sink: Option<ReplySink<Resp>>,
+    complete: Option<CompleteFn<Resp>>,
     target: ComputeNodeId,
 }
 
-impl<Resp> ReplyHandle<Resp> {
-    /// A connected slot/handle pair for a request addressed to `target`.
+impl<Resp: Send + 'static> ReplyHandle<Resp> {
+    /// A connected slot/handle pair for a request addressed to `target`:
+    /// the slot's callback hands the outcome to the waiting handle.
     #[must_use]
     pub fn pair(target: ComputeNodeId) -> (ReplySlot<Resp>, Self) {
         let (tx, rx) = mpsc::channel();
+        // A receiver that gave up waiting is not an error.
+        let deliver = move |outcome| drop(tx.send(outcome));
         (
-            ReplySlot {
-                sink: Some(ReplySink::Channel(tx)),
-                target,
-            },
+            ReplySlot::with_callback(target, Box::new(deliver)),
             ReplyHandle { rx, target },
         )
     }
+}
 
-    /// Block until the response (or a typed failure) arrives. A dropped
-    /// [`ReplySlot`] — responder thread gone, connection torn down —
-    /// surfaces as [`ClusterError::NodeDied`].
+impl<Resp> ReplyHandle<Resp> {
+    /// Block until the response (or a typed failure) arrives; a slot
+    /// dropped unfilled surfaces as [`ClusterError::NodeDied`].
     pub fn wait(self) -> Result<Resp, ClusterError> {
         self.rx
             .recv()
@@ -182,37 +178,26 @@ impl<Resp> ReplyHandle<Resp> {
 }
 
 impl<Resp> ReplySlot<Resp> {
-    /// A slot whose outcome is delivered by invoking `complete` instead
-    /// of waking a waiting handle. The callback is guaranteed to run
-    /// exactly once: on [`fill`](ReplySlot::fill), or — if the slot is
-    /// dropped unfilled (responder gone, connection torn down) — on drop
-    /// with [`ClusterError::NodeDied`].
+    /// A slot whose outcome is delivered by invoking `complete`.
     #[must_use]
     pub fn with_callback(target: ComputeNodeId, complete: CompleteFn<Resp>) -> Self {
         ReplySlot {
-            sink: Some(ReplySink::Callback(complete)),
+            complete: Some(complete),
             target,
         }
     }
 
-    /// Deliver the outcome. A receiver that gave up waiting is not an
-    /// error.
+    /// Deliver the outcome.
     pub fn fill(mut self, outcome: Result<Resp, ClusterError>) {
-        match self.sink.take() {
-            Some(ReplySink::Channel(tx)) => {
-                let _ = tx.send(outcome);
-            }
-            Some(ReplySink::Callback(complete)) => complete(outcome),
-            None => {}
+        if let Some(complete) = self.complete.take() {
+            complete(outcome);
         }
     }
 }
 
 impl<Resp> Drop for ReplySlot<Resp> {
     fn drop(&mut self) {
-        // An unfilled callback still gets its exactly-once completion;
-        // channel sinks already signal death to the handle by hangup.
-        if let Some(ReplySink::Callback(complete)) = self.sink.take() {
+        if let Some(complete) = self.complete.take() {
             complete(Err(ClusterError::NodeDied(self.target)));
         }
     }
@@ -241,23 +226,33 @@ pub type NodeFactory<Req, Resp> = dyn Fn() -> BoxHandler<Req, Resp> + Send + Syn
 /// (real multi-process deployment). Object-safe so running systems can
 /// hold `Arc<dyn Transport<_, _>>`.
 pub trait Transport<Req, Resp>: Send + Sync {
+    /// Route `req` to `target`; `reply` receives the outcome exactly
+    /// once — filled by the responder, filled here with the error when
+    /// the request cannot leave, or reporting
+    /// [`ClusterError::NodeDied`] when dropped unfilled. Never blocks on
+    /// the responder; the transit cost (simulated or real) is paid on
+    /// the responder's side. [`send`](Transport::send) and
+    /// [`submit`](Transport::submit) are this plus a choice of slot.
+    fn dispatch(&self, target: ComputeNodeId, req: Req, reply: ReplySlot<Resp>);
+
     /// Dispatch `req` to `target`, returning a handle to await the
-    /// response. Sending is non-blocking; the transit cost (simulated
-    /// or real) is paid on the responder's side.
-    fn send(&self, target: ComputeNodeId, req: Req) -> Result<ReplyHandle<Resp>, ClusterError>;
+    /// response; routing failures come out of
+    /// [`wait`](ReplyHandle::wait) like any other.
+    fn send(&self, target: ComputeNodeId, req: Req) -> ReplyHandle<Resp>
+    where
+        Resp: Send + 'static,
+    {
+        let (slot, handle) = ReplyHandle::pair(target);
+        self.dispatch(target, req, slot);
+        handle
+    }
 
     /// Dispatch `req` to `target` and deliver the outcome by invoking
-    /// `complete` — exactly once — instead of handing back a handle to
-    /// block on. Pipelining transports run the callback from the thread
-    /// that finishes the request (a node thread, a demux reader), so a
-    /// submitting executor is free the moment this returns. The default
-    /// degrades to send-and-wait for transports without a pipelined
-    /// path, preserving exactly-once completion.
+    /// `complete` — exactly once — from the thread that finishes the
+    /// request (a node thread, a demux reader), so a submitting executor
+    /// is free the moment this returns.
     fn submit(&self, target: ComputeNodeId, req: Req, complete: CompleteFn<Resp>) {
-        match self.send(target, req) {
-            Ok(handle) => complete(handle.wait()),
-            Err(e) => complete(Err(e)),
-        }
+        self.dispatch(target, req, ReplySlot::with_callback(target, complete));
     }
 
     /// Start a node running `handler` in *this* process.

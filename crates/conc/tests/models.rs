@@ -27,7 +27,6 @@ use semtree_distance::MemoizedDistance;
 use semtree_kdtree::versioned::{Child, InPlace, NeedsMailbox, Tree, TreeWriter};
 use semtree_kdtree::{KdConfig, VersionedKdTree};
 use semtree_net::ConnRegistry;
-use semtree_par::ChunkedQueue;
 use semtree_reactor::{Push, ServeQueue};
 use semtree_wal::{Appended, RecordSink, SequencedLog, WalRecord};
 
@@ -72,12 +71,6 @@ const TARGETS: &[Target] = &[
         name: "wal_order",
         what: "SequencedLog append-flush-apply: no mutation applied before its record is durable",
         body: wal_order,
-        spurious_budget: 0,
-    },
-    Target {
-        name: "par_steal_join",
-        what: "ChunkedQueue steal/join: every chunk claimed exactly once, drain is a join barrier",
-        body: par_steal_join,
         spurious_budget: 0,
     },
     Target {
@@ -368,49 +361,6 @@ fn wal_order() {
     assert_eq!(lsns, vec![1, 2], "LSNs must be contiguous and unique");
     assert_eq!(log.flushed_lsn(), 2);
     assert_eq!(durable.load(Ordering::SeqCst), 2);
-}
-
-// ---------------------------------------------------------------------
-// Target 5: the work-stealing pool's chunk queue.
-// ---------------------------------------------------------------------
-
-/// Two workers drain a three-chunk queue: worker 1 owns one chunk and
-/// must steal the rest from worker 0's deque while worker 0 pops its
-/// own front. No interleaving may claim a chunk twice, lose one, or
-/// leave the queue undrained after both workers exit — the exactly-once
-/// claim is what makes the pool's drained-queue join sound.
-fn par_steal_join() {
-    // 6 items, chunk size 2, 2 workers → chunks 0..3 dealt round-robin.
-    let queue = Arc::new(ChunkedQueue::<ModelShim>::new(6, 2, 2));
-    // Bitmask of claimed chunk indices; fetch_add doubles as a
-    // double-claim detector (the old value must not contain the bit).
-    let seen = Arc::new(ModelShim::atomic_u64(0));
-
-    let workers: Vec<_> = (0..2)
-        .map(|w| {
-            let queue = Arc::clone(&queue);
-            let seen = Arc::clone(&seen);
-            ModelShim::spawn(move || {
-                let mut claimed = 0u64;
-                while let Some(chunk) = queue.claim(w) {
-                    assert!(
-                        chunk.start < chunk.end && chunk.end <= 6,
-                        "bad chunk bounds"
-                    );
-                    let prev = ModelShim::fetch_add(&seen, 1 << chunk.index);
-                    assert_eq!(prev & (1 << chunk.index), 0, "chunk claimed twice");
-                    claimed += 1;
-                }
-                claimed
-            })
-        })
-        .collect();
-
-    let total: u64 = workers.into_iter().map(ModelShim::join).sum();
-    assert_eq!(total, 3, "a chunk was lost or duplicated");
-    assert_eq!(ModelShim::load(&seen), 0b111, "claimed set is not 0..3");
-    assert!(queue.is_drained(), "drained queue is the join condition");
-    assert_eq!(queue.claimed(), 3);
 }
 
 // ---------------------------------------------------------------------

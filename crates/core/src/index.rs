@@ -219,11 +219,7 @@ impl SemTree {
             .map(|n| self.to_hit(n.payload, n.dist, opts.refine.then_some(query)))
             .collect();
         if opts.refine {
-            hits.sort_by(|a, b| {
-                a.ranking_distance()
-                    .partial_cmp(&b.ranking_distance())
-                    .expect("finite distances")
-            });
+            hits.sort_by(|a, b| a.ranking_distance().total_cmp(&b.ranking_distance()));
             hits.truncate(k);
         }
         hits
@@ -252,11 +248,7 @@ impl SemTree {
             .map(|n| self.to_hit(n.payload, n.dist, Some(query)))
             .filter(|h| h.semantic_distance.expect("refined") <= radius)
             .collect();
-        hits.sort_by(|a, b| {
-            a.ranking_distance()
-                .partial_cmp(&b.ranking_distance())
-                .expect("finite distances")
-        });
+        hits.sort_by(|a, b| a.ranking_distance().total_cmp(&b.ranking_distance()));
         hits
     }
 

@@ -116,7 +116,7 @@ impl<'a> DocumentRetriever<'a> {
             .into_iter()
             .map(|(doc, sum)| {
                 let mut matched = matches.remove(&doc).unwrap_or_default();
-                matched.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"));
+                matched.sort_by(|a, b| a.1.total_cmp(&b.1));
                 DocumentHit {
                     doc,
                     name: self
@@ -131,12 +131,7 @@ impl<'a> DocumentRetriever<'a> {
                 }
             })
             .collect();
-        out.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .expect("finite scores")
-                .then_with(|| a.doc.cmp(&b.doc))
-        });
+        out.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc)));
         out
     }
 

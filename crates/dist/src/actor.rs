@@ -372,7 +372,6 @@ impl Handler for PartitionActor {
             }
             Req::Stats => Resp::Stats(self.store.stats()),
             Req::Verify => Resp::Violations(self.store.verify()),
-            Req::Export => Resp::Points(self.store.export_points()),
         }
     }
 }

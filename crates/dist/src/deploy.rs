@@ -28,8 +28,8 @@ use semtree_cluster::{
 };
 use semtree_kdtree::{Neighbor, SplitRule};
 use semtree_net::{
-    append_frame, decode_exact, dial_with_timeout, read_frame, split_frame_v2, write_frame, Decode,
-    DecodeError, Encode, NetFabric,
+    append_frame, decode_exact, dial_with_timeout, split_frame_v2, Decode, DecodeError, Encode,
+    NetFabric,
 };
 use semtree_reactor::{recv_nowait, FrameReader, INLINE_MAX_K};
 use semtree_wal::{Wal, WalError, WalOptions};
@@ -233,7 +233,6 @@ pub fn serve_cluster(
 pub fn build_tree(
     fabric: &Arc<DistFabric>,
     config: DistConfig,
-    cost: CostModel,
     partitions: usize,
     sample: &[Vec<f64>],
     wal_dir: Option<&Path>,
@@ -245,7 +244,6 @@ pub fn build_tree(
     Ok(DistSemTree::build_on(
         Cluster::from_parts(fabric.local_fabric(), transport),
         config,
-        cost,
         partitions,
         sample,
         wal,
@@ -275,7 +273,6 @@ pub fn build_local_durable(
     Ok(DistSemTree::build_on(
         Cluster::new(cost),
         config,
-        cost,
         partitions,
         sample,
         Some(wal),
@@ -906,10 +903,10 @@ impl semtree_reactor::Service for TreeService<'_> {
 /// [`ClientReq::Shutdown`] (acknowledged with [`ClientResp::Done`]
 /// before returning). The caller then shuts the tree down.
 ///
-/// Connections are multiplexed: v1 frames get sequential replies, v2
-/// frames ([`semtree_net::FRAME_V2`]) are pipelined with out-of-order
-/// completion. Request latency is recorded into the tree's shared
-/// metrics histogram.
+/// Connections are multiplexed and every frame is correlated
+/// ([`semtree_net::FRAME_V2`]): requests are pipelined and complete out
+/// of order. Request latency is recorded into the tree's shared metrics
+/// histogram.
 ///
 /// # Errors
 /// Fails when the listener itself breaks; per-connection errors just
@@ -969,9 +966,11 @@ pub struct ClientMetrics {
     pub shard_shed: [u64; MAX_REACTOR_SHARDS],
 }
 
-/// A blocking client of the coordinator's query port.
+/// A blocking client of the coordinator's query port: every method is
+/// the [`PipelinedClient`] submission plus [`PendingReply::wait`], one
+/// request in flight at a time.
 pub struct NetClient {
-    stream: TcpStream,
+    client: PipelinedClient,
 }
 
 impl NetClient {
@@ -981,22 +980,12 @@ impl NetClient {
     /// Fails when the port never comes up.
     pub fn connect(addr: SocketAddr, timeout: Duration) -> io::Result<Self> {
         Ok(NetClient {
-            stream: dial_with_timeout(addr, timeout)?,
+            client: PipelinedClient::connect(addr, timeout)?,
         })
     }
 
     fn call(&mut self, req: &ClientReq) -> io::Result<ClientResp> {
-        write_frame(&mut self.stream, &req.to_bytes())?;
-        let payload = read_frame(&mut self.stream)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))?;
-        decode_exact(&payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    }
-
-    fn expect_neighbors(resp: ClientResp) -> io::Result<Vec<(f64, u64)>> {
-        match resp {
-            ClientResp::Neighbors(n) => Ok(n),
-            other => Err(unexpected(&other)),
-        }
+        self.client.submit(req)?.wait()
     }
 
     /// Insert one point.
@@ -1004,10 +993,7 @@ impl NetClient {
     /// # Errors
     /// Propagates transport and server-side failures.
     pub fn insert(&mut self, point: &[f64], payload: u64) -> io::Result<()> {
-        match self.call(&ClientReq::Insert {
-            point: point.to_vec(),
-            payload,
-        })? {
+        match self.client.insert(point, payload)?.wait()? {
             ClientResp::Done => Ok(()),
             other => Err(unexpected(&other)),
         }
@@ -1018,10 +1004,7 @@ impl NetClient {
     /// # Errors
     /// Propagates transport and server-side failures.
     pub fn knn(&mut self, point: &[f64], k: usize) -> io::Result<Vec<(f64, u64)>> {
-        Self::expect_neighbors(self.call(&ClientReq::Knn {
-            point: point.to_vec(),
-            k,
-        })?)
+        self.client.knn(point, k)?.wait_neighbors()
     }
 
     /// Batched k-nearest query: the whole batch travels as one frame
@@ -1033,13 +1016,7 @@ impl NetClient {
     /// # Errors
     /// Propagates transport and server-side failures.
     pub fn knn_batch(&mut self, points: &[Vec<f64>], k: usize) -> io::Result<Vec<Vec<(f64, u64)>>> {
-        match self.call(&ClientReq::KnnBatch {
-            points: points.to_vec(),
-            k,
-        })? {
-            ClientResp::NeighborBatches(b) => Ok(b),
-            other => Err(unexpected(&other)),
-        }
+        self.client.knn_batch(points, k)?.wait_batches()
     }
 
     /// Range query; `(distance, payload)` pairs closest first.
@@ -1047,10 +1024,11 @@ impl NetClient {
     /// # Errors
     /// Propagates transport and server-side failures.
     pub fn range(&mut self, point: &[f64], radius: f64) -> io::Result<Vec<(f64, u64)>> {
-        Self::expect_neighbors(self.call(&ClientReq::Range {
+        let range = ClientReq::Range {
             point: point.to_vec(),
             radius,
-        })?)
+        };
+        self.client.submit(&range)?.wait_neighbors()
     }
 
     /// Per-partition statistics, root first.
@@ -1238,13 +1216,10 @@ impl PipelinedConn {
                 }
             };
             match split_frame_v2(frame) {
-                Ok(Some((answered, body))) => {
+                Ok((answered, body)) => {
                     let reply = decode_exact::<ClientResp>(body)
                         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
                     replies.file(answered, reply);
-                }
-                Ok(None) => {
-                    replies.fail("unpipelined (v1) reply on a pipelined connection".into());
                 }
                 Err(e) => replies.fail(format!("malformed pipelined reply: {e}")),
             }
@@ -1411,9 +1386,7 @@ impl Drop for PendingReply {
 /// claimed later with [`PendingReply::wait`], which is also when it is
 /// read: the client runs no thread of its own, so until someone waits,
 /// replies stay in the socket (and, past its buffers, in the server's
-/// write queue). Compared to a pool of [`NetClient`]s, one pipelined
-/// connection keeps the server busy without paying a round trip per
-/// request.
+/// write queue). [`NetClient`] is this with every reply claimed at once.
 pub struct PipelinedClient {
     conn: Arc<PipelinedConn>,
     next_corr: u64,
@@ -1466,7 +1439,7 @@ impl PipelinedClient {
         }
         self.next_corr += 1;
         self.frame.clear();
-        let sent = append_frame(&mut self.frame, Some(corr), &req.to_bytes())
+        let sent = append_frame(&mut self.frame, corr, &req.to_bytes())
             .and_then(|()| (&self.conn.stream).write_all(&self.frame));
         if let Err(e) = sent {
             lock(&self.conn.replies).waiting.remove(&corr);

@@ -60,9 +60,6 @@ pub enum Req {
     Stats,
     /// Check the partition's structural invariants.
     Verify,
-    /// Export every point stored in this partition's local leaves (not
-    /// following remote links) — the building block of repartitioning.
-    Export,
     /// Batched k-nearest search: answer every query in `points` against
     /// the sub-tree rooted at `node` in one round trip. The serving
     /// partition may fan the batch out over its worker pool; answers come
@@ -88,8 +85,6 @@ pub enum Resp {
     Stats(PartitionStats),
     /// Invariant violations found by [`Req::Verify`] (empty = healthy).
     Violations(Vec<String>),
-    /// The partition's local points, from [`Req::Export`].
-    Points(Vec<(Vec<f64>, u64)>),
     /// The request failed inside the serving partition (e.g. a traversal
     /// hit a dead downstream partition). Carries a human-readable cause
     /// so failures propagate across process boundaries instead of
@@ -207,7 +202,6 @@ impl Encode for Req {
             }
             Req::Stats => out.push(4),
             Req::Verify => out.push(5),
-            Req::Export => out.push(6),
             Req::KnnBatch { node, points, k } => {
                 out.push(7);
                 node.encode(out);
@@ -243,7 +237,6 @@ impl Decode for Req {
             }),
             4 => Ok(Req::Stats),
             5 => Ok(Req::Verify),
-            6 => Ok(Req::Export),
             7 => Ok(Req::KnnBatch {
                 node: LocalNodeId::decode(buf)?,
                 points: Vec::decode(buf)?,
@@ -270,10 +263,6 @@ impl Encode for Resp {
                 out.push(3);
                 v.encode(out);
             }
-            Resp::Points(pts) => {
-                out.push(4);
-                pts.encode(out);
-            }
             Resp::Error(msg) => {
                 out.push(5);
                 msg.encode(out);
@@ -293,7 +282,6 @@ impl Decode for Resp {
             1 => Ok(Resp::Candidates(Vec::decode(buf)?)),
             2 => Ok(Resp::Stats(PartitionStats::decode(buf)?)),
             3 => Ok(Resp::Violations(Vec::decode(buf)?)),
-            4 => Ok(Resp::Points(Vec::decode(buf)?)),
             5 => Ok(Resp::Error(String::decode(buf)?)),
             6 => Ok(Resp::CandidateBatches(Vec::decode(buf)?)),
             other => Err(DecodeError::new(format!("bad Resp tag {other}"))),
@@ -318,7 +306,7 @@ impl Wire for Req {
             Req::AdoptLeaf { bucket, .. } => {
                 1 + 8 + bucket.iter().map(|(p, _)| 16 + 8 * p.len()).sum::<usize>() + 4
             }
-            Req::Stats | Req::Verify | Req::Export => 1,
+            Req::Stats | Req::Verify => 1,
             Req::KnnBatch { points, .. } => {
                 1 + 4 + 8 + points.iter().map(|p| 8 + 8 * p.len()).sum::<usize>() + 8
             }
@@ -333,7 +321,6 @@ impl Wire for Resp {
             Resp::Candidates(c) => 1 + 8 + 16 * c.len(),
             Resp::Stats(s) => 1 + 4 * 8 + 8 + 4 * s.remote_children.len(),
             Resp::Violations(v) => 1 + 8 + v.iter().map(|m| 8 + m.len()).sum::<usize>(),
-            Resp::Points(pts) => 1 + 8 + pts.iter().map(|(c, _)| 16 + 8 * c.len()).sum::<usize>(),
             Resp::Error(msg) => 1 + 8 + msg.len(),
             Resp::CandidateBatches(b) => 1 + 8 + b.iter().map(|c| 8 + 16 * c.len()).sum::<usize>(),
         }
@@ -383,7 +370,6 @@ mod tests {
             },
             Req::Stats,
             Req::Verify,
-            Req::Export,
             Req::KnnBatch {
                 node: LocalNodeId(2),
                 points: vec![vec![1.0, 2.0], vec![], vec![3.0, 4.0, 5.0]],
@@ -412,7 +398,6 @@ mod tests {
             Resp::Stats(PartitionStats::default()),
             Resp::Violations(vec![]),
             Resp::Violations(vec!["bad depth".into(), "".into()]),
-            Resp::Points(vec![(vec![1.0], 1), (vec![2.0, 3.0], 2)]),
             Resp::Error("partition 131072 unreachable".into()),
             Resp::Error(String::new()),
             Resp::CandidateBatches(vec![]),
@@ -456,6 +441,14 @@ mod tests {
     fn corrupt_tags_are_rejected() {
         assert!(decode_exact::<Req>(&[200]).is_err());
         assert!(decode_exact::<Resp>(&[200]).is_err());
+        // Tags 6 (`Req`) and 4 (`Resp`) carried the removed point export
+        // and stay unassigned: the variants around them keep their bytes.
+        let err = decode_exact::<Req>(&[6]).expect_err("retired tag");
+        assert!(err.to_string().contains("bad Req tag 6"), "{err}");
+        let err = decode_exact::<Resp>(&[4, 0, 0, 0, 0, 0, 0, 0, 0]).expect_err("retired tag");
+        assert!(err.to_string().contains("bad Resp tag 4"), "{err}");
+        assert_eq!(Req::Verify.to_bytes(), [5]);
+        assert_eq!(Resp::Error(String::new()).to_bytes()[0], 5);
         // Trailing garbage is rejected too.
         let mut bytes = Req::Stats.to_bytes();
         bytes.push(0);

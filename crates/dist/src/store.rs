@@ -288,15 +288,6 @@ impl PartitionStore {
         out
     }
 
-    /// Every point stored in this partition's reachable local leaves.
-    pub(crate) fn export_points(&self) -> Vec<(Vec<f64>, u64)> {
-        let mut out = Vec::with_capacity(self.points);
-        for (_, node) in self.reachable() {
-            out.extend(node.bucket());
-        }
-        out
-    }
-
     /// Check this partition's structural invariants; returns a list of
     /// human-readable violations (empty = healthy). Used by
     /// `DistSemTree::verify` and the test-suite.

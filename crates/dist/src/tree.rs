@@ -495,14 +495,13 @@ pub struct DistSemTree {
     /// Shared (not inline) so pipelined completion callbacks can bump it
     /// from whatever thread finishes an insert.
     inserted: Arc<AtomicU64>,
-    cost: CostModel,
 }
 
 impl DistSemTree {
     /// Single-partition tree (the sequential baseline, "1 partition").
     #[must_use]
     pub fn single(config: DistConfig, cost: CostModel) -> Self {
-        DistSemTree::build_on(Cluster::new(cost), config, cost, 1, &[], None)
+        DistSemTree::build_on(Cluster::new(cost), config, 1, &[], None)
             .expect("in-process construction cannot fail")
     }
 
@@ -521,7 +520,7 @@ impl DistSemTree {
         partitions: usize,
         sample: &[Vec<f64>],
     ) -> Self {
-        DistSemTree::build_on(Cluster::new(cost), config, cost, partitions, sample, None)
+        DistSemTree::build_on(Cluster::new(cost), config, partitions, sample, None)
             .expect("in-process construction cannot fail")
     }
 
@@ -542,7 +541,6 @@ impl DistSemTree {
     pub(crate) fn build_on(
         cluster: Cluster<PartitionActor>,
         config: DistConfig,
-        cost: CostModel,
         partitions: usize,
         sample: &[Vec<f64>],
         wal: Option<Arc<WalHandle>>,
@@ -606,7 +604,6 @@ impl DistSemTree {
             root,
             shared,
             inserted: Arc::new(AtomicU64::new(0)),
-            cost,
         })
     }
 
@@ -891,61 +888,6 @@ impl DistSemTree {
         violations
     }
 
-    /// Export every stored point, in partition BFS order.
-    ///
-    /// # Errors
-    /// Fails when any partition is unreachable.
-    pub fn try_export_points(&self) -> Result<Vec<(Vec<f64>, u64)>, ClusterError> {
-        let stats = self.try_global_stats()?;
-        let mut out = Vec::with_capacity(self.len());
-        for &(pid, _) in &stats.partitions {
-            match self.cluster.call(ComputeNodeId(pid), Req::Export)? {
-                Resp::Points(pts) => out.extend(pts),
-                other => return Err(unexpected("points", other)),
-            }
-        }
-        Ok(out)
-    }
-
-    /// Rebuild this tree balanced across exactly `partitions` partitions —
-    /// the distributed analogue of `KdTree::rebalance`, answering the
-    /// paper's observation that "once built, modifying or rebalancing a
-    /// Kd-tree is a non-trivial task". All points are exported, the old
-    /// cluster is shut down, and a fresh fan-out tree is loaded from them.
-    /// The explicit layout supersedes any dynamic capacity policy the old
-    /// tree had (the policy is reset to [`CapacityPolicy::Unlimited`]).
-    ///
-    /// # Errors
-    /// Fails when a partition of the old tree cannot be exported or a
-    /// re-insert into the new one fails; the old cluster is shut down
-    /// either way.
-    pub fn repartitioned(self, partitions: usize) -> Result<DistSemTree, ClusterError> {
-        let points = self.try_export_points();
-        let config = DistConfig {
-            dims: self.shared.kd.dims(),
-            bucket_size: self.shared.kd.bucket_size(),
-            capacity: CapacityPolicy::Unlimited,
-            max_partitions: self.shared.max_partitions.max(partitions),
-            split_rule: SplitRule::Cycle,
-        };
-        let cost = self.cost;
-        self.shutdown();
-        let points = points?;
-        let tree = if partitions <= 1 || points.is_empty() {
-            DistSemTree::single(config, cost)
-        } else {
-            let sample: Vec<Vec<f64>> = points.iter().take(4096).map(|(c, _)| c.clone()).collect();
-            DistSemTree::with_fanout(config, cost, partitions, &sample)
-        };
-        for (coords, payload) in points {
-            tree.query(Query::Insert {
-                point: coords,
-                payload,
-            })?;
-        }
-        Ok(tree)
-    }
-
     /// Stop every partition's compute node.
     pub fn shutdown(self) {
         self.cluster.shutdown();
@@ -1001,7 +943,7 @@ fn build_fanout(
         });
     }
     let dim = depth as usize % shared.kd.dims();
-    sample.sort_by(|a, b| a[dim].partial_cmp(&b[dim]).expect("finite coordinates"));
+    sample.sort_by(|a, b| a[dim].total_cmp(&b[dim]));
     let split_val = sample[sample.len() / 2][dim];
     // Left region gets the larger half of the leaf budget.
     let left_target = target_leaves.div_ceil(2);
@@ -1568,53 +1510,6 @@ mod tests {
         }
         assert!(tree.partition_count() > 1);
         assert_eq!(tree.verify(), Vec::<String>::new());
-        tree.shutdown();
-    }
-
-    #[test]
-    fn export_returns_every_point() {
-        let sample: Vec<Vec<f64>> = (0..32).map(|i| vec![f64::from(i)]).collect();
-        let tree = fanout(1, 4, 3, &sample);
-        for i in 0..80u64 {
-            ins(&tree, &[(i % 32) as f64], i);
-        }
-        let mut exported = tree.try_export_points().expect("export");
-        assert_eq!(exported.len(), 80);
-        exported.sort_by_key(|&(_, p)| p);
-        let payloads: Vec<u64> = exported.iter().map(|&(_, p)| p).collect();
-        assert_eq!(payloads, (0..80u64).collect::<Vec<_>>());
-        tree.shutdown();
-    }
-
-    #[test]
-    fn repartition_preserves_points_and_exactness() {
-        // Grow a lopsided dynamic tree, then rebalance it onto 5
-        // partitions; queries and counts must be preserved.
-        let tree = DistSemTree::single(
-            DistConfig::new(1)
-                .with_bucket_size(4)
-                .with_capacity(CapacityPolicy::MaxPoints(20))
-                .with_max_partitions(16),
-            CostModel::zero(),
-        );
-        let points: Vec<(Vec<f64>, u64)> = (0..200u32)
-            .map(|i| (vec![f64::from(i)], u64::from(i)))
-            .collect();
-        for (c, p) in &points {
-            ins(&tree, c, *p);
-        }
-        let before = knn_q(&tree, &[77.3], 5);
-
-        let tree = tree.repartitioned(5).expect("repartition");
-        assert_eq!(tree.partition_count(), 5);
-        assert_eq!(tree.len(), 200);
-        assert_eq!(tree.try_global_stats().expect("stats").total_points(), 200);
-        assert_eq!(tree.verify(), Vec::<String>::new());
-
-        let after = knn_q(&tree, &[77.3], 5);
-        for (a, b) in before.iter().zip(&after) {
-            assert!((a.dist - b.dist).abs() < 1e-12);
-        }
         tree.shutdown();
     }
 

@@ -20,7 +20,7 @@ use semtree_dist::{
     serve_clients_with, ClientResp, DistConfig, DistSemTree, NetClient, PendingReply,
     PipelinedClient, Query, ServeOptions,
 };
-use semtree_net::{append_frame, read_frame, Encode, MAX_FRAME_LEN};
+use semtree_net::{append_frame, read_frame, write_frame, Encode, MAX_FRAME_LEN};
 
 const WAIT: Duration = Duration::from_secs(10);
 
@@ -85,7 +85,7 @@ fn answer(corr: u64) -> ClientResp {
 /// `answer(corr)` as the server frames it.
 fn reply_frame(corr: u64) -> Vec<u8> {
     let mut wire = Vec::new();
-    append_frame(&mut wire, Some(corr), &answer(corr).to_bytes()).expect("frame");
+    append_frame(&mut wire, corr, &answer(corr).to_bytes()).expect("frame");
     wire
 }
 
@@ -152,7 +152,7 @@ proptest! {
                 wire.extend_from_slice(&frame[..(*keep).min(frame.len() - 1)]);
             }
             Ending::Oversized(len) => wire.extend_from_slice(&len.to_be_bytes()),
-            Ending::V1 => append_frame(&mut wire, None, &answer(0).to_bytes()).unwrap(),
+            Ending::V1 => write_frame(&mut wire, &answer(0).to_bytes()).unwrap(),
             Ending::UnknownCorr(corr) => wire.extend(reply_frame(*corr)),
             Ending::Duplicate => wire.extend(reply_frame(order.first().copied().unwrap_or(total))),
             Ending::Garbage(bytes) => wire.extend_from_slice(bytes),

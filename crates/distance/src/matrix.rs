@@ -75,7 +75,7 @@ impl DistanceMatrix {
             return None;
         }
         let mut sorted = self.data.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
+        sorted.sort_by(f64::total_cmp);
         let q = q.clamp(0.0, 1.0);
         let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
         Some(sorted[rank - 1])

@@ -70,7 +70,7 @@ pub fn bootstrap_mean_ci(
             .sum();
         means.push(sum / samples.len() as f64);
     }
-    means.sort_by(|a, b| a.partial_cmp(b).expect("finite means"));
+    means.sort_by(f64::total_cmp);
     let alpha = (1.0 - confidence) / 2.0;
     let idx = |q: f64| -> usize {
         ((q * (means.len() - 1) as f64).round() as usize).min(means.len() - 1)

@@ -80,7 +80,7 @@ impl ExperimentTable {
             .iter()
             .flat_map(|s| s.points.iter().map(|&(x, _)| x))
             .collect();
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("finite x values"));
+        xs.sort_by(f64::total_cmp);
         xs.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
         xs
     }

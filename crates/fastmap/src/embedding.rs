@@ -71,7 +71,7 @@ impl FastMap {
     /// Run FastMap over `n` objects with distance oracle `dist`
     /// (symmetric, non-negative, `dist(i,i) = 0`). The oracle must be
     /// `Sync`: per-axis pivot scans and coordinate columns are computed
-    /// by the `semtree-par` work-stealing pool, which calls `dist`
+    /// by the `semtree-par` pool, which calls `dist`
     /// concurrently on disjoint object ranges.
     #[must_use]
     pub fn embed<F>(&self, n: usize, dist: &F) -> Embedding

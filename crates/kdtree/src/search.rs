@@ -194,7 +194,7 @@ impl<P: Clone> KdTree<P> {
         if !self.is_empty() {
             self.range_visit(NodeId(0), query, radius, &mut out, &mut stats);
         }
-        out.sort_by(|a, b| a.dist.partial_cmp(&b.dist).expect("distances are finite"));
+        out.sort_by(|a, b| a.dist.total_cmp(&b.dist));
         (out, stats)
     }
 

@@ -642,7 +642,7 @@ fn min_split_value<P>(bucket: &[Entry<P>], dim: usize) -> Option<f64> {
 /// `<= value` leaves both sides non-empty; `None` when all values equal.
 fn split_value<P>(bucket: &[Entry<P>], dim: usize) -> Option<f64> {
     let mut values: Vec<f64> = bucket.iter().map(|e| e.coords[dim]).collect();
-    values.sort_by(|a, b| a.partial_cmp(b).expect("coordinates are finite"));
+    values.sort_by(f64::total_cmp);
     let max = *values.last()?;
     let min = values[0];
     if max == min {

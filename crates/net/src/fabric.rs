@@ -23,8 +23,8 @@ use std::sync::{mpsc, Arc, Weak};
 use std::time::{Duration, Instant};
 
 use semtree_cluster::{
-    BoxHandler, ChannelFabric, ClusterError, ClusterMetrics, CompleteFn, ComputeNodeId, CostModel,
-    MembershipGate, MetricsSnapshot, NodeFactory, ReplyHandle, ReplySlot, Transport, Wire,
+    BoxHandler, ChannelFabric, ClusterError, ClusterMetrics, ComputeNodeId, CostModel,
+    MembershipGate, MetricsSnapshot, NodeFactory, ReplySlot, Transport, Wire,
 };
 use semtree_conc::sync::Mutex;
 
@@ -136,16 +136,66 @@ where
         cost: CostModel,
         timeout: Duration,
     ) -> io::Result<(Arc<Self>, Vec<u8>)> {
-        // Bind the mesh listener first so its port can ride in the Hello.
+        Self::handshake(coordinator, cost, timeout, |listen_port| NetMsg::Hello {
+            process_index: NetMsg::<Req, Resp>::UNASSIGNED,
+            listen_port,
+        })
+    }
+
+    /// Rejoin a deployment as a **restarted** worker: dial the
+    /// coordinator and ask to resume under the previously assigned
+    /// `process_index`, presenting the raw ids of the `partitions`
+    /// recovered from local durable state. The coordinator replaces its
+    /// stale route and connection for that index and re-announces the
+    /// worker to its siblings, so traffic to the old partition ids flows
+    /// again once the caller has re-spawned them on the local fabric.
+    ///
+    /// # Errors
+    /// Fails when the coordinator is unreachable or refuses the rejoin
+    /// (unknown index, index 0, or a partition owned by another process)
+    /// — a refusal surfaces as the coordinator hanging up.
+    pub fn rejoin(
+        coordinator: SocketAddr,
+        cost: CostModel,
+        timeout: Duration,
+        process_index: u32,
+        partitions: &[u32],
+    ) -> io::Result<Arc<Self>> {
+        let (fabric, _config) =
+            Self::handshake(coordinator, cost, timeout, |listen_port| NetMsg::Rejoin {
+                process_index,
+                listen_port,
+                partitions: partitions.to_vec(),
+            })?;
+        if fabric.process_index != process_index {
+            fabric.shutdown();
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "asked to rejoin as process {process_index}, coordinator says {}",
+                    fabric.process_index
+                ),
+            ));
+        }
+        Ok(fabric)
+    }
+
+    /// The worker's side of the membership handshake: send `first` (a
+    /// `Hello` or a `Rejoin`, given the mesh listener's port) and become
+    /// the process the coordinator's `Welcome` names. Returns the fabric
+    /// and the coordinator's config blob.
+    fn handshake(
+        coordinator: SocketAddr,
+        cost: CostModel,
+        timeout: Duration,
+        first: impl FnOnce(u16) -> NetMsg<Req, Resp>,
+    ) -> io::Result<(Arc<Self>, Vec<u8>)> {
+        // Bind the mesh listener first so its port can ride in `first`.
         let listener = TcpListener::bind((Ipv4Addr::UNSPECIFIED, 0))?;
         let listen_addr = listener.local_addr()?;
 
         let mut stream = dial_with_timeout(coordinator, timeout)?;
-        let hello: NetMsg<Req, Resp> = NetMsg::Hello {
-            process_index: NetMsg::<Req, Resp>::UNASSIGNED,
-            listen_port: listen_addr.port(),
-        };
-        write_frame(&mut stream, &hello.to_bytes())?;
+        write_frame(&mut stream, &first(listen_addr.port()).to_bytes())?;
         let payload = read_frame(&mut stream)?
             .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "coordinator hung up"))?;
         let welcome: NetMsg<Req, Resp> = decode_exact(&payload)
@@ -180,79 +230,6 @@ where
         fabric.register_conn(0, stream)?;
         fabric.start_accept_loop(listener)?;
         Ok((fabric, config))
-    }
-
-    /// Rejoin a deployment as a **restarted** worker: dial the
-    /// coordinator and ask to resume under the previously assigned
-    /// `process_index`, presenting the raw ids of the `partitions`
-    /// recovered from local durable state. The coordinator replaces its
-    /// stale route and connection for that index and re-announces the
-    /// worker to its siblings, so traffic to the old partition ids flows
-    /// again once the caller has re-spawned them on the local fabric.
-    ///
-    /// # Errors
-    /// Fails when the coordinator is unreachable or refuses the rejoin
-    /// (unknown index, index 0, or a partition owned by another process)
-    /// — a refusal surfaces as the coordinator hanging up.
-    pub fn rejoin(
-        coordinator: SocketAddr,
-        cost: CostModel,
-        timeout: Duration,
-        process_index: u32,
-        partitions: &[u32],
-    ) -> io::Result<Arc<Self>> {
-        let listener = TcpListener::bind((Ipv4Addr::UNSPECIFIED, 0))?;
-        let listen_addr = listener.local_addr()?;
-
-        let mut stream = dial_with_timeout(coordinator, timeout)?;
-        let rejoin: NetMsg<Req, Resp> = NetMsg::Rejoin {
-            process_index,
-            listen_port: listen_addr.port(),
-            partitions: partitions.to_vec(),
-        };
-        write_frame(&mut stream, &rejoin.to_bytes())?;
-        let payload = read_frame(&mut stream)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "coordinator hung up"))?;
-        let welcome: NetMsg<Req, Resp> = decode_exact(&payload)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let NetMsg::Welcome {
-            assigned_index,
-            peers,
-            config: _,
-        } = welcome
-        else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "expected Welcome from coordinator",
-            ));
-        };
-        if assigned_index != process_index {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "asked to rejoin as process {process_index}, coordinator says {assigned_index}"
-                ),
-            ));
-        }
-
-        let fabric = Self::build(
-            ChannelFabric::new(cost, process_index),
-            process_index,
-            listen_addr,
-            Vec::new(),
-        );
-        {
-            let mut map = fabric.peers.write();
-            map.insert(0, coordinator);
-            for (index, addr) in peers {
-                if let Ok(parsed) = addr.parse() {
-                    map.insert(index, parsed);
-                }
-            }
-        }
-        fabric.register_conn(0, stream)?;
-        fabric.start_accept_loop(listener)?;
-        Ok(fabric)
     }
 
     fn build(
@@ -416,40 +393,7 @@ where
     /// others.
     fn admit_worker(self: &Arc<Self>, stream: TcpStream, peer_listen: SocketAddr) {
         let assigned = self.next_worker_index.fetch_add(1, Ordering::SeqCst) as u32;
-        let existing: Vec<(u32, String)> = {
-            let peers = self.peers.read();
-            peers
-                .iter()
-                .map(|(&index, addr)| (index, addr.to_string()))
-                .collect()
-        };
-        // Existing workers learn the newcomer's address for lazy dialing.
-        let joined: NetMsg<Req, Resp> = NetMsg::PeerJoined {
-            index: assigned,
-            addr: peer_listen.to_string(),
-        };
-        let joined_bytes = joined.to_bytes();
-        for conn in self.conns.values() {
-            let _ = self.write_recorded(&conn, &joined_bytes);
-        }
-        // Ordering matters twice over. The route and connection must
-        // exist before the Welcome goes out (the worker treats Welcome as
-        // "joined", and the coordinator may be asked to reach it the
-        // moment `join` returns) — and the membership gate must fire only
-        // AFTER the Welcome is on the wire: waking waiters earlier lets a
-        // sender grab the freshly registered conn's writer first, and the
-        // worker's first frame becomes a request instead of its Welcome.
-        self.peers.write().insert(assigned, peer_listen);
-        let Ok(conn) = self.register_conn(assigned, stream) else {
-            return;
-        };
-        let welcome: NetMsg<Req, Resp> = NetMsg::Welcome {
-            assigned_index: assigned,
-            peers: existing,
-            config: self.config.clone(),
-        };
-        let _ = self.write_recorded(&conn, &welcome.to_bytes());
-        self.notify_membership();
+        self.welcome_worker(stream, peer_listen, assigned);
     }
 
     /// Coordinator path for a **restarted** worker: validate that the
@@ -477,34 +421,46 @@ where
             return;
         }
         // Drop the dead connection so nothing writes into the old socket;
-        // the replacement is registered below under the same index.
+        // the replacement is registered under the same index.
         self.conns.remove(process_index);
+        self.welcome_worker(stream, peer_listen, process_index);
+    }
+
+    /// Make the worker behind `stream` process `index` of the deployment:
+    /// tell the others, install its route and connection, welcome it.
+    fn welcome_worker(self: &Arc<Self>, stream: TcpStream, peer_listen: SocketAddr, index: u32) {
         let existing: Vec<(u32, String)> = {
             let peers = self.peers.read();
             peers
                 .iter()
-                .filter(|&(&index, _)| index != process_index)
-                .map(|(&index, addr)| (index, addr.to_string()))
+                .filter(|&(&peer, _)| peer != index)
+                .map(|(&peer, addr)| (peer, addr.to_string()))
                 .collect()
         };
-        // Siblings replace their stale route with the new listener (their
-        // lazily-dialed connection to the old incarnation died with it).
+        // The others learn the address for lazy dialing; for a restarted
+        // worker it replaces their stale route (their connection to the
+        // old incarnation died with it).
         let joined: NetMsg<Req, Resp> = NetMsg::PeerJoined {
-            index: process_index,
+            index,
             addr: peer_listen.to_string(),
         };
         let joined_bytes = joined.to_bytes();
         for conn in self.conns.values() {
             let _ = self.write_recorded(&conn, &joined_bytes);
         }
-        // Same discipline as `admit_worker`: the Welcome must be this
-        // socket's first outbound frame, so the gate fires only after it.
-        self.peers.write().insert(process_index, peer_listen);
-        let Ok(conn) = self.register_conn(process_index, stream) else {
+        // Ordering matters twice over. The route and connection must
+        // exist before the Welcome goes out (the worker treats Welcome as
+        // "joined", and the coordinator may be asked to reach it the
+        // moment `join` returns) — and the membership gate must fire only
+        // AFTER the Welcome is on the wire: waking waiters earlier lets a
+        // sender grab the freshly registered conn's writer first, and the
+        // worker's first frame becomes a request instead of its Welcome.
+        self.peers.write().insert(index, peer_listen);
+        let Ok(conn) = self.register_conn(index, stream) else {
             return;
         };
         let welcome: NetMsg<Req, Resp> = NetMsg::Welcome {
-            assigned_index: process_index,
+            assigned_index: index,
             peers: existing,
             config: self.config.clone(),
         };
@@ -541,7 +497,7 @@ where
             fabric
                 .metrics
                 .record_message(frame_overhead(payload.len()), 0);
-            if !fabric.dispatch(conn, &payload) {
+            if !fabric.handle_frame(conn, &payload) {
                 break;
             }
         }
@@ -559,7 +515,7 @@ where
 
     /// Handle one inbound frame. Returns `false` when the reader should
     /// stop (corrupt stream or shutdown).
-    fn dispatch(self: &Arc<Self>, conn: &Arc<Conn<Resp>>, payload: &[u8]) -> bool {
+    fn handle_frame(self: &Arc<Self>, conn: &Arc<Conn<Resp>>, payload: &[u8]) -> bool {
         let msg: NetMsg<Req, Resp> = match decode_exact(payload) {
             Ok(msg) => msg,
             // A corrupt frame desynchronises the stream; tear it down.
@@ -577,10 +533,7 @@ where
                 // further processes), so it must not occupy the reader.
                 std::thread::spawn(move || {
                     let started = Instant::now();
-                    let result = fabric
-                        .local
-                        .send(ComputeNodeId(target), body)
-                        .and_then(ReplyHandle::wait);
+                    let result = fabric.local.send(ComputeNodeId(target), body).wait();
                     let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                     fabric.metrics.record_latency(elapsed);
                     let reply: NetMsg<Req, Resp> = match result {
@@ -763,64 +716,29 @@ where
     Req: Encode + Decode + Wire + Send + 'static,
     Resp: Encode + Decode + Wire + Send + 'static,
 {
-    fn send(&self, target: ComputeNodeId, req: Req) -> Result<ReplyHandle<Resp>, ClusterError> {
+    /// A local target goes to the channel fabric; a remote one rides the
+    /// persistent per-peer connection with `reply` registered under a
+    /// fresh call id, so the demux reader completes the caller directly
+    /// when the correlated response frame arrives. Teardown (`fail_all`),
+    /// a remote error frame and a failed write all go through the same
+    /// slot.
+    fn dispatch(&self, target: ComputeNodeId, req: Req, reply: ReplySlot<Resp>) {
+        let shutting_down = || ClusterError::Net("fabric is shutting down".into());
         if self.shutting_down.load(Ordering::SeqCst) {
-            return Err(ClusterError::Net("fabric is shutting down".into()));
+            return reply.fill(Err(shutting_down()));
         }
         if target.process() == self.process_index {
-            return self.local.send(target, req);
-        }
-        let this = self
-            .self_weak
-            .upgrade()
-            .ok_or_else(|| ClusterError::Net("fabric is shutting down".into()))?;
-        let conn = this.conn_to(target.process())?;
-        let call_id = self.next_call_id.fetch_add(1, Ordering::SeqCst);
-        let (slot, handle) = ReplyHandle::pair(target);
-        conn.pending.lock().insert(call_id, Pending::Call(slot));
-        let msg: NetMsg<Req, Resp> = NetMsg::Request {
-            call_id,
-            target: target.0,
-            body: req,
-        };
-        if let Err(err) = self.write_recorded(&conn, &msg.to_bytes()) {
-            conn.take_pending(call_id);
-            return Err(err);
-        }
-        Ok(handle)
-    }
-
-    /// The pipelined worker hop: the request rides the same persistent
-    /// per-peer connection as [`send`](Transport::send), but the
-    /// registered pending entry carries a callback slot, so the demux
-    /// reader thread completes the caller directly when the correlated
-    /// response frame arrives — no executor blocks in between. Failures
-    /// (teardown in `fail_all`, a remote error frame, a failed write)
-    /// all route through the same slot, preserving exactly-once
-    /// completion.
-    fn submit(&self, target: ComputeNodeId, req: Req, complete: CompleteFn<Resp>) {
-        if self.shutting_down.load(Ordering::SeqCst) {
-            complete(Err(ClusterError::Net("fabric is shutting down".into())));
-            return;
-        }
-        if target.process() == self.process_index {
-            self.local.submit(target, req, complete);
-            return;
+            return self.local.dispatch(target, req, reply);
         }
         let Some(this) = self.self_weak.upgrade() else {
-            complete(Err(ClusterError::Net("fabric is shutting down".into())));
-            return;
+            return reply.fill(Err(shutting_down()));
         };
         let conn = match this.conn_to(target.process()) {
             Ok(conn) => conn,
-            Err(err) => {
-                complete(Err(err));
-                return;
-            }
+            Err(err) => return reply.fill(Err(err)),
         };
         let call_id = self.next_call_id.fetch_add(1, Ordering::SeqCst);
-        let slot = ReplySlot::with_callback(target, complete);
-        conn.pending.lock().insert(call_id, Pending::Call(slot));
+        conn.pending.lock().insert(call_id, Pending::Call(reply));
         let msg: NetMsg<Req, Resp> = NetMsg::Request {
             call_id,
             target: target.0,
@@ -979,7 +897,7 @@ mod tests {
                 .unwrap();
         assert_eq!(worker.process_index(), 1);
         let node = worker.spawn_handler(Box::new(Echo)).unwrap();
-        assert_eq!(coord.send(node, 2).and_then(ReplyHandle::wait), Ok(4));
+        assert_eq!(coord.send(node, 2).wait(), Ok(4));
 
         // Crash: sockets close without a goodbye frame.
         drop(worker);
@@ -997,7 +915,7 @@ mod tests {
         let renode = revived.spawn_handler(Box::new(Echo)).unwrap();
         assert_eq!(renode, node);
         // The coordinator reaches the revived worker over the new socket.
-        assert_eq!(coord.send(node, 21).and_then(ReplyHandle::wait), Ok(42));
+        assert_eq!(coord.send(node, 21).wait(), Ok(42));
 
         coord.shutdown();
         revived.wait_for_shutdown();
@@ -1032,7 +950,7 @@ mod tests {
             );
         }
         // The refused impostors did not disturb the legitimate worker.
-        assert_eq!(coord.send(node, 5).and_then(ReplyHandle::wait), Ok(10));
+        assert_eq!(coord.send(node, 5).wait(), Ok(10));
         coord.shutdown();
         worker.wait_for_shutdown();
         worker.shutdown();
@@ -1047,8 +965,12 @@ mod tests {
                 .unwrap();
         // No such node on the worker: the failure crosses the wire typed.
         let ghost = ComputeNodeId::from_parts(1, 7);
-        let outcome = coord.send(ghost, 1).and_then(ReplyHandle::wait);
+        let outcome = coord.send(ghost, 1).wait();
         assert_eq!(outcome, Err(ClusterError::UnknownNode(ghost)));
+        // The callback slot takes the same route, demux reader included.
+        let (tx, rx) = mpsc::channel();
+        coord.submit(ghost, 1, Box::new(move |out| tx.send(out).unwrap()));
+        assert_eq!(rx.recv().unwrap(), Err(ClusterError::UnknownNode(ghost)));
         coord.shutdown();
         worker.wait_for_shutdown();
         worker.shutdown();
@@ -1073,7 +995,7 @@ mod tests {
         assert_eq!(owners, vec![1, 2, 1, 2], "round-robin over workers only");
         // Every spawned member is reachable from the coordinator.
         for id in spawned {
-            assert_eq!(coord.send(id, 3).and_then(ReplyHandle::wait), Ok(6));
+            assert_eq!(coord.send(id, 3).wait(), Ok(6));
         }
         coord.shutdown();
         for worker in [w1, w2] {
@@ -1097,7 +1019,7 @@ mod tests {
         // w1 has never talked to w2; the PeerJoined broadcast lets it
         // dial. Wait on the membership gate instead of sleep-polling.
         w1.wait_for_workers(2, DIAL_TIMEOUT).unwrap();
-        assert_eq!(w1.send(on_w2, 8).and_then(ReplyHandle::wait), Ok(16));
+        assert_eq!(w1.send(on_w2, 8).wait(), Ok(16));
         coord.shutdown();
         for worker in [w1, w2] {
             worker.wait_for_shutdown();

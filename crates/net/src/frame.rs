@@ -13,27 +13,27 @@ use std::time::{Duration, Instant};
 /// corrupted or hostile stream rather than allocated.
 pub const MAX_FRAME_LEN: usize = 256 * 1024 * 1024;
 
-/// Append one whole frame to `out`: the length prefix, the v2 header
-/// when `corr` is given, then `body` — the same bytes as
-/// [`write_frame`] over [`encode_frame_v2`] (or over the bare body),
-/// built in place so a writer can hand the socket many frames at once.
+/// The u32 length prefix of a `len`-byte payload.
+fn length_prefix(len: usize) -> io::Result<[u8; 4]> {
+    u32::try_from(len)
+        .map(u32::to_be_bytes)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds u32 length"))
+}
+
+/// Append one whole client-port frame to `out`: the length prefix, the
+/// v2 header carrying `corr`, then `body` — the same bytes as
+/// [`write_frame`] over [`encode_frame_v2`], built in place so a writer
+/// can hand the socket many frames at once.
 ///
 /// # Errors
 /// [`io::ErrorKind::InvalidInput`] when the frame's payload exceeds the
 /// u32 length-prefix range; `out` is untouched.
-pub fn append_frame(out: &mut Vec<u8>, corr: Option<u64>, body: &[u8]) -> io::Result<()> {
-    let header = if corr.is_some() {
-        FRAME_V2_HEADER_LEN
-    } else {
-        0
-    };
-    let len = u32::try_from(header + body.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds u32 length"))?;
-    out.reserve(frame_overhead(header + body.len()));
-    out.extend_from_slice(&len.to_be_bytes());
-    if let Some(corr) = corr {
-        push_v2_header(out, corr);
-    }
+pub fn append_frame(out: &mut Vec<u8>, corr: u64, body: &[u8]) -> io::Result<()> {
+    let len = FRAME_V2_HEADER_LEN + body.len();
+    let prefix = length_prefix(len)?;
+    out.reserve(frame_overhead(len));
+    out.extend_from_slice(&prefix);
+    push_v2_header(out, corr);
     out.extend_from_slice(body);
     Ok(())
 }
@@ -47,8 +47,9 @@ fn push_v2_header(out: &mut Vec<u8>, corr_id: u64) {
 /// payload leave in one `write`: on a `TCP_NODELAY` socket two writes
 /// are two segments and two syscalls.
 pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let mut framed = Vec::new();
-    append_frame(&mut framed, None, payload)?;
+    let mut framed = Vec::with_capacity(frame_overhead(payload.len()));
+    framed.extend_from_slice(&length_prefix(payload.len())?);
+    framed.extend_from_slice(payload);
     stream.write_all(&framed)?;
     stream.flush()
 }
@@ -92,12 +93,10 @@ pub fn frame_overhead(payload_len: usize) -> usize {
     4 + payload_len
 }
 
-/// Magic first payload byte of a **v2 (pipelined) frame**: the payload
-/// is `[0xC2][u64 LE correlation id][body]` instead of a bare body.
-///
-/// The value is unambiguous against every v1 payload in the protocol:
-/// v1 payloads start with a codec enum tag, and no protocol enum has
-/// more than a handful of variants — nowhere near `0xC2`.
+/// Magic first payload byte of a **client-port frame**: the payload is
+/// `[0xC2][u64 LE correlation id][body]`. The client port speaks only
+/// this generation; cluster-port frames carry a bare `NetMsg`, which
+/// correlates by its own `call_id`.
 pub const FRAME_V2: u8 = 0xC2;
 
 /// Payload bytes beyond the body in a v2 frame (magic + correlation id).
@@ -115,31 +114,23 @@ pub fn encode_frame_v2(corr_id: u64, body: &[u8]) -> Vec<u8> {
     payload
 }
 
-/// Split a frame payload that may be v2. Returns `Ok(Some((corr_id,
-/// body)))` for a well-formed v2 payload, `Ok(None)` when the payload is
-/// v1 (no magic byte — including the empty payload), and an
-/// [`io::ErrorKind::InvalidData`] error when the magic byte is present
-/// but the header is truncated.
-pub fn split_frame_v2(payload: &[u8]) -> io::Result<Option<(u64, &[u8])>> {
-    match payload.first() {
-        Some(&FRAME_V2) => {
-            if payload.len() < FRAME_V2_HEADER_LEN {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "v2 frame header truncated: {} of {FRAME_V2_HEADER_LEN} bytes",
-                        payload.len()
-                    ),
-                ));
-            }
-            let mut corr = [0u8; 8];
-            corr.copy_from_slice(&payload[1..FRAME_V2_HEADER_LEN]);
-            Ok(Some((
-                u64::from_le_bytes(corr),
-                &payload[FRAME_V2_HEADER_LEN..],
-            )))
-        }
-        _ => Ok(None),
+/// Split a client-port payload into its correlation id and body.
+///
+/// # Errors
+/// [`io::ErrorKind::InvalidData`] when the payload does not start with
+/// [`FRAME_V2`] or is shorter than the header: the stream is
+/// desynchronised and the connection should be dropped.
+pub fn split_frame_v2(payload: &[u8]) -> io::Result<(u64, &[u8])> {
+    match payload.split_first_chunk::<FRAME_V2_HEADER_LEN>() {
+        Some(([FRAME_V2, corr @ ..], body)) => Ok((u64::from_le_bytes(*corr), body)),
+        _ => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "not a v2 frame: {} payload bytes, first {:?}",
+                payload.len(),
+                payload.first()
+            ),
+        )),
     }
 }
 
@@ -232,11 +223,11 @@ mod tests {
     #[test]
     fn append_frame_is_write_frame_over_the_v2_payload() {
         let mut appended = Vec::new();
-        append_frame(&mut appended, Some(42), b"body").unwrap();
-        append_frame(&mut appended, None, b"plain").unwrap();
+        append_frame(&mut appended, 42, b"body").unwrap();
+        append_frame(&mut appended, u64::MAX, b"").unwrap();
         let mut written = Vec::new();
         write_frame(&mut written, &encode_frame_v2(42, b"body")).unwrap();
-        write_frame(&mut written, b"plain").unwrap();
+        write_frame(&mut written, &encode_frame_v2(u64::MAX, b"")).unwrap();
         assert_eq!(appended, written);
     }
 
@@ -352,18 +343,18 @@ mod tests {
     fn v2_payload_round_trips() {
         let payload = encode_frame_v2(0xDEAD_BEEF_1234_5678, b"body bytes");
         assert_eq!(payload.len(), FRAME_V2_HEADER_LEN + 10);
-        let (corr, body) = split_frame_v2(&payload).unwrap().expect("v2");
+        let (corr, body) = split_frame_v2(&payload).unwrap();
         assert_eq!(corr, 0xDEAD_BEEF_1234_5678);
         assert_eq!(body, b"body bytes");
     }
 
     #[test]
-    fn v1_payloads_pass_through_split_unscathed() {
-        // Every ClientReq/NetMsg tag is tiny — far below 0xC2.
-        for first in [0u8, 1, 7, 9] {
-            assert_eq!(split_frame_v2(&[first, 1, 2, 3]).unwrap(), None);
+    fn payloads_without_the_magic_byte_are_invalid_data() {
+        // What a v1 client sent: a bare body, starting with a codec tag.
+        for payload in [&[0u8, 1, 2, 3][..], &[1; 32], &[9; 9], &[]] {
+            let err = split_frame_v2(payload).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{payload:?}");
         }
-        assert_eq!(split_frame_v2(&[]).unwrap(), None);
     }
 
     #[test]

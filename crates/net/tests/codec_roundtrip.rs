@@ -250,7 +250,8 @@ mod frame_v2_pipelining {
     #[test]
     fn interleaved_v1_and_v2_frames_keep_their_identities() {
         // One wire carrying a v1 frame between v2 frames with extreme
-        // correlation ids — each frame comes back tagged correctly.
+        // correlation ids — the v2 frames come back tagged correctly and
+        // the v1 one is told apart as a stream the port does not speak.
         let mut wire = Vec::new();
         write_frame(&mut wire, &encode_frame_v2(u64::MAX, b"last-id")).unwrap();
         write_frame(&mut wire, b"plain v1 payload").unwrap();
@@ -262,15 +263,13 @@ mod frame_v2_pipelining {
             chunk: 3,
         };
         let first = read_frame(&mut reader).unwrap().unwrap();
-        assert_eq!(
-            split_frame_v2(&first).unwrap(),
-            Some((u64::MAX, &b"last-id"[..]))
-        );
+        assert_eq!(split_frame_v2(&first).unwrap(), (u64::MAX, &b"last-id"[..]));
         let second = read_frame(&mut reader).unwrap().unwrap();
-        assert_eq!(split_frame_v2(&second).unwrap(), None, "v1 passes through");
         assert_eq!(second, b"plain v1 payload");
+        let err = split_frame_v2(&second).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "v1 is rejected");
         let third = read_frame(&mut reader).unwrap().unwrap();
-        assert_eq!(split_frame_v2(&third).unwrap(), Some((0, &b"zero-id"[..])));
+        assert_eq!(split_frame_v2(&third).unwrap(), (0, &b"zero-id"[..]));
     }
 
     #[test]
@@ -280,7 +279,7 @@ mod frame_v2_pipelining {
         // then fails the connection rather than mis-delivering).
         let issued: std::collections::HashSet<u64> = [1, 2, 3].into();
         let reply = encode_frame_v2(42, b"stray");
-        let (corr, _body) = split_frame_v2(&reply).unwrap().unwrap();
+        let (corr, _body) = split_frame_v2(&reply).unwrap();
         assert!(
             !issued.contains(&corr),
             "a stray id must not match any issued request"
@@ -320,7 +319,7 @@ mod frame_v2_pipelining {
             let mut reader = Dribble { wire: &wire, pos: 0, chunk };
             for (corr, body) in &frames {
                 let payload = read_frame(&mut reader).unwrap().unwrap();
-                let (got_corr, got_body) = split_frame_v2(&payload).unwrap().unwrap();
+                let (got_corr, got_body) = split_frame_v2(&payload).unwrap();
                 prop_assert_eq!(got_corr, *corr);
                 prop_assert_eq!(got_body, &body[..]);
             }
@@ -333,10 +332,7 @@ mod frame_v2_pipelining {
         #[test]
         fn header_truncation_never_misparses(corr in 0u64..u64::MAX, cut in 1usize..9) {
             let payload = encode_frame_v2(corr, b"");
-            prop_assert_eq!(
-                split_frame_v2(&payload).unwrap(),
-                Some((corr, &b""[..]))
-            );
+            prop_assert_eq!(split_frame_v2(&payload).unwrap(), (corr, &b""[..]));
             let err = split_frame_v2(&payload[..cut]).unwrap_err();
             prop_assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         }

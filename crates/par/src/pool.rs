@@ -1,26 +1,40 @@
-//! The production pool: scoped workers driving a [`ChunkedQueue`].
+//! The production pool: scoped workers sharing a [`ChunkedQueue`].
 //!
 //! A [`Pool`] is pure configuration (a thread count) — workers are
 //! spawned per call with `std::thread::scope`, so closures may borrow
 //! from the caller's stack and there is no global executor to shut
-//! down. Every primitive is **deterministic**: whatever the steal
-//! schedule, `map` reassembles per-chunk outputs by start index and
+//! down. Every primitive is **deterministic**: whichever worker claims
+//! which chunk, `map` reassembles per-chunk outputs by chunk index and
 //! `reduce` combines per-chunk folds in ascending chunk order, so for a
 //! pure `f` (and a chunk-compatible fold/combine pair) the output is
 //! bit-identical to the sequential path for any thread count.
 
-use crate::queue::ChunkedQueue;
+use crate::queue::{Chunk, ChunkedQueue};
 use semtree_conc::sync::Mutex;
 
 /// How many chunks each worker nominally receives; the surplus beyond 1
-/// is what gives idle workers something to steal.
+/// is what lets a worker that finishes early take more.
 const CHUNKS_PER_WORKER: usize = 4;
 
-fn chunk_size(items: usize, workers: usize) -> usize {
-    items.div_ceil(workers * CHUNKS_PER_WORKER).max(1)
+/// Run `work` on `workers` threads (this one included) and gather what
+/// each returns, through its join handle. A worker's panic resumes
+/// here.
+fn gather<T: Send>(workers: usize, work: &(impl Fn() -> Vec<T> + Sync)) -> Vec<T> {
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut all = work();
+        for handle in spawned {
+            all.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        all
+    })
 }
 
-/// A scoped work-stealing thread pool.
+/// A scoped self-scheduling thread pool.
 ///
 /// `Pool` is `Clone` and cheap to pass around; `threads == 1` (or a
 /// job too small to split) runs inline on the caller's thread with no
@@ -62,6 +76,24 @@ impl Pool {
         self.threads.min(items).max(1)
     }
 
+    /// `per_chunk` over the chunks of `0..items` on `workers` threads,
+    /// results in ascending chunk order.
+    fn chunked<T: Send>(
+        items: usize,
+        workers: usize,
+        per_chunk: &(impl Fn(Chunk) -> T + Sync),
+    ) -> impl Iterator<Item = T> {
+        let chunk_size = items.div_ceil(workers * CHUNKS_PER_WORKER);
+        let queue = ChunkedQueue::new(items, chunk_size);
+        let mut parts = gather(workers, &|| {
+            std::iter::from_fn(|| queue.claim())
+                .map(|c| (c.index, per_chunk(c)))
+                .collect()
+        });
+        parts.sort_unstable_by_key(|&(index, _)| index);
+        parts.into_iter().map(|(_, part)| part)
+    }
+
     /// Run `body(start, end)` over disjoint chunks covering `0..items`.
     ///
     /// `body` must be safe to call concurrently on disjoint ranges; the
@@ -77,19 +109,7 @@ impl Pool {
             }
             return;
         }
-        let queue: ChunkedQueue = ChunkedQueue::new(items, chunk_size(items, workers), workers);
-        let run = |w: usize| {
-            while let Some(c) = queue.claim(w) {
-                body(c.start, c.end);
-            }
-        };
-        std::thread::scope(|scope| {
-            for w in 1..workers {
-                let run = &run;
-                scope.spawn(move || run(w));
-            }
-            run(0);
-        });
+        Self::chunked(items, workers, &|c| body(c.start, c.end)).for_each(drop);
     }
 
     /// `f(i)` for every `i in 0..items`, collected in index order.
@@ -105,30 +125,9 @@ impl Pool {
         if workers <= 1 {
             return (0..items).map(f).collect();
         }
-        let queue: ChunkedQueue = ChunkedQueue::new(items, chunk_size(items, workers), workers);
-        let parts = Mutex::new(Vec::new());
-        let run = |w: usize| {
-            while let Some(c) = queue.claim(w) {
-                let mut vals = Vec::with_capacity(c.end - c.start);
-                for i in c.start..c.end {
-                    vals.push(f(i));
-                }
-                parts.lock().push((c.start, vals));
-            }
-        };
-        std::thread::scope(|scope| {
-            for w in 1..workers {
-                let run = &run;
-                scope.spawn(move || run(w));
-            }
-            run(0);
-        });
-        let mut parts = std::mem::take(&mut *parts.lock());
-        parts.sort_unstable_by_key(|&(start, _)| start);
+        let per_chunk = |c: Chunk| (c.start..c.end).map(f).collect::<Vec<T>>();
         let mut out = Vec::with_capacity(items);
-        for (_, vals) in parts {
-            out.extend(vals);
-        }
+        out.extend(Self::chunked(items, workers, &per_chunk).flatten());
         out
     }
 
@@ -153,24 +152,7 @@ impl Pool {
         if workers <= 1 {
             return Some(fold(0, items));
         }
-        let queue: ChunkedQueue = ChunkedQueue::new(items, chunk_size(items, workers), workers);
-        let parts = Mutex::new(Vec::new());
-        let run = |w: usize| {
-            while let Some(c) = queue.claim(w) {
-                let val = fold(c.start, c.end);
-                parts.lock().push((c.index, val));
-            }
-        };
-        std::thread::scope(|scope| {
-            for w in 1..workers {
-                let run = &run;
-                scope.spawn(move || run(w));
-            }
-            run(0);
-        });
-        let mut parts = std::mem::take(&mut *parts.lock());
-        parts.sort_unstable_by_key(|&(index, _)| index);
-        parts.into_iter().map(|(_, val)| val).reduce(combine)
+        Self::chunked(items, workers, &|c| fold(c.start, c.end)).reduce(combine)
     }
 
     /// `f` applied to every owned item, collected in input order.
@@ -190,27 +172,14 @@ impl Pool {
         if workers <= 1 {
             return items.into_iter().map(f).collect();
         }
-        let total = items.len();
         let feed = Mutex::new(items.into_iter().enumerate());
-        let parts = Mutex::new(Vec::with_capacity(total));
-        let run = || loop {
-            let next = feed.lock().next();
-            match next {
-                Some((i, item)) => {
-                    let val = f(item);
-                    parts.lock().push((i, val));
-                }
-                None => break,
-            }
-        };
-        std::thread::scope(|scope| {
-            let run = &run;
-            for _ in 1..workers {
-                scope.spawn(run);
-            }
-            run();
+        let mut parts = gather(workers, &|| {
+            // The feed is locked only to take the next item, not while
+            // `f` runs on it.
+            std::iter::from_fn(|| feed.lock().next())
+                .map(|(i, item)| (i, f(item)))
+                .collect()
         });
-        let mut parts = std::mem::take(&mut *parts.lock());
         parts.sort_unstable_by_key(|&(i, _)| i);
         parts.into_iter().map(|(_, val)| val).collect()
     }

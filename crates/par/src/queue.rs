@@ -1,22 +1,14 @@
-//! Chunked work-stealing deques, generic over the conc [`Shim`].
+//! The chunk cursor: how the workers of one parallel job share it out.
 //!
-//! A parallel job over `items` indices is split into contiguous
-//! [`Chunk`]s which are pre-distributed round-robin across one deque per
-//! worker. During the run no chunk is ever re-enqueued: a worker pops
-//! its own deque from the front (ascending ranges, cache-friendly) and,
-//! once empty, steals from the *back* of its peers' deques scanning
-//! `worker+1, worker+2, …` cyclically — the classic owner-LIFO /
-//! thief-FIFO split that keeps owner and thieves on opposite ends.
-//!
-//! Because chunks are only consumed, `claim` returning `None` proves
-//! every chunk has been handed to some worker, which is the entire join
-//! protocol: scoped workers simply run until `claim` is dry. The
-//! `claimed` counter exists for observability and for the model-checker
-//! assertions in `crates/conc/tests/models.rs`.
+//! A job over `items` indices is cut into contiguous [`Chunk`]s, and a
+//! worker that wants work takes the next one off a single atomic
+//! cursor. A worker that finishes early simply comes back sooner, so at
+//! a few chunks per worker the load balances itself. The cursor only
+//! moves forward: `claim` returning `None` proves every chunk has been
+//! handed to some worker, which is the entire join protocol — scoped
+//! workers run until `claim` is dry.
 
-use std::collections::VecDeque;
-
-use semtree_conc::shim::{Shim, StdShim};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One contiguous index range `[start, end)` of a parallel job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,85 +23,38 @@ pub struct Chunk {
     pub end: usize,
 }
 
-/// Per-worker deques of pre-distributed chunks with work stealing.
-///
-/// Generic over the `semtree-conc` [`Shim`] so the steal/join protocol
-/// runs unchanged under the deterministic model scheduler; production
-/// code instantiates `ChunkedQueue<StdShim>` (the default).
-pub struct ChunkedQueue<S: Shim = StdShim> {
-    deques: Vec<S::Mutex<VecDeque<Chunk>>>,
-    claimed: S::AtomicU64,
-    total: u64,
+/// The chunks of one job behind a shared "next chunk" cursor.
+pub struct ChunkedQueue {
+    items: usize,
+    chunk_size: usize,
+    /// Index of the next unclaimed chunk. It publishes nothing: chunks
+    /// are computed from it, and what workers produce travels through
+    /// their join handles.
+    next: AtomicUsize,
 }
 
-impl<S: Shim> ChunkedQueue<S> {
-    /// Split `items` indices into chunks of `chunk_size` (the last chunk
-    /// may be shorter) and distribute them round-robin across `workers`
-    /// deques.
+impl ChunkedQueue {
+    /// Cut `items` indices into chunks of `chunk_size` (the last chunk
+    /// may be shorter).
     #[must_use]
-    pub fn new(items: usize, chunk_size: usize, workers: usize) -> Self {
-        let chunk_size = chunk_size.max(1);
-        let workers = workers.max(1);
-        let mut buckets: Vec<VecDeque<Chunk>> = (0..workers).map(|_| VecDeque::new()).collect();
-        let mut start = 0;
-        let mut index = 0;
-        while start < items {
-            let end = (start + chunk_size).min(items);
-            buckets[index % workers].push_back(Chunk { index, start, end });
-            start = end;
-            index += 1;
-        }
+    pub fn new(items: usize, chunk_size: usize) -> Self {
         ChunkedQueue {
-            deques: buckets.into_iter().map(S::mutex).collect(),
-            claimed: S::atomic_u64(0),
-            total: index as u64,
+            items,
+            chunk_size: chunk_size.max(1),
+            next: AtomicUsize::new(0),
         }
     }
 
-    /// Number of workers the queue was sized for.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.deques.len()
-    }
-
-    /// Total chunks the job was split into.
-    #[must_use]
-    pub fn chunk_count(&self) -> u64 {
-        self.total
-    }
-
-    /// Chunks claimed so far.
-    #[must_use]
-    pub fn claimed(&self) -> u64 {
-        S::load(&self.claimed).min(self.total)
-    }
-
-    /// True once every chunk has been claimed by some worker.
-    #[must_use]
-    pub fn is_drained(&self) -> bool {
-        self.claimed() == self.total
-    }
-
-    /// Claim one chunk for `worker`: the front of its own deque first,
-    /// then the back of each peer deque scanning cyclically from
-    /// `worker + 1`. Returns `None` only when every chunk in the job has
-    /// been claimed — chunks are never re-enqueued, so a full empty scan
-    /// is proof of drain and doubles as the join condition.
-    pub fn claim(&self, worker: usize) -> Option<Chunk> {
-        let slots = self.deques.len();
-        let own = worker % slots;
-        if let Some(chunk) = S::lock(&self.deques[own]).pop_front() {
-            S::fetch_add(&self.claimed, 1);
-            return Some(chunk);
-        }
-        for offset in 1..slots {
-            let victim = (own + offset) % slots;
-            if let Some(chunk) = S::lock(&self.deques[victim]).pop_back() {
-                S::fetch_add(&self.claimed, 1);
-                return Some(chunk);
-            }
-        }
-        None
+    /// Claim the next chunk, in ascending order. Returns `None` only
+    /// when every chunk of the job has been claimed.
+    pub fn claim(&self) -> Option<Chunk> {
+        let index = self.next.fetch_add(1, Ordering::Relaxed);
+        let start = index.checked_mul(self.chunk_size)?;
+        (start < self.items).then(|| Chunk {
+            index,
+            start,
+            end: (start + self.chunk_size).min(self.items),
+        })
     }
 }
 
@@ -117,46 +62,39 @@ impl<S: Shim> ChunkedQueue<S> {
 mod tests {
     use super::*;
 
-    fn drain_all(queue: &ChunkedQueue, worker: usize) -> Vec<Chunk> {
-        let mut out = Vec::new();
-        while let Some(c) = queue.claim(worker) {
-            out.push(c);
-        }
-        out
+    fn drain_all(queue: &ChunkedQueue) -> Vec<Chunk> {
+        std::iter::from_fn(|| queue.claim()).collect()
     }
 
     #[test]
     fn chunks_cover_the_range_exactly_once() {
-        for (items, chunk, workers) in [(10, 3, 2), (1, 1, 4), (100, 7, 3), (16, 16, 2)] {
-            let queue: ChunkedQueue = ChunkedQueue::new(items, chunk, workers);
+        for (items, chunk) in [(10, 3), (1, 1), (100, 7), (16, 16)] {
+            let queue = ChunkedQueue::new(items, chunk);
             let mut seen = vec![false; items];
-            for c in drain_all(&queue, 0) {
+            let chunks = drain_all(&queue);
+            for c in &chunks {
                 for (i, s) in seen.iter_mut().enumerate().take(c.end).skip(c.start) {
                     assert!(!*s, "index {i} claimed twice");
                     *s = true;
                 }
             }
             assert!(seen.iter().all(|&s| s), "every index claimed");
-            assert!(queue.is_drained());
-            assert_eq!(queue.claimed(), queue.chunk_count());
+            assert_eq!(chunks.len(), items.div_ceil(chunk));
+            assert_eq!(queue.claim(), None, "dry stays dry");
         }
     }
 
     #[test]
     fn empty_job_is_born_drained() {
-        let queue: ChunkedQueue = ChunkedQueue::new(0, 8, 4);
-        assert_eq!(queue.chunk_count(), 0);
-        assert!(queue.is_drained());
-        assert_eq!(queue.claim(0), None);
-        assert_eq!(queue.claim(3), None);
+        let queue = ChunkedQueue::new(0, 8);
+        assert_eq!(queue.claim(), None);
+        assert_eq!(queue.claim(), None);
     }
 
     #[test]
-    fn owner_drains_own_deque_in_ascending_order() {
-        // Single worker: round-robin puts every chunk in deque 0, and the
-        // owner pops from the front, so chunks come back ascending.
-        let queue: ChunkedQueue = ChunkedQueue::new(20, 4, 1);
-        let chunks = drain_all(&queue, 0);
+    fn a_lone_worker_claims_chunks_in_ascending_order() {
+        let queue = ChunkedQueue::new(20, 4);
+        let chunks = drain_all(&queue);
         assert_eq!(chunks.len(), 5);
         for (i, c) in chunks.iter().enumerate() {
             assert_eq!(c.index, i);
@@ -165,27 +103,13 @@ mod tests {
     }
 
     #[test]
-    fn thief_steals_from_peers_once_own_deque_is_empty() {
-        let queue: ChunkedQueue = ChunkedQueue::new(8, 1, 2);
-        // Worker 1 owns chunks 1, 3, 5, 7; after those it steals 0/2/4/6.
-        let chunks = drain_all(&queue, 1);
-        assert_eq!(chunks.len(), 8);
-        let own: Vec<usize> = chunks[..4].iter().map(|c| c.index).collect();
-        assert_eq!(own, [1, 3, 5, 7]);
-        assert!(queue.is_drained());
-    }
-
-    #[test]
     fn concurrent_workers_claim_each_chunk_exactly_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let queue: ChunkedQueue = ChunkedQueue::new(1000, 3, 4);
+        let queue = ChunkedQueue::new(1000, 3);
         let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
         std::thread::scope(|scope| {
-            for w in 0..4 {
-                let queue = &queue;
-                let hits = &hits;
-                scope.spawn(move || {
-                    while let Some(c) = queue.claim(w) {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    while let Some(c) = queue.claim() {
                         for h in &hits[c.start..c.end] {
                             h.fetch_add(1, Ordering::Relaxed);
                         }
@@ -194,6 +118,6 @@ mod tests {
             }
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        assert!(queue.is_drained());
+        assert_eq!(queue.claim(), None);
     }
 }

@@ -113,13 +113,13 @@ impl WriteQueue {
         WriteQueue::default()
     }
 
-    /// Queue one frame (the length prefix is prepended here): v2
-    /// (correlated) when `corr` is given, as the request was.
+    /// Queue one reply frame (the length prefix and the v2 header
+    /// carrying `corr` are prepended here).
     ///
     /// # Errors
     /// [`io::ErrorKind::InvalidInput`] when the frame exceeds the u32
     /// length-prefix range.
-    pub fn push_frame(&mut self, corr: Option<u64>, body: &[u8]) -> io::Result<()> {
+    pub fn push_frame(&mut self, corr: u64, body: &[u8]) -> io::Result<()> {
         if self.offset > 0 && self.offset * 2 >= self.buf.len() {
             // Written bytes are at least half the buffer: dropping them
             // moves less than it frees.
@@ -181,6 +181,11 @@ mod tests {
             .to_vec();
         out.extend_from_slice(payload);
         out
+    }
+
+    /// The wire bytes of reply `corr` carrying `body`.
+    fn reply(corr: u64, body: &[u8]) -> Vec<u8> {
+        framed(&semtree_net::encode_frame_v2(corr, body))
     }
 
     #[test]
@@ -257,8 +262,8 @@ mod tests {
     #[test]
     fn write_queue_resumes_partial_writes_across_would_block() {
         let mut wq = WriteQueue::new();
-        wq.push_frame(None, b"hello pipelined world").unwrap();
-        wq.push_frame(None, b"second frame").unwrap();
+        wq.push_frame(1, b"hello pipelined world").unwrap();
+        wq.push_frame(2, b"second frame").unwrap();
         let mut sink = Throttled {
             sink: Vec::new(),
             cap: 5,
@@ -268,8 +273,8 @@ mod tests {
             wq.write_to(&mut sink).unwrap();
             sink.calls_until_block = 2;
         }
-        let mut expected = framed(b"hello pipelined world");
-        expected.extend(framed(b"second frame"));
+        let mut expected = reply(1, b"hello pipelined world");
+        expected.extend(reply(2, b"second frame"));
         assert_eq!(sink.sink, expected);
         assert_eq!(wq.pending_bytes(), 0);
     }
@@ -296,11 +301,8 @@ mod tests {
         let mut wq = WriteQueue::new();
         let mut expected = Vec::new();
         for corr in 0..8u64 {
-            wq.push_frame(Some(corr), &corr.to_le_bytes()).unwrap();
-            expected.extend(framed(&semtree_net::encode_frame_v2(
-                corr,
-                &corr.to_le_bytes(),
-            )));
+            wq.push_frame(corr, &corr.to_le_bytes()).unwrap();
+            expected.extend(reply(corr, &corr.to_le_bytes()));
         }
         assert_eq!(wq.pending_bytes(), expected.len());
         let mut sink = Counting {
@@ -316,10 +318,10 @@ mod tests {
     #[test]
     fn would_block_mid_buffer_then_more_frames_keeps_order_and_counts() {
         let mut wq = WriteQueue::new();
-        wq.push_frame(None, b"first reply of the turn").unwrap();
-        wq.push_frame(None, b"second").unwrap();
-        let mut expected = framed(b"first reply of the turn");
-        expected.extend(framed(b"second"));
+        wq.push_frame(1, b"first reply of the turn").unwrap();
+        wq.push_frame(2, b"second").unwrap();
+        let mut expected = reply(1, b"first reply of the turn");
+        expected.extend(reply(2, b"second"));
         // Seven bytes leave — mid-frame — then the socket blocks.
         let mut sink = Throttled {
             sink: Vec::new(),
@@ -331,8 +333,8 @@ mod tests {
         assert_eq!(wq.pending_bytes(), expected.len() - 7);
         // More replies are queued behind the half-written buffer.
         for late in [&b"third"[..], &[5u8; 300]] {
-            wq.push_frame(None, late).unwrap();
-            expected.extend(framed(late));
+            wq.push_frame(3, late).unwrap();
+            expected.extend(reply(3, late));
             assert_eq!(wq.pending_bytes(), expected.len() - 7);
         }
         sink.cap = usize::MAX;
@@ -344,9 +346,9 @@ mod tests {
 
         // Once drained the same storage carries the next turn.
         let storage = (wq.buf.as_ptr(), wq.buf.capacity());
-        wq.push_frame(None, b"next turn").unwrap();
+        wq.push_frame(4, b"next turn").unwrap();
         assert_eq!((wq.buf.as_ptr(), wq.buf.capacity()), storage);
-        assert_eq!(wq.pending_bytes(), 4 + 9);
+        assert_eq!(wq.pending_bytes(), 4 + 9 + 9);
     }
 
     #[test]
@@ -362,13 +364,14 @@ mod tests {
         };
         let mut expected = Vec::new();
         for round in 0..200u32 {
-            wq.push_frame(None, &[round as u8; 256]).unwrap();
-            expected.extend(framed(&[round as u8; 256]));
+            wq.push_frame(u64::from(round), &[round as u8; 256])
+                .unwrap();
+            expected.extend(reply(u64::from(round), &[round as u8; 256]));
             sink.cap = wq.pending_bytes() / 2;
             sink.calls_until_block = 1;
             wq.write_to(&mut sink).unwrap();
             assert!(!wq.is_empty());
-            assert!(wq.buf.len() <= 4 * 260, "round {round}: {}", wq.buf.len());
+            assert!(wq.buf.len() <= 4 * 269, "round {round}: {}", wq.buf.len());
         }
         sink.cap = usize::MAX;
         sink.calls_until_block = 1;

@@ -28,10 +28,10 @@
 //!   per-shard served/shed counters into the shared
 //!   [`semtree_cluster::MetricsSnapshot`].
 //!
-//! Requests are **pipelined**: a v2 frame (`semtree_net::FRAME_V2`)
+//! Requests are **pipelined**: every frame (`semtree_net::FRAME_V2`)
 //! carries a correlation id, responses complete out of order, and a
-//! single connection keeps many requests in flight. v1 (sequential)
-//! clients are served unchanged on the same port.
+//! single connection keeps many requests in flight. A payload without
+//! the header is a desynchronised stream: that connection is closed.
 
 mod buffer;
 mod queue;
@@ -118,14 +118,21 @@ mod tests {
         let _ = read_frame(&mut stream);
     }
 
+    /// One request, then its reply: what a blocking client does.
+    fn round_trip(stream: &mut TcpStream, corr: u64, body: &[u8]) -> Vec<u8> {
+        write_frame(stream, &encode_frame_v2(corr, body)).unwrap();
+        let payload = read_frame(stream).unwrap().unwrap();
+        let (answered, reply) = split_frame_v2(&payload).unwrap();
+        assert_eq!(answered, corr);
+        reply.to_vec()
+    }
+
     #[test]
-    fn sequential_v1_clients_round_trip() {
+    fn sequential_clients_round_trip() {
         let (addr, handle) = serve_echo(ReactorConfig::default());
         let mut stream = TcpStream::connect(addr).unwrap();
         for i in 0..10u8 {
-            write_frame(&mut stream, &[i, i, i]).unwrap();
-            let reply = read_frame(&mut stream).unwrap().unwrap();
-            assert_eq!(reply, [i, i, i]);
+            assert_eq!(round_trip(&mut stream, u64::from(i), &[i, i, i]), [i, i, i]);
         }
         drop(stream);
         shutdown_server(addr);
@@ -145,7 +152,7 @@ mod tests {
         let mut seen = [false; 32];
         for _ in 0..32 {
             let payload = read_frame(&mut stream).unwrap().unwrap();
-            let (corr, body) = split_frame_v2(&payload).unwrap().expect("v2 reply");
+            let (corr, body) = split_frame_v2(&payload).unwrap();
             assert_eq!(body, corr.to_le_bytes(), "body echoes its own id");
             assert!(!seen[usize::try_from(corr).unwrap()], "duplicate {corr}");
             seen[usize::try_from(corr).unwrap()] = true;
@@ -174,7 +181,7 @@ mod tests {
         let mut served = 0;
         for _ in 0..16 {
             let payload = read_frame(&mut stream).unwrap().unwrap();
-            let (_corr, body) = split_frame_v2(&payload).unwrap().expect("v2 reply");
+            let (_corr, body) = split_frame_v2(&payload).unwrap();
             if body == b"OVERLOADED" {
                 shed += 1;
             } else {
@@ -208,7 +215,7 @@ mod tests {
         }
         for _ in 0..64 {
             let payload = read_frame(&mut stream).unwrap().unwrap();
-            let (_corr, body) = split_frame_v2(&payload).unwrap().expect("v2 reply");
+            let (_corr, body) = split_frame_v2(&payload).unwrap();
             assert_eq!(body, b"x");
         }
         drop(stream);
@@ -251,22 +258,21 @@ mod tests {
         let (addr, handle) = serve_counting_echo(config);
         let mut stream = TcpStream::connect(addr).unwrap();
         // Two DRAIN_BUDGETs of inline requests in one burst (the second
-        // half is re-pumped), then a v1 one.
+        // half is re-pumped), then a lone one.
         let burst = 2 * DRAIN_BUDGET as u64;
         for i in 0..burst {
             write_frame(&mut stream, &encode_frame_v2(i, &[0x11, i as u8])).unwrap();
         }
         for i in 0..burst {
             let payload = read_frame(&mut stream).unwrap().unwrap();
-            let (corr, body) = split_frame_v2(&payload).unwrap().expect("v2 reply");
+            let (corr, body) = split_frame_v2(&payload).unwrap();
             assert_eq!(
                 (corr, body),
                 (i, &[0x11, i as u8][..]),
                 "inline replies in order"
             );
         }
-        write_frame(&mut stream, &[0x11, 0xAB]).unwrap();
-        assert_eq!(read_frame(&mut stream).unwrap().unwrap(), [0x11, 0xAB]);
+        assert_eq!(round_trip(&mut stream, burst, &[0x11, 0xAB]), [0x11, 0xAB]);
         drop(stream);
         shutdown_server(addr);
         let (report, executed) = handle.join().unwrap();
@@ -292,7 +298,7 @@ mod tests {
         let mut order = Vec::new();
         for _ in 0..5 {
             let payload = read_frame(&mut stream).unwrap().unwrap();
-            let (corr, body) = split_frame_v2(&payload).unwrap().expect("v2 reply");
+            let (corr, body) = split_frame_v2(&payload).unwrap();
             assert_eq!(body, if corr == 0 { [0xEE] } else { [0x11] });
             order.push(corr);
         }
@@ -328,7 +334,7 @@ mod tests {
         }
         for _ in 0..8 {
             let payload = read_frame(&mut stream).unwrap().unwrap();
-            let (_corr, body) = split_frame_v2(&payload).unwrap().expect("v2 reply");
+            let (_corr, body) = split_frame_v2(&payload).unwrap();
             assert_eq!(body, b"ok");
         }
         drop(stream);
@@ -346,8 +352,7 @@ mod tests {
         assert_eq!(hostile.read(&mut buf).unwrap(), 0);
         // ...while a clean connection is unaffected.
         let mut stream = TcpStream::connect(addr).unwrap();
-        write_frame(&mut stream, b"alive").unwrap();
-        assert_eq!(read_frame(&mut stream).unwrap().unwrap(), b"alive");
+        assert_eq!(round_trip(&mut stream, 7, b"alive"), b"alive");
         drop(stream);
         shutdown_server(addr);
         handle.join().unwrap();

@@ -14,7 +14,7 @@
 //! every reply queued in one readiness turn leaves in one `write`.
 //! Everything else is admitted to the executor pool, and its response
 //! flows back through per-shard completion lists, so out-of-order
-//! completion under pipelining is the natural case — each v2 frame
+//! completion under pipelining is the natural case — each frame
 //! carries its correlation id home.
 //!
 //! Executor completions are routed by an `Arc`'d [`ReplyToken`], which
@@ -188,9 +188,8 @@ pub struct ReactorReport {
 
 /// One admitted request travelling to an executor.
 struct Job {
-    /// Correlation id for v2 frames; `None` for a v1 (sequential)
-    /// client, whose reply goes back uncorrelated.
-    corr: Option<u64>,
+    /// The request frame's correlation id, carried home by its reply.
+    corr: u64,
     body: Vec<u8>,
     admitted: Instant,
 }
@@ -198,7 +197,7 @@ struct Job {
 /// One finished response travelling back to its owning shard.
 struct Completion {
     conn: u64,
-    corr: Option<u64>,
+    corr: u64,
     /// Encoded response body; the shard frames it into the write queue.
     payload: Vec<u8>,
 }
@@ -264,7 +263,7 @@ impl Router {
 /// pipelining [`Service`] and completed from there.
 pub struct ReplyToken {
     conn: u64,
-    corr: Option<u64>,
+    corr: u64,
     admitted: Instant,
     router: Arc<Router>,
     armed: bool,
@@ -728,11 +727,9 @@ fn pump_conn<SVC: Service>(
             Err(_) => return (true, false),
         };
         budget -= 1;
-        let (corr, body) = match split_frame_v2(payload) {
-            Ok(Some((corr, body))) => (Some(corr), body),
-            Ok(None) => (None, payload),
-            // Truncated v2 header — desynchronised stream.
-            Err(_) => return (true, false),
+        let Ok((corr, body)) = split_frame_v2(payload) else {
+            // No v2 header, or a truncated one — desynchronised stream.
+            return (true, false);
         };
         let admitted = Instant::now();
         let reply = if let Some(reply) = service.call_inline(body) {

@@ -393,7 +393,7 @@ impl<P: Clone> RTree<P> {
                 }
             }
         }
-        out.sort_by(|a, b| a.dist.partial_cmp(&b.dist).expect("finite distances"));
+        out.sort_by(|a, b| a.dist.total_cmp(&b.dist));
         out
     }
 
@@ -430,7 +430,7 @@ fn str_tile<P>(
         out.push(points);
         return;
     }
-    points.sort_by(|(a, _), (b, _)| a[dim].partial_cmp(&b[dim]).expect("finite coordinates"));
+    points.sort_by(|(a, _), (b, _)| a[dim].total_cmp(&b[dim]));
     if dim + 1 == dims {
         let mut rest = points;
         while !rest.is_empty() {

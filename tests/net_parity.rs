@@ -55,8 +55,7 @@ fn channel_and_tcp_fabrics_agree_on_every_query() {
     fabric
         .wait_for_workers(2, Duration::from_secs(10))
         .expect("workers joined");
-    let tcp_tree =
-        build_tree(&fabric, config.clone(), CostModel::zero(), 3, &sample, None).expect("tcp tree");
+    let tcp_tree = build_tree(&fabric, config.clone(), 3, &sample, None).expect("tcp tree");
 
     // The in-process reference over the default channel fabric.
     let channel_tree = DistSemTree::with_fanout(config, CostModel::zero(), 3, &sample);

@@ -1,5 +1,6 @@
 //! Serving-fabric integration: the reactor-backed client port under
-//! pipelining, mixed v1/v2 clients, and deliberate overload.
+//! pipelining, mixed blocking/pipelined clients, hostile bytes, and
+//! deliberate overload.
 //!
 //! A real `DistSemTree` is served over loopback TCP by
 //! `serve_clients_with`; clients drive it with the pipelined
@@ -7,11 +8,12 @@
 //! querying the tree directly — out-of-order completion must never
 //! mis-deliver a reply.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
+use proptest::prelude::*;
 use semtree_cluster::CostModel;
 use semtree_dist::{
     serve_clients_with, ClientReq, ClientResp, DistConfig, DistSemTree, NetClient, PipelinedClient,
@@ -100,10 +102,10 @@ fn pipelined_replies_complete_out_of_order_but_never_mismatched() {
         }
     }
 
-    // A v1 (sequential) client shares the same port and still agrees.
-    let mut v1 = NetClient::connect(addr, Duration::from_secs(5)).expect("v1 connect");
+    // A blocking client shares the same port and still agrees.
+    let mut blocking = NetClient::connect(addr, Duration::from_secs(5)).expect("connect");
     for (i, q) in queries.iter().take(8).enumerate() {
-        assert_eq!(v1.knn(q, k).expect("v1 knn"), expected[i]);
+        assert_eq!(blocking.knn(q, k).expect("blocking knn"), expected[i]);
     }
 
     shutdown(addr, handle);
@@ -168,35 +170,35 @@ fn queue_overflow_sheds_typed_overloaded_replies() {
     shutdown(addr, handle);
 }
 
-/// v1 (sequential, uncorrelated) and v2 (pipelined, correlated) framing
+/// A blocking client (one request in flight) and a pipelined one
 /// interleaved on the same multi-shard port: responses must route
 /// by connection and correlation id, never by arrival order.
 #[test]
-fn v1_and_v2_clients_interleave_on_a_sharded_epoll_port() {
+fn blocking_and_pipelined_clients_interleave_on_a_sharded_epoll_port() {
     let k = 4;
     let queries = sample_points(2, 24, 67);
     let (tree, expected) = tree_with_reference(500, &queries, k);
     let options = ServeOptions::default().with_reactors(2);
     let (addr, handle) = spawn_server(tree, options);
 
-    let mut v2 = PipelinedClient::connect(addr, Duration::from_secs(5)).expect("v2 connect");
-    let mut v1 = NetClient::connect(addr, Duration::from_secs(5)).expect("v1 connect");
+    let mut pipelined = PipelinedClient::connect(addr, Duration::from_secs(5)).expect("connect");
+    let mut blocking = NetClient::connect(addr, Duration::from_secs(5)).expect("connect");
     let mut pending = Vec::new();
     for (i, q) in queries.iter().enumerate() {
-        // Submit pipelined, then complete a v1 round trip while the v2
-        // request is still in flight, then harvest — every iteration
-        // interleaves the two framings in both directions.
-        pending.push((i, v2.knn(q, k).expect("v2 submit")));
-        assert_eq!(v1.knn(q, k).expect("v1 knn"), expected[i], "v1 query {i}");
+        // Submit pipelined, then complete a blocking round trip while
+        // that request is still in flight, then harvest — every
+        // iteration interleaves the two clients in both directions.
+        pending.push((i, pipelined.knn(q, k).expect("submit")));
+        assert_eq!(blocking.knn(q, k).expect("knn"), expected[i], "query {i}");
         if i % 3 == 0 {
             let (j, reply) = pending.remove(0);
-            let got = reply.wait_neighbors().expect("v2 reply");
-            assert_eq!(got, expected[j], "v2 query {j}");
+            let got = reply.wait_neighbors().expect("pipelined reply");
+            assert_eq!(got, expected[j], "pipelined query {j}");
         }
     }
     for (j, reply) in pending {
-        let got = reply.wait_neighbors().expect("v2 reply");
-        assert_eq!(got, expected[j], "v2 query {j}");
+        let got = reply.wait_neighbors().expect("pipelined reply");
+        assert_eq!(got, expected[j], "pipelined query {j}");
     }
 
     shutdown(addr, handle);
@@ -236,7 +238,7 @@ fn saturated_pipelined_connection_cannot_starve_a_light_one() {
         "the burst must exceed one drain budget to exercise re-pumping"
     );
 
-    // While the flood is in flight, a v1 client completes full round
+    // While the flood is in flight, a blocking client completes full round
     // trips; if the reactor drained the flooder's socket to exhaustion
     // before servicing other connections, these would stall behind
     // hundreds of queued executions.
@@ -407,6 +409,22 @@ fn bits(hits: &[(f64, u64)]) -> Vec<(u64, u64)> {
     hits.iter().map(|&(d, p)| (d.to_bits(), p)).collect()
 }
 
+/// `points` (payload = index) in a tree of `partitions` partitions.
+fn partitioned_tree(partitions: usize, points: &[Vec<f64>]) -> DistSemTree {
+    let config = DistConfig::new(2)
+        .with_bucket_size(16)
+        .with_max_partitions(16);
+    let tree = if partitions == 1 {
+        DistSemTree::single(config, CostModel::zero())
+    } else {
+        DistSemTree::with_fanout(config, CostModel::zero(), partitions, &points[..200])
+    };
+    for (i, p) in points.iter().enumerate() {
+        tree.query(Query::insert(p, i as u64)).expect("insert");
+    }
+    tree
+}
+
 /// What is answered on the reactor shard (`k` up to `INLINE_MAX_K`) and
 /// what an executor answers (`k` one above) are both the bytes
 /// `DistSemTree::query` gives in-process, on a single-partition tree
@@ -415,23 +433,8 @@ fn bits(hits: &[(f64, u64)]) -> Vec<(u64, u64)> {
 fn inline_and_executor_answers_are_the_in_process_bytes() {
     let queries = sample_points(2, 40, 89);
     let points = sample_points(2, 1_200, 11);
-    let config = DistConfig::new(2)
-        .with_bucket_size(16)
-        .with_max_partitions(16);
     for partitions in [1, 4] {
-        let tree = if partitions == 1 {
-            DistSemTree::single(config.clone(), CostModel::zero())
-        } else {
-            DistSemTree::with_fanout(
-                config.clone(),
-                CostModel::zero(),
-                partitions,
-                &points[..200],
-            )
-        };
-        for (i, p) in points.iter().enumerate() {
-            tree.query(Query::insert(p, i as u64)).expect("insert");
-        }
+        let tree = partitioned_tree(partitions, &points);
         let ks = [1, INLINE_MAX_K, INLINE_MAX_K + 1];
         let expected: Vec<Vec<Vec<(f64, u64)>>> = ks
             .iter()
@@ -501,7 +504,7 @@ fn inline_replies_overtake_a_busy_executor_and_are_counted() {
     requests.extend([small(&[1.0]), small(&[f64::NAN, 0.0])]);
     let mut wire = Vec::new();
     for (corr, req) in requests.iter().enumerate() {
-        append_frame(&mut wire, Some(corr as u64), &req.to_bytes()).expect("frame");
+        append_frame(&mut wire, corr as u64, &req.to_bytes()).expect("frame");
     }
     let mut stream = std::net::TcpStream::connect(addr).expect("connect");
     stream
@@ -512,7 +515,7 @@ fn inline_replies_overtake_a_busy_executor_and_are_counted() {
     let mut arrival = Vec::new();
     for _ in &requests {
         let payload = read_frame(&mut stream).expect("reply").expect("frame");
-        let (corr, body) = split_frame_v2(&payload).expect("v2").expect("correlated");
+        let (corr, body) = split_frame_v2(&payload).expect("correlated");
         let resp: ClientResp = decode_exact(body).expect("decodes");
         match (usize::try_from(corr).expect("corr"), resp) {
             (0, ClientResp::NeighborBatches(batches)) => assert_eq!(batches.len(), heavy.len()),
@@ -540,17 +543,20 @@ fn inline_replies_overtake_a_busy_executor_and_are_counted() {
     assert_eq!(executed, [0, 1]);
     drop(stream);
 
-    let mut v1 = NetClient::connect(addr, Duration::from_secs(5)).expect("connect");
-    let m = v1.metrics().expect("metrics");
+    let mut client = NetClient::connect(addr, Duration::from_secs(5)).expect("connect");
+    let m = client.metrics().expect("metrics");
     let sent = requests.len() as u64;
     assert_eq!(m.latency_count, sent, "every request is in the histogram");
     assert_eq!(m.shard_served.iter().sum::<u64>(), sent);
     assert_eq!(m.shard_shed.iter().sum::<u64>(), 0);
 
     // The partition took no harm from the rejected requests.
-    v1.insert(&[500.0, 500.0], 9_999).expect("insert");
-    assert_eq!(v1.knn(&[500.0, 500.0], 1).expect("knn"), vec![(0.0, 9_999)]);
-    assert_eq!(v1.verify().expect("verify"), Vec::<String>::new());
+    client.insert(&[500.0, 500.0], 9_999).expect("insert");
+    assert_eq!(
+        client.knn(&[500.0, 500.0], 1).expect("knn"),
+        vec![(0.0, 9_999)]
+    );
+    assert_eq!(client.verify().expect("verify"), Vec::<String>::new());
     shutdown(addr, handle);
 }
 
@@ -629,4 +635,203 @@ fn served_knns_beside_an_inserter_match_brute_force_over_the_acknowledged_prefix
         assert!(round > 3, "the reader must overlap the inserter");
     });
     shutdown(addr, handle);
+}
+
+/// What `NetClient`'s typed method for `req` answers, as the reply it
+/// unwrapped.
+fn via_blocking(client: &mut NetClient, req: &ClientReq) -> ClientResp {
+    let reply = match req {
+        ClientReq::Insert { point, payload } => {
+            client.insert(point, *payload).map(|()| ClientResp::Done)
+        }
+        ClientReq::Knn { point, k } => client.knn(point, *k).map(ClientResp::Neighbors),
+        ClientReq::Range { point, radius } => {
+            client.range(point, *radius).map(ClientResp::Neighbors)
+        }
+        ClientReq::KnnBatch { points, k } => client
+            .knn_batch(points, *k)
+            .map(ClientResp::NeighborBatches),
+        ClientReq::Stats => client.stats().map(ClientResp::Stats),
+        ClientReq::Verify => client.verify().map(ClientResp::Violations),
+        other => panic!("{other:?} is not part of this comparison"),
+    };
+    reply.expect("blocking reply")
+}
+
+/// Every `NetClient` method is the pipelined submission plus a wait:
+/// its answer equals the `PipelinedClient` reply to the same request and
+/// what the tree answers in-process, on a single-partition tree and on
+/// a partitioned one.
+#[test]
+fn blocking_client_answers_equal_pipelined_and_in_process() {
+    let points = sample_points(2, 600, 11);
+    let queries = sample_points(2, 12, 97);
+    let (k, radius) = (5, 40.0);
+    for partitions in [1, 4] {
+        let tree = partitioned_tree(partitions, &points);
+        let knn: Vec<_> = queries
+            .iter()
+            .map(|q| in_process_knn(&tree, q, k))
+            .collect();
+        let mut cases = vec![
+            (
+                ClientReq::KnnBatch {
+                    points: queries.clone(),
+                    k,
+                },
+                ClientResp::NeighborBatches(knn.clone()),
+            ),
+            (
+                ClientReq::Stats,
+                ClientResp::Stats(tree.try_global_stats().expect("stats").partitions),
+            ),
+            (ClientReq::Verify, ClientResp::Violations(tree.verify())),
+        ];
+        for (q, hits) in queries.iter().zip(knn) {
+            let point = q.clone();
+            cases.push((ClientReq::Knn { point, k }, ClientResp::Neighbors(hits)));
+            let in_range = tree
+                .query(Query::range(q, radius))
+                .and_then(QueryOutcome::neighbors)
+                .expect("in-process range");
+            let hits = in_range.into_iter().map(|h| (h.dist, h.payload)).collect();
+            let point = q.clone();
+            cases.push((
+                ClientReq::Range { point, radius },
+                ClientResp::Neighbors(hits),
+            ));
+        }
+        // Last, a write (each client makes it once) and a read that sees it.
+        let point = vec![900.0, 900.0];
+        let payload = 70_000;
+        cases.push((
+            ClientReq::Insert {
+                point: point.clone(),
+                payload,
+            },
+            ClientResp::Done,
+        ));
+        cases.push((
+            ClientReq::Knn { point, k: 2 },
+            ClientResp::Neighbors(vec![(0.0, payload); 2]),
+        ));
+
+        let (addr, handle) = spawn_server(tree, ServeOptions::default());
+        let mut blocking = NetClient::connect(addr, Duration::from_secs(5)).expect("connect");
+        let mut pipelined =
+            PipelinedClient::connect(addr, Duration::from_secs(5)).expect("connect");
+        for (req, expected) in &cases {
+            let piped = pipelined.submit(req).expect("submit").wait();
+            assert_eq!(&piped.expect("reply"), expected, "{partitions}: {req:?}");
+            assert_eq!(
+                &via_blocking(&mut blocking, req),
+                expected,
+                "{partitions}: {req:?}"
+            );
+        }
+        // Asking moves the latency count; the traffic counters it does not.
+        let got = blocking.metrics().expect("metrics");
+        let piped = pipelined
+            .submit(&ClientReq::Metrics)
+            .expect("submit")
+            .wait();
+        match piped.expect("reply") {
+            ClientResp::Metrics(m) => {
+                assert_eq!((m.messages, m.bytes), (got.messages, got.bytes));
+                assert_eq!(m.latency_count, got.latency_count + 1);
+            }
+            other => panic!("expected Metrics, got {other:?}"),
+        }
+        shutdown(addr, handle);
+    }
+}
+
+/// What a hostile or broken client may put on the client port.
+#[derive(Debug, Clone)]
+enum Hostile {
+    /// A well-formed request framed without the v2 header — what a v1
+    /// client sent, and was answered, before the port spoke one
+    /// generation.
+    BareV1,
+    /// A frame whose payload starts like a v2 header and stops short.
+    TruncatedHeader(usize),
+    /// A length prefix past the frame cap, nothing behind it.
+    Oversized(u32),
+    /// Bytes, then EOF (they may promise a frame they never finish). The
+    /// first payload byte is never the v2 magic, so no run of them
+    /// spells a request.
+    Random(Vec<u8>),
+}
+
+impl Hostile {
+    fn wire(&self) -> Vec<u8> {
+        let framed = |payload: &[u8]| {
+            let mut wire = Vec::new();
+            semtree_net::write_frame(&mut wire, payload).expect("frame");
+            wire
+        };
+        match self {
+            Hostile::BareV1 => framed(&ClientReq::Stats.to_bytes()),
+            Hostile::TruncatedHeader(len) => framed(&semtree_net::encode_frame_v2(7, b"")[..*len]),
+            Hostile::Oversized(len) => len.to_be_bytes().to_vec(),
+            Hostile::Random(bytes) => {
+                let mut bytes = bytes.clone();
+                if bytes.get(4) == Some(&semtree_net::FRAME_V2) {
+                    bytes[4] = 0;
+                }
+                bytes
+            }
+        }
+    }
+}
+
+fn hostile() -> impl Strategy<Value = Hostile> {
+    let cap = u32::try_from(semtree_net::MAX_FRAME_LEN).expect("cap fits");
+    prop_oneof![
+        Just(Hostile::BareV1),
+        (1usize..semtree_net::FRAME_V2_HEADER_LEN).prop_map(Hostile::TruncatedHeader),
+        (1u32..1_000_000).prop_map(move |past| Hostile::Oversized(cap + past)),
+        prop::collection::vec(0u8..=255u8, 0..200).prop_map(Hostile::Random),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The frame-level contract of the client port: a payload that is
+    /// not a v2 frame desynchronises the stream, so that connection is
+    /// closed without a reply — and nothing else happens: no panic, no
+    /// shed, and a well-behaved connection open all along keeps being
+    /// answered.
+    #[test]
+    fn hostile_streams_are_closed_unanswered_and_harm_nobody(
+        streams in prop::collection::vec(hostile(), 1..8),
+    ) {
+        let queries = sample_points(2, 8, 31);
+        let (tree, expected) = tree_with_reference(120, &queries, 3);
+        let (addr, handle) = spawn_server(tree, ServeOptions::default());
+        let mut bystander = NetClient::connect(addr, Duration::from_secs(5)).expect("connect");
+        for (stream, (q, want)) in streams.iter().zip(queries.iter().zip(&expected).cycle()) {
+            let mut socket = std::net::TcpStream::connect(addr).expect("connect");
+            socket.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+            socket.write_all(&stream.wire()).expect("send");
+            if matches!(stream, Hostile::Random(_)) {
+                socket.shutdown(std::net::Shutdown::Write).expect("half-close");
+            }
+            let mut replied = Vec::new();
+            // Closed by FIN or, had bytes been left unread, by RST — but
+            // closed: the read must not sit out its timeout.
+            let closed = match socket.read_to_end(&mut replied) {
+                Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+                Ok(_) => true,
+            };
+            prop_assert!(closed, "{stream:?}: still open");
+            prop_assert!(replied.is_empty(), "{stream:?}: answered with {replied:?}");
+            prop_assert_eq!(&bystander.knn(q, 3).expect("bystander"), want);
+        }
+        let m = bystander.metrics().expect("metrics");
+        prop_assert_eq!(m.shard_shed.iter().sum::<u64>(), 0);
+        prop_assert_eq!(m.latency_count, streams.len() as u64, "only the bystander was served");
+        shutdown(addr, handle);
+    }
 }
