@@ -225,6 +225,28 @@ impl SemTree {
         hits
     }
 
+    /// [`Self::knn_with`] as `(id, ranking distance)` pairs in hit order,
+    /// without cloning a triple into a [`Hit`] per neighbour. Refined
+    /// queries take `knn_with`, which needs the triples for Eq. 1.
+    pub(crate) fn nearest(
+        &self,
+        query: &Triple,
+        k: usize,
+        opts: QueryOptions,
+    ) -> Vec<(TripleId, f64)> {
+        if opts.refine {
+            return self
+                .knn_with(query, k, opts)
+                .iter()
+                .map(|h| (h.id, h.ranking_distance()))
+                .collect();
+        }
+        read_neighbors(&self.tree, Query::knn(&self.project(query), k))
+            .into_iter()
+            .map(|n| (triple_id(n.payload), n.dist))
+            .collect()
+    }
+
     /// Range query in the embedded space (paper §III-B.4): all triples
     /// whose FastMap image lies within `radius` of the query's image.
     #[must_use]
@@ -253,7 +275,7 @@ impl SemTree {
     }
 
     fn to_hit(&self, payload: u64, embedded: f64, refine_against: Option<&Triple>) -> Hit {
-        let id = TripleId(u32::try_from(payload).expect("payloads are triple ids"));
+        let id = triple_id(payload);
         let triple = self.triples[id.index()].clone();
         let semantic = refine_against.map(|q| self.distance.distance(q, &triple));
         Hit {
@@ -327,7 +349,12 @@ impl SemTree {
     }
 }
 
-/// Build (or rebuild) the distributed tree over an embedding's points.
+/// The triple a tree payload names: this index writes triple ids as
+/// payloads.
+fn triple_id(payload: u64) -> TripleId {
+    TripleId(u32::try_from(payload).expect("payloads are triple ids"))
+}
+
 /// Run a read query against the in-process tree. The cluster lives in
 /// this process and its actors outlive the facade, so the only failure
 /// is a dead partition thread — unrecoverable index corruption.
@@ -346,6 +373,7 @@ fn insert_point(tree: &DistSemTree, point: &[f64], payload: u64) {
         .expect("in-process cluster insert failed");
 }
 
+/// Build (or rebuild) the distributed tree over an embedding's points.
 fn build_tree(
     embedding: &Embedding,
     dims: usize,

@@ -8,8 +8,6 @@
 //! entirely), and a document's score is the mean contribution over the
 //! query triples.
 
-use std::collections::HashMap;
-
 use semtree_model::{DocumentId, Triple, TripleId};
 use semtree_nlp::SvoExtractor;
 
@@ -78,56 +76,71 @@ impl<'a> DocumentRetriever<'a> {
     /// Rank documents for a set of query triples (query-by-document).
     #[must_use]
     pub fn query_triples(&self, queries: &[Triple]) -> Vec<DocumentHit> {
-        if queries.is_empty() {
-            return Vec::new();
+        /// One document that matched: its summed contributions, its
+        /// matched triples, and its best hit for the query in progress.
+        struct Slot {
+            doc: DocumentId,
+            sum: f64,
+            matched: Vec<(TripleId, f64)>,
+            best: Option<(TripleId, f64)>,
         }
-        // Per document: summed best-contribution and matched triples.
-        let mut scores: HashMap<DocumentId, f64> = HashMap::new();
-        let mut matches: HashMap<DocumentId, Vec<(TripleId, f64)>> = HashMap::new();
+        let store = self.index.store();
+        // Per document id: its index in `slots`, once it matched.
+        let mut slot_of: Vec<Option<usize>> = vec![None; store.stats().documents];
+        let mut slots: Vec<Slot> = Vec::new();
+        let mut touched: Vec<usize> = Vec::new();
 
         for query in queries {
-            let hits = self.index.knn_with(query, self.k, self.opts);
-            // Best distance per document for THIS query triple.
-            let mut best: HashMap<DocumentId, (TripleId, f64)> = HashMap::new();
-            for hit in hits {
-                let d = hit.ranking_distance();
-                let docs = self
-                    .index
-                    .store()
-                    .documents_of(hit.id)
+            for (tid, d) in self.index.nearest(query, self.k, self.opts) {
+                let docs = store
+                    .documents_of(tid)
                     .expect("hit ids come from the store");
                 for &doc in docs {
-                    match best.get(&doc) {
-                        Some(&(_, existing)) if existing <= d => {}
-                        _ => {
-                            best.insert(doc, (hit.id, d));
+                    let s = *slot_of[doc.index()].get_or_insert_with(|| {
+                        slots.push(Slot {
+                            doc,
+                            sum: 0.0,
+                            matched: Vec::new(),
+                            best: None,
+                        });
+                        slots.len() - 1
+                    });
+                    // The first minimal hit in hit order is the document's
+                    // best for this query triple.
+                    let slot = &mut slots[s];
+                    match slot.best {
+                        Some((_, existing)) if existing <= d => {}
+                        Some(_) => slot.best = Some((tid, d)),
+                        None => {
+                            slot.best = Some((tid, d));
+                            touched.push(s);
                         }
                     }
                 }
             }
-            for (doc, (tid, d)) in best {
-                *scores.entry(doc).or_insert(0.0) += (1.0 - d).max(0.0);
-                matches.entry(doc).or_default().push((tid, d));
+            for s in touched.drain(..) {
+                let slot = &mut slots[s];
+                if let Some((tid, d)) = slot.best.take() {
+                    slot.sum += (1.0 - d).max(0.0);
+                    slot.matched.push((tid, d));
+                }
             }
         }
 
         let n_queries = queries.len() as f64;
-        let mut out: Vec<DocumentHit> = scores
+        let mut out: Vec<DocumentHit> = slots
             .into_iter()
-            .map(|(doc, sum)| {
-                let mut matched = matches.remove(&doc).unwrap_or_default();
-                matched.sort_by(|a, b| a.1.total_cmp(&b.1));
+            .map(|mut slot| {
+                slot.matched.sort_by(|a, b| a.1.total_cmp(&b.1));
                 DocumentHit {
-                    doc,
-                    name: self
-                        .index
-                        .store()
-                        .document(doc)
+                    doc: slot.doc,
+                    name: store
+                        .document(slot.doc)
                         .expect("documents_of returns live ids")
                         .name
                         .clone(),
-                    score: sum / n_queries,
-                    matched,
+                    score: slot.sum / n_queries,
+                    matched: slot.matched,
                 }
             })
             .collect();
@@ -150,6 +163,7 @@ mod tests {
     use std::sync::Arc;
 
     use semtree_model::Term;
+    use semtree_reqgen::{CorpusGenerator, GenConfig};
     use semtree_vocab::wordnet;
 
     use super::*;
@@ -255,6 +269,160 @@ mod tests {
             .with_options(QueryOptions::refined());
         let hits = r.query_triple(&req("OBSW001", "accept_cmd", "start-up"));
         assert_eq!(hits[0].name, "DOC-A");
+        idx.shutdown();
+    }
+
+    /// The three-map aggregation `query_triples` ran before the slot
+    /// vector, kept as the oracle. It reads the public `knn_with`.
+    fn three_map_oracle(
+        index: &SemTree,
+        k: usize,
+        opts: QueryOptions,
+        queries: &[Triple],
+    ) -> Vec<DocumentHit> {
+        use std::collections::HashMap;
+        if queries.is_empty() {
+            return Vec::new();
+        }
+        let mut scores: HashMap<DocumentId, f64> = HashMap::new();
+        let mut matches: HashMap<DocumentId, Vec<(TripleId, f64)>> = HashMap::new();
+        for query in queries {
+            let mut best: HashMap<DocumentId, (TripleId, f64)> = HashMap::new();
+            for hit in index.knn_with(query, k, opts) {
+                let d = hit.ranking_distance();
+                for &doc in index.store().documents_of(hit.id).unwrap() {
+                    match best.get(&doc) {
+                        Some(&(_, existing)) if existing <= d => {}
+                        _ => {
+                            best.insert(doc, (hit.id, d));
+                        }
+                    }
+                }
+            }
+            for (doc, (tid, d)) in best {
+                *scores.entry(doc).or_insert(0.0) += (1.0 - d).max(0.0);
+                matches.entry(doc).or_default().push((tid, d));
+            }
+        }
+        let n_queries = queries.len() as f64;
+        let mut out: Vec<DocumentHit> = scores
+            .into_iter()
+            .map(|(doc, sum)| {
+                let mut matched = matches.remove(&doc).unwrap_or_default();
+                matched.sort_by(|a, b| a.1.total_cmp(&b.1));
+                DocumentHit {
+                    doc,
+                    name: index.store().document(doc).unwrap().name.clone(),
+                    score: sum / n_queries,
+                    matched,
+                }
+            })
+            .collect();
+        out.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc)));
+        out
+    }
+
+    /// Every field of a ranking, floats as bits.
+    type RankingBits = Vec<(DocumentId, String, u64, Vec<(TripleId, u64)>)>;
+
+    fn bits(hits: &[DocumentHit]) -> RankingBits {
+        hits.iter()
+            .map(|h| {
+                let matched = h.matched.iter().map(|&(t, d)| (t, d.to_bits())).collect();
+                (h.doc, h.name.clone(), h.score.to_bits(), matched)
+            })
+            .collect()
+    }
+
+    /// A reqgen corpus in two FastMap dimensions, where many triples
+    /// share an embedded point and many documents share a triple, plus a
+    /// query pool of its triples and of triples with an unseen subject.
+    fn tied_index() -> (SemTree, Vec<Triple>) {
+        let corpus = CorpusGenerator::new(GenConfig::small().with_seed(3)).generate();
+        let mut b = SemTree::builder()
+            .dimensions(2)
+            .bucket_size(4)
+            .register_standard(Arc::new(wordnet::mini_taxonomy()))
+            .register_vocabulary("Fun", Arc::clone(corpus.domain.fun_taxonomy()));
+        for (prefix, tax) in corpus.domain.parameter_taxonomies() {
+            b = b.register_vocabulary(prefix.clone(), Arc::clone(tax));
+        }
+        b.add_store(&corpus.store);
+        let mut pool = corpus.triples();
+        let unseen: Vec<Triple> = pool
+            .iter()
+            .step_by(7)
+            .map(|t| {
+                Triple::new(
+                    Term::literal("ZZZ999"),
+                    t.predicate.clone(),
+                    t.object.clone(),
+                )
+            })
+            .collect();
+        pool.extend(unseen);
+        (b.build().unwrap(), pool)
+    }
+
+    #[test]
+    fn query_triples_matches_the_three_map_oracle() {
+        use proptest::prelude::*;
+        use proptest::TestRng;
+
+        let (idx, pool) = tied_index();
+        let cases = (
+            prop::collection::vec(0..pool.len(), 1..6),
+            0u8..2, // repeat the first query triple
+            0u8..2, // refined
+            1usize..12,
+        );
+        let mut tied_documents = 0;
+        for case in 0..64 {
+            let mut rng = TestRng::for_case(
+                concat!(
+                    module_path!(),
+                    "::query_triples_matches_the_three_map_oracle"
+                ),
+                case,
+            );
+            let (picks, repeat, refined, k) = cases.generate(&mut rng);
+            let mut queries: Vec<Triple> = picks.iter().map(|&i| pool[i].clone()).collect();
+            if repeat == 1 {
+                queries.push(queries[0].clone());
+            }
+            let opts = if refined == 1 {
+                QueryOptions::refined()
+            } else {
+                QueryOptions::raw()
+            };
+            let r = DocumentRetriever::new(&idx).with_k(k).with_options(opts);
+            let got = r.query_triples(&queries);
+            assert_eq!(
+                bits(&got),
+                bits(&three_map_oracle(&idx, k, opts, &queries)),
+                "case {case}: k {k}, {opts:?}, {queries:?}"
+            );
+            // A tie the first-minimal rule settles: one document holding
+            // two distinct triples at the same distance from one query.
+            for q in &queries {
+                let hits = idx.knn_with(q, k, opts);
+                for h in &got {
+                    let mut ds: Vec<u64> = hits
+                        .iter()
+                        .filter(|x| idx.store().documents_of(x.id).unwrap().contains(&h.doc))
+                        .map(|x| x.ranking_distance().to_bits())
+                        .collect();
+                    let n = ds.len();
+                    ds.sort_unstable();
+                    ds.dedup();
+                    tied_documents += usize::from(ds.len() < n);
+                }
+            }
+        }
+        assert!(
+            tied_documents > 0,
+            "the fixture must exercise distance ties"
+        );
         idx.shutdown();
     }
 

@@ -222,7 +222,9 @@ impl Embedding {
     #[must_use]
     pub fn project_with(&self, dist_to: &dyn Fn(usize) -> f64) -> Vec<f64> {
         let mut q = vec![0.0f64; self.k];
-        // Cache original distances to each distinct pivot object.
+        // Every axis with a nonzero pivot spread asks `dist_to` for both of
+        // its pivots; nothing is cached, so `dist_to` runs twice per live
+        // axis.
         for (h, piv) in self.pivots.iter().enumerate() {
             if piv.d_ab <= f64::EPSILON {
                 q[h] = 0.0;

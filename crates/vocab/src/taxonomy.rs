@@ -1,5 +1,6 @@
 //! IS-A concept taxonomies (rooted DAGs).
 
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use crate::error::VocabError;
@@ -31,6 +32,9 @@ struct Node {
     /// Number of descendants, self included (for intrinsic information
     /// content).
     subtree: u32,
+    /// Every ancestor, self included, deepest first with ties by id; the
+    /// root is always last.
+    ancestors: Vec<ConceptId>,
 }
 
 /// A rooted IS-A DAG over named concepts.
@@ -45,6 +49,10 @@ pub struct Taxonomy {
     nodes: Vec<Node>,
     index: HashMap<String, ConceptId>,
     max_depth: u32,
+    /// Ancestor bitsets, `words` `u64`s per concept: bit `c` of concept
+    /// `x`'s row is set iff `c` subsumes `x`.
+    ancestor_bits: Vec<u64>,
+    words: usize,
 }
 
 /// Incremental construction of a [`Taxonomy`]; parents may be named before
@@ -151,33 +159,29 @@ impl Taxonomy {
     /// All ancestors of `id`, self included.
     #[must_use]
     pub fn ancestors(&self, id: ConceptId) -> HashSet<ConceptId> {
-        let mut out = HashSet::new();
-        let mut queue = VecDeque::from([id]);
-        while let Some(n) = queue.pop_front() {
-            if out.insert(n) {
-                queue.extend(self.nodes[n.index()].parents.iter().copied());
-            }
-        }
-        out
+        self.nodes[id.index()].ancestors.iter().copied().collect()
     }
 
     /// Whether `ancestor` subsumes `descendant` (reflexive).
     #[must_use]
     pub fn subsumes(&self, ancestor: ConceptId, descendant: ConceptId) -> bool {
-        self.ancestors(descendant).contains(&ancestor)
+        let word = self.ancestor_bits[descendant.index() * self.words + ancestor.index() / 64];
+        word >> (ancestor.index() % 64) & 1 == 1
     }
 
     /// Lowest common subsumer: the common ancestor of maximum depth
-    /// (ties broken towards the smaller id for determinism).
+    /// (ties broken towards the smaller id for determinism). `a`'s
+    /// ancestors are stored in exactly that order, so the answer is the
+    /// first one that also subsumes `b`; the root, last in every list,
+    /// subsumes everything.
     #[must_use]
     pub fn lcs(&self, a: ConceptId, b: ConceptId) -> ConceptId {
-        let anc_a = self.ancestors(a);
-        let anc_b = self.ancestors(b);
-        anc_a
-            .intersection(&anc_b)
+        self.nodes[a.index()]
+            .ancestors
+            .iter()
             .copied()
-            .max_by_key(|&c| (self.depth(c), std::cmp::Reverse(c)))
-            .expect("root is a common ancestor of every pair")
+            .find(|&c| self.subsumes(c, b))
+            .unwrap_or(self.root())
     }
 
     /// Length (in edges) of the shortest path between `a` and `b` that goes
@@ -257,6 +261,7 @@ impl TaxonomyBuilder {
             children: Vec::new(),
             depth: 1,
             subtree: 1,
+            ancestors: Vec::new(),
         }];
         let mut index = HashMap::from([(ROOT_NAME.to_string(), ConceptId(0))]);
 
@@ -274,6 +279,7 @@ impl TaxonomyBuilder {
                 children: Vec::new(),
                 depth: 0,
                 subtree: 1,
+                ancestors: Vec::new(),
             });
         }
 
@@ -318,19 +324,28 @@ impl TaxonomyBuilder {
             return Err(VocabError::Cycle(nodes[i].name.clone()));
         }
 
-        // Descendant counts: count each node once per ancestor, via a
-        // reverse-BFS from every node (N is small for vocabularies; keep it
-        // simple and obviously correct).
+        // Ancestor sets by an upward walk from every node (N is small for
+        // vocabularies). Each walk fills the node's bitset row and sorted
+        // ancestor list, and counts the node once in every ancestor's
+        // descendant total.
+        let words = nodes.len().div_ceil(64);
+        let mut ancestor_bits = vec![0u64; nodes.len() * words];
         let mut subtree = vec![0u32; nodes.len()];
-        for start in 0..nodes.len() {
-            let mut seen = HashSet::new();
-            let mut q = VecDeque::from([ConceptId(start as u32)]);
-            while let Some(n) = q.pop_front() {
-                if seen.insert(n) {
+        let mut stack = Vec::new();
+        for (start, row) in ancestor_bits.chunks_exact_mut(words).enumerate() {
+            let mut ancestors = Vec::new();
+            stack.push(ConceptId(start as u32));
+            while let Some(n) = stack.pop() {
+                let bit = 1u64 << (n.index() % 64);
+                if row[n.index() / 64] & bit == 0 {
+                    row[n.index() / 64] |= bit;
+                    ancestors.push(n);
                     subtree[n.index()] += 1;
-                    q.extend(nodes[n.index()].parents.iter().copied());
+                    stack.extend(nodes[n.index()].parents.iter().copied());
                 }
             }
+            ancestors.sort_by_key(|&c| (Reverse(nodes[c.index()].depth), c));
+            nodes[start].ancestors = ancestors;
         }
         for (node, st) in nodes.iter_mut().zip(subtree) {
             node.subtree = st;
@@ -342,13 +357,109 @@ impl TaxonomyBuilder {
             nodes,
             index,
             max_depth,
+            ancestor_bits,
+            words,
         })
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// Ancestors by the breadth-first walk over `parents` this module
+    /// used before ancestor lists and bitsets, kept as the oracle.
+    fn oracle_ancestors(t: &Taxonomy, id: ConceptId) -> HashSet<ConceptId> {
+        let mut out = HashSet::new();
+        let mut queue = VecDeque::from([id]);
+        while let Some(n) = queue.pop_front() {
+            if out.insert(n) {
+                queue.extend(t.parents(n).iter().copied());
+            }
+        }
+        out
+    }
+
+    /// The old `HashSet`-intersection `lcs`.
+    fn oracle_lcs(
+        t: &Taxonomy,
+        anc_a: &HashSet<ConceptId>,
+        anc_b: &HashSet<ConceptId>,
+    ) -> ConceptId {
+        anc_a
+            .intersection(anc_b)
+            .copied()
+            .max_by_key(|&c| (t.depth(c), Reverse(c)))
+            .expect("root is a common ancestor of every pair")
+    }
+
+    /// A random multi-parent DAG grown from a diamond: `x` and `y` hang
+    /// under the root and both parent `z` and `w`, so `lcs(z, w)` breaks
+    /// a depth tie. Spec entry `i` gives concept `ci` its first `count`
+    /// parents among the concepts before it; `reverse` declares every
+    /// child before its parents, which reverses the id order.
+    fn random_dag(spec: &[(usize, usize, usize, usize)], reverse: bool) -> Taxonomy {
+        let mut names: Vec<String> = ["root", "x", "y", "z", "w"].map(String::from).to_vec();
+        let mut declared: Vec<(String, Vec<String>)> = vec![
+            ("x".into(), vec![]),
+            ("y".into(), vec![]),
+            ("z".into(), vec!["x".into(), "y".into()]),
+            ("w".into(), vec!["y".into(), "x".into()]),
+        ];
+        for (i, &(p1, p2, p3, count)) in spec.iter().enumerate() {
+            let parents = [p1, p2, p3][..count]
+                .iter()
+                .map(|p| names[p % names.len()].clone())
+                .collect();
+            let name = format!("c{i}");
+            declared.push((name.clone(), parents));
+            names.push(name);
+        }
+        if reverse {
+            declared.reverse();
+        }
+        let mut b = Taxonomy::builder("dag");
+        for (name, parents) in &declared {
+            let parents: Vec<&str> = parents.iter().map(String::as_str).collect();
+            b.add(name.clone(), &parents);
+        }
+        b.build().unwrap()
+    }
+
+    proptest! {
+        #[test]
+        fn lcs_matches_the_hashset_oracle_on_random_dags(
+            spec in prop::collection::vec((0usize..64, 0usize..64, 0usize..64, 1usize..4), 0..24),
+            reverse in 0u8..2,
+        ) {
+            let t = random_dag(&spec, reverse == 1);
+            let id = |name: &str| t.id_of(name).unwrap();
+            let (x, y) = (id("x"), id("y"));
+            prop_assert_eq!(t.depth(x), t.depth(y));
+            prop_assert_eq!(t.lcs(id("z"), id("w")), x.min(y), "the depth tie goes to the smaller id");
+
+            let ids: Vec<ConceptId> = t.iter().map(|(c, _)| c).collect();
+            let oracle: Vec<HashSet<ConceptId>> = ids.iter().map(|&c| oracle_ancestors(&t, c)).collect();
+            for &a in &ids {
+                prop_assert_eq!(&t.ancestors(a), &oracle[a.index()]);
+                let descendants = oracle.iter().filter(|anc| anc.contains(&a)).count();
+                prop_assert_eq!(t.subtree_size(a) as usize, descendants);
+                for &b in &ids {
+                    prop_assert_eq!(t.subsumes(a, b), oracle[b.index()].contains(&a));
+                    let lcs = oracle_lcs(&t, &oracle[a.index()], &oracle[b.index()]);
+                    prop_assert_eq!(t.lcs(a, b), lcs, "lcs({a:?}, {b:?})");
+                    // A concept with a shortcut to the root can have a
+                    // deeper lcs than itself; the formula underflows there
+                    // before and after, so only defined lengths compare.
+                    if let Some(len) = (t.depth(a) + t.depth(b)).checked_sub(2 * t.depth(lcs)) {
+                        prop_assert_eq!(t.path_length(a, b), len);
+                    }
+                }
+            }
+        }
+    }
 
     /// root → vehicle → {car → {suv, sedan}, bike}; root → animal → dog
     fn sample() -> Taxonomy {
