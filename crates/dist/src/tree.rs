@@ -1,7 +1,6 @@
 //! The `DistSemTree` facade: configuration, construction, and the public
 //! insert/k-NN/range operations.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
@@ -144,6 +143,9 @@ impl Default for DistConfig {
     }
 }
 
+/// One slot of [`SharedConfig`]'s read-handle registry.
+type ReadSlot = Option<(ComputeNodeId, Arc<Tree>)>;
+
 /// Configuration + partition accounting shared by every actor.
 pub(crate) struct SharedConfig {
     /// Dimensions, bucket size and split rule of every partition's tree.
@@ -154,10 +156,12 @@ pub(crate) struct SharedConfig {
     pub(crate) wal: Option<Arc<WalHandle>>,
     partitions: AtomicUsize,
     /// The trees of the partitions this process hosts, registered by
-    /// their actors and read lock-free by every other thread, keyed by
-    /// hosting compute node. Leaf lock (rank 21 in semtree-check's
-    /// order): nothing is acquired while it is held, and readers share it.
-    read_handles: RwLock<HashMap<ComputeNodeId, Arc<Tree>>>,
+    /// their actors and read lock-free by every other thread: one slot
+    /// per local index of the hosting compute node, holding the node's
+    /// full id (a lookup checks its process part) and its tree. Leaf lock
+    /// (rank 21 in semtree-check's order): nothing is acquired while it
+    /// is held, and readers share it.
+    read_handles: RwLock<Vec<ReadSlot>>,
     /// Metrics sink for optimistic-read retry accounting; set once the
     /// owning fabric is known, absent in bare unit-test stores.
     metrics: OnceLock<Arc<ClusterMetrics>>,
@@ -171,42 +175,50 @@ impl SharedConfig {
             max_partitions: config.max_partitions,
             wal,
             partitions: AtomicUsize::new(0),
-            read_handles: RwLock::new(HashMap::new()),
+            read_handles: RwLock::new(Vec::new()),
             metrics: OnceLock::new(),
         })
     }
 
     /// Publish (or replace) the tree of the partition hosted on `node`.
     pub(crate) fn register_read_handle(&self, node: ComputeNodeId, tree: &Arc<Tree>) {
-        self.read_handles
+        let mut slots = self
+            .read_handles
             .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(node, Arc::clone(tree));
+            .unwrap_or_else(PoisonError::into_inner);
+        let at = node.local_index();
+        if slots.len() <= at {
+            slots.resize(at + 1, None);
+        }
+        slots[at] = Some((node, Arc::clone(tree)));
     }
 
     /// Withdraw `node`'s tree once its actor is gone — a dead partition
     /// must fail reads the way it fails writes, not answer them from a
     /// frozen tree — unless the entry is no longer `tree`.
     pub(crate) fn unregister_read_handle(&self, node: ComputeNodeId, tree: &Arc<Tree>) {
-        let mut handles = self
+        let mut slots = self
             .read_handles
             .write()
             .unwrap_or_else(PoisonError::into_inner);
-        if handles
-            .get(&node)
-            .is_some_and(|held| Arc::ptr_eq(held, tree))
-        {
-            handles.remove(&node);
+        if let Some(slot) = slots.get_mut(node.local_index()) {
+            if slot
+                .as_ref()
+                .is_some_and(|(id, held)| *id == node && Arc::ptr_eq(held, tree))
+            {
+                *slot = None;
+            }
         }
     }
 
     /// The tree registered for `node`, if this process hosts it.
     fn read_handle(&self, node: ComputeNodeId) -> Option<Arc<Tree>> {
-        self.read_handles
+        let slots = self
+            .read_handles
             .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&node)
-            .cloned()
+            .unwrap_or_else(PoisonError::into_inner);
+        let (id, tree) = slots.get(node.local_index())?.as_ref()?;
+        (*id == node).then(|| Arc::clone(tree))
     }
 
     /// A lock-free reader for one read: it crosses in place into every

@@ -62,7 +62,6 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 
 pub use semtree_conc::shim::{Shim, StdShim};
-use semtree_par::metric::euclidean;
 use semtree_par::Pool;
 
 use crate::search::Neighbor;
@@ -232,16 +231,18 @@ impl<S: Shim> Node<S> {
     #[must_use]
     pub fn bucket(&self) -> Vec<(Vec<f64>, u64)> {
         let mut out = Vec::with_capacity(self.point_count());
-        let _ = self.scan(&mut Vec::new(), |coords, payload| {
-            out.push((coords.to_vec(), payload));
+        let _ = self.scan(|words, payload| {
+            let coords = words.iter().map(|w| f64::from_bits(w.load(Relaxed)));
+            out.push((coords.collect(), payload.load(Relaxed)));
         });
         out
     }
 
-    /// Visit the bucket's points in insertion order, each staged in
-    /// `row`. `None` when the overflow link the length promises is not
-    /// published yet — a writer race, never absence.
-    fn scan(&self, row: &mut Vec<f64>, mut visit: impl FnMut(&[f64], u64)) -> Option<()> {
+    /// Visit the bucket's slots in insertion order, in place: a slot's
+    /// coordinate words and its payload word. `None` when the overflow
+    /// link the length promises is not published yet — a writer race,
+    /// never absence.
+    fn scan(&self, mut visit: impl FnMut(&[AtomicU64], &AtomicU64)) -> Option<()> {
         let mut left = self.point_count();
         let mut block = &self.bucket;
         loop {
@@ -250,9 +251,7 @@ impl<S: Shim> Node<S> {
                 .chunks_exact(self.dims)
                 .zip(&block.payloads[..]);
             for (words, payload) in slots.take(left) {
-                row.clear();
-                row.extend(words.iter().map(|w| f64::from_bits(w.load(Relaxed))));
-                visit(row, payload.load(Relaxed));
+                visit(words, payload);
             }
             left = left.saturating_sub(block.payloads.len());
             if left == 0 {
@@ -462,6 +461,41 @@ impl<S: Shim, L: Fn(u32) -> Option<Arc<Tree<S>>>> RemoteOps for InPlace<S, L> {
     }
 }
 
+/// Squared distance from a slot's coordinate words to `point`, summed in
+/// dimension order exactly as `euclidean_sq` sums it, so its `sqrt` is
+/// `euclidean`'s distance bit for bit.
+fn sq_dist(words: &[AtomicU64], point: &[f64]) -> f64 {
+    let term = |(w, q): (&AtomicU64, &f64)| {
+        let d = f64::from_bits(w.load(Relaxed)) - q;
+        d * d
+    };
+    words.iter().zip(point).map(term).sum()
+}
+
+/// The smallest `s` with `s.sqrt() >= bound`. `sqrt` is monotone, so a
+/// squared distance `sq` has `sq.sqrt() >= bound` exactly when
+/// `sq >= cut`, and a walk rejects it without a `sqrt`. NaN — which
+/// rejects nothing — when `bound` is NaN or infinite.
+fn sq_cut(bound: f64) -> f64 {
+    if bound.is_nan() || bound == f64::INFINITY {
+        return f64::NAN;
+    }
+    if bound <= 0.0 {
+        return 0.0;
+    }
+    // Non-negative doubles order like their bits: ±1 is one ulp.
+    let up = |s: f64| f64::from_bits(s.to_bits() + 1);
+    let down = |s: f64| f64::from_bits(s.to_bits() - 1);
+    let mut s = bound * bound;
+    while s.sqrt() < bound {
+        s = up(s);
+    }
+    while s > 0.0 && down(s).sqrt() >= bound {
+        s = down(s);
+    }
+    s
+}
+
 /// Result-set state for a k-nearest traversal: bounded max-heap plus the
 /// caller's pruning hint (the paper's `D`, "the distance between the
 /// interested point and the most distant one in the result-set"). On a
@@ -470,6 +504,9 @@ struct KnnState {
     k: usize,
     hint: Option<f64>,
     heap: BinaryHeap<Candidate>,
+    /// [`sq_cut`] of [`KnnState::bound`] (NaN while there is none): a
+    /// squared distance `>= cut` is one [`KnnState::offer`] would refuse.
+    cut: f64,
 }
 
 struct Candidate {
@@ -498,23 +535,27 @@ impl KnnState {
         KnnState {
             k,
             hint,
-            heap: BinaryHeap::new(),
+            heap: BinaryHeap::with_capacity(k.min(64)),
+            cut: hint.map_or(f64::NAN, sq_cut),
         }
     }
 
-    /// Offer a candidate; ignored when it cannot improve the global result.
+    /// Offer a candidate; ignored when it cannot improve the global
+    /// result. Only an accepted one can move the bound, so only it
+    /// recomputes `cut`.
     fn offer(&mut self, dist: f64, payload: u64) {
         if self.hint.is_some_and(|h| dist >= h) {
             return;
         }
         if self.heap.len() < self.k {
             self.heap.push(Candidate { dist, payload });
-        } else if let Some(top) = self.heap.peek() {
-            if dist < top.dist {
-                self.heap.pop();
-                self.heap.push(Candidate { dist, payload });
-            }
+        } else if self.heap.peek().is_some_and(|top| dist < top.dist) {
+            self.heap.pop();
+            self.heap.push(Candidate { dist, payload });
+        } else {
+            return;
         }
+        self.cut = self.bound().map_or(f64::NAN, sq_cut);
     }
 
     /// Upper bound on a useful candidate distance, `None` when any point
@@ -692,15 +733,59 @@ impl<S: Shim> Tree<S> {
         // chain partitions cannot overflow the call stack.
         enum Task {
             Visit(Child),
-            CheckFar { far: Child, plane_dist: f64 },
+            /// A routing node's far side: its split dimension, `point`'s
+            /// signed offset from the plane, and where the routing
+            /// node's row ends in `rows`.
+            CheckFar {
+                far: Child,
+                dim: usize,
+                delta: f64,
+                row_end: usize,
+            },
         }
-        let mut row = Vec::new();
-        let mut stack = vec![Task::Visit(Child::Local(start))];
+        // Arya & Mount's incremental distance: per dimension, the squared
+        // distance from `point` to the cell being walked (0 inside it).
+        // One row per far child entered on the current path, the last
+        // one the current cell's; a near child shares its parent's row,
+        // so only a far child actually entered copies one.
+        let dims = point.len();
+        // Sized for a deep path up front: regrowing them measured 5–7 %
+        // of a `knn_local` query.
+        let mut rows = Vec::with_capacity(dims * 16);
+        rows.resize(dims, 0.0);
+        let mut stack = Vec::with_capacity(64);
+        stack.push(Task::Visit(Child::Local(start)));
         while let Some(task) = stack.pop() {
             let child = match task {
-                Task::CheckFar { far, plane_dist } if state.must_descend(plane_dist) => far,
-                Task::CheckFar { .. } => continue,
                 Task::Visit(child) => child,
+                Task::CheckFar {
+                    far,
+                    dim,
+                    delta,
+                    row_end,
+                } => {
+                    rows.truncate(row_end);
+                    let gap = delta.abs();
+                    if !state.must_descend(gap) {
+                        continue;
+                    }
+                    // No point of the far cell is nearer along any
+                    // dimension than its row says, and the row sums in
+                    // the order a point's terms do: `lb_sq` is at most
+                    // every such point's `sq` (DESIGN §14).
+                    let parent = &rows[row_end - dims..];
+                    let gap_sq = gap * gap;
+                    let offset = |(d, &o): (usize, &f64)| if d == dim { gap_sq } else { o };
+                    let lb_sq: f64 = parent.iter().enumerate().map(offset).sum();
+                    if lb_sq >= state.cut {
+                        continue;
+                    }
+                    if let Child::Local(_) = far {
+                        rows.extend_from_within(row_end - dims..);
+                        rows[row_end + dim] = gap_sq;
+                    }
+                    far
+                }
             };
             let node = match child {
                 Child::Remote { partition, node } => {
@@ -715,8 +800,12 @@ impl<S: Shim> Tree<S> {
                 Child::Local(id) => self.node(id)?,
             };
             match node.routing() {
-                None => node.scan(&mut row, |coords, payload| {
-                    state.offer(euclidean(coords, point), payload);
+                None => node.scan(|words, payload| {
+                    let sq = sq_dist(words, point);
+                    if sq >= state.cut {
+                        return; // `sq.sqrt()` is at least the bound
+                    }
+                    state.offer(sq.sqrt(), payload.load(Relaxed));
                 })?,
                 Some(r) => {
                     let delta = point[r.split_dim] - r.split_val;
@@ -727,7 +816,9 @@ impl<S: Shim> Tree<S> {
                     };
                     stack.push(Task::CheckFar {
                         far,
-                        plane_dist: delta.abs(),
+                        dim: r.split_dim,
+                        delta,
+                        row_end: rows.len(),
                     });
                     stack.push(Task::Visit(near));
                 }
@@ -747,7 +838,12 @@ impl<S: Shim> Tree<S> {
         radius: f64,
         remote: &R,
     ) -> Option<Result<Hits, R::Error>> {
-        let (mut out, mut row) = (Vec::new(), Vec::new());
+        let mut out = Vec::new();
+        // A point is out when `sqrt(sq) > radius`, i.e. `>=` the next
+        // double up, so `sq >= cut` rejects it before its `sqrt`. The
+        // `d <= radius` below still decides, so the cut only has to be
+        // sound: it is for a negative, NaN or infinite radius too.
+        let cut = sq_cut(f64::from_bits(radius.abs().to_bits() + 1));
         let mut stack = vec![Child::Local(start)];
         while let Some(child) = stack.pop() {
             let node = match child {
@@ -761,10 +857,14 @@ impl<S: Shim> Tree<S> {
                 Child::Local(id) => self.node(id)?,
             };
             let Some(r) = node.routing() else {
-                node.scan(&mut row, |coords, payload| {
-                    let d = euclidean(coords, point);
+                node.scan(|words, payload| {
+                    let sq = sq_dist(words, point);
+                    if sq >= cut {
+                        return;
+                    }
+                    let d = sq.sqrt();
                     if d <= radius {
-                        out.push((d, payload));
+                        out.push((d, payload.load(Relaxed)));
                     }
                 })?;
                 continue;
@@ -1389,6 +1489,41 @@ mod tests {
             };
             assert!(offset < chunk_capacity(chunk));
         }
+    }
+
+    #[test]
+    fn sq_cut_is_the_exact_sqrt_threshold() {
+        let bits = |s: f64, by: i64| f64::from_bits(s.to_bits().wrapping_add_signed(by));
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut bounds = vec![
+            f64::MIN_POSITIVE,
+            5e-324,
+            1e-160,
+            1.0,
+            2.0,
+            1e154,
+            1.4e154,
+            1e300,
+        ];
+        let positive = (0..4_000).map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            f64::from_bits(x >> 1)
+        });
+        bounds.extend(positive.filter(|b| b.is_finite()));
+        for bound in bounds {
+            let cut = sq_cut(bound);
+            assert!(cut.sqrt() >= bound, "{bound:e}: cut {cut:e} too small");
+            for by in -3..=3 {
+                let sq = bits(cut, by);
+                if sq >= 0.0 {
+                    assert_eq!(sq >= cut, sq.sqrt() >= bound, "{bound:e}: sq {sq:e}");
+                }
+            }
+        }
+        assert!(sq_cut(f64::NAN).is_nan() && sq_cut(f64::INFINITY).is_nan());
+        assert_eq!((sq_cut(0.0), sq_cut(-0.0), sq_cut(-3.0)), (0.0, 0.0, 0.0));
     }
 
     #[test]

@@ -184,13 +184,35 @@ impl Taxonomy {
             .unwrap_or(self.root())
     }
 
-    /// Length (in edges) of the shortest path between `a` and `b` that goes
-    /// through a common subsumer, using shortest-root-path depths:
-    /// `depth(a) + depth(b) − 2·depth(lcs)`.
+    /// Length (in edges) of the shortest path between `a` and `b` through
+    /// their [`Taxonomy::lcs`]: the fewest IS-A edges from each up to it.
+    /// In a tree that is `depth(a) + depth(b) − 2·depth(lcs)`; in a DAG a
+    /// concept's shortest root path may bypass the lcs — one with a
+    /// shortcut to the root can even be shallower than it — so the depths
+    /// cannot say.
     #[must_use]
     pub fn path_length(&self, a: ConceptId, b: ConceptId) -> u32 {
         let lcs = self.lcs(a, b);
-        self.depth(a) + self.depth(b) - 2 * self.depth(lcs)
+        self.edges_up(a, lcs) + self.edges_up(b, lcs)
+    }
+
+    /// Fewest IS-A edges from `from` up to `to`, which subsumes it: a
+    /// breadth-first walk over the parents `to` also subsumes.
+    fn edges_up(&self, from: ConceptId, to: ConceptId) -> u32 {
+        let mut level = vec![from];
+        let mut edges = 0;
+        while !level.contains(&to) {
+            let mut up: Vec<ConceptId> = level
+                .iter()
+                .flat_map(|&c| self.parents(c).iter().copied())
+                .filter(|&p| self.subsumes(to, p))
+                .collect();
+            up.sort_unstable();
+            up.dedup();
+            level = up;
+            edges += 1;
+        }
+        edges
     }
 
     /// Render the IS-A DAG in Graphviz DOT syntax (edges point from child
@@ -382,6 +404,25 @@ mod tests {
         out
     }
 
+    /// Fewest parent hops from `from` up to `to`, by a breadth-first walk
+    /// over every ancestor.
+    fn oracle_edges_up(t: &Taxonomy, from: ConceptId, to: ConceptId) -> u32 {
+        let mut hops = HashMap::from([(from, 0)]);
+        let mut queue = VecDeque::from([from]);
+        while let Some(n) = queue.pop_front() {
+            if n == to {
+                return hops[&n];
+            }
+            for &p in t.parents(n) {
+                if !hops.contains_key(&p) {
+                    hops.insert(p, hops[&n] + 1);
+                    queue.push_back(p);
+                }
+            }
+        }
+        panic!("{to:?} does not subsume {from:?}")
+    }
+
     /// The old `HashSet`-intersection `lcs`.
     fn oracle_lcs(
         t: &Taxonomy,
@@ -398,9 +439,11 @@ mod tests {
     /// A random multi-parent DAG grown from a diamond: `x` and `y` hang
     /// under the root and both parent `z` and `w`, so `lcs(z, w)` breaks
     /// a depth tie. Spec entry `i` gives concept `ci` its first `count`
-    /// parents among the concepts before it; `reverse` declares every
-    /// child before its parents, which reverses the id order.
-    fn random_dag(spec: &[(usize, usize, usize, usize)], reverse: bool) -> Taxonomy {
+    /// parents among the concepts before it, and a `shortcut` of 1 adds
+    /// the root as one more, so the concept can be shallower than its
+    /// lcs with another; `reverse` declares every child before its
+    /// parents, which reverses the id order.
+    fn random_dag(spec: &[(usize, usize, usize, usize, u8)], reverse: bool) -> Taxonomy {
         let mut names: Vec<String> = ["root", "x", "y", "z", "w"].map(String::from).to_vec();
         let mut declared: Vec<(String, Vec<String>)> = vec![
             ("x".into(), vec![]),
@@ -408,11 +451,14 @@ mod tests {
             ("z".into(), vec!["x".into(), "y".into()]),
             ("w".into(), vec!["y".into(), "x".into()]),
         ];
-        for (i, &(p1, p2, p3, count)) in spec.iter().enumerate() {
-            let parents = [p1, p2, p3][..count]
+        for (i, &(p1, p2, p3, count, shortcut)) in spec.iter().enumerate() {
+            let mut parents: Vec<String> = [p1, p2, p3][..count]
                 .iter()
                 .map(|p| names[p % names.len()].clone())
                 .collect();
+            if shortcut == 1 {
+                parents.push(ROOT_NAME.into());
+            }
             let name = format!("c{i}");
             declared.push((name.clone(), parents));
             names.push(name);
@@ -431,7 +477,7 @@ mod tests {
     proptest! {
         #[test]
         fn lcs_matches_the_hashset_oracle_on_random_dags(
-            spec in prop::collection::vec((0usize..64, 0usize..64, 0usize..64, 1usize..4), 0..24),
+            spec in prop::collection::vec((0usize..64, 0usize..64, 0usize..64, 1usize..4, 0u8..2), 0..24),
             reverse in 0u8..2,
         ) {
             let t = random_dag(&spec, reverse == 1);
@@ -450,12 +496,8 @@ mod tests {
                     prop_assert_eq!(t.subsumes(a, b), oracle[b.index()].contains(&a));
                     let lcs = oracle_lcs(&t, &oracle[a.index()], &oracle[b.index()]);
                     prop_assert_eq!(t.lcs(a, b), lcs, "lcs({a:?}, {b:?})");
-                    // A concept with a shortcut to the root can have a
-                    // deeper lcs than itself; the formula underflows there
-                    // before and after, so only defined lengths compare.
-                    if let Some(len) = (t.depth(a) + t.depth(b)).checked_sub(2 * t.depth(lcs)) {
-                        prop_assert_eq!(t.path_length(a, b), len);
-                    }
+                    let len = oracle_edges_up(&t, a, lcs) + oracle_edges_up(&t, b, lcs);
+                    prop_assert_eq!(t.path_length(a, b), len, "path_length({a:?}, {b:?})");
                 }
             }
         }
@@ -510,6 +552,25 @@ mod tests {
         assert_eq!(t.path_length(suv, suv), 0);
         assert_eq!(t.path_length(suv, sedan), 2);
         assert_eq!(t.path_length(suv, dog), 5);
+    }
+
+    #[test]
+    fn a_shortcut_to_the_root_does_not_underflow_the_path() {
+        let mut b = Taxonomy::builder("shortcut");
+        b.add_chain(&["x3", "x2", "x1"]);
+        b.add("a", &["x3", "root"]);
+        b.add("b", &["x3"]);
+        let t = b.build().unwrap();
+        let id = |name: &str| t.id_of(name).unwrap();
+        let (a, b) = (id("a"), id("b"));
+        assert_eq!(t.lcs(a, b), id("x3"));
+        assert!(
+            t.depth(a) < t.depth(id("x3")),
+            "a is shallower than its lcs"
+        );
+        assert_eq!(t.path_length(a, b), 2);
+        assert_eq!(t.path_length(a, id("x1")), 3);
+        assert_eq!(t.path_length(a, t.root()), 1);
     }
 
     #[test]
