@@ -8,12 +8,6 @@
 //! Output is a markdown table per figure — the series the paper plots.
 //! Absolute times are this machine's; the *shapes* are the reproduction
 //! target (see EXPERIMENTS.md).
-//!
-//! `--json <path>` switches to the parallel-engine smoke benchmark: it
-//! times each parallel path against its sequential twin, verifies the
-//! outputs are byte-identical, and writes machine-readable records
-//! (`{name, n, threads, ns_per_op, speedup_vs_seq}`) for CI to assert
-//! on.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -25,10 +19,8 @@ use semtree_bench::{
 use semtree_core::{SemTree, TripleId, Weights};
 use semtree_distance::TripleDistance;
 use semtree_eval::{ascii_plot, average_pr, ExperimentTable, PrPoint, Series};
-use semtree_fastmap::{stress, FastMap};
+use semtree_fastmap::stress;
 use semtree_kdtree::{KdConfig, KdTree};
-use semtree_par::metric::euclidean;
-use semtree_par::Pool;
 use semtree_reqgen::{AnnotatorPanel, CorpusGenerator, GenConfig, GroundTruthOracle};
 use semtree_rtree::RTree;
 use semtree_vocab::similarity::SimilarityMeasure;
@@ -36,16 +28,6 @@ use semtree_vocab::similarity::SimilarityMeasure;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    if let Some(pos) = args.iter().position(|a| a == "--json") {
-        match args.get(pos + 1) {
-            Some(path) => run_json(path, quick),
-            None => {
-                eprintln!("--json requires an output path");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
     let which: Vec<&str> = args
         .iter()
         .map(String::as_str)
@@ -103,135 +85,6 @@ fn print_table(table: &ExperimentTable) {
     println!("{}", table.to_markdown());
     println!("{}", ascii_plot(table, 64, 16));
     println!("```csv\n{}```\n", table.to_csv());
-}
-
-/// One record of the parallel-engine smoke benchmark.
-struct ParRecord {
-    name: &'static str,
-    n: usize,
-    threads: usize,
-    ns_per_op: f64,
-    speedup_vs_seq: f64,
-}
-
-impl ParRecord {
-    fn to_json(&self) -> String {
-        format!(
-            "  {{\"name\": \"{}\", \"n\": {}, \"threads\": {}, \
-             \"ns_per_op\": {:.1}, \"speedup_vs_seq\": {:.3}}}",
-            self.name, self.n, self.threads, self.ns_per_op, self.speedup_vs_seq
-        )
-    }
-}
-
-/// Time each parallel path against its sequential twin, check the
-/// results are byte-identical, and write the records as a JSON array.
-fn run_json(path: &str, quick: bool) {
-    let pool = Pool::new();
-    let threads = pool.threads();
-    let mut records: Vec<ParRecord> = Vec::new();
-    let mut pair = |name_seq: &'static str,
-                    name_par: &'static str,
-                    n: usize,
-                    ops: usize,
-                    seq_ns: f64,
-                    par_ns: f64| {
-        records.push(ParRecord {
-            name: name_seq,
-            n,
-            threads: 1,
-            ns_per_op: seq_ns / ops as f64,
-            speedup_vs_seq: 1.0,
-        });
-        records.push(ParRecord {
-            name: name_par,
-            n,
-            threads,
-            ns_per_op: par_ns / ops as f64,
-            speedup_vs_seq: seq_ns / par_ns,
-        });
-    };
-
-    // FastMap embedding: sequential vs pool-parallel coordinate columns.
-    let n = if quick { 400 } else { 1_200 };
-    let source = semantic_points(n, 0x9A12);
-    let dist = |i: usize, j: usize| euclidean(&source[i], &source[j]);
-    // Warm up caches and the allocator so the first timed path is not
-    // charged the process cold-start cost.
-    std::hint::black_box(FastMap::new(DIMS).with_seed(7).embed(n.min(200), &dist));
-    let t0 = Instant::now();
-    let seq = FastMap::new(DIMS)
-        .with_seed(7)
-        .with_threads(1)
-        .embed(n, &dist);
-    let embed_seq_ns = t0.elapsed().as_nanos() as f64;
-    let t0 = Instant::now();
-    let par = FastMap::new(DIMS)
-        .with_seed(7)
-        .with_threads(threads)
-        .embed(n, &dist);
-    let embed_par_ns = t0.elapsed().as_nanos() as f64;
-    for i in 0..n {
-        assert_eq!(seq.point(i), par.point(i), "parallel embed diverged");
-    }
-    pair("embed_seq", "embed_par", n, n, embed_seq_ns, embed_par_ns);
-
-    // KD-tree bulk load: sequential recursion vs skeleton + pool.
-    let n = if quick { 10_000 } else { 50_000 };
-    let points = semantic_points(n, 0x9A13);
-    let data: Vec<(Vec<f64>, u32)> = points.iter().cloned().zip(0u32..).collect();
-    let config = KdConfig::new(DIMS).with_bucket_size(BUCKET);
-    let t0 = Instant::now();
-    let seq_tree = KdTree::bulk_load(config, data.clone());
-    let build_seq_ns = t0.elapsed().as_nanos() as f64;
-    let t0 = Instant::now();
-    let par_tree = KdTree::bulk_load_par(config, data, &pool);
-    let build_par_ns = t0.elapsed().as_nanos() as f64;
-    assert_eq!(seq_tree.len(), par_tree.len(), "parallel build diverged");
-    pair("build_seq", "build_par", n, n, build_seq_ns, build_par_ns);
-
-    // k-NN: a per-query loop vs one batched call on the same tree.
-    let queries = query_points(&points, if quick { 500 } else { 2_000 });
-    let t0 = Instant::now();
-    let mut seq_hits = Vec::with_capacity(queries.len());
-    for q in &queries {
-        seq_hits.push(seq_tree.knn(q, 5));
-    }
-    let knn_seq_ns = t0.elapsed().as_nanos() as f64;
-    let t0 = Instant::now();
-    let par_hits = par_tree.knn_batch(&queries, 5, &pool);
-    let knn_par_ns = t0.elapsed().as_nanos() as f64;
-    for (s, p) in seq_hits.iter().zip(&par_hits) {
-        let s: Vec<(u64, u32)> = s.iter().map(|h| (h.dist.to_bits(), h.payload)).collect();
-        let p: Vec<(u64, u32)> = p.iter().map(|h| (h.dist.to_bits(), h.payload)).collect();
-        assert_eq!(s, p, "batched knn diverged");
-    }
-    pair(
-        "knn_seq",
-        "knn_batch",
-        n,
-        queries.len(),
-        knn_seq_ns,
-        knn_par_ns,
-    );
-
-    let body = format!(
-        "[\n{}\n]\n",
-        records
-            .iter()
-            .map(ParRecord::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n")
-    );
-    if let Err(e) = std::fs::write(path, &body) {
-        eprintln!("failed to write {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("{body}");
-    println!(
-        "wrote {} records to {path} (pool threads = {threads})",
-        records.len()
-    );
 }
 
 /// Fig. 3: index building time vs N for 1 (balanced) / 3 / 5 / 9

@@ -1,4 +1,4 @@
-//! Shared workload builders for the figure benchmarks and `repro` binaries.
+//! Shared workload builders for `repro`'s figures and for `perfbench`.
 //!
 //! Every experiment works on *embedded semantic triples*: distinct triples
 //! drawn from the on-board-software domain vocabulary, run through the
@@ -308,6 +308,102 @@ mod tests {
         let large = pick_radius(&ps, 0.5);
         assert!(small > 0.0);
         assert!(large >= small);
+    }
+
+    /// A durable tree fed the occurrence stream snapshots it columnar,
+    /// at least 5× smaller than the same store images encoded row-wise,
+    /// and a cold inspection of the directory recovers every point.
+    #[test]
+    fn columnar_directory_is_5x_smaller_and_recovers_the_same_corpus() {
+        use semtree_dist::{build_local_durable, inspect_wal, WalOptions};
+
+        let pts = occurrence_points(150, 7);
+        let sample: Vec<Vec<f64>> = pts.iter().take(256).cloned().collect();
+        let dir = std::env::temp_dir().join(format!(
+            "semtree-bench-columnar-recovery-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = DistConfig::new(DIMS)
+            .with_bucket_size(BUCKET)
+            .with_max_partitions(8);
+        // Small segments and a tight cadence, so sealing, snapshots and
+        // compaction all fire many times within the run.
+        let options = WalOptions::default()
+            .with_segment_bytes(64 * 1024)
+            .with_snapshot_every(512);
+        let tree = build_local_durable(config, CostModel::zero(), 4, &sample, &dir, options)
+            .expect("durable tree");
+        for (i, p) in pts.iter().enumerate() {
+            dist_insert(&tree, p, i as u64);
+        }
+        tree.shutdown();
+        let inspection = inspect_wal(&dir).expect("inspect");
+        std::fs::remove_dir_all(&dir).ok();
+
+        let points: usize = inspection.partitions.iter().map(|(_, p)| p.points).sum();
+        assert_eq!(points, pts.len());
+        let (stored, decoded) = inspection.compression.iter().fold((0, 0), |(s, d), c| {
+            (s + c.stored_bytes, d + c.decoded_bytes)
+        });
+        assert!(stored > 0, "no snapshot was taken");
+        assert!(
+            decoded >= 5 * stored,
+            "stored-vs-decoded ratio {:.2}",
+            decoded as f64 / stored as f64
+        );
+        assert!(inspection.report.segment_disk_bytes > 0);
+    }
+
+    /// Concurrency changes timing, never bytes: a versioned tree filled
+    /// on the semantic workload while several lock-free readers query it
+    /// answers every query exactly like the same tree filled alone, tie
+    /// order included.
+    #[test]
+    fn versioned_tree_filled_under_readers_answers_like_one_filled_alone() {
+        use semtree_kdtree::versioned::{StdShim, VersionedKdTree};
+        use semtree_kdtree::KdConfig;
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        const K: usize = 5;
+        let points = semantic_points(2_000, 0x9A21);
+        let queries = query_points(&points, 64);
+        let (seed, extra) = points.split_at(points.len() / 2);
+        let fill = |tree: &mut VersionedKdTree<StdShim>, pts: &[Vec<f64>], first: usize| {
+            for (i, p) in pts.iter().enumerate() {
+                assert!(tree.insert(p, (first + i) as u64));
+            }
+        };
+        let config = KdConfig::new(DIMS).with_bucket_size(BUCKET);
+
+        let mut raced = VersionedKdTree::<StdShim>::new(config);
+        fill(&mut raced, seed, 0);
+        let reader = raced.reader();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (reader, done, queries) = (reader.clone(), &done, &queries);
+                scope.spawn(move || {
+                    let mut i = t;
+                    while !done.load(Ordering::Relaxed) {
+                        std::hint::black_box(reader.knn(&queries[i % queries.len()], K));
+                        i += 1;
+                    }
+                });
+            }
+            fill(&mut raced, extra, seed.len());
+            done.store(true, Ordering::Relaxed);
+        });
+
+        let mut alone = VersionedKdTree::<StdShim>::new(config);
+        fill(&mut alone, &points, 0);
+        let key = |tree: &VersionedKdTree<StdShim>, q: &[f64]| -> Vec<(u64, u64)> {
+            let (hits, _) = tree.reader().knn(q, K);
+            hits.iter().map(|h| (h.dist.to_bits(), h.payload)).collect()
+        };
+        for q in &queries {
+            assert_eq!(key(&raced, q), key(&alone, q));
+        }
     }
 
     #[test]

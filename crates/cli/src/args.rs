@@ -22,9 +22,6 @@ pub enum Command {
     Worker,
     /// `semtree net-query` — query a running `serve` process over TCP.
     NetQuery,
-    /// `semtree loadgen` — pipelined load generator against a `serve`
-    /// process, reporting QPS and latency quantiles.
-    Loadgen,
     /// `semtree recover` — inspect and replay a write-ahead log offline.
     Recover,
     /// `semtree help`.
@@ -68,14 +65,9 @@ impl std::error::Error for ArgsError {}
 
 /// Whether `--key` is a valueless boolean flag for this command. Every
 /// other option takes a value; flags are enumerated per command so the
-/// same name can be a flag here and a valued option elsewhere (`recover
-/// --json` toggles JSON output, `loadgen --json FILE` names a file).
+/// same name can be a flag here and a valued option elsewhere.
 fn is_flag(command: &Command, key: &str) -> bool {
-    match command {
-        Command::Recover => matches!(key, "stats" | "json"),
-        Command::Loadgen => key == "sweep",
-        _ => false,
-    }
+    *command == Command::Recover && matches!(key, "stats" | "json")
 }
 
 /// Parse an argument vector (without the program name).
@@ -91,7 +83,6 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, ArgsError> {
         Some("serve") => Command::Serve,
         Some("worker") => Command::Worker,
         Some("net-query") => Command::NetQuery,
-        Some("loadgen") => Command::Loadgen,
         Some("recover") => Command::Recover,
         Some("help" | "--help" | "-h") => Command::Help,
         Some(other) => return Err(ArgsError::UnknownCommand(other.to_string())),
@@ -208,27 +199,14 @@ COMMANDS:
                                    partitions and rejoins under its old routes
     net-query  one operation against a running serve process
                  --addr ADDR       the coordinator's client-addr (required)
-                 --op OP           insert | knn | range | stats |
-                                   verify | metrics | shutdown [default stats]
+                 --op OP           insert | knn | knn-batch | range |
+                                   stats | verify | metrics | shutdown
+                                                             [default stats]
                  --point X,Y,...   query/insert point
+                 --points P;Q;...  knn-batch query points
                  --payload N       insert payload            [default 0]
                  -k N              neighbours                [default 5]
                  --radius D        range radius
-    loadgen    pipelined load generator against a running serve process
-                 --addr ADDR       the coordinator's client-addr (required)
-                 --op OP           knn | knn-batch           [default knn]
-                 --connections C   concurrent connections    [default 1]
-                 --depth D         in-flight per connection  [default 8]
-                 --requests N      total requests            [default 1000]
-                 -k N              neighbours per query      [default 5]
-                 --batch B         points per knn-batch      [default 8]
-                 --dims K          query dimensionality      [default 2]
-                 --preload N       points inserted first     [default 0]
-                 --seed S          query stream seed         [default 42]
-                 --label L         name in the JSON record   [default loadgen]
-                 --json FILE       append the run to a JSON array file
-                 --sweep           run the connection sweep C ∈ {1,8,64,256}
-                                   at --depth instead of one --connections cell
     recover    inspect and replay a write-ahead log offline (read-only)
                  --wal-dir DIR     write-ahead log directory (required)
                  --stats           per-partition snapshot compression:
@@ -285,11 +263,9 @@ mod tests {
         assert!(!p.flag("quiet"));
         // The same name stays a valued option for other commands.
         assert!(matches!(
-            parse_args(&v(&["loadgen", "--json"])).unwrap_err(),
+            parse_args(&v(&["query", "--json"])).unwrap_err(),
             ArgsError::MissingValue(_)
         ));
-        let p = parse_args(&v(&["loadgen", "--json", "out.json"])).unwrap();
-        assert_eq!(p.get("json"), Some("out.json"));
     }
 
     #[test]
@@ -320,7 +296,6 @@ mod tests {
             "serve",
             "worker",
             "net-query",
-            "loadgen",
             "recover",
         ] {
             assert!(usage().contains(c), "{c}");

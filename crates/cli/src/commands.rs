@@ -23,7 +23,6 @@ pub fn run(parsed: &ParsedArgs) -> Result<String, String> {
         Command::Serve => crate::net::serve(parsed),
         Command::Worker => crate::net::worker(parsed),
         Command::NetQuery => crate::net::net_query(parsed),
-        Command::Loadgen => crate::net::loadgen(parsed),
         Command::Recover => crate::net::recover(parsed),
     }
 }

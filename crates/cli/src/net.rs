@@ -12,16 +12,15 @@
 //! client-addr: 127.0.0.1:40002    (net-query connects here)
 //! ```
 
-use std::collections::VecDeque;
-use std::io::{self, Write as _};
+use std::io::Write as _;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use semtree_cluster::{CostModel, LatencyHistogram, LatencySnapshot};
+use semtree_cluster::CostModel;
 use semtree_dist::{
     build_tree, inspect_wal, join_cluster, serve_clients_with, serve_cluster, CapacityPolicy,
-    ClientMetrics, ClientResp, DistConfig, NetClient, PendingReply, PipelinedClient, ServeOptions,
+    DistConfig, NetClient, ServeOptions,
 };
 
 use crate::args::ParsedArgs;
@@ -391,337 +390,6 @@ pub fn net_query(parsed: &ParsedArgs) -> Result<String, String> {
              shutdown)"
         )),
     }
-}
-
-/// One connection thread's tally.
-#[derive(Default)]
-struct ConnReport {
-    completed: u64,
-    shed: u64,
-    errors: u64,
-    latency: LatencySnapshot,
-}
-
-/// Settle one in-flight reply into the tally. Only successful answers
-/// count toward throughput and latency; sheds and failures are tallied
-/// separately.
-fn settle(
-    started: Instant,
-    outcome: io::Result<ClientResp>,
-    hist: &LatencyHistogram,
-    report: &mut ConnReport,
-) {
-    match outcome {
-        Ok(ClientResp::Overloaded) => report.shed += 1,
-        Ok(ClientResp::Error(_)) | Err(_) => report.errors += 1,
-        Ok(_) => {
-            report.completed += 1;
-            let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            hist.record(nanos);
-        }
-    }
-}
-
-/// Settle every reply in `window` that has already arrived, in arrival
-/// order rather than submission order. Returns how many were settled.
-/// The server completes out of order, so FIFO settling would leave
-/// finished replies occupying window slots — and the pipeline stalled —
-/// while the oldest request is still running. The client reads replies
-/// only when asked, so the first slot still in flight looks at the
-/// socket (once, filing whatever has arrived for any slot) and the
-/// slots behind it take what that read filed.
-fn harvest_ready(
-    window: &mut VecDeque<(Instant, PendingReply)>,
-    hist: &LatencyHistogram,
-    report: &mut ConnReport,
-) -> usize {
-    let mut settled = 0;
-    let mut probed = false;
-    let mut i = 0;
-    while i < window.len() {
-        let pending = &window[i].1;
-        let taken = if probed {
-            pending.take_filed()
-        } else {
-            pending.try_take()
-        };
-        match taken {
-            Some(outcome) => {
-                let Some((started, _)) = window.remove(i) else {
-                    break;
-                };
-                settle(started, outcome, hist, report);
-                settled += 1;
-            }
-            None => {
-                probed = true;
-                i += 1;
-            }
-        }
-    }
-    settled
-}
-
-/// Drive `count` requests through one pipelined connection, keeping at
-/// most `depth` in flight.
-#[allow(clippy::too_many_arguments)]
-fn drive_connection(
-    addr: SocketAddr,
-    timeout: Duration,
-    op: &str,
-    count: usize,
-    depth: usize,
-    k: usize,
-    batch: usize,
-    pool: &[Vec<f64>],
-) -> Result<ConnReport, String> {
-    let mut client = PipelinedClient::connect(addr, timeout).map_err(|e| e.to_string())?;
-    let hist = LatencyHistogram::new_in();
-    let mut report = ConnReport::default();
-    let mut window: VecDeque<(Instant, PendingReply)> = VecDeque::new();
-    for i in 0..count {
-        while window.len() >= depth {
-            // Prefer replies that already arrived; only when none are
-            // ready does the thread block on the oldest one.
-            if harvest_ready(&mut window, &hist, &mut report) > 0 {
-                continue;
-            }
-            let Some((started, pending)) = window.pop_front() else {
-                break;
-            };
-            settle(
-                started,
-                pending.wait_timeout(Duration::from_secs(30)),
-                &hist,
-                &mut report,
-            );
-        }
-        let point = &pool[i % pool.len()];
-        let started = Instant::now();
-        let submitted = if op == "knn-batch" {
-            let points: Vec<Vec<f64>> = (0..batch)
-                .map(|j| pool[(i + j) % pool.len()].clone())
-                .collect();
-            client.knn_batch(&points, k)
-        } else {
-            client.knn(point, k)
-        };
-        match submitted {
-            Ok(pending) => window.push_back((started, pending)),
-            Err(e) => return Err(format!("submit failed after {i} requests: {e}")),
-        }
-    }
-    for (started, pending) in window {
-        settle(
-            started,
-            pending.wait_timeout(Duration::from_secs(30)),
-            &hist,
-            &mut report,
-        );
-    }
-    report.latency = hist.snapshot();
-    Ok(report)
-}
-
-/// Append one record to a JSON array file, creating it if needed. The
-/// file stays valid JSON after every append.
-fn append_json_record(path: &str, record: &str) -> Result<(), String> {
-    let fresh = format!("[\n  {record}\n]\n");
-    let content = match std::fs::read_to_string(path) {
-        Err(_) => fresh,
-        Ok(text) if text.trim().is_empty() => fresh,
-        Ok(text) => {
-            let head = text
-                .trim_end()
-                .strip_suffix(']')
-                .ok_or_else(|| format!("{path} is not a JSON array"))?
-                .trim_end()
-                .to_string();
-            if head.ends_with('[') {
-                format!("{head}\n  {record}\n]\n")
-            } else {
-                format!("{head},\n  {record}\n]\n")
-            }
-        }
-    };
-    std::fs::write(path, content).map_err(|e| format!("cannot write {path}: {e}"))
-}
-
-/// One loadgen cell (a fixed connections × depth combination), fully
-/// measured: the merged client-side tally, wall time, and the server's
-/// per-reactor-shard served/shed deltas over the run.
-struct CellResult {
-    total: ConnReport,
-    elapsed: Duration,
-    reactor_shards: u64,
-    shard_served: Vec<u64>,
-    shard_shed: Vec<u64>,
-}
-
-/// Fetch a metrics snapshot for shard-delta accounting. Best-effort:
-/// an older server without the Metrics op degrades to zeroed shards.
-fn shard_snapshot(addr: SocketAddr, timeout: Duration) -> ClientMetrics {
-    NetClient::connect(addr, timeout)
-        .and_then(|mut c| c.metrics())
-        .unwrap_or_default()
-}
-
-/// Run C connections × D in-flight requests each against `addr`,
-/// bracketed by server metrics snapshots so the record attributes the
-/// traffic to the reactor shards that handled it.
-#[allow(clippy::too_many_arguments)]
-fn run_cell(
-    addr: SocketAddr,
-    timeout: Duration,
-    op: &str,
-    connections: usize,
-    depth: usize,
-    requests: usize,
-    k: usize,
-    batch: usize,
-    pool: &[Vec<f64>],
-) -> Result<CellResult, String> {
-    let before = shard_snapshot(addr, timeout);
-    let started = Instant::now();
-    let reports: Vec<Result<ConnReport, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..connections)
-            .map(|c| {
-                let count = requests / connections + usize::from(c < requests % connections);
-                scope.spawn(move || {
-                    drive_connection(addr, timeout, op, count, depth, k, batch, pool)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(result) => result,
-                Err(_) => Err("connection thread panicked".to_string()),
-            })
-            .collect()
-    });
-    let elapsed = started.elapsed();
-    let after = shard_snapshot(addr, timeout);
-
-    let mut total = ConnReport::default();
-    for report in reports {
-        let report = report?;
-        total.completed += report.completed;
-        total.shed += report.shed;
-        total.errors += report.errors;
-        total.latency.merge(&report.latency);
-    }
-    let shards = after.reactor_shards.min(after.shard_served.len() as u64) as usize;
-    let delta = |a: &[u64], b: &[u64]| -> Vec<u64> {
-        (0..shards).map(|s| a[s].saturating_sub(b[s])).collect()
-    };
-    Ok(CellResult {
-        total,
-        elapsed,
-        reactor_shards: after.reactor_shards,
-        shard_served: delta(&after.shard_served, &before.shard_served),
-        shard_shed: delta(&after.shard_shed, &before.shard_shed),
-    })
-}
-
-/// Render one u64 slice as a JSON array.
-fn json_u64s(values: &[u64]) -> String {
-    let items: Vec<String> = values.iter().map(ToString::to_string).collect();
-    format!("[{}]", items.join(", "))
-}
-
-/// `semtree loadgen`: sustained pipelined load against a running
-/// `serve` process — C connections × D in-flight requests each —
-/// reporting throughput, client-observed latency quantiles, and the
-/// server's per-reactor-shard served/shed attribution. `--sweep` runs
-/// the connection-count curve C ∈ {1, 8, 64, 256} at the given depth
-/// instead of a single cell.
-pub fn loadgen(parsed: &ParsedArgs) -> Result<String, String> {
-    let addr = parse_addr(parsed.require("addr")?)?;
-    let timeout = Duration::from_secs(parsed.get_u64("timeout", 10)?);
-    let depth = parsed.get_usize("depth", 8)?.max(1);
-    let requests = parsed.get_usize("requests", 1000)?;
-    let k = parsed.get_usize("k", 5)?;
-    let batch = parsed.get_usize("batch", 8)?.max(1);
-    let dims = parsed.get_usize("dims", 2)?;
-    let preload = parsed.get_usize("preload", 0)?;
-    let seed = parsed.get_u64("seed", 42)?;
-    let label = parsed.get("label").unwrap_or("loadgen").to_string();
-    let op = parsed.get("op").unwrap_or("knn").to_string();
-    if op != "knn" && op != "knn-batch" {
-        return Err(format!("unknown --op '{op}' (knn, knn-batch)"));
-    }
-    let sweep = parsed.flag("sweep");
-    let connection_counts: Vec<usize> = if sweep {
-        vec![1, 8, 64, 256]
-    } else {
-        vec![parsed.get_usize("connections", 1)?.max(1)]
-    };
-
-    if preload > 0 {
-        let mut client = NetClient::connect(addr, timeout).map_err(|e| e.to_string())?;
-        for (i, point) in demo_sample(dims, preload, seed ^ 0x5EED).iter().enumerate() {
-            client
-                .insert(point, i as u64)
-                .map_err(|e| format!("preload insert {i} failed: {e}"))?;
-        }
-    }
-
-    let pool = demo_sample(dims, 256, seed);
-    let mut out = String::new();
-    for connections in connection_counts {
-        let cell = run_cell(
-            addr,
-            timeout,
-            &op,
-            connections,
-            depth,
-            requests,
-            k,
-            batch,
-            &pool,
-        )?;
-        let qps = cell.total.completed as f64 / cell.elapsed.as_secs_f64().max(1e-9);
-        let p50_us = cell.total.latency.p50_nanos() as f64 / 1000.0;
-        let p99_us = cell.total.latency.p99_nanos() as f64 / 1000.0;
-        let p999_us = cell.total.latency.p999_nanos() as f64 / 1000.0;
-        let shard_qps: Vec<u64> = cell
-            .shard_served
-            .iter()
-            .map(|&served| (served as f64 / cell.elapsed.as_secs_f64().max(1e-9)) as u64)
-            .collect();
-
-        if let Some(path) = parsed.get("json") {
-            let record = format!(
-                "{{\"name\": \"{label}\", \"op\": \"{op}\", \"connections\": {connections}, \
-                 \"depth\": {depth}, \"requests\": {requests}, \"qps\": {qps:.1}, \
-                 \"p50_us\": {p50_us:.1}, \"p99_us\": {p99_us:.1}, \"p999_us\": {p999_us:.1}, \
-                 \"shed\": {}, \"errors\": {}, \"reactor_shards\": {}, \
-                 \"shard_qps\": {}, \"shard_served\": {}, \"shard_shed\": {}}}",
-                cell.total.shed,
-                cell.total.errors,
-                cell.reactor_shards,
-                json_u64s(&shard_qps),
-                json_u64s(&cell.shard_served),
-                json_u64s(&cell.shard_shed),
-            );
-            append_json_record(path, &record)?;
-        }
-
-        out.push_str(&format!(
-            "op: {op}\nconnections: {connections}\ndepth: {depth}\nrequests: {requests}\n\
-             completed: {}\nqps: {qps:.1}\np50-us: {p50_us:.1}\np99-us: {p99_us:.1}\n\
-             p999-us: {p999_us:.1}\nshed: {}\nerrors: {}\nreactor-shards: {}\n\
-             shard-served: {:?}\nshard-shed: {:?}\n",
-            cell.total.completed,
-            cell.total.shed,
-            cell.total.errors,
-            cell.reactor_shards,
-            cell.shard_served,
-            cell.shard_shed,
-        ));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -119,7 +119,9 @@ fn coordinator_and_two_worker_processes_serve_identical_results() {
         ref_insert(&reference, point, *payload);
     }
 
-    for (query, _) in points.iter().step_by(23) {
+    let queries = points.iter().step_by(23);
+    let answered_queries = 2 * queries.len() as u64;
+    for (query, _) in queries {
         let got = client.knn(query, 7).expect("net knn");
         let want = ref_pairs(&reference, Query::knn(query, 7));
         assert_eq!(got, want, "knn around {query:?}");
@@ -158,11 +160,20 @@ fn coordinator_and_two_worker_processes_serve_identical_results() {
         metrics.response_bytes > 0,
         "the k-NN answers must have been metered on the way back"
     );
-    assert!(
-        metrics.latency_count > 0,
-        "served requests must land in the latency histogram"
+    // Every client-port request answered before this one — the inserts,
+    // the k-NN and range queries, stats and verify — and nothing else.
+    assert_eq!(
+        metrics.latency_count,
+        points.len() as u64 + answered_queries + 2,
+        "each served request lands in the latency histogram exactly once"
     );
     assert!(metrics.p99_nanos >= metrics.p50_nanos);
+    assert_eq!(metrics.reactor_shards, 1, "--serve-reactors defaults to 1");
+    assert_eq!(
+        metrics.shard_shed.iter().sum::<u64>(),
+        0,
+        "nothing was shed"
+    );
 
     client.shutdown().expect("net shutdown");
     for child in &mut reaper.0 {

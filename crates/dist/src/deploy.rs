@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use semtree_cluster::{
@@ -31,7 +31,7 @@ use semtree_net::{
     append_frame, decode_exact, dial_with_timeout, split_frame_v2, Decode, DecodeError, Encode,
     NetFabric,
 };
-use semtree_reactor::{recv_nowait, FrameReader, INLINE_MAX_K};
+use semtree_reactor::{FrameReader, INLINE_MAX_K};
 use semtree_wal::{Wal, WalError, WalOptions};
 
 use crate::actor::PartitionActor;
@@ -1149,15 +1149,6 @@ impl Replies {
     }
 }
 
-/// How long one socket read may take.
-#[derive(Clone, Copy)]
-enum Patience {
-    /// Only what has already arrived.
-    Probe,
-    /// Block, up to the timeout when there is one.
-    Wait(Option<Duration>),
-}
-
 /// The read side of a pipelined connection, used by whichever waiter
 /// holds its lock.
 struct ReadHalf {
@@ -1168,19 +1159,14 @@ struct ReadHalf {
 }
 
 impl ReadHalf {
-    /// One read off the socket into the re-assembly buffer; `Ok(0)`
-    /// means the server closed.
-    fn fill(&mut self, mut stream: &TcpStream, patience: Patience) -> io::Result<usize> {
-        let n = match patience {
-            Patience::Probe => recv_nowait(stream, &mut self.scratch)?,
-            Patience::Wait(timeout) => {
-                if self.timeout != timeout {
-                    stream.set_read_timeout(timeout)?;
-                    self.timeout = timeout;
-                }
-                stream.read(&mut self.scratch)?
-            }
-        };
+    /// One read off the socket into the re-assembly buffer, blocking up
+    /// to `timeout` when there is one; `Ok(0)` means the server closed.
+    fn fill(&mut self, mut stream: &TcpStream, timeout: Option<Duration>) -> io::Result<usize> {
+        if self.timeout != timeout {
+            stream.set_read_timeout(timeout)?;
+            self.timeout = timeout;
+        }
+        let n = stream.read(&mut self.scratch)?;
         self.frames.extend(&self.scratch[..n]);
         Ok(n)
     }
@@ -1228,12 +1214,12 @@ impl PipelinedConn {
         replies.claim(corr)
     }
 
-    /// One socket read; `false` when nothing arrived within `patience`.
+    /// One socket read; `false` when nothing arrived within `timeout`.
     /// A closed or failing socket kills the connection, which settles
     /// every claim.
-    fn read_more(&self, reader: &mut ReadHalf, patience: Patience) -> bool {
+    fn read_more(&self, reader: &mut ReadHalf, timeout: Option<Duration>) -> bool {
         loop {
-            let failure = match reader.fill(&self.stream, patience) {
+            let failure = match reader.fill(&self.stream, timeout) {
                 Ok(0) => "server closed the pipelined connection".to_string(),
                 Ok(_) => return true,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -1262,9 +1248,7 @@ impl PipelinedConn {
             if let Some(settled) = self.file_buffered(&mut reader, corr) {
                 return settled;
             }
-            if patience == Some(Duration::ZERO)
-                || !self.read_more(&mut reader, Patience::Wait(patience))
-            {
+            if patience == Some(Duration::ZERO) || !self.read_more(&mut reader, patience) {
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
                     "pipelined reply still in flight",
@@ -1274,22 +1258,6 @@ impl PipelinedConn {
             // what is left of the caller's timeout.
             patience = deadline.map(|d| d.saturating_duration_since(Instant::now()));
         }
-    }
-
-    /// [`wait_for`](Self::wait_for) that never blocks: at most one
-    /// non-blocking read, and none at all while another thread is
-    /// reading (it files what arrives).
-    fn probe_for(&self, corr: u64) -> Option<io::Result<ClientResp>> {
-        let mut reader = match self.reader.try_lock() {
-            Ok(reader) => reader,
-            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-            Err(TryLockError::WouldBlock) => return lock(&self.replies).claim(corr),
-        };
-        let settled = self.file_buffered(&mut reader, corr);
-        if settled.is_some() || !self.read_more(&mut reader, Patience::Probe) {
-            return settled;
-        }
-        self.file_buffered(&mut reader, corr)
     }
 }
 
@@ -1322,25 +1290,6 @@ impl PendingReply {
     /// Same as [`wait`](Self::wait), plus [`io::ErrorKind::TimedOut`].
     pub fn wait_timeout(self, timeout: Duration) -> io::Result<ClientResp> {
         self.conn.wait_for(self.corr, Some(timeout))
-    }
-
-    /// Non-blocking probe: `Some` with the settled outcome when the
-    /// reply (or the connection's death) has already arrived, `None`
-    /// while it is still in flight. Lets a caller holding a window of
-    /// pending replies harvest completions in arrival order instead of
-    /// submission order — under pipelining the two routinely differ.
-    /// Looks at the socket at most once per call, and not at all when
-    /// the reply is already filed.
-    pub fn try_take(&self) -> Option<io::Result<ClientResp>> {
-        self.conn.probe_for(self.corr)
-    }
-
-    /// [`try_take`](Self::try_take) without the look at the socket: only
-    /// a reply some earlier read already filed. A scan over a window of
-    /// pending replies probes once, with the first `try_take` that
-    /// comes back empty, and takes the rest with this.
-    pub fn take_filed(&self) -> Option<io::Result<ClientResp>> {
-        lock(&self.conn.replies).claim(self.corr)
     }
 
     /// Wait and unwrap a [`ClientResp::Neighbors`] reply.

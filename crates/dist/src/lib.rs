@@ -79,7 +79,6 @@ pub use deploy::{
 pub use proto::{PartitionStats, Req, Resp};
 pub use recovery::{inspect_wal, SnapshotCompression, WalInspection};
 pub use semtree_kdtree::Neighbor;
-pub use semtree_reactor::effective_reactors;
 pub use semtree_wal::WalOptions;
 pub use store::LocalNodeId;
 pub use tree::{CapacityPolicy, DistConfig, DistSemTree, GlobalStats, Query, QueryOutcome};

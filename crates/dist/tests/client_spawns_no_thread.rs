@@ -25,6 +25,7 @@ fn connecting_leaves_the_thread_count_where_it_was() {
     let mut client = PipelinedClient::connect(addr, Duration::from_secs(5)).expect("connect");
     assert_eq!(tasks(), before, "connect spawned a thread");
     let pending = client.knn(&[0.0, 0.0], 1).expect("submit");
-    assert!(pending.try_take().is_none());
-    assert_eq!(tasks(), before, "submitting or probing spawned a thread");
+    let unanswered = pending.wait_timeout(Duration::from_millis(20)).unwrap_err();
+    assert_eq!(unanswered.kind(), std::io::ErrorKind::TimedOut);
+    assert_eq!(tasks(), before, "submitting or waiting spawned a thread");
 }

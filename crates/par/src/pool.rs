@@ -94,24 +94,6 @@ impl Pool {
         parts.into_iter().map(|(_, part)| part)
     }
 
-    /// Run `body(start, end)` over disjoint chunks covering `0..items`.
-    ///
-    /// `body` must be safe to call concurrently on disjoint ranges; the
-    /// union of all calls covers every index exactly once.
-    pub fn for_each_chunk<F>(&self, items: usize, body: &F)
-    where
-        F: Fn(usize, usize) + Sync,
-    {
-        let workers = self.workers_for(items);
-        if workers <= 1 {
-            if items > 0 {
-                body(0, items);
-            }
-            return;
-        }
-        Self::chunked(items, workers, &|c| body(c.start, c.end)).for_each(drop);
-    }
-
     /// `f(i)` for every `i in 0..items`, collected in index order.
     ///
     /// For a pure `f` the result is identical to
@@ -194,7 +176,6 @@ impl Default for Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn map_matches_sequential_for_every_thread_count() {
@@ -208,18 +189,6 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "bit-identical across schedules");
             }
         }
-    }
-
-    #[test]
-    fn for_each_chunk_covers_every_index_once() {
-        let hits: Vec<AtomicUsize> = (0..333).map(|_| AtomicUsize::new(0)).collect();
-        let pool = Pool::sequential().with_threads(4);
-        pool.for_each_chunk(333, &|start, end| {
-            for h in &hits[start..end] {
-                h.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
@@ -260,7 +229,6 @@ mod tests {
         let pool = Pool::sequential().with_threads(8);
         assert_eq!(pool.map(0, &|i| i), Vec::<usize>::new());
         assert_eq!(pool.map(1, &|i| i * 2), vec![0]);
-        pool.for_each_chunk(0, &|_, _| unreachable!("no chunks for an empty job"));
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! - [`sys`]: the readiness syscalls (the only `unsafe` in the
 //!   workspace) behind one `Poller` trait — persistent-registration
 //!   level-triggered `epoll` on Linux, portable `poll(2)` elsewhere,
-//!   `EINTR`-retrying and safe above the syscalls — plus the one
-//!   non-blocking `recv` the pipelined client probes its socket with;
+//!   `EINTR`-retrying and safe above the syscalls;
 //! - [`buffer`]: per-connection frame re-assembly and partial-write
 //!   resumption over the existing u32-length-prefixed framing;
 //! - [`queue`]: bounded global + per-connection admission with
@@ -44,7 +43,7 @@ pub use reactor::{
     effective_reactors, serve, Dispatch, ReactorConfig, ReactorReport, ReplyToken, Service,
     ServiceReply, DRAIN_BUDGET, INLINE_MAX_K, MAX_REACTORS,
 };
-pub use sys::{recv_nowait, Interest};
+pub use sys::Interest;
 
 #[cfg(test)]
 mod tests {

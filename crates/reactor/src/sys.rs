@@ -20,7 +20,7 @@
 #![allow(unsafe_code)]
 
 use std::io;
-use std::os::fd::{AsRawFd, RawFd};
+use std::os::fd::RawFd;
 
 // ----------------------------------------------------------------------
 // The Poller trait
@@ -103,53 +103,6 @@ pub fn new_poller() -> io::Result<Box<dyn Poller>> {
     return Ok(Box::new(epoll::EpollPoller::new()?));
     #[cfg(not(target_os = "linux"))]
     return Ok(Box::new(poll::PollPoller::new()));
-}
-
-// ----------------------------------------------------------------------
-// One non-blocking read of a blocking socket
-// ----------------------------------------------------------------------
-
-/// `MSG_DONTWAIT`: this one call must not block, whatever the socket's
-/// mode.
-#[cfg(target_os = "linux")]
-const MSG_DONTWAIT: i32 = 0x40;
-#[cfg(not(target_os = "linux"))]
-const MSG_DONTWAIT: i32 = 0x80;
-
-extern "C" {
-    fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
-}
-
-/// Read what `socket` already holds into `buf` without blocking and
-/// without touching the socket's mode — `set_nonblocking` would change
-/// it for every handle of the socket, a writer in another thread
-/// included. Returns the byte count (`0` = the peer closed);
-/// [`io::ErrorKind::WouldBlock`] when nothing has arrived. Retries on
-/// `EINTR`.
-///
-/// # Errors
-/// Any `recv(2)` failure, `WouldBlock` included.
-pub fn recv_nowait(socket: &impl AsRawFd, buf: &mut [u8]) -> io::Result<usize> {
-    loop {
-        // SAFETY: `buf` is a valid, exclusively borrowed slice and the
-        // kernel writes at most `buf.len()` bytes into it; the fd is open
-        // for as long as `socket` is borrowed.
-        let rc = unsafe {
-            recv(
-                socket.as_raw_fd(),
-                buf.as_mut_ptr(),
-                buf.len(),
-                MSG_DONTWAIT,
-            )
-        };
-        if let Ok(n) = usize::try_from(rc) {
-            return Ok(n);
-        }
-        let err = io::Error::last_os_error();
-        if err.kind() != io::ErrorKind::Interrupted {
-            return Err(err);
-        }
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -477,20 +430,6 @@ mod tests {
     use std::io::Write;
     use std::os::fd::AsRawFd;
     use std::os::unix::net::UnixStream;
-
-    #[test]
-    fn recv_nowait_reads_what_is_there_and_never_blocks() {
-        use std::io::Write;
-        let (mut a, b) = std::os::unix::net::UnixStream::pair().unwrap();
-        let mut buf = [0u8; 16];
-        let quiet = recv_nowait(&b, &mut buf).unwrap_err();
-        assert_eq!(quiet.kind(), io::ErrorKind::WouldBlock);
-        a.write_all(b"ping").unwrap();
-        assert_eq!(recv_nowait(&b, &mut buf).unwrap(), 4);
-        assert_eq!(&buf[..4], b"ping");
-        drop(a);
-        assert_eq!(recv_nowait(&b, &mut buf).unwrap(), 0, "peer closed");
-    }
 
     #[test]
     fn poll_times_out_on_a_silent_socket() {

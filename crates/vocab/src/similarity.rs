@@ -30,7 +30,9 @@ pub trait Similarity {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SimilarityMeasure {
     /// Wu & Palmer (1994): `2·depth(lcs) / (depth(a) + depth(b))`.
-    /// The measure the paper names explicitly; the default.
+    /// The measure the paper names explicitly; the default. In a DAG a
+    /// concept's shortest root path may bypass its lcs, so `depth(lcs)`
+    /// is capped at the shallower argument's depth, as it is in a tree.
     #[default]
     WuPalmer,
     /// Inverse path length: `1 / (1 + pathlen(a, b))`.
@@ -72,9 +74,9 @@ impl Similarity for SimilarityMeasure {
     fn similarity_ids(&self, tax: &Taxonomy, a: ConceptId, b: ConceptId) -> f64 {
         match self {
             SimilarityMeasure::WuPalmer => {
-                let lcs = tax.lcs(a, b);
-                let denom = f64::from(tax.depth(a) + tax.depth(b));
-                2.0 * f64::from(tax.depth(lcs)) / denom
+                let (depth_a, depth_b) = (tax.depth(a), tax.depth(b));
+                let depth_lcs = tax.depth(tax.lcs(a, b)).min(depth_a).min(depth_b);
+                2.0 * f64::from(depth_lcs) / f64::from(depth_a + depth_b)
             }
             SimilarityMeasure::Path => 1.0 / (1.0 + f64::from(tax.path_length(a, b))),
             SimilarityMeasure::LeacockChodorow => {
@@ -104,8 +106,9 @@ impl Similarity for SimilarityMeasure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::taxonomy::TaxonomyBuilder;
 
-    fn sample() -> Taxonomy {
+    fn sample_builder() -> TaxonomyBuilder {
         let mut b = Taxonomy::builder("test");
         b.add("vehicle", &[]);
         b.add("car", &["vehicle"]);
@@ -114,6 +117,18 @@ mod tests {
         b.add("bike", &["vehicle"]);
         b.add("animal", &["root"]);
         b.add("dog", &["animal"]);
+        b
+    }
+
+    fn sample() -> Taxonomy {
+        sample_builder().build().unwrap()
+    }
+
+    /// `sample` plus a concept under `suv` (depth 4) with a shortcut to
+    /// the root: its own depth is 2, shallower than its lcs with `suv`.
+    fn shortcut_sample() -> Taxonomy {
+        let mut b = sample_builder();
+        b.add("crossover", &["suv", "root"]);
         b.build().unwrap()
     }
 
@@ -145,13 +160,14 @@ mod tests {
 
     #[test]
     fn all_measures_stay_in_unit_interval() {
-        let t = sample();
-        let names: Vec<&str> = t.iter().map(|(_, n)| n).collect();
-        for m in SimilarityMeasure::ALL {
-            for &a in &names {
-                for &b in &names {
-                    let s = m.similarity(&t, a, b).unwrap();
-                    assert!((0.0..=1.0).contains(&s), "{}({a},{b}) = {s}", m.name());
+        for t in [sample(), shortcut_sample()] {
+            let names: Vec<&str> = t.iter().map(|(_, n)| n).collect();
+            for m in SimilarityMeasure::ALL {
+                for &a in &names {
+                    for &b in &names {
+                        let s = m.similarity(&t, a, b).unwrap();
+                        assert!((0.0..=1.0).contains(&s), "{}({a},{b}) = {s}", m.name());
+                    }
                 }
             }
         }
