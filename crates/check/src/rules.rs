@@ -31,7 +31,7 @@ impl std::fmt::Display for Finding {
 
 /// The declared lock hierarchy. Locks must be acquired in strictly
 /// ascending rank within a function; the ordering across crates is
-/// `cluster → dist → net → wal → par → reactor` (see DESIGN.md
+/// `cluster → dist → net → wal → distance → reactor` (see DESIGN.md
 /// §"Concurrency model & verification"). Ranks are spaced so new locks
 /// can slot in without renumbering.
 pub const LOCK_RANKS: &[(&str, &str, u32)] = &[
@@ -66,9 +66,8 @@ pub const LOCK_RANKS: &[(&str, &str, u32)] = &[
     // crates/colz holds no locks at all: every codec is a pure function
     // over byte slices, so the crate is a lock-free leaf of the
     // hierarchy — it may be called with any rank held.
-    // crates/par — a leaf lock: `map_vec` holds the feed only to take
-    // the next item, never while the caller's closure runs.
-    ("par", "feed", 52),
+    // crates/par holds no locks: workers claim chunks through one
+    // atomic cursor.
     // crates/distance
     ("distance", "shards", 60),
     // crates/reactor — the serving fabric's locks rank below everything

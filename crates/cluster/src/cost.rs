@@ -24,15 +24,6 @@ impl CostModel {
         CostModel::default()
     }
 
-    /// A LAN-like model: 50 µs latency, ~1 GiB/s (1 µs per KiB).
-    #[must_use]
-    pub fn lan() -> Self {
-        CostModel {
-            latency: Duration::from_micros(50),
-            per_kib: Duration::from_micros(1),
-        }
-    }
-
     /// The delay charged for a message of `bytes` payload.
     #[must_use]
     pub fn delay_for(&self, bytes: usize) -> Duration {
@@ -69,12 +60,5 @@ mod tests {
         assert_eq!(m.delay_for(1024), Duration::from_micros(12));
         assert_eq!(m.delay_for(1025), Duration::from_micros(14));
         assert!(!m.is_zero());
-    }
-
-    #[test]
-    fn lan_preset_is_plausible() {
-        let m = CostModel::lan();
-        assert!(m.delay_for(0) >= Duration::from_micros(50));
-        assert!(m.delay_for(1 << 20) <= Duration::from_millis(2));
     }
 }

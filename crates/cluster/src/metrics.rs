@@ -360,36 +360,6 @@ impl<S: Shim> ClusterMetricsG<S> {
         }
     }
 
-    /// Total writer-race retries so far.
-    #[must_use]
-    pub fn reads_retried(&self) -> u64 {
-        S::load(&self.reads_retried)
-    }
-
-    /// Requests delivered so far.
-    #[must_use]
-    pub fn messages(&self) -> u64 {
-        S::load(&self.messages)
-    }
-
-    /// Payload bytes carried so far.
-    #[must_use]
-    pub fn bytes(&self) -> u64 {
-        S::load(&self.bytes)
-    }
-
-    /// Response payload bytes carried so far.
-    #[must_use]
-    pub fn response_bytes(&self) -> u64 {
-        S::load(&self.response_bytes)
-    }
-
-    /// Nodes spawned so far.
-    #[must_use]
-    pub fn spawned_nodes(&self) -> u64 {
-        S::load(&self.spawned_nodes)
-    }
-
     /// Copy all counters.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -456,9 +426,8 @@ mod tests {
     fn response_bytes_do_not_count_as_messages() {
         let m = ClusterMetrics::new();
         m.record_response_bytes(64);
-        assert_eq!(m.messages(), 0);
-        assert_eq!(m.bytes(), 0);
-        assert_eq!(m.response_bytes(), 64);
+        let s = m.snapshot();
+        assert_eq!((s.messages, s.bytes, s.response_bytes), (0, 0, 64));
     }
 
     #[test]
@@ -469,15 +438,6 @@ mod tests {
         m.record_spawn();
         m.reset();
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
-    }
-
-    #[test]
-    fn accessors_match_snapshot() {
-        let m = ClusterMetrics::new();
-        m.record_message(7, 0);
-        assert_eq!(m.messages(), 1);
-        assert_eq!(m.bytes(), 7);
-        assert_eq!(m.spawned_nodes(), 0);
     }
 
     #[test]

@@ -249,10 +249,6 @@ impl<Req: Wire + Send + 'static, Resp: Wire + Send + 'static> Transport<Req, Res
         self.factory_gate.notify();
     }
 
-    fn record_request_latency(&self, nanos: u64) {
-        self.metrics.record_latency(nanos);
-    }
-
     fn node_count(&self) -> usize {
         self.nodes
             .read()
@@ -325,18 +321,6 @@ impl<Req: Wire + Send + 'static, Resp: Wire + Send + 'static> NodeCtx<Req, Resp>
             })
             .collect();
         handles.into_iter().map(ReplyHandle::wait).collect()
-    }
-
-    /// Start a node running `handler` in this process (tests and
-    /// special-purpose roots; partitions use
-    /// [`spawn_member`](NodeCtx::spawn_member)).
-    pub fn spawn<H>(&self, handler: H) -> ComputeNodeId
-    where
-        H: Handler<Req = Req, Resp = Resp>,
-    {
-        self.fabric
-            .spawn_boxed(Box::new(handler))
-            .expect("spawning a compute node thread succeeds")
     }
 
     /// Create a new member node via the installed factory, placed by the
@@ -422,12 +406,6 @@ impl<H: Handler> Cluster<H> {
     /// Reset metrics counters (between experiment phases).
     pub fn reset_metrics(&self) {
         self.transport.reset_metrics();
-    }
-
-    /// Account one served client request (`nanos` end-to-end) into the
-    /// transport's latency histogram.
-    pub fn record_request_latency(&self, nanos: u64) {
-        self.transport.record_request_latency(nanos);
     }
 
     /// The shared metrics sink. The local fabric's counters are the
@@ -595,7 +573,8 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// Spawns a child node on demand, then forwards to it.
+    /// Spawns a member node from the installed factory on demand, then
+    /// forwards to it.
     struct Spawner {
         child: Option<ComputeNodeId>,
     }
@@ -604,7 +583,7 @@ mod tests {
         type Resp = u64;
         fn handle(&mut self, ctx: &NodeCtx<u64, u64>, req: u64) -> u64 {
             if req == 0 {
-                let child = ctx.spawn(Spawner { child: None });
+                let child = ctx.spawn_member().expect("factory installed");
                 self.child = Some(child);
                 child.0.into()
             } else {
@@ -617,6 +596,7 @@ mod tests {
     #[test]
     fn handlers_spawn_nodes_at_runtime() {
         let cluster = Cluster::new(CostModel::zero());
+        cluster.set_node_factory(Box::new(|| Box::new(Spawner { child: None })));
         let root = cluster.spawn(Spawner { child: None });
         assert_eq!(cluster.node_count(), 1);
         let child_id = cluster.call(root, 0).unwrap();

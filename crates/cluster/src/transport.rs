@@ -275,14 +275,6 @@ pub trait Transport<Req, Resp>: Send + Sync {
     /// Reset metrics counters (between experiment phases).
     fn reset_metrics(&self);
 
-    /// Account one served client request that took `nanos` nanoseconds
-    /// end to end, feeding the latency histogram in
-    /// [`MetricsSnapshot::latency`](crate::MetricsSnapshot). Default is
-    /// a no-op for transports without a metrics sink.
-    fn record_request_latency(&self, nanos: u64) {
-        let _ = nanos;
-    }
-
     /// Stop every locally hosted node and release transport resources.
     fn shutdown(&self);
 }

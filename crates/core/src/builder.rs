@@ -2,7 +2,6 @@
 
 use std::sync::Arc;
 
-use semtree_cluster::CostModel;
 use semtree_distance::{TripleDistance, VocabularyRegistry, Weights};
 use semtree_model::{Triple, TripleStore};
 use semtree_nlp::SvoExtractor;
@@ -22,7 +21,6 @@ pub struct SemTreeBuilder {
     pub(crate) partitions: usize,
     pub(crate) seed: u64,
     pub(crate) weights: Weights,
-    pub(crate) cost: CostModel,
     pub(crate) registry: VocabularyRegistry,
     pub(crate) store: TripleStore,
     extractor: SvoExtractor,
@@ -36,7 +34,6 @@ impl Default for SemTreeBuilder {
             partitions: 1,
             seed: 0x5E47EE,
             weights: Weights::default(),
-            cost: CostModel::zero(),
             registry: VocabularyRegistry::new(),
             store: TripleStore::new(),
             extractor: SvoExtractor::requirements(),
@@ -97,13 +94,6 @@ impl SemTreeBuilder {
     #[must_use]
     pub fn weights(mut self, weights: Weights) -> Self {
         self.weights = weights;
-        self
-    }
-
-    /// Simulated interconnect cost of the cluster.
-    #[must_use]
-    pub fn cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
         self
     }
 

@@ -14,26 +14,16 @@ use crate::index::{QueryOptions, SemTree};
 pub struct InconsistencyFinder<'a> {
     index: &'a SemTree,
     antinomies: AntinomyTable,
-    /// Vocabulary prefix predicates live in (`Fun` for requirements).
-    predicate_prefix: Option<String>,
 }
+
+/// Vocabulary prefix requirement predicates live in.
+const PREDICATE_PREFIX: &str = "Fun";
 
 impl<'a> InconsistencyFinder<'a> {
     /// Wrap an index with the antinomy vocabulary.
     #[must_use]
     pub fn new(index: &'a SemTree, antinomies: AntinomyTable) -> Self {
-        InconsistencyFinder {
-            index,
-            antinomies,
-            predicate_prefix: Some("Fun".to_string()),
-        }
-    }
-
-    /// Override the predicate vocabulary prefix (`None` = standard).
-    #[must_use]
-    pub fn with_predicate_prefix(mut self, prefix: Option<String>) -> Self {
-        self.predicate_prefix = prefix;
-        self
+        InconsistencyFinder { index, antinomies }
     }
 
     /// The antinomy table in use.
@@ -50,11 +40,7 @@ impl<'a> InconsistencyFinder<'a> {
         let antonym = self
             .antinomies
             .canonical_antonym(triple.predicate.lexical())?;
-        let predicate = match &self.predicate_prefix {
-            Some(p) => Term::concept_in(p.clone(), antonym),
-            None => Term::concept(antonym),
-        };
-        Some(triple.with_predicate(predicate))
+        Some(triple.with_predicate(Term::concept_in(PREDICATE_PREFIX, antonym)))
     }
 
     /// Candidate inconsistencies for `triple`: the k-NN ring around its

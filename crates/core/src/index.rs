@@ -94,7 +94,7 @@ impl SemTree {
             builder.dimensions,
             builder.bucket_size,
             builder.partitions,
-            builder.cost,
+            semtree_cluster::CostModel::zero(),
         );
 
         Ok(SemTree {
@@ -268,7 +268,7 @@ impl SemTree {
         let mut hits: Vec<Hit> = read_neighbors(&self.tree, Query::range(&point, radius * slack))
             .into_iter()
             .map(|n| self.to_hit(n.payload, n.dist, Some(query)))
-            .filter(|h| h.semantic_distance.expect("refined") <= radius)
+            .filter(|h| h.semantic_distance.is_some_and(|d| d <= radius))
             .collect();
         hits.sort_by(|a, b| a.ranking_distance().total_cmp(&b.ranking_distance()));
         hits

@@ -185,11 +185,18 @@ impl Encode for NetDeployConfig {
 }
 
 impl Decode for NetDeployConfig {
+    /// Refuses a zero `dims`, `bucket_size` or `max_partitions`, which
+    /// [`NetDeployConfig::to_config`] would assert on: the blob comes from
+    /// another process or from disk.
     fn decode(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        let positive = |field: &str, buf: &mut &[u8]| match usize::decode(buf)? {
+            0 => Err(DecodeError::new(format!("{field} must be at least 1"))),
+            n => Ok(n),
+        };
         Ok(NetDeployConfig {
-            dims: usize::decode(buf)?,
-            bucket_size: usize::decode(buf)?,
-            max_partitions: usize::decode(buf)?,
+            dims: positive("dims", buf)?,
+            bucket_size: positive("bucket_size", buf)?,
+            max_partitions: positive("max_partitions", buf)?,
             split_rule: split_rule_from_tag(u8::decode(buf)?)?,
             max_points: Option::decode(buf)?,
         })

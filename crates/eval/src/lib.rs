@@ -1,4 +1,4 @@
-//! Evaluation harness: retrieval metrics, timing, and experiment tables.
+//! Evaluation harness: retrieval metrics and experiment tables.
 //!
 //! The paper evaluates SemTree on **efficiency** (running-time curves,
 //! Figures 3–7) and **effectiveness** (average Precision/Recall over 100
@@ -6,14 +6,10 @@
 //! This crate provides those computations plus the series/table plumbing
 //! every `repro` binary prints with.
 
-mod bootstrap;
 mod metrics;
 mod plot;
 mod series;
-mod timing;
 
-pub use bootstrap::{bootstrap_mean_ci, ConfidenceInterval};
-pub use metrics::{average_pr, f1_score, precision, recall, PrPoint};
+pub use metrics::{average_pr, precision, recall, PrPoint};
 pub use plot::ascii_plot;
 pub use series::{ExperimentTable, Series};
-pub use timing::{median_duration, time_it, Stopwatch};

@@ -1,4 +1,4 @@
-//! Precision, Recall and F1 over retrieved/relevant sets.
+//! Precision and Recall over retrieved/relevant sets.
 
 use std::collections::HashSet;
 use std::hash::Hash;
@@ -29,16 +29,6 @@ pub fn recall<T: Eq + Hash>(retrieved: &[T], relevant: &[T]) -> f64 {
     hit as f64 / relevant.len() as f64
 }
 
-/// Harmonic mean of precision and recall (0 when both are 0).
-#[must_use]
-pub fn f1_score(p: f64, r: f64) -> f64 {
-    if p + r <= 0.0 {
-        0.0
-    } else {
-        2.0 * p * r / (p + r)
-    }
-}
-
 /// One averaged effectiveness point: the paper's Figure 8 plots these as a
 /// function of `K`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,14 +39,6 @@ pub struct PrPoint {
     pub precision: f64,
     /// Recall averaged over the query set.
     pub recall: f64,
-}
-
-impl PrPoint {
-    /// F1 of the averaged P and R.
-    #[must_use]
-    pub fn f1(&self) -> f64 {
-        f1_score(self.precision, self.recall)
-    }
 }
 
 /// Average per-query `(retrieved, relevant)` pairs into one [`PrPoint`]
@@ -112,13 +94,6 @@ mod tests {
     }
 
     #[test]
-    fn f1_values() {
-        assert_eq!(f1_score(0.0, 0.0), 0.0);
-        assert!((f1_score(1.0, 1.0) - 1.0).abs() < 1e-12);
-        assert!((f1_score(0.5, 1.0) - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn k_grows_precision_falls_recall_rises() {
         // The Figure 8 shape in miniature: truth = {1,2}; retrieved grows
         // with K.
@@ -143,7 +118,6 @@ mod tests {
         assert!((pt.precision - 0.75).abs() < 1e-12);
         assert!((pt.recall - 0.75).abs() < 1e-12);
         assert_eq!(pt.k, 2);
-        assert!(pt.f1() > 0.7);
     }
 
     #[test]

@@ -28,8 +28,7 @@ impl Series {
     }
 
     /// The y value at a given x, if present.
-    #[must_use]
-    pub fn y_at(&self, x: f64) -> Option<f64> {
+    fn y_at(&self, x: f64) -> Option<f64> {
         self.points
             .iter()
             .find(|(px, _)| (px - x).abs() < 1e-9)

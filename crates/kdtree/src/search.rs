@@ -4,7 +4,6 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use semtree_par::metric::euclidean_sq;
-use semtree_par::Pool;
 // The single shared Euclidean implementation; this crate's former
 // private copy is gone.
 pub(crate) use semtree_par::metric::euclidean;
@@ -52,9 +51,7 @@ impl<P> PartialOrd for HeapItem<P> {
 }
 impl<P> Ord for HeapItem<P> {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.dist_sq
-            .partial_cmp(&other.dist_sq)
-            .expect("distances are finite")
+        self.dist_sq.total_cmp(&other.dist_sq)
     }
 }
 
@@ -243,25 +240,6 @@ impl<P: Clone> KdTree<P> {
             }
         }
     }
-
-    /// The single nearest stored point, if any.
-    #[must_use]
-    pub fn nearest(&self, query: &[f64]) -> Option<Neighbor<P>> {
-        self.knn(query, 1).into_iter().next()
-    }
-
-    /// Answer a batch of k-NN queries, fanning the batch out over
-    /// `pool`'s workers. Output order matches `queries`, and each entry
-    /// is byte-identical to what [`KdTree::knn`] returns for that query
-    /// — the per-query search is untouched, only the batch dimension is
-    /// parallel.
-    #[must_use]
-    pub fn knn_batch(&self, queries: &[Vec<f64>], k: usize, pool: &Pool) -> Vec<Vec<Neighbor<P>>>
-    where
-        P: Send + Sync,
-    {
-        pool.map(queries.len(), &|i| self.knn(&queries[i], k))
-    }
 }
 
 #[cfg(test)]
@@ -410,17 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn nearest_is_knn_one() {
-        let points = random_points(50, 2, 17);
-        let tree = KdTree::bulk_load(KdConfig::new(2), points);
-        let n = tree.nearest(&[1.0, 1.0]).unwrap();
-        let k = tree.knn(&[1.0, 1.0], 1);
-        assert_eq!(n.payload, k[0].payload);
-        let empty: KdTree<u32> = KdTree::new(KdConfig::new(2));
-        assert!(empty.nearest(&[0.0, 0.0]).is_none());
-    }
-
-    #[test]
     fn balanced_tree_visits_fewer_nodes_than_chain() {
         // The complexity shape behind Figure 4: a balanced tree answers
         // k-NN in ~log N node visits, the chain in ~N.
@@ -453,39 +420,6 @@ mod tests {
     fn negative_radius_panics() {
         let tree: KdTree<u32> = KdTree::new(KdConfig::new(1));
         let _ = tree.range(&[0.0], -1.0);
-    }
-
-    #[test]
-    fn knn_batch_is_bitwise_identical_to_sequential_knn() {
-        let points = random_points(400, 3, 29);
-        let tree = KdTree::bulk_load(KdConfig::new(3).with_bucket_size(8), points);
-        let mut rng = StdRng::seed_from_u64(31);
-        let queries: Vec<Vec<f64>> = (0..40)
-            .map(|_| (0..3).map(|_| rng.random_range(0.0..100.0)).collect())
-            .collect();
-        let want: Vec<Vec<Neighbor<u32>>> = queries.iter().map(|q| tree.knn(q, 5)).collect();
-        for threads in [1usize, 2, 3, 8] {
-            let pool = Pool::sequential().with_threads(threads);
-            let got = tree.knn_batch(&queries, 5, &pool);
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.len(), w.len(), "threads={threads}");
-                for (gn, wn) in g.iter().zip(w) {
-                    assert_eq!(gn.dist.to_bits(), wn.dist.to_bits(), "threads={threads}");
-                    assert_eq!(gn.payload, wn.payload, "threads={threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn knn_batch_empty_batch_and_empty_tree() {
-        let pool = Pool::sequential().with_threads(4);
-        let tree: KdTree<u32> = KdTree::new(KdConfig::new(2));
-        assert!(tree.knn_batch(&[], 3, &pool).is_empty());
-        let hits = tree.knn_batch(&[vec![0.0, 0.0]], 3, &pool);
-        assert_eq!(hits.len(), 1);
-        assert!(hits[0].is_empty());
     }
 
     #[test]

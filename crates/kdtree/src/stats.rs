@@ -57,28 +57,6 @@ impl TreeShape {
             max_leaf_occupancy,
         }
     }
-
-    /// The ideal (perfectly balanced) depth for this leaf count.
-    #[must_use]
-    pub fn ideal_depth(&self) -> u32 {
-        if self.leaves <= 1 {
-            0
-        } else {
-            (self.leaves as f64).log2().ceil() as u32
-        }
-    }
-
-    /// `max_depth / ideal_depth` — 1.0 is perfectly balanced, a chain over
-    /// `L` leaves approaches `L / log2(L)`.
-    #[must_use]
-    pub fn balance_factor(&self) -> f64 {
-        let ideal = self.ideal_depth();
-        if ideal == 0 {
-            1.0
-        } else {
-            f64::from(self.max_depth) / f64::from(ideal)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -102,17 +80,14 @@ mod tests {
     }
 
     #[test]
-    fn balanced_tree_balance_factor_near_one() {
-        let t = KdTree::bulk_load(KdConfig::new(1).with_bucket_size(4), line(256));
-        let s = TreeShape::of(&t);
-        assert!(s.balance_factor() <= 1.5, "factor {}", s.balance_factor());
-    }
-
-    #[test]
     fn chain_tree_balance_factor_large() {
         let t = KdTree::chain_load(KdConfig::new(1).with_bucket_size(4), line(256));
         let s = TreeShape::of(&t);
-        assert!(s.balance_factor() >= 3.0, "factor {}", s.balance_factor());
+        // At least 3× the depth of a perfectly balanced tree over as many
+        // leaves.
+        let ideal = (s.leaves as f64).log2().ceil();
+        let factor = f64::from(s.max_depth) / ideal;
+        assert!(factor >= 3.0, "factor {factor}");
     }
 
     #[test]
@@ -139,7 +114,6 @@ mod tests {
         assert_eq!(s.entries, 0);
         assert_eq!(s.leaves, 1);
         assert_eq!(s.routing, 0);
-        assert_eq!(s.balance_factor(), 1.0);
-        assert_eq!(s.ideal_depth(), 0);
+        assert_eq!(s.max_depth, 0);
     }
 }

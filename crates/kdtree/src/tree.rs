@@ -1,15 +1,13 @@
-//! Tree structure, dynamic insertion and bulk loading.
-
-use semtree_par::Pool;
+//! Tree structure, dynamic insertion, bulk loading, and the split rule
+//! both KD-trees share.
 
 /// Identifier of a node in the tree arena; the root is always node 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct NodeId(pub u32);
+pub(crate) struct NodeId(pub(crate) u32);
 
 impl NodeId {
     /// The arena index.
-    #[must_use]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -32,6 +30,64 @@ pub enum SplitRule {
     /// series. Never use this in production; it exists for the worst-case
     /// experiments.
     DegenerateMin,
+}
+
+/// The one split rule (`Sr`, `Sv`) of both trees, [`KdTree`] and
+/// [`crate::versioned::Tree`], over a bucket whose points `coords`
+/// exposes. The rule's preferred dimension comes first — `depth mod k`,
+/// or the lowest dimension of the widest spread — then the next ones in
+/// turn while a dimension is constant. `Sv` is the median, stepped down
+/// to the largest value below the maximum when the median is the
+/// maximum, so `<= Sv` leaves both sides non-empty; under
+/// [`SplitRule::DegenerateMin`] it is the minimum. `None` when every
+/// point is the same.
+pub(crate) fn choose_split<T>(
+    config: &KdConfig,
+    bucket: &[T],
+    coords: impl Fn(&T) -> &[f64],
+    depth: u32,
+) -> Option<(usize, f64)> {
+    let dims = config.dims;
+    let coords = &coords;
+    let values = |dim: usize| bucket.iter().map(move |p| coords(p)[dim]);
+    let span = |dim: usize| {
+        let fold = |(lo, hi): (f64, f64), v: f64| (lo.min(v), hi.max(v));
+        values(dim).fold((f64::INFINITY, f64::NEG_INFINITY), fold)
+    };
+    let preferred = match config.split_rule {
+        SplitRule::Cycle | SplitRule::DegenerateMin => depth as usize % dims,
+        SplitRule::WidestSpread => {
+            let (mut best, mut best_spread) = (0, f64::NEG_INFINITY);
+            for dim in 0..dims {
+                let (lo, hi) = span(dim);
+                if hi - lo > best_spread {
+                    (best, best_spread) = (dim, hi - lo);
+                }
+            }
+            best
+        }
+    };
+    (0..dims)
+        .map(|offset| (preferred + offset) % dims)
+        .find_map(|dim| {
+            if config.split_rule == SplitRule::DegenerateMin {
+                let (min, max) = span(dim);
+                return (min < max).then_some((dim, min));
+            }
+            let mut sorted: Vec<f64> = values(dim).collect();
+            sorted.sort_by(f64::total_cmp);
+            let (min, max) = (*sorted.first()?, *sorted.last()?);
+            if min == max {
+                return None;
+            }
+            let mid = sorted[sorted.len() / 2];
+            let val = if mid < max {
+                mid
+            } else {
+                *sorted.iter().rev().find(|&&v| v < max)?
+            };
+            Some((dim, val))
+        })
 }
 
 /// Tree configuration.
@@ -195,34 +251,9 @@ impl<P: Clone> KdTree<P> {
         self.maybe_split(leaf);
     }
 
-    /// Remove one stored point matching both coordinates and payload.
-    /// Returns `true` when a point was removed. The leaf may become empty;
-    /// routing structure is left in place (deletion does not rebalance —
-    /// call [`KdTree::rebalance`] after bulk deletions).
-    pub fn remove(&mut self, coords: &[f64], payload: &P) -> bool
-    where
-        P: PartialEq,
-    {
-        assert_eq!(coords.len(), self.config.dims, "dimensionality mismatch");
-        let leaf = self.locate_leaf(coords);
-        let NodeKind::Leaf { bucket } = &mut self.nodes[leaf.index()].kind else {
-            unreachable!("locate_leaf returns leaves");
-        };
-        let Some(pos) = bucket
-            .iter()
-            .position(|e| e.coords.as_ref() == coords && e.payload == *payload)
-        else {
-            return false;
-        };
-        bucket.swap_remove(pos);
-        self.len -= 1;
-        true
-    }
-
     /// The leaf a point with these coordinates belongs to (navigation by
     /// `Sr`/`Sv` exactly as the paper's insertion algorithm).
-    #[must_use]
-    pub fn locate_leaf(&self, coords: &[f64]) -> NodeId {
+    fn locate_leaf(&self, coords: &[f64]) -> NodeId {
         let mut node = NodeId(0);
         loop {
             match &self.nodes[node.index()].kind {
@@ -261,7 +292,9 @@ impl<P: Clone> KdTree<P> {
             return;
         };
 
-        let Some((split_dim, split_val)) = self.choose_split(&bucket, depth) else {
+        let Some((split_dim, split_val)) =
+            choose_split(&self.config, &bucket, |e| &e.coords, depth)
+        else {
             // Every point identical: splitting is impossible; keep the
             // oversized bucket (re-checked at the next insert).
             self.nodes[leaf.index()].kind = NodeKind::Leaf { bucket };
@@ -300,12 +333,6 @@ impl<P: Clone> KdTree<P> {
         self.maybe_split(right);
     }
 
-    /// Pick `(Sr, Sv)` for a bucket; `None` when no dimension separates the
-    /// points. `Sv` is chosen so both sides are non-empty.
-    fn choose_split(&self, bucket: &[Entry<P>], depth: u32) -> Option<(usize, f64)> {
-        choose_split_at(&self.config, bucket, depth)
-    }
-
     /// Balanced bulk-load: recursive median construction, the paper's
     /// "1 partition (balanced)" series.
     #[must_use]
@@ -340,7 +367,9 @@ impl<P: Clone> KdTree<P> {
             self.nodes[node.index()].kind = NodeKind::Leaf { bucket: entries };
             return;
         }
-        let Some((split_dim, split_val)) = self.choose_split(&entries, depth) else {
+        let Some((split_dim, split_val)) =
+            choose_split(&self.config, &entries, |e| &e.coords, depth)
+        else {
             self.nodes[node.index()].kind = NodeKind::Leaf { bucket: entries };
             return;
         };
@@ -367,102 +396,6 @@ impl<P: Clone> KdTree<P> {
         self.build_recursive(right, right_bucket, depth + 1);
     }
 
-    /// [`KdTree::bulk_load`] with the recursive median construction fanned
-    /// out over `pool`'s workers. The resulting tree is **identical** to
-    /// the sequential bulk-load — same arena layout, node numbering, split
-    /// choices and bucket order — because the top of the tree is split
-    /// sequentially into independent sub-tree tasks whose results are
-    /// flattened back in exactly the order [`KdTree::bulk_load`] would
-    /// have allocated them.
-    #[must_use]
-    pub fn bulk_load_par(config: KdConfig, points: Vec<(Vec<f64>, P)>, pool: &Pool) -> Self
-    where
-        P: Send,
-    {
-        if pool.threads() <= 1 {
-            return Self::bulk_load(config, points);
-        }
-        for (coords, _) in &points {
-            assert_eq!(coords.len(), config.dims, "dimensionality mismatch");
-        }
-        let len = points.len();
-        let entries: Vec<Entry<P>> = points
-            .into_iter()
-            .map(|(coords, payload)| Entry {
-                coords: coords.into(),
-                payload,
-            })
-            .collect();
-        // Split sequentially for the first few levels — enough to hand
-        // every worker a handful of independent sub-trees.
-        let levels = (pool.threads() * 4).next_power_of_two().trailing_zeros();
-        let mut tasks: Vec<(Vec<Entry<P>>, u32)> = Vec::new();
-        let top = skeleton(&config, entries, 0, levels, &mut tasks);
-        let built = pool.map_vec(tasks, &|(sub, depth)| build_subtree(&config, sub, depth));
-        let mut built: Vec<Option<BuildNode<P>>> = built.into_iter().map(Some).collect();
-        let mut tree = KdTree {
-            config,
-            nodes: Vec::new(),
-            len,
-        };
-        tree.nodes.push(Node {
-            kind: NodeKind::Leaf { bucket: Vec::new() },
-            depth: 0,
-        });
-        tree.flatten_built(NodeId(0), top, 0, &mut built);
-        tree
-    }
-
-    /// Write a linked [`BuildNode`] sub-tree into the arena at `node`,
-    /// allocating children in `build_recursive`'s exact order (left at
-    /// `len`, right at `len + 1`, then the left sub-tree in full before
-    /// the right) so the parallel build is arena-identical.
-    fn flatten_built(
-        &mut self,
-        node: NodeId,
-        built: BuildNode<P>,
-        depth: u32,
-        tasks: &mut [Option<BuildNode<P>>],
-    ) {
-        self.nodes[node.index()].depth = depth;
-        match built {
-            BuildNode::Leaf(bucket) => {
-                self.nodes[node.index()].kind = NodeKind::Leaf { bucket };
-            }
-            BuildNode::Task(i) => {
-                let Some(sub) = tasks[i].take() else {
-                    unreachable!("each pool-built sub-tree is flattened exactly once");
-                };
-                self.flatten_built(node, sub, depth, tasks);
-            }
-            BuildNode::Split {
-                split_dim,
-                split_val,
-                children,
-            } => {
-                let (l, r) = *children;
-                let left = NodeId(self.nodes.len() as u32);
-                self.nodes.push(Node {
-                    kind: NodeKind::Leaf { bucket: Vec::new() },
-                    depth: depth + 1,
-                });
-                let right = NodeId(self.nodes.len() as u32);
-                self.nodes.push(Node {
-                    kind: NodeKind::Leaf { bucket: Vec::new() },
-                    depth: depth + 1,
-                });
-                self.nodes[node.index()].kind = NodeKind::Routing {
-                    split_dim,
-                    split_val,
-                    left,
-                    right,
-                };
-                self.flatten_built(left, l, depth + 1, tasks);
-                self.flatten_built(right, r, depth + 1, tasks);
-            }
-        }
-    }
-
     /// Totally unbalanced ("chain") construction: points are inserted in
     /// lexicographic coordinate order under the [`SplitRule::DegenerateMin`]
     /// rule, so every split peels off only the minimum-valued points and
@@ -482,185 +415,12 @@ impl<P: Clone> KdTree<P> {
         }
         tree
     }
-
-    /// Rebuild the tree as a balanced bulk-load of its current contents —
-    /// the answer to the paper's "once built, modifying or rebalancing a
-    /// Kd-tree is a non-trivial task": rebalancing here is a full rebuild,
-    /// linearithmic in the point count. Routing structure is discarded;
-    /// points and payloads are preserved.
-    pub fn rebalance(&mut self) {
-        let points: Vec<(Vec<f64>, P)> =
-            self.iter().map(|(c, p)| (c.to_vec(), p.clone())).collect();
-        // A rebalanced tree uses the non-degenerate rule even if the
-        // original was built for the worst-case experiments.
-        let config = if self.config.split_rule == SplitRule::DegenerateMin {
-            self.config.with_split_rule(SplitRule::Cycle)
-        } else {
-            self.config
-        };
-        *self = KdTree::bulk_load(config, points);
-    }
-
-    /// Iterate every stored `(coords, payload)`.
-    pub fn iter(&self) -> impl Iterator<Item = (&[f64], &P)> {
-        self.nodes
-            .iter()
-            .flat_map(|n| match &n.kind {
-                NodeKind::Leaf { bucket } => bucket.as_slice(),
-                NodeKind::Routing { .. } => &[],
-            })
-            .map(|e| (e.coords.as_ref(), &e.payload))
-    }
-}
-
-/// Sub-tree representation for the parallel bulk-load: workers build
-/// linked sub-trees independently, and the flatten pass writes them into
-/// the arena in the sequential allocation order.
-enum BuildNode<P> {
-    Leaf(Vec<Entry<P>>),
-    Split {
-        split_dim: usize,
-        split_val: f64,
-        children: Box<(BuildNode<P>, BuildNode<P>)>,
-    },
-    /// Placeholder for a sub-tree built by a pool worker; the index keys
-    /// into the built-task vector during flattening.
-    Task(usize),
-}
-
-/// Split sequentially for `levels` levels, recording each unfinished
-/// sub-tree as a task. Split decisions are exactly `build_recursive`'s.
-fn skeleton<P>(
-    config: &KdConfig,
-    entries: Vec<Entry<P>>,
-    depth: u32,
-    levels: u32,
-    tasks: &mut Vec<(Vec<Entry<P>>, u32)>,
-) -> BuildNode<P> {
-    if entries.len() <= config.bucket_size {
-        return BuildNode::Leaf(entries);
-    }
-    if levels == 0 {
-        tasks.push((entries, depth));
-        return BuildNode::Task(tasks.len() - 1);
-    }
-    let Some((split_dim, split_val)) = choose_split_at(config, &entries, depth) else {
-        return BuildNode::Leaf(entries);
-    };
-    let (left, right): (Vec<_>, Vec<_>) = entries
-        .into_iter()
-        .partition(|e| e.coords[split_dim] <= split_val);
-    BuildNode::Split {
-        split_dim,
-        split_val,
-        children: Box::new((
-            skeleton(config, left, depth + 1, levels - 1, tasks),
-            skeleton(config, right, depth + 1, levels - 1, tasks),
-        )),
-    }
-}
-
-/// Sequentially build one sub-tree as a linked structure, mirroring
-/// `build_recursive`'s decisions exactly.
-fn build_subtree<P>(config: &KdConfig, entries: Vec<Entry<P>>, depth: u32) -> BuildNode<P> {
-    if entries.len() <= config.bucket_size {
-        return BuildNode::Leaf(entries);
-    }
-    let Some((split_dim, split_val)) = choose_split_at(config, &entries, depth) else {
-        return BuildNode::Leaf(entries);
-    };
-    let (left, right): (Vec<_>, Vec<_>) = entries
-        .into_iter()
-        .partition(|e| e.coords[split_dim] <= split_val);
-    BuildNode::Split {
-        split_dim,
-        split_val,
-        children: Box::new((
-            build_subtree(config, left, depth + 1),
-            build_subtree(config, right, depth + 1),
-        )),
-    }
-}
-
-/// Pick `(Sr, Sv)` for a bucket under `config`; `None` when no dimension
-/// separates the points. Shared by the sequential and parallel builders
-/// so both make byte-identical split decisions.
-fn choose_split_at<P>(config: &KdConfig, bucket: &[Entry<P>], depth: u32) -> Option<(usize, f64)> {
-    let dims = config.dims;
-    let preferred = match config.split_rule {
-        SplitRule::Cycle | SplitRule::DegenerateMin => depth as usize % dims,
-        SplitRule::WidestSpread => widest_dim(bucket, dims),
-    };
-    let degenerate = config.split_rule == SplitRule::DegenerateMin;
-    // Try the preferred dimension first, then the rest.
-    for offset in 0..dims {
-        let dim = (preferred + offset) % dims;
-        let val = if degenerate {
-            min_split_value(bucket, dim)
-        } else {
-            split_value(bucket, dim)
-        };
-        if let Some(val) = val {
-            return Some((dim, val));
-        }
-    }
-    None
-}
-
-fn widest_dim<P>(bucket: &[Entry<P>], dims: usize) -> usize {
-    let mut best = 0;
-    let mut best_spread = f64::NEG_INFINITY;
-    for dim in 0..dims {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for e in bucket {
-            lo = lo.min(e.coords[dim]);
-            hi = hi.max(e.coords[dim]);
-        }
-        let spread = hi - lo;
-        if spread > best_spread {
-            best_spread = spread;
-            best = dim;
-        }
-    }
-    best
-}
-
-/// The smallest coordinate along `dim` — the degenerate split: the left
-/// side receives only the minimum-valued points. `None` when all equal.
-fn min_split_value<P>(bucket: &[Entry<P>], dim: usize) -> Option<f64> {
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    for e in bucket {
-        min = min.min(e.coords[dim]);
-        max = max.max(e.coords[dim]);
-    }
-    (min < max).then_some(min)
-}
-
-/// The median coordinate along `dim`, adjusted so that partitioning on
-/// `<= value` leaves both sides non-empty; `None` when all values equal.
-fn split_value<P>(bucket: &[Entry<P>], dim: usize) -> Option<f64> {
-    let mut values: Vec<f64> = bucket.iter().map(|e| e.coords[dim]).collect();
-    values.sort_by(f64::total_cmp);
-    let max = *values.last()?;
-    let min = values[0];
-    if max == min {
-        return None;
-    }
-    let mid = values[values.len() / 2];
-    // `<= mid` must not swallow everything: when the median equals the
-    // maximum (duplicate-heavy data), step down to the largest value < max.
-    if mid < max {
-        Some(mid)
-    } else {
-        values.iter().rev().find(|&&v| v < max).copied()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TreeShape;
 
     fn grid(n: usize) -> Vec<(Vec<f64>, u32)> {
         (0..n)
@@ -684,7 +444,7 @@ mod tests {
         }
         assert_eq!(t.len(), 50);
         assert!(t.node_count() > 1, "bucket overflow must have split");
-        assert_eq!(t.iter().count(), 50);
+        assert_eq!(TreeShape::of(&t).entries, 50);
     }
 
     #[test]
@@ -723,7 +483,7 @@ mod tests {
             t.insert(&[5.0, f64::from(i)], i);
         }
         assert!(t.node_count() > 1);
-        assert_eq!(t.iter().count(), 10);
+        assert_eq!(TreeShape::of(&t).entries, 10);
     }
 
     #[test]
@@ -733,8 +493,7 @@ mod tests {
             t.insert(&coords, p);
         }
         // Every stored point must be found in the leaf locate_leaf returns.
-        let stored: Vec<(Vec<f64>, u32)> = t.iter().map(|(c, p)| (c.to_vec(), *p)).collect();
-        for (coords, payload) in stored {
+        for (coords, payload) in grid(40) {
             let leaf = t.locate_leaf(&coords);
             match &t.nodes[leaf.index()].kind {
                 NodeKind::Leaf { bucket } => {
@@ -810,119 +569,64 @@ mod tests {
         for (coords, p) in grid(100) {
             t.insert(&coords, p);
         }
-        assert_eq!(t.iter().count(), 100);
+        assert_eq!(TreeShape::of(&t).entries, 100);
     }
 
     #[test]
-    fn remove_deletes_exact_point() {
-        let mut t = KdTree::new(KdConfig::new(2).with_bucket_size(4));
-        for (coords, p) in grid(50) {
-            t.insert(&coords, p);
-        }
-        assert!(t.remove(&[3.0, 2.0], &23)); // point 23 = (3, 2)
-        assert_eq!(t.len(), 49);
-        assert!(!t.remove(&[3.0, 2.0], &23), "already gone");
-        assert!(!t.remove(&[3.0, 2.0], &99), "payload mismatch");
-        assert!(t.iter().all(|(_, &p)| p != 23));
-        // Queries remain exact after deletion.
-        let hits = t.knn(&[3.0, 2.0], 1);
-        assert!(hits[0].dist > 0.0);
-    }
-
-    #[test]
-    fn remove_distinguishes_duplicate_coords_by_payload() {
-        let mut t = KdTree::new(KdConfig::new(1).with_bucket_size(4));
-        t.insert(&[1.0], 1u32);
-        t.insert(&[1.0], 2u32);
-        assert!(t.remove(&[1.0], &1));
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.nearest(&[1.0]).unwrap().payload, 2);
-    }
-
-    #[test]
-    fn rebalance_restores_balance_and_content() {
-        let pts: Vec<(Vec<f64>, u32)> = (0..512).map(|i| (vec![i as f64], i as u32)).collect();
-        let mut t = KdTree::chain_load(KdConfig::new(1).with_bucket_size(4), pts);
-        let deep = t.nodes.iter().map(|n| n.depth).max().unwrap();
-        t.rebalance();
-        let shallow = t.nodes.iter().map(|n| n.depth).max().unwrap();
-        assert!(shallow * 4 < deep, "depth {deep} → {shallow}");
-        assert_eq!(t.len(), 512);
-        assert_eq!(t.iter().count(), 512);
-        // Still exact.
-        assert_eq!(t.nearest(&[100.2]).unwrap().payload, 100);
-        // And back on the normal split rule.
-        assert_eq!(t.config().split_rule(), SplitRule::Cycle);
-    }
-
-    #[test]
-    fn rebalance_empty_tree_is_noop() {
-        let mut t: KdTree<u32> = KdTree::new(KdConfig::new(2));
-        t.rebalance();
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn bulk_load_par_is_arena_identical_to_sequential() {
-        // Varied shapes: grids, duplicate-heavy data, every split rule.
-        type Case = (KdConfig, Vec<(Vec<f64>, u32)>);
-        let cases: Vec<Case> = vec![
-            (KdConfig::new(2).with_bucket_size(4), grid(256)),
-            (KdConfig::new(2).with_bucket_size(1), grid(100)),
+    fn split_rule_table() {
+        // (rule, depth, bucket, expected `(Sr, Sv)`) on hand-built buckets.
+        type Case = (SplitRule, u32, &'static [[f64; 2]], Option<(usize, f64)>);
+        let cases: [Case; 9] = [
+            // An all-equal bucket has no plane under any rule.
+            (SplitRule::Cycle, 0, &[[3.0, 3.0]; 4], None),
+            (SplitRule::WidestSpread, 0, &[[3.0, 3.0]; 4], None),
+            (SplitRule::DegenerateMin, 0, &[[3.0, 3.0]; 4], None),
+            // The median (index 2) below the max is the split value...
             (
-                KdConfig::new(2)
-                    .with_bucket_size(4)
-                    .with_split_rule(SplitRule::WidestSpread),
-                grid(200),
+                SplitRule::Cycle,
+                0,
+                &[[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+                Some((0, 1.0)),
+            ),
+            // ...and a median equal to the max steps down below it.
+            (
+                SplitRule::Cycle,
+                0,
+                &[[1.0, 0.0], [2.0, 0.0], [2.0, 0.0], [2.0, 0.0]],
+                Some((0, 1.0)),
+            ),
+            // A widest-spread tie goes to the lowest dimension.
+            (
+                SplitRule::WidestSpread,
+                1,
+                &[[0.0, 0.0], [4.0, 4.0], [2.0, 1.0]],
+                Some((0, 2.0)),
+            ),
+            // The degenerate rule splits at the minimum.
+            (
+                SplitRule::DegenerateMin,
+                0,
+                &[[5.0, 0.0], [1.0, 0.0], [3.0, 0.0]],
+                Some((0, 1.0)),
+            ),
+            // A constant preferred dimension (depth 1 → dim 1) falls through.
+            (
+                SplitRule::Cycle,
+                1,
+                &[[0.0, 7.0], [1.0, 7.0], [2.0, 7.0]],
+                Some((0, 1.0)),
             ),
             (
-                KdConfig::new(1).with_bucket_size(4),
-                (0..300).map(|i| (vec![(i % 7) as f64], i as u32)).collect(),
+                SplitRule::DegenerateMin,
+                1,
+                &[[2.0, 7.0], [0.0, 7.0], [1.0, 7.0]],
+                Some((0, 0.0)),
             ),
-            (KdConfig::new(3).with_bucket_size(8), Vec::new()),
         ];
-        for (config, pts) in cases {
-            let seq = KdTree::bulk_load(config, pts.clone());
-            for threads in [1usize, 2, 3, 8] {
-                let pool = Pool::sequential().with_threads(threads);
-                let par = KdTree::bulk_load_par(config, pts.clone(), &pool);
-                assert_eq!(par.len(), seq.len());
-                assert_eq!(
-                    format!("{:?}", par.nodes),
-                    format!("{:?}", seq.nodes),
-                    "arena differs at threads={threads} for {config:?}"
-                );
-            }
+        for (rule, depth, bucket, want) in cases {
+            let config = KdConfig::new(2).with_split_rule(rule);
+            let got = choose_split(&config, bucket, |p| &p[..], depth);
+            assert_eq!(got, want, "{rule:?} at depth {depth} on {bucket:?}");
         }
-    }
-
-    #[test]
-    fn split_value_handles_duplicates() {
-        let entries: Vec<Entry<u32>> = [1.0, 1.0, 1.0, 2.0]
-            .iter()
-            .map(|&v| Entry {
-                coords: vec![v].into(),
-                payload: 0,
-            })
-            .collect();
-        // Median (index 2) is 1.0 < max → fine.
-        assert_eq!(split_value(&entries, 0), Some(1.0));
-        let entries: Vec<Entry<u32>> = [1.0, 2.0, 2.0, 2.0]
-            .iter()
-            .map(|&v| Entry {
-                coords: vec![v].into(),
-                payload: 0,
-            })
-            .collect();
-        // Median is the max → must step down to 1.0.
-        assert_eq!(split_value(&entries, 0), Some(1.0));
-        let entries: Vec<Entry<u32>> = [3.0, 3.0]
-            .iter()
-            .map(|&v| Entry {
-                coords: vec![v].into(),
-                payload: 0,
-            })
-            .collect();
-        assert_eq!(split_value(&entries, 0), None);
     }
 }

@@ -6,7 +6,7 @@
 //! writes it, every reader reads it), and [`VersionedKdTree`] is the
 //! same tree with no remote links. The sequential [`crate::KdTree`]
 //! stays separate on purpose, as the independent reference the parity
-//! suites compare against.
+//! suites compare against; the two share only the split rule.
 //!
 //! - **Publish-once node arena with stable ids.** Nodes live in chunked
 //!   write-once slots ([`std::sync::OnceLock`]); a node's id is its
@@ -62,10 +62,9 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 
 pub use semtree_conc::shim::{Shim, StdShim};
-use semtree_par::Pool;
 
 use crate::search::Neighbor;
-use crate::tree::{KdConfig, SplitRule};
+use crate::tree::{choose_split, KdConfig};
 
 /// Number of arena chunks. Chunk `c` holds `64 << c` slots, so 25
 /// chunks cap the arena at ~2.1 billion nodes — below `2^31`, which
@@ -1051,7 +1050,8 @@ impl<S: Shim> Tree<S> {
             return;
         }
         let bucket = node.bucket();
-        let Some((split_dim, split_val)) = choose_split(&bucket, &self.config, node.depth) else {
+        let split = choose_split(&self.config, &bucket, |(c, _)| c, node.depth);
+        let Some((split_dim, split_val)) = split else {
             return;
         };
         let below = (leaf, node.depth + 1);
@@ -1090,51 +1090,6 @@ fn new_routing<S: Shim>(
             S::atomic_u64(children[1].pack()?),
         ],
     })
-}
-
-/// Split-plane selection, identical to [`crate::KdTree`]'s: the rule's
-/// preferred dimension (cycle by depth, or widest spread), stepping to
-/// the next when degenerate; median value adjusted so both sides are
-/// non-empty, or the minimum under the worst-case rule.
-fn choose_split(bucket: &[(Vec<f64>, u64)], config: &KdConfig, depth: u32) -> Option<(usize, f64)> {
-    let dims = config.dims();
-    let spread = |dim: usize| {
-        let (lo, hi) = bucket
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), (c, _)| {
-                (lo.min(c[dim]), hi.max(c[dim]))
-            });
-        hi - lo
-    };
-    let preferred = match config.split_rule() {
-        SplitRule::Cycle | SplitRule::DegenerateMin => depth as usize % dims,
-        // The first dimension of the widest spread (`max_by` keeps the
-        // last maximum, so look from the back).
-        SplitRule::WidestSpread => (0..dims)
-            .rev()
-            .max_by(|&a, &b| spread(a).total_cmp(&spread(b)))
-            .unwrap_or(0),
-    };
-    for dim in (0..dims).map(|offset| (preferred + offset) % dims) {
-        let mut values: Vec<f64> = bucket.iter().map(|(c, _)| c[dim]).collect();
-        values.sort_by(f64::total_cmp);
-        let (min, max) = (*values.first()?, *values.last()?);
-        if max == min {
-            continue;
-        }
-        if config.split_rule() == SplitRule::DegenerateMin {
-            // Worst-case rule: peel only the minimum-valued points left.
-            return Some((dim, min));
-        }
-        let mid = values[values.len() / 2];
-        let val = if mid < max {
-            mid
-        } else {
-            values.iter().rev().find(|&&v| v < max).copied()?
-        };
-        return Some((dim, val));
-    }
-    None
 }
 
 /// The single mutating handle of a [`Tree`]. Deliberately **not**
@@ -1440,29 +1395,12 @@ impl<S: Shim> VersionedKdReader<S> {
             |tree: &Tree<S>| neighbors(tree.range(0, query, radius, &InPlace::<S, _>::nowhere()));
         self.tree.read(walk)
     }
-
-    /// Answer a batch of k-NN queries, fanning out over `pool`. Each
-    /// worker reads through its own optimistic attempt; the second
-    /// return value is the total retries across the batch.
-    #[must_use]
-    pub fn knn_batch(
-        &self,
-        queries: &[Vec<f64>],
-        k: usize,
-        pool: &Pool,
-    ) -> (Vec<Vec<Neighbor<u64>>>, u64) {
-        let per_query = pool.map(queries.len(), &|i| self.knn(&queries[i], k));
-        let retries = per_query.iter().map(|(_, stats)| stats.retries).sum();
-        (
-            per_query.into_iter().map(|(hits, _)| hits).collect(),
-            retries,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SplitRule;
     use std::sync::atomic::{AtomicBool, Ordering};
 
     fn grid_points(n: usize) -> Vec<(Vec<f64>, u64)> {

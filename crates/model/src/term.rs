@@ -206,15 +206,6 @@ impl Term {
             Term::Literal(_) => None,
         }
     }
-
-    /// The literal inside this term, if any.
-    #[must_use]
-    pub fn as_literal(&self) -> Option<&Literal> {
-        match self {
-            Term::Literal(l) => Some(l),
-            Term::Concept(_) => None,
-        }
-    }
 }
 
 impl fmt::Display for Term {
@@ -279,7 +270,6 @@ mod tests {
         assert!(lit.is_literal());
         assert!(!lit.is_concept());
         assert_eq!(lit.lexical(), "OBSW001");
-        assert!(lit.as_literal().is_some());
         assert!(lit.as_concept().is_none());
 
         let con = Term::concept_in("Fun", "send_msg");

@@ -390,8 +390,13 @@ where
     }
 
     /// Coordinator path: assign an index, welcome the worker, tell the
-    /// others.
+    /// others. A worker drops the socket instead: admitting would
+    /// announce the joiner to the coordinator under an index it already
+    /// routes to another worker.
     fn admit_worker(self: &Arc<Self>, stream: TcpStream, peer_listen: SocketAddr) {
+        if self.process_index != 0 {
+            return;
+        }
         let assigned = self.next_worker_index.fetch_add(1, Ordering::SeqCst) as u32;
         self.welcome_worker(stream, peer_listen, assigned);
     }
@@ -790,10 +795,6 @@ where
 
     fn reset_metrics(&self) {
         self.metrics.reset();
-    }
-
-    fn record_request_latency(&self, nanos: u64) {
-        self.metrics.record_latency(nanos);
     }
 
     fn shutdown(&self) {

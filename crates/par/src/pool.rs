@@ -10,7 +10,6 @@
 //! bit-identical to the sequential path for any thread count.
 
 use crate::queue::{Chunk, ChunkedQueue};
-use semtree_conc::sync::Mutex;
 
 /// How many chunks each worker nominally receives; the surplus beyond 1
 /// is what lets a worker that finishes early take more.
@@ -136,35 +135,6 @@ impl Pool {
         }
         Self::chunked(items, workers, &|c| fold(c.start, c.end)).reduce(combine)
     }
-
-    /// `f` applied to every owned item, collected in input order.
-    ///
-    /// Unlike [`Pool::map`] this hands each worker *ownership* of its
-    /// items (needed when the work consumes them, e.g. bulk tree
-    /// construction over entry buckets). Items are dealt one at a time
-    /// from a shared feed rather than chunked — callers use this for
-    /// coarse-grained tasks where per-item dispatch cost is noise.
-    pub fn map_vec<I, T, F>(&self, items: Vec<I>, f: &F) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(I) -> T + Sync,
-    {
-        let workers = self.workers_for(items.len());
-        if workers <= 1 {
-            return items.into_iter().map(f).collect();
-        }
-        let feed = Mutex::new(items.into_iter().enumerate());
-        let mut parts = gather(workers, &|| {
-            // The feed is locked only to take the next item, not while
-            // `f` runs on it.
-            std::iter::from_fn(|| feed.lock().next())
-                .map(|(i, item)| (i, f(item)))
-                .collect()
-        });
-        parts.sort_unstable_by_key(|&(i, _)| i);
-        parts.into_iter().map(|(_, val)| val).collect()
-    }
 }
 
 impl Default for Pool {
@@ -211,17 +181,6 @@ mod tests {
             assert_eq!(pool.reduce(1000, &fold, &combine), seq);
         }
         assert_eq!(Pool::new().reduce(0, &fold, &combine), None);
-    }
-
-    #[test]
-    fn map_vec_consumes_items_in_order() {
-        let items: Vec<String> = (0..64).map(|i| format!("item-{i}")).collect();
-        let expected: Vec<usize> = items.iter().map(String::len).collect();
-        for threads in [1, 4] {
-            let pool = Pool::sequential().with_threads(threads);
-            let got = pool.map_vec(items.clone(), &|s: String| s.len());
-            assert_eq!(got, expected);
-        }
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use semtree_distance::MemoizedDistance;
 use semtree_fastmap::FastMap;
-use semtree_kdtree::{KdConfig, KdTree};
 use semtree_par::metric::euclidean;
 use semtree_par::Pool;
 
@@ -77,71 +76,6 @@ fn parallel_embedding_is_bitwise_deterministic() {
                 e.pivots(),
                 reference.pivots(),
                 "pivot choice differs (threads={threads}, run={run}, seed={seed})"
-            );
-        }
-    }
-}
-
-#[test]
-fn parallel_tree_build_is_arena_deterministic() {
-    let seed = base_seed() ^ 0x00FF_00FF;
-    let points: Vec<(Vec<f64>, u32)> = synthetic_points(300, 3, seed)
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| (p, i as u32))
-        .collect();
-    let config = KdConfig::new(3).with_bucket_size(8);
-    let reference = KdTree::bulk_load(config, points.clone());
-    let want = format!("{reference:?}");
-
-    for threads in THREAD_COUNTS {
-        for run in 0..REPEATS {
-            let pool = Pool::sequential().with_threads(threads);
-            let tree = KdTree::bulk_load_par(config, points.clone(), &pool);
-            assert_eq!(
-                format!("{tree:?}"),
-                want,
-                "parallel build differs (threads={threads}, run={run}, seed={seed})"
-            );
-        }
-    }
-}
-
-#[test]
-fn batched_knn_is_bitwise_identical_to_sequential() {
-    let seed = base_seed() ^ 0xABCD_0123;
-    let points: Vec<(Vec<f64>, u32)> = synthetic_points(250, 3, seed)
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| (p, i as u32))
-        .collect();
-    let queries = synthetic_points(40, 3, seed ^ 1);
-    let tree = KdTree::bulk_load(KdConfig::new(3).with_bucket_size(8), points);
-    let want: Vec<Vec<(u64, u32)>> = queries
-        .iter()
-        .map(|q| {
-            tree.knn(q, 7)
-                .into_iter()
-                .map(|n| (n.dist.to_bits(), n.payload))
-                .collect()
-        })
-        .collect();
-
-    for threads in THREAD_COUNTS {
-        for run in 0..REPEATS {
-            let pool = Pool::sequential().with_threads(threads);
-            let got: Vec<Vec<(u64, u32)>> = tree
-                .knn_batch(&queries, 7, &pool)
-                .into_iter()
-                .map(|hits| {
-                    hits.into_iter()
-                        .map(|n| (n.dist.to_bits(), n.payload))
-                        .collect()
-                })
-                .collect();
-            assert_eq!(
-                got, want,
-                "batched knn differs (threads={threads}, run={run}, seed={seed})"
             );
         }
     }

@@ -291,11 +291,10 @@ fn checksummed(mut body: Vec<u8>) -> Vec<u8> {
 }
 
 fn verify_checksum<'a>(path: &Path, bytes: &'a [u8]) -> Result<&'a [u8], WalError> {
-    if bytes.len() < 4 {
+    let Some((body, tail)) = bytes.split_last_chunk::<4>() else {
         return Err(WalError::Corrupt(format!("{} too short", path.display())));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 4);
-    let want = u32::from_le_bytes(tail.try_into().expect("4 bytes"));
+    };
+    let want = u32::from_le_bytes(*tail);
     if crc32(body) != want {
         return Err(WalError::Corrupt(format!(
             "{} checksum mismatch",
@@ -855,8 +854,9 @@ fn scan_row_frames(
             if rest.len() < 8 {
                 return Ok(None);
             }
-            let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes"));
-            let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
+            let mut header = rest;
+            let len = u32::decode(&mut header)?;
+            let crc = u32::decode(&mut header)?;
             if len > MAX_RECORD_LEN {
                 return Err(WalError::Corrupt(format!(
                     "{}: record length {len} exceeds {MAX_RECORD_LEN}",

@@ -8,7 +8,6 @@
 
 use std::time::Instant;
 
-use semtree_core::CostModel;
 use semtree_eval::Series;
 use semtree_examples::{builder_for_corpus, stage_corpus};
 use semtree_reqgen::{CorpusGenerator, GenConfig};
@@ -32,8 +31,7 @@ fn main() {
         let mut builder = builder_for_corpus(&corpus)
             .dimensions(6)
             .bucket_size(32)
-            .partitions(m)
-            .cost_model(CostModel::zero());
+            .partitions(m);
         stage_corpus(&mut builder, &corpus);
 
         let t0 = Instant::now();
