@@ -60,7 +60,7 @@ pub use hit::Hit;
 pub use inconsistency::InconsistencyFinder;
 pub use index::{QueryOptions, SemTree};
 pub use persist::{load_index_str, save_index_string, PersistError};
-pub use retrieval::{DocumentHit, DocumentRetriever};
+pub use retrieval::{DocumentHit, DocumentRetriever, Matched};
 
 // The vocabulary types a typical user needs, re-exported for convenience.
 pub use semtree_cluster::CostModel;

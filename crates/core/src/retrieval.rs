@@ -8,6 +8,8 @@
 //! entirely), and a document's score is the mean contribution over the
 //! query triples.
 
+use std::ops::Deref;
+
 use semtree_model::{DocumentId, Triple, TripleId};
 use semtree_nlp::SvoExtractor;
 
@@ -15,15 +17,90 @@ use crate::index::{QueryOptions, SemTree};
 
 /// One ranked document.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DocumentHit {
+pub struct DocumentHit<'a> {
     /// The document's id in the index's store.
     pub doc: DocumentId,
-    /// The document's external name.
-    pub name: String,
+    /// The document's external name, borrowed from the index's store.
+    pub name: &'a String,
     /// Aggregate similarity in `[0, 1]`, higher is better.
     pub score: f64,
     /// The matched triples with their distances, best first.
-    pub matched: Vec<(TripleId, f64)>,
+    pub matched: Matched,
+}
+
+/// A ranked document's matched triples with their distances, read as a
+/// slice. One match per query triple: a single-triple query's match is
+/// held inline, and only a document matched by a second query triple
+/// spills to a `Vec`.
+#[derive(Debug, Clone)]
+pub struct Matched(Repr);
+
+#[derive(Debug, Clone)]
+enum Repr {
+    One((TripleId, f64)),
+    Spilled(Vec<(TripleId, f64)>),
+}
+
+impl Matched {
+    fn one(m: (TripleId, f64)) -> Self {
+        Matched(Repr::One(m))
+    }
+
+    fn push(&mut self, m: (TripleId, f64)) {
+        match &mut self.0 {
+            Repr::One(first) => self.0 = Repr::Spilled(vec![*first, m]),
+            Repr::Spilled(all) => all.push(m),
+        }
+    }
+
+    /// Replace the last match with `m` when `m` is strictly closer.
+    fn improve_last(&mut self, m: (TripleId, f64)) {
+        let last = match &mut self.0 {
+            Repr::One(last) => Some(last),
+            Repr::Spilled(all) => all.last_mut(),
+        };
+        if let Some(last) = last.filter(|last| m.1 < last.1) {
+            *last = m;
+        }
+    }
+
+    /// Move the matches out, leaving an empty list.
+    fn take(&mut self) -> Self {
+        std::mem::replace(self, Matched(Repr::Spilled(Vec::new())))
+    }
+
+    /// Best first; equal distances keep push order.
+    fn sort_by_distance(&mut self) {
+        if let Repr::Spilled(all) = &mut self.0 {
+            all.sort_by(|a, b| a.1.total_cmp(&b.1));
+        }
+    }
+}
+
+impl Deref for Matched {
+    type Target = [(TripleId, f64)];
+
+    fn deref(&self) -> &Self::Target {
+        match &self.0 {
+            Repr::One(m) => std::slice::from_ref(m),
+            Repr::Spilled(all) => all,
+        }
+    }
+}
+
+impl<'m> IntoIterator for &'m Matched {
+    type Item = &'m (TripleId, f64);
+    type IntoIter = std::slice::Iter<'m, (TripleId, f64)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Matched {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
 }
 
 /// Ranks documents by the semantic similarity of their triples to a query.
@@ -69,90 +146,92 @@ impl<'a> DocumentRetriever<'a> {
 
     /// Rank documents for a single query triple.
     #[must_use]
-    pub fn query_triple(&self, query: &Triple) -> Vec<DocumentHit> {
+    pub fn query_triple(&self, query: &Triple) -> Vec<DocumentHit<'a>> {
         self.query_triples(std::slice::from_ref(query))
     }
 
     /// Rank documents for a set of query triples (query-by-document).
     #[must_use]
-    pub fn query_triples(&self, queries: &[Triple]) -> Vec<DocumentHit> {
-        /// One document that matched: its summed contributions, its
-        /// matched triples, and its best hit for the query in progress.
+    pub fn query_triples(&self, queries: &[Triple]) -> Vec<DocumentHit<'a>> {
+        /// One document that matched: one match per query triple that
+        /// reached it, the last one being `query`'s best so far.
         struct Slot {
             doc: DocumentId,
-            sum: f64,
-            matched: Vec<(TripleId, f64)>,
-            best: Option<(TripleId, f64)>,
+            query: usize,
+            matched: Matched,
         }
         let store = self.index.store();
         // Per document id: its index in `slots`, once it matched.
         let mut slot_of: Vec<Option<usize>> = vec![None; store.stats().documents];
         let mut slots: Vec<Slot> = Vec::new();
-        let mut touched: Vec<usize> = Vec::new();
 
-        for query in queries {
-            for (tid, d) in self.index.nearest(query, self.k, self.opts) {
+        for (query, triple) in queries.iter().enumerate() {
+            for (tid, d) in self.index.nearest(triple, self.k, self.opts) {
                 let docs = store
                     .documents_of(tid)
                     .expect("hit ids come from the store");
                 for &doc in docs {
-                    let s = *slot_of[doc.index()].get_or_insert_with(|| {
+                    let Some(s) = slot_of[doc.index()] else {
+                        slot_of[doc.index()] = Some(slots.len());
                         slots.push(Slot {
                             doc,
-                            sum: 0.0,
-                            matched: Vec::new(),
-                            best: None,
+                            query,
+                            matched: Matched::one((tid, d)),
                         });
-                        slots.len() - 1
-                    });
-                    // The first minimal hit in hit order is the document's
-                    // best for this query triple.
+                        continue;
+                    };
                     let slot = &mut slots[s];
-                    match slot.best {
-                        Some((_, existing)) if existing <= d => {}
-                        Some(_) => slot.best = Some((tid, d)),
-                        None => {
-                            slot.best = Some((tid, d));
-                            touched.push(s);
-                        }
+                    if slot.query == query {
+                        // The first minimal hit in hit order is the
+                        // document's best for this query triple.
+                        slot.matched.improve_last((tid, d));
+                    } else {
+                        slot.query = query;
+                        slot.matched.push((tid, d));
                     }
-                }
-            }
-            for s in touched.drain(..) {
-                let slot = &mut slots[s];
-                if let Some((tid, d)) = slot.best.take() {
-                    slot.sum += (1.0 - d).max(0.0);
-                    slot.matched.push((tid, d));
                 }
             }
         }
 
+        // A document's score sums its matches' contributions in query
+        // order, then takes the mean over every query triple.
         let n_queries = queries.len() as f64;
-        let mut out: Vec<DocumentHit> = slots
-            .into_iter()
-            .map(|mut slot| {
-                slot.matched.sort_by(|a, b| a.1.total_cmp(&b.1));
-                DocumentHit {
-                    doc: slot.doc,
-                    name: store
-                        .document(slot.doc)
-                        .expect("documents_of returns live ids")
-                        .name
-                        .clone(),
-                    score: slot.sum / n_queries,
-                    matched: slot.matched,
-                }
+        let mut order: Vec<(f64, DocumentId, usize)> = slots
+            .iter()
+            .enumerate()
+            .map(|(s, slot)| {
+                let sum = slot
+                    .matched
+                    .iter()
+                    .fold(0.0, |sum, &(_, d)| sum + (1.0 - d).max(0.0));
+                (sum / n_queries, slot.doc, s)
             })
             .collect();
-        out.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc)));
-        out
+        // Doc ids are unique, so this order is total.
+        order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+        order
+            .into_iter()
+            .map(|(score, doc, s)| {
+                let mut matched = slots[s].matched.take();
+                matched.sort_by_distance();
+                DocumentHit {
+                    doc,
+                    name: &store
+                        .document(doc)
+                        .expect("documents_of returns live ids")
+                        .name,
+                    score,
+                    matched,
+                }
+            })
+            .collect()
     }
 
     /// Rank documents for a natural-language query, extracting its triples
     /// with the requirements NLP pipeline. Returns an empty ranking when
     /// no triple could be extracted.
     #[must_use]
-    pub fn query_text(&self, text: &str) -> Vec<DocumentHit> {
+    pub fn query_text(&self, text: &str) -> Vec<DocumentHit<'a>> {
         let queries = self.extractor.extract(text);
         self.query_triples(&queries)
     }
@@ -274,12 +353,12 @@ mod tests {
 
     /// The three-map aggregation `query_triples` ran before the slot
     /// vector, kept as the oracle. It reads the public `knn_with`.
-    fn three_map_oracle(
-        index: &SemTree,
+    fn three_map_oracle<'a>(
+        index: &'a SemTree,
         k: usize,
         opts: QueryOptions,
         queries: &[Triple],
-    ) -> Vec<DocumentHit> {
+    ) -> Vec<DocumentHit<'a>> {
         use std::collections::HashMap;
         if queries.is_empty() {
             return Vec::new();
@@ -312,9 +391,9 @@ mod tests {
                 matched.sort_by(|a, b| a.1.total_cmp(&b.1));
                 DocumentHit {
                     doc,
-                    name: index.store().document(doc).unwrap().name.clone(),
+                    name: &index.store().document(doc).unwrap().name,
                     score: sum / n_queries,
-                    matched,
+                    matched: Matched(Repr::Spilled(matched)),
                 }
             })
             .collect();
@@ -377,6 +456,7 @@ mod tests {
             1usize..12,
         );
         let mut tied_documents = 0;
+        let mut spilled_documents = 0;
         for case in 0..64 {
             let mut rng = TestRng::for_case(
                 concat!(
@@ -402,6 +482,8 @@ mod tests {
                 bits(&three_map_oracle(&idx, k, opts, &queries)),
                 "case {case}: k {k}, {opts:?}, {queries:?}"
             );
+            // A document matched by two query triples spills its list.
+            spilled_documents += got.iter().filter(|h| h.matched.len() >= 2).count();
             // A tie the first-minimal rule settles: one document holding
             // two distinct triples at the same distance from one query.
             for q in &queries {
@@ -423,7 +505,65 @@ mod tests {
             tied_documents > 0,
             "the fixture must exercise distance ties"
         );
+        assert!(
+            spilled_documents > 0,
+            "the fixture must exercise documents with several matches"
+        );
         idx.shutdown();
+    }
+
+    fn pairs(n: u32) -> Vec<(TripleId, f64)> {
+        (0..n)
+            .map(|i| (TripleId(i), 1.0 / f64::from(i + 1)))
+            .collect()
+    }
+
+    fn matched_of(pairs: &[(TripleId, f64)]) -> Matched {
+        let mut m = Matched::one(pairs[0]);
+        for &p in &pairs[1..] {
+            m.push(p);
+        }
+        m
+    }
+
+    #[test]
+    fn one_match_is_held_inline() {
+        let m = Matched::one((TripleId(7), 0.25));
+        assert!(matches!(m.0, Repr::One(_)));
+        assert_eq!(&*m, &[(TripleId(7), 0.25)]);
+    }
+
+    #[test]
+    fn a_second_push_spills_in_push_order() {
+        let m = matched_of(&pairs(2));
+        assert!(matches!(m.0, Repr::Spilled(_)));
+        // Pushed farthest-first is still read in push order: only the
+        // ranking sorts.
+        assert_eq!(&*m, &pairs(2)[..]);
+    }
+
+    #[test]
+    fn matched_reads_like_a_vec_of_its_pairs() {
+        for n in 1..5 {
+            let want = pairs(n);
+            let m = matched_of(&want);
+            assert_eq!(m.len(), want.len());
+            assert_eq!(
+                m.iter().collect::<Vec<_>>(),
+                want.iter().collect::<Vec<_>>()
+            );
+            assert_eq!((&m).into_iter().copied().collect::<Vec<_>>(), want);
+            for other in 1..5 {
+                let theirs = pairs(other);
+                assert_eq!(m == matched_of(&theirs), want == theirs, "{n} vs {other}");
+            }
+        }
+        // The same single pair, inline or spilled, is equal.
+        let mut spilled = matched_of(&pairs(2));
+        spilled.take();
+        spilled.push(pairs(1)[0]);
+        assert!(matches!(spilled.0, Repr::Spilled(_)));
+        assert_eq!(spilled, Matched::one(pairs(1)[0]));
     }
 
     #[test]

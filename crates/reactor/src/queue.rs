@@ -43,8 +43,8 @@ struct QueueState<T> {
     /// removed when its connection closes; late completions then only
     /// release the global slot.
     per_conn: HashMap<u64, usize>,
-    /// Threads blocked on the condvar (executors in
-    /// [`pop`](ServeQueue::pop), idle-waiters). Counted under the mutex
+    /// Executors blocked on the condvar in
+    /// [`pop`](ServeQueue::pop). Counted under the mutex
     /// the wait releases, so a notifier that reads zero has nobody to
     /// wake: whoever parks later re-checks the state first.
     parked: usize,
@@ -128,25 +128,18 @@ impl<T: Send + 'static, S: Shim> ServeQueue<T, S> {
     /// after [`close_conn`](Self::close_conn) — the global slot is
     /// still released exactly once.
     pub fn complete(&self, conn: u64) {
-        let parked = {
-            let mut st = S::lock(&self.inner);
-            if let Some(g) = st.global.checked_sub(1) {
-                st.global = g;
+        let mut st = S::lock(&self.inner);
+        if let Some(g) = st.global.checked_sub(1) {
+            st.global = g;
+        } else {
+            st.underflowed = true;
+        }
+        if let Some(count) = st.per_conn.get_mut(&conn) {
+            if let Some(c) = count.checked_sub(1) {
+                *count = c;
             } else {
                 st.underflowed = true;
             }
-            if let Some(count) = st.per_conn.get_mut(&conn) {
-                if let Some(c) = count.checked_sub(1) {
-                    *count = c;
-                } else {
-                    st.underflowed = true;
-                }
-            }
-            st.parked
-        };
-        // Wake idle-waiters (and any parked executor re-checking close).
-        if parked > 0 {
-            S::notify_all(&self.cv);
         }
     }
 
@@ -178,27 +171,6 @@ impl<T: Send + 'static, S: Shim> ServeQueue<T, S> {
     #[must_use]
     pub fn underflowed(&self) -> bool {
         S::lock(&self.inner).underflowed
-    }
-
-    /// Block until every in-flight request has completed or
-    /// `timeout_nanos` elapse. Returns `true` when idle.
-    #[must_use]
-    pub fn wait_idle(&self, timeout_nanos: u64) -> bool {
-        let deadline = S::now_nanos().saturating_add(timeout_nanos);
-        let mut st = S::lock(&self.inner);
-        loop {
-            if st.global == 0 {
-                return true;
-            }
-            let now = S::now_nanos();
-            if now >= deadline {
-                return false;
-            }
-            st.parked += 1;
-            let (guard, _timed_out) = S::wait_timeout(&self.cv, st, &self.inner, deadline - now);
-            st = guard;
-            st.parked -= 1;
-        }
     }
 
     /// Stop admitting and wake every parked executor; queued jobs are
@@ -260,16 +232,6 @@ mod tests {
         });
         q.shutdown();
         assert_eq!(worker.join().unwrap(), vec![5]);
-        assert!(q.wait_idle(0));
-    }
-
-    #[test]
-    fn wait_idle_times_out_while_slots_are_held() {
-        let q = Q::new(4);
-        assert_eq!(q.push(1, 1), Push::Granted);
-        assert!(!q.wait_idle(2_000_000));
-        let (conn, _) = q.pop().unwrap();
-        q.complete(conn);
-        assert!(q.wait_idle(u64::MAX));
+        assert_eq!(q.global_in_flight(), 0);
     }
 }

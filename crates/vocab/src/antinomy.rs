@@ -39,15 +39,6 @@ impl AntinomyTable {
         self.pairs.get(a).is_some_and(|s| s.contains(b))
     }
 
-    /// All antonyms of `a`, in lexicographic order.
-    #[must_use]
-    pub fn antonyms_of(&self, a: &str) -> Vec<&str> {
-        self.pairs
-            .get(a)
-            .map(|s| s.iter().map(String::as_str).collect())
-            .unwrap_or_default()
-    }
-
     /// The canonical (lexicographically first) antonym of `a`, if any —
     /// how the evaluation picks *the* antinomic predicate for a target
     /// triple.
@@ -105,10 +96,8 @@ mod tests {
     #[test]
     fn multiple_antonyms_sorted() {
         let t = sample();
-        assert_eq!(t.antonyms_of("accept_cmd"), vec!["block_cmd", "reject_cmd"]);
         assert_eq!(t.canonical_antonym("accept_cmd"), Some("block_cmd"));
         assert_eq!(t.canonical_antonym("ghost"), None);
-        assert!(t.antonyms_of("ghost").is_empty());
     }
 
     #[test]

@@ -215,26 +215,6 @@ impl Taxonomy {
         edges
     }
 
-    /// Render the IS-A DAG in Graphviz DOT syntax (edges point from child
-    /// to parent), for documentation and debugging of domain vocabularies.
-    #[must_use]
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "digraph \"{}\" {{", self.name);
-        let _ = writeln!(out, "  rankdir=BT;");
-        for (id, name) in self.iter() {
-            let _ = writeln!(out, "  n{} [label=\"{}\"];", id.0, name);
-        }
-        for (id, _) in self.iter() {
-            for parent in self.parents(id) {
-                let _ = writeln!(out, "  n{} -> n{};", id.0, parent.0);
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
     /// Intrinsic information content (Seco et al.):
     /// `IC(c) = 1 − ln(subtree(c)) / ln(N)`, so the root has IC 0 and each
     /// leaf has IC 1. Falls back to 0 for a single-node taxonomy.
@@ -683,20 +663,6 @@ mod tests {
         assert_eq!(t.iter().next().unwrap().1, ROOT_NAME);
         let empty = Taxonomy::builder("e").build().unwrap();
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn dot_export_lists_nodes_and_edges() {
-        let t = sample();
-        let dot = t.to_dot();
-        assert!(dot.starts_with("digraph \"test\""));
-        assert!(dot.contains("label=\"car\""));
-        assert!(dot.contains("label=\"root\""));
-        // suv (leaf) has exactly one outgoing IS-A edge.
-        let suv = t.id_of("suv").unwrap();
-        let edge = format!("n{} -> ", suv.0);
-        assert_eq!(dot.matches(&edge).count(), 1);
-        assert!(dot.trim_end().ends_with('}'));
     }
 
     #[test]

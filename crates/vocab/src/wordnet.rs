@@ -6,7 +6,6 @@
 //! a handful of noun and verb domains, enough for examples, tests and the
 //! NLP fallback when a concept carries no prefix.
 
-use crate::antinomy::AntinomyTable;
 use crate::taxonomy::Taxonomy;
 
 /// Build the miniature general taxonomy (~60 concepts).
@@ -82,21 +81,6 @@ pub fn mini_taxonomy() -> Taxonomy {
     b.build().expect("static mini taxonomy is well-formed")
 }
 
-/// Antinomies among the general action concepts.
-#[must_use]
-pub fn mini_antinomies() -> AntinomyTable {
-    let mut t = AntinomyTable::new();
-    t.declare("start", "stop");
-    t.declare("enable", "disable");
-    t.declare("send", "receive");
-    t.declare("acquire", "release");
-    t.declare("accept", "reject");
-    t.declare("accept", "block");
-    t.declare("allow", "block");
-    t.declare("allow", "reject");
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,24 +102,6 @@ mod tests {
         let close = m.similarity(&t, "accept", "reject").unwrap();
         let far = m.similarity(&t, "accept", "antenna").unwrap();
         assert!(close > far, "{close} vs {far}");
-    }
-
-    #[test]
-    fn antonyms_are_semantically_close_but_antinomic() {
-        // The crux of the case study: an antonym pair is *similar* under the
-        // taxonomy (same parent) yet flagged by the antinomy table — that is
-        // why k-NN around a target triple surfaces inconsistencies.
-        let t = mini_taxonomy();
-        let a = mini_antinomies();
-        let m = SimilarityMeasure::WuPalmer;
-        for (x, y) in a.iter_pairs() {
-            assert!(a.are_antonyms(x, y));
-            let sim = m.similarity(&t, x, y).unwrap();
-            assert!(
-                sim >= 0.7,
-                "antonym pair ({x},{y}) should be close, got {sim}"
-            );
-        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ fn main() {
     // The requirement's own document must rank first: it contains every
     // query triple verbatim.
     let own_doc = corpus.store.document(sample_req.doc).expect("live id");
-    assert_eq!(hits[0].name, own_doc.name, "self-retrieval sanity");
+    assert_eq!(*hits[0].name, own_doc.name, "self-retrieval sanity");
     assert!(hits[0].score > 0.9);
 
     // 2. Free-text query: the NLP pipeline turns prose into query triples.

@@ -469,13 +469,15 @@ fn inline_and_executor_answers_are_the_in_process_bytes() {
 /// Which thread answers is decided by what the request says. One
 /// connection sends, in a single write, a long batch, a k-NN one above
 /// `INLINE_MAX_K`, then k-NNs of `k` ≤ `INLINE_MAX_K` — a wrong-dimension
-/// and a NaN one among them. The shard answers the small ones in the
-/// turn that admits the batch, so on the wire they all precede the
-/// batch's reply, each under its own correlation id, the bad ones as
-/// the typed rejection; the larger k-NN, although sent before them,
-/// takes the executor hand-off and arrives after them. Every one of
-/// them is in the latency histogram and the shard's served count, and
-/// the partition outlives the bad input.
+/// and a NaN one among them. The shard answers the small ones inline,
+/// in send order, each under its own correlation id, the bad ones as
+/// the typed rejection; the batch and the larger k-NN take the executor
+/// hand-off. Where those two replies land is not asserted: how the
+/// shard's reads split the burst decides where they fall among the
+/// inline ones, and the executor answers the k-NN itself (a lock-free
+/// read) while the batch waits for the root partition's actor, so
+/// either may come first. Every reply is in the latency histogram and
+/// the shard's served count, and the partition outlives the bad input.
 #[test]
 fn inline_replies_overtake_a_busy_executor_and_are_counted() {
     let k = 4;
@@ -530,17 +532,12 @@ fn inline_replies_overtake_a_busy_executor_and_are_counted() {
         }
         arrival.push(corr);
     }
+    let inline: Vec<u64> = arrival.iter().copied().filter(|&corr| corr >= 2).collect();
     let small_ones: Vec<u64> = (2..requests.len() as u64).collect();
-    assert_eq!(
-        arrival[..small_ones.len()],
-        small_ones,
-        "answered in order, on the shard"
-    );
-    // The k-NN above the bound was sent before all of them and still
-    // arrives after: it went through the executor, like the batch.
-    let mut executed = arrival[small_ones.len()..].to_vec();
+    assert_eq!(inline, small_ones, "answered in order, on the shard");
+    let mut executed: Vec<u64> = arrival.iter().copied().filter(|&corr| corr < 2).collect();
     executed.sort_unstable();
-    assert_eq!(executed, [0, 1]);
+    assert_eq!(executed, [0, 1], "each executed request answered once");
     drop(stream);
 
     let mut client = NetClient::connect(addr, Duration::from_secs(5)).expect("connect");
