@@ -15,13 +15,17 @@ use crate::tree::{unexpected, SharedConfig};
 /// only writer of its store's tree — so it reads that tree directly,
 /// without validation. Other threads read the same tree lock-free once
 /// it is registered with [`SharedConfig`]: client threads, whose reads
-/// start at the root partition and cross into this one in place, and the
-/// `pool` workers of whichever actor fans a [`Req::KnnBatch`] out.
+/// start at the root partition and cross into this one in place, and
+/// whose inserts walk its routing nodes in place to find the partition
+/// that stores the point; and the `pool` workers of whichever actor fans
+/// a [`Req::KnnBatch`] out.
 pub(crate) struct PartitionActor {
     store: PartitionStore,
     shared: Arc<SharedConfig>,
     pool: Pool,
-    /// The hosting node, once the tree is registered under it.
+    /// The hosting node, once this actor has registered the tree under
+    /// it (on its first message; `DistSemTree::build_on` registers the
+    /// root's earlier, and the actor's own registration repeats it).
     registered: Option<ComputeNodeId>,
 }
 
@@ -122,9 +126,12 @@ impl PartitionActor {
 
     /// [`Req::Insert`]. Write-ahead: `apply_insert` flushes the record
     /// before running the store mutation, so the mutation can never
-    /// outrun its log entry. If navigation forwards the point to another
-    /// partition the record stays behind as a no-op on replay (the
-    /// receiving partition logs its own copy on arrival).
+    /// outrun its log entry. A client routes each insert in place to the
+    /// partition that stores it, so navigation here forwards only when
+    /// the leaf the client found migrated before the message landed (or
+    /// the sender addressed an upstream partition): then this partition
+    /// relays the point, and its record stays behind as a no-op on
+    /// replay (the receiving partition logs its own copy on arrival).
     fn insert(
         &mut self,
         ctx: &NodeCtx<Req, Resp>,

@@ -857,8 +857,8 @@ impl semtree_reactor::Service for TreeService<'_> {
     /// The pipelined serving path: data-plane queries are submitted
     /// through [`DistSemTree::submit_query`] and the executor returns
     /// immediately — the client's response is completed from whatever
-    /// thread finishes the partition work (the root actor's thread, or
-    /// a `semtree-net` demux reader when partitions are remote), via
+    /// thread finishes the partition work (the receiving actor's thread,
+    /// or a `semtree-net` demux reader when partitions are remote), via
     /// the [`semtree_reactor::ReplyToken`]. Control-plane requests and
     /// malformed frames answer synchronously; the response bytes are
     /// identical to [`Service::call`]'s on every path because both go

@@ -12,8 +12,11 @@
 //!
 //! 1. **Distributed insertion** (§III-B.1): navigation compares `P[Sr]`
 //!    against `Sv`; if the chosen child lives on another partition
-//!    (`Cp ≠ Childp`) the point travels there in a message. A saturated
-//!    leaf bucket splits into two children and its points move down.
+//!    (`Cp ≠ Childp`) the point travels there in a message. The client
+//!    runs that navigation over every partition this process hosts in
+//!    place, so the one message goes to the partition that stores the
+//!    point. A saturated leaf bucket splits into two children and its
+//!    points move down.
 //! 2. **Build partition** (§III-B.2): when a partition's *resource
 //!    condition* fires (statically fixed or dynamically evaluated — see
 //!    [`CapacityPolicy`]), leaves of the overfull partition move into newly

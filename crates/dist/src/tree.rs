@@ -437,7 +437,7 @@ fn to_neighbors(candidates: Vec<(f64, u64)>) -> Vec<Neighbor<u64>> {
         .collect()
 }
 
-/// Decode the root actor's reply — the one `Resp` → [`QueryOutcome`]
+/// Decode an actor's reply — the one `Resp` → [`QueryOutcome`]
 /// mapping, shared by the blocking and pipelined paths. A reply of the
 /// wrong shape for the request surfaces through the typed
 /// [`QueryOutcome`] accessors.
@@ -476,15 +476,15 @@ fn decode_range(resp: Resp) -> Result<QueryOutcome, ClusterError> {
     }
 }
 
-/// How a lowered [`Query`] turns the root actor's reply into its outcome.
+/// How a lowered [`Query`] turns the actor's reply into its outcome.
 type Decode = fn(Resp) -> Result<QueryOutcome, ClusterError>;
 
 /// A validated [`Query`] after [`DistSemTree::lower`]: either already
-/// answered by the lock-free read path, or the message for the root
-/// partition's actor plus the decoder for its reply.
+/// answered by the lock-free read path, or the partition whose actor
+/// takes it, the message, and the decoder for the reply.
 enum Lowered {
     Answered(QueryOutcome),
-    Send(Req, Decode),
+    Send(ComputeNodeId, Req, Decode),
 }
 
 /// Bump the facade's insert counter when `outcome` acknowledges one.
@@ -603,10 +603,13 @@ impl DistSemTree {
         };
 
         // The root partition itself. Its initial image is snapshotted once
-        // the spawn has assigned the partition id.
+        // the spawn has assigned the partition id, and its tree is
+        // readable from here on, not only from its actor's first message.
         assert!(shared.try_reserve_partition());
         let image = shared.wal.as_ref().map(|_| store.to_image());
+        let tree = Arc::clone(store.tree());
         let root = cluster.spawn(PartitionActor::with_store(store, Arc::clone(&shared)));
+        shared.register_read_handle(root, &tree);
         if let (Some(wal), Some(image)) = (shared.wal.as_ref(), image) {
             wal.snapshot_image(root, &image)
                 .map_err(|e| ClusterError::Remote(format!("wal snapshot failed: {e}")))?;
@@ -622,13 +625,11 @@ impl DistSemTree {
     /// Execute one typed [`Query`] — the single entry point for every
     /// data operation.
     ///
-    /// Writes always travel through the root partition's actor mailbox
-    /// (preserving WAL-before-apply ordering). Reads first walk the root
-    /// partition's tree — the same seqlock arena its actor writes —
-    /// lock-free on the calling thread, retrying only when racing an
-    /// in-flight insert, and cross a partition border in place: the
-    /// sub-walk the other partition's actor would run, on that
-    /// partition's own tree, validated against its own version. The
+    /// Reads first walk the root partition's tree — the same seqlock
+    /// arena its actor writes — lock-free on the calling thread, retrying
+    /// only when racing an in-flight insert, and cross a partition border
+    /// in place: the sub-walk the other partition's actor would run, on
+    /// that partition's own tree, validated against its own version. The
     /// answer is byte-identical to the mailbox path's, after
     /// build-partition too, and makes the same promise: every
     /// acknowledged write, no snapshot across partitions. Only a walk
@@ -636,6 +637,12 @@ impl DistSemTree {
     /// sent through the mailbox, whose actor can reach it. Retries and
     /// crossings land in the cluster metrics (`reads_retried`,
     /// `reads_crossed`).
+    ///
+    /// A write is routed the same way (see
+    /// [`route`](DistSemTree::route)): the routing nodes are walked in
+    /// place, and only the partition that stores the point receives a
+    /// message, where it is written ahead to the WAL and applied by that
+    /// partition's actor.
     ///
     /// # Errors
     /// [`ClusterError::InvalidRequest`] when the query is malformed (see
@@ -645,29 +652,28 @@ impl DistSemTree {
     pub fn query(&self, query: Query) -> Result<QueryOutcome, ClusterError> {
         match self.lower(query)? {
             Lowered::Answered(outcome) => Ok(outcome),
-            Lowered::Send(req, decode) => count_insert(
-                &self.inserted,
-                self.cluster.call(self.root, req).and_then(decode),
-            ),
+            Lowered::Send(to, req, decode) => {
+                count_insert(&self.inserted, self.cluster.call(to, req).and_then(decode))
+            }
         }
     }
 
     /// Pipelined form of [`query`](DistSemTree::query): dispatch the
     /// operation and return immediately; `complete` runs exactly once
     /// with the identical outcome the blocking path would have produced,
-    /// on whatever thread finishes the work — the root actor's thread
-    /// in-process, a network demux reader under `semtree-net`, or this
-    /// thread when validation rejects the query or the lock-free read
-    /// fast path answers inline. This is what lets one serving executor
-    /// keep hundreds of worker round trips in flight.
+    /// on whatever thread finishes the work — the receiving actor's
+    /// thread in-process, a network demux reader under `semtree-net`, or
+    /// this thread when validation rejects the query or the lock-free
+    /// read fast path answers inline. This is what lets one serving
+    /// executor keep hundreds of worker round trips in flight.
     pub fn submit_query(&self, query: Query, complete: CompleteFn<QueryOutcome>) {
         match self.lower(query) {
             Err(e) => complete(Err(e)),
             Ok(Lowered::Answered(outcome)) => complete(Ok(outcome)),
-            Ok(Lowered::Send(req, decode)) => {
+            Ok(Lowered::Send(to, req, decode)) => {
                 let inserted = Arc::clone(&self.inserted);
                 self.cluster.submit(
-                    self.root,
+                    to,
                     req,
                     Box::new(move |resp| {
                         complete(count_insert(&inserted, resp.and_then(decode)));
@@ -680,23 +686,26 @@ impl DistSemTree {
     /// The one request lowering behind [`query`](DistSemTree::query) and
     /// [`submit_query`](DistSemTree::submit_query): whatever
     /// [`answer_direct`](DistSemTree::answer_direct) settles is settled;
-    /// otherwise build the root actor's message and name the decoder for
-    /// its reply.
+    /// otherwise build the message — an insert for the partition
+    /// [`route`](DistSemTree::route) names, anything else for the root —
+    /// and name the decoder for its reply.
     fn lower(&self, query: Query) -> Result<Lowered, ClusterError> {
         if let Some(settled) = self.answer_direct(&query) {
             return settled.map(Lowered::Answered);
         }
         let node = LocalNodeId(0);
         Ok(match query {
-            Query::Insert { point, payload } => Lowered::Send(
-                Req::Insert {
+            Query::Insert { point, payload } => {
+                let (to, node) = self.route(&point);
+                let req = Req::Insert {
                     node,
                     point,
                     payload,
-                },
-                decode,
-            ),
+                };
+                Lowered::Send(to, req, decode)
+            }
             Query::Knn { point, k } => Lowered::Send(
+                self.root,
                 Req::Knn {
                     node,
                     point,
@@ -706,9 +715,10 @@ impl DistSemTree {
                 decode,
             ),
             Query::KnnBatch { points, k } => {
-                Lowered::Send(Req::KnnBatch { node, points, k }, decode)
+                Lowered::Send(self.root, Req::KnnBatch { node, points, k }, decode)
             }
             Query::Range { point, radius } => Lowered::Send(
+                self.root,
                 Req::Range {
                     node,
                     point,
@@ -717,6 +727,34 @@ impl DistSemTree {
                 decode_range,
             ),
         })
+    }
+
+    /// Where an insert of `point` goes: a partition and the node it is
+    /// entered at. The insert's own descent (§III-B.1), run lock-free on
+    /// this thread: from the root partition's root it follows the routing
+    /// nodes and every remote edge into a partition whose tree is
+    /// registered here, each partition under its own validated read, as
+    /// a read crosses. It stops at a local leaf — the partition it is in
+    /// stores the point — or at an edge into a partition it cannot read
+    /// (another process hosts it, or it has not registered), which then
+    /// gets the insert and navigates on from its entry node.
+    ///
+    /// The destination is the one the root's relay would pick at any
+    /// later time: a published remote edge is never rewritten, since
+    /// build-partition only turns a *local leaf* into a link, and never
+    /// a partition's root. A leaf that splits or migrates before the
+    /// message lands is navigated again by the actor that receives it.
+    /// One partition has no remote edge, so the walk is skipped.
+    fn route(&self, point: &[f64]) -> (ComputeNodeId, LocalNodeId) {
+        let mut at = (self.root.0, 0);
+        if self.partition_count() > 1 {
+            let reader = self.shared.reader();
+            let from = |node: u32| move |tree: &Tree| tree.navigate(node, point).map(Ok);
+            while let Ok(Child::Remote { partition, node }) = reader.enter(at, point, from(at.1)) {
+                at = (partition, node);
+            }
+        }
+        (ComputeNodeId(at.0), LocalNodeId(at.1))
     }
 
     /// The first half of the lowering, for a caller that must not wait
@@ -1189,42 +1227,121 @@ mod tests {
         }
     }
 
+    /// The paper's insert (§III-B.1): it enters at the root partition's
+    /// root, whose actor relays it over the fabric to the partition that
+    /// stores it. It bypasses the facade's insert counter.
+    fn relay(tree: &DistSemTree, point: &[f64], payload: u64) {
+        let req = Req::Insert {
+            node: LocalNodeId(0),
+            point: point.to_vec(),
+            payload,
+        };
+        assert_eq!(tree.cluster.call(tree.root, req), Ok(Resp::Done));
+    }
+
     #[test]
     fn messages_grow_with_partition_count() {
+        // Routed in place, an insert is one round trip to the partition
+        // that stores it at every M. The relay pays one more per insert
+        // once the root partition only routes: the paper's curve.
         let sample: Vec<Vec<f64>> = (0..64).map(|i| vec![f64::from(i)]).collect();
-        let mut message_counts = Vec::new();
+        let mut relayed = Vec::new();
         for m in [1usize, 3, 5] {
             let tree = fanout(1, 8, m, &sample);
             tree.reset_metrics();
             for i in 0..100u64 {
                 ins(&tree, &[(i % 64) as f64], i);
             }
-            message_counts.push(tree.metrics().messages);
+            assert_eq!(tree.metrics().messages, 200, "M={m}: routed");
+            tree.reset_metrics();
+            for i in 0..100u64 {
+                relay(&tree, &[(i % 64) as f64], i);
+            }
+            relayed.push(tree.metrics().messages);
             tree.shutdown();
         }
-        assert!(
-            message_counts[1] > message_counts[0],
-            "3 partitions must exchange more messages than 1: {message_counts:?}"
-        );
+        assert_eq!(relayed, [200, 400, 400], "relayed");
     }
 
-    /// 300 points on a line into one partition capped at 40: the insert
-    /// stream forces build-partition several times over.
-    fn overflowed_tree() -> (DistSemTree, Vec<(Vec<f64>, u64)>) {
-        let tree = DistSemTree::single(
+    /// One partition capped at 40 points, holding none yet.
+    fn capped_at_40() -> DistSemTree {
+        DistSemTree::single(
             DistConfig::new(1)
                 .with_bucket_size(16)
                 .with_capacity(CapacityPolicy::MaxPoints(40))
                 .with_max_partitions(64),
             CostModel::zero(),
-        );
-        let points: Vec<(Vec<f64>, u64)> = (0..300u32)
+        )
+    }
+
+    /// 300 points on a line: they overflow [`capped_at_40`] several times.
+    fn line() -> Vec<(Vec<f64>, u64)> {
+        (0..300u32)
             .map(|i| (vec![f64::from(i)], u64::from(i)))
-            .collect();
+            .collect()
+    }
+
+    /// [`line`] inserted into [`capped_at_40`]: the insert stream forces
+    /// build-partition several times over.
+    fn overflowed_tree() -> (DistSemTree, Vec<(Vec<f64>, u64)>) {
+        let (tree, points) = (capped_at_40(), line());
         for (c, p) in &points {
             ins(&tree, c, *p);
         }
         (tree, points)
+    }
+
+    #[test]
+    fn routed_inserts_build_the_trees_the_relay_builds() {
+        // Routing in place changes which mailbox an insert enters, not
+        // where it lands: filled both ways, every partition reports the
+        // same stats and every read the same bytes.
+        fn twins(build: &dyn Fn() -> DistSemTree, points: &[(Vec<f64>, u64)]) {
+            let (routed, relayed) = (build(), build());
+            for (c, p) in points {
+                ins(&routed, c, *p);
+                relay(&relayed, c, *p);
+            }
+            let stats = routed.try_global_stats().expect("stats");
+            assert_eq!(stats, relayed.try_global_stats().expect("stats"));
+            assert_eq!(stats.total_points(), points.len());
+            let bytes = |hits: Vec<Neighbor<u64>>| -> Vec<(u64, u64)> {
+                hits.iter().map(|n| (n.dist.to_bits(), n.payload)).collect()
+            };
+            for (c, _) in points.iter().step_by(7) {
+                let q: Vec<f64> = c.iter().map(|x| x + 0.3).collect();
+                for k in [1, 6, 45] {
+                    let (a, b) = (knn_q(&routed, &q, k), knn_q(&relayed, &q, k));
+                    assert_eq!(bytes(a), bytes(b), "{k}-nn at {q:?}");
+                }
+                let (a, b) = (range_q(&routed, &q, 3.5), range_q(&relayed, &q, 3.5));
+                assert_eq!(bytes(a), bytes(b), "range at {q:?}");
+            }
+            routed.shutdown();
+            relayed.shutdown();
+        }
+        let points = grid(400);
+        let sample: Vec<Vec<f64>> = points.iter().map(|(c, _)| c.clone()).take(100).collect();
+        for m in [3usize, 5, 9] {
+            twins(&|| fanout(2, 8, m, &sample), &points);
+        }
+        twins(&capped_at_40, &line());
+    }
+
+    #[test]
+    fn the_root_partition_is_readable_as_soon_as_it_is_built() {
+        // The first read takes no mailbox, and the first insert goes
+        // straight to the partition that stores it.
+        let sample: Vec<Vec<f64>> = (0..64).map(|i| vec![f64::from(i)]).collect();
+        for m in [1usize, 3] {
+            let tree = fanout(1, 8, m, &sample);
+            let before = tree.metrics().messages;
+            assert!(knn_q(&tree, &[3.0], 2).is_empty());
+            assert_eq!(tree.metrics().messages, before, "M={m}: first read");
+            ins(&tree, &[3.0], 3);
+            assert_eq!(tree.metrics().messages, before + 2, "M={m}: first insert");
+            tree.shutdown();
+        }
     }
 
     #[test]
@@ -1306,10 +1423,12 @@ mod tests {
             ins(&tree, &[f64::from(i)], u64::from(i));
         }
         assert_eq!(knn_q(&tree, &[62.8], 1)[0].payload, 63);
+        // The insert is routed straight to the partition that stores it,
+        // so its caller sees that partition die, not the root's report.
         armed.store(true, Ordering::SeqCst);
         let died = tree.query(Query::insert(&[63.0], 99));
         armed.store(false, Ordering::SeqCst);
-        assert!(matches!(died, Err(ClusterError::Remote(_))), "{died:?}");
+        assert!(died.is_err(), "{died:?}");
 
         // The dead partition's tree is withdrawn as its actor unwinds
         // (just after the failed insert was answered). From then on a

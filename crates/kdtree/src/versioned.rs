@@ -726,6 +726,11 @@ impl<S: Shim> Tree<S> {
         worst: Option<f64>,
         remote: &R,
     ) -> Option<Result<Hits, R::Error>> {
+        if k == 0 {
+            // Nothing can enter the result, so nothing is walked: with no
+            // bound every cell would be entered and every point scanned.
+            return Some(Ok(Vec::new()));
+        }
         let mut state = KnnState::new(k, worst);
         // Explicit stack: the far-side descend condition is evaluated only
         // after the near side finished (classic backtracking), and deep
@@ -900,8 +905,11 @@ impl<S: Shim> Tree<S> {
     }
 
     /// Walk from `start` to the leaf that owns `point`, or to the remote
-    /// child the point must be forwarded to.
-    fn navigate(&self, start: u32, point: &[f64]) -> Option<Child> {
+    /// child the point must be forwarded to — the insert's descent, which
+    /// a lock-free reader runs too (under [`Tree::read`]) to route an
+    /// insert to the partition that stores it. Outer `None`: an
+    /// unpublished slot, as for [`Tree::knn`].
+    pub fn navigate(&self, start: u32, point: &[f64]) -> Option<Child> {
         let mut at = start;
         loop {
             let Some(r) = self.node(at)?.routing() else {
@@ -1561,6 +1569,35 @@ mod tests {
         let (hits, _) = tree.reader().range(&[1.0, 1.0], 0.0);
         let payloads: Vec<u64> = hits.iter().map(|h| h.payload).collect();
         assert_eq!(payloads, (0..20).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn knn_of_zero_walks_nothing() {
+        // A routing root over a local leaf and a link nothing is behind:
+        // any walk that reaches the link is refused.
+        let mut writer = TreeWriter::<StdShim>::new(KdConfig::new(1).with_bucket_size(4));
+        let remote = Child::Remote {
+            partition: 3,
+            node: 0,
+        };
+        assert_eq!(
+            writer.push_routing(0, None, 0, 5.0, [Child::Local(1), remote]),
+            Some(0)
+        );
+        assert_eq!(
+            writer.push_leaf(1, Some((0, true)), &[(vec![1.0], 7)]),
+            Some(1)
+        );
+        let tree = writer.tree();
+        let nowhere = InPlace::<StdShim, _>::nowhere();
+        // One point cannot fill two slots, so the walk reaches the link.
+        assert_eq!(
+            tree.knn(0, &[1.0], 2, None, &nowhere),
+            Some(Err(NeedsMailbox))
+        );
+        assert_eq!(tree.knn(0, &[1.0], 0, None, &nowhere), Some(Ok(vec![])));
+        assert_eq!(tree.navigate(0, &[1.0]), Some(Child::Local(1)));
+        assert_eq!(tree.navigate(0, &[9.0]), Some(remote));
     }
 
     #[test]

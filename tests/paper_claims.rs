@@ -99,8 +99,14 @@ fn root_partition_structure() {
     }
 }
 
-/// Insertion across partitions costs messages; more partitions → more
-/// messages (the overhead visible at small N in Figures 3/5/7).
+/// Partitions cost messages; more partitions → more messages (the
+/// overhead visible at small N in Figures 3/5/7). The paper relays every
+/// insert through the root partition, which adds a round trip per insert
+/// once the root only routes (`messages_grow_with_partition_count` in
+/// `semtree-dist` pins that relay). Here an insert walks the routing
+/// nodes in place and is one round trip to the partition that stores
+/// it, at every M; what grows with M is the build, one adoption round
+/// trip per data partition.
 #[test]
 fn message_overhead_grows_with_partitions() {
     let sample: Vec<Vec<f64>> = (0..256).map(|i| vec![f64::from(i)]).collect();
@@ -114,18 +120,14 @@ fn message_overhead_grows_with_partitions() {
             m,
             &sample,
         );
-        tree.reset_metrics();
+        let built = tree.metrics().messages;
         for i in 0..300u64 {
             insert(&tree, &[(i % 256) as f64], i);
         }
-        per_m.push(tree.metrics().messages);
+        per_m.push((built, tree.metrics().messages - built));
         tree.shutdown();
     }
-    assert!(per_m[1] > per_m[0], "{per_m:?}");
-    // Client→root costs 2 messages per insert regardless; the fan-out adds
-    // root→data forwarding on top.
-    assert_eq!(per_m[0], 600);
-    assert!(per_m[1] >= 1100, "{per_m:?}");
+    assert_eq!(per_m, [(0, 600), (4, 600), (16, 600)]);
 }
 
 /// §III-B.4: at a border node whose two children live on other partitions,

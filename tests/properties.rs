@@ -353,11 +353,14 @@ proptest! {
     /// Lock-free reads cross partition borders in place (DESIGN.md §14)
     /// while the tree underneath them is being partitioned: a reader
     /// races the inserts of a capacity-bound tree, so leaves migrate to
-    /// new partitions between — and during — its walks. Every answer
-    /// holds each point acknowledged before the read began, exactly
-    /// once, and nothing that was never inserted; once the writer
-    /// finishes, answers are bit-for-bit the sequential reference's and
-    /// no read sends a message.
+    /// new partitions between — and during — its walks. Two writers
+    /// insert every other point each; inserts are routed in place to the
+    /// partition that stores them, so each writer races the other's
+    /// build-partition too. Every answer holds each point acknowledged
+    /// before the read began, exactly once, and nothing that was never
+    /// inserted; once the writers finish, answers are bit-for-bit the
+    /// sequential reference's, no read sends a message, and the tree
+    /// verifies clean.
     #[test]
     fn reads_crossing_partitions_under_build_partition_keep_every_acknowledged_point(
         points in prop::collection::vec(
@@ -368,7 +371,7 @@ proptest! {
         k in 1usize..8,
         radius in 1.0f64..30.0,
     ) {
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        use std::sync::atomic::{AtomicBool, Ordering};
         use semtree_dist::CapacityPolicy;
 
         let tree = Arc::new(DistSemTree::single(
@@ -379,7 +382,8 @@ proptest! {
             CostModel::zero(),
         ));
         let points = Arc::new(points);
-        let acknowledged = Arc::new(AtomicUsize::new(0));
+        let acknowledged: Arc<Vec<AtomicBool>> =
+            Arc::new(points.iter().map(|_| AtomicBool::new(false)).collect());
         let done = Arc::new(AtomicBool::new(false));
         let racing_reader = {
             let (tree, points) = (Arc::clone(&tree), Arc::clone(&points));
@@ -397,10 +401,14 @@ proptest! {
                     }
                 };
                 while !done.load(Ordering::Acquire) {
-                    let before = acknowledged.load(Ordering::Acquire);
-                    let mut owed: Vec<f64> =
-                        points[..before].iter().map(|p| euclid(p, &query)).collect();
+                    let mut owed: Vec<f64> = points
+                        .iter()
+                        .zip(acknowledged.iter())
+                        .filter(|(_, acked)| acked.load(Ordering::Acquire))
+                        .map(|(p, _)| euclid(p, &query))
+                        .collect();
                     owed.sort_by(f64::total_cmp);
+                    let before = owed.len();
 
                     let in_range = dist_query(&tree, Query::range(&query, radius));
                     genuine(&in_range);
@@ -425,17 +433,29 @@ proptest! {
             })
         };
 
+        let writer = |parity: usize| {
+            let (tree, points) = (Arc::clone(&tree), Arc::clone(&points));
+            let acknowledged = Arc::clone(&acknowledged);
+            move || {
+                for (i, p) in points.iter().enumerate().skip(parity).step_by(2) {
+                    tree.query(Query::insert(p, i as u64))
+                        .and_then(QueryOutcome::inserted)
+                        .expect("distributed insert");
+                    acknowledged[i].store(true, Ordering::Release);
+                }
+            }
+        };
+        let second_writer = std::thread::spawn(writer(1));
+        writer(0)();
+        second_writer.join().expect("second writer");
+        done.store(true, Ordering::Release);
+        racing_reader.join().expect("racing reader");
+
         let config = KdConfig::new(2).with_bucket_size(4);
         let mut seq = KdTree::new(config);
         for (i, p) in points.iter().enumerate() {
-            tree.query(Query::insert(p, i as u64))
-                .and_then(QueryOutcome::inserted)
-                .expect("distributed insert");
-            acknowledged.store(i + 1, Ordering::Release);
             seq.insert(p, i as u64);
         }
-        done.store(true, Ordering::Release);
-        racing_reader.join().expect("racing reader");
 
         // Quiescent parity with the sequential reference, in place.
         let messages = tree.metrics().messages;

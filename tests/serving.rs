@@ -466,6 +466,28 @@ fn inline_and_executor_answers_are_the_in_process_bytes() {
     }
 }
 
+/// A k-NN of `k = 0` is the empty answer, on the reactor shard and in a
+/// batch alike, on one partition and across four — answered without a
+/// walk, so it cannot stall the shard that takes it.
+#[test]
+fn served_knn_of_zero_is_empty() {
+    let points = sample_points(2, 600, 11);
+    for partitions in [1, 4] {
+        let tree = partitioned_tree(partitions, &points);
+        assert!(in_process_knn(&tree, &points[0], 0).is_empty());
+        let (addr, handle) = spawn_server(tree, ServeOptions::default());
+        let mut client = PipelinedClient::connect(addr, Duration::from_secs(5)).expect("connect");
+        let lone = client.knn(&points[0], 0).expect("submit");
+        assert_eq!(lone.wait().expect("reply"), ClientResp::Neighbors(vec![]));
+        let batch = client.knn_batch(&points[..3], 0).expect("submit");
+        assert_eq!(
+            batch.wait().expect("reply"),
+            ClientResp::NeighborBatches(vec![vec![]; 3])
+        );
+        shutdown(addr, handle);
+    }
+}
+
 /// Which thread answers is decided by what the request says. One
 /// connection sends, in a single write, a long batch, a k-NN one above
 /// `INLINE_MAX_K`, then k-NNs of `k` ≤ `INLINE_MAX_K` — a wrong-dimension
