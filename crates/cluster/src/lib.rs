@@ -10,9 +10,9 @@
 //!   rank);
 //! - nodes exchange **typed request/response messages**; a handler can
 //!   [`NodeCtx::call`] another node (blocking, like a synchronous MPI
-//!   send/recv pair) or [`NodeCtx::call_many`] several in parallel (the
-//!   paper's "the navigation is performed in a parallel way" at partition
-//!   borders);
+//!   send/recv pair), or send several through [`NodeCtx::transport`]
+//!   before waiting on any (the paper's "the navigation is performed in a
+//!   parallel way" at partition borders);
 //! - the default backend is the in-process [`ChannelFabric`]: channels
 //!   between threads, with a [`CostModel`] optionally injecting
 //!   per-message latency and per-byte transfer delay, and

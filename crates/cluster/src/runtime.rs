@@ -11,8 +11,8 @@ use crate::cost::CostModel;
 use crate::gate::MembershipGate;
 use crate::metrics::{ClusterMetrics, MetricsSnapshot};
 use crate::transport::{
-    BoxHandler, ClusterError, CompleteFn, ComputeNodeId, NodeFactory, ReplyHandle, ReplySlot,
-    Transport, Wire, PROCESS_STRIDE_BITS,
+    BoxHandler, ClusterError, CompleteFn, ComputeNodeId, NodeFactory, ReplySlot, Transport, Wire,
+    PROCESS_STRIDE_BITS,
 };
 
 /// A compute node's request handler: single-threaded, owns its state, may
@@ -280,8 +280,8 @@ impl<Req: Wire + Send + 'static, Resp: Wire + Send + 'static> Transport<Req, Res
 }
 
 /// The capabilities a handler has while processing a request: identify
-/// itself, call other nodes (blocking), fan out in parallel, and create
-/// new compute nodes.
+/// itself, call other nodes (blocking) or send through their transport,
+/// and create new compute nodes.
 pub struct NodeCtx<Req, Resp> {
     id: ComputeNodeId,
     fabric: Arc<ChannelFabric<Req, Resp>>,
@@ -304,23 +304,16 @@ impl<Req: Wire + Send + 'static, Resp: Wire + Send + 'static> NodeCtx<Req, Resp>
             target, self.id,
             "a node must not call itself (would deadlock)"
         );
-        self.fabric.route()?.send(target, req).wait()
+        self.transport()?.send(target, req).wait()
     }
 
-    /// Fan a set of requests out and wait for every response ("the
-    /// navigation is performed in a parallel way"): all targets process
-    /// concurrently. The first failure wins; remaining responses are
-    /// discarded.
-    pub fn call_many(&self, calls: Vec<(ComputeNodeId, Req)>) -> Result<Vec<Resp>, ClusterError> {
-        let route = self.fabric.route()?;
-        let handles: Vec<_> = calls
-            .into_iter()
-            .map(|(target, req)| {
-                assert_ne!(target, self.id, "a node must not call itself");
-                route.send(target, req)
-            })
-            .collect();
-        handles.into_iter().map(ReplyHandle::wait).collect()
+    /// The transport this node's requests go through: the deployment's
+    /// when a network transport is routing, otherwise this process's
+    /// fabric. Several requests sent through it before any is waited on
+    /// travel and run concurrently ("the navigation is performed in a
+    /// parallel way").
+    pub fn transport(&self) -> Result<Arc<dyn Transport<Req, Resp>>, ClusterError> {
+        self.fabric.route()
     }
 
     /// Create a new member node via the installed factory, placed by the
@@ -512,64 +505,6 @@ mod tests {
         let head = cluster.spawn(Chain { next: Some(mid) });
         assert_eq!(cluster.call(head, 0), Ok(2)); // two hops increment twice
         assert_eq!(cluster.metrics().messages, 6); // 3 calls × (req+resp)
-        cluster.shutdown();
-    }
-
-    struct Sleeper;
-    impl Handler for Sleeper {
-        type Req = u64;
-        type Resp = u64;
-        fn handle(&mut self, _ctx: &NodeCtx<u64, u64>, req: u64) -> u64 {
-            std::thread::sleep(Duration::from_millis(60));
-            req
-        }
-    }
-
-    /// Fans out to two sleepers in parallel.
-    struct FanOut {
-        a: ComputeNodeId,
-        b: ComputeNodeId,
-    }
-    impl Handler for FanOut {
-        type Req = u64;
-        type Resp = u64;
-        fn handle(&mut self, ctx: &NodeCtx<u64, u64>, req: u64) -> u64 {
-            ctx.call_many(vec![(self.a, req), (self.b, req)])
-                .expect("fan-out")
-                .into_iter()
-                .sum()
-        }
-    }
-
-    #[test]
-    fn call_many_runs_targets_in_parallel() {
-        // The cluster is typed by ONE handler type H, so express the mix
-        // of node behaviours with a single enum handler.
-        enum Mixed {
-            Sleep(Sleeper),
-            Fan(FanOut),
-        }
-        impl Handler for Mixed {
-            type Req = u64;
-            type Resp = u64;
-            fn handle(&mut self, ctx: &NodeCtx<u64, u64>, req: u64) -> u64 {
-                match self {
-                    Mixed::Sleep(s) => s.handle(ctx, req),
-                    Mixed::Fan(f) => f.handle(ctx, req),
-                }
-            }
-        }
-        let cluster: Cluster<Mixed> = Cluster::new(CostModel::zero());
-        let a = cluster.spawn(Mixed::Sleep(Sleeper));
-        let b = cluster.spawn(Mixed::Sleep(Sleeper));
-        let fan = cluster.spawn(Mixed::Fan(FanOut { a, b }));
-        let start = Instant::now();
-        assert_eq!(cluster.call(fan, 5), Ok(10));
-        let elapsed = start.elapsed();
-        assert!(
-            elapsed < Duration::from_millis(115),
-            "parallel fan-out took {elapsed:?} (sequential would be ≥120ms)"
-        );
         cluster.shutdown();
     }
 

@@ -674,7 +674,7 @@ fn cross_partition_read_migration() {
             // Bounded like every model read; exhaustion is the refusal.
             let reader = InPlace::new(|p| lookup(&registry, p)).bounded(3);
             let walk = |t: &Tree<ModelShim>| t.knn(0, &[3.1], 2, None, &reader);
-            if let Ok(hits) = reader.enter((1, 0), &[3.1], walk) {
+            if let Ok(Ok(hits)) = reader.enter((1, 0), &[3.1], walk) {
                 let payloads: Vec<u64> = hits.iter().map(|h| h.1).collect();
                 assert_eq!(
                     payloads,
@@ -694,8 +694,8 @@ fn cross_partition_read_migration() {
     let walk = |t: &Tree<ModelShim>| t.knn(0, &[3.1], 2, None, &reader);
     let payloads = reader
         .enter((1, 0), &[3.1], walk)
-        .map(|hits| hits.iter().map(|h| h.1).collect::<Vec<u64>>());
-    assert_eq!(payloads, Ok(vec![2, 1]));
+        .map(|walked| walked.map(|hits| hits.iter().map(|h| h.1).collect::<Vec<u64>>()));
+    assert_eq!(payloads, Ok(Ok(vec![2, 1])));
     assert_eq!((reader.crossed(), reader.retries()), (1, 0));
     drop(trees);
 }

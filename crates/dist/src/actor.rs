@@ -3,8 +3,6 @@
 use std::sync::Arc;
 
 use semtree_cluster::{ClusterError, ComputeNodeId, Handler, NodeCtx};
-use semtree_kdtree::versioned::{NeedsMailbox, RemoteOps};
-use semtree_par::Pool;
 
 use crate::proto::{Req, Resp};
 use crate::store::{LocalNodeId, PartitionStore};
@@ -13,16 +11,16 @@ use crate::tree::{unexpected, SharedConfig};
 /// Hosts one partition of the SemTree and speaks the [`Req`]/[`Resp`]
 /// protocol. Single-threaded per partition, like one MPJ rank, and the
 /// only writer of its store's tree — so it reads that tree directly,
-/// without validation. Other threads read the same tree lock-free once
-/// it is registered with [`SharedConfig`]: client threads, whose reads
-/// start at the root partition and cross into this one in place, and
-/// whose inserts walk its routing nodes in place to find the partition
-/// that stores the point; and the `pool` workers of whichever actor fans
-/// a [`Req::KnnBatch`] out.
+/// without validation. At a border its walks follow the one crossing
+/// rule (`Borders`): into a partition its own process hosts in place,
+/// into any other by message. Other threads read the same tree
+/// lock-free once it is registered with [`SharedConfig`]: client,
+/// executor and other actors' threads, whose reads cross into this
+/// partition in place, and whose inserts walk its routing nodes in
+/// place to find the partition that stores the point.
 pub(crate) struct PartitionActor {
     store: PartitionStore,
     shared: Arc<SharedConfig>,
-    pool: Pool,
     /// The hosting node, once this actor has registered the tree under
     /// it (on its first message; `DistSemTree::build_on` registers the
     /// root's earlier, and the actor's own registration repeats it).
@@ -52,7 +50,6 @@ impl PartitionActor {
         PartitionActor {
             store,
             shared,
-            pool: Pool::new(),
             registered: None,
         }
     }
@@ -139,15 +136,18 @@ impl PartitionActor {
         point: &[f64],
         payload: u64,
     ) -> Result<(), String> {
-        let remote = FabricRemote { ctx };
-        let store = &mut self.store;
         let mut splits = Vec::new();
-        let mut apply = || store.insert_logged(node, point, payload, &remote, &mut splits);
-        let (mut due, stored_here) = match &self.shared.wal {
-            Some(wal) => wal
-                .apply_insert(ctx.node_id(), node, point, payload, apply)
-                .map_err(wal_failed)?,
-            None => (false, apply()),
+        let (mut due, stored_here) = {
+            let route = ctx.transport();
+            let borders = self.shared.borders(route.as_deref().ok());
+            let store = &mut self.store;
+            let mut apply = || store.insert_logged(node, point, payload, &borders, &mut splits);
+            match &self.shared.wal {
+                Some(wal) => wal
+                    .apply_insert(ctx.node_id(), node, point, payload, apply)
+                    .map_err(wal_failed)?,
+                None => (false, apply()),
+            }
         };
         let stored_here = stored_here?;
         if let Some(wal) = &self.shared.wal {
@@ -207,104 +207,6 @@ impl PartitionActor {
     }
 }
 
-/// [`RemoteOps`] over the live message fabric.
-struct FabricRemote<'a> {
-    ctx: &'a NodeCtx<Req, Resp>,
-}
-
-impl FabricRemote<'_> {
-    fn expect_candidates(resp: Resp) -> Result<Vec<(f64, u64)>, ClusterError> {
-        match resp {
-            Resp::Candidates(c) => Ok(c),
-            other => Err(unexpected("candidates", other)),
-        }
-    }
-}
-
-impl RemoteOps for FabricRemote<'_> {
-    type Error = ClusterError;
-
-    fn insert(
-        &self,
-        partition: u32,
-        node: u32,
-        point: &[f64],
-        payload: u64,
-    ) -> Result<(), ClusterError> {
-        match self.ctx.call(
-            ComputeNodeId(partition),
-            Req::Insert {
-                node: LocalNodeId(node),
-                point: point.to_vec(),
-                payload,
-            },
-        )? {
-            Resp::Done => Ok(()),
-            other => Err(unexpected("done", other)),
-        }
-    }
-
-    fn knn(
-        &self,
-        partition: u32,
-        node: u32,
-        point: &[f64],
-        k: usize,
-        worst: Option<f64>,
-    ) -> Result<Vec<(f64, u64)>, ClusterError> {
-        Self::expect_candidates(self.ctx.call(
-            ComputeNodeId(partition),
-            Req::Knn {
-                node: LocalNodeId(node),
-                point: point.to_vec(),
-                k,
-                worst,
-            },
-        )?)
-    }
-
-    fn range(
-        &self,
-        partition: u32,
-        node: u32,
-        point: &[f64],
-        radius: f64,
-    ) -> Result<Vec<(f64, u64)>, ClusterError> {
-        Self::expect_candidates(self.ctx.call(
-            ComputeNodeId(partition),
-            Req::Range {
-                node: LocalNodeId(node),
-                point: point.to_vec(),
-                radius,
-            },
-        )?)
-    }
-
-    fn range_parallel(
-        &self,
-        targets: [(u32, u32); 2],
-        point: &[f64],
-        radius: f64,
-    ) -> Result<[Vec<(f64, u64)>; 2], ClusterError> {
-        let range = |(partition, node)| {
-            let req = Req::Range {
-                node: LocalNodeId(node),
-                point: point.to_vec(),
-                radius,
-            };
-            (ComputeNodeId(partition), req)
-        };
-        let resps = self.ctx.call_many(targets.map(range).to_vec())?;
-        match <[Resp; 2]>::try_from(resps) {
-            Ok([a, b]) => Ok([Self::expect_candidates(a)?, Self::expect_candidates(b)?]),
-            Err(resps) => Err(ClusterError::Remote(format!(
-                "scatter of two requests gathered {} replies",
-                resps.len()
-            ))),
-        }
-    }
-}
-
 /// An operation's outcome as the reply that carries it.
 fn reply<T>(outcome: Result<T, String>, ok: impl FnOnce(T) -> Resp) -> Resp {
     outcome.map_or_else(Resp::Error, ok)
@@ -324,7 +226,6 @@ impl Handler for PartitionActor {
             // arrives.
             self.register(ctx);
         }
-        let remote = FabricRemote { ctx };
         match req {
             Req::Insert {
                 node,
@@ -336,46 +237,26 @@ impl Handler for PartitionActor {
                 point,
                 k,
                 worst,
-            } => reply(
-                self.store.knn(node, &point, k, worst, &remote),
-                Resp::Candidates,
-            ),
+            } => {
+                let route = ctx.transport();
+                let borders = self.shared.borders(route.as_deref().ok());
+                let hits = self.store.knn(node, &point, k, worst, &borders);
+                borders.record();
+                reply(hits, Resp::Candidates)
+            }
             Req::Range {
                 node,
                 point,
                 radius,
-            } => reply(
-                self.store.range(node, &point, radius, &remote),
-                Resp::Candidates,
-            ),
+            } => {
+                let route = ctx.transport();
+                let borders = self.shared.borders(route.as_deref().ok());
+                let hits = self.store.range(node, &point, radius, &borders);
+                borders.record();
+                reply(hits, Resp::Candidates)
+            }
             Req::AdoptLeaf { bucket, depth } => {
                 reply(self.adopt(ctx, &bucket, depth), |()| Resp::Done)
-            }
-            Req::KnnBatch { node, points, k } => {
-                // Fan the queries out over the worker pool, each worker
-                // walking this partition's tree and crossing in place
-                // into the partitions this process hosts. The fabric
-                // context is single-threaded, so a query that must enter
-                // a partition on another process is re-run here, one
-                // after the other, over the fabric.
-                let (store, shared) = (&self.store, &self.shared);
-                let in_place = |i: usize| {
-                    let reader = shared.reader();
-                    let answer = store.try_knn(node, &points[i], k, None, &reader);
-                    // This tree is the actor's own: only what the walk
-                    // read across a border was read optimistically.
-                    if reader.crossed() > 0 {
-                        shared.record_read(&reader);
-                    }
-                    answer
-                };
-                let answers = self.pool.map(points.len(), &in_place);
-                let over_fabric = |(answer, point): (_, &Vec<f64>)| match answer? {
-                    Ok(hits) => Ok(hits),
-                    Err(NeedsMailbox) => store.knn(node, point, k, None, &remote),
-                };
-                let batches = answers.into_iter().zip(&points).map(over_fabric);
-                reply(batches.collect(), Resp::CandidateBatches)
             }
             Req::Stats => Resp::Stats(self.store.stats()),
             Req::Verify => Resp::Violations(self.store.verify()),

@@ -855,14 +855,16 @@ impl semtree_reactor::Service for TreeService<'_> {
     }
 
     /// The pipelined serving path: data-plane queries are submitted
-    /// through [`DistSemTree::submit_query`] and the executor returns
-    /// immediately — the client's response is completed from whatever
-    /// thread finishes the partition work (the receiving actor's thread,
-    /// or a `semtree-net` demux reader when partitions are remote), via
-    /// the [`semtree_reactor::ReplyToken`]. Control-plane requests and
-    /// malformed frames answer synchronously; the response bytes are
-    /// identical to [`Service::call`]'s on every path because both go
-    /// through the same [`lower`](TreeService::lower) and [`to_resp`].
+    /// through [`DistSemTree::submit_query`], and the client's response
+    /// is completed via the [`semtree_reactor::ReplyToken`]. An insert
+    /// frees the executor at once and completes from whatever thread
+    /// finishes it (the receiving actor's, or a `semtree-net` demux
+    /// reader's when the partition is remote). A read completes on the
+    /// executor, which waits on the replies of any sub-walk it sends to
+    /// another process. Control-plane requests and malformed frames
+    /// answer synchronously; the response bytes are identical to
+    /// [`Service::call`]'s on every path because both go through the same
+    /// [`lower`](TreeService::lower) and [`to_resp`].
     fn call_pipelined(
         &self,
         request: &[u8],
@@ -885,9 +887,10 @@ impl semtree_reactor::Service for TreeService<'_> {
     /// [`DistSemTree::answer_direct`] settles it — rejected as invalid,
     /// or read lock-free (4 µs of tree against a longer hand-off to an
     /// executor). Anything else is declined on its tag byte; a larger
-    /// `k`, or a read that needs a mailbox, costs one decode more. The
-    /// reply bytes are the executor path's: same `answer_direct` (where
-    /// `lower` starts too), same [`to_resp`].
+    /// `k`, or a read that must message another process, costs one
+    /// decode more, and the declined read is walked again on an
+    /// executor. The reply bytes are the executor path's: the same walk,
+    /// the same [`to_resp`].
     fn call_inline(&self, request: &[u8]) -> Option<semtree_reactor::ServiceReply> {
         if request.first() != Some(&KNN_TAG) {
             return None;

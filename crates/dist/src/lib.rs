@@ -67,6 +67,7 @@
 //! ```
 
 mod actor;
+mod border;
 mod colimage;
 mod deploy;
 mod proto;

@@ -60,18 +60,6 @@ pub enum Req {
     Stats,
     /// Check the partition's structural invariants.
     Verify,
-    /// Batched k-nearest search: answer every query in `points` against
-    /// the sub-tree rooted at `node` in one round trip. The serving
-    /// partition may fan the batch out over its worker pool; answers come
-    /// back as [`Resp::CandidateBatches`] in query order.
-    KnnBatch {
-        /// Root of the receiving sub-tree.
-        node: LocalNodeId,
-        /// Query points, one batch entry per point.
-        points: Vec<Vec<f64>>,
-        /// Number of points `K` per query.
-        k: usize,
-    },
 }
 
 /// Responses.
@@ -90,9 +78,6 @@ pub enum Resp {
     /// so failures propagate across process boundaries instead of
     /// panicking the server.
     Error(String),
-    /// One candidate list per query of a [`Req::KnnBatch`], in query
-    /// order.
-    CandidateBatches(Vec<Vec<(f64, u64)>>),
 }
 
 /// Per-partition statistics, including the outgoing partition links so a
@@ -202,12 +187,6 @@ impl Encode for Req {
             }
             Req::Stats => out.push(4),
             Req::Verify => out.push(5),
-            Req::KnnBatch { node, points, k } => {
-                out.push(7);
-                node.encode(out);
-                points.encode(out);
-                k.encode(out);
-            }
         }
     }
 }
@@ -237,11 +216,6 @@ impl Decode for Req {
             }),
             4 => Ok(Req::Stats),
             5 => Ok(Req::Verify),
-            7 => Ok(Req::KnnBatch {
-                node: LocalNodeId::decode(buf)?,
-                points: Vec::decode(buf)?,
-                k: usize::decode(buf)?,
-            }),
             other => Err(DecodeError::new(format!("bad Req tag {other}"))),
         }
     }
@@ -267,10 +241,6 @@ impl Encode for Resp {
                 out.push(5);
                 msg.encode(out);
             }
-            Resp::CandidateBatches(b) => {
-                out.push(6);
-                b.encode(out);
-            }
         }
     }
 }
@@ -283,7 +253,6 @@ impl Decode for Resp {
             2 => Ok(Resp::Stats(PartitionStats::decode(buf)?)),
             3 => Ok(Resp::Violations(Vec::decode(buf)?)),
             5 => Ok(Resp::Error(String::decode(buf)?)),
-            6 => Ok(Resp::CandidateBatches(Vec::decode(buf)?)),
             other => Err(DecodeError::new(format!("bad Resp tag {other}"))),
         }
     }
@@ -307,9 +276,6 @@ impl Wire for Req {
                 1 + 8 + bucket.iter().map(|(p, _)| 16 + 8 * p.len()).sum::<usize>() + 4
             }
             Req::Stats | Req::Verify => 1,
-            Req::KnnBatch { points, .. } => {
-                1 + 4 + 8 + points.iter().map(|p| 8 + 8 * p.len()).sum::<usize>() + 8
-            }
         }
     }
 }
@@ -322,7 +288,6 @@ impl Wire for Resp {
             Resp::Stats(s) => 1 + 4 * 8 + 8 + 4 * s.remote_children.len(),
             Resp::Violations(v) => 1 + 8 + v.iter().map(|m| 8 + m.len()).sum::<usize>(),
             Resp::Error(msg) => 1 + 8 + msg.len(),
-            Resp::CandidateBatches(b) => 1 + 8 + b.iter().map(|c| 8 + 16 * c.len()).sum::<usize>(),
         }
     }
 }
@@ -370,16 +335,6 @@ mod tests {
             },
             Req::Stats,
             Req::Verify,
-            Req::KnnBatch {
-                node: LocalNodeId(2),
-                points: vec![vec![1.0, 2.0], vec![], vec![3.0, 4.0, 5.0]],
-                k: 4,
-            },
-            Req::KnnBatch {
-                node: LocalNodeId(0),
-                points: vec![],
-                k: 1,
-            },
         ]
     }
 
@@ -400,8 +355,6 @@ mod tests {
             Resp::Violations(vec!["bad depth".into(), "".into()]),
             Resp::Error("partition 131072 unreachable".into()),
             Resp::Error(String::new()),
-            Resp::CandidateBatches(vec![]),
-            Resp::CandidateBatches(vec![vec![(0.5, 1), (1.5, 2)], vec![], vec![(2.5, 3)]]),
         ]
     }
 
@@ -441,12 +394,25 @@ mod tests {
     fn corrupt_tags_are_rejected() {
         assert!(decode_exact::<Req>(&[200]).is_err());
         assert!(decode_exact::<Resp>(&[200]).is_err());
-        // Tags 6 (`Req`) and 4 (`Resp`) carried the removed point export
-        // and stay unassigned: the variants around them keep their bytes.
-        let err = decode_exact::<Req>(&[6]).expect_err("retired tag");
-        assert!(err.to_string().contains("bad Req tag 6"), "{err}");
-        let err = decode_exact::<Resp>(&[4, 0, 0, 0, 0, 0, 0, 0, 0]).expect_err("retired tag");
-        assert!(err.to_string().contains("bad Resp tag 4"), "{err}");
+        // Tags 6 (`Req`) and 4 (`Resp`) carried the removed point export,
+        // tags 7 (`Req`) and 6 (`Resp`) the removed partition-side batch;
+        // all stay unassigned, and the variants around them keep their
+        // bytes.
+        for tag in [6, 7] {
+            let err = decode_exact::<Req>(&[tag, 0, 0, 0, 0, 0, 0, 0, 0]).expect_err("retired tag");
+            assert!(
+                err.to_string().contains(&format!("bad Req tag {tag}")),
+                "{err}"
+            );
+        }
+        for tag in [4, 6] {
+            let err =
+                decode_exact::<Resp>(&[tag, 0, 0, 0, 0, 0, 0, 0, 0]).expect_err("retired tag");
+            assert!(
+                err.to_string().contains(&format!("bad Resp tag {tag}")),
+                "{err}"
+            );
+        }
         assert_eq!(Req::Verify.to_bytes(), [5]);
         assert_eq!(Resp::Error(String::new()).to_bytes()[0], 5);
         // Trailing garbage is rejected too.

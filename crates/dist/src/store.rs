@@ -27,9 +27,6 @@ pub struct LocalNodeId(pub u32);
 /// A leaf's stored points in wire form: `(coordinates, payload)` pairs.
 pub(crate) type Bucket = Vec<(Vec<f64>, u64)>;
 
-/// Search hits in wire form: `(distance, payload)` pairs.
-type Hits = Vec<(f64, u64)>;
-
 /// One partition's fragment of the global KD-tree.
 pub(crate) struct PartitionStore {
     writer: TreeWriter,
@@ -192,22 +189,8 @@ impl PartitionStore {
         worst: Option<f64>,
         remote: &R,
     ) -> Result<Vec<(f64, u64)>, String> {
-        self.try_knn(start, point, k, worst, remote)?
-            .map_err(|e| e.to_string())
-    }
-
-    /// [`knn`](Self::knn) with a failed crossing left typed, for the
-    /// caller that can still answer the query another way.
-    pub(crate) fn try_knn<R: RemoteOps>(
-        &self,
-        start: LocalNodeId,
-        point: &[f64],
-        k: usize,
-        worst: Option<f64>,
-        remote: &R,
-    ) -> Result<Result<Hits, R::Error>, String> {
         self.check(start, point)?;
-        Self::whole(self.tree().knn(start.0, point, k, worst, remote))
+        Self::settled(self.tree().knn(start.0, point, k, worst, remote))
     }
 
     pub(crate) fn range<R: RemoteOps<Error: Display>>(
@@ -582,6 +565,9 @@ mod tests {
         }
     }
 
+    /// Search hits in wire form: `(distance, payload)` pairs.
+    type Hits = Vec<(f64, u64)>;
+
     /// The partitions a lock-free read can reach, by id; it starts at the
     /// first one's root.
     type Hosted<'a> = [(u32, &'a PartitionStore)];
@@ -598,7 +584,7 @@ mod tests {
     fn read_knn(hosted: &Hosted, q: &[f64], k: usize) -> Option<(Hits, u64, u64)> {
         let reader = reader(hosted);
         let walk = |t: &Tree| t.knn(0, q, k, None, &reader);
-        let hits = reader.enter((hosted[0].0, 0), q, walk).ok()?;
+        let hits = reader.enter((hosted[0].0, 0), q, walk).ok()?.ok()?;
         Some((hits, reader.retries(), reader.crossed()))
     }
 
@@ -606,7 +592,7 @@ mod tests {
     fn read_range(hosted: &Hosted, q: &[f64], radius: f64) -> Option<(Hits, u64)> {
         let reader = reader(hosted);
         let walk = |t: &Tree| t.range(0, q, radius, &reader);
-        let hits = reader.enter((hosted[0].0, 0), q, walk).ok()?;
+        let hits = reader.enter((hosted[0].0, 0), q, walk).ok()?.ok()?;
         Some((hits, reader.retries()))
     }
 

@@ -5,10 +5,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use semtree_cluster::{
-    Cluster, ClusterError, ClusterMetrics, CompleteFn, ComputeNodeId, CostModel,
+    Cluster, ClusterError, ClusterMetrics, CompleteFn, ComputeNodeId, CostModel, Transport,
 };
 use semtree_kdtree::versioned::{InPlace, StdShim, Tree};
 use semtree_kdtree::{KdConfig, Neighbor, SplitRule};
+use semtree_par::Pool;
 
 use crate::actor::PartitionActor;
 use crate::proto::{PartitionStats, Req, Resp};
@@ -164,7 +165,7 @@ pub(crate) struct SharedConfig {
     read_handles: RwLock<Vec<ReadSlot>>,
     /// Metrics sink for optimistic-read retry accounting; set once the
     /// owning fabric is known, absent in bare unit-test stores.
-    metrics: OnceLock<Arc<ClusterMetrics>>,
+    pub(crate) metrics: OnceLock<Arc<ClusterMetrics>>,
 }
 
 impl SharedConfig {
@@ -212,7 +213,7 @@ impl SharedConfig {
     }
 
     /// The tree registered for `node`, if this process hosts it.
-    fn read_handle(&self, node: ComputeNodeId) -> Option<Arc<Tree>> {
+    pub(crate) fn read_handle(&self, node: ComputeNodeId) -> Option<Arc<Tree>> {
         let slots = self
             .read_handles
             .read()
@@ -221,25 +222,9 @@ impl SharedConfig {
         (*id == node).then(|| Arc::clone(tree))
     }
 
-    /// A lock-free reader for one read: it crosses in place into every
-    /// partition registered here and needs the mailbox for the rest.
-    pub(crate) fn reader(&self) -> InPlace<StdShim, impl Fn(u32) -> Option<Arc<Tree>> + '_> {
-        InPlace::new(|partition| self.read_handle(ComputeNodeId(partition)))
-    }
-
     /// Attach the cluster metrics sink (idempotent; first caller wins).
     pub(crate) fn set_metrics(&self, metrics: Arc<ClusterMetrics>) {
         let _ = self.metrics.set(metrics);
-    }
-
-    /// Account the one read `reader` served — its writer-race retries
-    /// over every partition and the borders it crossed — whether or not
-    /// it was answered; a no-op when no metrics sink is attached.
-    pub(crate) fn record_read(&self, reader: &InPlace<StdShim, impl Fn(u32) -> Option<Arc<Tree>>>) {
-        if let Some(m) = self.metrics.get() {
-            m.record_read_retries(reader.retries());
-            m.record_reads_crossed(reader.crossed());
-        }
     }
 
     /// Atomically claim a slot for one more partition; `false` when the
@@ -322,8 +307,8 @@ pub enum Query {
         /// Result-set size `K`.
         k: usize,
     },
-    /// The `k` nearest stored points to every entry of `points`,
-    /// answered in one round trip to the root partition.
+    /// The `k` nearest stored points to every entry of `points`: one
+    /// [`Query::Knn`] read each, fanned out over the caller's cores.
     KnnBatch {
         /// Query points, answered in order.
         points: Vec<Vec<f64>>,
@@ -437,21 +422,6 @@ fn to_neighbors(candidates: Vec<(f64, u64)>) -> Vec<Neighbor<u64>> {
         .collect()
 }
 
-/// Decode an actor's reply — the one `Resp` → [`QueryOutcome`]
-/// mapping, shared by the blocking and pipelined paths. A reply of the
-/// wrong shape for the request surfaces through the typed
-/// [`QueryOutcome`] accessors.
-fn decode(resp: Resp) -> Result<QueryOutcome, ClusterError> {
-    match resp {
-        Resp::Done => Ok(QueryOutcome::Inserted),
-        Resp::Candidates(c) => Ok(QueryOutcome::Neighbors(to_neighbors(c))),
-        Resp::CandidateBatches(b) => Ok(QueryOutcome::NeighborBatches(
-            b.into_iter().map(to_neighbors).collect(),
-        )),
-        other => Err(unexpected("a query outcome", other)),
-    }
-}
-
 /// The error for a reply that is not the shape the request calls for: the
 /// actor's own failure report, or a protocol mismatch.
 pub(crate) fn unexpected(expected: &str, resp: Resp) -> ClusterError {
@@ -461,47 +431,36 @@ pub(crate) fn unexpected(expected: &str, resp: Resp) -> ClusterError {
     }
 }
 
-/// Range results are distance-sorted before they leave the facade.
-fn sorted_range_outcome(candidates: Vec<(f64, u64)>) -> QueryOutcome {
-    let mut out = to_neighbors(candidates);
-    out.sort_by(|a, b| a.dist.total_cmp(&b.dist));
-    QueryOutcome::Neighbors(out)
-}
-
-/// [`decode`] for range replies, which leave the actors unsorted.
-fn decode_range(resp: Resp) -> Result<QueryOutcome, ClusterError> {
-    match resp {
-        Resp::Candidates(c) => Ok(sorted_range_outcome(c)),
-        other => decode(other),
-    }
-}
-
-/// How a lowered [`Query`] turns the actor's reply into its outcome.
-type Decode = fn(Resp) -> Result<QueryOutcome, ClusterError>;
-
-/// A validated [`Query`] after [`DistSemTree::lower`]: either already
-/// answered by the lock-free read path, or the partition whose actor
-/// takes it, the message, and the decoder for the reply.
+/// A validated [`Query`] after [`DistSemTree::lower`]: a read, already
+/// answered, or an insert and the partition whose actor takes it.
 enum Lowered {
     Answered(QueryOutcome),
-    Send(ComputeNodeId, Req, Decode),
+    Send(ComputeNodeId, Req),
 }
 
-/// Bump the facade's insert counter when `outcome` acknowledges one.
-fn count_insert(
+/// An insert's outcome from its partition's reply, counted by the
+/// facade's insert counter when acknowledged.
+fn acknowledged(
     inserted: &AtomicU64,
-    outcome: Result<QueryOutcome, ClusterError>,
+    reply: Result<Resp, ClusterError>,
 ) -> Result<QueryOutcome, ClusterError> {
-    if matches!(outcome, Ok(QueryOutcome::Inserted)) {
-        inserted.fetch_add(1, Ordering::Relaxed);
+    match reply? {
+        Resp::Done => {
+            inserted.fetch_add(1, Ordering::Relaxed);
+            Ok(QueryOutcome::Inserted)
+        }
+        other => Err(unexpected("an insert acknowledgement", other)),
     }
-    outcome
 }
 
 /// The distributed SemTree: a cluster of partition actors behind a
 /// synchronous client API.
 pub struct DistSemTree {
     cluster: Cluster<PartitionActor>,
+    /// The cluster's transport, which reads send their sub-walks through.
+    transport: Arc<dyn Transport<Req, Resp>>,
+    /// The cores a [`Query::KnnBatch`] is fanned out over.
+    pool: Pool,
     root: ComputeNodeId,
     shared: Arc<SharedConfig>,
     /// Shared (not inline) so pipelined completion callbacks can bump it
@@ -615,7 +574,9 @@ impl DistSemTree {
                 .map_err(|e| ClusterError::Remote(format!("wal snapshot failed: {e}")))?;
         }
         Ok(DistSemTree {
+            transport: cluster.transport(),
             cluster,
+            pool: Pool::new(),
             root,
             shared,
             inserted: Arc::new(AtomicU64::new(0)),
@@ -625,18 +586,19 @@ impl DistSemTree {
     /// Execute one typed [`Query`] — the single entry point for every
     /// data operation.
     ///
-    /// Reads first walk the root partition's tree — the same seqlock
-    /// arena its actor writes — lock-free on the calling thread, retrying
-    /// only when racing an in-flight insert, and cross a partition border
-    /// in place: the sub-walk the other partition's actor would run, on
-    /// that partition's own tree, validated against its own version. The
-    /// answer is byte-identical to the mailbox path's, after
-    /// build-partition too, and makes the same promise: every
-    /// acknowledged write, no snapshot across partitions. Only a walk
-    /// that must enter a partition another process hosts is dropped and
-    /// sent through the mailbox, whose actor can reach it. Retries and
-    /// crossings land in the cluster metrics (`reads_retried`,
-    /// `reads_crossed`).
+    /// A read is walked on the calling thread from the root partition's
+    /// root: lock-free over the seqlock arena each partition's actor
+    /// writes, retrying only when racing an in-flight insert. At a
+    /// partition border it follows the one crossing rule (§III-B.3): a
+    /// partition this process hosts is entered in place, on its own tree
+    /// and validated against its own version; any other is sent the
+    /// sub-walk — the query plus the current worst distance — and this
+    /// thread waits for the reply. The answer is byte-identical whichever
+    /// way each border was crossed, and makes one promise: every
+    /// acknowledged write, no snapshot across partitions. Retries and
+    /// in-place crossings land in the cluster metrics (`reads_retried`,
+    /// `reads_crossed`). A [`Query::KnnBatch`] is one such read per
+    /// point, fanned out over this machine's cores.
     ///
     /// A write is routed the same way (see
     /// [`route`](DistSemTree::route)): the routing nodes are walked in
@@ -647,54 +609,49 @@ impl DistSemTree {
     /// # Errors
     /// [`ClusterError::InvalidRequest`] when the query is malformed (see
     /// [`validate`](DistSemTree::validate)) — nothing was sent; otherwise
-    /// fails when a partition the operation must visit is unreachable
-    /// (dead node, network fault) or reports a failure of its own.
+    /// the transport's error for a partition the operation had to message
+    /// and could not reach (dead node, network fault), or the failure
+    /// that partition reported.
     pub fn query(&self, query: Query) -> Result<QueryOutcome, ClusterError> {
         match self.lower(query)? {
             Lowered::Answered(outcome) => Ok(outcome),
-            Lowered::Send(to, req, decode) => {
-                count_insert(&self.inserted, self.cluster.call(to, req).and_then(decode))
-            }
+            Lowered::Send(to, req) => acknowledged(&self.inserted, self.cluster.call(to, req)),
         }
     }
 
-    /// Pipelined form of [`query`](DistSemTree::query): dispatch the
-    /// operation and return immediately; `complete` runs exactly once
-    /// with the identical outcome the blocking path would have produced,
-    /// on whatever thread finishes the work — the receiving actor's
-    /// thread in-process, a network demux reader under `semtree-net`, or
-    /// this thread when validation rejects the query or the lock-free
-    /// read fast path answers inline. This is what lets one serving
-    /// executor keep hundreds of worker round trips in flight.
+    /// Pipelined form of [`query`](DistSemTree::query): `complete` runs
+    /// exactly once with the identical outcome the blocking path would
+    /// have produced. An insert is dispatched and this returns at once;
+    /// `complete` then runs on whatever thread finishes it — the
+    /// receiving actor's thread in-process, a network demux reader under
+    /// `semtree-net` — so one serving executor can keep many inserts in
+    /// flight. A read, and a query validation rejects, complete on this
+    /// thread before this returns: a read that must cross into another
+    /// process blocks it on those replies.
     pub fn submit_query(&self, query: Query, complete: CompleteFn<QueryOutcome>) {
         match self.lower(query) {
             Err(e) => complete(Err(e)),
             Ok(Lowered::Answered(outcome)) => complete(Ok(outcome)),
-            Ok(Lowered::Send(to, req, decode)) => {
+            Ok(Lowered::Send(to, req)) => {
                 let inserted = Arc::clone(&self.inserted);
                 self.cluster.submit(
                     to,
                     req,
-                    Box::new(move |resp| {
-                        complete(count_insert(&inserted, resp.and_then(decode)));
-                    }),
+                    Box::new(move |reply| complete(acknowledged(&inserted, reply))),
                 );
             }
         }
     }
 
     /// The one request lowering behind [`query`](DistSemTree::query) and
-    /// [`submit_query`](DistSemTree::submit_query): whatever
-    /// [`answer_direct`](DistSemTree::answer_direct) settles is settled;
-    /// otherwise build the message — an insert for the partition
-    /// [`route`](DistSemTree::route) names, anything else for the root —
-    /// and name the decoder for its reply.
+    /// [`submit_query`](DistSemTree::submit_query): once
+    /// [`validate`](DistSemTree::validate) accepts it, a read is
+    /// [`read`](DistSemTree::read) with the transport, and an insert
+    /// becomes the message for the partition [`route`](DistSemTree::route)
+    /// names.
     fn lower(&self, query: Query) -> Result<Lowered, ClusterError> {
-        if let Some(settled) = self.answer_direct(&query) {
-            return settled.map(Lowered::Answered);
-        }
-        let node = LocalNodeId(0);
-        Ok(match query {
+        self.validate(&query)?;
+        match query {
             Query::Insert { point, payload } => {
                 let (to, node) = self.route(&point);
                 let req = Req::Insert {
@@ -702,31 +659,10 @@ impl DistSemTree {
                     point,
                     payload,
                 };
-                Lowered::Send(to, req, decode)
+                Ok(Lowered::Send(to, req))
             }
-            Query::Knn { point, k } => Lowered::Send(
-                self.root,
-                Req::Knn {
-                    node,
-                    point,
-                    k,
-                    worst: None,
-                },
-                decode,
-            ),
-            Query::KnnBatch { points, k } => {
-                Lowered::Send(self.root, Req::KnnBatch { node, points, k }, decode)
-            }
-            Query::Range { point, radius } => Lowered::Send(
-                self.root,
-                Req::Range {
-                    node,
-                    point,
-                    radius,
-                },
-                decode_range,
-            ),
-        })
+            read => Ok(Lowered::Answered(self.read(&read, Some(&*self.transport))?)),
+        }
     }
 
     /// Where an insert of `point` goes: a partition and the node it is
@@ -748,38 +684,32 @@ impl DistSemTree {
     fn route(&self, point: &[f64]) -> (ComputeNodeId, LocalNodeId) {
         let mut at = (self.root.0, 0);
         if self.partition_count() > 1 {
-            let reader = self.shared.reader();
-            let from = |node: u32| move |tree: &Tree| tree.navigate(node, point).map(Ok);
-            while let Ok(Child::Remote { partition, node }) = reader.enter(at, point, from(at.1)) {
+            let reader = InPlace::<StdShim, _>::new(|p| self.shared.read_handle(ComputeNodeId(p)));
+            let from = |node: u32| move |tree: &Tree| tree.navigate(node, point).map(Ok::<_, ()>);
+            while let Ok(Ok(Child::Remote { partition, node })) =
+                reader.enter(at, point, from(at.1))
+            {
                 at = (partition, node);
             }
         }
         (ComputeNodeId(at.0), LocalNodeId(at.1))
     }
 
-    /// The first half of the lowering, for a caller that must not wait
-    /// (a reactor shard answering on its own thread): everything about
-    /// `query` that can be settled here and now without a message —
-    /// its rejection by [`validate`](DistSemTree::validate), or a k-NN
-    /// or range search the lock-free read path completes. `None` means
-    /// the query needs a mailbox (a write, a batch, a read that must
-    /// enter a partition hosted elsewhere, or one that kept losing to
-    /// writers): hand it to [`query`](DistSemTree::query) or
-    /// [`submit_query`](DistSemTree::submit_query), which start here too.
+    /// The lowering for a caller that must not wait (a reactor shard
+    /// answering on its own thread): everything about `query` that can be
+    /// settled here and now without a message — its rejection by
+    /// [`validate`](DistSemTree::validate), or a read whose every border
+    /// leads into a partition this process hosts. `None` means the query
+    /// needs a message (a write, or a read that must cross into another
+    /// process): hand it to [`query`](DistSemTree::query) or
+    /// [`submit_query`](DistSemTree::submit_query).
     pub fn answer_direct(&self, query: &Query) -> Option<Result<QueryOutcome, ClusterError>> {
         if let Err(rejected) = self.validate(query) {
             return Some(Err(rejected));
         }
-        let outcome = match query {
-            Query::Knn { point, k } => {
-                QueryOutcome::Neighbors(to_neighbors(self.direct_knn(point, *k)?))
-            }
-            Query::Range { point, radius } => {
-                sorted_range_outcome(self.direct_range(point, *radius)?)
-            }
-            Query::Insert { .. } | Query::KnnBatch { .. } => return None,
-        };
-        Some(Ok(outcome))
+        // With no transport, the one way a read fails is a crossing that
+        // needed one.
+        self.read(query, None).ok().map(Ok)
     }
 
     /// The input contract of every data operation, checked once here —
@@ -820,26 +750,47 @@ impl DistSemTree {
         }
     }
 
-    /// The lock-free read path: one validated walk from the root
-    /// partition's root on this thread, crossing in place into every
-    /// partition this process hosts. `None` when it needs the mailbox: a
-    /// partition it must enter is hosted by another process, or has not
-    /// registered its tree (yet, or any more).
-    fn direct_knn(&self, point: &[f64], k: usize) -> Option<Vec<(f64, u64)>> {
-        let reader = self.shared.reader();
-        let walk = |tree: &Tree| tree.knn(0, point, k, None, &reader);
-        let answer = reader.enter((self.root.0, 0), point, walk);
-        self.shared.record_read(&reader);
-        answer.ok()
+    /// A k-NN, range or batch read, walked on this thread from the root
+    /// partition's root, crossing every border by the
+    /// [`Borders`](crate::border::Borders) rule. Without a `transport`, a
+    /// read that must cross into a partition another process hosts
+    /// fails; so does an insert, which is no read.
+    fn read(
+        &self,
+        query: &Query,
+        transport: Option<&dyn Transport<Req, Resp>>,
+    ) -> Result<QueryOutcome, ClusterError> {
+        Ok(match query {
+            Query::Knn { point, k } => {
+                QueryOutcome::Neighbors(to_neighbors(self.knn(point, *k, transport)?))
+            }
+            Query::Range { point, radius } => {
+                let borders = self.shared.borders(transport);
+                let walk = |tree: &Tree| tree.range(0, point, *radius, &borders);
+                // Range hits come back in walk order; the facade sorts them.
+                let mut hits = to_neighbors(borders.read(self.root.0, point, walk)?);
+                hits.sort_by(|a, b| a.dist.total_cmp(&b.dist));
+                QueryOutcome::Neighbors(hits)
+            }
+            Query::KnnBatch { points, k } => {
+                let answer = |i: usize| self.knn(&points[i], *k, transport).map(to_neighbors);
+                let batches = self.pool.map(points.len(), &answer);
+                QueryOutcome::NeighborBatches(batches.into_iter().collect::<Result<_, _>>()?)
+            }
+            Query::Insert { .. } => return Err(ClusterError::InvalidRequest("not a read".into())),
+        })
     }
 
-    /// [`direct_knn`](Self::direct_knn) for a range search.
-    fn direct_range(&self, point: &[f64], radius: f64) -> Option<Vec<(f64, u64)>> {
-        let reader = self.shared.reader();
-        let walk = |tree: &Tree| tree.range(0, point, radius, &reader);
-        let answer = reader.enter((self.root.0, 0), point, walk);
-        self.shared.record_read(&reader);
-        answer.ok()
+    /// One k-NN of [`read`](Self::read), accounted in the metrics.
+    fn knn(
+        &self,
+        point: &[f64],
+        k: usize,
+        transport: Option<&dyn Transport<Req, Resp>>,
+    ) -> Result<Vec<(f64, u64)>, ClusterError> {
+        let borders = self.shared.borders(transport);
+        let walk = |tree: &Tree| tree.knn(0, point, k, None, &borders);
+        borders.read(self.root.0, point, walk)
     }
 
     /// Number of points inserted through this facade.
@@ -1134,10 +1085,14 @@ mod tests {
             for (c, p) in &points {
                 ins(&tree, c, *p);
             }
+            // One read per query on this machine's cores, each crossing
+            // in place: a batch sends no message.
+            let before = tree.metrics().messages;
             let batches = tree
                 .query(Query::knn_batch(&queries, 6))
                 .and_then(QueryOutcome::neighbor_batches)
                 .expect("batch succeeds");
+            assert_eq!(tree.metrics().messages, before, "M={m}");
             assert_eq!(batches.len(), queries.len());
             for (q, batch) in queries.iter().zip(&batches) {
                 let single = knn_q(&tree, q, 6);
@@ -1331,7 +1286,9 @@ mod tests {
     #[test]
     fn the_root_partition_is_readable_as_soon_as_it_is_built() {
         // The first read takes no mailbox, and the first insert goes
-        // straight to the partition that stores it.
+        // straight to the partition that stores it. A k-NN addressed to
+        // the root's actor costs that round trip only: short of `k`
+        // hits, it enters every data partition, in place.
         let sample: Vec<Vec<f64>> = (0..64).map(|i| vec![f64::from(i)]).collect();
         for m in [1usize, 3] {
             let tree = fanout(1, 8, m, &sample);
@@ -1340,6 +1297,15 @@ mod tests {
             assert_eq!(tree.metrics().messages, before, "M={m}: first read");
             ins(&tree, &[3.0], 3);
             assert_eq!(tree.metrics().messages, before + 2, "M={m}: first insert");
+            let knn = Req::Knn {
+                node: LocalNodeId(0),
+                point: vec![40.0],
+                k: 2,
+                worst: None,
+            };
+            let hits = tree.cluster.call(tree.root, knn);
+            assert_eq!(hits, Ok(Resp::Candidates(vec![(37.0, 3)])), "M={m}");
+            assert_eq!(tree.metrics().messages, before + 4, "M={m}: root actor");
             tree.shutdown();
         }
     }
@@ -1402,7 +1368,7 @@ mod tests {
     }
 
     #[test]
-    fn reads_into_a_dead_partition_fail_like_the_mailbox_path() {
+    fn reads_into_a_dead_partition_fail_with_its_typed_error() {
         use std::sync::atomic::AtomicBool;
         // The capacity condition is evaluated by whichever actor stored
         // the point, so arming it kills exactly that partition: its
@@ -1430,28 +1396,40 @@ mod tests {
         armed.store(false, Ordering::SeqCst);
         assert!(died.is_err(), "{died:?}");
 
+        let (dead, _) = tree.route(&[63.0]);
+        let typed = |outcome: &Result<QueryOutcome, ClusterError>| match outcome {
+            Err(ClusterError::NodeDied(id) | ClusterError::UnknownNode(id)) => *id == dead,
+            _ => false,
+        };
+
         // The dead partition's tree is withdrawn as its actor unwinds
         // (just after the failed insert was answered). From then on a
-        // read that must enter it fails the way every write does — it
-        // is not answered from the frozen tree, which holds payload 99.
+        // read that must enter it sends it the sub-walk, and fails with
+        // the transport's error for that node — it is not answered from
+        // the frozen tree, which holds payload 99.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-        let lock_free = loop {
+        let knn = loop {
             let outcome = tree.query(Query::knn(&[62.8], 1));
             if outcome.is_err() || std::time::Instant::now() > deadline {
                 break outcome;
             }
             std::thread::yield_now();
         };
-        let knn = Req::Knn {
-            node: LocalNodeId(0),
-            point: vec![62.8],
-            k: 1,
-            worst: None,
-        };
-        let mailbox = tree.cluster.call(tree.root, knn).and_then(decode);
-        assert!(mailbox.is_err(), "{mailbox:?}");
-        assert_eq!(lock_free, mailbox);
-        assert!(tree.query(Query::range(&[62.8], 1.0)).is_err());
+        assert!(typed(&knn), "{knn:?}");
+        let range = tree.query(Query::range(&[62.8], 1.0));
+        assert!(typed(&range), "{range:?}");
+        // The pipelined entry point fails identically.
+        for (read, blocking) in [
+            (Query::knn(&[62.8], 1), knn),
+            (Query::range(&[62.8], 1.0), range),
+        ] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            tree.submit_query(
+                read,
+                Box::new(move |outcome| tx.send(outcome).expect("receiver alive")),
+            );
+            assert_eq!(rx.try_recv().expect("completed before returning"), blocking);
+        }
         // A read that stays inside the live partitions is still answered,
         // in place.
         let before = tree.metrics().messages;

@@ -283,9 +283,10 @@ pub struct SplitEvent {
 type Hits = Vec<(f64, u64)>;
 
 /// Every remote operation a traversal may need when it reaches a
-/// [`Child::Remote`] edge. The partition actor implements it over the
-/// message fabric; a lock-free reader passes [`InPlace`]. Each operation
-/// can fail, and the failure ends the traversal.
+/// [`Child::Remote`] edge. `semtree-dist` implements it over its
+/// partitions, in place or by message; a reader of trees in one process
+/// passes [`InPlace`]. Each operation can fail, and the failure ends the
+/// traversal.
 pub trait RemoteOps {
     /// Why a crossing failed.
     type Error;
@@ -334,12 +335,6 @@ pub trait RemoteOps {
 /// Inserts always do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NeedsMailbox;
-
-impl std::fmt::Display for NeedsMailbox {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("the walk reached a remote child and needs the partition's mailbox")
-    }
-}
 
 /// The [`RemoteOps`] of a lock-free reader: a crossing runs the sub-walk
 /// the target partition's actor would run, in place, on the tree `lookup`
@@ -407,16 +402,17 @@ impl<S: Shim, L: Fn(u32) -> Option<Arc<Tree<S>>>> InPlace<S, L> {
     /// starts (at the root partition) and how each of its crossings
     /// continues. Refused when the partition is not readable here, or
     /// `node` or `point` do not fit its tree (the mailbox path reports
-    /// those).
+    /// those); otherwise the walk's outcome, whatever a crossing inside
+    /// it failed with included.
     ///
     /// # Errors
-    /// [`NeedsMailbox`], from here or from a crossing inside `walk`.
-    pub fn enter<T>(
+    /// [`NeedsMailbox`]: the refusal.
+    pub fn enter<T, E>(
         &self,
         (partition, node): (u32, u32),
         point: &[f64],
-        walk: impl Fn(&Tree<S>) -> Option<Result<T, NeedsMailbox>>,
-    ) -> Result<T, NeedsMailbox> {
+        walk: impl Fn(&Tree<S>) -> Option<Result<T, E>>,
+    ) -> Result<Result<T, E>, NeedsMailbox> {
         let tree = (self.lookup)(partition).ok_or(NeedsMailbox)?;
         if point.len() != tree.config.dims() || node >= tree.nodes() {
             return Err(NeedsMailbox);
@@ -426,7 +422,7 @@ impl<S: Shim, L: Fn(u32) -> Option<Arc<Tree<S>>>> InPlace<S, L> {
             Some(attempts) => tree.read_bounded(attempts, &walk).ok_or(NeedsMailbox)?,
         };
         self.retries.set(self.retries.get() + stats.retries);
-        answer
+        Ok(answer)
     }
 }
 
@@ -444,8 +440,9 @@ impl<S: Shim, L: Fn(u32) -> Option<Arc<Tree<S>>>> RemoteOps for InPlace<S, L> {
         worst: Option<f64>,
     ) -> Result<Vec<(f64, u64)>, NeedsMailbox> {
         let walk = |tree: &Tree<S>| tree.knn(node, point, k, worst, self);
-        self.enter((partition, node), point, walk)
-            .inspect(|_| self.crossed.set(self.crossed.get() + 1))
+        let hits = self.enter((partition, node), point, walk)??;
+        self.crossed.set(self.crossed.get() + 1);
+        Ok(hits)
     }
     fn range(
         &self,
@@ -455,8 +452,9 @@ impl<S: Shim, L: Fn(u32) -> Option<Arc<Tree<S>>>> RemoteOps for InPlace<S, L> {
         radius: f64,
     ) -> Result<Vec<(f64, u64)>, NeedsMailbox> {
         let walk = |tree: &Tree<S>| tree.range(node, point, radius, self);
-        self.enter((partition, node), point, walk)
-            .inspect(|_| self.crossed.set(self.crossed.get() + 1))
+        let hits = self.enter((partition, node), point, walk)??;
+        self.crossed.set(self.crossed.get() + 1);
+        Ok(hits)
     }
 }
 

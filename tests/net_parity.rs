@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use semtree_cluster::{CostModel, Transport};
+use semtree_cluster::{ComputeNodeId, CostModel, Transport};
 use semtree_dist::{
     build_tree, join_cluster, serve_cluster, CapacityPolicy, DistConfig, DistSemTree, Neighbor,
     Query, QueryOutcome,
@@ -178,5 +178,74 @@ fn query_and_submit_query_agree_on_every_kind() {
 
         assert_eq!(tree.verify(), Vec::<String>::new(), "M={partitions}");
         tree.shutdown();
+    }
+}
+
+/// The paper's crossing message (§III-B.3), across processes: a read
+/// walks the root partition where it lives, on the coordinator, and sends
+/// every worker partition it enters one sub-walk — a request frame and
+/// its reply, two coordinator messages — and nothing to the root
+/// partition's actor. A k = 1 k-NN that stays inside one worker
+/// partition costs 2; a range that enters both workers at the root's
+/// border node costs 4.
+#[test]
+fn reads_send_one_sub_walk_per_worker_partition_entered() {
+    let dims = 2;
+    let config = DistConfig::new(dims)
+        .with_bucket_size(8)
+        .with_max_partitions(16);
+    let sample = sample_points(dims, 64, 3);
+    let points = sample_points(dims, 250, 77);
+    let fabric = serve_cluster("127.0.0.1:0".parse().unwrap(), &config, CostModel::zero())
+        .expect("coordinator");
+    let workers: Vec<_> = (0..2)
+        .map(|_| {
+            join_cluster(
+                fabric.listen_addr(),
+                CostModel::zero(),
+                Duration::from_secs(10),
+                None,
+            )
+            .expect("worker join")
+        })
+        .collect();
+    fabric
+        .wait_for_workers(2, Duration::from_secs(10))
+        .expect("workers joined");
+    let tree = build_tree(&fabric, config, 3, &sample, None).expect("tcp tree");
+    for (payload, point) in points.iter().enumerate() {
+        insert(&tree, point, payload as u64);
+    }
+    // The root partition on the coordinator, each data partition on a
+    // worker of its own.
+    let stats = tree.try_global_stats().expect("stats");
+    let mut processes: Vec<u32> = stats
+        .partitions
+        .iter()
+        .map(|&(id, _)| ComputeNodeId(id).process())
+        .collect();
+    processes[1..].sort_unstable();
+    assert_eq!(processes, [0, 1, 2]);
+
+    // At a stored point the nearest hit is at distance 0, which prunes
+    // every other partition.
+    let before = tree.metrics().messages;
+    for point in points.iter().take(50) {
+        assert_eq!(pairs(&tree, Query::knn(point, 1))[0].0, 0.0, "{point:?}");
+    }
+    assert_eq!(tree.metrics().messages - before, 2 * 50, "k-NN");
+
+    let before = tree.metrics().messages;
+    let everything = pairs(&tree, Query::range(&[50.0, 50.0], 200.0));
+    assert_eq!(everything.len(), points.len());
+    assert_eq!(tree.metrics().messages - before, 4, "range");
+
+    let waiters: Vec<_> = workers
+        .into_iter()
+        .map(|w| std::thread::spawn(move || w.run_until_shutdown()))
+        .collect();
+    tree.shutdown();
+    for w in waiters {
+        w.join().expect("worker shut down cleanly");
     }
 }

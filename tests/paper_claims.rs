@@ -6,7 +6,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use semtree_cluster::CostModel;
-use semtree_dist::{CapacityPolicy, DistConfig, DistSemTree, Query, QueryOutcome};
+use semtree_dist::{
+    build_tree, join_cluster, serve_cluster, CapacityPolicy, DistConfig, DistSemTree, Query,
+    QueryOutcome,
+};
 
 fn insert(tree: &DistSemTree, point: &[f64], payload: u64) {
     tree.query(Query::insert(point, payload))
@@ -131,43 +134,67 @@ fn message_overhead_grows_with_partitions() {
 }
 
 /// §III-B.4: at a border node whose two children live on other partitions,
-/// the range search proceeds in parallel. With per-message latency
-/// injected, the parallel fan-out is visibly faster than two sequential
-/// sub-searches would be.
+/// the range search proceeds in parallel. The root partition lives on a
+/// coordinator and each data partition on a worker process of its own
+/// (three fabrics over loopback, in this process). Every message a worker
+/// handles pays 25 ms each way, and the border range's only messages are
+/// its two sub-requests: sent together, their round trips overlap.
 #[test]
 fn border_range_search_runs_in_parallel() {
     let latency = Duration::from_millis(25);
+    let config = DistConfig::new(1)
+        .with_bucket_size(64)
+        .with_max_partitions(8);
+    let fabric = serve_cluster("127.0.0.1:0".parse().unwrap(), &config, CostModel::zero())
+        .expect("coordinator");
+    let slow = CostModel {
+        latency,
+        per_kib: Duration::ZERO,
+    };
+    let workers: Vec<_> = (0..2)
+        .map(|_| {
+            join_cluster(fabric.listen_addr(), slow, Duration::from_secs(10), None)
+                .expect("worker join")
+        })
+        .collect();
+    fabric
+        .wait_for_workers(2, Duration::from_secs(10))
+        .expect("workers joined");
     let sample: Vec<Vec<f64>> = (0..64).map(|i| vec![f64::from(i)]).collect();
-    let tree = DistSemTree::with_fanout(
-        DistConfig::new(1)
-            .with_bucket_size(64)
-            .with_max_partitions(8),
-        CostModel {
-            latency,
-            per_kib: Duration::ZERO,
-        },
-        3,
-        &sample,
-    );
-    for i in 0..64u64 {
-        insert(&tree, &[i as f64], i);
+    let tree = build_tree(&fabric, config, 3, &sample, None).expect("tree");
+    for i in 0..8u32 {
+        insert(&tree, &[f64::from(i * 8)], u64::from(i));
     }
     // A query at the split point with a radius spanning both partitions.
+    let before = tree.metrics().messages;
     let t0 = Instant::now();
     let hits = tree
         .query(Query::range(&[32.0], 40.0))
         .and_then(QueryOutcome::neighbors)
         .expect("range");
     let elapsed = t0.elapsed();
-    assert_eq!(hits.len(), 64, "radius covers everything");
-    // Message path: client→root (2·25ms) + one parallel pair of
-    // root→data round trips (2·25ms overlapped) ≈ 100ms; a sequential
-    // implementation would pay ≈ 150ms.
+    assert_eq!(hits.len(), 8, "radius covers everything");
+    assert_eq!(
+        tree.metrics().messages - before,
+        4,
+        "two sub-requests and their replies"
+    );
+    // One round trip is two latencies; sent one after the other, the two
+    // sub-requests would take two round trips at least.
+    let round_trip = 2 * latency;
     assert!(
-        elapsed < Duration::from_millis(140),
+        elapsed < 2 * round_trip,
         "range took {elapsed:?}; parallel border search expected"
     );
+
+    let waiters: Vec<_> = workers
+        .into_iter()
+        .map(|w| std::thread::spawn(move || w.run_until_shutdown()))
+        .collect();
     tree.shutdown();
+    for w in waiters {
+        w.join().expect("worker shut down cleanly");
+    }
 }
 
 /// Build-partition leaves routing-only partitions behind, per Figure 2.
