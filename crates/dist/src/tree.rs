@@ -1479,6 +1479,17 @@ mod tests {
                     .iter()
                     .map(|n| (n.dist.to_bits(), n.payload))
                     .collect();
+                // Brute force: the same distances, each payload at its own.
+                let oracle: Vec<u64> = brute_knn(&points, &q, 6)
+                    .iter()
+                    .map(|(d, _)| d.to_bits())
+                    .collect();
+                let dists: Vec<u64> = got.iter().map(|&(d, _)| d).collect();
+                assert_eq!(dists, oracle, "{rule:?} at {q:?}");
+                for &(d, p) in &got {
+                    let own = euclidean(&points[p as usize].0, &q);
+                    assert_eq!(own.to_bits(), d, "{rule:?} at {q:?}: payload {p}");
+                }
                 let want: Vec<(u64, u64)> = seq
                     .knn(&q, 6)
                     .iter()

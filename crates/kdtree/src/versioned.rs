@@ -1407,6 +1407,7 @@ impl<S: Shim> VersionedKdReader<S> {
 mod tests {
     use super::*;
     use crate::SplitRule;
+    use semtree_par::metric::euclidean;
     use std::sync::atomic::{AtomicBool, Ordering};
 
     fn grid_points(n: usize) -> Vec<(Vec<f64>, u64)> {
@@ -1490,18 +1491,48 @@ mod tests {
         assert_eq!(Child::Local(top + 1).pack(), None, "beyond the arena");
     }
 
+    /// Brute force: every point's `(distance, payload)`, closest first.
+    fn brute(points: &[(Vec<f64>, u64)], q: &[f64]) -> Vec<(f64, u64)> {
+        let mut all: Vec<(f64, u64)> = points.iter().map(|(c, p)| (euclidean(c, q), *p)).collect();
+        all.sort_by(|a, b| a.0.total_cmp(&b.0));
+        all
+    }
+
+    /// `hits` are brute force's `k` nearest: the same distances bit for
+    /// bit, each payload once at its own distance (which copies fill a
+    /// tie at the k-th distance is the tree's choice).
+    fn assert_knn_exact(points: &[(Vec<f64>, u64)], q: &[f64], k: usize, hits: &[Neighbor<u64>]) {
+        let want: Vec<u64> = brute(points, q)[..k]
+            .iter()
+            .map(|(d, _)| d.to_bits())
+            .collect();
+        let got: Vec<u64> = hits.iter().map(|h| h.dist.to_bits()).collect();
+        assert_eq!(got, want, "at {q:?}");
+        let mut seen = std::collections::HashSet::new();
+        for h in hits {
+            let own = points.iter().find(|(_, p)| *p == h.payload).map(|(c, _)| c);
+            assert_eq!(
+                own.map(|c| euclidean(c, q).to_bits()),
+                Some(h.dist.to_bits())
+            );
+            assert!(seen.insert(h.payload), "payload {} twice", h.payload);
+        }
+    }
+
     #[test]
     fn matches_sequential_tree_on_grid() {
         let config = KdConfig::new(2).with_bucket_size(4);
         let mut vtree = VersionedKdTree::<StdShim>::new(config);
         let mut seq = crate::KdTree::new(config);
-        for (coords, payload) in grid_points(100) {
-            assert!(vtree.insert(&coords, payload));
-            seq.insert(&coords, payload);
+        let points = grid_points(100);
+        for (coords, payload) in &points {
+            assert!(vtree.insert(coords, *payload));
+            seq.insert(coords, *payload);
         }
         let reader = vtree.reader();
         for query in [[3.2, 4.9], [0.0, 0.0], [9.9, 9.9], [5.0, 5.0]] {
             let (hits, stats) = reader.knn(&query, 5);
+            assert_knn_exact(&points, &query, 5, &hits);
             let expected = seq.knn(&query, 5);
             assert_eq!(stats.retries, 0, "no writer, no retries");
             assert_eq!(hits.len(), expected.len());
@@ -1519,6 +1550,12 @@ mod tests {
         let (in_range, _) = reader.range(&[5.0, 5.0], 2.5);
         let expected = seq.range(&[5.0, 5.0], 2.5);
         assert_eq!(in_range.len(), expected.len());
+        // Every point of the ball, sorted by `(distance, payload)`.
+        let mut ball = brute(&points, &[5.0, 5.0]);
+        ball.retain(|&(d, _)| d <= 2.5);
+        ball.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let got: Vec<(f64, u64)> = in_range.iter().map(|h| (h.dist, h.payload)).collect();
+        assert_eq!(got, ball);
     }
 
     #[test]
@@ -1640,6 +1677,7 @@ mod tests {
             seq.insert(coords, *payload);
         }
         let (hits, _) = reader.knn(&[3.1, 4.2], 4);
+        assert_knn_exact(&points, &[3.1, 4.2], 4, &hits);
         let expected = seq.knn(&[3.1, 4.2], 4);
         assert_eq!(
             hits.iter()

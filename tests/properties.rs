@@ -9,6 +9,7 @@ use semtree_distance::{TripleDistance, VocabularyRegistry, Weights};
 use semtree_fastmap::FastMap;
 use semtree_kdtree::{KdConfig, KdTree};
 use semtree_model::{turtle, Term, Triple};
+use semtree_par::metric::euclidean;
 use semtree_rtree::RTree;
 use semtree_vocab::wordnet;
 
@@ -18,12 +19,54 @@ fn dist_query(tree: &DistSemTree, q: Query) -> Vec<semtree_dist::Neighbor<u64>> 
         .expect("distributed query")
 }
 
-fn euclid(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        .sqrt()
+/// Brute force, the independent oracle of every tree below: each
+/// point's distance to `q` and its index as payload, closest first.
+fn brute(points: &[Vec<f64>], q: &[f64]) -> Vec<(f64, u64)> {
+    let mut all: Vec<(f64, u64)> = points
+        .iter()
+        .zip(0u64..)
+        .map(|(p, i)| (euclidean(p, q), i))
+        .collect();
+    all.sort_by(|a, b| a.0.total_cmp(&b.0));
+    all
+}
+
+/// `(distance, payload)` of a tree's answer, in its order.
+fn pairs<P: Copy + Into<u64>>(hits: &[semtree_kdtree::Neighbor<P>]) -> Vec<(f64, u64)> {
+    hits.iter().map(|h| (h.dist, h.payload.into())).collect()
+}
+
+/// `hits` are the `k` nearest by brute force: the same distances bit
+/// for bit, and each payload once at its own distance. Which copies
+/// fill a tie at the k-th distance is the tree's choice.
+fn knn_is_exact(points: &[Vec<f64>], q: &[f64], k: usize, hits: &[(f64, u64)]) {
+    let want: Vec<u64> = brute(points, q)
+        .iter()
+        .take(k)
+        .map(|(d, _)| d.to_bits())
+        .collect();
+    let got: Vec<u64> = hits.iter().map(|(d, _)| d.to_bits()).collect();
+    assert_eq!(got, want);
+    let mut seen = std::collections::HashSet::new();
+    for &(d, p) in hits {
+        assert_eq!(euclidean(&points[p as usize], q).to_bits(), d.to_bits());
+        assert!(seen.insert(p), "payload {p} twice");
+    }
+}
+
+/// `hits` are exactly the brute-force ball of `radius`, distances bit
+/// for bit.
+fn range_is_exact(points: &[Vec<f64>], q: &[f64], radius: f64, hits: &[(f64, u64)]) {
+    let key = |&(d, p): &(f64, u64)| (p, d.to_bits());
+    let mut want: Vec<(u64, u64)> = brute(points, q)
+        .iter()
+        .filter(|(d, _)| *d <= radius)
+        .map(key)
+        .collect();
+    let mut got: Vec<(u64, u64)> = hits.iter().map(key).collect();
+    want.sort_unstable();
+    got.sort_unstable();
+    assert_eq!(got, want);
 }
 
 /// Strategy for terms: literals, standard concepts or prefixed concepts.
@@ -97,14 +140,7 @@ proptest! {
         let data: Vec<(Vec<f64>, u32)> =
             points.iter().cloned().zip(0u32..).collect();
         let tree = KdTree::bulk_load(KdConfig::new(3).with_bucket_size(4), data);
-        let got = tree.knn(&query, k);
-        let mut brute: Vec<f64> = points.iter().map(|p| euclid(p, &query)).collect();
-        brute.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let want = &brute[..k.min(points.len())];
-        prop_assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(want) {
-            prop_assert!((g.dist - w).abs() < 1e-9, "{} vs {}", g.dist, w);
-        }
+        knn_is_exact(&points, &query, k, &pairs(&tree.knn(&query, k)));
     }
 
     /// KD-tree range search returns exactly the brute-force ball.
@@ -120,12 +156,7 @@ proptest! {
         let data: Vec<(Vec<f64>, u32)> =
             points.iter().cloned().zip(0u32..).collect();
         let tree = KdTree::bulk_load(KdConfig::new(2).with_bucket_size(4), data);
-        let got = tree.range(&query, radius);
-        let want = points.iter().filter(|p| euclid(p, &query) <= radius).count();
-        prop_assert_eq!(got.len(), want);
-        for hit in got {
-            prop_assert!(hit.dist <= radius + 1e-12);
-        }
+        range_is_exact(&points, &query, radius, &pairs(&tree.range(&query, radius)));
     }
 
     /// Dynamic insertion and bulk loading retrieve the same neighbours.
@@ -144,12 +175,8 @@ proptest! {
         for (p, i) in &data {
             dynamic.insert(p, *i);
         }
-        let a = bulk.knn(&query, 3);
-        let b = dynamic.knn(&query, 3);
-        prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert!((x.dist - y.dist).abs() < 1e-9);
-        }
+        knn_is_exact(&points, &query, 3, &pairs(&bulk.knn(&query, 3)));
+        knn_is_exact(&points, &query, 3, &pairs(&dynamic.knn(&query, 3)));
     }
 
     /// FastMap never expands distances when the input really is Euclidean.
@@ -160,7 +187,7 @@ proptest! {
             2..40
         ),
     ) {
-        let d = |i: usize, j: usize| euclid(&points[i], &points[j]);
+        let d = |i: usize, j: usize| euclidean(&points[i], &points[j]);
         let emb = FastMap::new(2).with_seed(7).embed(points.len(), &d);
         for i in 0..points.len() {
             for j in 0..points.len() {
@@ -179,7 +206,7 @@ proptest! {
         ),
         pick in 0usize..1000,
     ) {
-        let d = |i: usize, j: usize| euclid(&points[i], &points[j]);
+        let d = |i: usize, j: usize| euclidean(&points[i], &points[j]);
         let emb = FastMap::new(2).with_seed(3).embed(points.len(), &d);
         let idx = pick % points.len();
         let projected = emb.project_with(&|p| d(idx, p));
@@ -226,10 +253,12 @@ proptest! {
         for (x, y) in a.iter().zip(&b) {
             prop_assert!((x.dist - y.dist).abs() < 1e-9, "m={}: {} vs {}", m, x.dist, y.dist);
         }
+        knn_is_exact(&points, &query, 5, &pairs(&b));
 
         let ra = seq.range(&query, 10.0);
         let rb = dist_query(&dist, Query::range(&query, 10.0));
         prop_assert_eq!(ra.len(), rb.len());
+        range_is_exact(&points, &query, 10.0, &pairs(&rb));
 
         prop_assert_eq!(dist.verify(), Vec::<String>::new());
         dist.shutdown();
@@ -266,6 +295,24 @@ proptest! {
         let ra = kd.range(&query, radius);
         let rb = rt.range(&query, radius);
         prop_assert_eq!(ra.len(), rb.len());
+
+        // Each against brute force too, so neither tree is only checked
+        // by the other. The KD-tree's distances are the oracle's bit for
+        // bit; the R-tree's k-NN squares a rooted distance and roots it
+        // again, so its distances are compared to within rounding.
+        knn_is_exact(&points, &query, k, &pairs(&a));
+        range_is_exact(&points, &query, radius, &pairs(&ra));
+        let all = brute(&points, &query);
+        let mut seen = std::collections::HashSet::new();
+        for (hit, (want, _)) in b.iter().zip(&all) {
+            let own = euclidean(&points[hit.payload as usize], &query);
+            prop_assert!((hit.dist - want).abs() < 1e-9, "{} vs {}", hit.dist, want);
+            prop_assert!((hit.dist - own).abs() < 1e-9, "{} vs {}", hit.dist, own);
+            prop_assert!(seen.insert(hit.payload), "payload {} twice", hit.payload);
+        }
+        let rt_range: Vec<(f64, u64)> =
+            rb.iter().map(|h| (h.dist, u64::from(h.payload))).collect();
+        range_is_exact(&points, &query, radius, &rt_range);
     }
 }
 
@@ -338,12 +385,15 @@ proptest! {
         expect.sort_unstable();
         prop_assert_eq!(got, expect);
 
+        knn_is_exact(&points, &query, k, &pairs(&hits));
+
         let (in_range, _) = reader.range(&query, radius);
         let want_range = seq.range(&query, radius);
         prop_assert_eq!(in_range.len(), want_range.len());
         for pair in in_range.windows(2) {
             prop_assert!(pair[0].dist <= pair[1].dist);
         }
+        range_is_exact(&points, &query, radius, &pairs(&in_range));
     }
 }
 
@@ -396,7 +446,7 @@ proptest! {
                     let mut seen = std::collections::HashSet::new();
                     for hit in hits {
                         let stored = &points[hit.payload as usize];
-                        assert!((hit.dist - euclid(stored, &query)).abs() < 1e-9);
+                        assert!((hit.dist - euclidean(stored, &query)).abs() < 1e-9);
                         assert!(seen.insert(hit.payload), "point {} twice", hit.payload);
                     }
                 };
@@ -405,7 +455,7 @@ proptest! {
                         .iter()
                         .zip(acknowledged.iter())
                         .filter(|(_, acked)| acked.load(Ordering::Acquire))
-                        .map(|(p, _)| euclid(p, &query))
+                        .map(|(p, _)| euclidean(p, &query))
                         .collect();
                     owed.sort_by(f64::total_cmp);
                     let before = owed.len();
@@ -478,6 +528,8 @@ proptest! {
         expect.sort_unstable();
         prop_assert_eq!(got, expect);
         prop_assert_eq!(tree.metrics().messages, messages, "a quiescent read took a mailbox");
+        knn_is_exact(&points, &query, k, &pairs(&nearest));
+        range_is_exact(&points, &query, radius, &pairs(&in_range));
 
         prop_assert_eq!(tree.verify(), Vec::<String>::new());
         Arc::try_unwrap(tree).ok().expect("sole owner").shutdown();
