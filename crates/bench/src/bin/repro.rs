@@ -20,10 +20,13 @@ use semtree_core::{SemTree, TripleId, Weights};
 use semtree_distance::TripleDistance;
 use semtree_eval::{ascii_plot, average_pr, ExperimentTable, PrPoint, Series};
 use semtree_fastmap::stress;
-use semtree_kdtree::{KdConfig, KdTree};
+use semtree_kdtree::{KdConfig, VersionedKdTree};
 use semtree_reqgen::{AnnotatorPanel, CorpusGenerator, GenConfig, GroundTruthOracle};
 use semtree_rtree::RTree;
 use semtree_vocab::similarity::SimilarityMeasure;
+
+/// The KD-tree of the sequential figures: one arena, no partitions.
+type Tree = VersionedKdTree;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -133,17 +136,17 @@ fn fig4_knn_seq(sizes: &[usize]) -> ExperimentTable {
     let mut unbal = Series::new("Totally Unbalanced (chain)");
     for &n in sizes {
         let points = semantic_points(n, 0xF164);
-        let data: Vec<(Vec<f64>, u32)> = points.iter().cloned().zip(0u32..).collect();
+        let data: Vec<(Vec<f64>, u64)> = points.iter().cloned().zip(0u64..).collect();
         let queries = query_points(&points, 1000);
 
-        let tree = KdTree::bulk_load(KdConfig::new(DIMS).with_bucket_size(BUCKET), data.clone());
+        let tree = Tree::bulk_load(KdConfig::new(DIMS).with_bucket_size(BUCKET), data.clone());
         let t0 = Instant::now();
         for q in &queries {
             std::hint::black_box(tree.knn(q, 3));
         }
         bal.push(n as f64, t0.elapsed().as_secs_f64());
 
-        let tree = KdTree::chain_load(KdConfig::new(DIMS).with_bucket_size(BUCKET), data);
+        let tree = Tree::chain_load(KdConfig::new(DIMS).with_bucket_size(BUCKET), data);
         let t0 = Instant::now();
         for q in &queries {
             std::hint::black_box(tree.knn(q, 3));
@@ -196,17 +199,17 @@ fn fig6_range_seq(sizes: &[usize]) -> ExperimentTable {
     for &n in sizes {
         let points = semantic_points(n, 0xF166);
         let radius = pick_radius(&points, 0.01);
-        let data: Vec<(Vec<f64>, u32)> = points.iter().cloned().zip(0u32..).collect();
+        let data: Vec<(Vec<f64>, u64)> = points.iter().cloned().zip(0u64..).collect();
         let queries = query_points(&points, 1000);
 
-        let tree = KdTree::bulk_load(KdConfig::new(DIMS).with_bucket_size(BUCKET), data.clone());
+        let tree = Tree::bulk_load(KdConfig::new(DIMS).with_bucket_size(BUCKET), data.clone());
         let t0 = Instant::now();
         for q in &queries {
             std::hint::black_box(tree.range(q, radius));
         }
         bal.push(n as f64, t0.elapsed().as_secs_f64());
 
-        let tree = KdTree::chain_load(KdConfig::new(DIMS).with_bucket_size(BUCKET), data);
+        let tree = Tree::chain_load(KdConfig::new(DIMS).with_bucket_size(BUCKET), data);
         let t0 = Instant::now();
         for q in &queries {
             std::hint::black_box(tree.range(q, radius));
@@ -481,8 +484,8 @@ fn ablation_bucket(quick: bool) -> ExperimentTable {
     let mut query = Series::new("1000 knn queries");
     for bs in [4usize, 16, 32, 128, 512] {
         let t0 = Instant::now();
-        let data: Vec<(Vec<f64>, u32)> = points.iter().cloned().zip(0u32..).collect();
-        let tree = KdTree::bulk_load(KdConfig::new(DIMS).with_bucket_size(bs), data);
+        let data: Vec<(Vec<f64>, u64)> = points.iter().cloned().zip(0u64..).collect();
+        let tree = Tree::bulk_load(KdConfig::new(DIMS).with_bucket_size(bs), data);
         build.push(bs as f64, t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
         for q in &queries {
@@ -526,7 +529,7 @@ fn ablation_structure(quick: bool) -> ExperimentTable {
     let points = semantic_points(n, 0x57A);
     let radius = pick_radius(&points, 0.01);
     let queries = query_points(&points, 1000);
-    let data: Vec<(Vec<f64>, u32)> = points.iter().cloned().zip(0u32..).collect();
+    let data: Vec<(Vec<f64>, u64)> = points.iter().cloned().zip(0u64..).collect();
 
     let mut table = ExperimentTable::new(
         format!("Ablation: index structure (N={n})"),
@@ -538,7 +541,7 @@ fn ablation_structure(quick: bool) -> ExperimentTable {
 
     // Bulk build.
     let t0 = Instant::now();
-    let kd = KdTree::bulk_load(KdConfig::new(DIMS).with_bucket_size(BUCKET), data.clone());
+    let kd = Tree::bulk_load(KdConfig::new(DIMS).with_bucket_size(BUCKET), data.clone());
     kd_series.push(0.0, t0.elapsed().as_secs_f64());
     let t0 = Instant::now();
     let rt = RTree::bulk_load(DIMS, data.clone());
@@ -546,7 +549,7 @@ fn ablation_structure(quick: bool) -> ExperimentTable {
 
     // Dynamic build.
     let t0 = Instant::now();
-    let mut kd_dyn = KdTree::new(KdConfig::new(DIMS).with_bucket_size(BUCKET));
+    let mut kd_dyn = Tree::new(KdConfig::new(DIMS).with_bucket_size(BUCKET));
     for (c, p) in &data {
         kd_dyn.insert(c, *p);
     }

@@ -7,7 +7,7 @@ use std::fmt::Display;
 use std::sync::Arc;
 
 use semtree_cluster::ComputeNodeId;
-use semtree_kdtree::versioned::{Node, RemoteOps, SplitEvent, Tree, TreeWriter};
+use semtree_kdtree::versioned::{RemoteOps, SplitEvent, Tree, TreeWriter};
 use semtree_kdtree::KdConfig;
 use semtree_net::Encode;
 
@@ -211,7 +211,8 @@ impl PartitionStore {
     /// The largest leaf that is not the partition root (the "leaf node
     /// candidate `Lc`" of Figure 2), if any.
     pub(crate) fn eviction_candidate(&self) -> Option<LocalNodeId> {
-        self.reachable()
+        self.tree()
+            .reachable()
             .into_iter()
             .filter(|&(id, node)| id != 0 && node.point_count() > 0)
             .max_by_key(|&(id, node)| (node.point_count(), std::cmp::Reverse(id)))
@@ -251,33 +252,13 @@ impl PartitionStore {
     // Statistics
     // ------------------------------------------------------------------
 
-    /// Every node reachable from the partition root over local edges.
-    fn reachable(&self) -> Vec<(u32, &Node)> {
-        let mut out = Vec::new();
-        let mut stack = vec![0];
-        while let Some(id) = stack.pop() {
-            let Some(node) = self.tree().node(id) else {
-                continue;
-            };
-            out.push((id, node));
-            if let Some(r) = node.routing() {
-                for child in [r.left, r.right] {
-                    if let Child::Local(next) = child {
-                        stack.push(next);
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Check this partition's structural invariants; returns a list of
     /// human-readable violations (empty = healthy). Used by
     /// `DistSemTree::verify` and the test-suite.
     pub(crate) fn verify(&self) -> Vec<String> {
         let mut violations = Vec::new();
         let dims = self.tree().config().dims();
-        let reachable = self.reachable();
+        let reachable = self.tree().reachable();
         if reachable.is_empty() {
             violations.push("partition has no root node".to_string());
             return violations;
@@ -329,7 +310,7 @@ impl PartitionStore {
 
     pub(crate) fn stats(&self) -> PartitionStats {
         let mut s = PartitionStats::default();
-        for (_, node) in self.reachable() {
+        for (_, node) in self.tree().reachable() {
             let Some(r) = node.routing() else {
                 s.leaves += 1;
                 s.points += node.point_count();
@@ -724,8 +705,18 @@ mod tests {
         fill_grid(&mut s, 60);
         let cand = s.eviction_candidate().expect("leaves exist after splits");
         assert_ne!(cand.0, 0);
-        let largest = s.reachable().iter().map(|(_, n)| n.point_count()).max();
-        assert_eq!(s.tree().node(cand.0).map(Node::point_count), largest);
+        let largest = s
+            .tree()
+            .reachable()
+            .iter()
+            .map(|(_, n)| n.point_count())
+            .max();
+        assert_eq!(
+            s.tree()
+                .node(cand.0)
+                .map(semtree_kdtree::versioned::Node::point_count),
+            largest
+        );
     }
 
     #[test]

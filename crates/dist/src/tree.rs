@@ -1455,7 +1455,8 @@ mod tests {
                 DistConfig::new(2).with_bucket_size(4).with_split_rule(rule),
                 CostModel::zero(),
             );
-            let mut seq = semtree_kdtree::KdTree::new(
+            // The reference: one versioned tree grown by the same inserts.
+            let mut seq: semtree_kdtree::VersionedKdTree = semtree_kdtree::VersionedKdTree::new(
                 KdConfig::new(2).with_bucket_size(4).with_split_rule(rule),
             );
             for (c, p) in &points {

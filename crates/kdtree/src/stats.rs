@@ -1,9 +1,10 @@
 //! Tree-shape statistics (used by the experiments to verify balance).
 
-use crate::tree::{KdTree, NodeKind};
+use crate::versioned::{Shim, VersionedKdTree};
 
-/// Structural statistics of a KD-tree.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Structural statistics of a KD-tree: its arena, walked from the root
+/// over the same edges a partition's statistics walk.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TreeShape {
     /// Total nodes (routing + leaves).
     pub nodes: usize,
@@ -24,55 +25,43 @@ pub struct TreeShape {
 impl TreeShape {
     /// Measure a tree.
     #[must_use]
-    pub fn of<P: Clone>(tree: &KdTree<P>) -> Self {
-        let mut routing = 0usize;
-        let mut leaves = 0usize;
-        let mut entries = 0usize;
-        let mut max_depth = 0u32;
+    pub fn of<S: Shim>(tree: &VersionedKdTree<S>) -> Self {
+        let nodes = tree.arena().reachable();
+        let mut shape = TreeShape {
+            nodes: nodes.len(),
+            ..TreeShape::default()
+        };
         let mut leaf_depth_sum = 0u64;
-        let mut max_leaf_occupancy = 0usize;
-        for node in &tree.nodes {
-            max_depth = max_depth.max(node.depth);
-            match &node.kind {
-                NodeKind::Routing { .. } => routing += 1,
-                NodeKind::Leaf { bucket } => {
-                    leaves += 1;
-                    entries += bucket.len();
-                    leaf_depth_sum += u64::from(node.depth);
-                    max_leaf_occupancy = max_leaf_occupancy.max(bucket.len());
-                }
+        for (_, node) in nodes {
+            shape.max_depth = shape.max_depth.max(node.depth());
+            if node.routing().is_some() {
+                shape.routing += 1;
+                continue;
             }
+            shape.leaves += 1;
+            shape.entries += node.point_count();
+            shape.max_leaf_occupancy = shape.max_leaf_occupancy.max(node.point_count());
+            leaf_depth_sum += u64::from(node.depth());
         }
-        TreeShape {
-            nodes: routing + leaves,
-            routing,
-            leaves,
-            entries,
-            max_depth,
-            mean_leaf_depth: if leaves == 0 {
-                0.0
-            } else {
-                leaf_depth_sum as f64 / leaves as f64
-            },
-            max_leaf_occupancy,
+        if shape.leaves > 0 {
+            shape.mean_leaf_depth = leaf_depth_sum as f64 / shape.leaves as f64;
         }
+        shape
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::tree::{KdConfig, KdTree};
-
     use super::*;
-
-    fn line(n: usize) -> Vec<(Vec<f64>, u32)> {
-        (0..n).map(|i| (vec![i as f64], i as u32)).collect()
-    }
+    use crate::testing::{line, Tree};
+    use crate::KdConfig;
 
     #[test]
     fn shape_counts_are_consistent() {
-        let t = KdTree::bulk_load(KdConfig::new(1).with_bucket_size(4), line(100));
-        let s = TreeShape::of(&t);
+        let s = TreeShape::of(&Tree::bulk_load(
+            KdConfig::new(1).with_bucket_size(4),
+            line(100),
+        ));
         assert_eq!(s.entries, 100);
         assert_eq!(s.nodes, s.routing + s.leaves);
         assert_eq!(s.leaves, s.routing + 1, "binary tree: L = R + 1");
@@ -81,12 +70,13 @@ mod tests {
 
     #[test]
     fn chain_tree_balance_factor_large() {
-        let t = KdTree::chain_load(KdConfig::new(1).with_bucket_size(4), line(256));
-        let s = TreeShape::of(&t);
+        let s = TreeShape::of(&Tree::chain_load(
+            KdConfig::new(1).with_bucket_size(4),
+            line(256),
+        ));
         // At least 3× the depth of a perfectly balanced tree over as many
         // leaves.
-        let ideal = (s.leaves as f64).log2().ceil();
-        let factor = f64::from(s.max_depth) / ideal;
+        let factor = f64::from(s.max_depth) / (s.leaves as f64).log2().ceil();
         assert!(factor >= 3.0, "factor {factor}");
     }
 
@@ -95,25 +85,21 @@ mod tests {
         // §III-C: with K points and bucket Bs, N = 2K/Bs nodes when leaves
         // sit half-full on average after median splits. Check the right
         // order of magnitude (exact equality needs perfectly full leaves).
-        let k_points = 1024;
-        let bs = 8;
-        let t = KdTree::bulk_load(KdConfig::new(1).with_bucket_size(bs), line(k_points));
-        let s = TreeShape::of(&t);
-        let formula = 2 * k_points / bs;
+        let s = TreeShape::of(&Tree::bulk_load(
+            KdConfig::new(1).with_bucket_size(8),
+            line(1024),
+        ));
+        let formula = 2 * 1024 / 8;
+        let nodes = s.nodes;
         assert!(
-            s.nodes >= formula / 4 && s.nodes <= formula * 4,
-            "nodes {} vs formula {formula}",
-            s.nodes
+            (formula / 4..=formula * 4).contains(&nodes),
+            "nodes {nodes} vs formula {formula}"
         );
     }
 
     #[test]
     fn empty_tree_shape() {
-        let t: KdTree<u32> = KdTree::new(KdConfig::new(2));
-        let s = TreeShape::of(&t);
-        assert_eq!(s.entries, 0);
-        assert_eq!(s.leaves, 1);
-        assert_eq!(s.routing, 0);
-        assert_eq!(s.max_depth, 0);
+        let s = TreeShape::of(&Tree::new(KdConfig::new(2)));
+        assert_eq!((s.entries, s.leaves, s.routing, s.max_depth), (0, 1, 0, 0));
     }
 }

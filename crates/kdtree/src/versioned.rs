@@ -1,12 +1,10 @@
 //! The seqlock arena tree: one writer publishing in place, lock-free
 //! optimistic readers.
 //!
-//! This is the one bucketed KD-tree layout every concurrent consumer
-//! shares: a `semtree-dist` partition *is* a [`TreeWriter`] (its actor
-//! writes it, every reader reads it), and [`VersionedKdTree`] is the
-//! same tree with no remote links. The sequential [`crate::KdTree`]
-//! stays separate on purpose, as the independent reference the parity
-//! suites compare against; the two share only the split rule.
+//! This is the crate's one bucketed KD-tree: a `semtree-dist` partition
+//! *is* a [`TreeWriter`] (its actor writes it, every reader reads it),
+//! and [`VersionedKdTree`] is the same tree with no remote links, grown
+//! by inserts or built by its bulk and chain loads.
 //!
 //! - **Publish-once node arena with stable ids.** Nodes live in chunked
 //!   write-once slots ([`std::sync::OnceLock`]); a node's id is its
@@ -63,8 +61,8 @@ use std::sync::{Arc, OnceLock};
 
 pub use semtree_conc::shim::{Shim, StdShim};
 
-use crate::search::Neighbor;
-use crate::tree::{choose_split, KdConfig};
+use crate::search::{Neighbor, SearchStats};
+use crate::tree::{choose_split, KdConfig, SplitRule};
 
 /// Number of arena chunks. Chunk `c` holds `64 << c` slots, so 25
 /// chunks cap the arena at ~2.1 billion nodes — below `2^31`, which
@@ -238,11 +236,12 @@ impl<S: Shim> Node<S> {
     }
 
     /// Visit the bucket's slots in insertion order, in place: a slot's
-    /// coordinate words and its payload word. `None` when the overflow
-    /// link the length promises is not published yet — a writer race,
-    /// never absence.
-    fn scan(&self, mut visit: impl FnMut(&[AtomicU64], &AtomicU64)) -> Option<()> {
-        let mut left = self.point_count();
+    /// coordinate words and its payload word. Returns how many were
+    /// visited; `None` when the overflow link the length promises is not
+    /// published yet — a writer race, never absence.
+    fn scan(&self, mut visit: impl FnMut(&[AtomicU64], &AtomicU64)) -> Option<usize> {
+        let count = self.point_count();
+        let mut left = count;
         let mut block = &self.bucket;
         loop {
             let slots = block
@@ -254,7 +253,7 @@ impl<S: Shim> Node<S> {
             }
             left = left.saturating_sub(block.payloads.len());
             if left == 0 {
-                return Some(());
+                return Some(count);
             }
             block = block.next.get()?;
         }
@@ -711,6 +710,26 @@ impl<S: Shim> Tree<S> {
         (S::load_acquire(&self.version) == v1).then_some((value, v1))
     }
 
+    /// Every node reachable from `self`'s root over local edges: what a
+    /// partition holds, without the leaves a relink left behind.
+    #[must_use]
+    pub fn reachable(&self) -> Vec<(u32, &Node<S>)> {
+        let mut out = Vec::new();
+        let mut stack = vec![0];
+        while let Some(id) = stack.pop() {
+            let Some(node) = self.node(id) else { continue };
+            out.push((id, node));
+            if let Some(r) = node.routing() {
+                for child in [r.left, r.right] {
+                    if let Child::Local(next) = child {
+                        stack.push(next);
+                    }
+                }
+            }
+        }
+        out
+    }
+
     /// The one k-NN walk (§III-B.3): the `k` candidates nearest `point`
     /// below `start`, ascending, pruned by the caller's `worst` when
     /// given. Outer `None`: an unpublished slot (or an unknown `start`)
@@ -723,6 +742,20 @@ impl<S: Shim> Tree<S> {
         k: usize,
         worst: Option<f64>,
         remote: &R,
+    ) -> Option<Result<Hits, R::Error>> {
+        self.knn_counted(start, point, k, worst, remote, &mut SearchStats::default())
+    }
+
+    /// [`Tree::knn`], adding the nodes of this arena it enters and the
+    /// points it scans to `stats`.
+    pub(crate) fn knn_counted<R: RemoteOps>(
+        &self,
+        start: u32,
+        point: &[f64],
+        k: usize,
+        worst: Option<f64>,
+        remote: &R,
+        stats: &mut SearchStats,
     ) -> Option<Result<Hits, R::Error>> {
         if k == 0 {
             // Nothing can enter the result, so nothing is walked: with no
@@ -801,14 +834,17 @@ impl<S: Shim> Tree<S> {
                 }
                 Child::Local(id) => self.node(id)?,
             };
+            stats.nodes_visited += 1;
             match node.routing() {
-                None => node.scan(|words, payload| {
-                    let sq = sq_dist(words, point);
-                    if sq >= state.cut {
-                        return; // `sq.sqrt()` is at least the bound
-                    }
-                    state.offer(sq.sqrt(), payload.load(Relaxed));
-                })?,
+                None => {
+                    stats.distance_evals += node.scan(|words, payload| {
+                        let sq = sq_dist(words, point);
+                        if sq >= state.cut {
+                            return; // `sq.sqrt()` is at least the bound
+                        }
+                        state.offer(sq.sqrt(), payload.load(Relaxed));
+                    })?;
+                }
                 Some(r) => {
                     let delta = point[r.split_dim] - r.split_val;
                     let (near, far) = if delta <= 0.0 {
@@ -840,6 +876,18 @@ impl<S: Shim> Tree<S> {
         radius: f64,
         remote: &R,
     ) -> Option<Result<Hits, R::Error>> {
+        self.range_counted(start, point, radius, remote, &mut SearchStats::default())
+    }
+
+    /// [`Tree::range`], counting as [`Tree::knn_counted`] does.
+    pub(crate) fn range_counted<R: RemoteOps>(
+        &self,
+        start: u32,
+        point: &[f64],
+        radius: f64,
+        remote: &R,
+        stats: &mut SearchStats,
+    ) -> Option<Result<Hits, R::Error>> {
         let mut out = Vec::new();
         // A point is out when `sqrt(sq) > radius`, i.e. `>=` the next
         // double up, so `sq >= cut` rejects it before its `sqrt`. The
@@ -858,8 +906,9 @@ impl<S: Shim> Tree<S> {
                 }
                 Child::Local(id) => self.node(id)?,
             };
+            stats.nodes_visited += 1;
             let Some(r) = node.routing() else {
-                node.scan(|words, payload| {
+                stats.distance_evals += node.scan(|words, payload| {
                     let sq = sq_dist(words, point);
                     if sq >= cut {
                         return;
@@ -1276,13 +1325,12 @@ impl<S: Shim> TreeWriter<S> {
 }
 
 // ---------------------------------------------------------------------
-// The facade used by benches, tests and the `kdtree_read_split` model
-// target: the same tree with no remote links.
+// The facade used by benches, tests, the paper's figures and the
+// `kdtree_read_split` model target: the same tree with no remote links.
 // ---------------------------------------------------------------------
 
-/// Writer half of a concurrently-readable bucketed KD-tree with the
-/// same split semantics as [`crate::KdTree`]. Obtain readers with
-/// [`VersionedKdTree::reader`].
+/// Writer half of a concurrently-readable bucketed KD-tree. Obtain
+/// readers with [`VersionedKdTree::reader`].
 pub struct VersionedKdTree<S: Shim = StdShim> {
     writer: TreeWriter<S>,
     len: usize,
@@ -1311,6 +1359,71 @@ impl<S: Shim> VersionedKdTree<S> {
         VersionedKdTree { writer, len: 0 }
     }
 
+    /// Balanced bulk load, the paper's "1 partition (balanced)" series:
+    /// median recursion through the leaf split's rule, down to buckets of
+    /// at most `bucket_size` points or that no plane divides; each side
+    /// keeps its input order. Nodes are published parent first, routing
+    /// nodes born routing, each point written once into its leaf; with
+    /// no reader yet, a routing node's edges are patched in as its
+    /// children are pushed.
+    ///
+    /// # Panics
+    /// Panics if a point's dimensionality is not `config.dims()`.
+    #[must_use]
+    pub fn bulk_load(config: KdConfig, mut points: Vec<(Vec<f64>, u64)>) -> Self {
+        for (coords, _) in &points {
+            assert_eq!(coords.len(), config.dims(), "dimensionality mismatch");
+        }
+        let mut writer = TreeWriter::new(config);
+        let mut todo = vec![(0..points.len(), 0, None)];
+        while let Some((range, depth, parent)) = todo.pop() {
+            let bucket = &mut points[range.clone()];
+            let split = (bucket.len() > config.bucket_size())
+                .then(|| choose_split(&config, bucket, |(c, _)| c, depth))
+                .flatten();
+            let pushed = match split {
+                None => writer.push_leaf(depth, parent, bucket),
+                Some((dim, val)) => {
+                    bucket.sort_by_key(|(c, _)| c[dim] > val);
+                    let mid = range.start + bucket.partition_point(|(c, _)| c[dim] <= val);
+                    let id = writer.push_routing(depth, parent, dim, val, [Child::Local(0); 2]);
+                    if let Some(id) = id {
+                        todo.push((mid..range.end, depth + 1, Some((id, false))));
+                        todo.push((range.start..mid, depth + 1, Some((id, true))));
+                    }
+                    id
+                }
+            };
+            debug_assert!(pushed.is_some(), "a bulk load fits the arena");
+            if let (Some(id), Some((up, is_left))) = (pushed, parent) {
+                writer.set_child(up, is_left, Child::Local(id));
+            }
+        }
+        VersionedKdTree {
+            writer,
+            len: points.len(),
+        }
+    }
+
+    /// Totally unbalanced ("chain") construction, the paper's worst-case
+    /// series of Figures 3, 4 and 6: the points are inserted in
+    /// lexicographic coordinate order under [`SplitRule::DegenerateMin`],
+    /// so every split peels off only the minimum-valued points.
+    #[must_use]
+    pub fn chain_load(config: KdConfig, mut points: Vec<(Vec<f64>, u64)>) -> Self {
+        points.sort_by(|(a, _), (b, _)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        let mut tree = VersionedKdTree::new(config.with_split_rule(SplitRule::DegenerateMin));
+        for (coords, payload) in &points {
+            tree.insert(coords, *payload);
+        }
+        tree
+    }
+
+    /// The arena, as the writer sees it.
+    pub(crate) fn arena(&self) -> &Tree<S> {
+        self.writer.tree()
+    }
+
     /// A new lock-free read handle.
     #[must_use]
     pub fn reader(&self) -> VersionedKdReader<S> {
@@ -1336,45 +1449,99 @@ impl<S: Shim> VersionedKdTree<S> {
     /// the bucket overflows. Returns `false` only when the point could
     /// not be stored (the tree is unchanged in that case).
     pub fn insert(&mut self, point: &[f64], payload: u64) -> bool {
-        let dims = self.writer.tree().config.dims();
-        assert_eq!(point.len(), dims, "dimensionality mismatch");
-        let stored = self.writer.insert(
-            0,
-            point,
-            payload,
-            &InPlace::<S, _>::nowhere(),
-            &mut Vec::new(),
+        assert_eq!(
+            point.len(),
+            self.arena().config.dims(),
+            "dimensionality mismatch"
         );
+        let nowhere = InPlace::<S, _>::nowhere();
+        let stored = self
+            .writer
+            .insert(0, point, payload, &nowhere, &mut Vec::new());
         let stored = stored == Some(Ok(true));
         self.len += usize::from(stored);
         stored
     }
+
+    /// The `k` nearest stored points (§III-B.3), sorted by `(distance,
+    /// payload)`.
+    #[must_use]
+    pub fn knn(&self, query: &[f64], k: usize) -> Vec<Neighbor<u64>> {
+        self.knn_with_stats(query, k).0
+    }
+
+    /// [`VersionedKdTree::knn`] plus what the walk visited.
+    #[must_use]
+    pub fn knn_with_stats(&self, query: &[f64], k: usize) -> (Vec<Neighbor<u64>>, SearchStats) {
+        self.arena().ask(query, Ask::Knn(k)).0
+    }
+
+    /// All stored points within `radius` of `query` (§III-B.4,
+    /// inclusive), sorted by `(distance, payload)`.
+    #[must_use]
+    pub fn range(&self, query: &[f64], radius: f64) -> Vec<Neighbor<u64>> {
+        self.range_with_stats(query, radius).0
+    }
+
+    /// [`VersionedKdTree::range`] plus what the walk visited.
+    #[must_use]
+    pub fn range_with_stats(
+        &self,
+        query: &[f64],
+        radius: f64,
+    ) -> (Vec<Neighbor<u64>>, SearchStats) {
+        self.arena().ask(query, Ask::Range(radius)).0
+    }
 }
 
-/// A facade walk's outcome, sorted by `(distance, payload)`. A facade
-/// tree has no remote links, so the refusal arm cannot be taken.
-fn neighbors(walked: Option<Result<Hits, NeedsMailbox>>) -> Option<Vec<Neighbor<u64>>> {
-    let mut hits = walked?.ok()?;
-    hits.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let neighbor = |(dist, payload)| Neighbor { dist, payload };
-    Some(hits.into_iter().map(neighbor).collect())
+/// A facade read: the `k` nearest points, or those within a radius.
+#[derive(Clone, Copy)]
+enum Ask {
+    Knn(usize),
+    Range(f64),
+}
+
+impl<S: Shim> Tree<S> {
+    /// Panics unless `query` fits this tree and `ask` is well formed.
+    fn check(&self, query: &[f64], ask: Ask) {
+        assert_eq!(query.len(), self.config.dims(), "dimensionality mismatch");
+        if let Ask::Range(radius) = ask {
+            assert!(radius >= 0.0, "radius must be non-negative");
+        }
+    }
+
+    /// One counted walk of `ask` from the root, its hits sorted by
+    /// `(distance, payload)`; `None` on a writer race. A facade tree has
+    /// no remote links, so the refusal arm cannot be taken.
+    fn answer(&self, query: &[f64], ask: Ask) -> Option<(Vec<Neighbor<u64>>, SearchStats)> {
+        let mut stats = SearchStats::default();
+        let nowhere = InPlace::<S, _>::nowhere();
+        let walked = match ask {
+            Ask::Knn(k) => self.knn_counted(0, query, k, None, &nowhere, &mut stats),
+            Ask::Range(radius) => self.range_counted(0, query, radius, &nowhere, &mut stats),
+        };
+        let mut hits = walked?.ok()?;
+        hits.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let neighbor = |(dist, payload)| Neighbor { dist, payload };
+        Some((hits.into_iter().map(neighbor).collect(), stats))
+    }
+
+    /// `ask`, validated: the hits and counters of the walk that
+    /// validated, plus retry accounting.
+    fn ask(&self, query: &[f64], ask: Ask) -> ((Vec<Neighbor<u64>>, SearchStats), ReadStats) {
+        self.check(query, ask);
+        self.read(|tree| tree.answer(query, ask))
+    }
 }
 
 impl<S: Shim> VersionedKdReader<S> {
-    fn check(&self, query: &[f64]) {
-        let dims = self.tree.config.dims();
-        assert_eq!(query.len(), dims, "dimensionality mismatch");
-    }
-
     /// The `k` nearest stored points, sorted by `(distance, payload)`,
     /// plus retry accounting. Lock-free: retries only when racing a
     /// writer transaction.
     #[must_use]
     pub fn knn(&self, query: &[f64], k: usize) -> (Vec<Neighbor<u64>>, ReadStats) {
-        self.check(query);
-        let walk =
-            |tree: &Tree<S>| neighbors(tree.knn(0, query, k, None, &InPlace::<S, _>::nowhere()));
-        self.tree.read(walk)
+        let ((hits, _), read) = self.tree.ask(query, Ask::Knn(k));
+        (hits, read)
     }
 
     /// Bounded-retry [`VersionedKdReader::knn`] for the model checker:
@@ -1386,8 +1553,8 @@ impl<S: Shim> VersionedKdReader<S> {
         k: usize,
         attempts: u64,
     ) -> Option<(Vec<Neighbor<u64>>, ReadStats)> {
-        let walk =
-            |tree: &Tree<S>| neighbors(tree.knn(0, query, k, None, &InPlace::<S, _>::nowhere()));
+        self.tree.check(query, Ask::Knn(k));
+        let walk = |tree: &Tree<S>| tree.answer(query, Ask::Knn(k)).map(|(hits, _)| hits);
         self.tree.read_bounded(attempts, walk)
     }
 
@@ -1395,31 +1562,16 @@ impl<S: Shim> VersionedKdReader<S> {
     /// `(distance, payload)`, plus retry accounting.
     #[must_use]
     pub fn range(&self, query: &[f64], radius: f64) -> (Vec<Neighbor<u64>>, ReadStats) {
-        self.check(query);
-        assert!(radius >= 0.0, "radius must be non-negative");
-        let walk =
-            |tree: &Tree<S>| neighbors(tree.range(0, query, radius, &InPlace::<S, _>::nowhere()));
-        self.tree.read(walk)
+        let ((hits, _), read) = self.tree.ask(query, Ask::Range(radius));
+        (hits, read)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SplitRule;
-    use semtree_par::metric::euclidean;
+    use crate::testing::{assert_knn_exact, brute, grid, grown, line, pairs, Tree};
     use std::sync::atomic::{AtomicBool, Ordering};
-
-    fn grid_points(n: usize) -> Vec<(Vec<f64>, u64)> {
-        (0..n)
-            .map(|i| {
-                (
-                    vec![f64::from(i as u32 % 10), f64::from(i as u32 / 10)],
-                    i as u64,
-                )
-            })
-            .collect()
-    }
 
     #[test]
     fn chunk_math_is_contiguous() {
@@ -1491,76 +1643,34 @@ mod tests {
         assert_eq!(Child::Local(top + 1).pack(), None, "beyond the arena");
     }
 
-    /// Brute force: every point's `(distance, payload)`, closest first.
-    fn brute(points: &[(Vec<f64>, u64)], q: &[f64]) -> Vec<(f64, u64)> {
-        let mut all: Vec<(f64, u64)> = points.iter().map(|(c, p)| (euclidean(c, q), *p)).collect();
-        all.sort_by(|a, b| a.0.total_cmp(&b.0));
-        all
-    }
-
-    /// `hits` are brute force's `k` nearest: the same distances bit for
-    /// bit, each payload once at its own distance (which copies fill a
-    /// tie at the k-th distance is the tree's choice).
-    fn assert_knn_exact(points: &[(Vec<f64>, u64)], q: &[f64], k: usize, hits: &[Neighbor<u64>]) {
-        let want: Vec<u64> = brute(points, q)[..k]
-            .iter()
-            .map(|(d, _)| d.to_bits())
-            .collect();
-        let got: Vec<u64> = hits.iter().map(|h| h.dist.to_bits()).collect();
-        assert_eq!(got, want, "at {q:?}");
-        let mut seen = std::collections::HashSet::new();
-        for h in hits {
-            let own = points.iter().find(|(_, p)| *p == h.payload).map(|(c, _)| c);
-            assert_eq!(
-                own.map(|c| euclidean(c, q).to_bits()),
-                Some(h.dist.to_bits())
-            );
-            assert!(seen.insert(h.payload), "payload {} twice", h.payload);
-        }
-    }
-
     #[test]
     fn matches_sequential_tree_on_grid() {
         let config = KdConfig::new(2).with_bucket_size(4);
-        let mut vtree = VersionedKdTree::<StdShim>::new(config);
-        let mut seq = crate::KdTree::new(config);
-        let points = grid_points(100);
-        for (coords, payload) in &points {
-            assert!(vtree.insert(coords, *payload));
-            seq.insert(coords, *payload);
-        }
-        let reader = vtree.reader();
+        let points = grid(100);
+        let reader = grown(config, &points).reader();
+        let bulk = Tree::bulk_load(config, points.clone());
         for query in [[3.2, 4.9], [0.0, 0.0], [9.9, 9.9], [5.0, 5.0]] {
             let (hits, stats) = reader.knn(&query, 5);
-            assert_knn_exact(&points, &query, 5, &hits);
-            let expected = seq.knn(&query, 5);
             assert_eq!(stats.retries, 0, "no writer, no retries");
-            assert_eq!(hits.len(), expected.len());
-            // Distances must agree exactly; payload order may differ on
-            // ties (the versioned reader breaks ties by payload).
-            for (h, e) in hits.iter().zip(expected.iter()) {
-                assert_eq!(h.dist, e.dist);
-            }
-            let mut got: Vec<u64> = hits.iter().map(|h| h.payload).collect();
-            let mut want: Vec<u64> = expected.iter().map(|e| e.payload).collect();
-            got.sort_unstable();
-            want.sort_unstable();
-            assert_eq!(got, want);
+            assert_knn_exact(&points, &query, 5, &hits);
+            assert_knn_exact(&points, &query, 5, &bulk.knn(&query, 5));
         }
-        let (in_range, _) = reader.range(&[5.0, 5.0], 2.5);
-        let expected = seq.range(&[5.0, 5.0], 2.5);
-        assert_eq!(in_range.len(), expected.len());
-        // Every point of the ball, sorted by `(distance, payload)`.
         let mut ball = brute(&points, &[5.0, 5.0]);
         ball.retain(|&(d, _)| d <= 2.5);
-        ball.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let got: Vec<(f64, u64)> = in_range.iter().map(|h| (h.dist, h.payload)).collect();
-        assert_eq!(got, ball);
+        assert_eq!(pairs(&reader.range(&[5.0, 5.0], 2.5).0), ball);
+        assert_eq!(pairs(&bulk.range(&[5.0, 5.0], 2.5)), ball);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimensionality mismatch")]
+    fn bounded_knn_rejects_a_longer_query() {
+        let tree = Tree::bulk_load(KdConfig::new(2), grid(10));
+        let _ = tree.reader().knn_bounded(&[1.0, 2.0, 3.0], 1, 1);
     }
 
     #[test]
     fn insert_returns_points_immediately() {
-        let mut tree = VersionedKdTree::<StdShim>::new(KdConfig::new(2).with_bucket_size(1));
+        let mut tree = Tree::new(KdConfig::new(2).with_bucket_size(1));
         let reader = tree.reader();
         for (i, coords) in [[0.0, 0.0], [1.0, 0.0], [0.5, 2.0], [3.0, 3.0]]
             .iter()
@@ -1580,30 +1690,27 @@ mod tests {
 
     #[test]
     fn degenerate_chain_splits_stay_searchable() {
-        let config = KdConfig::new(1)
-            .with_bucket_size(1)
-            .with_split_rule(SplitRule::DegenerateMin);
-        let mut tree = VersionedKdTree::<StdShim>::new(config);
-        for i in 0..32u64 {
-            assert!(tree.insert(&[i as f64], i));
-        }
+        let config = KdConfig::new(1).with_bucket_size(1);
+        let tree = grown(config.with_split_rule(SplitRule::DegenerateMin), &line(32));
         let (hits, _) = tree.reader().knn(&[15.4], 3);
-        let payloads: Vec<u64> = hits.iter().map(|h| h.payload).collect();
-        assert_eq!(payloads, vec![15, 16, 14]);
+        assert_eq!(
+            hits.iter().map(|h| h.payload).collect::<Vec<_>>(),
+            [15, 16, 14]
+        );
     }
 
     #[test]
     fn unsplittable_duplicates_spill_into_the_overflow_link() {
-        let mut tree = VersionedKdTree::<StdShim>::new(KdConfig::new(2).with_bucket_size(2));
-        for i in 0..20u64 {
-            assert!(tree.insert(&[1.0, 1.0], i));
-        }
-        let arena = tree.writer.tree();
+        let copies: Vec<_> = (0..20).map(|i| (vec![1.0, 1.0], i)).collect();
+        let tree = grown(KdConfig::new(2).with_bucket_size(2), &copies);
+        let arena = tree.arena();
         assert_eq!(arena.nodes(), 1, "duplicates never split");
         assert_eq!(arena.node(0).map(Node::point_count), Some(20));
         let (hits, _) = tree.reader().range(&[1.0, 1.0], 0.0);
-        let payloads: Vec<u64> = hits.iter().map(|h| h.payload).collect();
-        assert_eq!(payloads, (0..20).collect::<Vec<u64>>());
+        assert_eq!(
+            hits.iter().map(|h| h.payload).collect::<Vec<_>>(),
+            Vec::from_iter(0..20)
+        );
     }
 
     #[test]
@@ -1641,8 +1748,8 @@ mod tests {
         // validate every result against "some prefix of the inserted
         // points" while the writer splits leaves underneath them.
         let config = KdConfig::new(2).with_bucket_size(2);
-        let mut tree = VersionedKdTree::<StdShim>::new(config);
-        let points = grid_points(400);
+        let mut tree = Tree::new(config);
+        let points = grid(400);
         let reader = tree.reader();
         let done = Arc::new(AtomicBool::new(false));
         let mut handles = Vec::new();
@@ -1671,22 +1778,8 @@ mod tests {
         for h in handles {
             h.join().expect("reader thread");
         }
-        // Final state matches a sequential build.
-        let mut seq = crate::KdTree::new(config);
-        for (coords, payload) in &points {
-            seq.insert(coords, *payload);
-        }
+        // Final state: brute force's nearest.
         let (hits, _) = reader.knn(&[3.1, 4.2], 4);
         assert_knn_exact(&points, &[3.1, 4.2], 4, &hits);
-        let expected = seq.knn(&[3.1, 4.2], 4);
-        assert_eq!(
-            hits.iter()
-                .map(|h| h.payload)
-                .collect::<std::collections::BTreeSet<_>>(),
-            expected
-                .iter()
-                .map(|e| e.payload)
-                .collect::<std::collections::BTreeSet<_>>()
-        );
     }
 }

@@ -11,7 +11,9 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use semtree_kdtree::{KdConfig, KdTree, SplitRule, TreeShape};
+use semtree_kdtree::{KdConfig, SplitRule, TreeShape, VersionedKdTree};
+
+type Tree = VersionedKdTree;
 
 type Points = Vec<(Vec<f64>, u64)>;
 
@@ -97,8 +99,8 @@ fn bulk_and_chain_shapes_are_unchanged() {
         ),
     ];
     for (name, config, points, bulk, chain) in cases {
-        let got_bulk = row(&TreeShape::of(&KdTree::bulk_load(config, points.clone())));
-        let got_chain = row(&TreeShape::of(&KdTree::chain_load(config, points)));
+        let got_bulk = row(&TreeShape::of(&Tree::bulk_load(config, points.clone())));
+        let got_chain = row(&TreeShape::of(&Tree::chain_load(config, points)));
         assert_eq!(got_bulk, bulk, "{name}: bulk load");
         assert_eq!(got_chain, chain, "{name}: chain load");
     }

@@ -17,13 +17,16 @@ fn insert(tree: &DistSemTree, point: &[f64], payload: u64) {
         .expect("insert");
 }
 use semtree_eval::{average_pr, precision, recall};
-use semtree_kdtree::{KdConfig, KdTree, TreeShape};
+use semtree_kdtree::{KdConfig, TreeShape, VersionedKdTree};
 use semtree_model::TripleId;
 use semtree_reqgen::{CorpusGenerator, DomainVocabulary, GenConfig, GroundTruthOracle};
 use semtree_vocab::wordnet;
 
-fn line_points(n: usize) -> Vec<(Vec<f64>, u32)> {
-    (0..n).map(|i| (vec![i as f64], i as u32)).collect()
+/// The KD-tree on its own: one arena, no partitions.
+type Tree = VersionedKdTree;
+
+fn line_points(n: usize) -> Vec<(Vec<f64>, u64)> {
+    (0..n).map(|i| (vec![i as f64], i as u64)).collect()
 }
 
 /// §III-C: "when the tree is well-balanced, the time to navigate the tree
@@ -34,8 +37,8 @@ fn knn_visit_complexity_shapes() {
     let mut balanced_growth = Vec::new();
     let mut chain_growth = Vec::new();
     for n in [1_000usize, 4_000, 16_000] {
-        let bal = KdTree::bulk_load(KdConfig::new(1).with_bucket_size(8), line_points(n));
-        let chain = KdTree::chain_load(KdConfig::new(1).with_bucket_size(8), line_points(n));
+        let bal = Tree::bulk_load(KdConfig::new(1).with_bucket_size(8), line_points(n));
+        let chain = Tree::chain_load(KdConfig::new(1).with_bucket_size(8), line_points(n));
         let q = vec![n as f64 / 2.0 + 0.3];
         let (_, bs) = bal.knn_with_stats(&q, 3);
         let (_, cs) = chain.knn_with_stats(&q, 3);
@@ -57,7 +60,7 @@ fn knn_visit_complexity_shapes() {
 #[test]
 fn node_count_formula_shape() {
     for (k_points, bs) in [(2_048usize, 8usize), (8_192, 32)] {
-        let tree = KdTree::bulk_load(KdConfig::new(1).with_bucket_size(bs), line_points(k_points));
+        let tree = Tree::bulk_load(KdConfig::new(1).with_bucket_size(bs), line_points(k_points));
         let shape = TreeShape::of(&tree);
         assert_eq!(shape.leaves, shape.routing + 1);
         let formula = 2 * k_points / bs;

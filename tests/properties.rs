@@ -7,7 +7,10 @@ use semtree_cluster::CostModel;
 use semtree_dist::{DistConfig, DistSemTree, Query, QueryOutcome};
 use semtree_distance::{TripleDistance, VocabularyRegistry, Weights};
 use semtree_fastmap::FastMap;
-use semtree_kdtree::{KdConfig, KdTree};
+use semtree_kdtree::{KdConfig, VersionedKdTree};
+
+/// The KD-tree on its own: one arena, no partitions.
+type Tree = VersionedKdTree;
 use semtree_model::{turtle, Term, Triple};
 use semtree_par::metric::euclidean;
 use semtree_rtree::RTree;
@@ -137,9 +140,8 @@ proptest! {
         query in prop::collection::vec(-100.0f64..100.0, 3),
         k in 1usize..8,
     ) {
-        let data: Vec<(Vec<f64>, u32)> =
-            points.iter().cloned().zip(0u32..).collect();
-        let tree = KdTree::bulk_load(KdConfig::new(3).with_bucket_size(4), data);
+        let data: Vec<(Vec<f64>, u64)> = points.iter().cloned().zip(0..).collect();
+        let tree = Tree::bulk_load(KdConfig::new(3).with_bucket_size(4), data);
         knn_is_exact(&points, &query, k, &pairs(&tree.knn(&query, k)));
     }
 
@@ -153,9 +155,8 @@ proptest! {
         query in prop::collection::vec(-50.0f64..50.0, 2),
         radius in 0.0f64..60.0,
     ) {
-        let data: Vec<(Vec<f64>, u32)> =
-            points.iter().cloned().zip(0u32..).collect();
-        let tree = KdTree::bulk_load(KdConfig::new(2).with_bucket_size(4), data);
+        let data: Vec<(Vec<f64>, u64)> = points.iter().cloned().zip(0..).collect();
+        let tree = Tree::bulk_load(KdConfig::new(2).with_bucket_size(4), data);
         range_is_exact(&points, &query, radius, &pairs(&tree.range(&query, radius)));
     }
 
@@ -168,10 +169,9 @@ proptest! {
         ),
         query in prop::collection::vec(-10.0f64..10.0, 2),
     ) {
-        let data: Vec<(Vec<f64>, u32)> =
-            points.iter().cloned().zip(0u32..).collect();
-        let bulk = KdTree::bulk_load(KdConfig::new(2).with_bucket_size(4), data.clone());
-        let mut dynamic = KdTree::new(KdConfig::new(2).with_bucket_size(4));
+        let data: Vec<(Vec<f64>, u64)> = points.iter().cloned().zip(0..).collect();
+        let bulk = Tree::bulk_load(KdConfig::new(2).with_bucket_size(4), data.clone());
+        let mut dynamic = Tree::new(KdConfig::new(2).with_bucket_size(4));
         for (p, i) in &data {
             dynamic.insert(p, *i);
         }
@@ -219,8 +219,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The distributed tree answers exactly like the sequential KD-tree
-    /// for every partition count the paper evaluates.
+    /// The distributed tree answers exactly like brute force for every
+    /// partition count the paper evaluates.
     #[test]
     fn distributed_matches_sequential(
         points in prop::collection::vec(
@@ -231,10 +231,6 @@ proptest! {
         m_idx in 0usize..3,
     ) {
         let m = [1usize, 3, 5][m_idx];
-        let data: Vec<(Vec<f64>, u32)> =
-            points.iter().cloned().zip(0u32..).collect();
-        let seq = KdTree::bulk_load(KdConfig::new(2).with_bucket_size(4), data);
-
         let dist = DistSemTree::with_fanout(
             DistConfig::new(2).with_bucket_size(4).with_max_partitions(8),
             CostModel::zero(),
@@ -247,18 +243,10 @@ proptest! {
                 .expect("distributed insert");
         }
 
-        let a = seq.knn(&query, 5);
-        let b = dist_query(&dist, Query::knn(&query, 5));
-        prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert!((x.dist - y.dist).abs() < 1e-9, "m={}: {} vs {}", m, x.dist, y.dist);
-        }
-        knn_is_exact(&points, &query, 5, &pairs(&b));
-
-        let ra = seq.range(&query, 10.0);
-        let rb = dist_query(&dist, Query::range(&query, 10.0));
-        prop_assert_eq!(ra.len(), rb.len());
-        range_is_exact(&points, &query, 10.0, &pairs(&rb));
+        let nearest = dist_query(&dist, Query::knn(&query, 5));
+        knn_is_exact(&points, &query, 5, &pairs(&nearest));
+        let in_range = dist_query(&dist, Query::range(&query, 10.0));
+        range_is_exact(&points, &query, 10.0, &pairs(&in_range));
 
         prop_assert_eq!(dist.verify(), Vec::<String>::new());
         dist.shutdown();
@@ -280,9 +268,8 @@ proptest! {
         k in 1usize..8,
         radius in 0.0f64..80.0,
     ) {
-        let data: Vec<(Vec<f64>, u32)> =
-            points.iter().cloned().zip(0u32..).collect();
-        let kd = KdTree::bulk_load(KdConfig::new(3).with_bucket_size(4), data.clone());
+        let data: Vec<(Vec<f64>, u64)> = points.iter().cloned().zip(0..).collect();
+        let kd = Tree::bulk_load(KdConfig::new(3).with_bucket_size(4), data.clone());
         let rt = RTree::bulk_load(3, data);
 
         let a = kd.knn(&query, k);
@@ -311,7 +298,7 @@ proptest! {
             prop_assert!(seen.insert(hit.payload), "payload {} twice", hit.payload);
         }
         let rt_range: Vec<(f64, u64)> =
-            rb.iter().map(|h| (h.dist, u64::from(h.payload))).collect();
+            rb.iter().map(|h| (h.dist, h.payload)).collect();
         range_is_exact(&points, &query, radius, &rt_range);
     }
 }
@@ -323,8 +310,9 @@ proptest! {
     /// inserts (and splits leaves) the whole point set, a concurrent
     /// lock-free reader only ever observes internally consistent answers
     /// — sorted distances over some prefix of the inserts — and once the
-    /// writer finishes, the versioned tree agrees with a sequential
-    /// reference build on both k-NN and range.
+    /// writer finishes, the tree answers k-NN and range as brute force
+    /// does, byte for byte as a tree built by the same inserts with no
+    /// reader running.
     #[test]
     fn versioned_reads_under_writes_agree_with_sequential_reference(
         points in prop::collection::vec(
@@ -336,10 +324,8 @@ proptest! {
         radius in 0.0f64..25.0,
     ) {
         use std::sync::atomic::{AtomicBool, Ordering};
-        use semtree_kdtree::versioned::VersionedKdTree;
-
         let config = KdConfig::new(2).with_bucket_size(2);
-        let mut vtree = VersionedKdTree::<semtree_kdtree::versioned::StdShim>::new(config);
+        let mut vtree = Tree::new(config);
         let reader = vtree.reader();
 
         let done = Arc::new(AtomicBool::new(false));
@@ -363,7 +349,7 @@ proptest! {
             })
         };
 
-        let mut seq = KdTree::new(config);
+        let mut seq = Tree::new(config);
         for (i, p) in points.iter().enumerate() {
             prop_assert!(vtree.insert(p, i as u64));
             seq.insert(p, i as u64);
@@ -371,29 +357,16 @@ proptest! {
         done.store(true, Ordering::Relaxed);
         racing_reader.join().expect("racing reader");
 
-        // Quiescent parity: exact distances, payload parity up to ties.
+        // Quiescent parity: brute force's answers, and the quiet build's
+        // bytes and tie order.
         let (hits, stats) = reader.knn(&query, k);
-        let want = seq.knn(&query, k);
         prop_assert_eq!(stats.retries, 0, "no writer left, no retries");
-        prop_assert_eq!(hits.len(), want.len());
-        for (h, w) in hits.iter().zip(&want) {
-            prop_assert_eq!(h.dist.to_bits(), w.dist.to_bits());
-        }
-        let mut got: Vec<u64> = hits.iter().map(|h| h.payload).collect();
-        let mut expect: Vec<u64> = want.iter().map(|w| w.payload).collect();
-        got.sort_unstable();
-        expect.sort_unstable();
-        prop_assert_eq!(got, expect);
-
         knn_is_exact(&points, &query, k, &pairs(&hits));
+        prop_assert_eq!(&hits, &seq.knn(&query, k));
 
         let (in_range, _) = reader.range(&query, radius);
-        let want_range = seq.range(&query, radius);
-        prop_assert_eq!(in_range.len(), want_range.len());
-        for pair in in_range.windows(2) {
-            prop_assert!(pair[0].dist <= pair[1].dist);
-        }
         range_is_exact(&points, &query, radius, &pairs(&in_range));
+        prop_assert_eq!(&in_range, &seq.range(&query, radius));
     }
 }
 
@@ -408,8 +381,8 @@ proptest! {
     /// partition that stores them, so each writer races the other's
     /// build-partition too. Every answer holds each point acknowledged
     /// before the read began, exactly once, and nothing that was never
-    /// inserted; once the writers finish, answers are bit-for-bit the
-    /// sequential reference's, no read sends a message, and the tree
+    /// inserted; once the writers finish, answers are brute force's,
+    /// distances bit for bit, no read sends a message, and the tree
     /// verifies clean.
     #[test]
     fn reads_crossing_partitions_under_build_partition_keep_every_acknowledged_point(
@@ -501,35 +474,13 @@ proptest! {
         done.store(true, Ordering::Release);
         racing_reader.join().expect("racing reader");
 
-        let config = KdConfig::new(2).with_bucket_size(4);
-        let mut seq = KdTree::new(config);
-        for (i, p) in points.iter().enumerate() {
-            seq.insert(p, i as u64);
-        }
-
-        // Quiescent parity with the sequential reference, in place.
+        // Quiescent parity with brute force, in place.
         let messages = tree.metrics().messages;
         let nearest = dist_query(&tree, Query::knn(&query, k));
-        let want = seq.knn(&query, k);
-        prop_assert_eq!(nearest.len(), want.len());
-        for (h, w) in nearest.iter().zip(&want) {
-            prop_assert_eq!(h.dist.to_bits(), w.dist.to_bits());
-        }
-        let in_range = dist_query(&tree, Query::range(&query, radius));
-        let mut want_range = seq.range(&query, radius);
-        want_range.sort_by(|a, b| a.dist.total_cmp(&b.dist));
-        prop_assert_eq!(in_range.len(), want_range.len());
-        for (h, w) in in_range.iter().zip(&want_range) {
-            prop_assert_eq!(h.dist.to_bits(), w.dist.to_bits());
-        }
-        let mut got: Vec<u64> = in_range.iter().map(|h| h.payload).collect();
-        let mut expect: Vec<u64> = want_range.iter().map(|w| w.payload).collect();
-        got.sort_unstable();
-        expect.sort_unstable();
-        prop_assert_eq!(got, expect);
-        prop_assert_eq!(tree.metrics().messages, messages, "a quiescent read took a mailbox");
         knn_is_exact(&points, &query, k, &pairs(&nearest));
+        let in_range = dist_query(&tree, Query::range(&query, radius));
         range_is_exact(&points, &query, radius, &pairs(&in_range));
+        prop_assert_eq!(tree.metrics().messages, messages, "a quiescent read took a mailbox");
 
         prop_assert_eq!(tree.verify(), Vec::<String>::new());
         Arc::try_unwrap(tree).ok().expect("sole owner").shutdown();
