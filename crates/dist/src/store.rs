@@ -711,12 +711,7 @@ mod tests {
             .iter()
             .map(|(_, n)| n.point_count())
             .max();
-        assert_eq!(
-            s.tree()
-                .node(cand.0)
-                .map(semtree_kdtree::versioned::Node::point_count),
-            largest
-        );
+        assert_eq!(s.tree().node(cand.0).map(|n| n.point_count()), largest);
     }
 
     #[test]

@@ -1455,13 +1455,13 @@ mod tests {
                 DistConfig::new(2).with_bucket_size(4).with_split_rule(rule),
                 CostModel::zero(),
             );
-            // The reference: one versioned tree grown by the same inserts.
-            let mut seq: semtree_kdtree::VersionedKdTree = semtree_kdtree::VersionedKdTree::new(
-                KdConfig::new(2).with_bucket_size(4).with_split_rule(rule),
-            );
+            // The reference: one tree grown by the same inserts, alone.
+            let config = KdConfig::new(2).with_bucket_size(4).with_split_rule(rule);
+            let mut alone: semtree_kdtree::VersionedKdTree =
+                semtree_kdtree::VersionedKdTree::new(config);
             for (c, p) in &points {
                 ins(&tree, c, *p);
-                seq.insert(c, *p);
+                alone.insert(c, *p);
             }
             let stats = tree
                 .try_global_stats()
@@ -1469,7 +1469,7 @@ mod tests {
                 .partitions
                 .remove(0)
                 .1;
-            let reference = semtree_kdtree::TreeShape::of(&seq);
+            let reference = semtree_kdtree::TreeShape::of(&alone);
             assert_eq!(
                 (stats.leaves, stats.routing),
                 (reference.leaves, reference.routing),
@@ -1491,7 +1491,7 @@ mod tests {
                     let own = euclidean(&points[p as usize].0, &q);
                     assert_eq!(own.to_bits(), d, "{rule:?} at {q:?}: payload {p}");
                 }
-                let want: Vec<(u64, u64)> = seq
+                let want: Vec<(u64, u64)> = alone
                     .knn(&q, 6)
                     .iter()
                     .map(|n| (n.dist.to_bits(), n.payload))

@@ -1,4 +1,4 @@
-//! Bucketed KD-trees — the data structure SemTree distributes.
+//! The bucketed KD-tree — the data structure SemTree distributes.
 //!
 //! The paper (§III-B) assumes a KD-tree in which "data can be stored only
 //! into the leaf nodes": every leaf holds a *bucket* of up to `Bs` points,
@@ -13,7 +13,8 @@
 //! Figs. 3, 4 and 6), answers exact k-nearest (§III-B.3) and range
 //! (§III-B.4) queries, counts what a search visits ([`SearchStats`]), and
 //! is measured by [`TreeShape`]. Every split, inserted or bulk-loaded,
-//! picks `Sr` and `Sv` through one [`SplitRule`].
+//! picks `Sr` and `Sv` through one [`SplitRule`]. [`KdTree`] is the same
+//! tree under the name the benchmark's probes use.
 //!
 //! # Example
 //!

@@ -81,23 +81,6 @@ mod tests {
     }
 
     #[test]
-    fn node_count_matches_paper_formula_on_balanced_tree() {
-        // §III-C: with K points and bucket Bs, N = 2K/Bs nodes when leaves
-        // sit half-full on average after median splits. Check the right
-        // order of magnitude (exact equality needs perfectly full leaves).
-        let s = TreeShape::of(&Tree::bulk_load(
-            KdConfig::new(1).with_bucket_size(8),
-            line(1024),
-        ));
-        let formula = 2 * 1024 / 8;
-        let nodes = s.nodes;
-        assert!(
-            (formula / 4..=formula * 4).contains(&nodes),
-            "nodes {nodes} vs formula {formula}"
-        );
-    }
-
-    #[test]
     fn empty_tree_shape() {
         let s = TreeShape::of(&Tree::new(KdConfig::new(2)));
         assert_eq!((s.entries, s.leaves, s.routing, s.max_depth), (0, 1, 0, 0));

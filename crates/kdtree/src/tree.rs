@@ -21,9 +21,10 @@ pub enum SplitRule {
 }
 
 /// The one split rule (`Sr`, `Sv`) of the tree, for a leaf split and a
-/// bulk load alike, over a bucket whose points `coords` exposes. The rule's preferred dimension comes first — `depth mod k`,
-/// or the lowest dimension of the widest spread — then the next ones in
-/// turn while a dimension is constant. `Sv` is the median, stepped down
+/// bulk load alike, over a bucket whose points `coords` exposes. The
+/// rule's preferred dimension comes first — `depth mod k`, or the lowest
+/// dimension of the widest spread — then the next ones in turn while a
+/// dimension is constant. `Sv` is the median, stepped down
 /// to the largest value below the maximum when the median is the
 /// maximum, so `<= Sv` leaves both sides non-empty; under
 /// [`SplitRule::DegenerateMin`] it is the minimum. `None` when every
