@@ -35,8 +35,8 @@ fn brute(points: &[Vec<f64>], q: &[f64]) -> Vec<(f64, u64)> {
 }
 
 /// `(distance, payload)` of a tree's answer, in its order.
-fn pairs<P: Copy + Into<u64>>(hits: &[semtree_kdtree::Neighbor<P>]) -> Vec<(f64, u64)> {
-    hits.iter().map(|h| (h.dist, h.payload.into())).collect()
+fn pairs(hits: &[semtree_kdtree::Neighbor<u64>]) -> Vec<(f64, u64)> {
+    hits.iter().map(|h| (h.dist, h.payload)).collect()
 }
 
 /// `hits` are the `k` nearest by brute force: the same distances bit
@@ -256,8 +256,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// KD-tree and R-tree agree exactly on every query — two independent
-    /// implementations cross-validating each other.
+    /// KD-tree and R-tree agree on every query — two independent
+    /// implementations cross-validating each other — and each matches
+    /// brute force.
     #[test]
     fn kdtree_and_rtree_agree(
         points in prop::collection::vec(
