@@ -44,10 +44,14 @@ pub const LOCK_RANKS: &[(&str, &str, u32)] = &[
     // crates/dist — the pipelined client. `reader` is the read half of
     // its socket, held by whichever waiter is reading — across the
     // blocking `read`, which is the design: one thread at a time
-    // re-assembles replies. Under it only `replies`, the correlation
-    // table, which submitters and waiters take briefly and call nothing
-    // ranked while holding.
-    ("dist", "reader", 19),
+    // re-assembles replies. `outbox` holds the submitted frames not yet
+    // written, held across the `write` that flushes them; a waiter
+    // flushes it *before* taking `reader`, and `reader` is never taken
+    // under it. Under both only `replies`, the correlation table, which
+    // submitters and waiters take briefly and call nothing ranked while
+    // holding.
+    ("dist", "reader", 18),
+    ("dist", "outbox", 19),
     ("dist", "replies", 20),
     // The process's registry of the partition trees its actors host,
     // read lock-free by every other thread. A leaf lock, shared by

@@ -28,8 +28,8 @@ use semtree_cluster::{
 };
 use semtree_kdtree::{Neighbor, SplitRule};
 use semtree_net::{
-    append_frame, decode_exact, dial_with_timeout, split_frame_v2, Decode, DecodeError, Encode,
-    NetFabric,
+    append_encoded_frame, decode_exact, dial_with_timeout, split_frame_v2, Decode, DecodeError,
+    Encode, NetFabric,
 };
 use semtree_reactor::{FrameReader, INLINE_MAX_K};
 use semtree_wal::{Wal, WalError, WalOptions};
@@ -978,7 +978,8 @@ pub struct ClientMetrics {
 
 /// A blocking client of the coordinator's query port: every method is
 /// the [`PipelinedClient`] submission plus [`PendingReply::wait`], one
-/// request in flight at a time.
+/// request in flight at a time — so each call is still one `write`,
+/// made at its wait.
 pub struct NetClient {
     client: PipelinedClient,
 }
@@ -1182,22 +1183,52 @@ impl ReadHalf {
     }
 }
 
+/// Queued request bytes at which [`PipelinedClient::submit`] writes the
+/// outbox itself: the size of the client's read scratch.
+const OUTBOX_CAP: usize = 64 * 1024;
+
 /// What a [`PipelinedClient`] and its [`PendingReply`]s share. There is
 /// no reader thread: a reply is read off the socket by whoever waits
 /// for one, and a reply read on someone else's behalf is filed in
-/// `replies` for its owner. Lock order: `reader`, then `replies`.
+/// `replies` for its owner. Lock order: `reader`, `outbox`, `replies`;
+/// a waiter flushes `outbox` *before* it takes `reader`, never under it.
 struct PipelinedConn {
     stream: TcpStream,
     /// Held for the whole of a wait — across its blocking reads — so one
     /// thread at a time re-assembles frames; a second waiter queues here
     /// and usually finds its reply filed when it gets in.
     reader: Mutex<ReadHalf>,
+    /// Frames submitted and not yet written, in submission order. Held
+    /// across the `write` that flushes them, so frames leave whole and
+    /// in order whichever thread flushes.
+    outbox: Mutex<Vec<u8>>,
     /// Held briefly, never across I/O: submitters are not kept waiting
     /// by a reader.
     replies: Mutex<Replies>,
 }
 
 impl PipelinedConn {
+    /// Write every queued frame, in one `write` when the socket takes
+    /// it. A failed write kills the connection — a partial frame may be
+    /// on the wire, so no later frame would be framed right — and every
+    /// pending claim settles as `BrokenPipe`.
+    fn flush(&self) -> io::Result<()> {
+        self.write_out(&mut lock(&self.outbox))
+    }
+
+    /// [`flush`](Self::flush) with the outbox already held.
+    fn write_out(&self, outbox: &mut Vec<u8>) -> io::Result<()> {
+        if outbox.is_empty() {
+            return Ok(());
+        }
+        let written = (&self.stream).write_all(outbox);
+        outbox.clear();
+        if let Err(e) = &written {
+            lock(&self.replies).fail(format!("pipelined write failed: {e}"));
+        }
+        written
+    }
+
     /// File every complete reply already buffered — any protocol
     /// violation kills the connection — then claim `corr`'s outcome.
     fn file_buffered(&self, reader: &mut ReadHalf, corr: u64) -> Option<io::Result<ClientResp>> {
@@ -1251,6 +1282,14 @@ impl PipelinedConn {
     /// Read replies until `corr`'s is among them, the connection dies,
     /// or `timeout` passes.
     fn wait_for(&self, corr: u64, timeout: Option<Duration>) -> io::Result<ClientResp> {
+        if let Some(settled) = lock(&self.replies).claim(corr) {
+            return settled;
+        }
+        // This wait blocks, so what is queued leaves first — before the
+        // reader lock, whose holder may be waiting for a reply the server
+        // sends only once it has seen these frames. A failed write has
+        // killed the connection, which the claim below reports.
+        let _ = self.flush();
         let deadline = timeout.map(|t| Instant::now() + t);
         let mut reader = lock(&self.reader);
         let mut patience = timeout;
@@ -1281,7 +1320,9 @@ pub struct PendingReply {
 impl PendingReply {
     /// Block until the response arrives (or the connection dies),
     /// reading it — and filing any other request's reply that comes
-    /// first — off the socket on this thread.
+    /// first — off the socket on this thread. Unless the reply is filed
+    /// already, the connection's queued requests are written first (see
+    /// [`PipelinedClient`]'s send contract).
     ///
     /// # Errors
     /// Transport failures, decode failures, and connection loss all
@@ -1292,9 +1333,11 @@ impl PendingReply {
 
     /// [`wait`](Self::wait) with an upper bound; `TimedOut` when it
     /// elapses with the request still in flight (the connection stays
-    /// usable). The bound counts from when this thread gets to read: a
-    /// second thread waiting on the same connection first waits for the
-    /// reading thread to finish its own wait.
+    /// usable). Even a `Duration::ZERO` poll flushes the queued requests
+    /// when the reply is not filed. The bound counts from when this
+    /// thread gets to read: the flush's `write` comes first, and a second
+    /// thread waiting on the same connection first waits for the reading
+    /// thread to finish its own wait.
     ///
     /// # Errors
     /// Same as [`wait`](Self::wait), plus [`io::ErrorKind::TimedOut`].
@@ -1346,11 +1389,30 @@ impl Drop for PendingReply {
 /// read: the client runs no thread of its own, so until someone waits,
 /// replies stay in the socket (and, past its buffers, in the server's
 /// write queue). [`NetClient`] is this with every reply claimed at once.
+///
+/// # Send contract
+///
+/// `submit` encodes its frame into the connection's outbox; queued
+/// frames leave together, in submission order, in one `write` per
+/// flush. A submitted request is guaranteed to be on the wire:
+///
+/// - **at a wait that cannot return at once** — a wait on *any*
+///   [`PendingReply`] of the connection whose reply is not filed yet,
+///   a `wait_timeout(Duration::ZERO)` poll included, flushes before it
+///   blocks, on the reader lock or on the socket. A wait that finds its
+///   reply filed returns without writing: that is where batches form;
+/// - **at [`flush`](Self::flush)**;
+/// - **at drop**: dropping the client flushes, then shuts the socket
+///   down, so requests still pending fail with `BrokenPipe`;
+/// - **once 64 KiB are queued**: the `submit` that fills the outbox to
+///   that size writes it.
+///
+/// A lone request therefore leaves at its own wait, in one `write`. A
+/// failed write kills the connection: every pending request settles as
+/// `BrokenPipe`, and later submits fail at once.
 pub struct PipelinedClient {
     conn: Arc<PipelinedConn>,
     next_corr: u64,
-    /// The outgoing frame, rebuilt in place for every submit.
-    frame: Vec<u8>,
 }
 
 impl PipelinedClient {
@@ -1366,12 +1428,12 @@ impl PipelinedClient {
                 scratch: vec![0; 64 * 1024].into_boxed_slice(),
                 timeout: None,
             }),
+            outbox: Mutex::default(),
             replies: Mutex::default(),
         };
         Ok(PipelinedClient {
             conn: Arc::new(conn),
             next_corr: 0,
-            frame: Vec::new(),
         })
     }
 
@@ -1381,12 +1443,15 @@ impl PipelinedClient {
         self.next_corr
     }
 
-    /// Submit one request without waiting for its reply: one frame, one
-    /// `write`.
+    /// Submit one request without waiting for its reply: its frame joins
+    /// the outbox, which leaves at the next flush point of the send
+    /// contract — here only when it now holds 64 KiB.
     ///
     /// # Errors
-    /// Fails fast when the connection is already dead or the write
-    /// fails; the returned [`PendingReply`] then never existed.
+    /// Fails fast when the connection is already dead, and fails when
+    /// the frame cannot be encoded or the outbox's write fails (which
+    /// kills the connection); the returned [`PendingReply`] then never
+    /// existed.
     pub fn submit(&mut self, req: &ClientReq) -> io::Result<PendingReply> {
         let corr = self.next_corr;
         {
@@ -1397,10 +1462,17 @@ impl PipelinedClient {
             replies.waiting.insert(corr, false);
         }
         self.next_corr += 1;
-        self.frame.clear();
-        let sent = append_frame(&mut self.frame, corr, &req.to_bytes())
-            .and_then(|()| (&self.conn.stream).write_all(&self.frame));
-        if let Err(e) = sent {
+        let queued = {
+            let mut outbox = lock(&self.conn.outbox);
+            append_encoded_frame(&mut outbox, corr, req).and_then(|()| {
+                if outbox.len() >= OUTBOX_CAP {
+                    self.conn.write_out(&mut outbox)
+                } else {
+                    Ok(())
+                }
+            })
+        };
+        if let Err(e) = queued {
             lock(&self.conn.replies).waiting.remove(&corr);
             return Err(e);
         }
@@ -1408,6 +1480,15 @@ impl PipelinedClient {
             corr,
             conn: Arc::clone(&self.conn),
         })
+    }
+
+    /// Write every queued request now, in one `write`.
+    ///
+    /// # Errors
+    /// The write's error; it kills the connection, so every pending
+    /// request settles as `BrokenPipe`.
+    pub fn flush(&self) -> io::Result<()> {
+        self.conn.flush()
     }
 
     /// Submit a k-nearest query; claim it with
@@ -1449,7 +1530,9 @@ impl PipelinedClient {
 
 impl Drop for PipelinedClient {
     fn drop(&mut self) {
-        // Replies still pending see the close as the connection's death.
+        // What is queued still leaves; then replies still pending see
+        // the close as the connection's death.
+        let _ = self.conn.flush();
         let _ = self.conn.stream.shutdown(std::net::Shutdown::Both);
     }
 }
@@ -1558,9 +1641,14 @@ mod tests {
                 k: 3,
             },
         ];
-        for req in reqs {
+        for (corr, req) in (0..).zip(reqs) {
             let back: ClientReq = decode_exact(&req.to_bytes()).unwrap();
             assert_eq!(back, req);
+            // What `submit` queues: the frame of the request's bytes.
+            let (mut queued, mut framed) = (Vec::new(), Vec::new());
+            append_encoded_frame(&mut queued, corr, &req).unwrap();
+            semtree_net::append_frame(&mut framed, corr, &req.to_bytes()).unwrap();
+            assert_eq!(queued, framed, "{req:?}");
         }
         let mut metrics = ClientMetrics {
             messages: 3,

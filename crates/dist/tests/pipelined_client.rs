@@ -6,7 +6,9 @@
 //! bytes come back, every outstanding `PendingReply` ends in its own
 //! correct answer or in the typed dead-connection error (`BrokenPipe`),
 //! never a panic, never a hang (every wait here has a timeout), and
-//! nothing is allocated on the word of a length prefix.
+//! nothing is allocated on the word of a length prefix. The contract
+//! tests pin when a submitted request reaches the wire (the send
+//! contract in `PipelinedClient`'s documentation).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -17,17 +19,31 @@ use std::time::Duration;
 use proptest::prelude::*;
 use semtree_cluster::CostModel;
 use semtree_dist::{
-    serve_clients_with, ClientResp, DistConfig, DistSemTree, NetClient, PendingReply,
+    serve_clients_with, ClientReq, ClientResp, DistConfig, DistSemTree, NetClient, PendingReply,
     PipelinedClient, Query, ServeOptions,
 };
-use semtree_net::{append_frame, read_frame, write_frame, Encode, MAX_FRAME_LEN};
+use semtree_net::{
+    append_encoded_frame, append_frame, read_frame, split_frame_v2, write_frame, Encode,
+    MAX_FRAME_LEN,
+};
 
 const WAIT: Duration = Duration::from_secs(10);
+
+/// The queued bytes at which `submit` writes the outbox itself, as the
+/// send contract states it.
+const OUTBOX_CAP: usize = 64 * 1024;
+
+/// How long "nothing arrives" is watched for.
+const QUIET: Duration = Duration::from_millis(50);
 
 /// One move of the fake server.
 enum Step {
     /// Read this many request frames off the client first.
     Expect(usize),
+    /// Fail unless no byte arrives for this long (or the client closes).
+    Quiet(Duration),
+    /// Tell the test the steps before this one are done.
+    Tell(mpsc::Sender<()>),
     /// Write these bytes with one `write_all`.
     Send(Vec<u8>),
     /// Give the client time to read what was sent so far on its own.
@@ -40,28 +56,40 @@ enum Step {
 
 /// Accept one connection and play `script`; unless it closed, keep the
 /// socket open — swallowing whatever the client still sends — until the
-/// client goes away.
-fn fake_server(script: Vec<Step>) -> (SocketAddr, JoinHandle<()>) {
+/// client goes away. The handle returns the correlation ids of the
+/// frames the `Expect` steps read, in arrival order.
+fn fake_server(script: Vec<Step>) -> (SocketAddr, JoinHandle<Vec<u64>>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let handle = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().expect("accept");
         stream.set_nodelay(true).expect("nodelay");
+        let mut read = Vec::new();
         for step in script {
             match step {
                 Step::Expect(n) => {
                     for _ in 0..n {
-                        read_frame(&mut stream).expect("request").expect("frame");
+                        let frame = read_frame(&mut stream).expect("request").expect("frame");
+                        read.push(split_frame_v2(&frame).expect("v2 frame").0);
                     }
+                }
+                Step::Quiet(span) => {
+                    stream.set_read_timeout(Some(span)).expect("timeout");
+                    if let Ok(n @ 1..) = stream.peek(&mut [0u8]) {
+                        panic!("{n} byte(s) arrived within {span:?} of quiet");
+                    }
+                    stream.set_read_timeout(None).expect("timeout");
                 }
                 Step::Send(bytes) => stream.write_all(&bytes).expect("send"),
                 Step::Pause => std::thread::sleep(Duration::from_millis(2)),
                 Step::Hold(go) => go.recv().expect("go"),
-                Step::Close => return,
+                Step::Tell(done) => done.send(()).expect("tell"),
+                Step::Close => return read,
             }
         }
         let mut sink = [0u8; 4096];
         while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+        read
     });
     (addr, handle)
 }
@@ -344,4 +372,124 @@ fn twenty_thousand_knns_submitted_before_the_first_claim_all_resolve() {
         server.join().expect("server thread").expect("serve");
     });
     tree.shutdown();
+}
+
+/// Send contract, *at an explicit `flush()`*: submits alone put nothing
+/// on the wire, and `flush` puts exactly what was queued there.
+#[test]
+fn submitted_requests_wait_in_the_outbox_until_flush() {
+    let (quiet_tx, quiet_rx) = mpsc::channel();
+    let (done_tx, done_rx) = mpsc::channel();
+    let (addr, server) = fake_server(vec![
+        Step::Quiet(QUIET),
+        Step::Tell(quiet_tx),
+        Step::Expect(3),
+        Step::Quiet(QUIET),
+        Step::Tell(done_tx),
+    ]);
+    let mut client = connect(addr);
+    let _pending = submit_n(&mut client, 3);
+    quiet_rx
+        .recv_timeout(WAIT)
+        .expect("nothing sent before the flush");
+    client.flush().expect("flush");
+    done_rx
+        .recv_timeout(WAIT)
+        .expect("three frames, then nothing");
+    drop(client);
+    assert_eq!(server.join().expect("fake server"), [0, 1, 2]);
+}
+
+/// Send contract, *once the outbox holds a fixed number of bytes*: with
+/// no wait and no flush, the submit that fills the outbox to 64 KiB
+/// writes it, and what is submitted after it stays queued.
+#[test]
+fn the_submit_that_fills_the_outbox_writes_it() {
+    let mut one = Vec::new();
+    let knn = ClientReq::Knn {
+        point: vec![0.0, 0.0],
+        k: 1,
+    };
+    append_encoded_frame(&mut one, 0, &knn).expect("frame");
+    let filling = OUTBOX_CAP.div_ceil(one.len());
+    let (done_tx, done_rx) = mpsc::channel();
+    let (addr, server) = fake_server(vec![
+        Step::Expect(filling),
+        Step::Quiet(QUIET),
+        Step::Tell(done_tx),
+    ]);
+    let mut client = connect(addr);
+    let _pending = submit_n(&mut client, filling as u64 + 3);
+    done_rx
+        .recv_timeout(WAIT)
+        .expect("the first 64 KiB, then nothing");
+    drop(client);
+    let read = server.join().expect("fake server");
+    assert_eq!(read, (0..filling as u64).collect::<Vec<_>>());
+}
+
+/// Send contract, *at a wait that cannot return at once*, across
+/// threads: a waiter flushes before it blocks on the reader lock. Thread
+/// A reads for request 0, whose reply the server sends only after it has
+/// also seen request 1; request 1 is submitted after A blocked and is
+/// waited on from a second thread. Were the outbox flushed only under
+/// the reader lock, request 1 would sit queued behind A until A's wait
+/// timed out.
+#[test]
+fn a_waiter_flushes_before_it_queues_behind_another_threads_read() {
+    let (first_tx, first_rx) = mpsc::channel();
+    let (addr, server) = fake_server(vec![
+        Step::Expect(1),
+        Step::Tell(first_tx),
+        Step::Expect(1),
+        Step::Send([reply_frame(0), reply_frame(1)].concat()),
+    ]);
+    let mut client = connect(addr);
+    let x = client.knn(&[0.0, 0.0], 1).expect("submit x");
+    std::thread::scope(|scope| {
+        let a = scope.spawn(move || x.wait_timeout(WAIT));
+        first_rx.recv_timeout(WAIT).expect("x sent by its waiter");
+        // Let thread A take the reader lock and block reading. The
+        // contract holds in every interleaving (request 1's waiter
+        // flushes whether or not A holds the lock); the pause only makes
+        // the interleaving that exposes a flush under the lock the one
+        // that runs.
+        std::thread::sleep(Duration::from_millis(20));
+        let y = client.knn(&[1.0, 0.0], 1).expect("submit y");
+        let b = scope.spawn(move || y.wait_timeout(WAIT));
+        assert_eq!(b.join().expect("thread b").expect("y"), answer(1));
+        assert_eq!(a.join().expect("thread a").expect("x"), answer(0));
+    });
+    drop(client);
+    assert_eq!(server.join().expect("fake server"), [0, 1]);
+}
+
+/// A failed write kills the connection: the server is gone, so a cap
+/// flush eventually fails; the next submit then fails at once, and every
+/// request submitted before it — written to the dead socket or in the
+/// failed batch — settles as the dead-connection error, never
+/// `TimedOut`.
+#[test]
+fn a_failed_write_settles_every_pending_request_and_later_submits() {
+    let (addr, server) = fake_server(vec![Step::Close]);
+    let mut client = connect(addr);
+    server.join().expect("fake server");
+    let mut pending = Vec::new();
+    while client.knn(&[0.0, 0.0], 1).map(|p| pending.push(p)).is_ok() {
+        assert!(
+            pending.len() < 1_000_000,
+            "writes to a closed connection kept succeeding"
+        );
+    }
+    // Before anything is read: the failed write alone killed it.
+    match client.knn(&[0.0, 0.0], 1) {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "{e}"),
+        Ok(_) => panic!("a submit after the failed write was accepted"),
+    }
+    for reply in pending {
+        assert_dead(
+            reply.wait_timeout(WAIT),
+            "request pending at the failed write",
+        );
+    }
 }

@@ -9,6 +9,8 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use crate::codec::Encode;
+
 /// Upper bound on a single frame; anything larger is treated as a
 /// corrupted or hostile stream rather than allocated.
 pub const MAX_FRAME_LEN: usize = 256 * 1024 * 1024;
@@ -17,7 +19,11 @@ pub const MAX_FRAME_LEN: usize = 256 * 1024 * 1024;
 fn length_prefix(len: usize) -> io::Result<[u8; 4]> {
     u32::try_from(len)
         .map(u32::to_be_bytes)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds u32 length"))
+        .map_err(|_| frame_too_long())
+}
+
+fn frame_too_long() -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, "frame exceeds u32 length")
 }
 
 /// Append one whole client-port frame to `out`: the length prefix, the
@@ -36,6 +42,42 @@ pub fn append_frame(out: &mut Vec<u8>, corr: u64, body: &[u8]) -> io::Result<()>
     push_v2_header(out, corr);
     out.extend_from_slice(body);
     Ok(())
+}
+
+/// [`append_frame`] over `body`'s encoding, encoded straight into
+/// `out`: the length prefix and v2 header are reserved, the body is
+/// encoded in place behind them, and the prefix is patched — no body
+/// buffer of its own.
+///
+/// # Errors
+/// Same as [`append_frame`]; `out` is untouched.
+pub fn append_encoded_frame(out: &mut Vec<u8>, corr: u64, body: &impl Encode) -> io::Result<()> {
+    append_encoded_within(out, corr, body, u32::MAX)
+}
+
+/// [`append_encoded_frame`] with the largest payload length a prefix
+/// may carry as a parameter, so the oversize path is testable without
+/// encoding 4 GiB.
+fn append_encoded_within(
+    out: &mut Vec<u8>,
+    corr: u64,
+    body: &impl Encode,
+    max_len: u32,
+) -> io::Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    push_v2_header(out, corr);
+    body.encode(out);
+    match u32::try_from(out.len() - start - 4) {
+        Ok(len) if len <= max_len => {
+            out[start..start + 4].copy_from_slice(&len.to_be_bytes());
+            Ok(())
+        }
+        _ => {
+            out.truncate(start);
+            Err(frame_too_long())
+        }
+    }
 }
 
 fn push_v2_header(out: &mut Vec<u8>, corr_id: u64) {
@@ -229,6 +271,38 @@ mod tests {
         write_frame(&mut written, &encode_frame_v2(42, b"body")).unwrap();
         write_frame(&mut written, &encode_frame_v2(u64::MAX, b"")).unwrap();
         assert_eq!(appended, written);
+    }
+
+    /// `append_encoded_frame` against `append_frame` over `to_bytes`,
+    /// behind a byte already in the buffer.
+    fn same_frame(corr: u64, body: &impl Encode) {
+        let (mut encoded, mut appended) = (vec![0xEE], vec![0xEE]);
+        append_encoded_frame(&mut encoded, corr, body).unwrap();
+        append_frame(&mut appended, corr, &body.to_bytes()).unwrap();
+        assert_eq!(encoded, appended, "corr {corr}");
+    }
+
+    #[test]
+    fn append_encoded_frame_is_append_frame_over_the_encoding() {
+        same_frame(40, &7u64);
+        same_frame(41, &String::from("body"));
+        same_frame(42, &vec![1.5f64, -2.0]);
+        same_frame(u64::MAX, &(3u32, Some(9u8)));
+        same_frame(0, &Vec::<u8>::new());
+    }
+
+    #[test]
+    fn an_oversize_encoded_frame_leaves_the_buffer_untouched() {
+        let mut out = Vec::new();
+        append_encoded_frame(&mut out, 1, &5u64).unwrap();
+        let before = out.clone();
+        // An 8-byte body is a 17-byte payload: one byte past a cap of 16.
+        let header_and_body = u32::try_from(FRAME_V2_HEADER_LEN + 8).unwrap();
+        let err = append_encoded_within(&mut out, 2, &6u64, header_and_body - 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(out, before);
+        append_encoded_within(&mut out, 2, &6u64, header_and_body).unwrap();
+        assert_eq!(out.len(), before.len() + frame_overhead(17));
     }
 
     #[test]

@@ -29,8 +29,8 @@ mod msg;
 pub use codec::{decode_exact, Decode, DecodeError, Encode};
 pub use fabric::NetFabric;
 pub use frame::{
-    append_frame, dial_with_timeout, encode_frame_v2, frame_overhead, read_frame, split_frame_v2,
-    write_frame, FRAME_V2, FRAME_V2_HEADER_LEN, MAX_FRAME_LEN,
+    append_encoded_frame, append_frame, dial_with_timeout, encode_frame_v2, frame_overhead,
+    read_frame, split_frame_v2, write_frame, FRAME_V2, FRAME_V2_HEADER_LEN, MAX_FRAME_LEN,
 };
 pub use mesh::ConnRegistry;
 pub use msg::{decode_error, encode_error, NetMsg};

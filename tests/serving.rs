@@ -237,6 +237,10 @@ fn saturated_pipelined_connection_cannot_starve_a_light_one() {
         burst.len() > DRAIN_BUDGET,
         "the burst must exceed one drain budget to exercise re-pumping"
     );
+    // Send contract: submits queue in the client's outbox, and this
+    // flood stays under the 64 KiB cap, so it is on the wire only
+    // after an explicit flush.
+    flooder.flush().expect("flood flush");
 
     // While the flood is in flight, a blocking client completes full round
     // trips; if the reactor drained the flooder's socket to exhaustion
