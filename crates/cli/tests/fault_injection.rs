@@ -298,6 +298,10 @@ fn sigkill_with_pipelined_requests_in_flight_yields_typed_errors_then_recovers()
         .take(in_flight)
         .map(|q| pipelined.knn(q, 9).expect("submit"))
         .collect();
+    // Send contract: submits queue in the client's outbox until a flush
+    // point, and the first wait comes after the kill; flush so the
+    // window is on the wire when the worker dies.
+    pipelined.flush().expect("flush");
     let worker = &mut reaper.0[1];
     worker.kill().expect("SIGKILL worker");
     worker.wait().expect("reap worker");

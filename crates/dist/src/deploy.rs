@@ -1321,7 +1321,8 @@ impl PendingReply {
     /// Block until the response arrives (or the connection dies),
     /// reading it — and filing any other request's reply that comes
     /// first — off the socket on this thread. Unless the reply is filed
-    /// already, the connection's queued requests are written first (see
+    /// already, the connection's queued requests are written first, and
+    /// that `write` can block on a full send buffer (see
     /// [`PipelinedClient`]'s send contract).
     ///
     /// # Errors
@@ -1335,9 +1336,11 @@ impl PendingReply {
     /// elapses with the request still in flight (the connection stays
     /// usable). Even a `Duration::ZERO` poll flushes the queued requests
     /// when the reply is not filed. The bound counts from when this
-    /// thread gets to read: the flush's `write` comes first, and a second
-    /// thread waiting on the same connection first waits for the reading
-    /// thread to finish its own wait.
+    /// thread gets to read: the flush's `write` comes first and is not
+    /// bounded by `timeout` — a poll included, it blocks while the
+    /// socket's send buffer is full — and a second thread waiting on the
+    /// same connection first waits for the reading thread to finish its
+    /// own wait.
     ///
     /// # Errors
     /// Same as [`wait`](Self::wait), plus [`io::ErrorKind::TimedOut`].
@@ -1409,7 +1412,12 @@ impl Drop for PendingReply {
 ///
 /// A lone request therefore leaves at its own wait, in one `write`. A
 /// failed write kills the connection: every pending request settles as
-/// `BrokenPipe`, and later submits fail at once.
+/// `BrokenPipe`, and later submits fail at once. A flush's `write` has
+/// no timeout: while the server is not reading and the socket's send
+/// buffer is full, whoever flushes — a wait (even a
+/// `wait_timeout(Duration::ZERO)` poll), `flush`, the `submit` that
+/// reaches 64 KiB, or drop — blocks until the server reads again or the
+/// connection dies.
 pub struct PipelinedClient {
     conn: Arc<PipelinedConn>,
     next_corr: u64,
@@ -1482,7 +1490,8 @@ impl PipelinedClient {
         })
     }
 
-    /// Write every queued request now, in one `write`.
+    /// Write every queued request now, in one `write`; it blocks while
+    /// the socket's send buffer is full.
     ///
     /// # Errors
     /// The write's error; it kills the connection, so every pending
@@ -1530,8 +1539,9 @@ impl PipelinedClient {
 
 impl Drop for PipelinedClient {
     fn drop(&mut self) {
-        // What is queued still leaves; then replies still pending see
-        // the close as the connection's death.
+        // What is queued still leaves — blocking while the send buffer
+        // is full; then replies still pending see the close as the
+        // connection's death.
         let _ = self.conn.flush();
         let _ = self.conn.stream.shutdown(std::net::Shutdown::Both);
     }

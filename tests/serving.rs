@@ -189,6 +189,9 @@ fn blocking_and_pipelined_clients_interleave_on_a_sharded_epoll_port() {
         // that request is still in flight, then harvest — every
         // iteration interleaves the two clients in both directions.
         pending.push((i, pipelined.knn(q, k).expect("submit")));
+        // Send contract: the submit only queues; flush so the request is
+        // on the wire during the blocking round trip.
+        pipelined.flush().expect("flush");
         assert_eq!(blocking.knn(q, k).expect("knn"), expected[i], "query {i}");
         if i % 3 == 0 {
             let (j, reply) = pending.remove(0);
