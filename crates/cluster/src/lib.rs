@@ -5,18 +5,18 @@
 //! protocol (in our implementation based on MPJ libraries)". This crate
 //! reproduces that execution model behind a pluggable [`Transport`]:
 //!
-//! - a [`Cluster`] owns a set of **compute nodes**, each a dedicated OS
-//!   thread processing one request at a time (like a single-threaded MPJ
-//!   rank);
+//! - a [`ChannelFabric`] hosts a process's **compute nodes**, each a
+//!   dedicated OS thread running one [`Handler`] a request at a time
+//!   (like a single-threaded MPJ rank);
 //! - nodes exchange **typed request/response messages**; a handler can
 //!   [`NodeCtx::call`] another node (blocking, like a synchronous MPI
 //!   send/recv pair), or send several through [`NodeCtx::transport`]
 //!   before waiting on any (the paper's "the navigation is performed in a
 //!   parallel way" at partition borders);
-//! - the default backend is the in-process [`ChannelFabric`]: channels
-//!   between threads, with a [`CostModel`] optionally injecting
-//!   per-message latency and per-byte transfer delay, and
-//!   [`ClusterMetrics`] accounting every message and byte either way;
+//! - in process, messages travel over channels between threads, with a
+//!   [`CostModel`] optionally injecting per-message latency and per-byte
+//!   transfer delay, and [`ClusterMetrics`] accounting every message and
+//!   byte either way;
 //! - `semtree-net` provides a second backend over real TCP sockets, so
 //!   the same partition actors run unchanged across OS processes;
 //! - handlers can create **new compute nodes at runtime**
@@ -33,20 +33,18 @@
 //! # Example
 //!
 //! ```
-//! use semtree_cluster::{Cluster, CostModel, Handler, NodeCtx, Wire};
+//! use semtree_cluster::{ChannelFabric, CostModel, Handler, NodeCtx, Transport};
 //!
 //! struct Doubler;
-//! impl Handler for Doubler {
-//!     type Req = u64;
-//!     type Resp = u64;
+//! impl Handler<u64, u64> for Doubler {
 //!     fn handle(&mut self, _ctx: &NodeCtx<u64, u64>, req: u64) -> u64 { req * 2 }
 //! }
 //!
-//! let cluster = Cluster::new(CostModel::zero());
-//! let node = cluster.spawn(Doubler);
-//! assert_eq!(cluster.call(node, 21), Ok(42));
-//! assert_eq!(cluster.metrics().messages, 2); // request + response
-//! cluster.shutdown();
+//! let fabric = ChannelFabric::new(CostModel::zero(), 0);
+//! let node = fabric.spawn_handler(Box::new(Doubler)).unwrap();
+//! assert_eq!(fabric.send(node, 21).wait(), Ok(42));
+//! assert_eq!(fabric.metrics().messages, 2); // request + response
+//! fabric.shutdown();
 //! ```
 
 mod cost;
@@ -62,8 +60,8 @@ pub use metrics::{
     ClusterMetricsG, LatencyHistogram, LatencyHistogramG, LatencySnapshot, MetricsSnapshot,
     LATENCY_BUCKETS, MAX_REACTOR_SHARDS, READ_RETRY_BUCKETS,
 };
-pub use runtime::{ChannelFabric, Cluster, Handler, NodeCtx};
+pub use runtime::{ChannelFabric, NodeCtx};
 pub use transport::{
-    BoxHandler, ClusterError, CompleteFn, ComputeNodeId, DynHandler, NodeFactory, ReplyHandle,
+    BoxHandler, ClusterError, CompleteFn, ComputeNodeId, Handler, NodeFactory, ReplyHandle,
     ReplySlot, Transport, Wire, PROCESS_STRIDE_BITS,
 };

@@ -201,7 +201,7 @@ pub fn read_retry_bucket_index(retries: u64) -> usize {
     }
 }
 
-/// Shared, thread-safe counters over a [`crate::Cluster`]'s lifetime,
+/// Shared, thread-safe counters over a [`crate::ChannelFabric`]'s lifetime,
 /// generic over the concurrency shim.
 #[derive(Debug)]
 pub struct ClusterMetricsG<S: Shim = StdShim> {

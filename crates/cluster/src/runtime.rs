@@ -11,27 +11,9 @@ use crate::cost::CostModel;
 use crate::gate::MembershipGate;
 use crate::metrics::{ClusterMetrics, MetricsSnapshot};
 use crate::transport::{
-    BoxHandler, ClusterError, CompleteFn, ComputeNodeId, NodeFactory, ReplySlot, Transport, Wire,
+    BoxHandler, ClusterError, ComputeNodeId, NodeFactory, ReplySlot, Transport, Wire,
     PROCESS_STRIDE_BITS,
 };
-
-/// A compute node's request handler: single-threaded, owns its state, may
-/// call other nodes or spawn new ones through the [`NodeCtx`].
-pub trait Handler: Send + 'static {
-    /// Request message type.
-    type Req: Wire + Send + 'static;
-    /// Response message type.
-    type Resp: Wire + Send + 'static;
-
-    /// Process one request to completion.
-    fn handle(&mut self, ctx: &NodeCtx<Self::Req, Self::Resp>, req: Self::Req) -> Self::Resp;
-}
-
-impl<H: Handler> crate::transport::DynHandler<H::Req, H::Resp> for H {
-    fn handle_dyn(&mut self, ctx: &NodeCtx<H::Req, H::Resp>, req: H::Req) -> H::Resp {
-        self.handle(ctx, req)
-    }
-}
 
 struct Envelope<Req, Resp> {
     req: Req,
@@ -155,8 +137,35 @@ impl<Req: Wire + Send + 'static, Resp: Wire + Send + 'static> ChannelFabric<Req,
         self.metrics.record_message(bytes, delay.as_nanos() as u64);
         delay
     }
+}
 
-    fn spawn_boxed(
+impl<Req: Wire + Send + 'static, Resp: Wire + Send + 'static> Transport<Req, Resp>
+    for ChannelFabric<Req, Resp>
+{
+    fn dispatch(&self, target: ComputeNodeId, req: Req, reply: ReplySlot<Resp>) {
+        // An id owned by another process can only reach a bare channel
+        // fabric when no composite transport is routing, so it is as
+        // unknown as a slot that never existed or has shut down.
+        let sender = if target.process() == self.process_index {
+            let nodes = self.nodes.read();
+            nodes.get(target.local_index()).cloned().flatten()
+        } else {
+            None
+        };
+        let Some(sender) = sender else {
+            reply.fill(Err(ClusterError::UnknownNode(target)));
+            return;
+        };
+        let bytes = req.wire_size();
+        // A mailbox whose node thread is gone hands the envelope back and
+        // the unfilled slot in it drops, which reports `NodeDied`. Only a
+        // request the mailbox accepted is metered.
+        if sender.send(Envelope { req, reply }).is_ok() {
+            self.record(bytes);
+        }
+    }
+
+    fn spawn_handler(
         &self,
         mut handler: BoxHandler<Req, Resp>,
     ) -> Result<ComputeNodeId, ClusterError> {
@@ -190,7 +199,7 @@ impl<Req: Wire + Send + 'static, Resp: Wire + Send + 'static> ChannelFabric<Req,
                     if !in_delay.is_zero() {
                         std::thread::sleep(in_delay);
                     }
-                    let resp = handler.handle_dyn(&ctx, env.req);
+                    let resp = handler.handle(&ctx, env.req);
                     // The response's transit delay is paid before it is handed
                     // back, again on this thread so parallel responders overlap.
                     let resp_size = resp.wire_size();
@@ -206,41 +215,10 @@ impl<Req: Wire + Send + 'static, Resp: Wire + Send + 'static> ChannelFabric<Req,
         self.handles.lock().push(handle);
         Ok(id)
     }
-}
-
-impl<Req: Wire + Send + 'static, Resp: Wire + Send + 'static> Transport<Req, Resp>
-    for ChannelFabric<Req, Resp>
-{
-    fn dispatch(&self, target: ComputeNodeId, req: Req, reply: ReplySlot<Resp>) {
-        // An id owned by another process can only reach a bare channel
-        // fabric when no composite transport is routing, so it is as
-        // unknown as a slot that never existed or has shut down.
-        let sender = if target.process() == self.process_index {
-            let nodes = self.nodes.read();
-            nodes.get(target.local_index()).cloned().flatten()
-        } else {
-            None
-        };
-        let Some(sender) = sender else {
-            reply.fill(Err(ClusterError::UnknownNode(target)));
-            return;
-        };
-        let bytes = req.wire_size();
-        // A mailbox whose node thread is gone hands the envelope back and
-        // the unfilled slot in it drops, which reports `NodeDied`. Only a
-        // request the mailbox accepted is metered.
-        if sender.send(Envelope { req, reply }).is_ok() {
-            self.record(bytes);
-        }
-    }
-
-    fn spawn_handler(&self, handler: BoxHandler<Req, Resp>) -> Result<ComputeNodeId, ClusterError> {
-        self.spawn_boxed(handler)
-    }
 
     fn spawn_member(&self) -> Result<ComputeNodeId, ClusterError> {
         let factory = self.factory()?;
-        self.spawn_boxed(factory())
+        self.spawn_handler(factory())
     }
 
     fn set_node_factory(&self, factory: Box<NodeFactory<Req, Resp>>) {
@@ -323,115 +301,27 @@ impl<Req: Wire + Send + 'static, Resp: Wire + Send + 'static> NodeCtx<Req, Resp>
     }
 }
 
-/// A set of compute nodes connected by a message fabric.
-///
-/// Typed by one [`Handler`] implementation `H`; backed by a pluggable
-/// [`Transport`] — the in-process channel fabric by default.
-pub struct Cluster<H: Handler> {
-    local: Arc<ChannelFabric<H::Req, H::Resp>>,
-    transport: Arc<dyn Transport<H::Req, H::Resp>>,
-}
-
-impl<H: Handler> Cluster<H> {
-    /// Create an empty single-process cluster with the given simulated
-    /// interconnect cost model.
-    #[must_use]
-    pub fn new(cost: CostModel) -> Self {
-        let local = ChannelFabric::new(cost, 0);
-        let transport: Arc<dyn Transport<H::Req, H::Resp>> = Arc::clone(&local) as _;
-        Cluster { local, transport }
-    }
-
-    /// Wrap an existing fabric pair: `local` hosts this process's nodes,
-    /// `transport` routes the deployment (they are the same object for a
-    /// single-process cluster; `semtree-net` passes its TCP fabric).
-    #[must_use]
-    pub fn from_parts(
-        local: Arc<ChannelFabric<H::Req, H::Resp>>,
-        transport: Arc<dyn Transport<H::Req, H::Resp>>,
-    ) -> Self {
-        Cluster { local, transport }
-    }
-
-    /// Start a compute node running `handler` in this process.
-    pub fn spawn(&self, handler: H) -> ComputeNodeId {
-        self.local
-            .spawn_boxed(Box::new(handler))
-            .expect("spawning a compute node thread succeeds")
-    }
-
-    /// Create a member node via the installed node factory, placed by the
-    /// transport (possibly on a remote process).
-    pub fn spawn_member(&self) -> Result<ComputeNodeId, ClusterError> {
-        self.transport.spawn_member()
-    }
-
-    /// Install the factory used for member spawns.
-    pub fn set_node_factory(&self, factory: Box<NodeFactory<H::Req, H::Resp>>) {
-        self.transport.set_node_factory(factory);
-    }
-
-    /// Blocking request from outside the cluster (the "client").
-    pub fn call(&self, target: ComputeNodeId, req: H::Req) -> Result<H::Resp, ClusterError> {
-        self.transport.send(target, req).wait()
-    }
-
-    /// Pipelined request from outside the cluster: `complete` runs
-    /// exactly once with the outcome, on the thread that finishes the
-    /// request, and the caller is free immediately (see
-    /// [`Transport::submit`]).
-    pub fn submit(&self, target: ComputeNodeId, req: H::Req, complete: CompleteFn<H::Resp>) {
-        self.transport.submit(target, req, complete);
-    }
-
-    /// Number of compute nodes hosted by this process.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.transport.node_count()
-    }
-
-    /// Current metrics snapshot.
-    #[must_use]
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.transport.metrics()
-    }
-
-    /// Reset metrics counters (between experiment phases).
-    pub fn reset_metrics(&self) {
-        self.transport.reset_metrics();
-    }
-
-    /// The shared metrics sink. The local fabric's counters are the
-    /// deployment's counters: composite transports (`semtree-net`)
-    /// account into the same `Arc`, and serving fabrics record request
-    /// latency through it.
-    #[must_use]
-    pub fn metrics_handle(&self) -> Arc<ClusterMetrics> {
-        self.local.metrics_handle()
-    }
-
-    /// The transport this cluster routes through.
-    #[must_use]
-    pub fn transport(&self) -> Arc<dyn Transport<H::Req, H::Resp>> {
-        Arc::clone(&self.transport)
-    }
-
-    /// Stop every node and join its thread.
-    pub fn shutdown(self) {
-        self.transport.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::time::{Duration, Instant};
 
     use super::*;
+    use crate::transport::Handler;
+
+    /// A standalone fabric: it hosts the nodes and is their transport.
+    fn fabric(cost: CostModel) -> Arc<ChannelFabric<u64, u64>> {
+        ChannelFabric::new(cost, 0)
+    }
+
+    fn spawn(
+        fabric: &ChannelFabric<u64, u64>,
+        handler: impl Handler<u64, u64> + 'static,
+    ) -> ComputeNodeId {
+        fabric.spawn_handler(Box::new(handler)).unwrap()
+    }
 
     struct Echo;
-    impl Handler for Echo {
-        type Req = u64;
-        type Resp = u64;
+    impl Handler<u64, u64> for Echo {
         fn handle(&mut self, _ctx: &NodeCtx<u64, u64>, req: u64) -> u64 {
             req
         }
@@ -439,23 +329,23 @@ mod tests {
 
     #[test]
     fn echo_roundtrip() {
-        let cluster = Cluster::new(CostModel::zero());
-        let node = cluster.spawn(Echo);
-        assert_eq!(cluster.call(node, 7), Ok(7));
-        assert_eq!(cluster.node_count(), 1);
-        cluster.shutdown();
+        let fabric = fabric(CostModel::zero());
+        let node = spawn(&fabric, Echo);
+        assert_eq!(fabric.send(node, 7).wait(), Ok(7));
+        assert_eq!(fabric.node_count(), 1);
+        fabric.shutdown();
     }
 
     #[test]
     fn submit_completes_through_the_callback_without_blocking() {
-        let cluster = Cluster::new(CostModel::zero());
-        let node = cluster.spawn(Echo);
+        let fabric = fabric(CostModel::zero());
+        let node = spawn(&fabric, Echo);
         let (tx, rx) = channel();
-        cluster.submit(node, 9, Box::new(move |out| tx.send(out).unwrap()));
+        fabric.submit(node, 9, Box::new(move |out| tx.send(out).unwrap()));
         assert_eq!(rx.recv().unwrap(), Ok(9));
         // Routing failures also arrive through the callback, never a panic.
         let (tx, rx) = channel();
-        cluster.submit(
+        fabric.submit(
             ComputeNodeId(77),
             1,
             Box::new(move |out| tx.send(out).unwrap()),
@@ -464,31 +354,29 @@ mod tests {
             rx.recv().unwrap(),
             Err(ClusterError::UnknownNode(ComputeNodeId(77)))
         );
-        cluster.shutdown();
+        fabric.shutdown();
     }
 
     #[test]
     fn metrics_count_request_and_response() {
-        let cluster = Cluster::new(CostModel::zero());
-        let node = cluster.spawn(Echo);
-        cluster.call(node, 1).unwrap();
-        let m = cluster.metrics();
+        let fabric = fabric(CostModel::zero());
+        let node = spawn(&fabric, Echo);
+        fabric.send(node, 1).wait().unwrap();
+        let m = fabric.metrics();
         assert_eq!(m.messages, 2); // request + response
         assert_eq!(m.bytes, 16);
         assert_eq!(m.response_bytes, 8); // the echoed u64 coming back
         assert_eq!(m.spawned_nodes, 1);
-        cluster.reset_metrics();
-        assert_eq!(cluster.metrics().messages, 0);
-        cluster.shutdown();
+        fabric.reset_metrics();
+        assert_eq!(fabric.metrics().messages, 0);
+        fabric.shutdown();
     }
 
     /// Forwards any request to the next node (if any), adding 1 per hop.
     struct Chain {
         next: Option<ComputeNodeId>,
     }
-    impl Handler for Chain {
-        type Req = u64;
-        type Resp = u64;
+    impl Handler<u64, u64> for Chain {
         fn handle(&mut self, ctx: &NodeCtx<u64, u64>, req: u64) -> u64 {
             match self.next {
                 Some(next) => ctx.call(next, req + 1).expect("chain hop"),
@@ -499,13 +387,13 @@ mod tests {
 
     #[test]
     fn nodes_call_each_other_down_a_chain() {
-        let cluster = Cluster::new(CostModel::zero());
-        let tail = cluster.spawn(Chain { next: None });
-        let mid = cluster.spawn(Chain { next: Some(tail) });
-        let head = cluster.spawn(Chain { next: Some(mid) });
-        assert_eq!(cluster.call(head, 0), Ok(2)); // two hops increment twice
-        assert_eq!(cluster.metrics().messages, 6); // 3 calls × (req+resp)
-        cluster.shutdown();
+        let fabric = fabric(CostModel::zero());
+        let tail = spawn(&fabric, Chain { next: None });
+        let mid = spawn(&fabric, Chain { next: Some(tail) });
+        let head = spawn(&fabric, Chain { next: Some(mid) });
+        assert_eq!(fabric.send(head, 0).wait(), Ok(2)); // two hops increment twice
+        assert_eq!(fabric.metrics().messages, 6); // 3 calls × (req+resp)
+        fabric.shutdown();
     }
 
     /// Spawns a member node from the installed factory on demand, then
@@ -513,9 +401,7 @@ mod tests {
     struct Spawner {
         child: Option<ComputeNodeId>,
     }
-    impl Handler for Spawner {
-        type Req = u64;
-        type Resp = u64;
+    impl Handler<u64, u64> for Spawner {
         fn handle(&mut self, ctx: &NodeCtx<u64, u64>, req: u64) -> u64 {
             if req == 0 {
                 let child = ctx.spawn_member().expect("factory installed");
@@ -530,69 +416,66 @@ mod tests {
 
     #[test]
     fn handlers_spawn_nodes_at_runtime() {
-        let cluster = Cluster::new(CostModel::zero());
-        cluster.set_node_factory(Box::new(|| Box::new(Spawner { child: None })));
-        let root = cluster.spawn(Spawner { child: None });
-        assert_eq!(cluster.node_count(), 1);
-        let child_id = cluster.call(root, 0).unwrap();
-        assert_eq!(cluster.node_count(), 2);
+        let fabric = fabric(CostModel::zero());
+        fabric.set_node_factory(Box::new(|| Box::new(Spawner { child: None })));
+        let root = spawn(&fabric, Spawner { child: None });
+        assert_eq!(fabric.node_count(), 1);
+        let child_id = fabric.send(root, 0).wait().unwrap();
+        assert_eq!(fabric.node_count(), 2);
         assert_eq!(child_id, 1);
         // The dynamically spawned child is reachable through the parent.
-        let grandchild = cluster.call(root, 1).unwrap();
+        let grandchild = fabric.send(root, 1).wait().unwrap();
         assert_eq!(grandchild, 2);
-        assert_eq!(cluster.node_count(), 3);
-        cluster.shutdown();
+        assert_eq!(fabric.node_count(), 3);
+        fabric.shutdown();
     }
 
     #[test]
     fn cost_model_injects_measurable_delay() {
-        let cluster = Cluster::new(CostModel {
+        let fabric = fabric(CostModel {
             latency: Duration::from_millis(10),
             per_kib: Duration::ZERO,
         });
-        let node = cluster.spawn(Echo);
+        let node = spawn(&fabric, Echo);
         let start = Instant::now();
-        cluster.call(node, 1).unwrap();
+        fabric.send(node, 1).wait().unwrap();
         assert!(start.elapsed() >= Duration::from_millis(20)); // req + resp
-        let m = cluster.metrics();
+        let m = fabric.metrics();
         assert!(m.simulated_delay_nanos >= 20_000_000);
-        cluster.shutdown();
+        fabric.shutdown();
     }
 
     #[test]
     fn calling_unknown_node_is_a_typed_error() {
-        let cluster: Cluster<Echo> = Cluster::new(CostModel::zero());
+        let fabric = fabric(CostModel::zero());
         assert_eq!(
-            cluster.call(ComputeNodeId(5), 1),
+            fabric.send(ComputeNodeId(5), 1).wait(),
             Err(ClusterError::UnknownNode(ComputeNodeId(5)))
         );
         // Ids owned by another process are equally unknown to a bare
         // channel fabric.
         let foreign = ComputeNodeId::from_parts(2, 0);
         assert_eq!(
-            cluster.call(foreign, 1),
+            fabric.send(foreign, 1).wait(),
             Err(ClusterError::UnknownNode(foreign))
         );
-        cluster.shutdown();
+        fabric.shutdown();
     }
 
     #[test]
     fn calls_after_shutdown_fail_gracefully() {
-        let cluster: Cluster<Echo> = Cluster::new(CostModel::zero());
-        let node = cluster.spawn(Echo);
-        let transport = cluster.transport();
-        cluster.shutdown();
+        let fabric = fabric(CostModel::zero());
+        let node = spawn(&fabric, Echo);
+        fabric.shutdown();
         assert_eq!(
-            transport.send(node, 1).wait(),
+            fabric.send(node, 1).wait(),
             Err(ClusterError::UnknownNode(node))
         );
     }
 
     /// Dies on its first request.
     struct Doomed;
-    impl Handler for Doomed {
-        type Req = u64;
-        type Resp = u64;
+    impl Handler<u64, u64> for Doomed {
         fn handle(&mut self, _ctx: &NodeCtx<u64, u64>, _req: u64) -> u64 {
             panic!("doomed node (expected by the test)")
         }
@@ -600,43 +483,49 @@ mod tests {
 
     #[test]
     fn a_request_to_a_dead_node_is_not_metered_as_delivered() {
-        let cluster = Cluster::new(CostModel::zero());
-        let node = cluster.spawn(Doomed);
-        assert_eq!(cluster.call(node, 1), Err(ClusterError::NodeDied(node)));
+        let fabric = fabric(CostModel::zero());
+        let node = spawn(&fabric, Doomed);
+        assert_eq!(
+            fabric.send(node, 1).wait(),
+            Err(ClusterError::NodeDied(node))
+        );
         // The mailbox outlives the panic by the rest of the unwinding;
         // once it is gone a request is refused, and must leave no trace.
         let refused = (0..10_000).any(|_| {
             std::thread::yield_now();
-            let before = cluster.metrics();
-            assert_eq!(cluster.call(node, 2), Err(ClusterError::NodeDied(node)));
-            let after = cluster.metrics();
+            let before = fabric.metrics();
+            assert_eq!(
+                fabric.send(node, 2).wait(),
+                Err(ClusterError::NodeDied(node))
+            );
+            let after = fabric.metrics();
             (after.messages, after.bytes) == (before.messages, before.bytes)
         });
         assert!(refused, "every request to the dead node was metered");
-        cluster.shutdown();
+        fabric.shutdown();
     }
 
     #[test]
     fn member_spawns_use_the_installed_factory() {
-        let cluster: Cluster<Echo> = Cluster::new(CostModel::zero());
+        let fabric = fabric(CostModel::zero());
         // Without a factory, member spawns fail with a typed error.
-        match cluster.spawn_member() {
+        match fabric.spawn_member() {
             Err(ClusterError::SpawnFailed(msg)) => assert!(msg.contains("factory"), "{msg}"),
             other => panic!("expected SpawnFailed, got {other:?}"),
         }
-        cluster.set_node_factory(Box::new(|| Box::new(Echo)));
-        let member = cluster.spawn_member().unwrap();
-        assert_eq!(cluster.call(member, 3), Ok(3));
-        assert_eq!(cluster.node_count(), 1);
-        cluster.shutdown();
+        fabric.set_node_factory(Box::new(|| Box::new(Echo)));
+        let member = fabric.spawn_member().unwrap();
+        assert_eq!(fabric.send(member, 3).wait(), Ok(3));
+        assert_eq!(fabric.node_count(), 1);
+        fabric.shutdown();
     }
 
     #[test]
     fn shutdown_joins_all_threads() {
-        let cluster = Cluster::new(CostModel::zero());
+        let fabric = fabric(CostModel::zero());
         for _ in 0..8 {
-            cluster.spawn(Echo);
+            spawn(&fabric, Echo);
         }
-        cluster.shutdown(); // must not hang
+        fabric.shutdown(); // must not hang
     }
 }

@@ -6,6 +6,7 @@ use std::fmt;
 use std::sync::mpsc;
 
 use crate::metrics::MetricsSnapshot;
+use crate::runtime::NodeCtx;
 
 /// Bits of a [`ComputeNodeId`] reserved for the per-process node index.
 ///
@@ -203,16 +204,16 @@ impl<Resp> Drop for ReplySlot<Resp> {
     }
 }
 
-/// Object-safe form of [`Handler`](crate::Handler): what a transport
-/// actually runs on a node thread. Blanket-implemented for every
-/// `Handler`, so callers keep writing plain handlers.
-pub trait DynHandler<Req, Resp>: Send {
+/// A compute node's request handler: single-threaded, owns its state, may
+/// call other nodes or spawn new ones through the [`NodeCtx`]. What a
+/// transport runs on a node thread, boxed as a [`BoxHandler`].
+pub trait Handler<Req, Resp>: Send {
     /// Process one request to completion.
-    fn handle_dyn(&mut self, ctx: &crate::NodeCtx<Req, Resp>, req: Req) -> Resp;
+    fn handle(&mut self, ctx: &NodeCtx<Req, Resp>, req: Req) -> Resp;
 }
 
 /// A boxed, type-erased node handler.
-pub type BoxHandler<Req, Resp> = Box<dyn DynHandler<Req, Resp> + 'static>;
+pub type BoxHandler<Req, Resp> = Box<dyn Handler<Req, Resp> + 'static>;
 
 /// Builds the handler for a dynamically created member node
 /// ([`Transport::spawn_member`]). Every process of a deployment installs

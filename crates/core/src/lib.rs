@@ -67,5 +67,4 @@ pub use semtree_cluster::CostModel;
 pub use semtree_distance::{TripleDistance, VocabularyRegistry, Weights};
 pub use semtree_model::{Term, Triple, TripleId, TripleStore};
 pub use semtree_vocab::similarity::SimilarityMeasure;
-pub use semtree_vocab::strings::StringMeasure;
 pub use semtree_vocab::{AntinomyTable, Taxonomy};

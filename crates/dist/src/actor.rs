@@ -216,10 +216,7 @@ fn wal_failed(e: semtree_wal::WalError) -> String {
     format!("wal append failed: {e}")
 }
 
-impl Handler for PartitionActor {
-    type Req = Req;
-    type Resp = Resp;
-
+impl Handler<Req, Resp> for PartitionActor {
     fn handle(&mut self, ctx: &NodeCtx<Req, Resp>, req: Req) -> Resp {
         if self.registered.is_none() {
             // The hosting node is only known once the first message

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use semtree_cluster::{
-    Cluster, ClusterError, ComputeNodeId, CostModel, Transport, MAX_REACTOR_SHARDS,
+    ChannelFabric, ClusterError, ComputeNodeId, CostModel, Transport, MAX_REACTOR_SHARDS,
     READ_RETRY_BUCKETS,
 };
 use semtree_kdtree::{Neighbor, SplitRule};
@@ -38,7 +38,9 @@ use crate::actor::PartitionActor;
 use crate::proto::{PartitionStats, Req, Resp};
 use crate::recovery::{replay_stores, WalHandle};
 use crate::store::PartitionStore;
-use crate::tree::{CapacityPolicy, DistConfig, DistSemTree, Query, QueryOutcome, SharedConfig};
+use crate::tree::{
+    host_partitions, CapacityPolicy, DistConfig, DistSemTree, Query, QueryOutcome, SharedConfig,
+};
 
 /// The [`NetFabric`] instantiated for the SemTree partition protocol.
 pub type DistFabric = NetFabric<Req, Resp>;
@@ -249,7 +251,8 @@ pub fn build_tree(
         .transpose()?;
     let transport = Arc::clone(fabric) as Arc<dyn Transport<Req, Resp>>;
     Ok(DistSemTree::build_on(
-        Cluster::from_parts(fabric.local_fabric(), transport),
+        fabric.local_fabric(),
+        transport,
         config,
         partitions,
         sample,
@@ -277,8 +280,11 @@ pub fn build_local_durable(
     options: WalOptions,
 ) -> Result<DistSemTree, DeployError> {
     let wal = create_wal(wal_dir, &config, options)?;
+    let local = ChannelFabric::new(cost, 0);
+    let transport = Arc::clone(&local) as Arc<dyn Transport<Req, Resp>>;
     Ok(DistSemTree::build_on(
-        Cluster::new(cost),
+        local,
+        transport,
         config,
         partitions,
         sample,
@@ -309,17 +315,6 @@ pub struct WorkerHandle {
     fabric: Arc<DistFabric>,
     config: DistConfig,
     recovered: Vec<u32>,
-}
-
-/// Make `fabric`'s local side host partitions on request: every member
-/// the coordinator spawns here is a fresh actor sharing `shared`.
-fn host_partitions(fabric: &DistFabric, shared: &Arc<SharedConfig>) {
-    let local = fabric.local_fabric();
-    shared.set_metrics(local.metrics_handle());
-    let shared = Arc::clone(shared);
-    local.set_node_factory(Box::new(move || {
-        Box::new(PartitionActor::fresh(Arc::clone(&shared)))
-    }));
 }
 
 /// Join a deployment as a worker: dial the coordinator, decode the
@@ -360,7 +355,7 @@ pub fn join_cluster(
         .map(|dir| Wal::create(dir, fabric.process_index(), &blob, WalOptions::default()))
         .transpose()?
         .map(WalHandle::new);
-    host_partitions(&fabric, &SharedConfig::new(&config, wal));
+    host_partitions(&fabric.local_fabric(), &SharedConfig::new(&config, wal));
     Ok(WorkerHandle {
         fabric,
         config,
@@ -428,7 +423,7 @@ fn recover_and_rejoin(
             )));
         }
     }
-    host_partitions(&fabric, &shared);
+    host_partitions(&local, &shared);
 
     // Fold the replayed history into fresh snapshots and drop the
     // segments they supersede: the next restart replays almost nothing.

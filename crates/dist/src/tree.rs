@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use semtree_cluster::{
-    Cluster, ClusterError, ClusterMetrics, CompleteFn, ComputeNodeId, CostModel, Transport,
+    ChannelFabric, ClusterError, ClusterMetrics, CompleteFn, ComputeNodeId, CostModel, Transport,
 };
 use semtree_kdtree::versioned::{InPlace, StdShim, Tree};
 use semtree_kdtree::{KdConfig, Neighbor, SplitRule};
@@ -456,8 +456,10 @@ fn acknowledged(
 /// The distributed SemTree: a cluster of partition actors behind a
 /// synchronous client API.
 pub struct DistSemTree {
-    cluster: Cluster<PartitionActor>,
-    /// The cluster's transport, which reads send their sub-walks through.
+    /// Hosts this process's partitions and owns the shared metrics.
+    local: Arc<ChannelFabric<Req, Resp>>,
+    /// Routes the deployment: `local` itself in process, the TCP fabric
+    /// under `semtree-net`. Inserts and read sub-walks go through it.
     transport: Arc<dyn Transport<Req, Resp>>,
     /// The cores a [`Query::KnnBatch`] is fanned out over.
     pool: Pool,
@@ -472,8 +474,7 @@ impl DistSemTree {
     /// Single-partition tree (the sequential baseline, "1 partition").
     #[must_use]
     pub fn single(config: DistConfig, cost: CostModel) -> Self {
-        DistSemTree::build_on(Cluster::new(cost), config, 1, &[], None)
-            .expect("in-process construction cannot fail")
+        DistSemTree::in_process(cost, config, 1, &[])
     }
 
     /// `partitions`-partition tree: one pure-routing root partition whose
@@ -491,13 +492,26 @@ impl DistSemTree {
         partitions: usize,
         sample: &[Vec<f64>],
     ) -> Self {
-        DistSemTree::build_on(Cluster::new(cost), config, partitions, sample, None)
+        DistSemTree::in_process(cost, config, partitions, sample)
+    }
+
+    /// [`build_on`](DistSemTree::build_on) over a fresh standalone
+    /// channel fabric, which is both the host and the transport.
+    fn in_process(
+        cost: CostModel,
+        config: DistConfig,
+        partitions: usize,
+        sample: &[Vec<f64>],
+    ) -> Self {
+        let local = ChannelFabric::new(cost, 0);
+        let transport = Arc::clone(&local) as Arc<dyn Transport<Req, Resp>>;
+        DistSemTree::build_on(local, transport, config, partitions, sample, None)
             .expect("in-process construction cannot fail")
     }
 
     /// Shared construction path: install the member factory, then spawn
-    /// the root on `cluster`'s local fabric and the data partitions through
-    /// its transport, which *places* them: under `semtree-net` they land
+    /// the root on the `local` fabric and the data partitions through
+    /// `transport`, which *places* them: under `semtree-net` they land
     /// on worker processes, round-robin. With a `wal`, the locally hosted
     /// partitions (at least the root) log every mutation and snapshot
     /// their initial state.
@@ -510,7 +524,8 @@ impl DistSemTree {
     /// Panics on the same configuration errors as
     /// [`with_fanout`](DistSemTree::with_fanout).
     pub(crate) fn build_on(
-        cluster: Cluster<PartitionActor>,
+        local: Arc<ChannelFabric<Req, Resp>>,
+        transport: Arc<dyn Transport<Req, Resp>>,
         config: DistConfig,
         partitions: usize,
         sample: &[Vec<f64>],
@@ -518,8 +533,7 @@ impl DistSemTree {
     ) -> Result<Self, ClusterError> {
         assert!(partitions > 0, "at least one partition is required");
         let shared = SharedConfig::new(&config, wal);
-        shared.set_metrics(cluster.metrics_handle());
-        install_member_factory(&cluster, &shared);
+        host_partitions(&local, &shared);
 
         let store = if partitions == 1 {
             PartitionStore::raw_leaf(shared.kd, &[], 0)
@@ -550,7 +564,7 @@ impl DistSemTree {
             let mut store = PartitionStore::empty_arena(routing_only);
             let mut sample: Vec<&[f64]> = sample.iter().map(Vec::as_slice).collect();
             let root_child = build_fanout(
-                &cluster,
+                transport.as_ref(),
                 &shared,
                 &mut store,
                 &mut sample,
@@ -567,15 +581,18 @@ impl DistSemTree {
         assert!(shared.try_reserve_partition());
         let image = shared.wal.as_ref().map(|_| store.to_image());
         let tree = Arc::clone(store.tree());
-        let root = cluster.spawn(PartitionActor::with_store(store, Arc::clone(&shared)));
+        let root = local.spawn_handler(Box::new(PartitionActor::with_store(
+            store,
+            Arc::clone(&shared),
+        )))?;
         shared.register_read_handle(root, &tree);
         if let (Some(wal), Some(image)) = (shared.wal.as_ref(), image) {
             wal.snapshot_image(root, &image)
                 .map_err(|e| ClusterError::Remote(format!("wal snapshot failed: {e}")))?;
         }
         Ok(DistSemTree {
-            transport: cluster.transport(),
-            cluster,
+            local,
+            transport,
             pool: Pool::new(),
             root,
             shared,
@@ -615,7 +632,9 @@ impl DistSemTree {
     pub fn query(&self, query: Query) -> Result<QueryOutcome, ClusterError> {
         match self.lower(query)? {
             Lowered::Answered(outcome) => Ok(outcome),
-            Lowered::Send(to, req) => acknowledged(&self.inserted, self.cluster.call(to, req)),
+            Lowered::Send(to, req) => {
+                acknowledged(&self.inserted, self.transport.send(to, req).wait())
+            }
         }
     }
 
@@ -634,7 +653,7 @@ impl DistSemTree {
             Ok(Lowered::Answered(outcome)) => complete(Ok(outcome)),
             Ok(Lowered::Send(to, req)) => {
                 let inserted = Arc::clone(&self.inserted);
-                self.cluster.submit(
+                self.transport.submit(
                     to,
                     req,
                     Box::new(move |reply| complete(acknowledged(&inserted, reply))),
@@ -820,19 +839,19 @@ impl DistSemTree {
     /// Interconnect metrics (messages, bytes, spawns, simulated delay).
     #[must_use]
     pub fn metrics(&self) -> semtree_cluster::MetricsSnapshot {
-        self.cluster.metrics()
+        self.transport.metrics()
     }
 
     /// The live metrics sink, shared with serving fabrics so request
     /// latency lands in the same snapshot as interconnect counters.
     #[must_use]
     pub fn metrics_handle(&self) -> Arc<semtree_cluster::ClusterMetrics> {
-        self.cluster.metrics_handle()
+        self.local.metrics_handle()
     }
 
     /// Reset interconnect metrics between experiment phases.
     pub fn reset_metrics(&self) {
-        self.cluster.reset_metrics();
+        self.transport.reset_metrics();
     }
 
     /// Walk the partition tree and gather per-partition statistics.
@@ -847,7 +866,7 @@ impl DistSemTree {
             if !seen.insert(pid) {
                 continue;
             }
-            match self.cluster.call(pid, Req::Stats)? {
+            match self.transport.send(pid, Req::Stats).wait()? {
                 Resp::Stats(stats) => {
                     queue.extend(stats.remote_children_ids());
                     out.partitions.push((pid.0, stats));
@@ -869,7 +888,7 @@ impl DistSemTree {
             Err(e) => return vec![format!("partition walk failed: {e}")],
         };
         for &(pid, _) in &stats.partitions {
-            match self.cluster.call(ComputeNodeId(pid), Req::Verify) {
+            match self.transport.send(ComputeNodeId(pid), Req::Verify).wait() {
                 Ok(Resp::Violations(v)) => {
                     violations.extend(v.into_iter().map(|m| format!("partition {pid}: {m}")))
                 }
@@ -891,18 +910,17 @@ impl DistSemTree {
 
     /// Stop every partition's compute node.
     pub fn shutdown(self) {
-        self.cluster.shutdown();
+        self.transport.shutdown();
     }
 }
 
-/// Install the factory the transport uses for member spawns: every new
-/// member is a fresh partition actor sharing this process's config.
-pub(crate) fn install_member_factory(
-    cluster: &Cluster<PartitionActor>,
-    shared: &Arc<SharedConfig>,
-) {
+/// Make `local` host partitions on request: `shared` takes the fabric's
+/// metrics, and every member spawned here is a fresh partition actor
+/// sharing `shared`.
+pub(crate) fn host_partitions(local: &ChannelFabric<Req, Resp>, shared: &Arc<SharedConfig>) {
+    shared.set_metrics(local.metrics_handle());
     let shared = Arc::clone(shared);
-    cluster.set_node_factory(Box::new(move || {
+    local.set_node_factory(Box::new(move || {
         Box::new(PartitionActor::fresh(Arc::clone(&shared)))
     }));
 }
@@ -912,7 +930,7 @@ pub(crate) fn install_member_factory(
 /// placed by the transport (a remote process under `semtree-net`).
 /// `at` is the global depth and the parent edge of the node to build.
 fn build_fanout(
-    cluster: &Cluster<PartitionActor>,
+    transport: &dyn Transport<Req, Resp>,
     shared: &Arc<SharedConfig>,
     store: &mut PartitionStore,
     sample: &mut [&[f64]],
@@ -921,20 +939,18 @@ fn build_fanout(
 ) -> Result<Child, ClusterError> {
     if target_leaves <= 1 {
         assert!(shared.try_reserve_partition(), "partition budget exhausted");
-        let pid = match cluster.spawn_member() {
+        let pid = match transport.spawn_member() {
             Ok(pid) => pid,
             Err(e) => {
                 shared.release_partition();
                 return Err(e);
             }
         };
-        match cluster.call(
-            pid,
-            Req::AdoptLeaf {
-                bucket: Vec::new(),
-                depth,
-            },
-        )? {
+        let adopt = Req::AdoptLeaf {
+            bucket: Vec::new(),
+            depth,
+        };
+        match transport.send(pid, adopt).wait()? {
             Resp::Done => {}
             other => return Err(unexpected("an AdoptLeaf acknowledgement", other)),
         }
@@ -965,7 +981,7 @@ fn build_fanout(
     let sides = [(left_sample, left_target), (right_sample, right_target)];
     for (is_left, (sample, target)) in [true, false].into_iter().zip(sides) {
         let at = (depth + 1, Some((node.0, is_left)));
-        let child = build_fanout(cluster, shared, store, sample, target, at)?;
+        let child = build_fanout(transport, shared, store, sample, target, at)?;
         if !store.set_child(node, is_left, child) {
             return Err(arena_full());
         }
@@ -1191,7 +1207,7 @@ mod tests {
             point: point.to_vec(),
             payload,
         };
-        assert_eq!(tree.cluster.call(tree.root, req), Ok(Resp::Done));
+        assert_eq!(tree.transport.send(tree.root, req).wait(), Ok(Resp::Done));
     }
 
     #[test]
@@ -1303,7 +1319,7 @@ mod tests {
                 k: 2,
                 worst: None,
             };
-            let hits = tree.cluster.call(tree.root, knn);
+            let hits = tree.transport.send(tree.root, knn).wait();
             assert_eq!(hits, Ok(Resp::Candidates(vec![(37.0, 3)])), "M={m}");
             assert_eq!(tree.metrics().messages, before + 4, "M={m}: root actor");
             tree.shutdown();

@@ -5,8 +5,8 @@
 //! ```
 //!
 //! Sub-distances dispatch per §III-A:
-//! - both elements literals of the same type → a string distance
-//!   ([`semtree_vocab::strings::StringMeasure`], Levenshtein by default);
+//! - both elements literals of the same type → the normalised Levenshtein
+//!   distance ([`semtree_vocab::strings::normalised_levenshtein`]);
 //! - both elements concepts → a taxonomy similarity
 //!   ([`semtree_vocab::similarity::SimilarityMeasure`], Wu & Palmer by
 //!   default), resolved through a [`VocabularyRegistry`] keyed by the

@@ -2,27 +2,28 @@
 
 use semtree_model::Term;
 use semtree_vocab::similarity::{Similarity, SimilarityMeasure};
-use semtree_vocab::strings::StringMeasure;
+use semtree_vocab::strings::normalised_levenshtein;
 
 use crate::registry::VocabularyRegistry;
 
-/// Configuration of the element-level distance.
+/// Configuration of the element-level distance. Two literals of the same
+/// type are always compared by
+/// [`normalised_levenshtein`](semtree_vocab::strings::normalised_levenshtein),
+/// the paper's named string measure.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TermDistanceConfig {
     /// Taxonomy measure used when both elements are concepts of the same
     /// vocabulary (paper default: Wu & Palmer).
     pub semantic: SimilarityMeasure,
-    /// String measure used when both elements are literals of the same type
-    /// (paper default: Levenshtein).
-    pub string: StringMeasure,
     /// Distance charged when the two elements are not comparable: mixed
     /// kinds (literal vs concept), literals of different types, or concepts
     /// from different vocabularies. The paper leaves this case open; 1.0
     /// (maximally distant) is the conservative default.
     pub mixed_penalty: f64,
-    /// When a concept is missing from its taxonomy, fall back to the string
-    /// measure on the concept names instead of the mixed penalty. Keeps
-    /// out-of-vocabulary concepts comparable (useful with noisy NLP output).
+    /// When a concept is missing from its taxonomy, compare the concept
+    /// names as same-typed literals are compared (normalised Levenshtein)
+    /// instead of charging the mixed penalty. Keeps out-of-vocabulary
+    /// concepts comparable (useful with noisy NLP output).
     pub string_fallback: bool,
 }
 
@@ -30,7 +31,6 @@ impl Default for TermDistanceConfig {
     fn default() -> Self {
         TermDistanceConfig {
             semantic: SimilarityMeasure::WuPalmer,
-            string: StringMeasure::Levenshtein,
             mixed_penalty: 1.0,
             string_fallback: true,
         }
@@ -44,7 +44,7 @@ impl TermDistanceConfig {
         match (a, b) {
             (Term::Literal(la), Term::Literal(lb)) => {
                 if la.dtype == lb.dtype {
-                    self.string.distance(&la.value, &lb.value)
+                    normalised_levenshtein(&la.value, &lb.value)
                 } else {
                     self.mixed_penalty
                 }
@@ -67,7 +67,7 @@ impl TermDistanceConfig {
 
     fn fallback(&self, a: &str, b: &str) -> f64 {
         if self.string_fallback {
-            self.string.distance(a, b)
+            normalised_levenshtein(a, b)
         } else {
             self.mixed_penalty
         }

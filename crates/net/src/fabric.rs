@@ -823,12 +823,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use semtree_cluster::{Cluster, Handler, NodeCtx};
+    use semtree_cluster::{Handler, NodeCtx};
 
     struct Echo;
-    impl Handler for Echo {
-        type Req = u64;
-        type Resp = u64;
+    impl Handler<u64, u64> for Echo {
         fn handle(&mut self, _ctx: &NodeCtx<u64, u64>, req: u64) -> u64 {
             req * 2
         }
@@ -851,9 +849,7 @@ mod tests {
         // A node hosted by the worker, called from the coordinator side.
         let node = worker.spawn_handler(Box::new(Echo)).unwrap();
         assert_eq!(node.process(), 1);
-        let cluster: Cluster<Echo> =
-            Cluster::from_parts(coord.local_fabric(), Arc::clone(&coord) as _);
-        assert_eq!(cluster.call(node, 21), Ok(42));
+        assert_eq!(coord.send(node, 21).wait(), Ok(42));
 
         // Actual frame bytes were accounted on both sides, and the reply
         // leg also fed the response-bytes counter on each.
@@ -863,7 +859,7 @@ mod tests {
         assert!(worker.metrics().response_bytes > 0);
         assert!(coord.metrics().response_bytes < coord.metrics().bytes);
 
-        cluster.shutdown();
+        coord.shutdown();
         worker.wait_for_shutdown();
         worker.shutdown();
     }

@@ -33,9 +33,7 @@ const DEADLINE: Duration = Duration::from_secs(10);
 const STRANGER: u32 = 1_000;
 
 struct Echo;
-impl Handler for Echo {
-    type Req = u64;
-    type Resp = u64;
+impl Handler<u64, u64> for Echo {
     fn handle(&mut self, _ctx: &NodeCtx<u64, u64>, req: u64) -> u64 {
         req.wrapping_mul(2)
     }

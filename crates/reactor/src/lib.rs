@@ -41,7 +41,7 @@ pub use buffer::{FrameReader, WriteQueue};
 pub use queue::{Push, ServeQueue};
 pub use reactor::{
     effective_reactors, serve, Dispatch, ReactorConfig, ReactorReport, ReplyToken, Service,
-    ServiceReply, DRAIN_BUDGET, INLINE_MAX_K, MAX_REACTORS,
+    ServiceReply, DRAIN_BUDGET, INLINE_MAX_K,
 };
 pub use sys::Interest;
 

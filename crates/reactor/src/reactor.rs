@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use semtree_cluster::ClusterMetrics;
+use semtree_cluster::{ClusterMetrics, MAX_REACTOR_SHARDS};
 use semtree_conc::sync::Mutex;
 use semtree_net::split_frame_v2;
 
@@ -59,9 +59,6 @@ const TOKEN_WAKE: u64 = u64::MAX;
 const TOKEN_LISTENER: u64 = u64::MAX - 1;
 /// Bits of a connection id carrying its owning shard index.
 const SHARD_SHIFT: u32 = 48;
-/// Most reactor shards a single [`serve`] will run, regardless of
-/// configuration (also the width of the per-shard metrics arrays).
-pub const MAX_REACTORS: usize = 32;
 
 /// Most buffered frames one connection may admit per loop iteration —
 /// the fairness bound keeping a saturated pipelined connection from
@@ -152,7 +149,8 @@ pub struct ReactorConfig {
     /// and per-shard served/shed counters.
     pub metrics: Option<Arc<ClusterMetrics>>,
     /// Reactor shard count; `0` means automatic (half the available
-    /// cores, at least one). Capped at [`MAX_REACTORS`]. The default is
+    /// cores, at least one). Capped at [`MAX_REACTOR_SHARDS`], the width of
+    /// the per-shard metrics arrays. The default is
     /// one: no committed measurement shows several shards beating one.
     pub reactors: usize,
 }
@@ -169,12 +167,13 @@ impl Default for ReactorConfig {
     }
 }
 
-/// The shard count a `reactors` setting resolves to on this host.
+/// The shard count a `reactors` setting resolves to on this host, at
+/// most [`MAX_REACTOR_SHARDS`] so every shard's counters have a slot.
 #[must_use]
 pub fn effective_reactors(reactors: usize) -> usize {
     let auto = std::thread::available_parallelism().map_or(1, |n| n.get() / 2);
     let n = if reactors == 0 { auto } else { reactors };
-    n.clamp(1, MAX_REACTORS)
+    n.clamp(1, MAX_REACTOR_SHARDS)
 }
 
 /// What happened over one [`serve`] run.
@@ -819,5 +818,20 @@ fn close_conn(
             .conn_count
             .fetch_sub(1, Ordering::Relaxed);
         router.queue.close_conn(conn_id);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shard_counts_fit_the_metrics_arrays() {
+        assert_eq!(
+            effective_reactors(MAX_REACTOR_SHARDS + 1),
+            MAX_REACTOR_SHARDS
+        );
+        assert_eq!(effective_reactors(3), 3);
+        assert!((1..=MAX_REACTOR_SHARDS).contains(&effective_reactors(0)));
     }
 }

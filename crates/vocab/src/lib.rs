@@ -1,5 +1,5 @@
 //! Vocabulary substrate for SemTree: taxonomies, semantic similarity
-//! measures, antinomy relations and string distances.
+//! measures, antinomy relations and the string distance.
 //!
 //! The paper computes sub-distances between triple elements in two ways
 //! (§III-A):
