@@ -81,8 +81,10 @@ pub fn triple_distance(domain: &DomainVocabulary) -> TripleDistance {
 pub fn embed_triples(triples: &[Triple], dims: usize, seed: u64) -> Embedding {
     let domain = DomainVocabulary::new(8); // vocabularies are actor-independent
     let distance = triple_distance(&domain);
-    let memo =
-        MemoizedDistance::new(|i: usize, j: usize| distance.distance(&triples[i], &triples[j]));
+    let resolved: Vec<_> = triples.iter().map(|t| distance.resolve(t)).collect();
+    let memo = MemoizedDistance::new(|i: usize, j: usize| {
+        distance.resolved_distance((&triples[i], resolved[i]), (&triples[j], resolved[j]))
+    });
     FastMap::new(dims)
         .with_seed(seed)
         .embed(triples.len(), &|i, j| memo.distance(i, j))

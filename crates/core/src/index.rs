@@ -2,7 +2,7 @@
 
 use semtree_cluster::{ClusterError, MetricsSnapshot};
 use semtree_dist::{DistConfig, DistSemTree, GlobalStats, Neighbor, Query, QueryOutcome};
-use semtree_distance::{MemoizedDistance, TripleDistance};
+use semtree_distance::{MemoizedDistance, TripleDistance, TripleResolution};
 use semtree_fastmap::{Embedding, FastMap};
 use semtree_model::{Triple, TripleId, TripleStore};
 
@@ -55,11 +55,18 @@ pub struct SemTree {
     triples: Vec<Triple>,
     distance: TripleDistance,
     embedding: Embedding,
+    /// The embedding's distinct pivot triples, resolved, by ascending
+    /// index. Pivots always name build-set triples, so inserts leave this
+    /// alone.
+    pivots: Vec<(usize, TripleResolution)>,
     tree: DistSemTree,
     dimensions: usize,
     bucket_size: usize,
     partitions: usize,
 }
+
+/// A triple with its vocabulary lookups done.
+type Resolved<'t> = (&'t Triple, TripleResolution);
 
 impl SemTree {
     /// Start building an index.
@@ -77,16 +84,17 @@ impl SemTree {
         let n = triples.len();
 
         // FastMap over the semantic distance (memoized: pivot rows are hit
-        // once per dimension per object).
-        let memo = {
-            let triples = &triples;
-            let distance = &distance;
-            MemoizedDistance::new(move |i: usize, j: usize| {
-                distance.distance(&triples[i], &triples[j])
-            })
+        // once per dimension per object), each triple resolved once.
+        let embedding = {
+            let resolved: Vec<TripleResolution> =
+                triples.iter().map(|t| distance.resolve(t)).collect();
+            let memo = MemoizedDistance::new(|i: usize, j: usize| {
+                distance.resolved_distance((&triples[i], resolved[i]), (&triples[j], resolved[j]))
+            });
+            let fastmap = FastMap::new(builder.dimensions).with_seed(builder.seed);
+            fastmap.embed(n, &|i, j| memo.distance(i, j))
         };
-        let fastmap = FastMap::new(builder.dimensions).with_seed(builder.seed);
-        let embedding = fastmap.embed(n, &|i, j| memo.distance(i, j));
+        let pivots = resolve_pivots(&distance, &embedding, &triples);
 
         // Load the distributed tree; the embedding is the fan-out sample.
         let tree = build_tree(
@@ -102,6 +110,7 @@ impl SemTree {
             triples,
             distance,
             embedding,
+            pivots,
             tree,
             dimensions: builder.dimensions,
             bucket_size: builder.bucket_size,
@@ -123,11 +132,13 @@ impl SemTree {
         let triples: Vec<Triple> = store.iter().map(|(_, t)| t.clone()).collect();
         let dimensions = embedding.dimensions();
         let tree = build_tree(&embedding, dimensions, bucket_size, partitions, cost);
+        let pivots = resolve_pivots(&distance, &embedding, &triples);
         SemTree {
             store,
             triples,
             distance,
             embedding,
+            pivots,
             tree,
             dimensions,
             bucket_size,
@@ -191,11 +202,27 @@ impl SemTree {
     }
 
     /// Project an arbitrary (possibly unseen) triple into the index's
-    /// FastMap space.
+    /// FastMap space: the coordinates
+    /// `embedding().project_with(|p| distance().distance(query, p's triple))`
+    /// gives, bit for bit. The query's vocabulary lookups are done once;
+    /// the pivots' were done when the index was built or loaded, so each
+    /// of the (up to two per axis) Eq. 1 evaluations does none.
     #[must_use]
     pub fn project(&self, query: &Triple) -> Vec<f64> {
-        self.embedding
-            .project_with(&|pivot| self.distance.distance(query, &self.triples[pivot]))
+        self.project_resolved((query, self.distance.resolve(query)))
+    }
+
+    fn project_resolved(&self, query: Resolved) -> Vec<f64> {
+        self.embedding.project_with(&|pivot| {
+            let resolution = match self.pivots.binary_search_by_key(&pivot, |&(i, _)| i) {
+                Ok(at) => self.pivots[at].1,
+                // Every embedding pivot is in `pivots`; resolving is the
+                // same answer regardless.
+                Err(_) => self.distance.resolve(&self.triples[pivot]),
+            };
+            self.distance
+                .resolved_distance(query, (&self.triples[pivot], resolution))
+        })
     }
 
     /// k-nearest triples by example (paper §III-B.3), default options.
@@ -207,7 +234,8 @@ impl SemTree {
     /// k-nearest with explicit [`QueryOptions`].
     #[must_use]
     pub fn knn_with(&self, query: &Triple, k: usize, opts: QueryOptions) -> Vec<Hit> {
-        let point = self.project(query);
+        let query = (query, self.distance.resolve(query));
+        let point = self.project_resolved(query);
         let fetch = if opts.refine {
             k.saturating_mul(opts.overfetch.max(1))
         } else {
@@ -241,7 +269,8 @@ impl SemTree {
                 .map(|h| (h.id, h.ranking_distance()))
                 .collect();
         }
-        read_neighbors(&self.tree, Query::knn(&self.project(query), k))
+        let point = self.project(query);
+        read_neighbors(&self.tree, Query::Knn { point, k })
             .into_iter()
             .map(|n| (triple_id(n.payload), n.dist))
             .collect()
@@ -264,7 +293,8 @@ impl SemTree {
     #[must_use]
     pub fn range_semantic(&self, query: &Triple, radius: f64, slack: f64) -> Vec<Hit> {
         let slack = slack.max(1.0);
-        let point = self.project(query);
+        let query = (query, self.distance.resolve(query));
+        let point = self.project_resolved(query);
         let mut hits: Vec<Hit> = read_neighbors(&self.tree, Query::range(&point, radius * slack))
             .into_iter()
             .map(|n| self.to_hit(n.payload, n.dist, Some(query)))
@@ -274,10 +304,13 @@ impl SemTree {
         hits
     }
 
-    fn to_hit(&self, payload: u64, embedded: f64, refine_against: Option<&Triple>) -> Hit {
+    fn to_hit(&self, payload: u64, embedded: f64, refine_against: Option<Resolved>) -> Hit {
         let id = triple_id(payload);
         let triple = self.triples[id.index()].clone();
-        let semantic = refine_against.map(|q| self.distance.distance(q, &triple));
+        let semantic = refine_against.map(|q| {
+            self.distance
+                .resolved_distance(q, (&triple, self.distance.resolve(&triple)))
+        });
         Hit {
             id,
             triple,
@@ -371,6 +404,21 @@ fn insert_point(tree: &DistSemTree, point: &[f64], payload: u64) {
     tree.query(Query::insert(point, payload))
         .and_then(QueryOutcome::inserted)
         .expect("in-process cluster insert failed");
+}
+
+/// The embedding's distinct pivot triples with their resolutions, by
+/// ascending index.
+fn resolve_pivots(
+    distance: &TripleDistance,
+    embedding: &Embedding,
+    triples: &[Triple],
+) -> Vec<(usize, TripleResolution)> {
+    let mut ids: Vec<usize> = embedding.pivots().iter().flat_map(|p| [p.a, p.b]).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids.into_iter()
+        .map(|i| (i, distance.resolve(&triples[i])))
+        .collect()
 }
 
 /// Build (or rebuild) the distributed tree over an embedding's points.
@@ -539,6 +587,52 @@ mod tests {
             assert!((a - b).abs() < 1e-9);
         }
         idx.shutdown();
+    }
+
+    /// `project` against the unresolved Eq. 1 over the stored pivots, bits.
+    fn assert_projects_as_eq1(idx: &SemTree, queries: &[Triple]) {
+        for q in queries {
+            let want = idx.embedding().project_with(&|p| {
+                let pivot = idx.triple(TripleId(p as u32)).unwrap();
+                idx.distance().distance(q, pivot)
+            });
+            let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&idx.project(q)), bits(&want), "{q}");
+        }
+    }
+
+    #[test]
+    fn project_is_unresolved_eq1_bit_for_bit() {
+        let held_out = [
+            triple("ACT07", "validate", "command"),
+            triple("ACT01", "accept", "signal"),
+            triple("ZZZ", "reject", "message"),
+            triple("ACT00", "acceptx", "modex"),
+            Triple::new(
+                Term::concept("accept"),
+                Term::literal("send"),
+                Term::concept_in("Ghost", "mode"),
+            ),
+        ];
+        let mut idx = small_index(1);
+        assert_projects_as_eq1(&idx, &held_out);
+        for (i, t) in held_out.iter().enumerate() {
+            idx.insert_triple("late", t.clone());
+            assert_projects_as_eq1(&idx, &held_out[i..]);
+        }
+        let saved = crate::persist::save_index_string(&idx);
+        let loaded = crate::persist::load_index_str(
+            &saved,
+            idx.distance().clone(),
+            semtree_cluster::CostModel::zero(),
+        )
+        .unwrap();
+        assert_projects_as_eq1(&loaded, &held_out);
+        for q in &held_out {
+            assert_eq!(loaded.project(q), idx.project(q));
+        }
+        idx.shutdown();
+        loaded.shutdown();
     }
 
     #[test]

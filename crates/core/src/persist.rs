@@ -133,7 +133,19 @@ pub fn load_index_str(
     }
 
     let dims = field(next("dims")?, "dims")?;
+    if dims == 0 {
+        return Err(PersistError::Malformed {
+            line: 2,
+            message: "dims must be at least 1".into(),
+        });
+    }
     let bucket = field(next("bucket")?, "bucket")?;
+    if bucket == 0 {
+        return Err(PersistError::Malformed {
+            line: 3,
+            message: "bucket must be at least 1".into(),
+        });
+    }
     let partitions = field(next("partitions")?, "partitions")?;
     let n_pivots = field(next("pivots")?, "pivots")?;
     if n_pivots != dims {
@@ -143,7 +155,10 @@ pub fn load_index_str(
         });
     }
 
-    let mut pivots = Vec::with_capacity(n_pivots);
+    // Counts come from the file: reserve no more values than `data` can
+    // hold. Each pivot is kept with its 1-based line, to name it once
+    // `points` is known.
+    let mut pivots = Vec::with_capacity(n_pivots.min(data.len()));
     for _ in 0..n_pivots {
         let (no, text) = next("pivot line")?;
         let mut parts = text.split_whitespace();
@@ -166,11 +181,22 @@ pub fn load_index_str(
             .ok_or_else(|| parse_err("missing pivot distance".into()))?
             .parse()
             .map_err(|e| parse_err(format!("bad pivot distance: {e}")))?;
-        pivots.push(PivotPair { a, b, d_ab });
+        if !d_ab.is_finite() {
+            return Err(parse_err(format!("pivot distance {d_ab} is not finite")));
+        }
+        pivots.push((no + 1, PivotPair { a, b, d_ab }));
     }
 
     let n_points = field(next("points")?, "points")?;
-    let mut coords = Vec::with_capacity(n_points * dims);
+    for &(line, p) in &pivots {
+        if p.a.max(p.b) >= n_points {
+            return Err(PersistError::Malformed {
+                line,
+                message: format!("pivot {} {} names no point of {n_points}", p.a, p.b),
+            });
+        }
+    }
+    let mut coords = Vec::with_capacity(n_points.saturating_mul(dims).min(data.len()));
     for _ in 0..n_points {
         let (no, text) = next("coordinate line")?;
         let mut count = 0usize;
@@ -179,6 +205,12 @@ pub fn load_index_str(
                 line: no + 1,
                 message: format!("bad coordinate: {e}"),
             })?;
+            if !v.is_finite() {
+                return Err(PersistError::Malformed {
+                    line: no + 1,
+                    message: format!("coordinate {v} is not finite"),
+                });
+            }
             coords.push(v);
             count += 1;
         }
@@ -207,6 +239,7 @@ pub fn load_index_str(
         )));
     }
 
+    let pivots = pivots.into_iter().map(|(_, p)| p).collect();
     let embedding = Embedding::from_parts(n_points, coords, pivots);
     Ok(SemTree::from_parts(
         store, distance, embedding, bucket, partitions, cost,
@@ -315,6 +348,87 @@ mod tests {
             Ok(_) => panic!("corrupted coordinates must be rejected"),
         }
         idx.shutdown();
+    }
+
+    /// `sample_index`'s saved form with line `line` (1-based) replaced.
+    fn with_line(line: usize, text: &str) -> String {
+        let idx = sample_index();
+        let saved = save_index_string(&idx);
+        idx.shutdown();
+        let mut lines: Vec<&str> = saved.lines().collect();
+        lines[line - 1] = text;
+        lines.join("\n")
+    }
+
+    /// Loading `data` fails as malformed at `line`, naming `what`.
+    fn assert_malformed_at(data: &str, line: usize, what: &str) {
+        match load_index_str(data, distance(), CostModel::zero()) {
+            Err(PersistError::Malformed { line: got, message }) => {
+                assert_eq!(got, line, "{message}");
+                assert!(message.contains(what), "{message}");
+            }
+            Err(err) => panic!("expected a malformed line {line}, got {err}"),
+            Ok(idx) => {
+                idx.shutdown();
+                panic!("line {line} must be rejected");
+            }
+        }
+    }
+
+    // Lines of `sample_index`'s file: 1 header, 2 dims, 3 bucket,
+    // 4 partitions, 5 pivots, 6–8 the three pivot pairs, 9 points,
+    // 10.. coordinates.
+
+    #[test]
+    fn zero_dims_rejected() {
+        // Zero pivots and no coordinates: otherwise a consistent file.
+        let data = with_line(2, "dims 0").replace("pivots 3", "pivots 0");
+        let mut lines: Vec<&str> = data.lines().collect();
+        lines.drain(5..8);
+        for coords in &mut lines[6..12] {
+            *coords = "";
+        }
+        assert_malformed_at(&lines.join("\n"), 2, "dims");
+    }
+
+    #[test]
+    fn zero_bucket_rejected() {
+        assert_malformed_at(&with_line(3, "bucket 0"), 3, "bucket");
+    }
+
+    #[test]
+    fn pivot_index_past_the_points_rejected() {
+        assert_malformed_at(&with_line(7, "0 6 0.5"), 7, "names no point of 6");
+        assert_malformed_at(&with_line(6, "99 1 0.5"), 6, "names no point of 6");
+    }
+
+    #[test]
+    fn non_finite_pivot_distance_rejected() {
+        assert_malformed_at(&with_line(6, "0 1 inf"), 6, "not finite");
+        assert_malformed_at(&with_line(8, "0 1 NaN"), 8, "not finite");
+    }
+
+    #[test]
+    fn non_finite_coordinate_rejected() {
+        assert_malformed_at(&with_line(10, "NaN 0 0"), 10, "not finite");
+        assert_malformed_at(&with_line(12, "0 -inf 0"), 12, "not finite");
+    }
+
+    #[test]
+    fn huge_counts_rejected_without_reserving_them() {
+        let huge = u64::MAX.to_string();
+        let dims =
+            with_line(2, &format!("dims {huge}")).replace("pivots 3", &format!("pivots {huge}"));
+        let points = with_line(9, &format!("points {huge}"));
+        for data in [dims, points] {
+            match load_index_str(&data, distance(), CostModel::zero()) {
+                Err(err) => assert!(matches!(err, PersistError::Malformed { .. }), "{err}"),
+                Ok(idx) => {
+                    idx.shutdown();
+                    panic!("huge counts must be rejected");
+                }
+            }
+        }
     }
 
     #[test]

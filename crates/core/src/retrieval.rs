@@ -160,10 +160,13 @@ impl<'a> DocumentRetriever<'a> {
             query: usize,
             matched: Matched,
         }
+        /// `slot_of` for a document that has not matched.
+        const UNMATCHED: u32 = u32::MAX;
         let store = self.index.store();
+        let documents = store.stats().documents;
         // Per document id: its index in `slots`, once it matched.
-        let mut slot_of: Vec<Option<usize>> = vec![None; store.stats().documents];
-        let mut slots: Vec<Slot> = Vec::new();
+        let mut slot_of: Vec<u32> = vec![UNMATCHED; documents];
+        let mut slots: Vec<Slot> = Vec::with_capacity(documents.min(queries.len() * self.k));
 
         for (query, triple) in queries.iter().enumerate() {
             for (tid, d) in self.index.nearest(triple, self.k, self.opts) {
@@ -171,16 +174,17 @@ impl<'a> DocumentRetriever<'a> {
                     .documents_of(tid)
                     .expect("hit ids come from the store");
                 for &doc in docs {
-                    let Some(s) = slot_of[doc.index()] else {
-                        slot_of[doc.index()] = Some(slots.len());
+                    let s = slot_of[doc.index()];
+                    if s == UNMATCHED {
+                        slot_of[doc.index()] = slots.len() as u32;
                         slots.push(Slot {
                             doc,
                             query,
                             matched: Matched::one((tid, d)),
                         });
                         continue;
-                    };
-                    let slot = &mut slots[s];
+                    }
+                    let slot = &mut slots[s as usize];
                     if slot.query == query {
                         // The first minimal hit in hit order is the
                         // document's best for this query triple.
@@ -194,9 +198,15 @@ impl<'a> DocumentRetriever<'a> {
         }
 
         // A document's score sums its matches' contributions in query
-        // order, then takes the mean over every query triple.
+        // order, then takes the mean over every query triple. Each is
+        // ranked by one integer key: `u64::MAX − score bits`, doc id, slot.
+        // Every contribution `(1 − d).max(0.0)` is finite and ≥ +0.0 (a NaN
+        // `d` gives 0.0), so every score is too, and on such floats the
+        // bits order as the values do: ascending keys are score descending
+        // under `total_cmp`, then doc id ascending. Doc ids are unique, so
+        // the slot never decides and the order is total.
         let n_queries = queries.len() as f64;
-        let mut order: Vec<(f64, DocumentId, usize)> = slots
+        let mut order: Vec<u128> = slots
             .iter()
             .enumerate()
             .map(|(s, slot)| {
@@ -204,14 +214,23 @@ impl<'a> DocumentRetriever<'a> {
                     .matched
                     .iter()
                     .fold(0.0, |sum, &(_, d)| sum + (1.0 - d).max(0.0));
-                (sum / n_queries, slot.doc, s)
+                let score = sum / n_queries;
+                debug_assert!(
+                    score.is_finite() && score.is_sign_positive(),
+                    "score {score}"
+                );
+                (u128::from(u64::MAX - score.to_bits()) << 64)
+                    | (u128::from(slot.doc.0) << 32)
+                    | s as u128
             })
             .collect();
-        // Doc ids are unique, so this order is total.
-        order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+        order.sort_unstable();
         order
             .into_iter()
-            .map(|(score, doc, s)| {
+            .map(|key| {
+                let s = key as u32 as usize;
+                let doc = slots[s].doc;
+                let score = f64::from_bits(u64::MAX - (key >> 64) as u64);
                 let mut matched = slots[s].matched.take();
                 matched.sort_by_distance();
                 DocumentHit {
@@ -509,6 +528,45 @@ mod tests {
             spilled_documents > 0,
             "the fixture must exercise documents with several matches"
         );
+        idx.shutdown();
+    }
+
+    #[test]
+    fn zero_scores_rank_by_ascending_doc_id() {
+        // Two triples at Eq. 1 distance 1 (every element a mixed kind)
+        // embed one FastMap unit apart, so a document holding only the far
+        // one scores exactly +0.0. Such documents interleave by id with
+        // those holding the query's own triple.
+        let near = req("OBSW001", "accept_cmd", "start-up");
+        let far = Triple::new(
+            Term::concept("accept"),
+            Term::literal("x"),
+            Term::literal("y"),
+        );
+        let mut b = SemTree::builder()
+            .dimensions(1)
+            .bucket_size(4)
+            .register_standard(Arc::new(wordnet::mini_taxonomy()));
+        for d in 0..7 {
+            let held = if d % 3 == 1 { &near } else { &far };
+            b.add_triples(format!("DOC-{d}"), vec![held.clone()]);
+        }
+        let idx = b.build().unwrap();
+        assert_eq!(idx.distance().distance(&near, &far), 1.0);
+
+        let got = DocumentRetriever::new(&idx).query_triple(&near);
+        assert_eq!(
+            bits(&got),
+            bits(&three_map_oracle(&idx, 10, QueryOptions::raw(), &[near])),
+        );
+        let zeros: Vec<u32> = got
+            .iter()
+            .filter(|h| h.score.to_bits() == 0.0f64.to_bits())
+            .map(|h| h.doc.0)
+            .collect();
+        assert_eq!(zeros, [0, 2, 3, 5, 6]);
+        assert_eq!(got.len(), 7);
+        assert!(got[..2].iter().all(|h| h.score == 1.0));
         idx.shutdown();
     }
 

@@ -4,7 +4,7 @@ use semtree_model::Term;
 use semtree_vocab::similarity::{Similarity, SimilarityMeasure};
 use semtree_vocab::strings::normalised_levenshtein;
 
-use crate::registry::VocabularyRegistry;
+use crate::registry::{TermResolution, VocabularyRegistry};
 
 /// Configuration of the element-level distance. Two literals of the same
 /// type are always compared by
@@ -38,9 +38,27 @@ impl Default for TermDistanceConfig {
 }
 
 impl TermDistanceConfig {
-    /// Distance in `[0, 1]` between two triple elements.
+    /// Distance in `[0, 1]` between two triple elements: both are resolved
+    /// against `registry`, then compared by [`Self::resolved_distance`].
     #[must_use]
     pub fn distance(&self, registry: &VocabularyRegistry, a: &Term, b: &Term) -> f64 {
+        self.resolved_distance(
+            registry,
+            (a, registry.resolve_term(a)),
+            (b, registry.resolve_term(b)),
+        )
+    }
+
+    /// [`Self::distance`] between two elements whose vocabulary lookups are
+    /// done: each operand is a term with its
+    /// [`VocabularyRegistry::resolve_term`] against `registry`. No lookup
+    /// is repeated here.
+    pub(crate) fn resolved_distance(
+        &self,
+        registry: &VocabularyRegistry,
+        (a, ra): (&Term, TermResolution),
+        (b, rb): (&Term, TermResolution),
+    ) -> f64 {
         match (a, b) {
             (Term::Literal(la), Term::Literal(lb)) => {
                 if la.dtype == lb.dtype {
@@ -53,11 +71,13 @@ impl TermDistanceConfig {
                 if ca.prefix != cb.prefix {
                     return self.mixed_penalty;
                 }
-                let Some(tax) = registry.resolve(ca.prefix.as_deref()) else {
-                    return self.fallback(&ca.name, &cb.name);
-                };
-                match (tax.id_of(&ca.name), tax.id_of(&cb.name)) {
-                    (Some(ia), Some(ib)) => 1.0 - self.semantic.similarity_ids(tax, ia, ib),
+                // One prefix, one slot: `a`'s is `b`'s.
+                match (ra.0, rb.0) {
+                    (Some((slot, ia)), Some((_, ib))) => {
+                        1.0 - self
+                            .semantic
+                            .similarity_ids(registry.taxonomy(slot), ia, ib)
+                    }
                     _ => self.fallback(&ca.name, &cb.name),
                 }
             }
@@ -176,6 +196,109 @@ mod tests {
             cfg.distance(&r, &Term::literal("accept"), &Term::concept("accept")),
             cfg.mixed_penalty
         );
+    }
+
+    /// `distance`'s body before the resolved arm, kept as the oracle: it
+    /// looks the vocabulary and both concepts up on every call.
+    fn distance_oracle(
+        cfg: &TermDistanceConfig,
+        registry: &VocabularyRegistry,
+        a: &Term,
+        b: &Term,
+    ) -> f64 {
+        match (a, b) {
+            (Term::Literal(la), Term::Literal(lb)) => {
+                if la.dtype == lb.dtype {
+                    normalised_levenshtein(&la.value, &lb.value)
+                } else {
+                    cfg.mixed_penalty
+                }
+            }
+            (Term::Concept(ca), Term::Concept(cb)) => {
+                if ca.prefix != cb.prefix {
+                    return cfg.mixed_penalty;
+                }
+                let Some(tax) = registry.resolve(ca.prefix.as_deref()) else {
+                    return cfg.fallback(&ca.name, &cb.name);
+                };
+                match (tax.id_of(&ca.name), tax.id_of(&cb.name)) {
+                    (Some(ia), Some(ib)) => 1.0 - cfg.semantic.similarity_ids(tax, ia, ib),
+                    _ => cfg.fallback(&ca.name, &cb.name),
+                }
+            }
+            _ => cfg.mixed_penalty,
+        }
+    }
+
+    /// A small DAG vocabulary sharing some names with the mini taxonomy.
+    fn dag() -> Arc<semtree_vocab::Taxonomy> {
+        let mut b = semtree_vocab::Taxonomy::builder("Fun");
+        b.add("act", &[]);
+        b.add("accept", &["act"]);
+        b.add("signal", &["act"]);
+        b.add("send", &["signal", "accept"]);
+        b.add("start", &["act"]);
+        b.add("start-up", &["start", "signal"]);
+        Arc::new(b.build().unwrap())
+    }
+
+    /// Every operand kind Eq. 1 dispatches on: literals of three types,
+    /// standard and `Fun` concepts in and out of vocabulary, and concepts
+    /// of the unregistered `Ghost` vocabulary.
+    fn operands() -> Vec<Term> {
+        let mut terms = vec![
+            Term::literal("OBSW001"),
+            Term::literal("OBSW002"),
+            Term::literal("accept"),
+            Term::literal(""),
+            Term::Literal(Literal::typed("42", LiteralType::Integer)),
+            Term::Literal(Literal::typed("43", LiteralType::Integer)),
+            Term::Literal(Literal::typed("42", LiteralType::String)),
+            Term::Literal(Literal::typed("4.2", LiteralType::Decimal)),
+        ];
+        for name in [
+            "accept", "reject", "antenna", "start", "message", "acceptx", "zzz",
+        ] {
+            terms.push(Term::concept(name));
+        }
+        for name in ["accept", "send", "start-up", "signal", "act", "acceptx"] {
+            terms.push(Term::concept_in("Fun", name));
+        }
+        for name in ["accept", "accepty"] {
+            terms.push(Term::concept_in("Ghost", name));
+        }
+        terms
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn resolved_distance_is_the_oracle_bit_for_bit(
+            measure in 0usize..5,
+            fallback in 0u8..2,
+            penalty in 0.0f64..=1.0,
+            standard in 0u8..2,
+        ) {
+            // Without a standard taxonomy, unprefixed concepts are an
+            // unregistered vocabulary too.
+            let mut r = VocabularyRegistry::new();
+            if standard == 1 {
+                r.register_standard(Arc::new(wordnet::mini_taxonomy()));
+            }
+            r.register("Fun", dag());
+            let cfg = TermDistanceConfig {
+                semantic: SimilarityMeasure::ALL[measure],
+                mixed_penalty: penalty,
+                string_fallback: fallback == 1,
+            };
+            let terms = operands();
+            for a in &terms {
+                for b in &terms {
+                    let got = cfg.distance(&r, a, b).to_bits();
+                    let want = distance_oracle(&cfg, &r, a, b).to_bits();
+                    proptest::prop_assert_eq!(got, want, "{} / {}", a, b);
+                }
+            }
+        }
     }
 
     #[test]

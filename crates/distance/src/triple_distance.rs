@@ -4,9 +4,17 @@ use std::sync::Arc;
 
 use semtree_model::Triple;
 
-use crate::registry::VocabularyRegistry;
+use crate::registry::{TermResolution, VocabularyRegistry};
 use crate::term_distance::TermDistanceConfig;
 use crate::weights::Weights;
+
+/// A triple's vocabulary lookups, done once by [`TripleDistance::resolve`]:
+/// for each concept among its subject, predicate and object, the registry
+/// slot of its vocabulary and its id there. `Copy` and
+/// free of borrows; only meaningful next to the triple it was resolved
+/// from, under the same distance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TripleResolution([TermResolution; 3]);
 
 /// The paper's semantic distance between two triples.
 ///
@@ -62,14 +70,39 @@ impl TripleDistance {
         &self.registry
     }
 
-    /// `d(ti, tj)` per Eq. 1, in `[0, 1]`.
+    /// Do a triple's vocabulary lookups once, for any number of
+    /// [`Self::resolved_distance`] evaluations.
+    #[must_use]
+    pub fn resolve(&self, t: &Triple) -> TripleResolution {
+        TripleResolution([
+            self.registry.resolve_term(&t.subject),
+            self.registry.resolve_term(&t.predicate),
+            self.registry.resolve_term(&t.object),
+        ])
+    }
+
+    /// `d(ti, tj)` per Eq. 1, in `[0, 1]`: both triples are resolved, then
+    /// compared by [`Self::resolved_distance`].
     #[must_use]
     pub fn distance(&self, a: &Triple, b: &Triple) -> f64 {
-        let ds = self.terms.distance(&self.registry, &a.subject, &b.subject);
-        let dp = self
-            .terms
-            .distance(&self.registry, &a.predicate, &b.predicate);
-        let dobj = self.terms.distance(&self.registry, &a.object, &b.object);
+        self.resolved_distance((a, self.resolve(a)), (b, self.resolve(b)))
+    }
+
+    /// [`Self::distance`] between two triples whose vocabulary lookups are
+    /// done: each operand is a triple with its [`Self::resolve`].
+    #[must_use]
+    pub fn resolved_distance(
+        &self,
+        (a, ra): (&Triple, TripleResolution),
+        (b, rb): (&Triple, TripleResolution),
+    ) -> f64 {
+        let term = |i: usize, ta, tb| {
+            self.terms
+                .resolved_distance(&self.registry, (ta, ra.0[i]), (tb, rb.0[i]))
+        };
+        let ds = term(0, &a.subject, &b.subject);
+        let dp = term(1, &a.predicate, &b.predicate);
+        let dobj = term(2, &a.object, &b.object);
         self.weights.combine(ds, dp, dobj)
     }
 }
