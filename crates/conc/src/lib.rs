@@ -18,7 +18,7 @@
 //! 3. [`model`] + [`explore`] — a vendored loom-style deterministic
 //!    scheduler. Threads run one at a time; before every shim operation
 //!    the active thread yields to a central scheduler which picks the
-//!    next thread from the enabled set. The [`explore::Explorer`] drives
+//!    next thread from the enabled set. [`explore::explore`] drives
 //!    bounded exhaustive DFS over that choice tree (plus seeded-random
 //!    and replay modes), so a model test visits thousands of distinct
 //!    interleavings deterministically and any failure is reproducible

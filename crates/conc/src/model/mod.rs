@@ -2,7 +2,7 @@
 //!
 //! Threads under the model are real OS threads, but only one is ever
 //! *active*: every shim operation first yields to the central scheduler
-//! ([`Execution`]), which picks the next thread to run from the enabled
+//! (`Execution`), which picks the next thread to run from the enabled
 //! set according to a decision sequence. Re-running with the same
 //! decisions reproduces the identical execution — that is what makes a
 //! printed seed replayable — and enumerating decision sequences (see

@@ -726,8 +726,8 @@ pub struct ServeOptions {
     /// Per-connection pipeline depth; beyond it the reactor stops
     /// reading that socket (backpressure, nothing is shed).
     pub per_conn_depth: usize,
-    /// Reactor shard count, one by default; `0` = automatic (half the
-    /// cores, ≥ 1).
+    /// Reactor shard count, one by default; clamped to
+    /// `1..=MAX_REACTOR_SHARDS`.
     pub reactors: usize,
 }
 
@@ -766,7 +766,7 @@ impl ServeOptions {
         self
     }
 
-    /// Reactor shard count (`0` = automatic: half the cores, ≥ 1).
+    /// Reactor shard count (clamped to `1..=MAX_REACTOR_SHARDS`).
     #[must_use]
     pub fn with_reactors(mut self, reactors: usize) -> Self {
         self.reactors = reactors;

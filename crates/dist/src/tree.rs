@@ -431,13 +431,6 @@ pub(crate) fn unexpected(expected: &str, resp: Resp) -> ClusterError {
     }
 }
 
-/// A validated [`Query`] after [`DistSemTree::lower`]: a read, already
-/// answered, or an insert and the partition whose actor takes it.
-enum Lowered {
-    Answered(QueryOutcome),
-    Send(ComputeNodeId, Req),
-}
-
 /// An insert's outcome from its partition's reply, counted by the
 /// facade's insert counter when acknowledged.
 fn acknowledged(
@@ -617,41 +610,43 @@ impl DistSemTree {
     /// `reads_crossed`). A [`Query::KnnBatch`] is one such read per
     /// point, fanned out over this machine's cores.
     ///
-    /// A write is routed the same way (see
-    /// [`route`](DistSemTree::route)): the routing nodes are walked in
+    /// A write is routed the same way: the routing nodes are walked in
     /// place, and only the partition that stores the point receives a
     /// message, where it is written ahead to the WAL and applied by that
     /// partition's actor.
     ///
     /// # Errors
-    /// [`ClusterError::InvalidRequest`] when the query is malformed (see
-    /// [`validate`](DistSemTree::validate)) — nothing was sent; otherwise
+    /// [`ClusterError::InvalidRequest`] when the query is malformed — a
+    /// point without exactly `dims` finite coordinates, or a radius that
+    /// is not finite and non-negative — and nothing was sent; otherwise
     /// the transport's error for a partition the operation had to message
     /// and could not reach (dead node, network fault), or the failure
     /// that partition reported.
     pub fn query(&self, query: Query) -> Result<QueryOutcome, ClusterError> {
-        match self.lower(query)? {
-            Lowered::Answered(outcome) => Ok(outcome),
-            Lowered::Send(to, req) => {
+        self.validate(&query)?;
+        match query {
+            Query::Insert { point, payload } => {
+                let (to, req) = self.insert_message(point, payload);
                 acknowledged(&self.inserted, self.transport.send(to, req).wait())
             }
+            read => self.read(&read, Some(&*self.transport)),
         }
     }
 
     /// Pipelined form of [`query`](DistSemTree::query): `complete` runs
     /// exactly once with the identical outcome the blocking path would
-    /// have produced. An insert is dispatched and this returns at once;
-    /// `complete` then runs on whatever thread finishes it — the
+    /// have produced. A valid insert is dispatched and this returns at
+    /// once; `complete` then runs on whatever thread finishes it — the
     /// receiving actor's thread in-process, a network demux reader under
     /// `semtree-net` — so one serving executor can keep many inserts in
-    /// flight. A read, and a query validation rejects, complete on this
-    /// thread before this returns: a read that must cross into another
-    /// process blocks it on those replies.
+    /// flight. Everything else is [`query`](DistSemTree::query), completed
+    /// on this thread before this returns: a read that must cross into
+    /// another process blocks it on those replies.
     pub fn submit_query(&self, query: Query, complete: CompleteFn<QueryOutcome>) {
-        match self.lower(query) {
-            Err(e) => complete(Err(e)),
-            Ok(Lowered::Answered(outcome)) => complete(Ok(outcome)),
-            Ok(Lowered::Send(to, req)) => {
+        let valid_insert = matches!(query, Query::Insert { .. }) && self.validate(&query).is_ok();
+        match query {
+            Query::Insert { point, payload } if valid_insert => {
+                let (to, req) = self.insert_message(point, payload);
                 let inserted = Arc::clone(&self.inserted);
                 self.transport.submit(
                     to,
@@ -659,29 +654,20 @@ impl DistSemTree {
                     Box::new(move |reply| complete(acknowledged(&inserted, reply))),
                 );
             }
+            other => complete(self.query(other)),
         }
     }
 
-    /// The one request lowering behind [`query`](DistSemTree::query) and
-    /// [`submit_query`](DistSemTree::submit_query): once
-    /// [`validate`](DistSemTree::validate) accepts it, a read is
-    /// [`read`](DistSemTree::read) with the transport, and an insert
-    /// becomes the message for the partition [`route`](DistSemTree::route)
-    /// names.
-    fn lower(&self, query: Query) -> Result<Lowered, ClusterError> {
-        self.validate(&query)?;
-        match query {
-            Query::Insert { point, payload } => {
-                let (to, node) = self.route(&point);
-                let req = Req::Insert {
-                    node,
-                    point,
-                    payload,
-                };
-                Ok(Lowered::Send(to, req))
-            }
-            read => Ok(Lowered::Answered(self.read(&read, Some(&*self.transport))?)),
-        }
+    /// A validated insert as the message for the partition
+    /// [`route`](DistSemTree::route) names.
+    fn insert_message(&self, point: Vec<f64>, payload: u64) -> (ComputeNodeId, Req) {
+        let (to, node) = self.route(&point);
+        let req = Req::Insert {
+            node,
+            point,
+            payload,
+        };
+        (to, req)
     }
 
     /// Where an insert of `point` goes: a partition and the node it is
@@ -714,13 +700,13 @@ impl DistSemTree {
         (ComputeNodeId(at.0), LocalNodeId(at.1))
     }
 
-    /// The lowering for a caller that must not wait (a reactor shard
+    /// The answer for a caller that must not wait (a reactor shard
     /// answering on its own thread): everything about `query` that can be
-    /// settled here and now without a message — its rejection by
-    /// [`validate`](DistSemTree::validate), or a read whose every border
-    /// leads into a partition this process hosts. `None` means the query
-    /// needs a message (a write, or a read that must cross into another
-    /// process): hand it to [`query`](DistSemTree::query) or
+    /// settled here and now without a message — its rejection as
+    /// malformed, or a read whose every border leads into a partition
+    /// this process hosts. `None` means the query needs a message (a
+    /// write, or a read that must cross into another process): hand it
+    /// to [`query`](DistSemTree::query) or
     /// [`submit_query`](DistSemTree::submit_query).
     pub fn answer_direct(&self, query: &Query) -> Option<Result<QueryOutcome, ClusterError>> {
         if let Err(rejected) = self.validate(query) {

@@ -11,7 +11,7 @@ use semtree_vocab::{ConceptId, Taxonomy};
 /// *standard* taxonomy.
 ///
 /// Each registered vocabulary owns a dense *slot*, so a term's lookups can
-/// be done once ([`VocabularyRegistry::resolve_term`]) and replayed without
+/// be done once (`VocabularyRegistry::resolve_term`) and replayed without
 /// any.
 #[derive(Debug, Clone, Default)]
 pub struct VocabularyRegistry {

@@ -39,7 +39,7 @@ impl Default for TermDistanceConfig {
 
 impl TermDistanceConfig {
     /// Distance in `[0, 1]` between two triple elements: both are resolved
-    /// against `registry`, then compared by [`Self::resolved_distance`].
+    /// against `registry`, then compared by `Self::resolved_distance`.
     #[must_use]
     pub fn distance(&self, registry: &VocabularyRegistry, a: &Term, b: &Term) -> f64 {
         self.resolved_distance(

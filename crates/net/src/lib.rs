@@ -10,13 +10,13 @@
 //!
 //! Three layers, all dependency-free (`std::net` + threads):
 //!
-//! - [`codec`]: a length-computable little-endian binary encoding
+//! - `codec`: a length-computable little-endian binary encoding
 //!   ([`Encode`]/[`Decode`]) for protocol types — the byte counts that
 //!   `Wire::wire_size` reports in simulation are the *exact* sizes this
 //!   codec produces;
-//! - [`frame`]: u32-big-endian length-prefixed frames over a byte
+//! - `frame`: u32-big-endian length-prefixed frames over a byte
 //!   stream, plus dial-with-retry;
-//! - [`fabric`]: [`NetFabric`], the coordinator/worker membership
+//! - `fabric`: [`NetFabric`], the coordinator/worker membership
 //!   protocol, per-connection reader threads, correlation-id request
 //!   routing, and cross-process member spawning for build-partition.
 

@@ -1,4 +1,4 @@
-//! The production pool: scoped workers sharing a [`ChunkedQueue`].
+//! The production pool: scoped workers sharing a `ChunkedQueue`.
 //!
 //! A [`Pool`] is pure configuration (a thread count) — workers are
 //! spawned per call with `std::thread::scope`, so closures may borrow

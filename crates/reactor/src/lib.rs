@@ -7,17 +7,16 @@
 //! round-trip. This crate replaces it with a **dependency-free
 //! readiness loop** over non-blocking `std::net` sockets:
 //!
-//! - [`sys`]: the readiness syscalls (the only `unsafe` in the
-//!   workspace) behind one `Poller` trait — persistent-registration
-//!   level-triggered `epoll` on Linux, portable `poll(2)` elsewhere,
-//!   `EINTR`-retrying and safe above the syscalls;
-//! - [`buffer`]: per-connection frame re-assembly and partial-write
+//! - `sys`: one level-triggered `poll(2)` poller on every platform
+//!   (the only `unsafe` in the workspace), `EINTR`-retrying and safe
+//!   above the syscall;
+//! - `buffer`: per-connection frame re-assembly and partial-write
 //!   resumption over the existing u32-length-prefixed framing;
-//! - [`queue`]: bounded global + per-connection admission with
+//! - `queue`: bounded global + per-connection admission with
 //!   backpressure semantics, generic over the concurrency shim so the
 //!   `semtree-conc` model checker can explore the queue-full /
 //!   connection-close race;
-//! - [`reactor`]: N sharded event loops (accept-balanced connection
+//! - `reactor`: N sharded event loops (accept-balanced connection
 //!   ownership, per-shard wake pipes and completion lists) that answer
 //!   on their own thread what the [`Service`] takes inline
 //!   ([`Service::call_inline`]) and feed an executor pool with the rest
@@ -43,7 +42,6 @@ pub use reactor::{
     effective_reactors, serve, Dispatch, ReactorConfig, ReactorReport, ReplyToken, Service,
     ServiceReply, DRAIN_BUDGET, INLINE_MAX_K,
 };
-pub use sys::Interest;
 
 #[cfg(test)]
 mod tests {
@@ -159,6 +157,44 @@ mod tests {
         drop(stream);
         shutdown_server(addr);
         handle.join().unwrap();
+    }
+
+    /// The poller maps each ready fd back to its connection by its
+    /// position in the registration table: 64 connections on one shard,
+    /// each pipelining 4 requests (odd ones answered inline, even ones by
+    /// an executor), must each get exactly their own replies back.
+    #[test]
+    fn many_pipelined_connections_on_one_shard_get_their_own_replies() {
+        let (addr, handle) = serve_echo(ReactorConfig::default());
+        let mut streams: Vec<TcpStream> =
+            (0..64).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let body = |corr: u64| {
+            let tag = if corr % 2 == 1 { 0x11 } else { 0x00 };
+            [&[tag][..], &corr.to_le_bytes()].concat()
+        };
+        for (conn, stream) in (0u64..).zip(&mut streams) {
+            for i in 0..4 {
+                let corr = conn << 8 | i;
+                write_frame(stream, &encode_frame_v2(corr, &body(corr))).unwrap();
+            }
+        }
+        for (conn, stream) in (0u64..).zip(&mut streams) {
+            let mut seen = [false; 4];
+            for _ in 0..4 {
+                let payload = read_frame(stream).unwrap().unwrap();
+                let (corr, reply) = split_frame_v2(&payload).unwrap();
+                assert_eq!(corr >> 8, conn, "reply {corr:#x} on connection {conn}");
+                assert_eq!(reply, body(corr));
+                let i = usize::try_from(corr & 0xFF).unwrap();
+                assert!(!seen[i], "duplicate {corr:#x}");
+                seen[i] = true;
+            }
+        }
+        drop(streams);
+        shutdown_server(addr);
+        let report = handle.join().unwrap();
+        assert_eq!(report.shed, 0);
+        assert_eq!(report.served, 64 * 4 + 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! execute, reply.
 //!
 //! N reactor shards (one thread each) multiplex the client connections
-//! through a [`Poller`] — epoll on Linux, `poll(2)` elsewhere — while a
+//! through one level-triggered `poll(2)` poller each, while a
 //! small pool of executor threads runs the [`Service`] on admitted
 //! requests. Shard 0 owns the listener and hands each accepted socket
 //! to the least-loaded shard over a lock-protected inbox plus a wake
@@ -51,7 +51,7 @@ use semtree_net::split_frame_v2;
 
 use crate::buffer::{FrameReader, WriteQueue};
 use crate::queue::{Push, ServeQueue};
-use crate::sys::{new_poller, Event, Interest, Poller};
+use crate::sys::{Event, Interest, Poller};
 
 /// Poller token of a shard's wake pipe.
 const TOKEN_WAKE: u64 = u64::MAX;
@@ -148,10 +148,9 @@ pub struct ReactorConfig {
     /// Sink for per-request serving latency (dispatch → reply ready)
     /// and per-shard served/shed counters.
     pub metrics: Option<Arc<ClusterMetrics>>,
-    /// Reactor shard count; `0` means automatic (half the available
-    /// cores, at least one). Capped at [`MAX_REACTOR_SHARDS`], the width of
-    /// the per-shard metrics arrays. The default is
-    /// one: no committed measurement shows several shards beating one.
+    /// Reactor shard count, clamped to `1..=`[`MAX_REACTOR_SHARDS`] (the
+    /// width of the per-shard metrics arrays). The default is one: no
+    /// committed measurement shows several shards beating one.
     pub reactors: usize,
 }
 
@@ -167,13 +166,11 @@ impl Default for ReactorConfig {
     }
 }
 
-/// The shard count a `reactors` setting resolves to on this host, at
-/// most [`MAX_REACTOR_SHARDS`] so every shard's counters have a slot.
+/// The shard count a `reactors` setting resolves to: at least one, and
+/// at most [`MAX_REACTOR_SHARDS`] so every shard's counters have a slot.
 #[must_use]
 pub fn effective_reactors(reactors: usize) -> usize {
-    let auto = std::thread::available_parallelism().map_or(1, |n| n.get() / 2);
-    let n = if reactors == 0 { auto } else { reactors };
-    n.clamp(1, MAX_REACTOR_SHARDS)
+    reactors.clamp(1, MAX_REACTOR_SHARDS)
 }
 
 /// What happened over one [`serve`] run.
@@ -429,7 +426,7 @@ fn shard_loop<SVC: Service>(
     router: &Arc<Router>,
     service: &SVC,
 ) -> io::Result<u64> {
-    let mut poller = new_poller()?;
+    let mut poller = Poller::new();
     poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
     let mut listener_armed = false;
     if let Some(l) = listener {
@@ -482,7 +479,7 @@ fn shard_loop<SVC: Service>(
         let handed: Vec<TcpStream> = std::mem::take(&mut *router.shards[shard].inbox.lock());
         for stream in handed {
             adopt(
-                &mut *poller,
+                &mut poller,
                 router,
                 &mut conns,
                 &mut next_seq,
@@ -499,7 +496,7 @@ fn shard_loop<SVC: Service>(
                     l,
                     shard,
                     router,
-                    &mut *poller,
+                    &mut poller,
                     &mut conns,
                     &mut next_seq,
                     &mut touched,
@@ -518,7 +515,7 @@ fn shard_loop<SVC: Service>(
                 if queued.is_err() {
                     // Response exceeds the frame format: nothing valid
                     // can be sent; drop the connection.
-                    close_conn(&mut *poller, router, &mut conns, completion.conn);
+                    close_conn(&mut poller, router, &mut conns, completion.conn);
                 } else {
                     // The freed pipeline slot may unblock buffered
                     // frames, and the new payload wants a flush.
@@ -561,9 +558,9 @@ fn shard_loop<SVC: Service>(
             }
             let _ = writable; // write_ready flushes whenever bytes are pending
             if dead {
-                close_conn(&mut *poller, router, &mut conns, id);
+                close_conn(&mut poller, router, &mut conns, id);
             } else {
-                update_interest(&mut *poller, router, &mut conns, id, stopping);
+                update_interest(&mut poller, router, &mut conns, id, stopping);
             }
         }
 
@@ -590,7 +587,7 @@ fn accept_balance(
     listener: &TcpListener,
     shard: usize,
     router: &Arc<Router>,
-    poller: &mut dyn Poller,
+    poller: &mut Poller,
     conns: &mut HashMap<u64, Conn>,
     next_seq: &mut u64,
     touched: &mut Vec<(u64, bool, bool, bool)>,
@@ -629,7 +626,7 @@ fn accept_balance(
 /// and start reading. A failed registration drops the socket, not the
 /// shard.
 fn adopt(
-    poller: &mut dyn Poller,
+    poller: &mut Poller,
     router: &Arc<Router>,
     conns: &mut HashMap<u64, Conn>,
     next_seq: &mut u64,
@@ -779,7 +776,7 @@ fn write_ready(conns: &mut HashMap<u64, Conn>, conn_id: u64) -> bool {
 /// connection now needs: read interest unless backpressured or
 /// stopping, write interest while bytes are pending.
 fn update_interest(
-    poller: &mut dyn Poller,
+    poller: &mut Poller,
     router: &Arc<Router>,
     conns: &mut HashMap<u64, Conn>,
     conn_id: u64,
@@ -807,7 +804,7 @@ fn update_interest(
 }
 
 fn close_conn(
-    poller: &mut dyn Poller,
+    poller: &mut Poller,
     router: &Arc<Router>,
     conns: &mut HashMap<u64, Conn>,
     conn_id: u64,
@@ -832,6 +829,6 @@ mod tests {
             MAX_REACTOR_SHARDS
         );
         assert_eq!(effective_reactors(3), 3);
-        assert!((1..=MAX_REACTOR_SHARDS).contains(&effective_reactors(0)));
+        assert_eq!(effective_reactors(0), 1);
     }
 }

@@ -413,7 +413,7 @@ impl Wal {
     /// Append one record. The frame is written and flushed before this
     /// returns — callers apply the state change *after* logging it.
     /// (`semtree_wal::SequencedLog` wraps the staged halves of this —
-    /// [`Wal::stage_mut`] / [`Wal::flush_mut`] — to make that
+    /// `Wal::stage_mut` / `Wal::flush_mut` — to make that
     /// flush-before-apply ordering structural.)
     pub fn append(&self, record: &WalRecord) -> Result<Appended, WalError> {
         let mut inner = self.inner.lock();

@@ -174,7 +174,7 @@ fn queue_overflow_sheds_typed_overloaded_replies() {
 /// interleaved on the same multi-shard port: responses must route
 /// by connection and correlation id, never by arrival order.
 #[test]
-fn blocking_and_pipelined_clients_interleave_on_a_sharded_epoll_port() {
+fn blocking_and_pipelined_clients_interleave_on_a_sharded_port() {
     let k = 4;
     let queries = sample_points(2, 24, 67);
     let (tree, expected) = tree_with_reference(500, &queries, k);
@@ -271,7 +271,7 @@ fn saturated_pipelined_connection_cannot_starve_a_light_one() {
 /// counters attribute every shed to the owning shard, and the
 /// connection stays usable.
 #[test]
-fn multi_shard_epoll_path_sheds_and_attributes_overload() {
+fn multi_shard_path_sheds_and_attributes_overload() {
     let k = 8;
     let queries = sample_points(2, 8, 79);
     let (tree, _) = tree_with_reference(3_000, &queries, k);
