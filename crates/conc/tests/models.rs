@@ -86,6 +86,12 @@ const TARGETS: &[Target] = &[
         spurious_budget: 0,
     },
     Target {
+        name: "kdtree_read_widen",
+        what: "Versioned KD-tree optimistic knn vs an insert that widens a leaf's box: a read the old box prunes still equals the prefix its version names",
+        body: kdtree_read_widen,
+        spurious_budget: 0,
+    },
+    Target {
         name: "partition_read_relink",
         what: "Partition tree optimistic knn vs build-partition relink: the whole pre-relink answer or needs-the-mailbox, never a read missing the evicted leaf",
         body: partition_read_relink,
@@ -534,6 +540,81 @@ fn kdtree_read_split() {
     let got: Vec<u64> = hits.iter().map(|h| h.payload).collect();
     assert_eq!(got, EXPECTED[3]);
     drop(tree);
+}
+
+// ---------------------------------------------------------------------
+// Target 8a: the versioned KD-tree's optimistic read vs a box widening.
+// ---------------------------------------------------------------------
+
+/// A routing root at 5 over the leaves `{0, 1}` and `{9}`. From 4, the
+/// 1-NN bound is 3 once the left leaf is scanned, and the right leaf's
+/// box `[9, 9]` lies 5 away, so the walk enters the right cell and
+/// skips the leaf on its box. The writer inserts 7.5 into that leaf
+/// (the box widens to `[7.5, 9]`, still pruned), then 6 (`[6, 9]`: 2
+/// away, and 6 is the new nearest) while a reader runs a bounded
+/// optimistic 1-NN. A read validated at version `2n` must equal the
+/// answer for the n-insert prefix: a box word read from before the
+/// widening that version covers would skip the leaf holding its
+/// answer.
+fn kdtree_read_widen() {
+    // 1-NN of query 4.0 by prefix length: payload 1 (at 1.0) until the
+    // second insert stores 6.0 as payload 4.
+    const EXPECTED: [u64; 3] = [1, 1, 4];
+
+    let mut writer = TreeWriter::<ModelShim>::new(KdConfig::new(1).with_bucket_size(4));
+    let leaves = [Child::Local(1), Child::Local(2)];
+    assert_eq!(writer.push_routing(0, None, 0, 5.0, leaves), Some(0));
+    let left = [(vec![0.0], 0), (vec![1.0], 1)];
+    assert_eq!(writer.push_leaf(1, Some((0, true)), &left), Some(1));
+    assert_eq!(
+        writer.push_leaf(1, Some((0, false)), &[(vec![9.0], 2)]),
+        Some(2)
+    );
+    let tree = Arc::clone(writer.tree());
+
+    let inserter = ModelShim::spawn(move || {
+        let nowhere = InPlace::<ModelShim, _>::nowhere();
+        for (x, payload) in [(7.5, 3), (6.0, 4)] {
+            let stored = writer.insert(0, &[x], payload, &nowhere, &mut Vec::new());
+            assert_eq!(stored, Some(Ok(true)), "no split below bucket size 4");
+        }
+        writer
+    });
+
+    let observer = {
+        let tree = Arc::clone(&tree);
+        ModelShim::spawn(move || {
+            let read = tree.read_bounded(4, |t| {
+                t.knn(0, &[4.0], 1, None, &InPlace::<ModelShim, _>::nowhere())
+            });
+            if let Some((answer, stats)) = read {
+                assert_eq!(stats.version % 2, 0, "validated against an odd version");
+                let prefix = usize::try_from(stats.version / 2).unwrap_or(usize::MAX);
+                assert!(
+                    prefix <= 2,
+                    "version {} names a phantom prefix",
+                    stats.version
+                );
+                let payloads: Vec<u64> = answer.expect("no links").iter().map(|h| h.1).collect();
+                assert_eq!(
+                    payloads,
+                    [EXPECTED[prefix]],
+                    "read validated at version {} must equal its prefix",
+                    stats.version
+                );
+            }
+        })
+    };
+
+    let writer = ModelShim::join(inserter);
+    ModelShim::join(observer);
+
+    // Quiescent: both inserts are in, and the widened box lets 6 in.
+    let (answer, stats) =
+        tree.read(|t| t.knn(0, &[4.0], 1, None, &InPlace::<ModelShim, _>::nowhere()));
+    assert_eq!((stats.version, stats.retries), (4, 0));
+    assert_eq!(answer, Ok(vec![(2.0, 4)]));
+    drop(writer);
 }
 
 // ---------------------------------------------------------------------

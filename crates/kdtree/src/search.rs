@@ -18,6 +18,9 @@ pub struct SearchStats {
     pub nodes_visited: usize,
     /// Points the walk scanned: one distance evaluation each.
     pub distance_evals: usize,
+    /// Leaves the walk entered but did not scan: their bounding box was
+    /// no nearer than the cut.
+    pub leaves_skipped: usize,
 }
 
 #[cfg(test)]

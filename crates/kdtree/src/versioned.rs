@@ -17,6 +17,10 @@
 //!   inserts whose split record is still to come, adopted over-full
 //!   buckets). An insert fills one slot, then publishes it through the
 //!   bucket's length word — nothing is cloned and nothing dies.
+//! - **A bounding box per leaf.** The first block's coordinate words
+//!   start with the box of the bucket (`dims` lows, then `dims` highs).
+//!   A walk skips a leaf whose box lies no nearer than its cut, without
+//!   reading a point.
 //! - **Splits publish, they do not replace.** An over-full leaf becomes
 //!   a routing node by publishing its routing part once, after both
 //!   children are fully built. Each child edge is one atomic word
@@ -29,29 +33,39 @@
 //!   retry count so the serving layer can surface contention.
 //!
 //! The words that mutate after publication are the version, a leaf's
-//! length, and a routing node's two child words; everything else is
-//! write-once. Why a validated read is never torn: every mutable word
-//! is stored with release ordering and loaded with acquire ordering,
-//! and whatever it guards (a point's words, a child node, a routing
-//! part) was fully written first. A traversal that overlaps a writer
-//! transaction either saw only pre-transaction words (the pre-state,
-//! and validation passes) or saw at least one post-transaction word —
-//! whose acquire load also makes the writer's *entry* store
-//! (`version = odd`) visible, so validation fails and the read retries.
-//! Structural safety does not depend on validation: an unpublished slot
-//! reads as `None` ("retry"), edges only ever point at higher ids, and
-//! so any mix of old and new words is acyclic and every walk ends.
+//! length, a routing node's two child words, and a leaf's box words;
+//! everything else is write-once. Why a validated read is never torn:
+//! every mutable word but the box is stored with release ordering and
+//! loaded with acquire ordering, and whatever it guards (a point's
+//! words, a child node, a routing part) was fully written first. A
+//! traversal that overlaps a writer transaction either saw only
+//! pre-transaction words (the pre-state, and validation passes) or saw
+//! at least one post-transaction word — whose acquire load also makes
+//! the writer's *entry* store (`version = odd`) visible, so validation
+//! fails and the read retries. Structural safety does not depend on
+//! validation: an unpublished slot reads as `None` ("retry"), edges only
+//! ever point at higher ids, and so any mix of old and new words is
+//! acyclic and every walk ends.
+//!
+//! The box words are `Relaxed`, like a point's own words, because they
+//! only ever widen and each widening is stored before the length that
+//! publishes its point. A reader validated against version `v` acquired
+//! `v` first, so every widening before `v` is visible to it: whatever
+//! box it loads holds every point of state `v`, and a later widening
+//! only makes it wider. Relink leaves the box in place and empties the
+//! leaf. A box that is too wide costs a scan, never an answer.
 //!
 //! All of this is safe Rust (the workspace denies `unsafe`), so nothing
 //! is freed while the tree lives. What stays behind is bounded per
 //! point and independent of how many inserts ran: the bucket of a leaf
-//! that split or was evicted — `bucket_size + 1` slots per routing
-//! node, one to two dead slots per live point.
+//! that split or was evicted — `bucket_size + 1` slots and the box per
+//! routing node, one to two dead slots per live point.
 //!
 //! The module is generic over the [`semtree_conc::shim::Shim`], so the
 //! same code runs under real atomics in production and under the
-//! deterministic model checker (`kdtree_read_split` and
-//! `partition_read_relink` in `crates/conc/tests/models.rs`).
+//! deterministic model checker (`kdtree_read_split`,
+//! `kdtree_read_widen` and `partition_read_relink` in
+//! `crates/conc/tests/models.rs`).
 
 use std::cell::Cell;
 use std::collections::BinaryHeap;
@@ -126,9 +140,12 @@ impl Child {
 
 /// A run of point slots plus the overflow link. Coordinates (`f64`
 /// bits, row-major, `dims` words per slot) and payloads are plain words,
-/// so a leaf scan walks contiguous memory. A word is written once, before
-/// the leaf's length covers its slot; the length's release/acquire pair
-/// is what publishes it, hence `Relaxed` here.
+/// so a leaf scan walks contiguous memory. A leaf's first block starts
+/// its coordinate words with the leaf's bounding box — `dims` lows, then
+/// `dims` highs — so the box test reads the lines a scan reads first. A
+/// slot's word is written once and a box word only ever widens, both
+/// before the leaf's length covers the point; the length's
+/// release/acquire pair is what publishes them, hence `Relaxed` here.
 struct Block {
     coords: Box<[AtomicU64]>,
     payloads: Box<[AtomicU64]>,
@@ -136,18 +153,29 @@ struct Block {
 }
 
 impl Block {
-    fn with_capacity(slots: usize, dims: usize) -> Self {
-        let zeroed = |words| (0..words).map(|_| AtomicU64::new(0)).collect();
+    /// `slots` zeroed slots; with `boxed`, behind an empty bounding box
+    /// (lows `+∞`, highs `−∞`).
+    fn with_capacity(slots: usize, dims: usize, boxed: bool) -> Self {
+        let bound = |b: f64| std::iter::repeat_n(b.to_bits(), if boxed { dims } else { 0 });
+        let head = bound(f64::INFINITY).chain(bound(f64::NEG_INFINITY));
+        let words = head.chain(std::iter::repeat_n(0, slots * dims));
         Block {
-            coords: zeroed(slots * dims),
-            payloads: zeroed(slots),
+            coords: words.map(AtomicU64::new).collect(),
+            payloads: (0..slots).map(|_| AtomicU64::new(0)).collect(),
             next: OnceLock::new(),
         }
     }
 
+    /// The box words ahead of slot 0 (none but in a leaf's first block),
+    /// and the slots' coordinate words.
+    fn rows(&self, dims: usize) -> (&[AtomicU64], &[AtomicU64]) {
+        self.coords
+            .split_at(self.coords.len() - self.payloads.len() * dims)
+    }
+
     /// Fill slot `at` (writer only, before the length covers it).
     fn write(&self, at: usize, point: &[f64], payload: u64) {
-        let row = &self.coords[at * point.len()..][..point.len()];
+        let row = &self.rows(point.len()).1[at * point.len()..][..point.len()];
         for (word, c) in row.iter().zip(point) {
             word.store(c.to_bits(), Relaxed);
         }
@@ -245,7 +273,8 @@ impl<S: Shim> Node<S> {
         let mut block = &self.bucket;
         loop {
             let slots = block
-                .coords
+                .rows(self.dims)
+                .1
                 .chunks_exact(self.dims)
                 .zip(&block.payloads[..]);
             for (words, payload) in slots.take(left) {
@@ -257,6 +286,47 @@ impl<S: Shim> Node<S> {
             }
             block = block.next.get()?;
         }
+    }
+
+    /// The leaf's bounding box as `(lows, highs)` words; both empty for
+    /// a node born routing.
+    fn bbox(&self) -> (&[AtomicU64], &[AtomicU64]) {
+        let words = self.bucket.rows(self.dims).0;
+        words.split_at(words.len() / 2)
+    }
+
+    /// Widen the box to cover `point` (writer only, before the length
+    /// covers the point).
+    fn widen(&self, point: &[f64]) {
+        let (lows, highs) = self.bbox();
+        for ((lo, hi), &c) in lows.iter().zip(highs).zip(point) {
+            if c < f64::from_bits(lo.load(Relaxed)) {
+                lo.store(c.to_bits(), Relaxed);
+            }
+            if c > f64::from_bits(hi.load(Relaxed)) {
+                hi.store(c.to_bits(), Relaxed);
+            }
+        }
+    }
+
+    /// `Σ gap_d²` in dimension order, `gap_d` the distance from `point`
+    /// to the box along `d` (0 inside it): at most the `sq` of every
+    /// point the box holds (DESIGN §14).
+    fn box_sq(&self, point: &[f64]) -> f64 {
+        let (lows, highs) = self.bbox();
+        let term = |((lo, hi), &q): ((&AtomicU64, &AtomicU64), &f64)| {
+            let lo = f64::from_bits(lo.load(Relaxed));
+            let hi = f64::from_bits(hi.load(Relaxed));
+            let gap = if q < lo {
+                lo - q
+            } else if q > hi {
+                q - hi
+            } else {
+                0.0
+            };
+            gap * gap
+        };
+        lows.iter().zip(highs).zip(point).map(term).sum()
     }
 }
 
@@ -837,6 +907,10 @@ impl<S: Shim> Tree<S> {
             stats.nodes_visited += 1;
             match node.routing() {
                 None => {
+                    if node.box_sq(point) >= state.cut {
+                        stats.leaves_skipped += 1;
+                        continue; // every point's `sq` is at least the cut
+                    }
                     stats.distance_evals += node.scan(|words, payload| {
                         let sq = sq_dist(words, point);
                         if sq >= state.cut {
@@ -908,6 +982,10 @@ impl<S: Shim> Tree<S> {
             };
             stats.nodes_visited += 1;
             let Some(r) = node.routing() else {
+                if node.box_sq(point) >= cut {
+                    stats.leaves_skipped += 1;
+                    continue;
+                }
                 stats.distance_evals += node.scan(|words, payload| {
                     let sq = sq_dist(words, point);
                     if sq >= cut {
@@ -987,8 +1065,9 @@ impl<S: Shim> Tree<S> {
     }
 
     /// Publish a node in the next arena slot; `None` when the arena is
-    /// exhausted or a point has the wrong dimensionality. A node born
-    /// routing gets no point slots.
+    /// exhausted or a point has the wrong dimensionality. A leaf's box
+    /// is the bounding box of `points`; a node born routing gets no
+    /// point slots and no box.
     fn push(
         &self,
         depth: u32,
@@ -1010,11 +1089,12 @@ impl<S: Shim> Tree<S> {
             parent,
             dims,
             len: S::atomic_u64(points.len() as u64),
-            bucket: Block::with_capacity(slots, dims),
+            bucket: Block::with_capacity(slots, dims, routing.is_none()),
             routing: routing.map_or_else(OnceLock::new, OnceLock::from),
         };
         for (at, (coords, payload)) in points.iter().enumerate() {
             node.bucket.write(at, coords, *payload);
+            node.widen(coords);
         }
         #[allow(clippy::cast_possible_truncation)]
         let idx32 = idx as u32;
@@ -1032,7 +1112,8 @@ impl<S: Shim> Tree<S> {
         Some(idx32)
     }
 
-    /// Publish one point in `leaf`'s next free slot, then its length.
+    /// Publish one point in `leaf`'s next free slot and widen the box
+    /// to it, then its length.
     fn append(&self, leaf: u32, point: &[f64], payload: u64) -> Option<()> {
         let node = self.node(leaf).filter(|n| n.dims == point.len())?;
         let len = S::load(&node.len);
@@ -1043,11 +1124,13 @@ impl<S: Shim> Tree<S> {
                 Box::new(Block::with_capacity(
                     self.config.bucket_size() + 1,
                     node.dims,
+                    false,
                 ))
             };
             block = block.next.get_or_init(grow);
         }
         block.write(at, point, payload);
+        node.widen(point);
         S::store_release(&node.len, len + 1);
         Some(())
     }
@@ -1570,8 +1653,13 @@ impl<S: Shim> VersionedKdReader<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::{assert_knn_exact, brute, grid, grown, line, pairs, Tree};
+    use crate::testing::{assert_knn_exact, brute, grid, grown, line, pairs, Point, Tree};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
     use std::sync::atomic::{AtomicBool, Ordering};
+
+    type Arena = super::Tree<StdShim>;
 
     #[test]
     fn chunk_math_is_contiguous() {
@@ -1781,5 +1869,226 @@ mod tests {
         // Final state: brute force's nearest.
         let (hits, _) = reader.knn(&[3.1, 4.2], 4);
         assert_knn_exact(&points, &[3.1, 4.2], 4, &hits);
+    }
+
+    /// A leaf's box as `(lows, highs)`.
+    fn box_of(node: &Node) -> (Vec<f64>, Vec<f64>) {
+        let read = |words: &[AtomicU64]| {
+            let bound = |w: &AtomicU64| f64::from_bits(w.load(Relaxed));
+            words.iter().map(bound).collect()
+        };
+        let (lows, highs) = node.bbox();
+        (read(lows), read(highs))
+    }
+
+    /// Every published point of every reachable leaf lies in its box.
+    fn assert_boxes_hold(tree: &Arena, path: &str) {
+        for (id, node) in tree.reachable() {
+            if node.routing().is_some() {
+                continue;
+            }
+            let (lows, highs) = box_of(node);
+            assert_eq!((lows.len(), highs.len()), (node.dims, node.dims));
+            for (coords, payload) in node.bucket() {
+                let inside = (0..node.dims).all(|d| lows[d] <= coords[d] && coords[d] <= highs[d]);
+                assert!(
+                    inside,
+                    "{path}: leaf {id}, payload {payload} outside its box"
+                );
+            }
+        }
+    }
+
+    /// Widen every box to the whole space. A walk then skips a leaf only
+    /// at a cut of 0, which every point's `sq` meets: the box-free walk.
+    fn open_boxes(tree: &Arena) {
+        for (_, node) in tree.reachable() {
+            let (lows, highs) = node.bbox();
+            lows.iter()
+                .for_each(|w| w.store(f64::NEG_INFINITY.to_bits(), Relaxed));
+            highs
+                .iter()
+                .for_each(|w| w.store(f64::INFINITY.to_bits(), Relaxed));
+        }
+    }
+
+    /// The raw walks — candidates in the order the walk returns them —
+    /// of a k-NN with and without a `worst` hint and of a range.
+    fn raw_walks(tree: &Arena, q: &[f64], k: usize, worst: f64, radius: f64) -> Vec<Hits> {
+        let nowhere = InPlace::<StdShim, _>::nowhere();
+        let walks = [
+            tree.knn(0, q, k, None, &nowhere),
+            tree.knn(0, q, k, Some(worst), &nowhere),
+            tree.range(0, q, radius, &nowhere),
+        ];
+        let ok = |hits: Option<Result<Hits, _>>| hits.and_then(Result::ok).expect("no links");
+        walks.into_iter().map(ok).collect()
+    }
+
+    /// `n` points with coordinates on `{0, 0.5, 1, 1.5}` — full of
+    /// copies and distance ties — numbered in order.
+    fn snapped(rng: &mut StdRng, n: usize, dims: usize) -> Vec<Point> {
+        let mut coord = || f64::from(rng.random_range(0u32..4)) * 0.5;
+        (0..n as u64)
+            .map(|i| ((0..dims).map(|_| coord()).collect(), i))
+            .collect()
+    }
+
+    /// Every way a leaf is filled, on one population: inserts with
+    /// splits, the bulk and chain loads, WAL-style replay (appends and
+    /// logged splits), an over-full `push_leaf` split afterwards, and
+    /// the inserted tree after a relink.
+    fn every_fill(config: KdConfig, points: &[Point]) -> Vec<(&'static str, Arc<Arena>)> {
+        let grow = |log: &mut Vec<_>| {
+            let nowhere = InPlace::<StdShim, _>::nowhere();
+            let mut writer = TreeWriter::<StdShim>::new(config);
+            assert_eq!(writer.push_leaf(0, None, &[]), Some(0));
+            for (coords, payload) in points {
+                let mut splits = Vec::new();
+                let stored = writer.insert(0, coords, *payload, &nowhere, &mut splits);
+                assert_eq!(stored, Some(Ok(true)));
+                log.push((coords, *payload, splits));
+            }
+            writer
+        };
+        let mut log = Vec::new();
+        let inserted = grow(&mut log);
+        let mut replayed = TreeWriter::<StdShim>::new(config);
+        assert_eq!(replayed.push_leaf(0, None, &[]), Some(0));
+        for (coords, payload, splits) in &log {
+            assert_eq!(replayed.append(0, coords, *payload), Some(true));
+            for split in splits {
+                assert_eq!(replayed.apply_split(split), Ok(()));
+            }
+        }
+        let mut adopted = TreeWriter::<StdShim>::new(config);
+        assert_eq!(adopted.push_leaf(0, None, points), Some(0));
+        adopted.split(0, &mut Vec::new());
+        let bulk = Tree::bulk_load(config, points.to_vec());
+        let chain = Tree::chain_load(config, points.to_vec());
+        let arena = |t: &Tree| Arc::clone(t.writer.tree());
+        let mut trees = vec![
+            ("insert", Arc::clone(inserted.tree())),
+            ("replay", Arc::clone(replayed.tree())),
+            ("push_leaf", Arc::clone(adopted.tree())),
+            ("bulk_load", arena(&bulk)),
+            ("chain_load", arena(&chain)),
+        ];
+        let mut relinked = grow(&mut Vec::new());
+        let evict = relinked
+            .tree()
+            .reachable()
+            .into_iter()
+            .find_map(|(id, node)| {
+                (node.routing().is_none() && node.parent.is_some()).then_some(id)
+            });
+        if let Some(leaf) = evict {
+            let to = Child::Remote {
+                partition: 9,
+                node: 0,
+            };
+            assert!(relinked.relink(leaf, to).is_ok());
+            trees.push(("relink", Arc::clone(relinked.tree())));
+        }
+        trees
+    }
+
+    #[test]
+    fn a_leaf_entered_on_its_cell_is_skipped_on_its_box() {
+        // Root plane at 5: left leaf {0, 1}, right leaf {9}. From 4 the
+        // right cell is 1 away, inside the 1-NN bound of 3, but every
+        // point of the right leaf is 5 away.
+        let mut writer = TreeWriter::<StdShim>::new(KdConfig::new(1).with_bucket_size(4));
+        let leaves = [Child::Local(1), Child::Local(2)];
+        assert_eq!(writer.push_routing(0, None, 0, 5.0, leaves), Some(0));
+        let (left, right) = ([(vec![0.0], 0), (vec![1.0], 1)], [(vec![9.0], 2)]);
+        assert_eq!(writer.push_leaf(1, Some((0, true)), &left), Some(1));
+        assert_eq!(writer.push_leaf(1, Some((0, false)), &right), Some(2));
+        let points = [left.to_vec(), right.to_vec()].concat();
+        let tree = writer.tree();
+        let nowhere = InPlace::<StdShim, _>::nowhere();
+        let skipped_right = SearchStats {
+            nodes_visited: 3,
+            distance_evals: 2,
+            leaves_skipped: 1,
+        };
+
+        let mut stats = SearchStats::default();
+        let hits = tree.knn_counted(0, &[4.0], 1, None, &nowhere, &mut stats);
+        assert_eq!(hits, Some(Ok(brute(&points, &[4.0])[..1].to_vec())));
+        assert_eq!(stats, skipped_right);
+
+        let mut stats = SearchStats::default();
+        let hits = tree.range_counted(0, &[4.0], 3.5, &nowhere, &mut stats);
+        assert_eq!(hits, Some(Ok(vec![(3.0, 1)])));
+        assert_eq!(stats, skipped_right);
+    }
+
+    #[test]
+    fn boxes_start_empty_and_only_widen() {
+        let mut tree = Tree::new(KdConfig::new(2).with_bucket_size(8));
+        let root = |t: &Tree| box_of(t.arena().node(0).expect("root"));
+        let (inf, ninf) = (f64::INFINITY, f64::NEG_INFINITY);
+        assert_eq!(root(&tree), (vec![inf, inf], vec![ninf, ninf]));
+        tree.insert(&[1.0, 5.0], 0);
+        assert_eq!(root(&tree), (vec![1.0, 5.0], vec![1.0, 5.0]));
+        tree.insert(&[3.0, -2.0], 1);
+        tree.insert(&[2.0, 0.0], 2);
+        assert_eq!(root(&tree), (vec![1.0, -2.0], vec![3.0, 5.0]));
+        // An empty leaf is skipped as soon as there is a bound.
+        let empty = Tree::new(KdConfig::new(2))
+            .arena()
+            .node(0)
+            .map(|n| n.box_sq(&[0.0, 0.0]));
+        assert_eq!(empty, Some(f64::INFINITY));
+    }
+
+    proptest! {
+        /// Box ⊇ published points on every path that fills a leaf, and
+        /// the box-pruned walks answer exactly as the box-free walk —
+        /// the same candidates in the same order, ties included — and as
+        /// brute force, on a population where ties are the rule.
+        #[test]
+        fn boxes_hold_their_points_and_keep_the_answers(
+            seed in 0u64..u64::MAX,
+            n in 1usize..300,
+            dims in 1usize..5,
+            bucket in 1usize..9,
+            k in 1usize..20,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let points = snapped(&mut rng, n, dims);
+            let mut queries: Vec<Vec<f64>> = (0..4)
+                .map(|_| (0..dims).map(|_| rng.random_range(-0.5..2.0)).collect())
+                .collect();
+            queries.push(points[n / 2].0.clone());
+            for (path, tree) in every_fill(KdConfig::new(dims).with_bucket_size(bucket), &points) {
+                assert_boxes_hold(&tree, path);
+                if path == "relink" {
+                    continue; // its walks may reach the link
+                }
+                let pruned: Vec<_> = queries
+                    .iter()
+                    .map(|q| {
+                        let all = brute(&points, q);
+                        let (worst, radius) = (all[n / 3].0, all[n / 2].0);
+                        let hits = raw_walks(&tree, q, k, worst, radius);
+                        let want: Vec<u64> = all.iter().take(k).map(|h| h.0.to_bits()).collect();
+                        let got: Vec<u64> = hits[0].iter().map(|h| h.0.to_bits()).collect();
+                        assert_eq!(got, want, "{path}: k-NN at {q:?}");
+                        let mut ball = hits[2].clone();
+                        ball.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                        let inside: Vec<_> = all.into_iter().filter(|h| h.0 <= radius).collect();
+                        assert_eq!(ball, inside, "{path}: range at {q:?}");
+                        (hits, worst, radius)
+                    })
+                    .collect();
+                open_boxes(&tree);
+                for (q, (hits, worst, radius)) in queries.iter().zip(pruned) {
+                    let open = raw_walks(&tree, q, k, worst, radius);
+                    prop_assert_eq!(&hits, &open, "{}: walks at {:?}", path, q);
+                }
+            }
+        }
     }
 }

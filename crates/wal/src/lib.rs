@@ -95,6 +95,25 @@ mod tests {
         assert_eq!(state.tail[3].1, insert(0x0002_0000, 3));
     }
 
+    /// The durability contract (DESIGN §8): `append` writes and flushes
+    /// its frame but does not fsync it, so an acknowledged record
+    /// survives the death of this process, not of the machine. Another
+    /// reader of the directory sees every record as soon as `append`
+    /// returns — no `sync`, the writer still open, and never dropped.
+    #[test]
+    fn an_appended_record_survives_a_process_crash_without_sync() {
+        let dir = tmpdir("process-crash");
+        let wal = Wal::create(&dir, 1, b"", WalOptions::default()).unwrap();
+        for i in 0..3 {
+            let appended = wal.append(&insert(7, i)).unwrap();
+            let state = Wal::load(&dir).unwrap();
+            assert!(!state.torn_tail);
+            assert_eq!(state.tail.last(), Some(&(appended.lsn, insert(7, i))));
+        }
+        // A killed process runs no destructor.
+        std::mem::forget(wal);
+    }
+
     #[test]
     fn create_refuses_to_overwrite_an_existing_wal() {
         let dir = tmpdir("no-overwrite");
