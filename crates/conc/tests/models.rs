@@ -92,6 +92,12 @@ const TARGETS: &[Target] = &[
         spurious_budget: 0,
     },
     Target {
+        name: "kdtree_read_widen_up",
+        what: "Versioned KD-tree optimistic knn vs inserts that widen a routing node's box: a read the old subtree box prunes still equals the prefix its version names",
+        body: kdtree_read_widen_up,
+        spurious_budget: 0,
+    },
+    Target {
         name: "partition_read_relink",
         what: "Partition tree optimistic knn vs build-partition relink: the whole pre-relink answer or needs-the-mailbox, never a read missing the evicted leaf",
         body: partition_read_relink,
@@ -614,6 +620,89 @@ fn kdtree_read_widen() {
         tree.read(|t| t.knn(0, &[4.0], 1, None, &InPlace::<ModelShim, _>::nowhere()));
     assert_eq!((stats.version, stats.retries), (4, 0));
     assert_eq!(answer, Ok(vec![(2.0, 4)]));
+    drop(writer);
+}
+
+// ---------------------------------------------------------------------
+// Target 8a': the same race one level up, on a routing node's box.
+// ---------------------------------------------------------------------
+
+/// `kdtree_read_widen` with the right leaf replaced by a routing node R
+/// (plane at 8) over the leaves `{9}` and `{10}`. From 4 the walk enters
+/// R's cell and skips the whole subtree on R's box `[9, 10]`. The writer
+/// inserts 7.5 into R's left leaf (R widens to `[7.5, 10]`, still
+/// pruned), then 6 (`[6, 10]`: 2 away, and 6 is the new nearest) while
+/// a reader runs a bounded optimistic 1-NN. A read validated at version
+/// `2n` must equal the answer for the n-insert prefix: an R box word
+/// read from before the widening that version covers would skip the
+/// subtree holding its answer.
+fn kdtree_read_widen_up() {
+    // 1-NN of query 4.0 by prefix length: payload 1 (at 1.0) until the
+    // second insert stores 6.0 as payload 5.
+    const EXPECTED: [u64; 3] = [1, 1, 5];
+
+    let mut writer = TreeWriter::<ModelShim>::new(KdConfig::new(1).with_bucket_size(4));
+    let sides = [Child::Local(1), Child::Local(2)];
+    assert_eq!(writer.push_routing(0, None, 0, 5.0, sides), Some(0));
+    let left = [(vec![0.0], 0), (vec![1.0], 1)];
+    assert_eq!(writer.push_leaf(1, Some((0, true)), &left), Some(1));
+    let leaves = [Child::Local(3), Child::Local(4)];
+    assert_eq!(
+        writer.push_routing(1, Some((0, false)), 0, 8.0, leaves),
+        Some(2)
+    );
+    assert_eq!(
+        writer.push_leaf(2, Some((2, true)), &[(vec![9.0], 2)]),
+        Some(3)
+    );
+    assert_eq!(
+        writer.push_leaf(2, Some((2, false)), &[(vec![10.0], 3)]),
+        Some(4)
+    );
+    let tree = Arc::clone(writer.tree());
+
+    let inserter = ModelShim::spawn(move || {
+        let nowhere = InPlace::<ModelShim, _>::nowhere();
+        for (x, payload) in [(7.5, 4), (6.0, 5)] {
+            let stored = writer.insert(0, &[x], payload, &nowhere, &mut Vec::new());
+            assert_eq!(stored, Some(Ok(true)), "no split below bucket size 4");
+        }
+        writer
+    });
+
+    let observer = {
+        let tree = Arc::clone(&tree);
+        ModelShim::spawn(move || {
+            let read = tree.read_bounded(4, |t| {
+                t.knn(0, &[4.0], 1, None, &InPlace::<ModelShim, _>::nowhere())
+            });
+            if let Some((answer, stats)) = read {
+                assert_eq!(stats.version % 2, 0, "validated against an odd version");
+                let prefix = usize::try_from(stats.version / 2).unwrap_or(usize::MAX);
+                assert!(
+                    prefix <= 2,
+                    "version {} names a phantom prefix",
+                    stats.version
+                );
+                let payloads: Vec<u64> = answer.expect("no links").iter().map(|h| h.1).collect();
+                assert_eq!(
+                    payloads,
+                    [EXPECTED[prefix]],
+                    "read validated at version {} must equal its prefix",
+                    stats.version
+                );
+            }
+        })
+    };
+
+    let writer = ModelShim::join(inserter);
+    ModelShim::join(observer);
+
+    // Quiescent: both inserts are in, and R's widened box lets 6 in.
+    let (answer, stats) =
+        tree.read(|t| t.knn(0, &[4.0], 1, None, &InPlace::<ModelShim, _>::nowhere()));
+    assert_eq!((stats.version, stats.retries), (4, 0));
+    assert_eq!(answer, Ok(vec![(2.0, 5)]));
     drop(writer);
 }
 

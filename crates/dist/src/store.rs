@@ -110,6 +110,9 @@ impl PartitionStore {
                 point.len()
             ));
         }
+        if !point.iter().all(|c| c.is_finite()) {
+            return Err("invalid request: point has a non-finite coordinate".to_string());
+        }
         if start.0 >= self.tree().nodes() {
             return Err(format!(
                 "invalid request: partition has no node {}",
@@ -618,6 +621,29 @@ mod tests {
         assert_eq!(root, Some(LocalNodeId(0)));
         assert_eq!(s.writer.push_leaf(1, Some((0, true)), &[]), Some(1));
         s
+    }
+
+    #[test]
+    fn a_non_finite_point_is_refused_live_and_on_replay() {
+        let mut s = store(4);
+        fill_grid(&mut s, 20);
+        let before = s.to_image();
+        for bad in [[f64::NAN, 0.0], [1.0, f64::INFINITY]] {
+            let refused = s.insert_logged(
+                LocalNodeId(0),
+                &bad,
+                99,
+                &Recorder::default(),
+                &mut Vec::new(),
+            );
+            assert_eq!(
+                refused,
+                Err("invalid request: point has a non-finite coordinate".to_string())
+            );
+            assert!(!s.replay_insert(LocalNodeId(0), &bad, 99));
+        }
+        assert_eq!(s.to_image(), before);
+        assert_eq!(s.verify(), Vec::<String>::new());
     }
 
     #[test]

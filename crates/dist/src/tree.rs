@@ -1197,6 +1197,35 @@ mod tests {
     }
 
     #[test]
+    fn a_relayed_non_finite_insert_is_an_error_and_stores_nothing() {
+        // A peer's insert does not pass `DistSemTree::validate`: the
+        // partition's own check must refuse it.
+        let points = grid(60);
+        let sample: Vec<Vec<f64>> = points.iter().map(|(c, _)| c.clone()).collect();
+        for m in [1usize, 3] {
+            let tree = fanout(2, 4, m, &sample);
+            for (c, p) in &points {
+                ins(&tree, c, *p);
+            }
+            let req = Req::Insert {
+                node: LocalNodeId(0),
+                point: vec![f64::NAN, 3.0],
+                payload: 999,
+            };
+            let refused = Resp::Error("invalid request: point has a non-finite coordinate".into());
+            assert_eq!(tree.transport.send(tree.root, req).wait(), Ok(refused));
+            let stats = tree.try_global_stats().expect("stats");
+            assert_eq!(stats.total_points(), points.len(), "M={m}");
+            assert_eq!(tree.verify(), Vec::<String>::new(), "M={m}");
+            let q = [16.0, 3.0];
+            let got: Vec<f64> = knn_q(&tree, &q, 5).iter().map(|n| n.dist).collect();
+            let want: Vec<f64> = brute_knn(&points, &q, 5).iter().map(|h| h.0).collect();
+            assert_eq!(got, want, "M={m}");
+            tree.shutdown();
+        }
+    }
+
+    #[test]
     fn messages_grow_with_partition_count() {
         // Routed in place, an insert is one round trip to the partition
         // that stores it at every M. The relay pays one more per insert

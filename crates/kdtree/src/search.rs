@@ -21,6 +21,20 @@ pub struct SearchStats {
     /// Leaves the walk entered but did not scan: their bounding box was
     /// no nearer than the cut.
     pub leaves_skipped: usize,
+    /// Routing nodes the walk entered but did not descend: the box of
+    /// the points below them was no nearer than the cut.
+    pub subtrees_skipped: usize,
+}
+
+impl SearchStats {
+    /// Count a node the walk skipped on its box.
+    pub(crate) fn skipped(&mut self, routing: bool) {
+        if routing {
+            self.subtrees_skipped += 1;
+        } else {
+            self.leaves_skipped += 1;
+        }
+    }
 }
 
 #[cfg(test)]

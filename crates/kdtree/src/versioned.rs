@@ -17,10 +17,14 @@
 //!   inserts whose split record is still to come, adopted over-full
 //!   buckets). An insert fills one slot, then publishes it through the
 //!   bucket's length word — nothing is cloned and nothing dies.
-//! - **A bounding box per leaf.** The first block's coordinate words
-//!   start with the box of the bucket (`dims` lows, then `dims` highs).
-//!   A walk skips a leaf whose box lies no nearer than its cut, without
-//!   reading a point.
+//! - **A bounding box per node.** A node's first block's coordinate
+//!   words start with the box (`dims` lows, then `dims` highs) of the
+//!   points stored below it over local edges: a leaf's bucket, a routing
+//!   node's subtree. An insert widens its leaf's box, then each
+//!   ancestor's up to the first that already holds the point; a remote
+//!   edge opens every box above it, since the points behind it are
+//!   another partition's. A walk skips a leaf, or a whole subtree,
+//!   whose box lies no nearer than its cut, without reading a point.
 //! - **Splits publish, they do not replace.** An over-full leaf becomes
 //!   a routing node by publishing its routing part once, after both
 //!   children are fully built. Each child edge is one atomic word
@@ -33,7 +37,7 @@
 //!   retry count so the serving layer can surface contention.
 //!
 //! The words that mutate after publication are the version, a leaf's
-//! length, a routing node's two child words, and a leaf's box words;
+//! length, a routing node's two child words, and a node's box words;
 //! everything else is write-once. Why a validated read is never torn:
 //! every mutable word but the box is stored with release ordering and
 //! loaded with acquire ordering, and whatever it guards (a point's
@@ -52,20 +56,25 @@
 //! publishes its point. A reader validated against version `v` acquired
 //! `v` first, so every widening before `v` is visible to it: whatever
 //! box it loads holds every point of state `v`, and a later widening
-//! only makes it wider. Relink leaves the box in place and empties the
-//! leaf. A box that is too wide costs a scan, never an answer.
+//! only makes it wider. A routing node's box widens in the same
+//! transaction, before the same length store, and an opened box is one
+//! more widening. Relink leaves the evicted leaf's box in place, empties
+//! the leaf and opens the boxes above the new link. A box that is too
+//! wide costs a scan or a descent, never an answer.
 //!
 //! All of this is safe Rust (the workspace denies `unsafe`), so nothing
 //! is freed while the tree lives. What stays behind is bounded per
 //! point and independent of how many inserts ran: the bucket of a leaf
-//! that split or was evicted — `bucket_size + 1` slots and the box per
-//! routing node, one to two dead slots per live point.
+//! that split or was evicted — `bucket_size + 1` slots per routing node,
+//! one to two dead slots per live point — whose box lives on as the
+//! routing node's. A node born routing carries its box alone, `2·dims`
+//! words.
 //!
 //! The module is generic over the [`semtree_conc::shim::Shim`], so the
 //! same code runs under real atomics in production and under the
 //! deterministic model checker (`kdtree_read_split`,
-//! `kdtree_read_widen` and `partition_read_relink` in
-//! `crates/conc/tests/models.rs`).
+//! `kdtree_read_widen`, `kdtree_read_widen_up` and
+//! `partition_read_relink` in `crates/conc/tests/models.rs`).
 
 use std::cell::Cell;
 use std::collections::BinaryHeap;
@@ -140,9 +149,10 @@ impl Child {
 
 /// A run of point slots plus the overflow link. Coordinates (`f64`
 /// bits, row-major, `dims` words per slot) and payloads are plain words,
-/// so a leaf scan walks contiguous memory. A leaf's first block starts
-/// its coordinate words with the leaf's bounding box — `dims` lows, then
-/// `dims` highs — so the box test reads the lines a scan reads first. A
+/// so a leaf scan walks contiguous memory. A node's first block starts
+/// its coordinate words with the node's bounding box — `dims` lows, then
+/// `dims` highs — so a leaf's box test reads the lines a scan reads
+/// first; a node born routing has a first block of the box alone. A
 /// slot's word is written once and a box word only ever widens, both
 /// before the leaf's length covers the point; the length's
 /// release/acquire pair is what publishes them, hence `Relaxed` here.
@@ -166,7 +176,7 @@ impl Block {
         }
     }
 
-    /// The box words ahead of slot 0 (none but in a leaf's first block),
+    /// The box words ahead of slot 0 (none but in a node's first block),
     /// and the slots' coordinate words.
     fn rows(&self, dims: usize) -> (&[AtomicU64], &[AtomicU64]) {
         self.coords
@@ -288,25 +298,42 @@ impl<S: Shim> Node<S> {
         }
     }
 
-    /// The leaf's bounding box as `(lows, highs)` words; both empty for
-    /// a node born routing.
+    /// The box of every point stored below this node over local edges,
+    /// as `(lows, highs)` words; open (`−∞`, `+∞`) once a remote edge
+    /// lies below it.
     fn bbox(&self) -> (&[AtomicU64], &[AtomicU64]) {
         let words = self.bucket.rows(self.dims).0;
         words.split_at(words.len() / 2)
     }
 
-    /// Widen the box to cover `point` (writer only, before the length
-    /// covers the point).
-    fn widen(&self, point: &[f64]) {
+    /// The box as `(lows, highs)`.
+    fn bounds(&self) -> (Vec<f64>, Vec<f64>) {
+        let read = |words: &[AtomicU64]| {
+            let bound = |w: &AtomicU64| f64::from_bits(w.load(Relaxed));
+            words.iter().map(bound).collect()
+        };
         let (lows, highs) = self.bbox();
-        for ((lo, hi), &c) in lows.iter().zip(highs).zip(point) {
-            if c < f64::from_bits(lo.load(Relaxed)) {
-                lo.store(c.to_bits(), Relaxed);
-            }
-            if c > f64::from_bits(hi.load(Relaxed)) {
-                hi.store(c.to_bits(), Relaxed);
+        (read(lows), read(highs))
+    }
+
+    /// Widen the box to hold the box `[lows, highs]` (writer only, before
+    /// the length covers a point it adds); `false` when it already did.
+    fn widen(&self, lows: &[f64], highs: &[f64]) -> bool {
+        let (lo_words, hi_words) = self.bbox();
+        let mut wider = false;
+        for (word, &lo) in lo_words.iter().zip(lows) {
+            if lo < f64::from_bits(word.load(Relaxed)) {
+                word.store(lo.to_bits(), Relaxed);
+                wider = true;
             }
         }
+        for (word, &hi) in hi_words.iter().zip(highs) {
+            if hi > f64::from_bits(word.load(Relaxed)) {
+                word.store(hi.to_bits(), Relaxed);
+                wider = true;
+            }
+        }
+        wider
     }
 
     /// `Σ gap_d²` in dimension order, `gap_d` the distance from `point`
@@ -905,12 +932,13 @@ impl<S: Shim> Tree<S> {
                 Child::Local(id) => self.node(id)?,
             };
             stats.nodes_visited += 1;
-            match node.routing() {
+            let routing = node.routing();
+            if node.box_sq(point) >= state.cut {
+                stats.skipped(routing.is_some());
+                continue; // every `sq` below is at least the cut
+            }
+            match routing {
                 None => {
-                    if node.box_sq(point) >= state.cut {
-                        stats.leaves_skipped += 1;
-                        continue; // every point's `sq` is at least the cut
-                    }
                     stats.distance_evals += node.scan(|words, payload| {
                         let sq = sq_dist(words, point);
                         if sq >= state.cut {
@@ -981,11 +1009,12 @@ impl<S: Shim> Tree<S> {
                 Child::Local(id) => self.node(id)?,
             };
             stats.nodes_visited += 1;
-            let Some(r) = node.routing() else {
-                if node.box_sq(point) >= cut {
-                    stats.leaves_skipped += 1;
-                    continue;
-                }
+            let routing = node.routing();
+            if node.box_sq(point) >= cut {
+                stats.skipped(routing.is_some());
+                continue;
+            }
+            let Some(r) = routing else {
                 stats.distance_evals += node.scan(|words, payload| {
                     let sq = sq_dist(words, point);
                     if sq >= cut {
@@ -1064,10 +1093,17 @@ impl<S: Shim> Tree<S> {
         }
     }
 
+    /// Whether `point` is one the tree can store: of its dimensionality,
+    /// every coordinate finite.
+    fn fits(&self, point: &[f64]) -> bool {
+        point.len() == self.config.dims() && point.iter().all(|c| c.is_finite())
+    }
+
     /// Publish a node in the next arena slot; `None` when the arena is
-    /// exhausted or a point has the wrong dimensionality. A leaf's box
-    /// is the bounding box of `points`; a node born routing gets no
-    /// point slots and no box.
+    /// exhausted or a point does not [fit](Tree::fits). Its box is the
+    /// bounding box of `points` — empty for a node born routing, which
+    /// gets the box and no point slots — and its ancestors' boxes widen
+    /// to it.
     fn push(
         &self,
         depth: u32,
@@ -1077,7 +1113,7 @@ impl<S: Shim> Tree<S> {
     ) -> Option<u32> {
         let idx = S::load(&self.next);
         let dims = self.config.dims();
-        if idx >= MAX_NODES || points.iter().any(|(c, _)| c.len() != dims) {
+        if idx >= MAX_NODES || !points.iter().all(|(c, _)| self.fits(c)) {
             return None;
         }
         let slots = match routing {
@@ -1089,13 +1125,14 @@ impl<S: Shim> Tree<S> {
             parent,
             dims,
             len: S::atomic_u64(points.len() as u64),
-            bucket: Block::with_capacity(slots, dims, routing.is_none()),
+            bucket: Block::with_capacity(slots, dims, true),
             routing: routing.map_or_else(OnceLock::new, OnceLock::from),
         };
         for (at, (coords, payload)) in points.iter().enumerate() {
             node.bucket.write(at, coords, *payload);
-            node.widen(coords);
+            node.widen(coords, coords);
         }
+        let (lows, highs) = node.bounds();
         #[allow(clippy::cast_possible_truncation)]
         let idx32 = idx as u32;
         let (chunk, offset) = locate(idx32);
@@ -1109,13 +1146,34 @@ impl<S: Shim> Tree<S> {
         // corrupting the arena.
         slot.get(offset)?.set(node).ok()?;
         S::store_release(&self.next, idx + 1);
+        self.widen_up(parent.map(|(up, _)| up), &lows, &highs);
         Some(idx32)
     }
 
-    /// Publish one point in `leaf`'s next free slot and widen the box
-    /// to it, then its length.
+    /// Widen the box of `at`, then of each ancestor, to hold `[lows,
+    /// highs]`, up to the first that already holds it: that node's box
+    /// holds its own box, and so do its ancestors'.
+    fn widen_up(&self, mut at: Option<u32>, lows: &[f64], highs: &[f64]) {
+        while let Some(node) = at.and_then(|id| self.node(id)) {
+            if !node.widen(lows, highs) {
+                return;
+            }
+            at = node.parent.map(|(up, _)| up);
+        }
+    }
+
+    /// Open the box of `at` and of each ancestor: a remote edge lies
+    /// below them, whose points a box here cannot hold.
+    fn open_up(&self, at: u32) {
+        let dims = self.config.dims();
+        let (lows, highs) = (vec![f64::NEG_INFINITY; dims], vec![f64::INFINITY; dims]);
+        self.widen_up(Some(at), &lows, &highs);
+    }
+
+    /// Publish one point in `leaf`'s next free slot and widen the boxes
+    /// of the leaf and its ancestors to it, then its length.
     fn append(&self, leaf: u32, point: &[f64], payload: u64) -> Option<()> {
-        let node = self.node(leaf).filter(|n| n.dims == point.len())?;
+        let node = self.node(leaf).filter(|_| self.fits(point))?;
         let len = S::load(&node.len);
         let (mut block, mut at) = (&node.bucket, len as usize);
         while at >= block.payloads.len() {
@@ -1130,7 +1188,7 @@ impl<S: Shim> Tree<S> {
             block = block.next.get_or_init(grow);
         }
         block.write(at, point, payload);
-        node.widen(point);
+        self.widen_up(Some(leaf), point, point);
         S::store_release(&node.len, len + 1);
         Some(())
     }
@@ -1149,12 +1207,16 @@ impl<S: Shim> Tree<S> {
         }
     }
 
-    /// Store one child word of routing node `parent` (release).
+    /// Store one child word of routing node `parent` (release); a
+    /// remote child opens the boxes of `parent` and its ancestors.
     fn set_child(&self, parent: u32, left_side: bool, child: Child) -> bool {
         let routing = self.node(parent).and_then(|n| n.routing.get());
         let (Some(routing), Some(word)) = (routing, child.pack()) else {
             return false;
         };
+        if let Child::Remote { .. } = child {
+            self.open_up(parent);
+        }
         S::store_release(&routing.children[usize::from(!left_side)], word);
         true
     }
@@ -1260,9 +1322,11 @@ impl<S: Shim> TreeWriter<S> {
     }
 
     /// Publish a leaf holding `points` at *global* depth `depth`, with
-    /// **no** capacity check; `None` when the arena is exhausted. No
+    /// **no** capacity check; `None` when the arena is exhausted or a
+    /// point has the wrong dimensionality or a non-finite coordinate. No
     /// transaction: until an edge names it (or it is the root) a pushed
-    /// node is invisible to readers.
+    /// node is invisible to readers, and widening its ancestors' boxes
+    /// changes no answer.
     pub fn push_leaf(
         &mut self,
         depth: u32,
@@ -1274,7 +1338,8 @@ impl<S: Shim> TreeWriter<S> {
 
     /// Publish a node that is born routing (snapshot images, the
     /// fan-out builder); `None` when a child id cannot be stored or the
-    /// arena is exhausted.
+    /// arena is exhausted. A remote child opens its box and its
+    /// ancestors'.
     pub fn push_routing(
         &mut self,
         depth: u32,
@@ -1284,7 +1349,11 @@ impl<S: Shim> TreeWriter<S> {
         children: [Child; 2],
     ) -> Option<u32> {
         let routing = new_routing(split_dim, split_val, children)?;
-        self.tree.push(depth, parent, &[], Some(routing))
+        let id = self.tree.push(depth, parent, &[], Some(routing))?;
+        if children.iter().any(|c| matches!(c, Child::Remote { .. })) {
+            self.tree.open_up(id);
+        }
+        Some(id)
     }
 
     /// Point one child edge of routing node `parent` at `child` (one
@@ -1299,7 +1368,8 @@ impl<S: Shim> TreeWriter<S> {
     /// transaction), otherwise it is published in its leaf and the leaf
     /// split while over capacity, all in one transaction (`Ok(true)`,
     /// splits appended to `splits`). Outer `None`: `start` is not a
-    /// node of this arena.
+    /// node of this arena, or a point that reaches a leaf here has the
+    /// wrong dimensionality or a non-finite coordinate.
     pub fn insert<R: RemoteOps>(
         &mut self,
         start: u32,
@@ -1325,7 +1395,8 @@ impl<S: Shim> TreeWriter<S> {
 
     /// Re-apply a logged insert: same navigation, same bucket append,
     /// but **no** split — splits replay from their own records.
-    /// `Some(false)` (a no-op) when navigation reaches a remote child.
+    /// `Some(false)` (a no-op) when navigation reaches a remote child;
+    /// `None` as for [`TreeWriter::insert`].
     pub fn append(&mut self, start: u32, point: &[f64], payload: u64) -> Option<bool> {
         let Child::Local(leaf) = self.tree.navigate(start, point)? else {
             return Some(false);
@@ -1451,11 +1522,16 @@ impl<S: Shim> VersionedKdTree<S> {
     /// children are pushed.
     ///
     /// # Panics
-    /// Panics if a point's dimensionality is not `config.dims()`.
+    /// Panics if a point's dimensionality is not `config.dims()` or a
+    /// coordinate is not finite.
     #[must_use]
     pub fn bulk_load(config: KdConfig, mut points: Vec<(Vec<f64>, u64)>) -> Self {
         for (coords, _) in &points {
             assert_eq!(coords.len(), config.dims(), "dimensionality mismatch");
+            assert!(
+                coords.iter().all(|c| c.is_finite()),
+                "non-finite coordinate"
+            );
         }
         let mut writer = TreeWriter::new(config);
         let mut todo = vec![(0..points.len(), 0, None)];
@@ -1530,7 +1606,8 @@ impl<S: Shim> VersionedKdTree<S> {
     /// Insert one point in one seqlock transaction: one slot and the
     /// leaf's length are published, and the leaf splits in place when
     /// the bucket overflows. Returns `false` only when the point could
-    /// not be stored (the tree is unchanged in that case).
+    /// not be stored — a coordinate is not finite, or the arena is full
+    /// (the tree is unchanged in that case).
     pub fn insert(&mut self, point: &[f64], payload: u64) -> bool {
         assert_eq!(
             point.len(),
@@ -1588,6 +1665,10 @@ impl<S: Shim> Tree<S> {
     /// Panics unless `query` fits this tree and `ask` is well formed.
     fn check(&self, query: &[f64], ask: Ask) {
         assert_eq!(query.len(), self.config.dims(), "dimensionality mismatch");
+        assert!(
+            query.iter().all(|c| c.is_finite()),
+            "query point has a non-finite coordinate"
+        );
         if let Ask::Range(radius) = ask {
             assert!(radius >= 0.0, "radius must be non-negative");
         }
@@ -1871,36 +1952,55 @@ mod tests {
         assert_knn_exact(&points, &[3.1, 4.2], 4, &hits);
     }
 
-    /// A leaf's box as `(lows, highs)`.
-    fn box_of(node: &Node) -> (Vec<f64>, Vec<f64>) {
-        let read = |words: &[AtomicU64]| {
-            let bound = |w: &AtomicU64| f64::from_bits(w.load(Relaxed));
-            words.iter().map(bound).collect()
+    /// The published points stored below `id` over local edges, and
+    /// whether a remote edge lies below it.
+    fn below(tree: &Arena, id: u32) -> (Vec<Point>, bool) {
+        let node = tree.node(id).expect("a reachable node");
+        let Some(r) = node.routing() else {
+            return (node.bucket(), false);
         };
-        let (lows, highs) = node.bbox();
-        (read(lows), read(highs))
+        let (mut points, mut remote) = (Vec::new(), false);
+        for child in [r.left, r.right] {
+            match child {
+                Child::Local(c) => {
+                    let (more, linked) = below(tree, c);
+                    points.extend(more);
+                    remote |= linked;
+                }
+                Child::Remote { .. } => remote = true,
+            }
+        }
+        (points, remote)
     }
 
-    /// Every published point of every reachable leaf lies in its box.
+    /// Every reachable node's box holds every published point below it
+    /// over local edges, and is open when a remote edge lies below it.
     fn assert_boxes_hold(tree: &Arena, path: &str) {
         for (id, node) in tree.reachable() {
-            if node.routing().is_some() {
-                continue;
-            }
-            let (lows, highs) = box_of(node);
+            let (lows, highs) = node.bounds();
             assert_eq!((lows.len(), highs.len()), (node.dims, node.dims));
-            for (coords, payload) in node.bucket() {
+            let (points, remote) = below(tree, id);
+            for (coords, payload) in points {
                 let inside = (0..node.dims).all(|d| lows[d] <= coords[d] && coords[d] <= highs[d]);
                 assert!(
                     inside,
-                    "{path}: leaf {id}, payload {payload} outside its box"
+                    "{path}: node {id}, payload {payload} outside its box"
+                );
+            }
+            if remote {
+                let open = lows.iter().all(|&lo| lo == f64::NEG_INFINITY)
+                    && highs.iter().all(|&hi| hi == f64::INFINITY);
+                assert!(
+                    open,
+                    "{path}: node {id} has a remote edge below a closed box"
                 );
             }
         }
     }
 
-    /// Widen every box to the whole space. A walk then skips a leaf only
-    /// at a cut of 0, which every point's `sq` meets: the box-free walk.
+    /// Widen every box, leaves' and routing nodes', to the whole space.
+    /// A walk then skips a node only at a cut of 0, which every point's
+    /// `sq` meets: the box-free walk.
     fn open_boxes(tree: &Arena) {
         for (_, node) in tree.reachable() {
             let (lows, highs) = node.bbox();
@@ -1934,10 +2034,73 @@ mod tests {
             .collect()
     }
 
-    /// Every way a leaf is filled, on one population: inserts with
+    /// `tree` rebuilt the way a snapshot image is restored: every node in
+    /// arena order, parent first, routing nodes born routing.
+    fn restored(tree: &Arena) -> Arc<Arena> {
+        let mut writer = TreeWriter::<StdShim>::new(tree.config);
+        for id in 0..tree.nodes() {
+            let node = tree.node(id).expect("a published node");
+            let pushed = match node.routing() {
+                None => writer.push_leaf(node.depth, node.parent, &node.bucket()),
+                Some(r) => {
+                    let children = [r.left, r.right];
+                    writer.push_routing(node.depth, node.parent, r.split_dim, r.split_val, children)
+                }
+            };
+            assert_eq!(pushed, Some(id));
+        }
+        Arc::clone(writer.tree())
+    }
+
+    /// A tree in the fan-out builder's shape: routing nodes pushed
+    /// parent first with unset edges, patched once each side exists. The
+    /// root and its left child each send their right side to another
+    /// partition; the points left of both planes fill one local leaf,
+    /// which then splits.
+    fn fanned_out(config: KdConfig, points: &[Point]) -> Arc<Arena> {
+        let mut writer = TreeWriter::<StdShim>::new(config);
+        let median = |dim: usize| {
+            let mut values: Vec<f64> = points.iter().map(|(c, _)| c[dim]).collect();
+            values.sort_by(f64::total_cmp);
+            values[values.len() / 2]
+        };
+        let planes = [
+            (0, median(0)),
+            (config.dims() - 1, median(config.dims() - 1)),
+        ];
+        let unset = [Child::Local(0); 2];
+        assert_eq!(
+            writer.push_routing(0, None, planes[0].0, planes[0].1, unset),
+            Some(0)
+        );
+        assert_eq!(
+            writer.push_routing(1, Some((0, true)), planes[1].0, planes[1].1, unset),
+            Some(1)
+        );
+        let local: Vec<Point> = points
+            .iter()
+            .filter(|(c, _)| planes.iter().all(|&(d, v)| c[d] <= v))
+            .cloned()
+            .collect();
+        assert_eq!(writer.push_leaf(2, Some((1, true)), &local), Some(2));
+        for (parent, left) in [(0, Child::Local(1)), (1, Child::Local(2))] {
+            let right = Child::Remote {
+                partition: 5 + parent,
+                node: 0,
+            };
+            assert!(writer.set_child(parent, true, left));
+            assert!(writer.set_child(parent, false, right));
+        }
+        writer.split(2, &mut Vec::new());
+        Arc::clone(writer.tree())
+    }
+
+    /// Every way a tree is filled, on one population: inserts with
     /// splits, the bulk and chain loads, WAL-style replay (appends and
-    /// logged splits), an over-full `push_leaf` split afterwards, and
-    /// the inserted tree after a relink.
+    /// logged splits), an over-full `push_leaf` split afterwards, the
+    /// restore of the inserted tree, the inserted tree after a relink
+    /// and its restore, and a fan-out-shaped tree. The last three have
+    /// remote edges.
     fn every_fill(config: KdConfig, points: &[Point]) -> Vec<(&'static str, Arc<Arena>)> {
         let grow = |log: &mut Vec<_>| {
             let nowhere = InPlace::<StdShim, _>::nowhere();
@@ -1973,6 +2136,7 @@ mod tests {
             ("push_leaf", Arc::clone(adopted.tree())),
             ("bulk_load", arena(&bulk)),
             ("chain_load", arena(&chain)),
+            ("restore", restored(inserted.tree())),
         ];
         let mut relinked = grow(&mut Vec::new());
         let evict = relinked
@@ -1989,7 +2153,9 @@ mod tests {
             };
             assert!(relinked.relink(leaf, to).is_ok());
             trees.push(("relink", Arc::clone(relinked.tree())));
+            trees.push(("restore_relink", restored(relinked.tree())));
         }
+        trees.push(("fan_out", fanned_out(config, points)));
         trees
     }
 
@@ -2011,6 +2177,7 @@ mod tests {
             nodes_visited: 3,
             distance_evals: 2,
             leaves_skipped: 1,
+            subtrees_skipped: 0,
         };
 
         let mut stats = SearchStats::default();
@@ -2025,9 +2192,99 @@ mod tests {
     }
 
     #[test]
+    fn a_subtree_entered_on_its_cell_is_skipped_on_its_box() {
+        // Root plane at 5: left leaf {0, 1}, right routing node R (plane
+        // at 8) over the leaves {9} and {10}. From 4 the right cell is 1
+        // away, which passes the plane and row tests against the 1-NN
+        // bound of 3, but R's box [9, 10] lies 5 away.
+        let mut writer = TreeWriter::<StdShim>::new(KdConfig::new(1).with_bucket_size(4));
+        let (left, r) = ([(vec![0.0], 0), (vec![1.0], 1)], Child::Local(2));
+        assert_eq!(
+            writer.push_routing(0, None, 0, 5.0, [Child::Local(1), r]),
+            Some(0)
+        );
+        assert_eq!(writer.push_leaf(1, Some((0, true)), &left), Some(1));
+        let leaves = [Child::Local(3), Child::Local(4)];
+        assert_eq!(
+            writer.push_routing(1, Some((0, false)), 0, 8.0, leaves),
+            Some(2)
+        );
+        let (nine, ten) = ([(vec![9.0], 2)], [(vec![10.0], 3)]);
+        assert_eq!(writer.push_leaf(2, Some((2, true)), &nine), Some(3));
+        assert_eq!(writer.push_leaf(2, Some((2, false)), &ten), Some(4));
+        let tree = writer.tree();
+        let bounds = |id| tree.node(id).map(Node::bounds);
+        assert_eq!(
+            bounds(2),
+            Some((vec![9.0], vec![10.0])),
+            "born empty, widened"
+        );
+        assert_eq!(bounds(0), Some((vec![0.0], vec![10.0])));
+        let points = [left.to_vec(), nine.to_vec(), ten.to_vec()].concat();
+        let nowhere = InPlace::<StdShim, _>::nowhere();
+        let skipped_r = SearchStats {
+            nodes_visited: 3,
+            distance_evals: 2,
+            leaves_skipped: 0,
+            subtrees_skipped: 1,
+        };
+
+        let mut stats = SearchStats::default();
+        let hits = tree.knn_counted(0, &[4.0], 1, None, &nowhere, &mut stats);
+        assert_eq!(hits, Some(Ok(brute(&points, &[4.0])[..1].to_vec())));
+        assert_eq!(stats, skipped_r);
+
+        let mut stats = SearchStats::default();
+        let hits = tree.range_counted(0, &[4.0], 3.5, &nowhere, &mut stats);
+        let mut ball = brute(&points, &[4.0]);
+        ball.retain(|&(d, _)| d <= 3.5);
+        assert_eq!(hits, Some(Ok(ball)));
+        assert_eq!(stats, skipped_r);
+    }
+
+    #[test]
+    fn a_non_finite_point_is_refused_and_answers_stay_exact() {
+        let mut tree = Tree::new(KdConfig::new(2).with_bucket_size(4));
+        let points: Vec<Point> = (0..40u32)
+            .map(|i| (vec![f64::from(i), 0.0], u64::from(i)))
+            .collect();
+        for (coords, payload) in &points {
+            assert!(tree.insert(coords, *payload));
+        }
+        for bad in [
+            [f64::NAN, 0.0],
+            [0.0, f64::INFINITY],
+            [f64::NEG_INFINITY, 1.0],
+        ] {
+            assert!(!tree.insert(&bad, 999), "{bad:?} stored");
+        }
+        assert_eq!(tree.len(), 40);
+        assert_knn_exact(&points, &[39.0, 0.0], 5, &tree.knn(&[39.0, 0.0], 5));
+        let mut ball = brute(&points, &[39.0, 0.0]);
+        ball.retain(|&(d, _)| d <= 4.0);
+        assert_eq!(pairs(&tree.range(&[39.0, 0.0], 4.0)), ball);
+
+        let mut writer = TreeWriter::<StdShim>::new(KdConfig::new(2));
+        assert_eq!(writer.push_leaf(0, None, &[(vec![f64::NAN, 0.0], 1)]), None);
+        assert_eq!(writer.push_leaf(0, None, &[]), Some(0));
+        assert_eq!(writer.append(0, &[1.0, f64::NAN], 1), None);
+        let nowhere = InPlace::<StdShim, _>::nowhere();
+        let stored = writer.insert(0, &[f64::INFINITY, 0.0], 1, &nowhere, &mut Vec::new());
+        assert_eq!(stored, None);
+        assert_eq!(writer.tree().node(0).map(Node::point_count), Some(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite")]
+    fn a_non_finite_query_panics() {
+        let tree = Tree::bulk_load(KdConfig::new(2), grid(10));
+        let _ = tree.knn(&[f64::NAN, 0.0], 1);
+    }
+
+    #[test]
     fn boxes_start_empty_and_only_widen() {
         let mut tree = Tree::new(KdConfig::new(2).with_bucket_size(8));
-        let root = |t: &Tree| box_of(t.arena().node(0).expect("root"));
+        let root = |t: &Tree| t.arena().node(0).expect("root").bounds();
         let (inf, ninf) = (f64::INFINITY, f64::NEG_INFINITY);
         assert_eq!(root(&tree), (vec![inf, inf], vec![ninf, ninf]));
         tree.insert(&[1.0, 5.0], 0);
@@ -2044,8 +2301,9 @@ mod tests {
     }
 
     proptest! {
-        /// Box ⊇ published points on every path that fills a leaf, and
-        /// the box-pruned walks answer exactly as the box-free walk —
+        /// Box ⊇ published points below, and open above a remote edge,
+        /// on every path that fills a tree, and the box-pruned walks
+        /// answer exactly as the box-free walk —
         /// the same candidates in the same order, ties included — and as
         /// brute force, on a population where ties are the rule.
         #[test]
@@ -2064,8 +2322,8 @@ mod tests {
             queries.push(points[n / 2].0.clone());
             for (path, tree) in every_fill(KdConfig::new(dims).with_bucket_size(bucket), &points) {
                 assert_boxes_hold(&tree, path);
-                if path == "relink" {
-                    continue; // its walks may reach the link
+                if ["relink", "restore_relink", "fan_out"].contains(&path) {
+                    continue; // its walks may reach a link
                 }
                 let pruned: Vec<_> = queries
                     .iter()
