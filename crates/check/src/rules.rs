@@ -35,7 +35,12 @@ impl std::fmt::Display for Finding {
 /// §"Concurrency model & verification"). Ranks are spaced so new locks
 /// can slot in without renumbering.
 pub const LOCK_RANKS: &[(&str, &str, u32)] = &[
-    // crates/cluster
+    // crates/cluster — a node's `handler`, held while a request runs on
+    // it, so below everything that request may take. Only the node's own
+    // thread takes it blocking, holding nothing; `try_lock`, by an idle
+    // node's caller (possibly a handler running another in place), is
+    // the only nested acquisition, and it never waits.
+    ("cluster", "handler", 9),
     ("cluster", "nodes", 10),
     ("cluster", "handles", 11),
     ("cluster", "router", 12),

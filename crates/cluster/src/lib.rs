@@ -7,7 +7,9 @@
 //!
 //! - a [`ChannelFabric`] hosts a process's **compute nodes**, each a
 //!   dedicated OS thread running one [`Handler`] a request at a time
-//!   (like a single-threaded MPJ rank);
+//!   (like a single-threaded MPJ rank); a blocking
+//!   [`Transport::call`] to an idle node runs its handler on the
+//!   caller's thread instead, still one request at a time;
 //! - nodes exchange **typed request/response messages**; a handler can
 //!   [`NodeCtx::call`] another node (blocking, like a synchronous MPI
 //!   send/recv pair), or send several through [`NodeCtx::transport`]
@@ -42,7 +44,8 @@
 //!
 //! let fabric = ChannelFabric::new(CostModel::zero(), 0);
 //! let node = fabric.spawn_handler(Box::new(Doubler)).unwrap();
-//! assert_eq!(fabric.send(node, 21).wait(), Ok(42));
+//! // The node is idle, so the call runs `Doubler` on this thread.
+//! assert_eq!(fabric.call(node, 21), Ok(42));
 //! assert_eq!(fabric.metrics().messages, 2); // request + response
 //! fabric.shutdown();
 //! ```

@@ -1,9 +1,11 @@
 //! Compute nodes, the in-process channel fabric, and blocking calls.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use semtree_conc::sync::{Mutex, RwLock};
 
@@ -20,8 +22,55 @@ struct Envelope<Req, Resp> {
     reply: ReplySlot<Resp>,
 }
 
-/// A live node's inbox sender; `None` once the node has shut down.
-type NodeSlot<Req, Resp> = Option<Sender<Envelope<Req, Resp>>>;
+/// What a node's thread shares with the threads that call it.
+struct NodeState<Req, Resp> {
+    /// The node's handler; `None` once it panicked. Held by whoever runs
+    /// a request: the node's thread, blocking, or an idle caller, which
+    /// only ever `try_lock`s it.
+    handler: Mutex<Option<BoxHandler<Req, Resp>>>,
+    /// Envelopes in the mailbox or being handled from it. A caller runs
+    /// a request in place only when this is zero, so its call never
+    /// overtakes its own earlier send to the node.
+    queued: AtomicUsize,
+}
+
+impl<Req: Wire + Send + 'static, Resp: Wire + Send + 'static> NodeState<Req, Resp> {
+    /// Run `req` on the handler, on this thread, while `handler` is held:
+    /// meter the request as delivered and sleep its transit delay, then
+    /// handle it. A dead handler answers `None`, unmetered; a panic drops
+    /// the handler — the node is dead from then on — and answers `None`.
+    fn handle(
+        handler: &mut Option<BoxHandler<Req, Resp>>,
+        ctx: &NodeCtx<Req, Resp>,
+        req: Req,
+    ) -> Option<Resp> {
+        let live = handler.as_mut()?;
+        sleep(ctx.fabric.record(req.wire_size()));
+        let resp = catch_unwind(AssertUnwindSafe(|| live.handle(ctx, req)));
+        if resp.is_err() {
+            *handler = None;
+        }
+        resp.ok()
+    }
+}
+
+/// A live node: its mailbox and the state its thread shares.
+struct NodeEntry<Req, Resp> {
+    tx: Sender<Envelope<Req, Resp>>,
+    state: Arc<NodeState<Req, Resp>>,
+}
+
+impl<Req, Resp> Clone for NodeEntry<Req, Resp> {
+    fn clone(&self) -> Self {
+        NodeEntry {
+            tx: self.tx.clone(),
+            state: Arc::clone(&self.state),
+        }
+    }
+}
+
+/// A live node, or `None` once the node has shut down.
+type NodeSlot<Req, Resp> = Option<NodeEntry<Req, Resp>>;
 
 /// The in-process fabric: compute nodes as threads exchanging typed
 /// messages over channels, with simulated interconnect cost. This is the
@@ -132,10 +181,38 @@ impl<Req: Wire + Send + 'static, Resp: Wire + Send + 'static> ChannelFabric<Req,
     /// Record a message; the transit delay is *not* slept here — it is
     /// slept on the receiving side, so that fan-out messages travel
     /// concurrently like non-blocking MPI sends.
-    fn record(&self, bytes: usize) -> std::time::Duration {
+    fn record(&self, bytes: usize) -> Duration {
         let delay = self.cost.delay_for(bytes);
         self.metrics.record_message(bytes, delay.as_nanos() as u64);
         delay
+    }
+
+    /// Meter `resp` going back and pay its transit delay on this thread,
+    /// so parallel responders overlap.
+    fn respond(&self, resp: Resp) -> Resp {
+        let size = resp.wire_size();
+        let delay = self.record(size);
+        self.metrics.record_response_bytes(size);
+        sleep(delay);
+        resp
+    }
+
+    /// The live node `target` names in this process.
+    fn node(&self, target: ComputeNodeId) -> Option<NodeEntry<Req, Resp>> {
+        // An id owned by another process can only reach a bare channel
+        // fabric when no composite transport is routing, so it is as
+        // unknown as a slot that never existed or has shut down.
+        if target.process() != self.process_index {
+            return None;
+        }
+        self.nodes.read().get(target.local_index())?.clone()
+    }
+}
+
+/// Sleep a simulated transit delay (none under [`CostModel::zero`]).
+fn sleep(delay: Duration) {
+    if !delay.is_zero() {
+        std::thread::sleep(delay);
     }
 }
 
@@ -143,33 +220,51 @@ impl<Req: Wire + Send + 'static, Resp: Wire + Send + 'static> Transport<Req, Res
     for ChannelFabric<Req, Resp>
 {
     fn dispatch(&self, target: ComputeNodeId, req: Req, reply: ReplySlot<Resp>) {
-        // An id owned by another process can only reach a bare channel
-        // fabric when no composite transport is routing, so it is as
-        // unknown as a slot that never existed or has shut down.
-        let sender = if target.process() == self.process_index {
-            let nodes = self.nodes.read();
-            nodes.get(target.local_index()).cloned().flatten()
-        } else {
-            None
-        };
-        let Some(sender) = sender else {
+        let Some(node) = self.node(target) else {
             reply.fill(Err(ClusterError::UnknownNode(target)));
             return;
         };
-        let bytes = req.wire_size();
+        // Counted before the send, so the node is busy by the time a
+        // `call` from this thread looks.
+        node.state.queued.fetch_add(1, Ordering::SeqCst);
         // A mailbox whose node thread is gone hands the envelope back and
-        // the unfilled slot in it drops, which reports `NodeDied`. Only a
-        // request the mailbox accepted is metered.
-        if sender.send(Envelope { req, reply }).is_ok() {
-            self.record(bytes);
+        // the unfilled slot in it drops, which reports `NodeDied` — only
+        // once the count is taken back. The request is metered by the
+        // node that takes it, so before its reply.
+        if let Err(refused) = node.tx.send(Envelope { req, reply }) {
+            node.state.queued.fetch_sub(1, Ordering::SeqCst);
+            drop(refused);
         }
     }
 
-    fn spawn_handler(
-        &self,
-        mut handler: BoxHandler<Req, Resp>,
-    ) -> Result<ComputeNodeId, ClusterError> {
+    /// Runs the handler on this thread when `target` is idle: hosted
+    /// here, nothing in its mailbox, and its handler free. Otherwise the
+    /// request takes the mailbox. Metered and delayed the same either
+    /// way.
+    fn call(&self, target: ComputeNodeId, req: Req) -> Result<Resp, ClusterError> {
+        let idle = self
+            .node(target)
+            .filter(|node| node.state.queued.load(Ordering::SeqCst) == 0);
+        let Some(mut handler) = idle.as_ref().and_then(|node| node.state.handler.try_lock()) else {
+            return self.send(target, req).wait();
+        };
+        let fabric = self
+            .self_weak
+            .upgrade()
+            .ok_or_else(|| ClusterError::Net("channel fabric shut down".into()))?;
+        let ctx = NodeCtx { id: target, fabric };
+        let resp = NodeState::handle(&mut handler, &ctx, req);
+        drop(handler);
+        resp.map(|resp| self.respond(resp))
+            .ok_or(ClusterError::NodeDied(target))
+    }
+
+    fn spawn_handler(&self, handler: BoxHandler<Req, Resp>) -> Result<ComputeNodeId, ClusterError> {
         let (tx, rx) = channel::<Envelope<Req, Resp>>();
+        let state = Arc::new(NodeState {
+            handler: Mutex::new(Some(handler)),
+            queued: AtomicUsize::new(0),
+        });
         let id = {
             let mut nodes = self.nodes.write();
             if nodes.len() >= 1 << PROCESS_STRIDE_BITS {
@@ -180,7 +275,10 @@ impl<Req: Wire + Send + 'static, Resp: Wire + Send + 'static> Transport<Req, Res
                 )));
             }
             let id = ComputeNodeId::from_parts(self.process_index, nodes.len() as u32);
-            nodes.push(Some(tx));
+            nodes.push(Some(NodeEntry {
+                tx,
+                state: Arc::clone(&state),
+            }));
             id
         };
         self.metrics.record_spawn();
@@ -192,23 +290,17 @@ impl<Req: Wire + Send + 'static, Resp: Wire + Send + 'static> Transport<Req, Res
             .name(format!("compute-node-{}", id.0))
             .spawn(move || {
                 while let Ok(env) = rx.recv() {
-                    // Sleep the request's transit delay on arrival: this is
-                    // where the simulated interconnect latency materialises,
-                    // and concurrent senders overlap their delays.
-                    let in_delay = ctx.fabric.cost.delay_for(env.req.wire_size());
-                    if !in_delay.is_zero() {
-                        std::thread::sleep(in_delay);
-                    }
-                    let resp = handler.handle(&ctx, env.req);
-                    // The response's transit delay is paid before it is handed
-                    // back, again on this thread so parallel responders overlap.
-                    let resp_size = resp.wire_size();
-                    let out_delay = ctx.fabric.record(resp_size);
-                    ctx.fabric.metrics.record_response_bytes(resp_size);
-                    if !out_delay.is_zero() {
-                        std::thread::sleep(out_delay);
-                    }
-                    env.reply.fill(Ok(resp));
+                    // The request's transit delay is slept on arrival: this
+                    // is where the simulated interconnect latency
+                    // materialises, and concurrent senders overlap their
+                    // delays.
+                    let resp = NodeState::handle(&mut state.handler.lock(), &ctx, env.req);
+                    state.queued.fetch_sub(1, Ordering::SeqCst);
+                    // A dead handler ends the loop; the unfilled reply
+                    // reports `NodeDied`, and so does every envelope still
+                    // queued once the mailbox drops.
+                    let Some(resp) = resp else { break };
+                    env.reply.fill(Ok(ctx.fabric.respond(resp)));
                 }
             })
             .map_err(|e| ClusterError::SpawnFailed(e.to_string()))?;
@@ -273,16 +365,19 @@ impl<Req: Wire + Send + 'static, Resp: Wire + Send + 'static> NodeCtx<Req, Resp>
     }
 
     /// Synchronous request to another node (MPI-style send + recv),
-    /// possibly in another process when a network transport is routing.
+    /// possibly in another process when a network transport is routing;
+    /// an idle node in this process runs it on this thread
+    /// ([`Transport::call`]).
     ///
     /// SemTree request flows are strictly parent → child in the partition
-    /// tree, so blocking here cannot deadlock.
+    /// tree, so blocking here cannot deadlock, and a handler running
+    /// another in place only `try_lock`s it.
     pub fn call(&self, target: ComputeNodeId, req: Req) -> Result<Resp, ClusterError> {
         assert_ne!(
             target, self.id,
             "a node must not call itself (would deadlock)"
         );
-        self.transport()?.send(target, req).wait()
+        self.transport()?.call(target, req)
     }
 
     /// The transport this node's requests go through: the deployment's
@@ -502,6 +597,163 @@ mod tests {
             (after.messages, after.bytes) == (before.messages, before.bytes)
         });
         assert!(refused, "every request to the dead node was metered");
+        fabric.shutdown();
+    }
+
+    #[test]
+    fn a_call_to_a_dead_node_is_not_metered_as_delivered() {
+        let fabric = fabric(CostModel::zero());
+        let node = spawn(&fabric, Doomed);
+        // The node is idle, so the handler panics on this thread: the
+        // node is dead by the time the call returns, and a call to it is
+        // refused at once, unmetered.
+        assert_eq!(fabric.call(node, 1), Err(ClusterError::NodeDied(node)));
+        let before = fabric.metrics();
+        assert_eq!(fabric.call(node, 2), Err(ClusterError::NodeDied(node)));
+        let after = fabric.metrics();
+        assert_eq!(
+            (after.messages, after.bytes),
+            (before.messages, before.bytes)
+        );
+        fabric.shutdown();
+    }
+
+    /// Each request handled, with the thread it ran on.
+    type Log = Arc<Mutex<Vec<(u64, std::thread::ThreadId)>>>;
+
+    /// Logs who sent each request (`sender << 32 | seq`) and the thread
+    /// it ran on, and flags two requests running at once.
+    struct Recorder {
+        log: Log,
+        busy: Arc<AtomicBool>,
+    }
+    impl Handler<u64, u64> for Recorder {
+        fn handle(&mut self, _ctx: &NodeCtx<u64, u64>, req: u64) -> u64 {
+            assert!(!self.busy.swap(true, Ordering::SeqCst), "ran twice at once");
+            self.log.lock().push((req, std::thread::current().id()));
+            std::thread::yield_now();
+            self.busy.store(false, Ordering::SeqCst);
+            req
+        }
+    }
+
+    fn recorder(fabric: &ChannelFabric<u64, u64>) -> (ComputeNodeId, Log) {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let busy = Arc::new(AtomicBool::new(false));
+        let node = spawn(
+            fabric,
+            Recorder {
+                log: Arc::clone(&log),
+                busy,
+            },
+        );
+        (node, log)
+    }
+
+    #[test]
+    fn mixed_traffic_keeps_each_senders_order_and_one_request_at_a_time() {
+        const SENDERS: u64 = 4;
+        const PER_SENDER: u64 = 500;
+        let fabric = fabric(CostModel::zero());
+        let (node, log) = recorder(&fabric);
+        let answered = Arc::new(AtomicUsize::new(0));
+        let senders: Vec<_> = (0..SENDERS)
+            .map(|sender| {
+                let fabric = Arc::clone(&fabric);
+                let answered = Arc::clone(&answered);
+                std::thread::spawn(move || {
+                    let (tx, rx) = channel();
+                    let mut submitted = 0;
+                    // A xorshift picks each request's way in, so a submit
+                    // is often followed at once by a call.
+                    let mut pick = sender + 1;
+                    for seq in 0..PER_SENDER {
+                        pick ^= pick << 13;
+                        pick ^= pick >> 7;
+                        pick ^= pick << 17;
+                        let req = sender << 32 | seq;
+                        let check = |out: Result<u64, ClusterError>| {
+                            assert_eq!(out, Ok(req));
+                            answered.fetch_add(1, Ordering::SeqCst);
+                        };
+                        match pick % 3 {
+                            0 => {
+                                let (tx, answered) = (tx.clone(), Arc::clone(&answered));
+                                fabric.submit(
+                                    node,
+                                    req,
+                                    Box::new(move |out| {
+                                        assert_eq!(out, Ok(req));
+                                        answered.fetch_add(1, Ordering::SeqCst);
+                                        tx.send(()).unwrap();
+                                    }),
+                                );
+                                submitted += 1;
+                            }
+                            1 => check(fabric.send(node, req).wait()),
+                            _ => check(fabric.call(node, req)),
+                        }
+                    }
+                    for _ in 0..submitted {
+                        rx.recv().unwrap();
+                    }
+                })
+            })
+            .collect();
+        for sender in senders {
+            sender.join().unwrap();
+        }
+        let total = (SENDERS * PER_SENDER) as usize;
+        assert_eq!(answered.load(Ordering::SeqCst), total, "each answered once");
+        let log = log.lock();
+        assert_eq!(log.len(), total, "each handled once");
+        for sender in 0..SENDERS {
+            let seqs: Vec<u64> = log
+                .iter()
+                .filter(|(req, _)| req >> 32 == sender)
+                .map(|(req, _)| req & u64::from(u32::MAX))
+                .collect();
+            assert_eq!(seqs, (0..PER_SENDER).collect::<Vec<_>>(), "sender {sender}");
+        }
+        drop(log);
+        fabric.shutdown();
+    }
+
+    #[test]
+    fn only_a_call_to_an_idle_node_runs_on_the_callers_thread() {
+        let fabric = fabric(CostModel::zero());
+        let (node, log) = recorder(&fabric);
+        let me = std::thread::current().id();
+        let ran_on = |log: &Log| log.lock().last().expect("handled").1;
+        assert_eq!(fabric.call(node, 1), Ok(1));
+        assert_eq!(ran_on(&log), me, "call");
+        assert_eq!(fabric.send(node, 2).wait(), Ok(2));
+        assert_ne!(ran_on(&log), me, "send");
+        let (tx, rx) = channel();
+        fabric.submit(node, 3, Box::new(move |out| tx.send(out).unwrap()));
+        assert_eq!(rx.recv().unwrap(), Ok(3));
+        assert_ne!(ran_on(&log), me, "submit");
+        assert_eq!(fabric.metrics().messages, 6, "metered alike");
+        fabric.shutdown();
+    }
+
+    #[test]
+    fn sends_still_overlap_and_a_call_still_pays_both_delays() {
+        let latency = Duration::from_millis(20);
+        let fabric = fabric(CostModel {
+            latency,
+            per_kib: Duration::ZERO,
+        });
+        let (a, b) = (spawn(&fabric, Echo), spawn(&fabric, Echo));
+        let start = Instant::now();
+        let (ha, hb) = (fabric.send(a, 1), fabric.send(b, 2));
+        assert_eq!((ha.wait(), hb.wait()), (Ok(1), Ok(2)));
+        let fanned = start.elapsed();
+        assert!(fanned < 3 * latency, "two sends took {fanned:?}");
+        let start = Instant::now();
+        assert_eq!(fabric.call(a, 3), Ok(3));
+        let called = start.elapsed();
+        assert!(called >= 2 * latency, "a call took {called:?}");
         fabric.shutdown();
     }
 

@@ -204,9 +204,11 @@ impl<Resp> Drop for ReplySlot<Resp> {
     }
 }
 
-/// A compute node's request handler: single-threaded, owns its state, may
-/// call other nodes or spawn new ones through the [`NodeCtx`]. What a
-/// transport runs on a node thread, boxed as a [`BoxHandler`].
+/// A compute node's request handler: owns its state and handles one
+/// request at a time — on the node's own thread, or on the thread of a
+/// caller that found the node idle ([`Transport::call`]). It may call
+/// other nodes or spawn new ones through the [`NodeCtx`]. Boxed as a
+/// [`BoxHandler`].
 pub trait Handler<Req, Resp>: Send {
     /// Process one request to completion.
     fn handle(&mut self, ctx: &NodeCtx<Req, Resp>, req: Req) -> Resp;
@@ -238,7 +240,9 @@ pub trait Transport<Req, Resp>: Send + Sync {
 
     /// Dispatch `req` to `target`, returning a handle to await the
     /// response; routing failures come out of
-    /// [`wait`](ReplyHandle::wait) like any other.
+    /// [`wait`](ReplyHandle::wait) like any other. This is the fan-out
+    /// form: the request always leaves through the target's mailbox, so
+    /// several handles held before any is waited on run at once.
     fn send(&self, target: ComputeNodeId, req: Req) -> ReplyHandle<Resp>
     where
         Resp: Send + 'static,
@@ -246,6 +250,20 @@ pub trait Transport<Req, Resp>: Send + Sync {
         let (slot, handle) = ReplyHandle::pair(target);
         self.dispatch(target, req, slot);
         handle
+    }
+
+    /// Send `req` to `target` and wait for the outcome: for a caller that
+    /// would block on the reply at once. Not for fan-out — a transport
+    /// may run the handler on the calling thread, so nothing else
+    /// overlaps it. The channel fabric does when the node is idle, and
+    /// never lets a thread's call overtake that thread's earlier
+    /// requests to the node. Cost and metering are
+    /// [`send`](Transport::send)'s.
+    fn call(&self, target: ComputeNodeId, req: Req) -> Result<Resp, ClusterError>
+    where
+        Resp: Send + 'static,
+    {
+        self.send(target, req).wait()
     }
 
     /// Dispatch `req` to `target` and deliver the outcome by invoking

@@ -8,7 +8,7 @@
 //! value is always the right move. These wrappers do exactly that and
 //! nothing else — same shapes, same guard semantics, no `Result`.
 
-use std::sync::PoisonError;
+use std::sync::{PoisonError, TryLockError};
 use std::time::Duration;
 
 /// A mutual-exclusion lock whose `lock()` cannot fail.
@@ -35,6 +35,16 @@ impl<T: ?Sized> Mutex<T> {
     /// panicked.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Acquire the lock only if no one holds it, recovering the data if
+    /// a previous holder panicked; `None` when it is held. Never blocks.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.0.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
     }
 
     /// Mutable access without locking (requires exclusive ownership).
@@ -129,6 +139,23 @@ mod tests {
         // A std mutex would now return Err; ours hands the data back.
         *m.lock() += 1;
         assert_eq!(*m.lock(), 42);
+    }
+
+    #[test]
+    fn try_lock_refuses_a_held_lock_and_recovers_a_poisoned_one() {
+        let m = Arc::new(Mutex::new(1));
+        {
+            let _held = m.lock();
+            assert!(m.try_lock().is_none());
+        }
+        let m2 = Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _g = m2.lock();
+            panic!("poison it");
+        })
+        .join();
+        *m.try_lock().expect("free again") += 1;
+        assert_eq!(*m.lock(), 2);
     }
 
     #[test]

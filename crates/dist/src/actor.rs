@@ -9,15 +9,17 @@ use crate::store::{LocalNodeId, PartitionStore};
 use crate::tree::{unexpected, SharedConfig};
 
 /// Hosts one partition of the SemTree and speaks the [`Req`]/[`Resp`]
-/// protocol. Single-threaded per partition, like one MPJ rank, and the
-/// only writer of its store's tree — so it reads that tree directly,
-/// without validation. At a border its walks follow the one crossing
-/// rule (`Borders`): into a partition its own process hosts in place,
-/// into any other by message. Other threads read the same tree
-/// lock-free once it is registered with [`SharedConfig`]: client,
-/// executor and other actors' threads, whose reads cross into this
-/// partition in place, and whose inserts walk its routing nodes in
-/// place to find the partition that stores the point.
+/// protocol. One request at a time per partition, like one MPJ rank:
+/// on its node's thread, or on the thread of a caller that found the
+/// node idle (`Transport::call`). It is the only writer of its store's
+/// tree, so it reads that tree directly, without validation. At a
+/// border its walks follow the one crossing rule (`Borders`): into a
+/// partition its own process hosts in place, into any other by message.
+/// Other threads read the same tree lock-free once it is registered
+/// with [`SharedConfig`]: client, executor and other actors' threads,
+/// whose reads cross into this partition in place, and whose inserts
+/// walk its routing nodes in place to find the partition that stores
+/// the point.
 pub(crate) struct PartitionActor {
     store: PartitionStore,
     shared: Arc<SharedConfig>,

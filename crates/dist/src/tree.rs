@@ -627,7 +627,7 @@ impl DistSemTree {
         match query {
             Query::Insert { point, payload } => {
                 let (to, req) = self.insert_message(point, payload);
-                acknowledged(&self.inserted, self.transport.send(to, req).wait())
+                acknowledged(&self.inserted, self.transport.call(to, req))
             }
             read => self.read(&read, Some(&*self.transport)),
         }
@@ -852,7 +852,7 @@ impl DistSemTree {
             if !seen.insert(pid) {
                 continue;
             }
-            match self.transport.send(pid, Req::Stats).wait()? {
+            match self.transport.call(pid, Req::Stats)? {
                 Resp::Stats(stats) => {
                     queue.extend(stats.remote_children_ids());
                     out.partitions.push((pid.0, stats));
@@ -874,7 +874,7 @@ impl DistSemTree {
             Err(e) => return vec![format!("partition walk failed: {e}")],
         };
         for &(pid, _) in &stats.partitions {
-            match self.transport.send(ComputeNodeId(pid), Req::Verify).wait() {
+            match self.transport.call(ComputeNodeId(pid), Req::Verify) {
                 Ok(Resp::Violations(v)) => {
                     violations.extend(v.into_iter().map(|m| format!("partition {pid}: {m}")))
                 }
@@ -936,7 +936,7 @@ fn build_fanout(
             bucket: Vec::new(),
             depth,
         };
-        match transport.send(pid, adopt).wait()? {
+        match transport.call(pid, adopt)? {
             Resp::Done => {}
             other => return Err(unexpected("an AdoptLeaf acknowledgement", other)),
         }

@@ -10,10 +10,11 @@
 //!
 //! Threading model: one accept-loop thread per process, one reader
 //! thread per established connection, and one short-lived thread per
-//! incoming request (the request blocks on a local node, which may
-//! itself call further processes). Node handlers never run on reader
-//! threads, so readers always drain and the blocking parent→child call
-//! discipline of `semtree-dist` cannot deadlock across processes.
+//! incoming request (a blocking call on a local node, which runs the
+//! handler on that thread when the node is idle and may itself call
+//! further processes). Node handlers never run on reader threads, so
+//! readers always drain and the blocking parent→child call discipline
+//! of `semtree-dist` cannot deadlock across processes.
 
 use std::collections::HashMap;
 use std::io;
@@ -538,7 +539,7 @@ where
                 // further processes), so it must not occupy the reader.
                 std::thread::spawn(move || {
                     let started = Instant::now();
-                    let result = fabric.local.send(ComputeNodeId(target), body).wait();
+                    let result = fabric.local.call(ComputeNodeId(target), body);
                     let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                     fabric.metrics.record_latency(elapsed);
                     let reply: NetMsg<Req, Resp> = match result {
@@ -756,6 +757,15 @@ where
                 slot.fill(Err(err));
             }
         }
+    }
+
+    /// A local target is the channel fabric's call, run on this thread
+    /// when the node is idle; a remote one is a send and a wait.
+    fn call(&self, target: ComputeNodeId, req: Req) -> Result<Resp, ClusterError> {
+        if target.process() == self.process_index && !self.shutting_down.load(Ordering::SeqCst) {
+            return self.local.call(target, req);
+        }
+        self.send(target, req).wait()
     }
 
     fn spawn_handler(&self, handler: BoxHandler<Req, Resp>) -> Result<ComputeNodeId, ClusterError> {
