@@ -49,7 +49,7 @@ mod tests {
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     use semtree_net::{encode_frame_v2, read_frame, split_frame_v2, write_frame};
 
@@ -320,6 +320,65 @@ mod tests {
             "inline answers are timed too"
         );
         assert_eq!(snap.shard_served.iter().sum::<u64>(), burst + 2);
+    }
+
+    /// Inline answers skip the pipeline bound, so only the reply cap
+    /// stops a client that pipelines them and never reads: the shard
+    /// stops answering and reading it, and its writes block. Once it
+    /// reads, every reply arrives, in order, under its own id.
+    #[test]
+    fn a_client_that_never_reads_is_stopped_by_the_reply_cap() {
+        // Far above the cap plus what the kernel buffers on a loopback
+        // connection in both directions (receive buffers autotune to
+        // tens of MiB).
+        const LIMIT: usize = 128 << 20;
+        let (addr, handle) = serve_echo(ReactorConfig::default());
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let body = |corr: u64| [&[0x11][..], &corr.to_le_bytes(), &[0xAB; 1015]].concat();
+
+        // Pipeline until the writes have blocked for half a second.
+        let (mut written, mut frames) = (0, 0u64);
+        let mut unsent: Vec<u8> = Vec::new();
+        let mut blocked_since = None;
+        while blocked_since.is_none_or(|at: Instant| at.elapsed() < Duration::from_millis(500)) {
+            assert!(written < LIMIT, "{written} bytes, no pushback");
+            if unsent.is_empty() {
+                write_frame(&mut unsent, &encode_frame_v2(frames, &body(frames))).unwrap();
+                frames += 1;
+            }
+            match stream.write(&unsent) {
+                Ok(n) => {
+                    written += n;
+                    unsent.drain(..n);
+                    blocked_since = None;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    blocked_since.get_or_insert_with(Instant::now);
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                Err(e) => panic!("{e}"),
+            }
+        }
+
+        // Now read, while a thread finishes the half-sent frame.
+        stream.set_nonblocking(false).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut tail = stream.try_clone().unwrap();
+        let writer = std::thread::spawn(move || tail.write_all(&unsent));
+        for next in 0..frames {
+            let payload = read_frame(&mut stream).unwrap().unwrap();
+            let (corr, reply) = split_frame_v2(&payload).unwrap();
+            assert_eq!((corr, reply), (next, &body(next)[..]), "replies in order");
+        }
+        writer.join().unwrap().unwrap();
+        drop(stream);
+        shutdown_server(addr);
+        let report = handle.join().unwrap();
+        assert_eq!(report.shed, 0);
+        assert_eq!(report.served, frames + 1);
     }
 
     #[test]

@@ -26,15 +26,17 @@
 //!
 //! Connection lifecycle: `Accepted → Reading ⇄ Backpressured → Draining
 //! → Closed`. *Backpressured* means the connection's in-flight count
-//! reached the per-connection bound: the shard drops the socket's read
+//! reached the per-connection bound, or its unwritten replies reached
+//! `MAX_QUEUED_REPLY_BYTES`: the shard drops the socket's read
 //! interest (already-buffered bytes stay buffered) until a completion
-//! frees a slot. Admission against a full **global** bound instead
-//! sheds the request: the service's typed `overloaded` response is
-//! queued immediately, and the client sees backpressure as latency,
-//! never as a silent stall. Within one loop iteration a connection may
-//! admit at most [`DRAIN_BUDGET`] buffered frames before the shard
-//! moves on to its siblings, so one saturated pipelined connection
-//! cannot starve the others.
+//! frees a slot or a flush drains the replies below the cap. Admission
+//! against a full **global** bound instead sheds the request: the
+//! service's typed `overloaded` response is queued immediately, and the
+//! client sees backpressure as latency, never as a silent stall.
+//! Within one loop iteration a connection may admit at most
+//! [`DRAIN_BUDGET`] buffered frames before the shard moves on to its
+//! siblings, so one saturated pipelined connection cannot starve the
+//! others.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -66,6 +68,15 @@ const SHARD_SHIFT: u32 = 48;
 /// shard re-pumps them on its next iteration without waiting for new
 /// socket readiness.
 pub const DRAIN_BUDGET: usize = 32;
+
+/// Most unwritten reply bytes a connection may queue before its shard
+/// stops answering it: past the cap the shard neither parses its
+/// buffered frames nor reads its socket until a flush drains the queue
+/// below the cap. Inline answers and shed replies skip the pipeline
+/// bound, so without this a client that pipelines and never reads would
+/// grow the server's memory instead of meeting TCP backpressure. The
+/// cap is checked before each frame, so one reply may overshoot it.
+pub(crate) const MAX_QUEUED_REPLY_BYTES: usize = 256 * 1024;
 
 /// Largest `k` of a k-NN that a [`Service`] may answer on the shard
 /// thread ([`Service::call_inline`]). The shard is the one thread all of
@@ -546,12 +557,9 @@ fn shard_loop<SVC: Service>(
             }
             // Admit whatever is buffered (also after completions freed
             // slots with no new socket readiness).
+            let mut leftover = false;
             if !dead && !stopping {
-                let (died, leftover) = pump_conn(shard, router, service, &mut conns, id, &mut shed);
-                dead = died;
-                if leftover {
-                    repump.push(id);
-                }
+                (dead, leftover) = pump_conn(shard, router, service, &mut conns, id, &mut shed);
             }
             if !dead {
                 dead = write_ready(&mut conns, id);
@@ -560,6 +568,11 @@ fn shard_loop<SVC: Service>(
             if dead {
                 close_conn(&mut poller, router, &mut conns, id);
             } else {
+                // Frames held back by a full reply queue wait for the
+                // writable event that drains it.
+                if leftover && !conns.get(&id).is_some_and(replies_capped) {
+                    repump.push(id);
+                }
                 update_interest(&mut poller, router, &mut conns, id, stopping);
             }
         }
@@ -661,8 +674,11 @@ fn adopt(
 
 /// Read what the socket holds into the connection's [`FrameReader`]:
 /// until a read comes back short (the socket is drained, and the
-/// level-triggered poller re-reports anything that arrives later) or
-/// `WouldBlock`. Returns `true` when the connection died.
+/// level-triggered poller re-reports anything that arrives later),
+/// `WouldBlock`, or a whole frame is buffered. The last bound keeps a
+/// client that writes as fast as the shard reads from growing the
+/// reader without end: the pump takes the frames, and reading resumes
+/// once none is left. Returns `true` when the connection died.
 fn read_ready(conns: &mut HashMap<u64, Conn>, conn_id: u64, scratch: &mut [u8]) -> bool {
     let Some(conn) = conns.get_mut(&conn_id) else {
         return false;
@@ -674,7 +690,7 @@ fn read_ready(conns: &mut HashMap<u64, Conn>, conn_id: u64, scratch: &mut [u8]) 
             Ok(0) => return true,
             Ok(n) => {
                 conn.reader.extend(&scratch[..n]);
-                if n < scratch.len() {
+                if n < scratch.len() || frame_waiting(conn) {
                     return false;
                 }
             }
@@ -685,11 +701,22 @@ fn read_ready(conns: &mut HashMap<u64, Conn>, conn_id: u64, scratch: &mut [u8]) 
     }
 }
 
-/// Parse buffered frames while the connection has pipeline slots and
-/// fairness budget: answer on this thread what the service takes inline,
-/// admit the rest to the executors. Returns `(died, leftover)`: `died`
-/// when the stream is corrupt, `leftover` when admissible frames remain
-/// after the budget ran out (the caller re-pumps next iteration).
+/// Is a whole frame (or a corrupt length prefix) buffered for the pump?
+fn frame_waiting(conn: &Conn) -> bool {
+    !matches!(conn.reader.has_frame(), Ok(false))
+}
+
+/// Has the connection queued as many unwritten replies as it may?
+fn replies_capped(conn: &Conn) -> bool {
+    conn.writer.pending_bytes() >= MAX_QUEUED_REPLY_BYTES
+}
+
+/// Parse buffered frames while the connection has pipeline slots, room
+/// for replies and fairness budget: answer on this thread what the
+/// service takes inline, admit the rest to the executors. Returns
+/// `(died, leftover)`: `died` when the stream is corrupt, `leftover`
+/// when admissible frames remain after the budget or the reply cap
+/// stopped the pump (the caller re-pumps once the cap allows).
 fn pump_conn<SVC: Service>(
     shard: usize,
     router: &Arc<Router>,
@@ -708,11 +735,12 @@ fn pump_conn<SVC: Service>(
         if router.queue.conn_in_flight(conn_id) >= router.per_conn_depth {
             return (false, false);
         }
-        if budget == 0 {
-            // Fairness bound reached: siblings get the shard before the
-            // rest of this pipeline burst is admitted. A buffered error
-            // also re-pumps, so the next pass reports it as death.
-            return (false, matches!(conn.reader.has_frame(), Ok(true) | Err(_)));
+        if budget == 0 || replies_capped(conn) {
+            // Fairness bound or reply cap reached: siblings get the shard
+            // before the rest of this pipeline burst is admitted. A
+            // buffered error also re-pumps, so the next pass reports it
+            // as death.
+            return (false, frame_waiting(conn));
         }
         // Borrowed from the read buffer: an inline answer never copies
         // the request, an admitted one copies it once, into its job.
@@ -773,8 +801,9 @@ fn write_ready(conns: &mut HashMap<u64, Conn>, conn_id: u64) -> bool {
 }
 
 /// Reconcile the poller's persistent registration with what the
-/// connection now needs: read interest unless backpressured or
-/// stopping, write interest while bytes are pending.
+/// connection now needs: read interest unless backpressured (pipeline
+/// bound or reply cap), stopping, or a buffered frame still waits for
+/// the pump; write interest while bytes are pending.
 fn update_interest(
     poller: &mut Poller,
     router: &Arc<Router>,
@@ -786,7 +815,10 @@ fn update_interest(
         return;
     };
     let desired = Interest {
-        readable: !stopping && router.queue.conn_in_flight(conn_id) < router.per_conn_depth,
+        readable: !stopping
+            && router.queue.conn_in_flight(conn_id) < router.per_conn_depth
+            && !replies_capped(conn)
+            && !frame_waiting(conn),
         writable: !conn.writer.is_empty(),
     };
     if desired != conn.interest {

@@ -37,7 +37,6 @@
 //! assert_eq!(state.next_lsn, 2);
 //! ```
 
-mod colseg;
 mod crc32;
 mod log;
 mod ordering;
@@ -177,6 +176,18 @@ mod tests {
         assert!(!state.covered(7, 5));
     }
 
+    /// The files under `segments/`, by name, with their bytes.
+    fn segment_files(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir.join("segments"))
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).unwrap())
+            })
+            .collect()
+    }
+
     #[test]
     fn segments_with_uncovered_partitions_survive_compaction() {
         let dir = tmpdir("mixed-compact");
@@ -184,16 +195,57 @@ mod tests {
             .with_segment_bytes(1)
             .with_snapshot_every(u64::MAX);
         let wal = Wal::create(&dir, 1, b"", options).unwrap();
-        wal.append(&insert(7, 0)).unwrap();
-        wal.append(&insert(8, 1)).unwrap();
+        for i in 0..20 {
+            wal.append(&insert(7, i)).unwrap();
+            wal.append(&insert(8, 100 + i)).unwrap();
+        }
+        let before = Wal::load(&dir).unwrap();
+        let files_before = segment_files(&dir);
         wal.snapshot(7, SNAPSHOT_FORMAT_COLUMNAR, b"seven").unwrap();
+        drop(wal);
 
-        let state = Wal::load(&dir).unwrap();
-        let live: Vec<u32> = state
-            .live_tail()
-            .map(|(_, record)| record.partition())
+        // Partition 7's single-record segments died; partition 8's
+        // survive, byte for byte the row frames they were appended with.
+        let files_after = segment_files(&dir);
+        assert_eq!(files_after.len(), 20 + 1, "20 sealed + the open one");
+        for (name, bytes) in &files_after {
+            assert_eq!(&bytes[..6], b"SSEG\x01\x00", "{name}");
+            assert_eq!(Some(bytes), files_before.get(name), "{name}");
+        }
+
+        // They reload identical, in LSN order.
+        let survivors: Vec<(u64, WalRecord)> = before
+            .tail
+            .iter()
+            .filter(|(_, r)| r.partition() == 8)
+            .cloned()
             .collect();
-        assert_eq!(live, [8], "partition 8's segment must survive");
+        let after = Wal::load(&dir).unwrap();
+        assert_eq!(after.tail, survivors);
+        assert_eq!(after.next_lsn, before.next_lsn);
+
+        // And resume keeps appending on top of them.
+        let (wal, state) = Wal::resume(&dir, options).unwrap();
+        let lsn = wal.append(&insert(8, 999)).unwrap().lsn;
+        assert_eq!(lsn, state.next_lsn);
+        drop(wal);
+        let reloaded = Wal::load(&dir).unwrap();
+        assert_eq!(reloaded.tail[..20], survivors[..]);
+        assert_eq!(reloaded.tail[20..], [(lsn, insert(8, 999))]);
+    }
+
+    #[test]
+    fn a_snapshot_that_kills_the_current_segment_leaves_one_open_segment() {
+        let dir = tmpdir("dead-current");
+        let wal = Wal::create(&dir, 1, b"", WalOptions::default()).unwrap();
+        for i in 0..3 {
+            wal.append(&insert(7, i)).unwrap();
+        }
+        wal.snapshot(7, SNAPSHOT_FORMAT_COLUMNAR, b"seven").unwrap();
+        let files = segment_files(&dir);
+        let names: Vec<&str> = files.keys().map(String::as_str).collect();
+        assert_eq!(names, ["seg-000002.wal"], "no sealed file is left");
+        assert_eq!(files["seg-000002.wal"], b"SSEG\x01\x00", "empty, open");
         drop(wal);
     }
 
@@ -225,6 +277,67 @@ mod tests {
         // appends keep working.
         let (wal, _) = Wal::resume(&dir, WalOptions::default()).unwrap();
         assert_eq!(wal.append(&insert(7, 9)).unwrap().lsn, 3);
+    }
+
+    /// A torn tail that `resume` inherits is cut off before the next
+    /// segment opens: a process that then dies before any snapshot or
+    /// compaction leaves a directory that loads and resumes again with
+    /// the intact prefix plus what the resumed session appended.
+    fn assert_second_restart_recovers(dir: &std::path::Path, intact: &[(u64, WalRecord)]) {
+        let (wal, state) = Wal::resume(dir, WalOptions::default()).unwrap();
+        assert!(state.torn_tail);
+        assert_eq!(state.tail, intact);
+        let lsn = wal.append(&insert(7, 9)).unwrap().lsn;
+        drop(wal);
+
+        let mut want = intact.to_vec();
+        want.push((lsn, insert(7, 9)));
+        let state = Wal::load(dir).unwrap();
+        assert!(!state.torn_tail);
+        assert_eq!(state.tail, want);
+        let (_wal, state) = Wal::resume(dir, WalOptions::default()).unwrap();
+        assert_eq!(state.tail, want);
+    }
+
+    #[test]
+    fn resume_cuts_a_torn_frame_so_a_second_restart_recovers() {
+        let dir = tmpdir("torn-frame-twice");
+        let wal = Wal::create(&dir, 1, b"", WalOptions::default()).unwrap();
+        for i in 0..3 {
+            wal.append(&insert(7, i)).unwrap();
+        }
+        drop(wal);
+        let seg = dir.join("segments").join("seg-000001.wal");
+        let bytes = std::fs::read(&seg).unwrap();
+        std::fs::write(&seg, &bytes[..bytes.len() - 5]).unwrap();
+
+        assert_second_restart_recovers(&dir, &[(1, insert(7, 0)), (2, insert(7, 1))]);
+        let cut = std::fs::read(&seg).unwrap();
+        assert!(
+            bytes.starts_with(&cut) && cut.len() < bytes.len() - 5,
+            "cut to whole frames"
+        );
+    }
+
+    #[test]
+    fn resume_removes_a_partial_segment_header_so_a_second_restart_recovers() {
+        let dir = tmpdir("torn-header-twice");
+        let wal = Wal::create(&dir, 1, b"", WalOptions::default()).unwrap();
+        for i in 0..2 {
+            wal.append(&insert(7, i)).unwrap();
+        }
+        drop(wal);
+        // A crash between creating segment 2 and flushing its header.
+        let partial = dir.join("segments").join("seg-000002.wal");
+        std::fs::write(&partial, b"SSE").unwrap();
+
+        assert_second_restart_recovers(&dir, &[(1, insert(7, 0)), (2, insert(7, 1))]);
+        assert!(!partial.exists(), "the partial segment is removed");
+        // … and forgotten: compaction in the resumed session skips it and
+        // reclaims the empty segment 4 the last resume opened.
+        std::fs::write(dir.join("segments").join("seg-000005.wal"), b"SS").unwrap();
+        let (wal, _) = Wal::resume(&dir, WalOptions::default()).unwrap();
+        assert_eq!(wal.compact().unwrap(), 1);
     }
 
     #[test]
@@ -270,56 +383,6 @@ mod tests {
         assert!(matches!(err, WalError::Corrupt(_)), "{err}");
     }
 
-    #[test]
-    fn columnar_compaction_rewrites_surviving_segments() {
-        let dir = tmpdir("columnar-compact");
-        let options = WalOptions::default()
-            .with_segment_bytes(1)
-            .with_snapshot_every(u64::MAX);
-        let wal = Wal::create(&dir, 1, b"", options).unwrap();
-        for i in 0..20 {
-            wal.append(&insert(7, i)).unwrap();
-            wal.append(&insert(8, 100 + i)).unwrap();
-        }
-        let before = Wal::load(&dir).unwrap();
-        // Snapshotting 7 triggers compaction: its single-record segments
-        // die, and every surviving sealed segment (all partition 8) is
-        // rewritten as a columnar block.
-        wal.snapshot(7, SNAPSHOT_FORMAT_COLUMNAR, b"seven").unwrap();
-        drop(wal);
-
-        let mut sealed_columnar = 0;
-        let mut paths: Vec<_> = std::fs::read_dir(dir.join("segments"))
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        paths.sort();
-        for path in &paths[..paths.len() - 1] {
-            let bytes = std::fs::read(path).unwrap();
-            assert_eq!(&bytes[0..4], b"SSEG", "{}", path.display());
-            assert_eq!(bytes[5], 1, "sealed segment must use the columnar codec");
-            sealed_columnar += 1;
-        }
-        assert!(sealed_columnar > 0);
-
-        // The rewrite is invisible to readers: the surviving records
-        // come back identical, in the same LSN order.
-        let survivors: Vec<(u64, WalRecord)> = before
-            .tail
-            .iter()
-            .filter(|(_, r)| r.partition() == 8)
-            .cloned()
-            .collect();
-        let after = Wal::load(&dir).unwrap();
-        assert_eq!(after.tail, survivors);
-        assert_eq!(after.next_lsn, before.next_lsn);
-
-        // And resume keeps appending on top of columnar history.
-        let (wal, state) = Wal::resume(&dir, options).unwrap();
-        let lsn = wal.append(&insert(8, 999)).unwrap().lsn;
-        assert_eq!(lsn, state.next_lsn);
-    }
-
     /// A loadable directory — open segment 2, one snapshot of partition 7
     /// — for the retired-generation tests to overwrite with hand-built bytes.
     fn healthy_dir(name: &str) -> PathBuf {
@@ -361,6 +424,19 @@ mod tests {
         let mut v0 = (u32::try_from(payload.len()).unwrap(), crc32(&payload)).to_bytes();
         v0.extend_from_slice(&payload);
         std::fs::write(dir.join("segments").join("seg-000002.wal"), v0).unwrap();
+        assert_unsupported_generation(&dir);
+    }
+
+    #[test]
+    fn codec_1_columnar_segments_are_rejected_as_corrupt() {
+        let dir = healthy_dir("codec-1-segment");
+        // What the retired seal-time rewrite wrote: the header with codec
+        // byte 1, then `[u32 len][u32 crc]` and one columnar block.
+        let block = b"block".to_vec();
+        let mut seg = b"SSEG\x01\x01".to_vec();
+        (u32::try_from(block.len()).unwrap(), crc32(&block)).encode(&mut seg);
+        seg.extend_from_slice(&block);
+        std::fs::write(dir.join("segments").join("seg-000002.wal"), seg).unwrap();
         assert_unsupported_generation(&dir);
     }
 

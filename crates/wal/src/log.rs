@@ -6,19 +6,19 @@
 //! ```text
 //! <wal-dir>/
 //!   MANIFEST                  magic, version, process index, config blob, crc
-//!   segments/seg-000001.wal   "SSEG" ver codec, then [u32 len][u32 crc][u64 lsn][record]… or one block
+//!   segments/seg-000001.wal   "SSEG" ver codec, then [u32 len][u32 crc][u64 lsn][record]…
 //!   snapshots/part-65537.snap magic, version, partition, covered lsn, format, blob, crc
 //! ```
 //!
 //! Every segment file starts with a 6-byte header (`SSEG`, version,
-//! codec). Codec 0 is row-oriented frames (the open segment — appends
-//! never pay encode latency); codec 1 is one `semtree-colz` columnar
-//! block, written when a segment seals (and by compaction, for the row
-//! tail a resumed session left behind — see [`crate::colseg`]). Every
-//! snapshot file is the version-2 layout, whose payload-format byte is
-//! [`SNAPSHOT_FORMAT_COLUMNAR`]. Files of the two retired generations
-//! (headerless v0 segments, version-1 or verbatim-format snapshots)
-//! are rejected as [`WalError::Corrupt`], naming the generation.
+//! codec) followed by row-oriented record frames (codec 0). A segment
+//! holds the frames it was appended with from creation until
+//! compaction deletes it; nothing re-encodes it. Every snapshot file is
+//! the version-2 layout, whose payload-format byte is
+//! [`SNAPSHOT_FORMAT_COLUMNAR`]. Files of the three retired generations
+//! (headerless v0 segments, codec-1 columnar segments, version-1 or
+//! verbatim-format snapshots) are rejected as [`WalError::Corrupt`],
+//! naming the generation.
 //!
 //! Every record frame and every snapshot file is CRC-32 checksummed.
 //! Appends are written and flushed record-by-record (a killed *process*
@@ -26,6 +26,11 @@
 //! `sync_data` that rotation, snapshots and [`Wal::sync`] perform).
 //! Manifest and snapshot files are written to a `.tmp` sibling and
 //! renamed into place so readers never observe a half-written file.
+//!
+//! A crash mid-append leaves a torn final frame (or a partial header)
+//! in the newest segment. [`Wal::load`] and [`Wal::inspect`] tolerate it
+//! there and report it; [`Wal::resume`] cuts it off before it opens the
+//! next segment, so no segment it leaves behind is torn.
 //!
 //! # Snapshots and compaction
 //!
@@ -40,7 +45,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use semtree_conc::sync::Mutex;
@@ -63,10 +68,9 @@ const MAX_RECORD_LEN: u32 = 256 * 1024 * 1024;
 const SEGMENT_MAGIC: [u8; 4] = *b"SSEG";
 /// Version byte following the segment magic.
 const SEGMENT_VERSION: u8 = 1;
-/// Segment codec byte: row-oriented record frames (appendable).
+/// Segment codec byte: row-oriented record frames, the one codec this
+/// build writes and reads (codec 1, a columnar block, is retired).
 const SEGMENT_CODEC_ROWS: u8 = 0;
-/// Segment codec byte: one columnar block (sealed segments).
-const SEGMENT_CODEC_COLUMNAR: u8 = 1;
 /// Total length of a segment header: magic, version, codec.
 const SEGMENT_HEADER_LEN: usize = 6;
 
@@ -211,17 +215,6 @@ impl WalState {
     }
 }
 
-/// What the manager tracks about a sealed segment still on disk.
-struct SealedInfo {
-    /// partition → highest LSN for it in this segment.
-    coverage: HashMap<u32, u64>,
-    /// Already stored as a columnar block (nothing left to rewrite).
-    columnar: bool,
-    /// A torn final frame is tolerable when re-reading this segment —
-    /// true only for the pre-resume tail, which may hold a crash scar.
-    allow_torn: bool,
-}
-
 struct Inner {
     file: File,
     segment_index: u64,
@@ -229,8 +222,8 @@ struct Inner {
     next_lsn: u64,
     /// partition → highest LSN written for it in the *current* segment.
     current_coverage: HashMap<u32, u64>,
-    /// sealed segment index → what is known about it.
-    sealed: BTreeMap<u64, SealedInfo>,
+    /// sealed segment index → partition → highest LSN for it there.
+    sealed: BTreeMap<u64, HashMap<u32, u64>>,
     snapshot_lsn: HashMap<u32, u64>,
     since_snapshot: HashMap<u32, u64>,
 }
@@ -354,26 +347,38 @@ impl Wal {
 
     /// Re-open an existing WAL for appending: scan it, return the
     /// recovered [`WalState`], and start a fresh segment after the
-    /// highest existing one (the old tail — possibly torn — is left
-    /// untouched and stays readable).
+    /// highest existing one. A torn tail is repaired first: the newest
+    /// segment is cut back to its last whole frame (or removed, if not
+    /// even its header was written) and synced, so it can sit behind
+    /// the new segment as an ordinary sealed one.
     pub fn resume(dir: &Path, options: WalOptions) -> Result<(Wal, WalState), WalError> {
-        let scan = scan(dir)?;
+        let mut scan = scan(dir)?;
         let next_segment = scan.segments.last().map_or(1, |s| s.index + 1);
+        if let Some(torn) = scan.torn {
+            let path = segment_path(dir, torn.index);
+            if torn.intact < SEGMENT_HEADER_LEN as u64 {
+                // Only the newest segment tears; it held no record.
+                fs::remove_file(&path)?;
+                scan.segments.pop();
+            } else {
+                let file = OpenOptions::new().write(true).open(&path)?;
+                file.set_len(torn.intact)?;
+                file.sync_data()?;
+            }
+        }
         let file = open_segment(dir, next_segment)?;
 
-        let mut sealed = BTreeMap::new();
-        for (pos, segment) in scan.segments.iter().enumerate() {
-            sealed.insert(
-                segment.index,
-                SealedInfo {
-                    coverage: segment.coverage.clone(),
-                    columnar: segment.columnar,
-                    // Only the previous session's tail segment may carry
-                    // a torn final frame.
-                    allow_torn: pos + 1 == scan.segments.len(),
-                },
-            );
-        }
+        // LSNs ascend within a segment, so each partition's last record
+        // there is its highest.
+        let sealed = scan
+            .segments
+            .iter()
+            .map(|segment| {
+                let coverage = segment.records.iter();
+                let coverage = coverage.map(|(lsn, record)| (record.partition(), *lsn));
+                (segment.index, coverage.collect())
+            })
+            .collect();
         let snapshot_lsn: HashMap<u32, u64> = scan
             .snapshots
             .iter()
@@ -555,19 +560,7 @@ impl Wal {
     fn seal_in(dir: &Path, inner: &mut Inner) -> Result<(), WalError> {
         inner.file.sync_data()?;
         let coverage = std::mem::take(&mut inner.current_coverage);
-        let sealed_index = inner.segment_index;
-        // A sealed segment never grows again, so re-encode it right away
-        // — cold records shouldn't wait for a compaction cycle to shed
-        // their row framing.
-        rewrite_columnar(dir, sealed_index, false)?;
-        inner.sealed.insert(
-            sealed_index,
-            SealedInfo {
-                coverage,
-                columnar: true,
-                allow_torn: false,
-            },
-        );
+        inner.sealed.insert(inner.segment_index, coverage);
         inner.segment_index += 1;
         inner.segment_written = 0;
         inner.file = open_segment(dir, inner.segment_index)?;
@@ -578,8 +571,8 @@ impl Wal {
         let dead: Vec<u64> = inner
             .sealed
             .iter()
-            .filter(|(_, info)| {
-                info.coverage
+            .filter(|(_, coverage)| {
+                coverage
                     .iter()
                     .all(|(p, &top)| inner.snapshot_lsn.get(p).copied().unwrap_or(0) >= top)
             })
@@ -589,52 +582,15 @@ impl Wal {
             fs::remove_file(segment_path(&self.dir, *index))?;
             inner.sealed.remove(index);
         }
-        // Rewrite every surviving row segment (the tail a resumed session
-        // left behind).
-        for (&index, info) in inner.sealed.iter_mut().filter(|(_, info)| !info.columnar) {
-            rewrite_columnar(&self.dir, index, info.allow_torn)?;
-            info.columnar = true;
-            info.allow_torn = false;
-        }
         Ok(dead.len())
     }
 }
 
-/// Re-encode a sealed row segment as one columnar block. Sealed files
-/// never grow again, so this is a pure re-encode, and write_atomic keeps
-/// the crash window torn-free: either the old row file or the complete
-/// columnar file is on disk.
-fn rewrite_columnar(dir: &Path, index: u64, allow_torn: bool) -> Result<(), WalError> {
-    let (segment, _) = read_segment(dir, index, allow_torn)?;
-    write_atomic(
-        &segment_path(dir, index),
-        &columnar_segment_bytes(&segment.records)?,
-    )
-}
-
 /// The 6-byte header every segment file starts with.
-fn segment_header(codec: u8) -> [u8; SEGMENT_HEADER_LEN] {
+const SEGMENT_HEADER: [u8; SEGMENT_HEADER_LEN] = {
     let [m0, m1, m2, m3] = SEGMENT_MAGIC;
-    [m0, m1, m2, m3, SEGMENT_VERSION, codec]
-}
-
-/// Serialize records as a complete columnar segment file:
-/// `SSEG · version · codec · [u32 len] · [u32 crc] · block`.
-fn columnar_segment_bytes(records: &[(u64, WalRecord)]) -> Result<Vec<u8>, WalError> {
-    let block = crate::colseg::encode_block(records);
-    let block_len = u32::try_from(block.len()).map_err(|_| {
-        WalError::Corrupt(format!(
-            "columnar block {}B exceeds u32 framing",
-            block.len()
-        ))
-    })?;
-    let mut bytes = Vec::with_capacity(SEGMENT_HEADER_LEN + 8 + block.len());
-    bytes.extend_from_slice(&segment_header(SEGMENT_CODEC_COLUMNAR));
-    block_len.encode(&mut bytes);
-    crc32(&block).encode(&mut bytes);
-    bytes.extend_from_slice(&block);
-    Ok(bytes)
-}
+    [m0, m1, m2, m3, SEGMENT_VERSION, SEGMENT_CODEC_ROWS]
+};
 
 fn open_segment(dir: &Path, index: u64) -> Result<File, WalError> {
     let path = segment_path(dir, index);
@@ -642,7 +598,7 @@ fn open_segment(dir: &Path, index: u64) -> Result<File, WalError> {
         .create_new(true)
         .append(true)
         .open(path)?;
-    file.write_all(&segment_header(SEGMENT_CODEC_ROWS))?;
+    file.write_all(&SEGMENT_HEADER)?;
     file.flush()?;
     Ok(file)
 }
@@ -650,9 +606,15 @@ fn open_segment(dir: &Path, index: u64) -> Result<File, WalError> {
 struct SegmentScan {
     index: u64,
     records: Vec<(u64, WalRecord)>,
-    coverage: HashMap<u32, u64>,
-    /// The file held a columnar block (vs row frames).
-    columnar: bool,
+}
+
+/// Where the newest segment tears: its index and the length of its
+/// intact prefix (header plus whole frames; less than a header when
+/// only part of the header was written).
+#[derive(Clone, Copy)]
+struct TornTail {
+    index: u64,
+    intact: u64,
 }
 
 struct Scan {
@@ -660,7 +622,7 @@ struct Scan {
     config: Vec<u8>,
     segments: Vec<SegmentScan>,
     snapshots: BTreeMap<u32, Snapshot>,
-    torn_tail: bool,
+    torn: Option<TornTail>,
 }
 
 impl Scan {
@@ -679,7 +641,7 @@ impl Scan {
             snapshots: self.snapshots,
             tail,
             next_lsn,
-            torn_tail: self.torn_tail,
+            torn_tail: self.torn.is_some(),
         }
     }
 }
@@ -716,11 +678,13 @@ fn scan(dir: &Path) -> Result<Scan, WalError> {
     indices.sort_unstable();
 
     let mut segments = Vec::new();
-    let mut torn_tail = false;
+    let mut torn = None;
     for (pos, &index) in indices.iter().enumerate() {
         let last = pos + 1 == indices.len();
-        let (segment, torn) = read_segment(dir, index, last)?;
-        torn_tail |= torn;
+        let (segment, intact) = read_segment(dir, index, last)?;
+        if let Some(intact) = intact {
+            torn = Some(TornTail { index, intact });
+        }
         segments.push(segment);
     }
 
@@ -740,25 +704,29 @@ fn scan(dir: &Path) -> Result<Scan, WalError> {
         config,
         segments,
         snapshots,
-        torn_tail,
+        torn,
     })
 }
 
-/// Read one segment file, dispatching on its header codec: row frames
-/// or a columnar block. `last` tolerates a torn final frame (row codec
-/// only — columnar files are written atomically, so any damage there is
-/// corruption).
-fn read_segment(dir: &Path, index: u64, last: bool) -> Result<(SegmentScan, bool), WalError> {
+/// Read one segment file. `last` tolerates a partial header or a torn
+/// final frame, the signature of a crash mid-append in the newest
+/// segment; the second value is then the length of the intact prefix.
+fn read_segment(
+    dir: &Path,
+    index: u64,
+    last: bool,
+) -> Result<(SegmentScan, Option<u64>), WalError> {
     let path = segment_path(dir, index);
-    let mut bytes = Vec::new();
-    File::open(&path)?.read_to_end(&mut bytes)?;
+    let bytes = fs::read(&path)?;
 
     if bytes.len() < SEGMENT_HEADER_LEN && SEGMENT_MAGIC.starts_with(&bytes[..bytes.len().min(4)]) {
         // A crash between create and header flush leaves an empty file
         // (nothing to lose) or a partial header — the latter only
         // acceptable in the newest segment.
         if bytes.is_empty() || last {
-            return Ok((scan_of(index, Vec::new(), false), !bytes.is_empty()));
+            let torn = (!bytes.is_empty()).then_some(0);
+            let records = Vec::new();
+            return Ok((SegmentScan { index, records }, torn));
         }
         return Err(WalError::Corrupt(format!(
             "{}: truncated segment header",
@@ -778,77 +746,38 @@ fn read_segment(dir: &Path, index: u64, last: bool) -> Result<(SegmentScan, bool
             bytes[4]
         )));
     }
-    let body = &bytes[SEGMENT_HEADER_LEN..];
     match bytes[5] {
-        SEGMENT_CODEC_ROWS => {
-            let (records, torn) = scan_row_frames(&path, body, last)?;
-            Ok((scan_of(index, records, false), torn))
+        SEGMENT_CODEC_ROWS => {}
+        1 => {
+            return Err(WalError::Corrupt(format!(
+                "{}: codec 1 (one columnar block) is an unsupported generation \
+                 (this build reads codec {SEGMENT_CODEC_ROWS}, row frames)",
+                path.display()
+            )))
         }
-        SEGMENT_CODEC_COLUMNAR => {
-            let records = read_columnar_body(&path, body)?;
-            Ok((scan_of(index, records, true), false))
+        codec => {
+            return Err(WalError::Corrupt(format!(
+                "{}: unsupported segment codec {codec}",
+                path.display()
+            )))
         }
-        codec => Err(WalError::Corrupt(format!(
-            "{}: unsupported segment codec {codec}",
-            path.display()
-        ))),
     }
+    let body = &bytes[SEGMENT_HEADER_LEN..];
+    let (records, whole) = scan_row_frames(&path, body, last)?;
+    let intact = (whole < body.len()).then_some((SEGMENT_HEADER_LEN + whole) as u64);
+    Ok((SegmentScan { index, records }, intact))
 }
 
-/// Build a [`SegmentScan`] from decoded records, deriving coverage.
-fn scan_of(index: u64, records: Vec<(u64, WalRecord)>, columnar: bool) -> SegmentScan {
-    let mut coverage: HashMap<u32, u64> = HashMap::new();
-    for (lsn, record) in &records {
-        let top = coverage.entry(record.partition()).or_insert(0);
-        *top = (*top).max(*lsn);
-    }
-    SegmentScan {
-        index,
-        records,
-        coverage,
-        columnar,
-    }
-}
-
-/// Validate and decode a columnar segment body:
-/// `[u32 len] [u32 crc] block` with nothing before or after.
-fn read_columnar_body(path: &Path, body: &[u8]) -> Result<Vec<(u64, WalRecord)>, WalError> {
-    if body.len() < 8 {
-        return Err(WalError::Corrupt(format!(
-            "{}: truncated columnar block header",
-            path.display()
-        )));
-    }
-    let mut header = &body[0..8];
-    let len = u32::decode(&mut header)?;
-    let crc = u32::decode(&mut header)?;
-    let block = &body[8..];
-    if len as usize != block.len() {
-        return Err(WalError::Corrupt(format!(
-            "{}: columnar block length {} disagrees with file ({} bytes)",
-            path.display(),
-            len,
-            block.len()
-        )));
-    }
-    if crc32(block) != crc {
-        return Err(WalError::Corrupt(format!(
-            "{}: columnar block checksum mismatch",
-            path.display()
-        )));
-    }
-    crate::colseg::decode_block(block)
-}
-
-/// Scan row frames, tolerating a torn final frame when `last`.
+/// Scan row frames, tolerating a torn final frame when `last`; the
+/// second value is how many bytes of `body` are whole frames (all of
+/// them unless the tail is torn).
 fn scan_row_frames(
     path: &Path,
     body: &[u8],
     last: bool,
-) -> Result<(Vec<(u64, WalRecord)>, bool), WalError> {
+) -> Result<(Vec<(u64, WalRecord)>, usize), WalError> {
     let mut records = Vec::new();
     let mut rest: &[u8] = body;
-    let mut torn = false;
     while !rest.is_empty() {
         let frame_ok = (|| -> Result<Option<(u64, WalRecord)>, WalError> {
             if rest.len() < 8 {
@@ -883,7 +812,6 @@ fn scan_row_frames(
                 // A partial or checksum-failing frame at the very tail of
                 // the newest segment is the signature of a crash mid
                 // append: everything before it is intact.
-                torn = true;
                 break;
             }
             Ok(None) => {
@@ -896,7 +824,7 @@ fn scan_row_frames(
         }
     }
 
-    Ok((records, torn))
+    Ok((records, body.len() - rest.len()))
 }
 
 /// The one payload format this build writes and reads.
