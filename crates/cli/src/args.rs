@@ -210,7 +210,8 @@ COMMANDS:
     recover    inspect and replay a write-ahead log offline (read-only)
                  --wal-dir DIR     write-ahead log directory (required)
                  --stats           per-partition snapshot compression:
-                                   on-disk vs decoded bytes and the ratio
+                                   on-disk vs raw point bytes and the
+                                   ratio
                  --json            machine-readable report on stdout
                                    (implies --stats)
     help       this text

@@ -187,7 +187,7 @@ fn format_name(format: u8) -> &'static str {
 /// `semtree recover`: offline, read-only inspect-and-replay of a WAL
 /// directory — verifies every checksum and reports what a restarted
 /// worker would recover. `--stats` adds per-partition snapshot
-/// compression (on-disk vs decoded bytes); `--json` emits the whole
+/// compression (on-disk vs raw point bytes); `--json` emits the whole
 /// report machine-readably instead.
 pub fn recover(parsed: &ParsedArgs) -> Result<String, String> {
     let dir = parsed.require("wal-dir")?;
@@ -213,11 +213,11 @@ pub fn recover(parsed: &ParsedArgs) -> Result<String, String> {
         }
         for c in &inspection.compression {
             out.push_str(&format!(
-                "  partition {}: {} ({} bytes on disk, {} decoded, ratio {:.2}x)\n",
+                "  partition {}: {} ({} bytes on disk, {} raw point bytes, ratio {:.2}x)\n",
                 c.partition,
                 format_name(c.format),
                 c.stored_bytes,
-                c.decoded_bytes,
+                c.raw_bytes,
                 c.ratio()
             ));
         }
@@ -250,11 +250,11 @@ fn recover_json(inspection: &semtree_dist::WalInspection) -> String {
         .map(|c| {
             format!(
                 "{{\"partition\": {}, \"format\": \"{}\", \"stored_bytes\": {}, \
-                 \"decoded_bytes\": {}, \"ratio\": {:.4}}}",
+                 \"raw_bytes\": {}, \"ratio\": {:.4}}}",
                 c.partition,
                 format_name(c.format),
                 c.stored_bytes,
-                c.decoded_bytes,
+                c.raw_bytes,
                 c.ratio()
             )
         })

@@ -202,7 +202,7 @@ impl PartitionActor {
             return Ok(());
         }
         if let Some(wal) = &self.shared.wal {
-            wal.snapshot_image(ctx.node_id(), &self.store.to_image())
+            wal.snapshot_image(ctx.node_id(), &self.store.snapshot())
                 .map_err(|e| ClusterError::Remote(format!("wal snapshot failed: {e}")))?;
         }
         Ok(())

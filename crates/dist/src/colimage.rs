@@ -1,13 +1,14 @@
-//! Columnar snapshot-blob codec for [`StoreImage`].
+//! Columnar snapshot blob of a [`PartitionStore`]: the store's arena,
+//! read straight off the tree and written column by column.
 //!
-//! A row-wise store image serializes every node one after the other,
-//! repeating point coordinates and node framing for each entry. This module
-//! regroups the image into `semtree-colz` columns — node kinds and
-//! parent slots run-length encode, depths delta-encode, coordinates go
-//! through the adaptive point codec — which is what makes per-partition
-//! snapshots (the dominant on-disk bytes of a quiescent WAL) compress.
-//! The WAL tags blobs written this way `SNAPSHOT_FORMAT_COLUMNAR` — the
-//! only snapshot payload format it writes or reads.
+//! Written row by row, a snapshot would repeat point coordinates and
+//! node framing for every entry. Here the arena is regrouped into
+//! `semtree-colz` columns — node kinds and parent slots run-length
+//! encode, depths delta-encode, coordinates go through the adaptive point
+//! codec — which is what makes per-partition snapshots (the dominant
+//! on-disk bytes of a quiescent WAL) compress. The WAL tags blobs
+//! written this way `SNAPSHOT_FORMAT_COLUMNAR` — the only snapshot
+//! payload format it writes or reads.
 //!
 //! Blob layout (all columns in order; every count cross-checked on
 //! decode):
@@ -29,8 +30,10 @@
 //! ```
 
 use semtree_colz::{ColumnCodec, DeltaColumn, F64Column, PointsColumn, RleColumn, UIntColumn};
+use semtree_kdtree::KdConfig;
 
-use crate::store::{Child as ChildImage, NodeImage, NodeKindImage, StoreImage};
+use crate::deploy::{split_rule_from_tag, split_rule_tag};
+use crate::store::{Child, LocalNodeId, PartitionStore};
 
 const KIND_ROUTING: u64 = 0;
 const KIND_LEAF: u64 = 1;
@@ -40,236 +43,254 @@ const PARENT_RIGHT: u64 = 2;
 const CHILD_LOCAL: u64 = 0;
 const CHILD_REMOTE: u64 = 1;
 
-/// Encode a store image as a columnar snapshot blob.
-pub(crate) fn encode_image(image: &StoreImage) -> Vec<u8> {
-    let header = [
-        image.dims as u64,
-        image.bucket_size as u64,
-        u64::from(image.split_rule),
-        image.points as u64,
-        image.nodes.len() as u64,
-    ];
-    let mut kinds = Vec::with_capacity(image.nodes.len());
-    let mut depths = Vec::with_capacity(image.nodes.len());
-    let mut parent_tags = Vec::with_capacity(image.nodes.len());
-    let mut parents = Vec::new();
-    let mut split_dims = Vec::new();
-    let mut split_vals = Vec::new();
-    let mut child_tags = Vec::new();
-    let mut child_ids = Vec::new();
-    let mut remote_nodes = Vec::new();
-    let mut bucket_lens = Vec::new();
-    let mut payloads = Vec::new();
-    let mut points = Vec::new();
-
-    for node in &image.nodes {
-        depths.push(u64::from(node.depth));
-        match node.parent {
-            None => parent_tags.push(PARENT_NONE),
-            Some((p, is_left)) => {
-                parent_tags.push(if is_left { PARENT_LEFT } else { PARENT_RIGHT });
-                parents.push(u64::from(p));
-            }
-        }
-        match &node.kind {
-            NodeKindImage::Routing {
-                split_dim,
-                split_val,
-                left,
-                right,
-            } => {
-                kinds.push(KIND_ROUTING);
-                split_dims.push(*split_dim as u64);
-                split_vals.push(*split_val);
-                for child in [left, right] {
-                    match child {
-                        ChildImage::Local(id) => {
-                            child_tags.push(CHILD_LOCAL);
-                            child_ids.push(u64::from(*id));
-                        }
-                        ChildImage::Remote { partition, node } => {
-                            child_tags.push(CHILD_REMOTE);
-                            child_ids.push(u64::from(*partition));
-                            remote_nodes.push(u64::from(*node));
-                        }
-                    }
-                }
-            }
-            NodeKindImage::Leaf { bucket } => {
-                kinds.push(KIND_LEAF);
-                bucket_lens.push(bucket.len() as u64);
-                for (point, payload) in bucket {
-                    payloads.push(*payload);
-                    points.push(point.clone());
-                }
-            }
-        }
-    }
-
-    let mut out = Vec::new();
-    UIntColumn::encode(&header, &mut out);
-    RleColumn::encode(&kinds, &mut out);
-    DeltaColumn::encode(&depths, &mut out);
-    RleColumn::encode(&parent_tags, &mut out);
-    UIntColumn::encode(&parents, &mut out);
-    UIntColumn::encode(&split_dims, &mut out);
-    F64Column::encode(&split_vals, &mut out);
-    RleColumn::encode(&child_tags, &mut out);
-    UIntColumn::encode(&child_ids, &mut out);
-    UIntColumn::encode(&remote_nodes, &mut out);
-    UIntColumn::encode(&bucket_lens, &mut out);
-    UIntColumn::encode(&payloads, &mut out);
-    PointsColumn::encode(&points, &mut out);
-    out
+fn fail(context: &str) -> String {
+    format!("columnar snapshot: {context}")
 }
 
 fn to_u32(value: u64, context: &str) -> Result<u32, String> {
-    u32::try_from(value).map_err(|_| format!("columnar snapshot: {context}"))
+    u32::try_from(value).map_err(|_| fail(context))
 }
 
 fn to_usize(value: u64, context: &str) -> Result<usize, String> {
-    usize::try_from(value).map_err(|_| format!("columnar snapshot: {context}"))
+    usize::try_from(value).map_err(|_| fail(context))
 }
 
-/// Decode a columnar snapshot blob back into the exact store image.
-pub(crate) fn decode_image(bytes: &[u8]) -> Result<StoreImage, String> {
-    let fail = |context: &str| format!("columnar snapshot: {context}");
-    let colz = |e: semtree_colz::ColzError| format!("columnar snapshot: {e}");
+fn colz(e: semtree_colz::ColzError) -> String {
+    fail(&e.to_string())
+}
 
-    let mut buf = bytes;
-    let header = UIntColumn::decode(&mut buf).map_err(colz)?;
-    let [dims, bucket_size, split_rule, points_total, n_nodes] = header[..] else {
-        return Err(fail("header must hold exactly five values"));
-    };
-    let kinds = RleColumn::decode(&mut buf).map_err(colz)?;
-    let depths = DeltaColumn::decode(&mut buf).map_err(colz)?;
-    let parent_tags = RleColumn::decode(&mut buf).map_err(colz)?;
-    let parents = UIntColumn::decode(&mut buf).map_err(colz)?;
-    let split_dims = UIntColumn::decode(&mut buf).map_err(colz)?;
-    let split_vals = F64Column::decode(&mut buf).map_err(colz)?;
-    let child_tags = RleColumn::decode(&mut buf).map_err(colz)?;
-    let child_ids = UIntColumn::decode(&mut buf).map_err(colz)?;
-    let remote_nodes = UIntColumn::decode(&mut buf).map_err(colz)?;
-    let bucket_lens = UIntColumn::decode(&mut buf).map_err(colz)?;
-    let payloads = UIntColumn::decode(&mut buf).map_err(colz)?;
-    let points = PointsColumn::decode(&mut buf).map_err(colz)?;
-    if !buf.is_empty() {
-        return Err(fail("trailing bytes after columns"));
-    }
+/// The header column: dims, bucket size, split rule, points, nodes.
+fn header(buf: &mut &[u8]) -> Result<[u64; 5], String> {
+    let header = UIntColumn::decode(buf).map_err(colz)?;
+    header
+        .try_into()
+        .map_err(|_| fail("header must hold exactly five values"))
+}
 
-    let n_nodes = to_usize(n_nodes, "node count exceeds usize")?;
-    if kinds.len() != n_nodes || depths.len() != n_nodes || parent_tags.len() != n_nodes {
-        return Err(fail("per-node columns disagree with the header"));
-    }
-    let routing = kinds.iter().filter(|&&k| k == KIND_ROUTING).count();
-    if split_dims.len() != routing || split_vals.len() != routing {
-        return Err(fail("routing columns disagree with the kind column"));
-    }
-    if child_tags.len() != 2 * routing || child_ids.len() != 2 * routing {
-        return Err(fail("child columns disagree with the routing count"));
-    }
-    let remote = child_tags.iter().filter(|&&t| t == CHILD_REMOTE).count();
-    if remote_nodes.len() != remote {
-        return Err(fail("remote node column disagrees with the child tags"));
-    }
-    let leaves = kinds.len() - routing;
-    if bucket_lens.len() != leaves {
-        return Err(fail("bucket length column disagrees with the kind column"));
-    }
+fn take<T>(column: &mut impl Iterator<Item = T>, name: &str) -> Result<T, String> {
+    column
+        .next()
+        .ok_or_else(|| fail(&format!("{name} column underflow")))
+}
 
-    let mut nodes = Vec::with_capacity(n_nodes);
-    let mut next_parent = 0usize;
-    let mut next_routing = 0usize;
-    let mut next_child = 0usize;
-    let mut next_remote = 0usize;
-    let mut next_leaf = 0usize;
-    let mut point_cursor = 0usize;
-    for (i, &kind) in kinds.iter().enumerate() {
-        let parent = match parent_tags[i] {
-            PARENT_NONE => None,
-            tag @ (PARENT_LEFT | PARENT_RIGHT) => {
-                let p = *parents
-                    .get(next_parent)
-                    .ok_or_else(|| fail("parent column underflow"))?;
-                next_parent += 1;
-                Some((to_u32(p, "parent id exceeds u32")?, tag == PARENT_LEFT))
+impl PartitionStore {
+    /// The whole store — arena order, parents, remote links, buckets,
+    /// point counter — as the columnar blob the WAL stores as this
+    /// partition's snapshot.
+    pub(crate) fn snapshot(&self) -> Vec<u8> {
+        let tree = self.tree();
+        let config = tree.config();
+        let nodes = tree.nodes() as usize;
+        let mut kinds = Vec::with_capacity(nodes);
+        let mut depths = Vec::with_capacity(nodes);
+        let mut parent_tags = Vec::with_capacity(nodes);
+        let mut parents = Vec::new();
+        let mut split_dims = Vec::new();
+        let mut split_vals = Vec::new();
+        let mut child_tags = Vec::new();
+        let mut child_ids = Vec::new();
+        let mut remote_nodes = Vec::new();
+        let mut bucket_lens = Vec::new();
+        let mut payloads = Vec::with_capacity(self.points());
+        let mut points = Vec::with_capacity(self.points());
+
+        for node in (0..tree.nodes()).filter_map(|id| tree.node(id)) {
+            depths.push(u64::from(node.depth()));
+            match node.parent() {
+                None => parent_tags.push(PARENT_NONE),
+                Some((p, is_left)) => {
+                    parent_tags.push(if is_left { PARENT_LEFT } else { PARENT_RIGHT });
+                    parents.push(u64::from(p));
+                }
             }
-            _ => return Err(fail("unknown parent tag")),
-        };
-        let kind = match kind {
-            KIND_ROUTING => {
-                let j = next_routing;
-                next_routing += 1;
-                let mut children = [ChildImage::Local(0); 2];
-                for slot in &mut children {
-                    let tag = child_tags[next_child];
-                    let id = child_ids[next_child];
-                    next_child += 1;
-                    *slot = match tag {
-                        CHILD_LOCAL => ChildImage::Local(to_u32(id, "child id exceeds u32")?),
-                        CHILD_REMOTE => {
-                            let node = *remote_nodes
-                                .get(next_remote)
-                                .ok_or_else(|| fail("remote node column underflow"))?;
-                            next_remote += 1;
-                            ChildImage::Remote {
-                                partition: to_u32(id, "partition id exceeds u32")?,
-                                node: to_u32(node, "remote node id exceeds u32")?,
+            let Some(r) = node.routing() else {
+                kinds.push(KIND_LEAF);
+                let bucket = node.bucket();
+                bucket_lens.push(bucket.len() as u64);
+                for (point, payload) in bucket {
+                    payloads.push(payload);
+                    points.push(point);
+                }
+                continue;
+            };
+            kinds.push(KIND_ROUTING);
+            split_dims.push(r.split_dim as u64);
+            split_vals.push(r.split_val);
+            for child in [r.left, r.right] {
+                match child {
+                    Child::Local(id) => {
+                        child_tags.push(CHILD_LOCAL);
+                        child_ids.push(u64::from(id));
+                    }
+                    Child::Remote { partition, node } => {
+                        child_tags.push(CHILD_REMOTE);
+                        child_ids.push(u64::from(partition));
+                        remote_nodes.push(u64::from(node));
+                    }
+                }
+            }
+        }
+
+        let header = [
+            config.dims() as u64,
+            config.bucket_size() as u64,
+            u64::from(split_rule_tag(config.split_rule())),
+            self.points() as u64,
+            kinds.len() as u64,
+        ];
+        let mut out = Vec::new();
+        UIntColumn::encode(&header, &mut out);
+        RleColumn::encode(&kinds, &mut out);
+        DeltaColumn::encode(&depths, &mut out);
+        RleColumn::encode(&parent_tags, &mut out);
+        UIntColumn::encode(&parents, &mut out);
+        UIntColumn::encode(&split_dims, &mut out);
+        F64Column::encode(&split_vals, &mut out);
+        RleColumn::encode(&child_tags, &mut out);
+        UIntColumn::encode(&child_ids, &mut out);
+        UIntColumn::encode(&remote_nodes, &mut out);
+        UIntColumn::encode(&bucket_lens, &mut out);
+        UIntColumn::encode(&payloads, &mut out);
+        PointsColumn::encode(&points, &mut out);
+        out
+    }
+
+    /// Rebuild a store from a [`snapshot`](PartitionStore::snapshot)
+    /// blob: the same arena, node for node, so it snapshots to the same
+    /// bytes.
+    pub(crate) fn restore(bytes: &[u8]) -> Result<Self, String> {
+        let mut buf = bytes;
+        let [dims, bucket_size, split_rule, points_total, n_nodes] = header(&mut buf)?;
+        let kinds = RleColumn::decode(&mut buf).map_err(colz)?;
+        let depths = DeltaColumn::decode(&mut buf).map_err(colz)?;
+        let parent_tags = RleColumn::decode(&mut buf).map_err(colz)?;
+        let parents = UIntColumn::decode(&mut buf).map_err(colz)?;
+        let split_dims = UIntColumn::decode(&mut buf).map_err(colz)?;
+        let split_vals = F64Column::decode(&mut buf).map_err(colz)?;
+        let child_tags = RleColumn::decode(&mut buf).map_err(colz)?;
+        let child_ids = UIntColumn::decode(&mut buf).map_err(colz)?;
+        let remote_nodes = UIntColumn::decode(&mut buf).map_err(colz)?;
+        let bucket_lens = UIntColumn::decode(&mut buf).map_err(colz)?;
+        let payloads = UIntColumn::decode(&mut buf).map_err(colz)?;
+        let points = PointsColumn::decode(&mut buf).map_err(colz)?;
+        if !buf.is_empty() {
+            return Err(fail("trailing bytes after columns"));
+        }
+
+        let n_nodes = to_usize(n_nodes, "node count exceeds usize")?;
+        if kinds.len() != n_nodes || depths.len() != n_nodes || parent_tags.len() != n_nodes {
+            return Err(fail("per-node columns disagree with the header"));
+        }
+        // Each column is read through until the kinds say otherwise; one
+        // that runs short fails on the spot, one with entries left over
+        // fails below, and paired columns must pair up.
+        if split_dims.len() != split_vals.len()
+            || child_tags.len() != child_ids.len()
+            || payloads.len() != points.len()
+        {
+            return Err(fail("paired columns disagree in length"));
+        }
+
+        let split_rule = u8::try_from(split_rule)
+            .map_err(|_| fail("split rule tag exceeds u8"))
+            .and_then(|tag| split_rule_from_tag(tag).map_err(|e| fail(&e.to_string())))?;
+        let dims = to_usize(dims, "dims exceeds usize")?;
+        let bucket_size = to_usize(bucket_size, "bucket size exceeds usize")?;
+        if dims == 0 || bucket_size == 0 || n_nodes == 0 {
+            return Err(fail("no dimensions, bucket size or root node"));
+        }
+        let config = KdConfig::new(dims)
+            .with_bucket_size(bucket_size)
+            .with_split_rule(split_rule);
+        let mut store = Self::empty_arena(config);
+
+        let mut parents = parents.into_iter();
+        let mut routing = split_dims.into_iter().zip(split_vals);
+        let mut children = child_tags.into_iter().zip(child_ids);
+        let mut remote_nodes = remote_nodes.into_iter();
+        let mut bucket_lens = bucket_lens.into_iter();
+        let mut entries = points.into_iter().zip(payloads);
+        for (id, &kind) in kinds.iter().enumerate() {
+            let depth = to_u32(depths[id], "depth exceeds u32")?;
+            let parent = match parent_tags[id] {
+                PARENT_NONE => None,
+                tag @ (PARENT_LEFT | PARENT_RIGHT) => {
+                    let p = to_u32(take(&mut parents, "parent")?, "parent id exceeds u32")?;
+                    Some((p, tag == PARENT_LEFT))
+                }
+                _ => return Err(fail("unknown parent tag")),
+            };
+            let pushed = match kind {
+                KIND_ROUTING => {
+                    let (split_dim, split_val) = take(&mut routing, "routing")?;
+                    let mut edges = [Child::Local(0); 2];
+                    for edge in &mut edges {
+                        *edge = match take(&mut children, "child")? {
+                            (CHILD_LOCAL, child) => {
+                                Child::Local(to_u32(child, "child id exceeds u32")?)
                             }
-                        }
-                        _ => return Err(fail("unknown child tag")),
-                    };
+                            (CHILD_REMOTE, partition) => Child::Remote {
+                                partition: to_u32(partition, "partition id exceeds u32")?,
+                                node: to_u32(
+                                    take(&mut remote_nodes, "remote node")?,
+                                    "remote node id exceeds u32",
+                                )?,
+                            },
+                            _ => return Err(fail("unknown child tag")),
+                        };
+                    }
+                    let split_dim = to_usize(split_dim, "split dim exceeds usize")?;
+                    store.push_routing(depth, parent, split_dim, split_val, edges)
                 }
-                NodeKindImage::Routing {
-                    split_dim: to_usize(split_dims[j], "split dim exceeds usize")?,
-                    split_val: split_vals[j],
-                    left: children[0],
-                    right: children[1],
+                KIND_LEAF => {
+                    let len = take(&mut bucket_lens, "bucket length")?;
+                    let len = to_usize(len, "bucket length exceeds usize")?;
+                    let bucket: Vec<_> = entries.by_ref().take(len).collect();
+                    if bucket.len() != len {
+                        return Err(fail("leaf bucket overruns its columns"));
+                    }
+                    store.push_leaf(depth, parent, &bucket)
                 }
+                _ => return Err(fail("unknown node kind")),
+            };
+            if pushed != u32::try_from(id).ok().map(LocalNodeId) {
+                return Err(fail(&format!("node {id} cannot be stored")));
             }
-            KIND_LEAF => {
-                let len = to_usize(bucket_lens[next_leaf], "bucket length exceeds usize")?;
-                next_leaf += 1;
-                let end = point_cursor
-                    .checked_add(len)
-                    .filter(|&end| end <= points.len() && end <= payloads.len())
-                    .ok_or_else(|| fail("leaf bucket overruns its columns"))?;
-                let bucket = (point_cursor..end)
-                    .map(|j| (points[j].clone(), payloads[j]))
-                    .collect();
-                point_cursor = end;
-                NodeKindImage::Leaf { bucket }
-            }
-            _ => return Err(fail("unknown node kind")),
-        };
-        nodes.push(NodeImage {
-            kind,
-            depth: to_u32(depths[i], "depth exceeds u32")?,
-            parent,
-        });
+        }
+        let leftover = parents.next().is_some()
+            || routing.next().is_some()
+            || children.next().is_some()
+            || remote_nodes.next().is_some()
+            || bucket_lens.next().is_some()
+            || entries.next().is_some();
+        if leftover {
+            return Err(fail("per-kind columns not fully consumed"));
+        }
+        if store.points() as u64 != points_total {
+            return Err(fail("point count disagrees with the buckets"));
+        }
+        Ok(store)
     }
-    if next_parent != parents.len()
-        || point_cursor != points.len()
-        || point_cursor != payloads.len()
-    {
-        return Err(fail("per-kind columns not fully consumed"));
-    }
+}
 
-    Ok(StoreImage {
-        dims: to_usize(dims, "dims exceeds usize")?,
-        bucket_size: to_usize(bucket_size, "bucket size exceeds usize")?,
-        split_rule: u8::try_from(split_rule).map_err(|_| fail("split rule tag exceeds u8"))?,
-        points: to_usize(points_total, "point count exceeds usize")?,
-        nodes,
-    })
+/// A blob's points uncompressed — `points × 8 × (dims + 1)` bytes, each
+/// point's coordinates and payload as 8-byte words — read from its
+/// header column alone: the baseline `semtree recover --stats` reports
+/// the stored blob against.
+pub(crate) fn raw_point_bytes(blob: &[u8]) -> Result<usize, String> {
+    let [dims, _, _, points, _] = header(&mut &blob[..])?;
+    let raw = dims
+        .saturating_add(1)
+        .saturating_mul(8)
+        .saturating_mul(points);
+    to_usize(raw, "raw point bytes exceed usize")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use semtree_net::Encode as _;
 
-    fn sample_image() -> StoreImage {
+    fn sample_store() -> PartitionStore {
         // A small arena with every feature: routing root, a remote right
         // child, parent backlinks, and leaf buckets drawn from a small
         // point palette (the occurrence-heavy shape real corpora have).
@@ -281,114 +302,90 @@ mod tests {
                 .map(|j| (palette[(seed + j) % 6].clone(), (seed * 100 + j) as u64))
                 .collect()
         };
-        StoreImage {
-            dims: 4,
-            bucket_size: 8,
-            split_rule: 0,
-            points: 150 + 149,
-            nodes: vec![
-                NodeImage {
-                    kind: NodeKindImage::Routing {
-                        split_dim: 2,
-                        split_val: 0.375,
-                        left: ChildImage::Local(1),
-                        right: ChildImage::Remote {
-                            partition: 0x0002_0001,
-                            node: 0,
-                        },
-                    },
-                    depth: 0,
-                    parent: None,
-                },
-                NodeImage {
-                    kind: NodeKindImage::Routing {
-                        split_dim: 3,
-                        split_val: -1.5,
-                        left: ChildImage::Local(2),
-                        right: ChildImage::Local(3),
-                    },
-                    depth: 1,
-                    parent: Some((0, true)),
-                },
-                NodeImage {
-                    kind: NodeKindImage::Leaf {
-                        bucket: bucket(1, 150),
-                    },
-                    depth: 2,
-                    parent: Some((1, true)),
-                },
-                NodeImage {
-                    kind: NodeKindImage::Leaf {
-                        bucket: bucket(2, 149),
-                    },
-                    depth: 2,
-                    parent: Some((1, false)),
-                },
-            ],
-        }
+        let mut s = PartitionStore::empty_arena(KdConfig::new(4).with_bucket_size(8));
+        let remote = Child::Remote {
+            partition: 0x0002_0001,
+            node: 0,
+        };
+        let pushed = [
+            s.push_routing(0, None, 2, 0.375, [Child::Local(1), remote]),
+            s.push_routing(
+                1,
+                Some((0, true)),
+                3,
+                -1.5,
+                [Child::Local(2), Child::Local(3)],
+            ),
+            s.push_leaf(2, Some((1, true)), &bucket(1, 150)),
+            s.push_leaf(2, Some((1, false)), &bucket(2, 149)),
+        ];
+        assert_eq!(pushed, [0, 1, 2, 3].map(|id| Some(LocalNodeId(id))));
+        s
     }
 
     #[test]
     fn images_round_trip_exactly() {
-        for image in [
-            StoreImage {
-                dims: 2,
-                bucket_size: 4,
-                split_rule: 1,
-                points: 0,
-                nodes: Vec::new(),
-            },
-            sample_image(),
-        ] {
-            let blob = encode_image(&image);
-            let back = decode_image(&blob).expect("round trip");
-            assert_eq!(back, image);
-        }
+        let blob = sample_store().snapshot();
+        let back = PartitionStore::restore(&blob).expect("round trip");
+        assert_eq!(back.points(), 299);
+        assert_eq!(back.snapshot(), blob);
+        // A store with no root node has no image to restore.
+        let empty = PartitionStore::empty_arena(KdConfig::new(2)).snapshot();
+        assert!(PartitionStore::restore(&empty).is_err());
     }
 
     #[test]
     fn columnar_blobs_beat_verbatim_by_5x_on_repetitive_buckets() {
-        let image = sample_image();
-        let verbatim = image.to_bytes();
-        let blob = encode_image(&image);
+        let blob = sample_store().snapshot();
+        let verbatim = raw_point_bytes(&blob).expect("header");
+        assert_eq!(verbatim, 299 * 8 * (4 + 1));
         assert!(
-            blob.len() * 5 < verbatim.len(),
+            blob.len() * 5 < verbatim,
             "columnar {} vs verbatim {}",
             blob.len(),
-            verbatim.len()
+            verbatim
         );
     }
 
     #[test]
     fn truncation_and_trailing_bytes_are_rejected() {
-        let blob = encode_image(&sample_image());
+        let blob = sample_store().snapshot();
         for cut in [0, 1, blob.len() / 3, blob.len() - 1] {
-            assert!(decode_image(&blob[..cut]).is_err(), "cut at {cut}");
+            assert!(
+                PartitionStore::restore(&blob[..cut]).is_err(),
+                "cut at {cut}"
+            );
         }
         let mut extended = blob.clone();
         extended.push(0);
-        assert!(decode_image(&extended).is_err());
+        assert!(PartitionStore::restore(&extended).is_err());
     }
 
     #[test]
     fn header_and_schedule_mismatches_are_rejected() {
-        // Header claims two nodes, but the per-node columns hold none.
-        let mut bad = Vec::new();
-        UIntColumn::encode(&[2, 4, 0, 0, 2], &mut bad);
-        RleColumn::encode(&[], &mut bad);
-        DeltaColumn::encode(&[], &mut bad);
-        RleColumn::encode(&[], &mut bad);
-        for _ in 0..5 {
-            UIntColumn::encode(&[], &mut bad);
+        // One empty root leaf, column by column, with the header's node
+        // count, the parent ids and the bucket lengths as given.
+        let blob = |n_nodes: u64, parents: &[u64], bucket_lens: &[u64]| {
+            let mut out = Vec::new();
+            UIntColumn::encode(&[2, 4, 0, 0, n_nodes], &mut out);
+            RleColumn::encode(&[KIND_LEAF], &mut out);
+            DeltaColumn::encode(&[0], &mut out);
+            RleColumn::encode(&[PARENT_NONE], &mut out);
+            UIntColumn::encode(parents, &mut out);
+            UIntColumn::encode(&[], &mut out);
+            F64Column::encode(&[], &mut out);
+            RleColumn::encode(&[], &mut out);
+            for column in [&[][..], &[], bucket_lens, &[]] {
+                UIntColumn::encode(column, &mut out);
+            }
+            PointsColumn::encode(&[], &mut out);
+            out
+        };
+        assert!(PartitionStore::restore(&blob(1, &[], &[0])).is_ok());
+        // The header claims two nodes; a parent id is left over; the
+        // leaf's bucket length is missing.
+        for bad in [blob(2, &[], &[0]), blob(1, &[5], &[0]), blob(1, &[], &[])] {
+            assert!(PartitionStore::restore(&bad).is_err());
         }
-        // Remaining columns: child_tags (RLE), child_ids, remote_nodes,
-        // bucket_lens, payloads, points — the early disagreement must
-        // already reject the blob.
-        RleColumn::encode(&[], &mut bad);
-        for _ in 0..4 {
-            UIntColumn::encode(&[], &mut bad);
-        }
-        PointsColumn::encode(&[], &mut bad);
-        assert!(decode_image(&bad).is_err());
     }
 }

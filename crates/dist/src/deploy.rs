@@ -403,12 +403,12 @@ fn recover_and_rejoin(
         .map(|&p| ComputeNodeId(p).local_index())
         .max()
         .unwrap_or(0);
-    let mut images = Vec::new();
+    let mut blobs = Vec::new();
     for local_index in 0..=top {
         let expected = ComputeNodeId::from_parts(state.process_index, local_index as u32);
         let actor = match stores.remove(&expected.0) {
             Some(store) => {
-                images.push((expected, store.to_image()));
+                blobs.push((expected, store.snapshot()));
                 shared.try_reserve_partition();
                 PartitionActor::with_store(store, Arc::clone(&shared))
             }
@@ -427,8 +427,8 @@ fn recover_and_rejoin(
 
     // Fold the replayed history into fresh snapshots and drop the
     // segments they supersede: the next restart replays almost nothing.
-    for (partition, image) in images {
-        handle.snapshot_image(partition, &image)?;
+    for (partition, blob) in blobs {
+        handle.snapshot_image(partition, &blob)?;
     }
     handle.compact()?;
 

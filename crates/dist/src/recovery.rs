@@ -16,12 +16,12 @@ use semtree_cluster::ComputeNodeId;
 use semtree_kdtree::versioned::SplitEvent;
 use semtree_net::decode_exact;
 use semtree_wal::{
-    SequencedLog, Snapshot, Wal, WalError, WalRecord, WalReport, WalState, SNAPSHOT_FORMAT_COLUMNAR,
+    SequencedLog, Wal, WalError, WalRecord, WalReport, WalState, SNAPSHOT_FORMAT_COLUMNAR,
 };
 
 use crate::deploy::NetDeployConfig;
 use crate::proto::PartitionStats;
-use crate::store::{LocalNodeId, PartitionStore, StoreImage};
+use crate::store::{LocalNodeId, PartitionStore};
 
 /// Shared write side of the WAL: every partition actor of a process logs
 /// through one of these. Appends are serialized by the wrapping
@@ -130,17 +130,15 @@ impl WalHandle {
         Ok((appended.snapshot_due, out))
     }
 
-    /// Snapshot one partition's full store image (through the
-    /// `semtree-colz` column codec), superseding its log records and
-    /// compacting fully covered segments.
+    /// Store one partition's snapshot blob
+    /// ([`PartitionStore::snapshot`]), superseding its log records.
     pub(crate) fn snapshot_image(
         &self,
         partition: ComputeNodeId,
-        image: &StoreImage,
+        blob: &[u8],
     ) -> Result<(), WalError> {
-        let blob = crate::colimage::encode_image(image);
         self.log
-            .with_sink(|wal| wal.snapshot(partition.0, SNAPSHOT_FORMAT_COLUMNAR, &blob))?;
+            .with_sink(|wal| wal.snapshot(partition.0, SNAPSHOT_FORMAT_COLUMNAR, blob))?;
         Ok(())
     }
 
@@ -151,7 +149,7 @@ impl WalHandle {
 }
 
 /// Reconstruct every partition store recorded in `state`: seed each
-/// partition from its snapshot image (or its `partition-create` record),
+/// partition from its snapshot blob (or its `partition-create` record),
 /// then re-apply the live tail in LSN order.
 pub(crate) fn replay_stores(state: &WalState) -> Result<Vec<(u32, PartitionStore)>, String> {
     let config: NetDeployConfig =
@@ -160,8 +158,9 @@ pub(crate) fn replay_stores(state: &WalState) -> Result<Vec<(u32, PartitionStore
 
     let mut stores: BTreeMap<u32, PartitionStore> = BTreeMap::new();
     for (&partition, snap) in &state.snapshots {
-        let image = decode_snapshot_image(snap)?;
-        stores.insert(partition, PartitionStore::from_image(&image)?);
+        let store = PartitionStore::restore(&snap.blob)
+            .map_err(|e| format!("partition {partition} snapshot: {e}"))?;
+        stores.insert(partition, store);
     }
 
     for (lsn, record) in state.live_tail() {
@@ -235,16 +234,9 @@ fn missing(
     store.ok_or_else(|| format!("lsn {lsn}: record for unknown partition {partition}"))
 }
 
-/// Decode a snapshot blob (the WAL has already rejected every payload
-/// format but the columnar one).
-pub(crate) fn decode_snapshot_image(snap: &Snapshot) -> Result<StoreImage, String> {
-    crate::colimage::decode_image(&snap.blob)
-        .map_err(|e| format!("partition {} snapshot: {e}", snap.partition))
-}
-
 /// One partition's snapshot compression footprint: what its blob costs
-/// on disk versus what the decoded store image costs in the row-wise
-/// `Encode` form (the uncompressed baseline).
+/// on disk versus its points uncompressed, `points × 8 × (dims + 1)`
+/// bytes (coordinates and payload as 8-byte words).
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotCompression {
     /// Compute-node id of the partition.
@@ -253,8 +245,8 @@ pub struct SnapshotCompression {
     pub format: u8,
     /// Bytes of the blob as stored in the snapshot file.
     pub stored_bytes: usize,
-    /// Bytes of the same image in the row-wise baseline encoding.
-    pub decoded_bytes: usize,
+    /// Bytes of the blob's points uncompressed (the baseline).
+    pub raw_bytes: usize,
 }
 
 impl SnapshotCompression {
@@ -265,7 +257,7 @@ impl SnapshotCompression {
         if self.stored_bytes == 0 {
             1.0
         } else {
-            self.decoded_bytes as f64 / self.stored_bytes as f64
+            self.raw_bytes as f64 / self.stored_bytes as f64
         }
     }
 }
@@ -290,17 +282,16 @@ pub struct WalInspection {
 /// Fails on unreadable or corrupt WAL contents, or a history that does
 /// not replay cleanly.
 pub fn inspect_wal(dir: &Path) -> Result<WalInspection, String> {
-    use semtree_net::Encode as _;
     let state = Wal::load(dir).map_err(|e| e.to_string())?;
     let report = WalReport::from_state(dir, &state).map_err(|e| e.to_string())?;
     let mut compression = Vec::with_capacity(state.snapshots.len());
     for (&partition, snap) in &state.snapshots {
-        let image = decode_snapshot_image(snap)?;
         compression.push(SnapshotCompression {
             partition,
             format: snap.format,
             stored_bytes: snap.blob.len(),
-            decoded_bytes: image.to_bytes().len(),
+            raw_bytes: crate::colimage::raw_point_bytes(&snap.blob)
+                .map_err(|e| format!("partition {partition} snapshot: {e}"))?,
         });
     }
     let stores = replay_stores(&state)?;
@@ -323,7 +314,6 @@ mod tests {
     use semtree_cluster::CostModel;
     use semtree_wal::WalOptions;
 
-    use crate::store::StoreImage;
     use crate::tree::{CapacityPolicy, DistConfig, DistSemTree, Query, QueryOutcome};
 
     fn scratch_dir(tag: &str) -> PathBuf {
@@ -333,15 +323,15 @@ mod tests {
         dir
     }
 
-    /// Replay the on-disk history exactly as a restarted worker would and
-    /// project every rebuilt store to its structural image.
-    fn replayed_images(dir: &Path) -> Vec<(u32, StoreImage)> {
-        let state = Wal::load(dir).expect("load wal");
-        replay_stores(&state)
-            .expect("replay")
-            .into_iter()
-            .map(|(partition, store)| (partition, store.to_image()))
-            .collect()
+    /// Replay the on-disk history exactly as a restarted worker would.
+    fn replayed(dir: &Path) -> Vec<(u32, PartitionStore)> {
+        replay_stores(&Wal::load(dir).expect("load wal")).expect("replay")
+    }
+
+    /// Every store's snapshot blob: equal blobs are equal arenas, node
+    /// for node.
+    fn images(stores: &[(u32, PartitionStore)]) -> Vec<(u32, Vec<u8>)> {
+        stores.iter().map(|(p, s)| (*p, s.snapshot())).collect()
     }
 
     fn durable_tree(dir: &Path, config: &DistConfig, options: WalOptions) -> DistSemTree {
@@ -372,32 +362,18 @@ mod tests {
         let live_partitions = tree.partition_count();
         tree.shutdown();
 
-        let before = replayed_images(&dir);
-        assert_eq!(before.len(), live_partitions);
+        let stores = replayed(&dir);
+        assert_eq!(stores.len(), live_partitions);
         assert_eq!(
-            before.iter().map(|(_, im)| im.points).sum::<usize>(),
+            stores.iter().map(|(_, s)| s.points()).sum::<usize>(),
             live_points,
             "replay must account for every live point"
         );
         // The capacity policy forced build-partition, so the replayed
         // root must hold real cross-partition links.
-        let remote_links: usize = before
-            .iter()
-            .flat_map(|(_, im)| &im.nodes)
-            .filter(|n| {
-                matches!(
-                    &n.kind,
-                    crate::store::NodeKindImage::Routing {
-                        left: crate::store::Child::Remote { .. },
-                        ..
-                    } | crate::store::NodeKindImage::Routing {
-                        right: crate::store::Child::Remote { .. },
-                        ..
-                    }
-                )
-            })
-            .count();
+        let remote_links: usize = stores.iter().map(|(_, s)| s.stats().edge_nodes).sum();
         assert!(remote_links > 0, "workload must have migrated leaves");
+        let before = images(&stores);
 
         // Snapshot every partition, compact away the covered segments,
         // and replay again: the rebuilt stores must be *identical* — same
@@ -412,9 +388,9 @@ mod tests {
         assert!(segments_before > 1, "workload must span several segments");
         let (wal, _state) = Wal::resume(&dir, WalOptions::default()).expect("resume");
         let handle = WalHandle::new(wal);
-        for (partition, image) in &before {
+        for (partition, blob) in &before {
             handle
-                .snapshot_image(ComputeNodeId(*partition), image)
+                .snapshot_image(ComputeNodeId(*partition), blob)
                 .expect("snapshot");
         }
         handle.compact().expect("compact");
@@ -424,7 +400,7 @@ mod tests {
             "snapshots must have made old segments reclaimable"
         );
 
-        let after = replayed_images(&dir);
+        let after = images(&replayed(&dir));
         assert_eq!(
             before, after,
             "snapshot + compaction changed the replayed structure"
@@ -450,9 +426,9 @@ mod tests {
         tree.shutdown();
         let (wal, _) = Wal::resume(&dir, WalOptions::default()).expect("resume");
         let handle = WalHandle::new(wal);
-        for (partition, image) in replayed_images(&dir) {
+        for (partition, blob) in images(&replayed(&dir)) {
             handle
-                .snapshot_image(ComputeNodeId(partition), &image)
+                .snapshot_image(ComputeNodeId(partition), &blob)
                 .expect("snapshot");
         }
         drop(handle);
@@ -463,11 +439,11 @@ mod tests {
             assert_eq!(c.format, semtree_wal::SNAPSHOT_FORMAT_COLUMNAR);
             assert!(
                 c.ratio() > 5.0,
-                "partition {}: ratio {:.2} ({} stored / {} decoded)",
+                "partition {}: ratio {:.2} ({} stored / {} raw)",
                 c.partition,
                 c.ratio(),
                 c.stored_bytes,
-                c.decoded_bytes
+                c.raw_bytes
             );
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -493,9 +469,9 @@ mod tests {
         }
         tree.shutdown();
 
-        let images = replayed_images(&dir);
-        assert_eq!(images.len(), 1);
-        assert_eq!(images[0].1.points, 60, "tail-only replay lost points");
+        let stores = replayed(&dir);
+        assert_eq!(stores.len(), 1);
+        assert_eq!(stores[0].1.points(), 60, "tail-only replay lost points");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,7 +1,8 @@
 //! Partition-local tree fragment: one seqlock arena tree
 //! (`semtree_kdtree::versioned`) that the partition actor writes and
 //! every reader reads, plus the partition's own bookkeeping — point
-//! counter, eviction, statistics, snapshot images.
+//! counter, eviction, statistics. Its WAL snapshot blob is written and
+//! read in `colimage`.
 
 use std::fmt::Display;
 use std::sync::Arc;
@@ -9,14 +10,12 @@ use std::sync::Arc;
 use semtree_cluster::ComputeNodeId;
 use semtree_kdtree::versioned::{RemoteOps, SplitEvent, Tree, TreeWriter};
 use semtree_kdtree::KdConfig;
-use semtree_net::Encode;
 
-use crate::deploy::{split_rule_from_tag, split_rule_tag};
 use crate::proto::PartitionStats;
 
 /// A child pointer: on this partition (`Cp = Childp`) or the root of a
 /// sub-tree hosted by another partition (`Cp ≠ Childp` — a *direct link*
-/// between partitions). Also its own snapshot-image form.
+/// between partitions).
 pub(crate) use semtree_kdtree::versioned::Child;
 
 /// Identifier of a node inside one partition's arena; each partition's
@@ -52,9 +51,12 @@ impl PartitionStore {
     /// splits are applied from the log, never derived.
     pub(crate) fn raw_leaf(config: KdConfig, bucket: &[(Vec<f64>, u64)], depth: u32) -> Self {
         let mut store = Self::empty_arena(config);
-        let root = store.writer.push_leaf(depth, None, bucket);
-        debug_assert_eq!(root, Some(0), "the first push cannot exhaust the arena");
-        store.points = bucket.len();
+        let root = store.push_leaf(depth, None, bucket);
+        debug_assert_eq!(
+            root,
+            Some(LocalNodeId(0)),
+            "the first push cannot exhaust the arena"
+        );
         store
     }
 
@@ -88,6 +90,19 @@ impl PartitionStore {
         self.writer
             .push_routing(depth, parent, split_dim, split_val, children)
             .map(LocalNodeId)
+    }
+
+    /// Push a leaf holding `bucket`, with no capacity check; its points
+    /// count as this partition's.
+    pub(crate) fn push_leaf(
+        &mut self,
+        depth: u32,
+        parent: Option<(u32, bool)>,
+        bucket: &[(Vec<f64>, u64)],
+    ) -> Option<LocalNodeId> {
+        let id = self.writer.push_leaf(depth, parent, bucket)?;
+        self.points += bucket.len();
+        Some(LocalNodeId(id))
     }
 
     /// Point one edge of routing node `parent` at `child`; `false` when
@@ -331,170 +346,6 @@ impl PartitionStore {
         s.remote_children.sort_unstable();
         s
     }
-
-    // ------------------------------------------------------------------
-    // Snapshot images (semtree-wal)
-    // ------------------------------------------------------------------
-
-    /// Serialize the whole store — arena order, parents, remote links,
-    /// point counter — into the codec-friendly [`StoreImage`] the WAL
-    /// stores as a per-partition snapshot blob.
-    pub(crate) fn to_image(&self) -> StoreImage {
-        let tree = self.tree();
-        let config = tree.config();
-        StoreImage {
-            dims: config.dims(),
-            bucket_size: config.bucket_size(),
-            split_rule: split_rule_tag(config.split_rule()),
-            points: self.points,
-            nodes: (0..tree.nodes())
-                .filter_map(|id| tree.node(id))
-                .map(|node| NodeImage {
-                    depth: node.depth(),
-                    parent: node.parent(),
-                    kind: match node.routing() {
-                        None => NodeKindImage::Leaf {
-                            bucket: node.bucket(),
-                        },
-                        Some(r) => NodeKindImage::Routing {
-                            split_dim: r.split_dim,
-                            split_val: r.split_val,
-                            left: r.left,
-                            right: r.right,
-                        },
-                    },
-                })
-                .collect(),
-        }
-    }
-
-    /// Rebuild a store from a snapshot image — the exact inverse of
-    /// [`to_image`](PartitionStore::to_image).
-    pub(crate) fn from_image(image: &StoreImage) -> Result<Self, String> {
-        let split_rule =
-            split_rule_from_tag(image.split_rule).map_err(|e| format!("snapshot image: {e}"))?;
-        if image.dims == 0 || image.bucket_size == 0 || image.nodes.is_empty() {
-            return Err("snapshot image: no dimensions, bucket size or root node".to_string());
-        }
-        let config = KdConfig::new(image.dims)
-            .with_bucket_size(image.bucket_size)
-            .with_split_rule(split_rule);
-        let mut store = Self::empty_arena(config);
-        for (id, node) in image.nodes.iter().enumerate() {
-            let pushed = match &node.kind {
-                NodeKindImage::Leaf { bucket } => {
-                    store.writer.push_leaf(node.depth, node.parent, bucket)
-                }
-                NodeKindImage::Routing {
-                    split_dim,
-                    split_val,
-                    left,
-                    right,
-                } => store
-                    .push_routing(
-                        node.depth,
-                        node.parent,
-                        *split_dim,
-                        *split_val,
-                        [*left, *right],
-                    )
-                    .map(|pushed| pushed.0),
-            };
-            if pushed.map(|p| p as usize) != Some(id) {
-                return Err(format!("snapshot image: node {id} cannot be stored"));
-            }
-        }
-        store.points = image.points;
-        Ok(store)
-    }
-}
-
-/// Structural twin of a [`PartitionStore`]: what `colimage` encodes into
-/// a WAL snapshot blob, and what the structural recovery tests compare
-/// (`PartialEq` covers arena order, depths, parent backlinks, remote
-/// links and the point counter — not just query answers). Its row-wise
-/// [`Encode`] is never stored; it is the size baseline compression
-/// ratios are reported against.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct StoreImage {
-    pub(crate) dims: usize,
-    pub(crate) bucket_size: usize,
-    /// Wire tag of the split rule (see `deploy::split_rule_tag`).
-    pub(crate) split_rule: u8,
-    pub(crate) points: usize,
-    pub(crate) nodes: Vec<NodeImage>,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct NodeImage {
-    pub(crate) kind: NodeKindImage,
-    pub(crate) depth: u32,
-    pub(crate) parent: Option<(u32, bool)>,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum NodeKindImage {
-    Routing {
-        split_dim: usize,
-        split_val: f64,
-        left: Child,
-        right: Child,
-    },
-    Leaf {
-        bucket: Vec<(Vec<f64>, u64)>,
-    },
-}
-
-impl Encode for StoreImage {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.dims.encode(out);
-        self.bucket_size.encode(out);
-        self.split_rule.encode(out);
-        self.points.encode(out);
-        self.nodes.encode(out);
-    }
-}
-
-impl Encode for NodeImage {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.kind.encode(out);
-        self.depth.encode(out);
-        self.parent.encode(out);
-    }
-}
-
-impl Encode for NodeKindImage {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            NodeKindImage::Routing {
-                split_dim,
-                split_val,
-                left,
-                right,
-            } => {
-                out.push(0);
-                split_dim.encode(out);
-                split_val.encode(out);
-                for child in [left, right] {
-                    match child {
-                        Child::Local(id) => {
-                            out.push(0);
-                            id.encode(out);
-                        }
-                        Child::Remote { partition, node } => {
-                            out.push(1);
-                            partition.encode(out);
-                            node.encode(out);
-                        }
-                    }
-                }
-            }
-            NodeKindImage::Leaf { bucket } => {
-                out.push(1);
-                bucket.encode(out);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -619,7 +470,7 @@ mod tests {
         };
         let root = s.push_routing(0, None, 0, 5.0, [Child::Local(1), remote]);
         assert_eq!(root, Some(LocalNodeId(0)));
-        assert_eq!(s.writer.push_leaf(1, Some((0, true)), &[]), Some(1));
+        assert_eq!(s.push_leaf(1, Some((0, true)), &[]), Some(LocalNodeId(1)));
         s
     }
 
@@ -627,7 +478,7 @@ mod tests {
     fn a_non_finite_point_is_refused_live_and_on_replay() {
         let mut s = store(4);
         fill_grid(&mut s, 20);
-        let before = s.to_image();
+        let before = s.snapshot();
         for bad in [[f64::NAN, 0.0], [1.0, f64::INFINITY]] {
             let refused = s.insert_logged(
                 LocalNodeId(0),
@@ -642,7 +493,7 @@ mod tests {
             );
             assert!(!s.replay_insert(LocalNodeId(0), &bad, 99));
         }
-        assert_eq!(s.to_image(), before);
+        assert_eq!(s.snapshot(), before);
         assert_eq!(s.verify(), Vec::<String>::new());
     }
 
@@ -758,11 +609,11 @@ mod tests {
     fn detach_without_relink_leaves_the_store_intact() {
         let mut s = store(4);
         fill_grid(&mut s, 60);
-        let before = s.to_image();
+        let before = s.snapshot();
         let cand = s.eviction_candidate().unwrap();
         assert!(s.detach_leaf(cand).is_some());
         assert_eq!(s.detach_leaf(LocalNodeId(0)), None, "the root is routing");
-        assert_eq!(s.to_image(), before, "a failed transfer needs no undo");
+        assert_eq!(s.snapshot(), before, "a failed transfer needs no undo");
         assert_eq!(s.verify(), Vec::<String>::new());
     }
 
@@ -955,7 +806,7 @@ mod tests {
         }
         let (mut s, splits) = random_store(4, 500);
         evict(&mut s);
-        let image = crate::colimage::encode_image(&s.to_image());
+        let image = s.snapshot();
         let mut h = fnv(&image, 0xcbf2_9ce4_8422_2325);
         for e in &splits {
             for word in [
@@ -970,9 +821,78 @@ mod tests {
         }
         assert_eq!(splits.len(), 172);
         assert_eq!(h, 0xd3c9_2a54_921f_a819);
-        // And the image round-trips through the codec into an equal store.
-        let decoded = crate::colimage::decode_image(&image).expect("decode");
-        let rebuilt = PartitionStore::from_image(&decoded).expect("rebuild");
-        assert_eq!(rebuilt.to_image(), s.to_image());
+        // And the image restores into a store with the same arena.
+        let rebuilt = PartitionStore::restore(&image).expect("restore");
+        assert_eq!(rebuilt.snapshot(), image);
+    }
+
+    /// `restore(snapshot(s))` snapshots to the same bytes, and answers
+    /// exactly as `s` does — same hits in the same order, ties included —
+    /// and as brute force over the points `s` holds. The restored boxes
+    /// are rebuilt from the stored points, so they can be tighter than
+    /// the live ones; the answers cannot differ.
+    fn assert_restores(s: &PartitionStore, q: &[f64], k: usize, radius: f64) {
+        let blob = s.snapshot();
+        let back = PartitionStore::restore(&blob).expect("restore");
+        assert_eq!(back.snapshot(), blob);
+        assert_eq!(back.verify(), Vec::<String>::new());
+        let rec = Recorder::default();
+        let mut brute: Hits = (s.tree().reachable().iter())
+            .flat_map(|(_, node)| node.bucket())
+            .map(|(p, payload)| (euclidean(&p, q), payload))
+            .collect();
+        brute.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let knn = s.knn(LocalNodeId(0), q, k, None, &rec).unwrap();
+        assert_eq!(back.knn(LocalNodeId(0), q, k, None, &rec).unwrap(), knn);
+        let dists = |hits: &[(f64, u64)]| hits.iter().map(|h| h.0).collect::<Vec<_>>();
+        assert_eq!(dists(&knn), dists(&brute[..k.min(brute.len())]));
+        let range = s.range(LocalNodeId(0), q, radius, &rec).unwrap();
+        assert_eq!(back.range(LocalNodeId(0), q, radius, &rec).unwrap(), range);
+        let mut ball: Hits = brute.into_iter().filter(|h| h.0 <= radius).collect();
+        let mut got = range;
+        for hits in [&mut got, &mut ball] {
+            hits.sort_by_key(|h| h.1);
+        }
+        assert_eq!(got, ball);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        /// Random insert + split + evict histories, and a root with a
+        /// remote edge, restore from their snapshots. Coordinates are
+        /// multiples of 1/64 below 2^10, so every squared distance is
+        /// exact and brute force compares bit for bit.
+        #[test]
+        fn snapshots_restore_to_the_same_bytes_and_answers(
+            bucket in 1usize..9,
+            n in 0u64..400,
+            evictions in 0usize..4,
+            q in (0u32..1000, 0u32..1000, 0u32..1000),
+            k in 1usize..20,
+            r in 0u32..400,
+        ) {
+            let (mut s, _) = random_store(bucket, n);
+            for _ in 0..evictions {
+                if s.eviction_candidate().is_some() {
+                    evict(&mut s);
+                }
+            }
+            let coord = |c: u32| f64::from(c) / 8.0;
+            let radius = f64::from(r) / 8.0;
+            assert_restores(&s, &[coord(q.0), coord(q.1), coord(q.2)], k, radius);
+
+            // Half the grid lands behind the remote edge and is forwarded.
+            let mut b = border_store();
+            for i in 0..n as usize {
+                insert(&mut b, &grid(i % 100), i as u64, &Recorder::default());
+            }
+            if evictions > 0 && b.eviction_candidate().is_some() {
+                evict(&mut b);
+            }
+            let q = [f64::from(q.0) / 64.0, f64::from(q.1) / 64.0];
+            assert_restores(&b, &q, k, radius / 8.0);
+        }
     }
 }

@@ -551,8 +551,8 @@ impl DistSemTree {
             // Data partitions are spawned as the recursion reaches its
             // leaves; the root's routing tree is assembled in a local store
             // whose first pushed node (the routing root) becomes node 0. It
-            // never holds a point, so its images keep recording the default
-            // split rule.
+            // never holds a point, so its snapshots keep recording the
+            // default split rule.
             let routing_only = KdConfig::new(config.dims).with_bucket_size(config.bucket_size);
             let mut store = PartitionStore::empty_arena(routing_only);
             let mut sample: Vec<&[f64]> = sample.iter().map(Vec::as_slice).collect();
@@ -568,19 +568,19 @@ impl DistSemTree {
             store
         };
 
-        // The root partition itself. Its initial image is snapshotted once
+        // The root partition itself. Its initial blob is snapshotted once
         // the spawn has assigned the partition id, and its tree is
         // readable from here on, not only from its actor's first message.
         assert!(shared.try_reserve_partition());
-        let image = shared.wal.as_ref().map(|_| store.to_image());
+        let blob = shared.wal.as_ref().map(|_| store.snapshot());
         let tree = Arc::clone(store.tree());
         let root = local.spawn_handler(Box::new(PartitionActor::with_store(
             store,
             Arc::clone(&shared),
         )))?;
         shared.register_read_handle(root, &tree);
-        if let (Some(wal), Some(image)) = (shared.wal.as_ref(), image) {
-            wal.snapshot_image(root, &image)
+        if let (Some(wal), Some(blob)) = (shared.wal.as_ref(), blob) {
+            wal.snapshot_image(root, &blob)
                 .map_err(|e| ClusterError::Remote(format!("wal snapshot failed: {e}")))?;
         }
         Ok(DistSemTree {

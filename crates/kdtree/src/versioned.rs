@@ -865,59 +865,17 @@ impl<S: Shim> Tree<S> {
         // chain partitions cannot overflow the call stack.
         enum Task {
             Visit(Child),
-            /// A routing node's far side: its split dimension, `point`'s
-            /// signed offset from the plane, and where the routing
-            /// node's row ends in `rows`.
-            CheckFar {
-                far: Child,
-                dim: usize,
-                delta: f64,
-                row_end: usize,
-            },
+            /// A routing node's far side and `point`'s distance to the
+            /// routing node's plane.
+            CheckFar(Child, f64),
         }
-        // Arya & Mount's incremental distance: per dimension, the squared
-        // distance from `point` to the cell being walked (0 inside it).
-        // One row per far child entered on the current path, the last
-        // one the current cell's; a near child shares its parent's row,
-        // so only a far child actually entered copies one.
-        let dims = point.len();
-        // Sized for a deep path up front: regrowing them measured 5–7 %
-        // of a `knn_local` query.
-        let mut rows = Vec::with_capacity(dims * 16);
-        rows.resize(dims, 0.0);
         let mut stack = Vec::with_capacity(64);
         stack.push(Task::Visit(Child::Local(start)));
         while let Some(task) = stack.pop() {
             let child = match task {
                 Task::Visit(child) => child,
-                Task::CheckFar {
-                    far,
-                    dim,
-                    delta,
-                    row_end,
-                } => {
-                    rows.truncate(row_end);
-                    let gap = delta.abs();
-                    if !state.must_descend(gap) {
-                        continue;
-                    }
-                    // No point of the far cell is nearer along any
-                    // dimension than its row says, and the row sums in
-                    // the order a point's terms do: `lb_sq` is at most
-                    // every such point's `sq` (DESIGN §14).
-                    let parent = &rows[row_end - dims..];
-                    let gap_sq = gap * gap;
-                    let offset = |(d, &o): (usize, &f64)| if d == dim { gap_sq } else { o };
-                    let lb_sq: f64 = parent.iter().enumerate().map(offset).sum();
-                    if lb_sq >= state.cut {
-                        continue;
-                    }
-                    if let Child::Local(_) = far {
-                        rows.extend_from_within(row_end - dims..);
-                        rows[row_end + dim] = gap_sq;
-                    }
-                    far
-                }
+                Task::CheckFar(far, gap) if state.must_descend(gap) => far,
+                Task::CheckFar(..) => continue,
             };
             let node = match child {
                 Child::Remote { partition, node } => {
@@ -954,12 +912,7 @@ impl<S: Shim> Tree<S> {
                     } else {
                         (r.right, r.left)
                     };
-                    stack.push(Task::CheckFar {
-                        far,
-                        dim: r.split_dim,
-                        delta,
-                        row_end: rows.len(),
-                    });
+                    stack.push(Task::CheckFar(far, delta.abs()));
                     stack.push(Task::Visit(near));
                 }
             }
@@ -2195,8 +2148,8 @@ mod tests {
     fn a_subtree_entered_on_its_cell_is_skipped_on_its_box() {
         // Root plane at 5: left leaf {0, 1}, right routing node R (plane
         // at 8) over the leaves {9} and {10}. From 4 the right cell is 1
-        // away, which passes the plane and row tests against the 1-NN
-        // bound of 3, but R's box [9, 10] lies 5 away.
+        // away, which passes the plane test against the 1-NN bound of 3,
+        // but R's box [9, 10] lies 5 away.
         let mut writer = TreeWriter::<StdShim>::new(KdConfig::new(1).with_bucket_size(4));
         let (left, r) = ([(vec![0.0], 0), (vec![1.0], 1)], Child::Local(2));
         assert_eq!(

@@ -273,7 +273,7 @@ mod tests {
         assert_eq!(state.tail.len(), 2, "intact prefix records survive");
         assert_eq!(state.next_lsn, 3);
 
-        // Resume starts a fresh segment; the torn tail stays behind but
+        // Resume cuts the torn tail off and starts a fresh segment;
         // appends keep working.
         let (wal, _) = Wal::resume(&dir, WalOptions::default()).unwrap();
         assert_eq!(wal.append(&insert(7, 9)).unwrap().lsn, 3);
