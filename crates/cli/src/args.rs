@@ -211,7 +211,8 @@ COMMANDS:
                  --wal-dir DIR     write-ahead log directory (required)
                  --stats           per-partition snapshot compression:
                                    on-disk vs raw point bytes and the
-                                   ratio
+                                   ratio, or no points for a
+                                   routing-only partition
                  --json            machine-readable report on stdout
                                    (implies --stats)
     help       this text

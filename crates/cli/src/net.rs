@@ -212,13 +212,15 @@ pub fn recover(parsed: &ParsedArgs) -> Result<String, String> {
             out.push_str("  (no snapshots)\n");
         }
         for c in &inspection.compression {
+            let ratio = c
+                .ratio()
+                .map_or_else(|| "no points".to_string(), |r| format!("ratio {r:.2}x"));
             out.push_str(&format!(
-                "  partition {}: {} ({} bytes on disk, {} raw point bytes, ratio {:.2}x)\n",
+                "  partition {}: {} ({} bytes on disk, {} raw point bytes, {ratio})\n",
                 c.partition,
                 format_name(c.format),
                 c.stored_bytes,
                 c.raw_bytes,
-                c.ratio()
             ));
         }
     }
@@ -248,14 +250,16 @@ fn recover_json(inspection: &semtree_dist::WalInspection) -> String {
         .compression
         .iter()
         .map(|c| {
+            let ratio = c
+                .ratio()
+                .map_or_else(|| "null".to_string(), |r| format!("{r:.4}"));
             format!(
                 "{{\"partition\": {}, \"format\": \"{}\", \"stored_bytes\": {}, \
-                 \"raw_bytes\": {}, \"ratio\": {:.4}}}",
+                 \"raw_bytes\": {}, \"ratio\": {ratio}}}",
                 c.partition,
                 format_name(c.format),
                 c.stored_bytes,
                 c.raw_bytes,
-                c.ratio()
             )
         })
         .collect();
@@ -464,6 +468,59 @@ mod tests {
         assert!(json.contains("\"ratio\": "), "{json}");
         // Stays a JSON document: balanced braces, no trailing garbage.
         assert!(json.trim_end().starts_with('{') && json.trim_end().ends_with('}'));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recover_reports_a_routing_only_partition_as_holding_no_points() {
+        use semtree_dist::{build_local_durable, WalOptions};
+
+        let dir = std::env::temp_dir().join(format!(
+            "semtree-cli-recover-routing-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Three partitions over a sample: a routing-only root and two
+        // data partitions, each snapshotted as the tree is built.
+        let sample = demo_sample(2, 64, 9);
+        let tree = build_local_durable(
+            DistConfig::new(2).with_bucket_size(8),
+            CostModel::zero(),
+            3,
+            &sample,
+            &dir,
+            WalOptions::default(),
+        )
+        .expect("durable tree");
+        tree.shutdown();
+
+        let inspection = inspect_wal(&dir).expect("inspect");
+        let routing: Vec<_> = inspection
+            .compression
+            .iter()
+            .filter(|c| c.raw_bytes == 0)
+            .collect();
+        assert_eq!(routing.len(), 1, "{:?}", inspection.compression);
+        assert!(routing[0].stored_bytes > 0);
+        assert_eq!(routing[0].ratio(), None);
+
+        let run = |args: &[&str]| {
+            let parsed =
+                crate::args::parse_args(&args.iter().map(|s| (*s).to_string()).collect::<Vec<_>>())
+                    .expect("parse");
+            recover(&parsed).expect("recover")
+        };
+        let wal_dir = dir.to_string_lossy().into_owned();
+        let stats = run(&["recover", "--wal-dir", &wal_dir, "--stats"]);
+        let line = format!(
+            "  partition {}: columnar ({} bytes on disk, 0 raw point bytes, no points)\n",
+            routing[0].partition, routing[0].stored_bytes
+        );
+        assert!(stats.contains(&line), "{stats}");
+        assert!(!stats.contains("ratio 0.00x"), "{stats}");
+
+        let json = run(&["recover", "--wal-dir", &wal_dir, "--json"]);
+        assert_eq!(json.matches("\"ratio\": null").count(), 1, "{json}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -52,7 +52,6 @@ impl QueryOptions {
 /// distributed KD-tree.
 pub struct SemTree {
     store: TripleStore,
-    triples: Vec<Triple>,
     distance: TripleDistance,
     embedding: Embedding,
     /// The embedding's distinct pivot triples, resolved, by ascending
@@ -80,7 +79,7 @@ impl SemTree {
         distance: TripleDistance,
     ) -> Result<SemTree, BuildError> {
         let store = builder.store;
-        let triples: Vec<Triple> = store.iter().map(|(_, t)| t.clone()).collect();
+        let triples = store.triples();
         let n = triples.len();
 
         // FastMap over the semantic distance (memoized: pivot rows are hit
@@ -94,7 +93,7 @@ impl SemTree {
             let fastmap = FastMap::new(builder.dimensions).with_seed(builder.seed);
             fastmap.embed(n, &|i, j| memo.distance(i, j))
         };
-        let pivots = resolve_pivots(&distance, &embedding, &triples);
+        let pivots = resolve_pivots(&distance, &embedding, triples);
 
         // Load the distributed tree; the embedding is the fan-out sample.
         let tree = build_tree(
@@ -107,7 +106,6 @@ impl SemTree {
 
         Ok(SemTree {
             store,
-            triples,
             distance,
             embedding,
             pivots,
@@ -129,13 +127,11 @@ impl SemTree {
         partitions: usize,
         cost: semtree_cluster::CostModel,
     ) -> SemTree {
-        let triples: Vec<Triple> = store.iter().map(|(_, t)| t.clone()).collect();
         let dimensions = embedding.dimensions();
         let tree = build_tree(&embedding, dimensions, bucket_size, partitions, cost);
-        let pivots = resolve_pivots(&distance, &embedding, &triples);
+        let pivots = resolve_pivots(&distance, &embedding, store.triples());
         SemTree {
             store,
-            triples,
             distance,
             embedding,
             pivots,
@@ -161,20 +157,20 @@ impl SemTree {
     /// Number of indexed (distinct) triples.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.triples.len()
+        self.store.len()
     }
 
     /// Whether the index is empty (never true: builders reject empty
     /// corpora).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.triples.is_empty()
+        self.store.is_empty()
     }
 
     /// The triple stored under an id.
     #[must_use]
     pub fn triple(&self, id: TripleId) -> Option<&Triple> {
-        self.triples.get(id.index())
+        self.store.get(id)
     }
 
     /// The underlying document/triple store.
@@ -213,15 +209,16 @@ impl SemTree {
     }
 
     fn project_resolved(&self, query: Resolved) -> Vec<f64> {
+        let triples = self.store.triples();
         self.embedding.project_with(&|pivot| {
             let resolution = match self.pivots.binary_search_by_key(&pivot, |&(i, _)| i) {
                 Ok(at) => self.pivots[at].1,
                 // Every embedding pivot is in `pivots`; resolving is the
                 // same answer regardless.
-                Err(_) => self.distance.resolve(&self.triples[pivot]),
+                Err(_) => self.distance.resolve(&triples[pivot]),
             };
             self.distance
-                .resolved_distance(query, (&self.triples[pivot], resolution))
+                .resolved_distance(query, (&triples[pivot], resolution))
         })
     }
 
@@ -306,7 +303,7 @@ impl SemTree {
 
     fn to_hit(&self, payload: u64, embedded: f64, refine_against: Option<Resolved>) -> Hit {
         let id = triple_id(payload);
-        let triple = self.triples[id.index()].clone();
+        let triple = self.store.triples()[id.index()].clone();
         let semantic = refine_against.map(|q| {
             self.distance
                 .resolved_distance(q, (&triple, self.distance.resolve(&triple)))
@@ -344,16 +341,14 @@ impl SemTree {
             Some(d) => d.id,
             None => self.store.create_document(document),
         };
-        let existing = self.store.id_of(&triple);
-        let id = self.store.insert(doc, triple.clone());
-        if existing.is_some() {
+        let known = self.store.len();
+        let id = self.store.insert(doc, triple);
+        if self.store.len() == known {
             return (id, false);
         }
-        debug_assert_eq!(id.index(), self.triples.len());
-        let point = self.project(&triple);
+        let point = self.project(&self.store.triples()[id.index()]);
         insert_point(&self.tree, &point, u64::from(id.0));
         self.embedding.push_point(&point);
-        self.triples.push(triple);
         (id, true)
     }
 

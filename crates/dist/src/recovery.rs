@@ -250,15 +250,12 @@ pub struct SnapshotCompression {
 }
 
 impl SnapshotCompression {
-    /// Baseline-to-stored compression ratio (0 stored bytes reports a
-    /// ratio of 1.0 to stay finite).
+    /// Baseline-to-stored compression ratio; `None` when either side is
+    /// 0 bytes, as for a routing-only partition, whose blob holds no points.
     #[must_use]
-    pub fn ratio(&self) -> f64 {
-        if self.stored_bytes == 0 {
-            1.0
-        } else {
-            self.raw_bytes as f64 / self.stored_bytes as f64
-        }
+    pub fn ratio(&self) -> Option<f64> {
+        (self.raw_bytes > 0 && self.stored_bytes > 0)
+            .then(|| self.raw_bytes as f64 / self.stored_bytes as f64)
     }
 }
 
@@ -438,8 +435,8 @@ mod tests {
         for c in &inspection.compression {
             assert_eq!(c.format, semtree_wal::SNAPSHOT_FORMAT_COLUMNAR);
             assert!(
-                c.ratio() > 5.0,
-                "partition {}: ratio {:.2} ({} stored / {} raw)",
+                c.ratio().is_some_and(|r| r > 5.0),
+                "partition {}: ratio {:?} ({} stored / {} raw)",
                 c.partition,
                 c.ratio(),
                 c.stored_bytes,

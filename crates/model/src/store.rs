@@ -106,6 +106,12 @@ impl TripleStore {
         self.triples.get(id.index())
     }
 
+    /// Every distinct triple, indexed by [`TripleId`].
+    #[must_use]
+    pub fn triples(&self) -> &[Triple] {
+        &self.triples
+    }
+
     /// The id of an already-interned triple, if present.
     #[must_use]
     pub fn id_of(&self, triple: &Triple) -> Option<TripleId> {

@@ -1,13 +1,15 @@
 //! SVO extraction for the controlled requirements grammar.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use semtree_model::{Term, Triple};
 
 use crate::stem::light_stem;
 use crate::stopwords::is_stopword;
-use crate::tokenizer::{sentences, tokenize, TokenKind};
+use crate::tokenizer::{sentences, tokenize, Token, TokenKind};
 
 /// Extraction failure for a single sentence.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,14 +42,20 @@ impl std::error::Error for ExtractError {}
 /// the unary-function reading of requirements from the paper's §III-A.
 #[derive(Debug, Clone)]
 pub struct SvoExtractor {
-    modals: Vec<&'static str>,
-    /// stem → canonical verb.
-    verbs: HashMap<&'static str, &'static str>,
-    /// negated verb → its antonym action (`shall not accept` → `block`).
-    negations: HashMap<&'static str, &'static str>,
-    /// object-class noun → (predicate suffix, object prefix):
-    /// `command` → (`cmd`, `CmdType`).
-    classes: HashMap<&'static str, (&'static str, &'static str)>,
+    modals: [&'static str; 4],
+    /// stem → row of its canonical verb.
+    verbs: HashMap<&'static str, usize>,
+    /// Per verb row, the row a negation folds it to (`shall not accept`
+    /// → `block`); its own row when it has no antonym.
+    antonyms: Vec<usize>,
+    /// object-class noun → its class column: `command` → the column of
+    /// (`cmd`, `CmdType`).
+    classes: HashMap<&'static str, usize>,
+    /// Object prefix per class column, `CmdType`, ….
+    prefixes: Vec<Arc<str>>,
+    /// Per verb row, `Fun:<verb>` then `Fun:<verb>_<suffix>` per class
+    /// column: every predicate the extractor can emit, built once.
+    predicates: Vec<Vec<Term>>,
 }
 
 impl SvoExtractor {
@@ -55,40 +63,66 @@ impl SvoExtractor {
     /// the verb/class lexicon the synthetic corpus also uses.
     #[must_use]
     pub fn requirements() -> Self {
-        let verbs = [
+        const VERBS: [&str; 20] = [
             "accept", "reject", "block", "allow", "send", "receive", "acquire", "release", "start",
             "stop", "enable", "disable", "monitor", "verify", "validate", "check", "transmit",
             "process", "store", "discard",
-        ]
-        .into_iter()
-        .map(|v| (v, v))
-        .collect();
-        let negations = [
+        ];
+        const NEGATIONS: [(&str, &str); 5] = [
             ("accept", "block"),
             ("allow", "reject"),
             ("enable", "disable"),
             ("start", "stop"),
             ("send", "discard"),
-        ]
-        .into_iter()
-        .collect();
-        let classes = [
-            ("command", ("cmd", "CmdType")),
-            ("message", ("msg", "MsgType")),
-            ("input", ("in", "InType")),
-            ("output", ("out", "OutType")),
-            ("mode", ("mode", "ModeType")),
-            ("signal", ("sig", "SigType")),
-            ("telemetry", ("tm", "TmType")),
-            ("parameter", ("par", "ParType")),
-        ]
-        .into_iter()
-        .collect();
+        ];
+        // (class noun, predicate suffix, object prefix).
+        const CLASSES: [(&str, &str, &str); 8] = [
+            ("command", "cmd", "CmdType"),
+            ("message", "msg", "MsgType"),
+            ("input", "in", "InType"),
+            ("output", "out", "OutType"),
+            ("mode", "mode", "ModeType"),
+            ("signal", "sig", "SigType"),
+            ("telemetry", "tm", "TmType"),
+            ("parameter", "par", "ParType"),
+        ];
+        let verbs: HashMap<_, _> = VERBS.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+        let antonyms = VERBS
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                NEGATIONS
+                    .iter()
+                    .find(|(from, _)| from == v)
+                    .and_then(|(_, to)| verbs.get(to).copied())
+                    .unwrap_or(i)
+            })
+            .collect();
+        let fun: Arc<str> = Arc::from("Fun");
+        let predicates = VERBS
+            .iter()
+            .map(|verb| {
+                std::iter::once(Term::concept_in(fun.clone(), *verb))
+                    .chain(CLASSES.iter().map(|(_, suffix, _)| {
+                        Term::concept_in(fun.clone(), format!("{verb}_{suffix}"))
+                    }))
+                    .collect()
+            })
+            .collect();
         SvoExtractor {
-            modals: vec!["shall", "must", "will", "should"],
+            modals: ["shall", "must", "will", "should"],
             verbs,
-            negations,
-            classes,
+            antonyms,
+            classes: CLASSES
+                .iter()
+                .enumerate()
+                .map(|(i, &(noun, _, _))| (noun, i))
+                .collect(),
+            prefixes: CLASSES
+                .iter()
+                .map(|&(_, _, prefix)| prefix.into())
+                .collect(),
+            predicates,
         }
     }
 
@@ -105,155 +139,8 @@ impl SvoExtractor {
     /// (`The start-up command shall be accepted by OBSW001`) are normalised
     /// to their active form first.
     pub fn extract_sentence_all(&self, sentence: &str) -> Result<Vec<Triple>, ExtractError> {
-        // Leading subordinate clause ("When in safe mode, …", "During the
-        // pre-launch phase, …") is scoped context, not part of the SVO
-        // core: drop everything up to the first comma.
-        let sentence = strip_condition_clause(sentence);
-        let tokens = tokenize(sentence);
-        let words: Vec<String> = tokens
-            .iter()
-            .filter(|t| t.kind != TokenKind::Punct)
-            .map(|t| t.text.clone())
-            .collect();
-
-        let modal_idx = words
-            .iter()
-            .position(|w| self.modals.contains(&w.to_lowercase().as_str()))
-            .ok_or(ExtractError::NoModal)?;
-
-        // Optional negation directly after the modal ("shall not …",
-        // "shall not be … by …").
-        let mut idx = modal_idx + 1;
-        let mut negated = false;
-        while idx < words.len() {
-            let lower = words[idx].to_lowercase();
-            if lower == "not" || lower == "never" {
-                negated = true;
-                idx += 1;
-            } else {
-                break;
-            }
-        }
-
-        // Passive voice: "<object> shall [not] be <participle> by <subject>".
-        let passive = words.get(idx).is_some_and(|w| w.to_lowercase() == "be");
-        let (subject_words, raw_verb, object_words): (Vec<String>, String, Vec<String>) = if passive
-        {
-            let verb_idx = idx + 1;
-            let raw_verb = words
-                .get(verb_idx)
-                .cloned()
-                .ok_or_else(|| ExtractError::NoVerb(String::new()))?;
-            let by_idx = words[verb_idx + 1..]
-                .iter()
-                .position(|w| w.to_lowercase() == "by")
-                .map(|p| p + verb_idx + 1)
-                .ok_or(ExtractError::NoSubject)?;
-            let subject = words[by_idx + 1..].to_vec();
-            let object = words[..modal_idx].to_vec();
-            (subject, raw_verb, object)
-        } else {
-            let raw_verb = words
-                .get(idx)
-                .cloned()
-                .ok_or_else(|| ExtractError::NoVerb(String::new()))?;
-            (
-                words[..modal_idx].to_vec(),
-                raw_verb,
-                words[idx + 1..].to_vec(),
-            )
-        };
-
-        // Subject conjunctions ("OBSW001 and OBSW002 shall …") assert the
-        // statement for each actor.
-        let mut subjects: Vec<String> = vec![String::new()];
-        for w in &subject_words {
-            let lower = w.to_lowercase();
-            if lower == "and" || lower == "or" {
-                subjects.push(String::new());
-            } else if !is_stopword(&lower) {
-                let cur = subjects.last_mut().expect("non-empty");
-                if !cur.is_empty() {
-                    cur.push(' ');
-                }
-                cur.push_str(w);
-            }
-        }
-        subjects.retain(|s| !s.is_empty());
-        if subjects.is_empty() {
-            return Err(ExtractError::NoSubject);
-        }
-
-        let stem = light_stem(&raw_verb);
-        // The light stemmer may leave a dropped silent `e` unrestored
-        // ("validated" → "validat"); retry lexicon lookup with it appended.
-        let with_e = format!("{stem}e");
-        let mut verb = *self
-            .verbs
-            .get(stem.as_str())
-            .or_else(|| self.verbs.get(with_e.as_str()))
-            .ok_or(ExtractError::NoVerb(raw_verb))?;
-        if negated {
-            // `shall not accept` ≡ `shall block`: fold the negation into
-            // the antonym action so the antinomy machinery sees it.
-            verb = self.negations.get(verb).copied().unwrap_or(verb);
-        }
-
-        // Object conjunctions: split on and/or *before* stopword removal,
-        // then resolve each conjunct's class noun. A class noun on the last
-        // conjunct distributes to earlier ones ("start-up and shut-down
-        // commands").
-        let mut segments: Vec<Vec<String>> = vec![Vec::new()];
-        for w in &object_words {
-            let lower = w.to_lowercase();
-            if lower == "and" || lower == "or" {
-                segments.push(Vec::new());
-            } else if !is_stopword(&lower) {
-                segments.last_mut().expect("non-empty").push(lower);
-            }
-        }
-        segments.retain(|s| !s.is_empty());
-        if segments.is_empty() {
-            return Err(ExtractError::NoObject);
-        }
-
-        // Right-to-left class inheritance.
-        type ResolvedSegment<'a> = (Vec<String>, Option<(&'a str, &'a str)>);
-        let mut resolved: Vec<ResolvedSegment<'_>> = Vec::with_capacity(segments.len());
-        let mut inherited: Option<(&str, &str)> = None;
-        for mut seg in segments.into_iter().rev() {
-            let last = light_stem(seg.last().expect("retained non-empty"));
-            if let Some(&class) = self.classes.get(last.as_str()) {
-                seg.pop();
-                inherited = Some(class);
-            }
-            resolved.push((seg, inherited));
-        }
-        resolved.reverse();
-
-        let mut out = Vec::with_capacity(resolved.len() * subjects.len());
-        for (seg, class) in resolved {
-            if seg.is_empty() {
-                continue; // a bare class noun carries no parameter
-            }
-            let object = seg.join(" ");
-            let (predicate, object_term) = match class {
-                Some((suffix, prefix)) => {
-                    (format!("{verb}_{suffix}"), Term::concept_in(prefix, object))
-                }
-                None => (verb.to_string(), Term::concept(object)),
-            };
-            for subject in &subjects {
-                out.push(Triple::new(
-                    Term::literal(subject.clone()),
-                    Term::concept_in("Fun", predicate.clone()),
-                    object_term.clone(),
-                ));
-            }
-        }
-        if out.is_empty() {
-            return Err(ExtractError::NoObject);
-        }
+        let mut out = Vec::new();
+        self.extract_into(sentence, &mut out)?;
         Ok(out)
     }
 
@@ -261,11 +148,169 @@ impl SvoExtractor {
     /// free prose around the requirements is expected).
     #[must_use]
     pub fn extract(&self, text: &str) -> Vec<Triple> {
-        sentences(text)
-            .into_iter()
-            .filter_map(|s| self.extract_sentence_all(s).ok())
-            .flatten()
-            .collect()
+        let mut out = Vec::new();
+        for sentence in sentences(text) {
+            // A sentence that fails adds nothing to `out`.
+            let _ = self.extract_into(sentence, &mut out);
+        }
+        out
+    }
+
+    /// [`SvoExtractor::extract_sentence_all`], appending to `out`, which
+    /// an error leaves as it was.
+    fn extract_into(&self, sentence: &str, out: &mut Vec<Triple>) -> Result<(), ExtractError> {
+        // Leading subordinate clause ("When in safe mode, …", "During the
+        // pre-launch phase, …") is scoped context, not part of the SVO
+        // core: drop everything up to the first comma.
+        let sentence = strip_condition_clause(sentence);
+        let mut words = tokenize(sentence);
+        words.retain(|t| t.kind != TokenKind::Punct);
+        let lower: Vec<Cow<'_, str>> = words.iter().map(Token::lower).collect();
+
+        let modal_idx = lower
+            .iter()
+            .position(|w| self.modals.contains(&&**w))
+            .ok_or(ExtractError::NoModal)?;
+
+        // Optional negation directly after the modal ("shall not …",
+        // "shall not be … by …").
+        let mut idx = modal_idx + 1;
+        let mut negated = false;
+        while lower.get(idx).is_some_and(|w| w == "not" || w == "never") {
+            negated = true;
+            idx += 1;
+        }
+
+        // Passive voice: "<object> shall [not] be <participle> by <subject>".
+        let passive = lower.get(idx).is_some_and(|w| w == "be");
+        let (verb_idx, subject_range, object_range) = if passive {
+            let verb_idx = idx + 1;
+            if verb_idx >= words.len() {
+                return Err(ExtractError::NoVerb(String::new()));
+            }
+            let by_idx = lower[verb_idx + 1..]
+                .iter()
+                .position(|w| w == "by")
+                .map(|p| p + verb_idx + 1)
+                .ok_or(ExtractError::NoSubject)?;
+            (verb_idx, by_idx + 1..words.len(), 0..modal_idx)
+        } else {
+            if idx >= words.len() {
+                return Err(ExtractError::NoVerb(String::new()));
+            }
+            (idx, 0..modal_idx, idx + 1..words.len())
+        };
+
+        // Subject conjunctions ("OBSW001 and OBSW002 shall …") assert the
+        // statement for each actor.
+        // One buffer holds each conjunct's words in turn; none is longer
+        // than the sentence.
+        let mut text = String::with_capacity(sentence.len());
+        let mut subjects = Vec::new();
+        let subject_words = subject_range.map(|i| (&*lower[i], words[i].text));
+        conjuncts(&mut text, subject_words, |subject, _| {
+            subjects.push(Term::literal(subject));
+        });
+        if subjects.is_empty() {
+            return Err(ExtractError::NoSubject);
+        }
+
+        let raw_verb = words[verb_idx].text;
+        let stem = light_stem(raw_verb);
+        // The light stemmer may leave a dropped silent `e` unrestored
+        // ("validated" → "validat"); retry lexicon lookup with it appended.
+        let mut verb = match self.verbs.get(&*stem) {
+            Some(&row) => row,
+            None => *self
+                .verbs
+                .get(format!("{stem}e").as_str())
+                .ok_or_else(|| ExtractError::NoVerb(raw_verb.to_string()))?,
+        };
+        if negated {
+            // `shall not accept` ≡ `shall block`: fold the negation into
+            // the antonym action so the antinomy machinery sees it.
+            verb = self.antonyms[verb];
+        }
+
+        // Object conjunctions: split on and/or *before* stopword removal,
+        // then resolve each conjunct's class noun. A class noun on the last
+        // conjunct distributes to earlier ones ("start-up and shut-down
+        // commands"). Each conjunct keeps its parameter (`None` when it is
+        // a bare class noun) and the class column its own noun names.
+        let mut objects: Vec<(Option<Arc<str>>, Option<usize>)> = Vec::new();
+        let object_words = lower[object_range].iter().map(|w| (&**w, &**w));
+        conjuncts(&mut text, object_words, |object, last| {
+            objects.push(match self.classes.get(&*light_stem(&object[last..])) {
+                Some(&column) => ((last > 0).then(|| object[..last - 1].into()), Some(column)),
+                None => (Some(object.into()), None),
+            });
+        });
+        if objects.is_empty() {
+            return Err(ExtractError::NoObject);
+        }
+
+        // Right-to-left class inheritance.
+        let mut inherited = None;
+        for (_, class) in objects.iter_mut().rev() {
+            inherited = class.or(inherited);
+            *class = inherited;
+        }
+
+        let predicates = &self.predicates[verb];
+        let before = out.len();
+        for (parameter, class) in objects {
+            let Some(parameter) = parameter else {
+                continue; // a bare class noun carries no parameter
+            };
+            let (predicate, object) = match class {
+                Some(column) => (
+                    &predicates[column + 1],
+                    Term::concept_in(self.prefixes[column].clone(), parameter),
+                ),
+                None => (&predicates[0], Term::concept(parameter)),
+            };
+            for subject in &subjects {
+                out.push(Triple::new(
+                    subject.clone(),
+                    predicate.clone(),
+                    object.clone(),
+                ));
+            }
+        }
+        if out.len() == before {
+            return Err(ExtractError::NoObject);
+        }
+        Ok(())
+    }
+}
+
+/// Split `(lowercased, kept)` word pairs into conjuncts on `and` / `or`,
+/// dropping stopwords, and hand each non-empty conjunct to `emit`: its
+/// kept words joined by single spaces (built in `buf`), and the byte
+/// offset where its last word starts.
+fn conjuncts<'w>(
+    buf: &mut String,
+    words: impl Iterator<Item = (&'w str, &'w str)>,
+    mut emit: impl FnMut(&str, usize),
+) {
+    buf.clear();
+    let mut last = 0;
+    for (lower, kept) in words {
+        if lower == "and" || lower == "or" {
+            if !buf.is_empty() {
+                emit(buf, last);
+                buf.clear();
+            }
+        } else if !is_stopword(lower) {
+            if !buf.is_empty() {
+                buf.push(' ');
+            }
+            last = buf.len();
+            buf.push_str(kept);
+        }
+    }
+    if !buf.is_empty() {
+        emit(buf, last);
     }
 }
 
@@ -274,8 +319,11 @@ impl SvoExtractor {
 fn strip_condition_clause(sentence: &str) -> &str {
     const CONDITIONS: [&str; 6] = ["when ", "while ", "if ", "during ", "after ", "before "];
     let trimmed = sentence.trim_start();
-    let lower = trimmed.to_lowercase();
-    if CONDITIONS.iter().any(|c| lower.starts_with(c)) {
+    let opens_with = |keyword: &str| {
+        let mut lower = trimmed.chars().flat_map(char::to_lowercase);
+        keyword.chars().all(|k| lower.next() == Some(k))
+    };
+    if CONDITIONS.iter().any(|c| opens_with(c)) {
         if let Some(comma) = trimmed.find(',') {
             return trimmed[comma + 1..].trim_start();
         }

@@ -17,6 +17,19 @@
 //! resource shape of the paper's §III-A example (`Fun:acquire_in`,
 //! `InType:pre-launch phase`, `Fun:send_msg`, `MsgType:power amplifier`).
 //!
+//! # What a sentence costs
+//!
+//! [`tokenize`] hands out [`Token`]s that borrow their text from the
+//! sentence, and the extractor's words are its non-punctuation tokens.
+//! Each word is lowercased once, borrowed when it already is lowercase
+//! ASCII and put through `str::to_lowercase` otherwise, so Unicode case
+//! mappings (the Kelvin sign, `İ`, a final `Σ`) come out as they always
+//! did; [`is_stopword`] and [`light_stem`] allocate nothing for a word
+//! that is already lowercase. Every predicate the extractor can emit
+//! (`Fun:<verb>` and `Fun:<verb>_<class>`) and every object prefix is
+//! built once, in [`SvoExtractor::requirements`]; a triple clones those
+//! terms and allocates only its subject and object.
+//!
 //! # Example
 //!
 //! ```

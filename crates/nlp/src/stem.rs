@@ -4,47 +4,63 @@
 //! `accepting` → `accept` — without the full Porter machinery the
 //! controlled grammar does not need.
 
-/// Strip common inflectional suffixes from a lowercase word.
+use std::borrow::Cow;
+
+use crate::tokenizer::lowercase;
+
+/// Strip common inflectional suffixes from a word, lowercasing it first.
+/// Borrows from `word` whenever the stem is a prefix of it and `word` was
+/// already lowercase ASCII.
 #[must_use]
-pub fn light_stem(word: &str) -> String {
-    let w = word.to_lowercase();
+pub fn light_stem(word: &str) -> Cow<'_, str> {
+    let w = lowercase(word);
     // -sses → -ss, -ies → -y, -s (not -ss, -us)
-    if let Some(base) = w.strip_suffix("sses") {
-        return format!("{base}ss");
+    if w.ends_with("sses") {
+        return drop_last(w, 2);
     }
     if let Some(base) = w.strip_suffix("ies") {
         if !base.is_empty() {
-            return format!("{base}y");
+            return Cow::Owned(format!("{base}y"));
         }
     }
     if w.ends_with('s') && !w.ends_with("ss") && !w.ends_with("us") && w.len() > 3 {
-        return w[..w.len() - 1].to_string();
+        return drop_last(w, 1);
     }
     // -ing / -ed with consonant-doubling and silent-e restoration.
     for suffix in ["ing", "ed"] {
-        if let Some(base) = w.strip_suffix(suffix) {
-            if base.len() < 2 {
-                continue;
-            }
-            let chars: Vec<char> = base.chars().collect();
-            let last = chars[chars.len() - 1];
-            let prev = chars[chars.len() - 2];
-            // stopped → stop, blocked → block
-            if last == prev && matches!(last, 'b' | 'd' | 'g' | 'm' | 'n' | 'p' | 'r' | 't') {
-                return base[..base.len() - 1].to_string();
-            }
-            // Silent-e restoration: received → receive, enabling → enable,
-            // stored → store (CVC with a single vowel-consonant run).
-            let restore_e = last == 'v'
-                || (last == 'l' && !is_vowel(prev))
-                || (ends_consonant_vowel_consonant(&chars) && measure(&chars) == 1);
-            if restore_e && !base.ends_with('e') {
-                return format!("{base}e");
-            }
-            return base.to_string();
+        let Some(base) = w.strip_suffix(suffix) else {
+            continue;
+        };
+        let mut rev = base.chars().rev();
+        let (Some(last), Some(prev)) = (rev.next(), rev.next()) else {
+            continue;
+        };
+        // stopped → stop, blocked → block
+        if last == prev && matches!(last, 'b' | 'd' | 'g' | 'm' | 'n' | 'p' | 'r' | 't') {
+            return drop_last(w, suffix.len() + 1);
         }
+        // Silent-e restoration: received → receive, enabling → enable,
+        // stored → store (CVC with a single vowel-consonant run).
+        let restore_e = last == 'v'
+            || (last == 'l' && !is_vowel(prev))
+            || (ends_consonant_vowel_consonant(base) && measure(base) == 1);
+        if restore_e && last != 'e' {
+            return Cow::Owned(format!("{base}e"));
+        }
+        return drop_last(w, suffix.len());
     }
     w
+}
+
+/// `w` without its last `bytes` bytes, still borrowed if `w` was.
+fn drop_last(w: Cow<'_, str>, bytes: usize) -> Cow<'_, str> {
+    match w {
+        Cow::Borrowed(s) => Cow::Borrowed(&s[..s.len() - bytes]),
+        Cow::Owned(mut s) => {
+            s.truncate(s.len() - bytes);
+            Cow::Owned(s)
+        }
+    }
 }
 
 fn is_vowel(c: char) -> bool {
@@ -52,10 +68,10 @@ fn is_vowel(c: char) -> bool {
 }
 
 /// Porter's *measure*: the number of vowel→consonant transitions.
-fn measure(chars: &[char]) -> usize {
+fn measure(word: &str) -> usize {
     let mut m = 0;
     let mut prev_vowel = false;
-    for &c in chars {
+    for c in word.chars() {
         let v = is_vowel(c);
         if prev_vowel && !v {
             m += 1;
@@ -65,15 +81,14 @@ fn measure(chars: &[char]) -> usize {
     m
 }
 
-fn ends_consonant_vowel_consonant(chars: &[char]) -> bool {
-    if chars.len() < 3 {
-        return false;
+fn ends_consonant_vowel_consonant(word: &str) -> bool {
+    let mut rev = word.chars().rev();
+    match (rev.next(), rev.next(), rev.next()) {
+        (Some(c), Some(v), Some(before)) => {
+            !is_vowel(c) && is_vowel(v) && !is_vowel(before) && !matches!(c, 'w' | 'x' | 'y')
+        }
+        _ => false,
     }
-    let n = chars.len();
-    !is_vowel(chars[n - 1])
-        && is_vowel(chars[n - 2])
-        && !is_vowel(chars[n - 3])
-        && !matches!(chars[n - 1], 'w' | 'x' | 'y')
 }
 
 #[cfg(test)]
@@ -118,6 +133,20 @@ mod tests {
     #[test]
     fn lowercases() {
         assert_eq!(light_stem("ACCEPTS"), "accept");
+    }
+
+    #[test]
+    fn a_one_char_multibyte_base_is_not_stemmed() {
+        // Two bytes but one char before the suffix: too short to stem.
+        assert_eq!(light_stem("éing"), "éing");
+        assert_eq!(light_stem("ÉED"), "éed");
+    }
+
+    #[test]
+    fn borrows_lowercase_ascii() {
+        assert!(matches!(light_stem("accepted"), Cow::Borrowed("accept")));
+        assert!(matches!(light_stem("passes"), Cow::Borrowed("pass")));
+        assert!(matches!(light_stem("Accepted"), Cow::Owned(_)));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! A compact English stopword list for requirement prose.
 
+use crate::tokenizer::lowercase;
+
 /// Stopwords the extractor skips when assembling subject/object phrases.
 static STOPWORDS: &[&str] = &[
     "a", "an", "the", "this", "that", "these", "those", "of", "in", "on", "at", "to", "from", "by",
@@ -10,8 +12,7 @@ static STOPWORDS: &[&str] = &[
 /// Whether `word` (matched case-insensitively) is a stopword.
 #[must_use]
 pub fn is_stopword(word: &str) -> bool {
-    let lower = word.to_lowercase();
-    STOPWORDS.contains(&lower.as_str())
+    STOPWORDS.contains(&&*lowercase(word))
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Tokenization and sentence splitting.
 
+use std::borrow::Cow;
+
 /// Lexical class of a token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
@@ -11,71 +13,87 @@ pub enum TokenKind {
     Punct,
 }
 
-/// One token with its original text.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+/// One token, borrowed from the sentence it was cut from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'a> {
     /// The token text as it appeared (case preserved).
-    pub text: String,
+    pub text: &'a str,
     /// Its lexical class.
     pub kind: TokenKind,
 }
 
-impl Token {
+impl<'a> Token<'a> {
     /// Lowercased text (words are matched case-insensitively).
     #[must_use]
-    pub fn lower(&self) -> String {
-        self.text.to_lowercase()
+    pub fn lower(&self) -> Cow<'a, str> {
+        lowercase(self.text)
+    }
+
+    fn word(text: &'a str) -> Self {
+        let has_digit = text.chars().any(|c| c.is_ascii_digit());
+        let has_alpha = text.chars().any(char::is_alphabetic);
+        let kind = if has_digit {
+            TokenKind::Identifier
+        } else if has_alpha {
+            TokenKind::Word
+        } else {
+            TokenKind::Punct
+        };
+        Token { text, kind }
     }
 }
 
-fn classify(text: &str) -> TokenKind {
-    let has_digit = text.chars().any(|c| c.is_ascii_digit());
-    let has_alpha = text.chars().any(char::is_alphabetic);
-    if has_digit {
-        TokenKind::Identifier
-    } else if has_alpha {
-        TokenKind::Word
+/// `word` lowercased, borrowed when it already is lowercase ASCII.
+/// Anything else goes through `str::to_lowercase`, which keeps the
+/// Unicode mappings an ASCII-only fold would miss (the Kelvin sign → `k`,
+/// `İ` → `i̇`, a final `Σ` → `ς`).
+pub(crate) fn lowercase(word: &str) -> Cow<'_, str> {
+    if word
+        .bytes()
+        .all(|b| b.is_ascii() && !b.is_ascii_uppercase())
+    {
+        Cow::Borrowed(word)
     } else {
-        TokenKind::Punct
+        Cow::Owned(word.to_lowercase())
     }
 }
 
 /// Tokenize one sentence. Words keep internal hyphens (`start-up`,
 /// `pre-launch`); everything else splits on non-alphanumerics.
 #[must_use]
-pub fn tokenize(sentence: &str) -> Vec<Token> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    let chars: Vec<char> = sentence.chars().collect();
-    for (i, &c) in chars.iter().enumerate() {
+pub fn tokenize(sentence: &str) -> Vec<Token<'_>> {
+    // Room for words of about five bytes with their separators, so a
+    // requirement sentence does not regrow the vector.
+    let mut out = Vec::with_capacity(sentence.len() / 4);
+    // Byte offset where the word being scanned starts.
+    let mut start = None;
+    let mut prev = None;
+    let mut chars = sentence.char_indices().peekable();
+    while let Some((i, c)) = chars.next() {
         let joins = c.is_alphanumeric()
             || c == '_'
             || (c == '-'
-                && i > 0
-                && chars[i - 1].is_alphanumeric()
-                && chars.get(i + 1).copied().is_some_and(char::is_alphanumeric));
+                && prev.is_some_and(char::is_alphanumeric)
+                && chars
+                    .peek()
+                    .is_some_and(|&(_, next)| next.is_alphanumeric()));
         if joins {
-            cur.push(c);
+            start.get_or_insert(i);
         } else {
-            if !cur.is_empty() {
-                out.push(Token {
-                    kind: classify(&cur),
-                    text: std::mem::take(&mut cur),
-                });
+            if let Some(s) = start.take() {
+                out.push(Token::word(&sentence[s..i]));
             }
             if !c.is_whitespace() {
                 out.push(Token {
-                    text: c.to_string(),
+                    text: &sentence[i..i + c.len_utf8()],
                     kind: TokenKind::Punct,
                 });
             }
         }
+        prev = Some(c);
     }
-    if !cur.is_empty() {
-        out.push(Token {
-            kind: classify(&cur),
-            text: cur,
-        });
+    if let Some(s) = start {
+        out.push(Token::word(&sentence[s..]));
     }
     out
 }
@@ -119,7 +137,7 @@ mod tests {
     #[test]
     fn tokenize_requirement_sentence() {
         let toks = tokenize("OBSW001 shall accept the start-up command");
-        let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
+        let texts: Vec<&str> = toks.iter().map(|t| t.text).collect();
         assert_eq!(
             texts,
             vec!["OBSW001", "shall", "accept", "the", "start-up", "command"]
@@ -132,14 +150,14 @@ mod tests {
     #[test]
     fn hyphen_only_joins_between_alphanumerics() {
         let toks = tokenize("pre-launch - phase -x");
-        let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
+        let texts: Vec<&str> = toks.iter().map(|t| t.text).collect();
         assert_eq!(texts, vec!["pre-launch", "-", "phase", "-", "x"]);
     }
 
     #[test]
     fn punctuation_is_kept_as_tokens() {
         let toks = tokenize("stop, then go.");
-        let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
+        let texts: Vec<&str> = toks.iter().map(|t| t.text).collect();
         assert_eq!(texts, vec!["stop", ",", "then", "go", "."]);
         assert_eq!(toks[1].kind, TokenKind::Punct);
     }
@@ -171,7 +189,7 @@ mod tests {
     #[test]
     fn lower_helper() {
         let t = Token {
-            text: "ShAlL".into(),
+            text: "ShAlL",
             kind: TokenKind::Word,
         };
         assert_eq!(t.lower(), "shall");
