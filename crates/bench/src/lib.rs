@@ -329,11 +329,9 @@ mod tests {
         let config = DistConfig::new(DIMS)
             .with_bucket_size(BUCKET)
             .with_max_partitions(8);
-        // Small segments and a tight cadence, so sealing, snapshots and
-        // compaction all fire many times within the run.
-        let options = WalOptions::default()
-            .with_segment_bytes(64 * 1024)
-            .with_snapshot_every(512);
+        // Small segments, so sealing and compaction fire many times
+        // within the run.
+        let options = WalOptions::default().with_segment_bytes(64 * 1024);
         let tree = build_local_durable(config, CostModel::zero(), 4, &sample, &dir, options)
             .expect("durable tree");
         for (i, p) in pts.iter().enumerate() {
@@ -348,6 +346,12 @@ mod tests {
         let stored: usize = inspection.compression.iter().map(|c| c.stored_bytes).sum();
         let raw: usize = inspection.compression.iter().map(|c| c.raw_bytes).sum();
         assert!(stored > 0, "no snapshot was taken");
+        // The routing root holds no points: a snapshot with points is
+        // one a data partition's cadence took mid-run.
+        assert!(
+            inspection.compression.iter().any(|c| c.raw_bytes > 0),
+            "no data partition snapshotted mid-run"
+        );
         assert!(
             raw >= 5 * stored,
             "stored-vs-raw ratio {:.2}",

@@ -70,7 +70,6 @@ pub const LOCK_RANKS: &[(&str, &str, u32)] = &[
     ("net", "writer", 34),
     ("net", "shutdown_rx", 35),
     // crates/wal
-    ("wal", "sink", 40),
     ("wal", "inner", 41),
     // crates/colz holds no locks at all: every codec is a pure function
     // over byte slices, so the crate is a lock-free leaf of the
@@ -781,13 +780,13 @@ mod tests {
     fn lock_order_understands_shim_generic_acquisitions() {
         let bad = r#"
             fn broken(&self) {
+                let mut completions = S::lock(&self.completions);
                 let mut inner = S::lock(&self.inner);
-                let mut sink = S::lock(&self.sink);
             }
         "#;
-        let f = lock_order("wal", "ordering.rs", &lex(bad));
+        let f = lock_order("reactor", "reactor.rs", &lex(bad));
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("`sink` (rank 40)"));
+        assert!(f[0].message.contains("`inner` (rank 70)"));
     }
 
     #[test]

@@ -431,7 +431,7 @@ mod tests {
             std::env::temp_dir().join(format!("semtree-cli-recover-stats-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let config = DistConfig::new(2).with_bucket_size(8);
-        let options = WalOptions::default().with_snapshot_every(64);
+        let options = WalOptions::default();
         let tree = build_local_durable(config, CostModel::zero(), 1, &[], &dir, options)
             .expect("durable tree");
         for i in 0..400u64 {
@@ -444,6 +444,13 @@ mod tests {
             .expect("insert");
         }
         tree.shutdown();
+        // The build snapshots the empty partition; a snapshot holding
+        // points is one the cadence took mid-run.
+        let inspection = inspect_wal(&dir).expect("inspect");
+        assert!(
+            inspection.compression[0].raw_bytes > 0,
+            "no snapshot mid-run"
+        );
 
         let run = |args: &[&str]| {
             let parsed =

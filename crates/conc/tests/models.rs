@@ -5,8 +5,8 @@
 //!
 //! ```text
 //! cargo test -p semtree-conc --test models                      # all targets
-//! cargo test -p semtree-conc --test models -- --target wal_order
-//! cargo test -p semtree-conc --test models -- --target wal_order --replay d1,0,2
+//! cargo test -p semtree-conc --test models -- --target gate_handshake
+//! cargo test -p semtree-conc --test models -- --target gate_handshake --replay d1,0,2
 //! cargo test -p semtree-conc --test models -- --iters 500       # random rounds
 //! cargo test -p semtree-conc --test models -- --list
 //! ```
@@ -16,7 +16,6 @@
 //! supplement (echoed on every run, so CI logs are reproducible).
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use semtree_cluster::{ClusterMetricsG, MembershipGate};
@@ -28,7 +27,6 @@ use semtree_kdtree::versioned::{Child, InPlace, NeedsMailbox, Tree, TreeWriter};
 use semtree_kdtree::{KdConfig, VersionedKdTree};
 use semtree_net::ConnRegistry;
 use semtree_reactor::{Push, ServeQueue};
-use semtree_wal::{Appended, RecordSink, SequencedLog, WalRecord};
 
 /// Acceptance floor: every target must explore at least this many
 /// distinct interleavings.
@@ -65,12 +63,6 @@ const TARGETS: &[Target] = &[
         name: "mesh_connect_race",
         what: "ConnRegistry rejoin vs stale-reader eviction: fresh connection never dropped",
         body: mesh_connect_race,
-        spurious_budget: 0,
-    },
-    Target {
-        name: "wal_order",
-        what: "SequencedLog append-flush-apply: no mutation applied before its record is durable",
-        body: wal_order,
         spurious_budget: 0,
     },
     Target {
@@ -275,104 +267,6 @@ fn mesh_connect_race() {
         Arc::ptr_eq(&current, &fresh),
         "stale reader evicted the rejoin's replacement (evicted_old={evicted_old})"
     );
-}
-
-// ---------------------------------------------------------------------
-// Target 4: WAL append-flush-apply ordering.
-// ---------------------------------------------------------------------
-
-/// In-memory sink with an externally observable durable watermark (a
-/// real `AtomicU64` bumped on flush — safe under the model because the
-/// scheduler runs exactly one thread at a time).
-struct ProbeSink {
-    next_lsn: u64,
-    staged: Vec<u64>,
-    durable: Arc<AtomicU64>,
-}
-
-impl RecordSink for ProbeSink {
-    type Error = std::convert::Infallible;
-
-    fn stage(&mut self, _record: &WalRecord) -> Result<Appended, Self::Error> {
-        self.next_lsn += 1;
-        self.staged.push(self.next_lsn);
-        Ok(Appended {
-            lsn: self.next_lsn,
-            snapshot_due: false,
-        })
-    }
-
-    fn flush(&mut self) -> Result<(), Self::Error> {
-        if let Some(&top) = self.staged.last() {
-            self.durable.store(top, Ordering::SeqCst);
-        }
-        self.staged.clear();
-        Ok(())
-    }
-}
-
-fn wal_record(payload: u64) -> WalRecord {
-    WalRecord::PointInsert {
-        partition: 7,
-        node: 0,
-        point: Vec::new(),
-        payload,
-    }
-}
-
-/// Two partition actors append-and-apply concurrently while a reader
-/// polls the published watermark. Assert, at every apply, that the
-/// record is already durable — no interleaving may apply a mutation
-/// before its record is flushed — and that the watermark the sequencer
-/// publishes never runs ahead of the sink's actual durable LSN.
-fn wal_order() {
-    let durable = Arc::new(AtomicU64::new(0));
-    let log: Arc<SequencedLog<ProbeSink, ModelShim>> = Arc::new(SequencedLog::new(ProbeSink {
-        next_lsn: 0,
-        staged: Vec::new(),
-        durable: Arc::clone(&durable),
-    }));
-
-    let actors: Vec<_> = (0..2)
-        .map(|i| {
-            let log = Arc::clone(&log);
-            let durable = Arc::clone(&durable);
-            ModelShim::spawn(move || {
-                let (appended, ()) = log
-                    .apply_after_flush(&wal_record(i), |a| {
-                        // THE invariant: the mutation runs only once its
-                        // record is durable in the sink.
-                        assert!(
-                            durable.load(Ordering::SeqCst) >= a.lsn,
-                            "mutation applied before its record was flushed"
-                        );
-                    })
-                    .unwrap();
-                appended.lsn
-            })
-        })
-        .collect();
-
-    let reader = {
-        let log = Arc::clone(&log);
-        let durable = Arc::clone(&durable);
-        ModelShim::spawn(move || {
-            for _ in 0..2 {
-                let published = log.flushed_lsn();
-                assert!(
-                    durable.load(Ordering::SeqCst) >= published,
-                    "published watermark ran ahead of the durable LSN"
-                );
-            }
-        })
-    };
-
-    let mut lsns: Vec<u64> = actors.into_iter().map(ModelShim::join).collect();
-    ModelShim::join(reader);
-    lsns.sort_unstable();
-    assert_eq!(lsns, vec![1, 2], "LSNs must be contiguous and unique");
-    assert_eq!(log.flushed_lsn(), 2);
-    assert_eq!(durable.load(Ordering::SeqCst), 2);
 }
 
 // ---------------------------------------------------------------------

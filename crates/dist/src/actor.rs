@@ -8,6 +8,9 @@ use crate::proto::{Req, Resp};
 use crate::store::{LocalNodeId, PartitionStore};
 use crate::tree::{unexpected, SharedConfig};
 
+/// The least number of records a partition logs between two snapshots.
+const SNAPSHOT_FLOOR: usize = 256;
+
 /// Hosts one partition of the SemTree and speaks the [`Req`]/[`Resp`]
 /// protocol. One request at a time per partition, like one MPJ rank:
 /// on its node's thread, or on the thread of a caller that found the
@@ -27,6 +30,10 @@ pub(crate) struct PartitionActor {
     /// it (on its first message; `DistSemTree::build_on` registers the
     /// root's earlier, and the actor's own registration repeats it).
     registered: Option<ComputeNodeId>,
+    /// Records logged for this partition since its last snapshot.
+    logged: usize,
+    /// Points that snapshot held.
+    covered: usize,
 }
 
 impl Drop for PartitionActor {
@@ -47,12 +54,15 @@ impl PartitionActor {
     }
 
     /// A partition with a pre-built store (the fan-out root, or a
-    /// WAL-recovered partition).
+    /// WAL-recovered partition). A durable caller snapshots `store` at
+    /// once, so the snapshot cadence starts covered at its point count.
     pub(crate) fn with_store(store: PartitionStore, shared: Arc<SharedConfig>) -> Self {
         PartitionActor {
+            covered: store.points(),
             store,
             shared,
             registered: None,
+            logged: 0,
         }
     }
 
@@ -94,11 +104,11 @@ impl PartitionActor {
             let root = LocalNodeId(0);
             let relinked = match &self.shared.wal {
                 Some(wal) => {
+                    self.logged += 1;
                     wal.apply_migration(ctx.node_id(), candidate, new_partition, root, || {
                         store.relink_to_partition(candidate, new_partition, root)
                     })
-                    .map_err(|e| ClusterError::Remote(format!("wal append failed: {e}")))?
-                    .1
+                    .map_err(|e| ClusterError::Remote(wal_failed(e)))?
                 }
                 None => store.relink_to_partition(candidate, new_partition, root),
             };
@@ -139,7 +149,7 @@ impl PartitionActor {
         payload: u64,
     ) -> Result<(), String> {
         let mut splits = Vec::new();
-        let (mut due, stored_here) = {
+        let stored_here = {
             let route = ctx.transport();
             let borders = self.shared.borders(route.as_deref().ok());
             let store = &mut self.store;
@@ -148,14 +158,15 @@ impl PartitionActor {
                 Some(wal) => wal
                     .apply_insert(ctx.node_id(), node, point, payload, apply)
                     .map_err(wal_failed)?,
-                None => (false, apply()),
+                None => apply(),
             }
         };
         let stored_here = stored_here?;
         if let Some(wal) = &self.shared.wal {
-            due |= wal.log_splits(ctx.node_id(), &splits).map_err(wal_failed)?;
+            wal.log_splits(ctx.node_id(), &splits).map_err(wal_failed)?;
+            self.logged += 1 + splits.len();
         }
-        self.maybe_snapshot(ctx, due).map_err(|e| e.to_string())?;
+        self.maybe_snapshot(ctx).map_err(|e| e.to_string())?;
         if stored_here {
             // On failure the point is stored and the tree intact, but the
             // client should know capacity could not be enforced.
@@ -178,33 +189,41 @@ impl PartitionActor {
         let kd = self.shared.kd;
         let mut splits = Vec::new();
         let mut build = || PartitionStore::new_leaf_logged(kd, bucket, depth, &mut splits);
-        if let Some(wal) = &self.shared.wal {
-            let created = wal.apply_create(ctx.node_id(), depth, bucket, build);
-            self.store = created.map_err(wal_failed)?.1;
-            let due = wal.log_splits(ctx.node_id(), &splits).map_err(wal_failed)?;
-            self.maybe_snapshot(ctx, due).map_err(|e| e.to_string())?;
-        } else {
-            self.store = build();
+        match &self.shared.wal {
+            Some(wal) => {
+                self.store = wal
+                    .apply_create(ctx.node_id(), depth, bucket, build)
+                    .map_err(wal_failed)?;
+                wal.log_splits(ctx.node_id(), &splits).map_err(wal_failed)?;
+                self.logged += 1 + splits.len();
+            }
+            None => self.store = build(),
         }
+        self.maybe_snapshot(ctx).map_err(|e| e.to_string())?;
         // A new tree: readers of the old one must find this one.
         self.register(ctx);
         Ok(())
     }
 
-    /// Snapshot this partition's store when the WAL says enough history
-    /// piled up; log failures surface as actor errors.
-    fn maybe_snapshot(
-        &self,
-        ctx: &NodeCtx<Req, Resp>,
-        snapshot_due: bool,
-    ) -> Result<(), ClusterError> {
-        if !snapshot_due {
+    /// Snapshot this partition's store once the records it logged since
+    /// its last snapshot reach [`SNAPSHOT_FLOOR`] or the points that
+    /// snapshot held, whichever is more. A snapshot then holds at most
+    /// the points of the one before plus one per insert since, so about
+    /// two points are encoded per record logged however large the
+    /// partition grows, and replay reads at most one partition's worth
+    /// of records past its snapshot. Log failures surface as actor
+    /// errors.
+    fn maybe_snapshot(&mut self, ctx: &NodeCtx<Req, Resp>) -> Result<(), ClusterError> {
+        let Some(wal) = &self.shared.wal else {
+            return Ok(());
+        };
+        if self.logged < SNAPSHOT_FLOOR.max(self.covered) {
             return Ok(());
         }
-        if let Some(wal) = &self.shared.wal {
-            wal.snapshot_image(ctx.node_id(), &self.store.snapshot())
-                .map_err(|e| ClusterError::Remote(format!("wal snapshot failed: {e}")))?;
-        }
+        wal.snapshot_image(ctx.node_id(), &self.store.snapshot())
+            .map_err(|e| ClusterError::Remote(format!("wal snapshot failed: {e}")))?;
+        self.logged = 0;
+        self.covered = self.store.points();
         Ok(())
     }
 }

@@ -266,7 +266,9 @@ pub fn build_tree(
 /// the recovery benchmark and offline durability tests drive — the
 /// on-disk artifacts are byte-compatible with a networked worker's.
 ///
-/// `options` tunes segment size and snapshot cadence.
+/// `options` tunes segment size. Each partition snapshots once the
+/// records it logged since its last snapshot reach 256 or the points
+/// that snapshot held, whichever is more.
 ///
 /// # Errors
 /// Fails when the config cannot be deployed, `wal_dir` already holds a

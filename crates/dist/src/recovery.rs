@@ -15,35 +15,30 @@ use std::sync::Arc;
 use semtree_cluster::ComputeNodeId;
 use semtree_kdtree::versioned::SplitEvent;
 use semtree_net::decode_exact;
-use semtree_wal::{
-    SequencedLog, Wal, WalError, WalRecord, WalReport, WalState, SNAPSHOT_FORMAT_COLUMNAR,
-};
+use semtree_wal::{Wal, WalError, WalRecord, WalReport, WalState, SNAPSHOT_FORMAT_COLUMNAR};
 
 use crate::deploy::NetDeployConfig;
 use crate::proto::PartitionStats;
 use crate::store::{LocalNodeId, PartitionStore};
 
 /// Shared write side of the WAL: every partition actor of a process logs
-/// through one of these. Appends are serialized by the wrapping
-/// [`SequencedLog`], which flushes each record before the paired state
-/// mutation is allowed to run (`apply_*` below) — so a `SIGKILL` can
-/// lose at most the record being written (which recovery tolerates as a
-/// torn tail), and can never lose a record whose mutation was applied.
+/// through one of these. `Wal::append` flushes each record under the
+/// log's one lock before it returns, and each `apply_*` below runs the
+/// paired state mutation only after that — so a `SIGKILL` can lose at
+/// most the record being written (which recovery tolerates as a torn
+/// tail), and can never lose a record whose mutation was applied.
 pub(crate) struct WalHandle {
-    log: SequencedLog<Wal>,
+    wal: Wal,
 }
 
 impl WalHandle {
     pub(crate) fn new(wal: Wal) -> Arc<Self> {
-        Arc::new(WalHandle {
-            log: SequencedLog::new(wal),
-        })
+        Arc::new(WalHandle { wal })
     }
 
     /// Log a point landing in (or being routed through) `partition`,
     /// then — only after the record is flushed — run `apply` (the store
-    /// mutation). Returns whether the partition is due for a snapshot,
-    /// plus `apply`'s result.
+    /// mutation).
     pub(crate) fn apply_insert<T>(
         &self,
         partition: ComputeNodeId,
@@ -51,17 +46,14 @@ impl WalHandle {
         point: &[f64],
         payload: u64,
         apply: impl FnOnce() -> T,
-    ) -> Result<(bool, T), WalError> {
-        let (appended, out) = self.log.apply_after_flush(
-            &WalRecord::PointInsert {
-                partition: partition.0,
-                node: node.0,
-                point: point.to_vec(),
-                payload,
-            },
-            |_| apply(),
-        )?;
-        Ok((appended.snapshot_due, out))
+    ) -> Result<T, WalError> {
+        self.wal.append(&WalRecord::PointInsert {
+            partition: partition.0,
+            node: node.0,
+            point: point.to_vec(),
+            payload,
+        })?;
+        Ok(apply())
     }
 
     /// Log the splits an insert or adoption triggered, in order. (The
@@ -71,10 +63,9 @@ impl WalHandle {
         &self,
         partition: ComputeNodeId,
         splits: &[SplitEvent],
-    ) -> Result<bool, WalError> {
-        let mut due = false;
+    ) -> Result<(), WalError> {
         for s in splits {
-            let appended = self.log.append(&WalRecord::LeafSplit {
+            self.wal.append(&WalRecord::LeafSplit {
                 partition: partition.0,
                 leaf: s.leaf,
                 split_dim: s.split_dim,
@@ -82,9 +73,8 @@ impl WalHandle {
                 left: s.left,
                 right: s.right,
             })?;
-            due |= appended.snapshot_due;
         }
-        Ok(due)
+        Ok(())
     }
 
     /// Log a partition coming into existence with an adopted bucket,
@@ -96,16 +86,13 @@ impl WalHandle {
         depth: u32,
         bucket: &[(Vec<f64>, u64)],
         apply: impl FnOnce() -> T,
-    ) -> Result<(bool, T), WalError> {
-        let (appended, out) = self.log.apply_after_flush(
-            &WalRecord::PartitionCreate {
-                partition: partition.0,
-                depth: depth as usize,
-                bucket: bucket.to_vec(),
-            },
-            |_| apply(),
-        )?;
-        Ok((appended.snapshot_due, out))
+    ) -> Result<T, WalError> {
+        self.wal.append(&WalRecord::PartitionCreate {
+            partition: partition.0,
+            depth: depth as usize,
+            bucket: bucket.to_vec(),
+        })?;
+        Ok(apply())
     }
 
     /// Log a leaf being evicted to a freshly built partition, then —
@@ -117,17 +104,14 @@ impl WalHandle {
         target_partition: ComputeNodeId,
         target_node: LocalNodeId,
         apply: impl FnOnce() -> T,
-    ) -> Result<(bool, T), WalError> {
-        let (appended, out) = self.log.apply_after_flush(
-            &WalRecord::LeafMigration {
-                partition: partition.0,
-                evicted: evicted.0,
-                target_partition: target_partition.0,
-                target_node: target_node.0,
-            },
-            |_| apply(),
-        )?;
-        Ok((appended.snapshot_due, out))
+    ) -> Result<T, WalError> {
+        self.wal.append(&WalRecord::LeafMigration {
+            partition: partition.0,
+            evicted: evicted.0,
+            target_partition: target_partition.0,
+            target_node: target_node.0,
+        })?;
+        Ok(apply())
     }
 
     /// Store one partition's snapshot blob
@@ -137,14 +121,14 @@ impl WalHandle {
         partition: ComputeNodeId,
         blob: &[u8],
     ) -> Result<(), WalError> {
-        self.log
-            .with_sink(|wal| wal.snapshot(partition.0, SNAPSHOT_FORMAT_COLUMNAR, blob))?;
+        self.wal
+            .snapshot(partition.0, SNAPSHOT_FORMAT_COLUMNAR, blob)?;
         Ok(())
     }
 
     /// Delete sealed segments fully covered by snapshots.
     pub(crate) fn compact(&self) -> Result<usize, WalError> {
-        self.log.with_sink(|wal| wal.compact())
+        self.wal.compact()
     }
 }
 
@@ -343,14 +327,12 @@ mod tests {
             .with_bucket_size(4)
             .with_max_partitions(8)
             .with_capacity(CapacityPolicy::MaxPoints(40));
-        // Tiny segments and a cadence the workload will cross several
-        // times, so sealing, live snapshots and compaction all happen
-        // organically mid-run.
-        let options = WalOptions::default()
-            .with_segment_bytes(4096)
-            .with_snapshot_every(64);
+        // Tiny segments, and enough points that partitions log past the
+        // snapshot floor once all eight are built, so sealing, live
+        // snapshots and compaction all happen organically mid-run.
+        let options = WalOptions::default().with_segment_bytes(4096);
         let tree = durable_tree(&dir, &config, options);
-        for i in 0..150u64 {
+        for i in 0..800u64 {
             tree.query(Query::insert(&[(i % 13) as f64, (i / 13) as f64], i))
                 .and_then(QueryOutcome::inserted)
                 .expect("insert");
@@ -358,6 +340,12 @@ mod tests {
         let live_points = tree.len();
         let live_partitions = tree.partition_count();
         tree.shutdown();
+        // The build snapshots the root before anything is logged (LSN 0).
+        let live = Wal::load(&dir).expect("load wal").snapshots;
+        assert!(
+            live.values().any(|snap| snap.lsn > 0),
+            "the cadence must have fired mid-run"
+        );
 
         let stores = replayed(&dir);
         assert_eq!(stores.len(), live_partitions);
@@ -450,11 +438,9 @@ mod tests {
     fn replay_reconstructs_points_written_after_the_last_snapshot() {
         let dir = scratch_dir("tail");
         let config = DistConfig::new(2).with_bucket_size(4);
-        // A cadence the workload never reaches: everything after the
+        // 60 inserts stay under the snapshot floor: everything after the
         // initial snapshot lives only in the tail.
-        let options = WalOptions::default()
-            .with_segment_bytes(1 << 20)
-            .with_snapshot_every(1_000_000);
+        let options = WalOptions::default().with_segment_bytes(1 << 20);
         let tree = durable_tree(&dir, &config, options);
         for i in 0..60u64 {
             tree.query(Query::insert(
@@ -466,9 +452,92 @@ mod tests {
         }
         tree.shutdown();
 
+        let state = Wal::load(&dir).expect("load wal");
+        assert_eq!(state.snapshots[&0].lsn, 0, "only the build's snapshot");
         let stores = replayed(&dir);
         assert_eq!(stores.len(), 1);
         assert_eq!(stores[0].1.points(), 60, "tail-only replay lost points");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Flush before apply: inside each `apply_*` closure, another reader
+    /// of the directory already loads the record, the writer still open.
+    #[test]
+    fn apply_runs_only_once_the_record_is_durable() {
+        let dir = scratch_dir("apply-order");
+        let wal = Wal::create(&dir, 0, b"", WalOptions::default()).expect("create");
+        let handle = WalHandle::new(wal);
+        let last = || Wal::load(&dir).expect("load").tail.pop().map(|(_, r)| r);
+        let (p, node) = (ComputeNodeId(7), LocalNodeId(0));
+        let bucket = vec![(vec![1.0], 5)];
+        let seen = handle.apply_create(p, 1, &bucket, last).expect("create");
+        let create = WalRecord::PartitionCreate {
+            partition: 7,
+            depth: 1,
+            bucket,
+        };
+        assert_eq!(seen, Some(create));
+        let seen = handle
+            .apply_insert(p, node, &[2.0], 6, last)
+            .expect("insert");
+        let insert = WalRecord::PointInsert {
+            partition: 7,
+            node: 0,
+            point: vec![2.0],
+            payload: 6,
+        };
+        assert_eq!(seen, Some(insert));
+        drop(handle);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The snapshot cadence is proportional to the partition: 64k uniform
+    /// points into one partition encode about two points per insert in
+    /// snapshots (a fixed cadence of 256 records encodes ~125), and the
+    /// live tail stays under one partition's worth of records.
+    #[test]
+    fn snapshots_encode_a_bounded_number_of_points_per_insert() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        const INSERTS: u64 = 65_536;
+        let dir = scratch_dir("cadence");
+        let config = DistConfig::new(6).with_bucket_size(32);
+        let tree = durable_tree(&dir, &config, WalOptions::default());
+        let snap = dir.join("snapshots").join("part-0.snap");
+        // A snapshot file's covered LSN: bytes 12..20, after its magic,
+        // version and partition words.
+        let covered_lsn = || {
+            let mut header = [0u8; 20];
+            let mut file = std::fs::File::open(&snap).expect("snapshot file");
+            std::io::Read::read_exact(&mut file, &mut header).expect("header");
+            u64::from_le_bytes(header[12..].try_into().expect("8 bytes"))
+        };
+        let mut rng = StdRng::seed_from_u64(64);
+        let (mut lsn, mut snapshots, mut encoded) = (covered_lsn(), 0, 0);
+        for i in 0..INSERTS {
+            let point: Vec<f64> = (0..6).map(|_| rng.random_range(0.0..1.0)).collect();
+            tree.query(Query::insert(&point, i))
+                .and_then(QueryOutcome::inserted)
+                .expect("insert");
+            if covered_lsn() != lsn {
+                lsn = covered_lsn();
+                snapshots += 1;
+                encoded += i + 1;
+            }
+        }
+        tree.shutdown();
+        assert!(snapshots > 0, "the cadence never fired");
+        assert!(
+            encoded <= 3 * INSERTS,
+            "{snapshots} snapshots encoded {:.2} points per insert",
+            encoded as f64 / INSERTS as f64
+        );
+
+        let state = Wal::load(&dir).expect("load wal");
+        let last = PartitionStore::restore(&state.snapshots[&0].blob).expect("restore");
+        let tail = state.live_tail().count();
+        assert!(tail <= 256 + last.points(), "{tail} live records");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -12,7 +12,8 @@
 //!
 //! The crate deliberately knows nothing about KD-trees: records carry
 //! local node ids and raw points, snapshots carry an opaque store image
-//! blob. `semtree-dist` owns both interpretations, so the dependency
+//! blob. `semtree-dist` owns both interpretations, and decides when a
+//! partition snapshots, so the dependency
 //! arrow stays `dist → wal → net` (the WAL reuses the TCP fabric's
 //! little-endian [`Encode`]/[`Decode`] codec — one byte-layout contract
 //! across the wire *and* the disk).
@@ -39,15 +40,13 @@
 
 mod crc32;
 mod log;
-mod ordering;
 mod record;
 
 pub use crc32::crc32;
 pub use log::{
-    Appended, PartitionReport, Snapshot, Wal, WalError, WalOptions, WalReport, WalState,
+    PartitionReport, Snapshot, Wal, WalError, WalOptions, WalReport, WalState,
     SNAPSHOT_FORMAT_COLUMNAR,
 };
-pub use ordering::{RecordSink, SequencedLog};
 pub use record::WalRecord;
 pub use semtree_net::{Decode, Encode};
 
@@ -79,8 +78,7 @@ mod tests {
         let dir = tmpdir("round-trip");
         let wal = Wal::create(&dir, 2, b"cfg", WalOptions::default()).unwrap();
         for i in 0..10 {
-            let appended = wal.append(&insert(0x0002_0000, i)).unwrap();
-            assert_eq!(appended.lsn, i + 1);
+            assert_eq!(wal.append(&insert(0x0002_0000, i)).unwrap(), i + 1);
         }
         drop(wal);
 
@@ -104,10 +102,10 @@ mod tests {
         let dir = tmpdir("process-crash");
         let wal = Wal::create(&dir, 1, b"", WalOptions::default()).unwrap();
         for i in 0..3 {
-            let appended = wal.append(&insert(7, i)).unwrap();
+            let lsn = wal.append(&insert(7, i)).unwrap();
             let state = Wal::load(&dir).unwrap();
             assert!(!state.torn_tail);
-            assert_eq!(state.tail.last(), Some(&(appended.lsn, insert(7, i))));
+            assert_eq!(state.tail.last(), Some(&(lsn, insert(7, i))));
         }
         // A killed process runs no destructor.
         std::mem::forget(wal);
@@ -133,7 +131,7 @@ mod tests {
 
         let (wal, state) = Wal::resume(&dir, WalOptions::default()).unwrap();
         assert_eq!(state.next_lsn, 6);
-        assert_eq!(wal.append(&insert(7, 99)).unwrap().lsn, 6);
+        assert_eq!(wal.append(&insert(7, 99)).unwrap(), 6);
         drop(wal);
 
         let state = Wal::load(&dir).unwrap();
@@ -141,19 +139,52 @@ mod tests {
         assert_eq!(state.tail.last().unwrap().0, 6);
     }
 
+    /// `append` takes the log's one lock for the whole frame, so
+    /// concurrent writers get contiguous LSNs and every frame is whole.
+    #[test]
+    fn lsns_are_contiguous_across_threads() {
+        let dir = tmpdir("threads");
+        let wal = Wal::create(&dir, 1, b"", WalOptions::default()).unwrap();
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let wal = &wal;
+                scope.spawn(move || {
+                    for i in 0..25 {
+                        wal.append(&insert(7, t * 100 + i)).unwrap();
+                    }
+                });
+            }
+        });
+        drop(wal);
+
+        let state = Wal::load(&dir).unwrap();
+        assert!(!state.torn_tail);
+        let lsns: Vec<u64> = state.tail.iter().map(|&(lsn, _)| lsn).collect();
+        assert_eq!(lsns, (1..=100).collect::<Vec<_>>());
+        let mut payloads: Vec<u64> = state
+            .tail
+            .iter()
+            .filter_map(|(_, r)| match r {
+                WalRecord::PointInsert { payload, .. } => Some(*payload),
+                _ => None,
+            })
+            .collect();
+        payloads.sort_unstable();
+        let want: Vec<u64> = (0..4)
+            .flat_map(|t| (0..25).map(move |i| t * 100 + i))
+            .collect();
+        assert_eq!(payloads, want, "every thread's records load back whole");
+    }
+
     #[test]
     fn snapshots_cover_the_tail_and_compaction_reclaims_segments() {
         let dir = tmpdir("compact");
         // Tiny segments: every record seals one.
-        let options = WalOptions::default()
-            .with_segment_bytes(1)
-            .with_snapshot_every(4);
+        let options = WalOptions::default().with_segment_bytes(1);
         let wal = Wal::create(&dir, 1, b"", options).unwrap();
-        let mut due = false;
         for i in 0..4 {
-            due = wal.append(&insert(7, i)).unwrap().snapshot_due;
+            wal.append(&insert(7, i)).unwrap();
         }
-        assert!(due, "4th record must trip snapshot_every = 4");
         let covered = wal
             .snapshot(7, SNAPSHOT_FORMAT_COLUMNAR, b"store-image")
             .unwrap();
@@ -191,9 +222,7 @@ mod tests {
     #[test]
     fn segments_with_uncovered_partitions_survive_compaction() {
         let dir = tmpdir("mixed-compact");
-        let options = WalOptions::default()
-            .with_segment_bytes(1)
-            .with_snapshot_every(u64::MAX);
+        let options = WalOptions::default().with_segment_bytes(1);
         let wal = Wal::create(&dir, 1, b"", options).unwrap();
         for i in 0..20 {
             wal.append(&insert(7, i)).unwrap();
@@ -226,7 +255,7 @@ mod tests {
 
         // And resume keeps appending on top of them.
         let (wal, state) = Wal::resume(&dir, options).unwrap();
-        let lsn = wal.append(&insert(8, 999)).unwrap().lsn;
+        let lsn = wal.append(&insert(8, 999)).unwrap();
         assert_eq!(lsn, state.next_lsn);
         drop(wal);
         let reloaded = Wal::load(&dir).unwrap();
@@ -276,7 +305,7 @@ mod tests {
         // Resume cuts the torn tail off and starts a fresh segment;
         // appends keep working.
         let (wal, _) = Wal::resume(&dir, WalOptions::default()).unwrap();
-        assert_eq!(wal.append(&insert(7, 9)).unwrap().lsn, 3);
+        assert_eq!(wal.append(&insert(7, 9)).unwrap(), 3);
     }
 
     /// A torn tail that `resume` inherits is cut off before the next
@@ -287,7 +316,7 @@ mod tests {
         let (wal, state) = Wal::resume(dir, WalOptions::default()).unwrap();
         assert!(state.torn_tail);
         assert_eq!(state.tail, intact);
-        let lsn = wal.append(&insert(7, 9)).unwrap().lsn;
+        let lsn = wal.append(&insert(7, 9)).unwrap();
         drop(wal);
 
         let mut want = intact.to_vec();
@@ -343,9 +372,7 @@ mod tests {
     #[test]
     fn corruption_in_an_interior_segment_is_an_error() {
         let dir = tmpdir("interior-corrupt");
-        let options = WalOptions::default()
-            .with_segment_bytes(1)
-            .with_snapshot_every(u64::MAX);
+        let options = WalOptions::default().with_segment_bytes(1);
         let wal = Wal::create(&dir, 1, b"", options).unwrap();
         wal.append(&insert(7, 0)).unwrap();
         wal.append(&insert(7, 1)).unwrap();

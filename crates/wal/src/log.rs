@@ -119,16 +119,12 @@ impl From<DecodeError> for WalError {
 pub struct WalOptions {
     /// Seal the current segment once it holds at least this many bytes.
     pub segment_bytes: u64,
-    /// Report a partition as snapshot-due after this many records since
-    /// its last snapshot.
-    pub snapshot_every: u64,
 }
 
 impl Default for WalOptions {
     fn default() -> Self {
         WalOptions {
             segment_bytes: 4 * 1024 * 1024,
-            snapshot_every: 256,
         }
     }
 }
@@ -141,24 +137,6 @@ impl WalOptions {
         self.segment_bytes = segment_bytes;
         self
     }
-
-    /// Report a partition snapshot-due after this many records.
-    #[must_use]
-    pub fn with_snapshot_every(mut self, snapshot_every: u64) -> Self {
-        self.snapshot_every = snapshot_every;
-        self
-    }
-}
-
-/// Result of an append: the LSN assigned to the record and whether the
-/// record's partition has accumulated enough history to warrant a
-/// snapshot.
-#[derive(Debug, Clone, Copy)]
-pub struct Appended {
-    /// Log sequence number of the record just written (starts at 1).
-    pub lsn: u64,
-    /// True once `snapshot_every` records piled up for this partition.
-    pub snapshot_due: bool,
 }
 
 /// A decoded snapshot: the opaque store image of one partition and the
@@ -225,7 +203,6 @@ struct Inner {
     /// sealed segment index → partition → highest LSN for it there.
     sealed: BTreeMap<u64, HashMap<u32, u64>>,
     snapshot_lsn: HashMap<u32, u64>,
-    since_snapshot: HashMap<u32, u64>,
 }
 
 /// The write-ahead log manager: one per worker process, shared by all
@@ -340,7 +317,6 @@ impl Wal {
                 current_coverage: HashMap::new(),
                 sealed: BTreeMap::new(),
                 snapshot_lsn: HashMap::new(),
-                since_snapshot: HashMap::new(),
             }),
         })
     }
@@ -386,11 +362,6 @@ impl Wal {
             .collect();
 
         let state = scan.into_state();
-        let mut since_snapshot: HashMap<u32, u64> = HashMap::new();
-        for (_, record) in state.live_tail() {
-            *since_snapshot.entry(record.partition()).or_insert(0) += 1;
-        }
-
         let wal = Wal {
             dir: dir.to_path_buf(),
             process_index: state.process_index,
@@ -403,7 +374,6 @@ impl Wal {
                 current_coverage: HashMap::new(),
                 sealed,
                 snapshot_lsn,
-                since_snapshot,
             }),
         };
         Ok((wal, state))
@@ -415,29 +385,12 @@ impl Wal {
         Ok(scan(dir)?.into_state())
     }
 
-    /// Append one record. The frame is written and flushed before this
-    /// returns — callers apply the state change *after* logging it.
-    /// (`semtree_wal::SequencedLog` wraps the staged halves of this —
-    /// `Wal::stage_mut` / `Wal::flush_mut` — to make that
-    /// flush-before-apply ordering structural.)
-    pub fn append(&self, record: &WalRecord) -> Result<Appended, WalError> {
+    /// Append one record and return its LSN (the first is 1). The
+    /// frame is written and flushed before this returns, so a caller
+    /// that applies the state change *after* logging it can never have
+    /// applied a mutation whose record another reader cannot load.
+    pub fn append(&self, record: &WalRecord) -> Result<u64, WalError> {
         let mut inner = self.inner.lock();
-        let appended = Self::stage_in(&self.options, &mut inner, record)?;
-        inner.file.flush()?;
-        if inner.segment_written >= self.options.segment_bytes {
-            Self::seal_in(&self.dir, &mut inner)?;
-        }
-        Ok(appended)
-    }
-
-    /// Frame `record`, assign it the next LSN, and write it to the
-    /// current segment — withOUT flushing. The record is not durable
-    /// until the next flush.
-    fn stage_in(
-        options: &WalOptions,
-        inner: &mut Inner,
-        record: &WalRecord,
-    ) -> Result<Appended, WalError> {
         let lsn = inner.next_lsn;
         inner.next_lsn += 1;
 
@@ -461,35 +414,11 @@ impl Wal {
         let partition = record.partition();
         let top = inner.current_coverage.entry(partition).or_insert(0);
         *top = (*top).max(lsn);
-        let since = inner.since_snapshot.entry(partition).or_insert(0);
-        *since += 1;
-        let snapshot_due = *since >= options.snapshot_every;
-        Ok(Appended { lsn, snapshot_due })
-    }
-
-    /// Stage one record through exclusive access (the
-    /// [`RecordSink`](crate::RecordSink) write half — no lock taken, the
-    /// caller serializes).
-    pub(crate) fn stage_mut(&mut self, record: &WalRecord) -> Result<Appended, WalError> {
-        let Wal { options, inner, .. } = self;
-        Self::stage_in(options, inner.get_mut(), record)
-    }
-
-    /// Flush everything staged so far and rotate the segment if it grew
-    /// past the limit (the [`RecordSink`](crate::RecordSink) flush half).
-    pub(crate) fn flush_mut(&mut self) -> Result<(), WalError> {
-        let Wal {
-            dir,
-            options,
-            inner,
-            ..
-        } = self;
-        let inner = inner.get_mut();
         inner.file.flush()?;
-        if inner.segment_written >= options.segment_bytes {
-            Self::seal_in(dir, inner)?;
+        if inner.segment_written >= self.options.segment_bytes {
+            Self::seal_in(&self.dir, &mut inner)?;
         }
-        Ok(())
+        Ok(lsn)
     }
 
     /// Persist a snapshot of `partition` covering everything appended so
@@ -511,7 +440,6 @@ impl Wal {
         write_atomic(&snapshot_path(&self.dir, partition), &checksummed(body))?;
 
         inner.snapshot_lsn.insert(partition, lsn);
-        inner.since_snapshot.insert(partition, 0);
 
         // Seal the current segment when the snapshot just made all of it
         // reclaimable, so compaction can delete it right away.
@@ -540,16 +468,6 @@ impl Wal {
         let inner = self.inner.lock();
         inner.file.sync_data()?;
         Ok(())
-    }
-
-    /// The WAL directory this manager writes to.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The process index recorded in the manifest.
-    pub fn process_index(&self) -> u32 {
-        self.process_index
     }
 
     /// Summarise a WAL directory without mutating it.
