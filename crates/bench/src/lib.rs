@@ -13,7 +13,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use semtree_cluster::CostModel;
 use semtree_dist::{DistConfig, DistSemTree, Neighbor, Query, QueryOutcome};
-use semtree_distance::{MemoizedDistance, TripleDistance, VocabularyRegistry, Weights};
+use semtree_distance::{TripleDistance, VocabularyRegistry, Weights};
 use semtree_fastmap::{Embedding, FastMap};
 use semtree_model::{Term, Triple};
 use semtree_reqgen::{CorpusGenerator, DomainVocabulary, GenConfig};
@@ -82,12 +82,11 @@ pub fn embed_triples(triples: &[Triple], dims: usize, seed: u64) -> Embedding {
     let domain = DomainVocabulary::new(8); // vocabularies are actor-independent
     let distance = triple_distance(&domain);
     let resolved: Vec<_> = triples.iter().map(|t| distance.resolve(t)).collect();
-    let memo = MemoizedDistance::new(|i: usize, j: usize| {
-        distance.resolved_distance((&triples[i], resolved[i]), (&triples[j], resolved[j]))
-    });
     FastMap::new(dims)
         .with_seed(seed)
-        .embed(triples.len(), &|i, j| memo.distance(i, j))
+        .embed(triples.len(), &|i, j| {
+            distance.resolved_distance((&triples[i], resolved[i]), (&triples[j], resolved[j]))
+        })
 }
 
 /// `n` embedded semantic points (the standard efficiency workload).

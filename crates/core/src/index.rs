@@ -2,7 +2,7 @@
 
 use semtree_cluster::{ClusterError, MetricsSnapshot};
 use semtree_dist::{DistConfig, DistSemTree, GlobalStats, Neighbor, Query, QueryOutcome};
-use semtree_distance::{MemoizedDistance, TripleDistance, TripleResolution};
+use semtree_distance::{TripleDistance, TripleResolution};
 use semtree_fastmap::{Embedding, FastMap};
 use semtree_model::{Triple, TripleId, TripleStore};
 
@@ -67,6 +67,16 @@ pub struct SemTree {
 /// A triple with its vocabulary lookups done.
 type Resolved<'t> = (&'t Triple, TripleResolution);
 
+/// The Eq. 1 distance between `triples[i]` and `triples[j]`, every triple
+/// resolved once up front: the oracle the build embeds with.
+fn resolved_oracle<'t>(
+    distance: &'t TripleDistance,
+    triples: &'t [Triple],
+) -> impl Fn(usize, usize) -> f64 + Sync + 't {
+    let resolved: Vec<TripleResolution> = triples.iter().map(|t| distance.resolve(t)).collect();
+    move |i, j| distance.resolved_distance((&triples[i], resolved[i]), (&triples[j], resolved[j]))
+}
+
 impl SemTree {
     /// Start building an index.
     #[must_use]
@@ -82,17 +92,11 @@ impl SemTree {
         let triples = store.triples();
         let n = triples.len();
 
-        // FastMap over the semantic distance (memoized: pivot rows are hit
-        // once per dimension per object), each triple resolved once.
-        let embedding = {
-            let resolved: Vec<TripleResolution> =
-                triples.iter().map(|t| distance.resolve(t)).collect();
-            let memo = MemoizedDistance::new(|i: usize, j: usize| {
-                distance.resolved_distance((&triples[i], resolved[i]), (&triples[j], resolved[j]))
-            });
-            let fastmap = FastMap::new(builder.dimensions).with_seed(builder.seed);
-            fastmap.embed(n, &|i, j| memo.distance(i, j))
-        };
+        // FastMap over the semantic distance (FastMap keeps the rows it
+        // reads, so no pair is evaluated twice).
+        let embedding = FastMap::new(builder.dimensions)
+            .with_seed(builder.seed)
+            .embed(n, &resolved_oracle(&distance, triples));
         let pivots = resolve_pivots(&distance, &embedding, triples);
 
         // Load the distributed tree; the embedding is the fan-out sample.
@@ -474,6 +478,60 @@ mod tests {
         }
         b.add_triples("D", triples);
         b.build().unwrap()
+    }
+
+    #[test]
+    fn the_build_evaluates_eq1_no_more_often_than_the_memo_did() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        use semtree_distance::MemoizedDistance;
+        use semtree_reqgen::{CorpusGenerator, GenConfig};
+
+        let generated =
+            CorpusGenerator::new(GenConfig::small().with_documents(30).with_seed(5)).generate();
+        let domain = &generated.domain;
+        let mut b = SemTree::builder()
+            .dimensions(6)
+            .seed(17)
+            .register_standard(Arc::new(wordnet::mini_taxonomy()))
+            .register_vocabulary("Fun", Arc::clone(domain.fun_taxonomy()));
+        for (prefix, tax) in domain.parameter_taxonomies() {
+            b = b.register_vocabulary(prefix.clone(), Arc::clone(tax));
+        }
+        b.add_store(&generated.store);
+        let idx = b.build().unwrap();
+        let (n, evaluations, memo_pairs) = {
+            let triples = idx.store.triples();
+            let n = triples.len();
+            let oracle = resolved_oracle(&idx.distance, triples);
+            let fastmap = FastMap::new(6).with_seed(17);
+            let bits = |e: &Embedding| -> Vec<u64> {
+                (0..e.len())
+                    .flat_map(|i| e.point(i).iter().map(|c| c.to_bits()))
+                    .collect()
+            };
+
+            // The build's oracle, counted: the same embedding the index holds.
+            let evaluations = AtomicUsize::new(0);
+            let counted = fastmap.embed(n, &|i, j| {
+                evaluations.fetch_add(1, Ordering::Relaxed);
+                oracle(i, j)
+            });
+            assert_eq!(bits(&counted), bits(&idx.embedding));
+
+            // The memo the build used before, over the same oracle.
+            let memo = MemoizedDistance::new(&oracle);
+            let memoized = fastmap.embed(n, &|i, j| memo.distance(i, j));
+            assert_eq!(bits(&memoized), bits(&idx.embedding));
+            assert_eq!(memoized.pivots(), idx.embedding.pivots());
+            (n, evaluations.into_inner(), memo.cached_pairs())
+        };
+        assert!(n > 100, "corpus too small to say anything: {n} triples");
+        assert!(
+            evaluations <= memo_pairs,
+            "{evaluations} evaluations, the memo made {memo_pairs}"
+        );
+        idx.shutdown();
     }
 
     #[test]

@@ -24,10 +24,12 @@ type ShardMap = HashMap<(u32, u32), f64>;
 
 /// Memoizes a symmetric `f(i, j)` distance over object indices.
 ///
-/// FastMap queries the same pairs repeatedly (every pivot pair is touched
-/// once per dimension per object); memoizing the semantic distance — whose
-/// taxonomy walks are far more expensive than a hash lookup — is the
-/// standard trick. The cache is **lock-sharded**: 2^s independent
+/// No product path calls it: FastMap keeps the distance rows of its pivot
+/// sources itself and evaluates each pair at most once (see
+/// `FastMap::embed`), so the build passes the plain Eq. 1 oracle. The
+/// type stays for the benchmark's `fastmap.embed` replay and the
+/// `semtree-conc` model target until both move off it (ROADMAP item 1a).
+/// The cache is **lock-sharded**: 2^s independent
 /// `Mutex<HashMap>` shards keyed by a hash of the unordered pair, so the
 /// parallel embedding workers in `semtree-par` don't serialize on one
 /// global lock. Two workers racing on the same uncached pair may both

@@ -73,6 +73,18 @@ impl FastMap {
     /// `Sync`: per-axis pivot scans and coordinate columns are computed
     /// by the `semtree-par` pool, which calls `dist`
     /// concurrently on disjoint object ranges.
+    ///
+    /// Every distance FastMap reads has a *row source* on one side: the
+    /// object a pivot hop scans from, or one of an axis's two pivots. The
+    /// first time an object is a source, its row `d(s, ·)` is computed
+    /// with one parallel map and kept; every later read of that source is
+    /// an index into its row. So the oracle is only ever called as
+    /// `dist(i, j)` with `i < j`, never on the diagonal, and at most once
+    /// per unordered pair: a row copies its entries for earlier sources
+    /// from their rows. With `R` distinct sources that is
+    /// `R·(n − 1) − R·(R − 1)/2` calls, and `R ≤ k·(PIVOT_HOPS + 1)` with
+    /// 5 hops. The rows are held until `embed` returns, 8·n bytes each:
+    /// ~18 MB for 22 rows over 104k objects.
     #[must_use]
     pub fn embed<F>(&self, n: usize, dist: &F) -> Embedding
     where
@@ -86,6 +98,7 @@ impl FastMap {
         let mut coords = vec![0.0f64; n * self.k];
         let mut pivots = Vec::with_capacity(self.k);
         let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rows = Vec::new();
 
         for h in 0..self.k {
             if n < 2 {
@@ -96,9 +109,10 @@ impl FastMap {
                 });
                 continue;
             }
-            // Residual (projected) squared distance at level h.
-            let proj2 = |i: usize, j: usize, coords: &[f64]| -> f64 {
-                let mut d2 = dist(i, j).powi(2);
+            // Residual (projected) squared distance at level h, given the
+            // original distance `d = d(i, j)`.
+            let proj2 = |d: f64, i: usize, j: usize, coords: &[f64]| -> f64 {
+                let mut d2 = d.powi(2);
                 for m in 0..h {
                     let diff = coords[i * self.k + m] - coords[j * self.k + m];
                     d2 -= diff * diff;
@@ -115,13 +129,15 @@ impl FastMap {
             let mut a = rng.random_range(0..n);
             let mut b = a;
             for _ in 0..PIVOT_HOPS {
+                let ib = kept_row(&mut rows, b, dist, &pool, n);
+                let row_b = &rows[ib].1;
                 let far = pool
                     .reduce(
                         n,
                         &|start, end| {
-                            let mut best = (start, proj2(b, start, &coords));
-                            for x in start + 1..end {
-                                let key = proj2(b, x, &coords);
+                            let mut best = (start, proj2(row_b[start], b, start, &coords));
+                            for (x, &d) in (start + 1..end).zip(&row_b[start + 1..end]) {
+                                let key = proj2(d, b, x, &coords);
                                 if key >= best.1 {
                                     best = (x, key);
                                 }
@@ -137,7 +153,9 @@ impl FastMap {
                 a = b;
                 b = far;
             }
-            let d_ab2 = proj2(a, b, &coords);
+            // `a` was a hop's source, so its row is kept already.
+            let ia = kept_row(&mut rows, a, dist, &pool, n);
+            let d_ab2 = proj2(rows[ia].1[b], a, b, &coords);
             if d_ab2 <= f64::EPSILON {
                 // All residual distances are zero: remaining axes are 0.
                 pivots.push(PivotPair { a, b, d_ab: 0.0 });
@@ -145,8 +163,11 @@ impl FastMap {
             }
             let d_ab = d_ab2.sqrt();
 
+            let ib = kept_row(&mut rows, b, dist, &pool, n);
+            let (row_a, row_b) = (&rows[ia].1, &rows[ib].1);
             let column = pool.map(n, &|i| {
-                (proj2(a, i, &coords) + d_ab2 - proj2(b, i, &coords)) / (2.0 * d_ab)
+                (proj2(row_a[i], a, i, &coords) + d_ab2 - proj2(row_b[i], b, i, &coords))
+                    / (2.0 * d_ab)
             });
             for (i, x) in column.into_iter().enumerate() {
                 coords[i * self.k + h] = x;
@@ -161,6 +182,37 @@ impl FastMap {
             pivots,
         }
     }
+}
+
+/// The index in `rows` of source `s`'s row `d(s, ·)` over `n` objects,
+/// computing and keeping the row on first use. The diagonal is 0 without
+/// a call, an entry for an earlier source is copied from that source's
+/// row, and every other entry is `dist(min, max)`.
+fn kept_row<F>(
+    rows: &mut Vec<(usize, Vec<f64>)>,
+    s: usize,
+    dist: &F,
+    pool: &Pool,
+    n: usize,
+) -> usize
+where
+    F: Fn(usize, usize) -> f64 + Sync,
+{
+    if let Some(i) = rows.iter().position(|(source, _)| *source == s) {
+        return i;
+    }
+    let kept = &*rows;
+    let row = pool.map(n, &|x| {
+        if x == s {
+            0.0
+        } else if let Some((_, row)) = kept.iter().find(|(source, _)| *source == x) {
+            row[s]
+        } else {
+            dist(s.min(x), s.max(x))
+        }
+    });
+    rows.push((s, row));
+    rows.len() - 1
 }
 
 /// The result of a FastMap run: per-object coordinates plus the pivot pairs
@@ -289,10 +341,190 @@ impl Embedding {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+    use std::sync::Mutex;
+
+    use semtree_par::metric::euclidean;
+
     use super::*;
 
     fn line_dist(i: usize, j: usize) -> f64 {
         (i as f64 - j as f64).abs()
+    }
+
+    /// The embed loop before rows were kept: every distance it reads is
+    /// asked of the pair oracle, in the order the formula names it.
+    fn embed_per_pair<F>(fastmap: &FastMap, n: usize, dist: &F) -> Embedding
+    where
+        F: Fn(usize, usize) -> f64 + Sync,
+    {
+        let pool = Pool::sequential().with_threads(fastmap.threads.max(1));
+        let k = fastmap.k;
+        let mut coords = vec![0.0f64; n * k];
+        let mut pivots = Vec::with_capacity(k);
+        let mut rng = StdRng::seed_from_u64(fastmap.seed);
+        for h in 0..k {
+            if n < 2 {
+                pivots.push(PivotPair {
+                    a: 0,
+                    b: 0,
+                    d_ab: 0.0,
+                });
+                continue;
+            }
+            let proj2 = |i: usize, j: usize, coords: &[f64]| -> f64 {
+                let mut d2 = dist(i, j).powi(2);
+                for m in 0..h {
+                    let diff = coords[i * k + m] - coords[j * k + m];
+                    d2 -= diff * diff;
+                }
+                d2.max(0.0)
+            };
+            let mut a = rng.random_range(0..n);
+            let mut b = a;
+            for _ in 0..PIVOT_HOPS {
+                let far = pool
+                    .reduce(
+                        n,
+                        &|start, end| {
+                            let mut best = (start, proj2(b, start, &coords));
+                            for x in start + 1..end {
+                                let key = proj2(b, x, &coords);
+                                if key >= best.1 {
+                                    best = (x, key);
+                                }
+                            }
+                            best
+                        },
+                        &|acc, next| if next.1 >= acc.1 { next } else { acc },
+                    )
+                    .map_or(b, |(idx, _)| idx);
+                if far == a {
+                    break;
+                }
+                a = b;
+                b = far;
+            }
+            let d_ab2 = proj2(a, b, &coords);
+            if d_ab2 <= f64::EPSILON {
+                pivots.push(PivotPair { a, b, d_ab: 0.0 });
+                continue;
+            }
+            let d_ab = d_ab2.sqrt();
+            let column = pool.map(n, &|i| {
+                (proj2(a, i, &coords) + d_ab2 - proj2(b, i, &coords)) / (2.0 * d_ab)
+            });
+            for (i, x) in column.into_iter().enumerate() {
+                coords[i * k + h] = x;
+            }
+            pivots.push(PivotPair { a, b, d_ab });
+        }
+        Embedding {
+            n,
+            k,
+            coords,
+            pivots,
+        }
+    }
+
+    /// `n` random points: on a small integer grid (repeated points and
+    /// tied distances) when `grid`, else anywhere in `[0, 100)^dims`.
+    fn random_points(n: usize, dims: usize, grid: bool, rng: &mut StdRng) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|_| {
+                (0..dims)
+                    .map(|_| {
+                        if grid {
+                            f64::from(rng.random_range(0u8..4))
+                        } else {
+                            rng.random_range(0.0..100.0)
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A random symmetric `n × n` matrix, zero on the diagonal, drawn
+    /// from a few values (zeros included) so distances repeat and tie.
+    fn random_matrix(n: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
+        const VALUES: [f64; 6] = [0.0, 0.25, 0.5, 1.0, 1.0, 2.5];
+        let mut m = vec![vec![0.0; n]; n];
+        for (i, j) in (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j))) {
+            let v = VALUES[rng.random_range(0..VALUES.len())];
+            m[i][j] = v;
+            m[j][i] = v;
+        }
+        m
+    }
+
+    fn bits(e: &Embedding) -> Vec<u64> {
+        e.coords.iter().map(|c| c.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn kept_rows_embed_what_the_per_pair_loop_did_bit_for_bit(
+            n in 0usize..200,
+            k in 1usize..8,
+            oracle in 0u8..3,
+            dims in 1usize..5,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let points = random_points(n, dims, oracle == 0, &mut rng);
+            let matrix = random_matrix(if oracle == 2 { n } else { 0 }, &mut rng);
+            let dist = |i: usize, j: usize| {
+                if oracle == 2 {
+                    matrix[i][j]
+                } else {
+                    euclidean(&points[i], &points[j])
+                }
+            };
+            for threads in [1, 2, 4] {
+                let fastmap = FastMap::new(k).with_seed(seed).with_threads(threads);
+                let want = embed_per_pair(&fastmap, n, &dist);
+                let got = fastmap.embed(n, &dist);
+                proptest::prop_assert_eq!(bits(&got), bits(&want), "threads {}", threads);
+                proptest::prop_assert_eq!(got.pivots(), want.pivots(), "threads {}", threads);
+            }
+        }
+    }
+
+    #[test]
+    fn the_oracle_is_called_once_per_pair_that_touches_a_row_source() {
+        let mut rng = StdRng::seed_from_u64(44);
+        for (n, k, threads, grid) in [
+            (200, 7, 1, false),
+            (200, 7, 4, false),
+            (150, 3, 2, true),
+            (2, 4, 1, false),
+        ] {
+            let points = random_points(n, 3, grid, &mut rng);
+            let calls = Mutex::new(Vec::new());
+            let emb = FastMap::new(k).with_threads(threads).embed(n, &|i, j| {
+                calls.lock().unwrap().push((i, j));
+                euclidean(&points[i], &points[j])
+            });
+            let calls = calls.into_inner().unwrap();
+            assert!(calls.iter().all(|&(i, j)| i < j), "a call with i >= j");
+            let pairs: HashSet<(usize, usize)> = calls.iter().copied().collect();
+            assert_eq!(pairs.len(), calls.len(), "a pair evaluated twice");
+
+            // A row source is an object paired with every other one.
+            let mut partners = vec![0usize; n];
+            for &(i, j) in &calls {
+                partners[i] += 1;
+                partners[j] += 1;
+            }
+            let sources: Vec<usize> = (0..n).filter(|&x| partners[x] == n - 1).collect();
+            let r = sources.len();
+            assert_eq!(calls.len(), r * (n - 1) - r * (r - 1) / 2, "n={n} k={k}");
+            assert!(calls.len() <= k * (PIVOT_HOPS + 1) * (n - 1), "n={n} k={k}");
+            for p in emb.pivots().iter().filter(|p| p.d_ab > 0.0) {
+                assert!(sources.contains(&p.a) && sources.contains(&p.b), "{p:?}");
+            }
+        }
     }
 
     #[test]

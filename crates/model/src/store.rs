@@ -1,6 +1,7 @@
 //! In-memory interning triple store with pattern matching.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 
 use crate::document::{Document, DocumentId};
 use crate::error::ModelError;
@@ -19,6 +20,9 @@ pub struct StoreStats {
     pub occurrences: usize,
 }
 
+/// Where a hash chain ends in [`TripleStore`]'s `next`.
+const CHAIN_END: u32 = u32::MAX;
+
 /// An in-memory triple store.
 ///
 /// Triples are *interned*: inserting the same `(s, p, o)` twice yields the
@@ -29,7 +33,14 @@ pub struct StoreStats {
 #[derive(Debug, Clone, Default)]
 pub struct TripleStore {
     triples: Vec<Triple>,
-    interned: HashMap<Triple, TripleId>,
+    /// The hash function `heads` is keyed under.
+    hasher: RandomState,
+    /// A triple's hash → the newest id with that hash, the head of its
+    /// chain. The triple itself lives only in `triples`.
+    heads: HashMap<u64, TripleId>,
+    /// `next[id]`: the next older id whose triple has the same hash, or
+    /// `CHAIN_END`.
+    next: Vec<u32>,
     documents: Vec<Document>,
     /// For each triple, the documents it occurs in (sorted, deduplicated).
     containing: Vec<Vec<DocumentId>>,
@@ -71,17 +82,7 @@ impl TripleStore {
             doc.index() < self.documents.len(),
             "document {doc} does not belong to this store"
         );
-        let id = match self.interned.get(&triple) {
-            Some(&id) => id,
-            None => {
-                let id =
-                    TripleId(u32::try_from(self.triples.len()).expect("triple count fits u32"));
-                self.interned.insert(triple.clone(), id);
-                self.triples.push(triple);
-                self.containing.push(Vec::new());
-                id
-            }
-        };
+        let id = self.intern(self.hasher.hash_one(&triple), triple);
         self.documents[doc.index()].triples.push(id);
         let docs = &mut self.containing[id.index()];
         if let Err(pos) = docs.binary_search(&doc) {
@@ -89,6 +90,40 @@ impl TripleStore {
         }
         self.occurrences += 1;
         id
+    }
+
+    /// The id of `triple`, whose hash is `hash`, interning it first if it
+    /// is new. A new id becomes the head of its hash's chain.
+    fn intern(&mut self, hash: u64, triple: Triple) -> TripleId {
+        if let Some(id) = self.find(hash, &triple) {
+            return id;
+        }
+        let id = u32::try_from(self.triples.len())
+            .ok()
+            .filter(|&id| id != CHAIN_END)
+            .expect("triple count fits u32");
+        let next = self
+            .heads
+            .insert(hash, TripleId(id))
+            .map_or(CHAIN_END, |older| older.0);
+        self.next.push(next);
+        self.triples.push(triple);
+        self.containing.push(Vec::new());
+        TripleId(id)
+    }
+
+    /// Walk `hash`'s chain for an id whose triple is `triple`.
+    fn find(&self, hash: u64, triple: &Triple) -> Option<TripleId> {
+        let mut id = self.heads.get(&hash)?.0;
+        loop {
+            if self.triples[id as usize] == *triple {
+                return Some(TripleId(id));
+            }
+            id = self.next[id as usize];
+            if id == CHAIN_END {
+                return None;
+            }
+        }
     }
 
     /// Insert every triple of an iterator into `doc`, returning the ids.
@@ -115,7 +150,7 @@ impl TripleStore {
     /// The id of an already-interned triple, if present.
     #[must_use]
     pub fn id_of(&self, triple: &Triple) -> Option<TripleId> {
-        self.interned.get(triple).copied()
+        self.find(self.hasher.hash_one(triple), triple)
     }
 
     /// Look a document up by id.
@@ -278,6 +313,24 @@ mod tests {
             store.documents_of(TripleId(0)),
             Err(ModelError::UnknownTriple(0))
         ));
+    }
+
+    #[test]
+    fn triples_sharing_one_hash_still_intern_apart() {
+        // Every triple on one chain: each must find its own id, and only it.
+        let mut store = TripleStore::new();
+        let triples: Vec<Triple> = (0..1000).map(|i| t(&format!("A{i}"), "p", "x")).collect();
+        for (i, triple) in triples.iter().enumerate() {
+            assert_eq!(store.intern(7, triple.clone()), TripleId(i as u32));
+        }
+        assert_eq!(store.len(), 1000);
+        for (i, triple) in triples.iter().enumerate() {
+            assert_eq!(store.intern(7, triple.clone()), TripleId(i as u32));
+            assert_eq!(store.find(7, triple), Some(TripleId(i as u32)));
+        }
+        assert_eq!(store.len(), 1000, "a duplicate interned anew");
+        assert_eq!(store.find(7, &t("B", "p", "x")), None);
+        assert_eq!(store.find(8, &triples[0]), None);
     }
 
     #[test]
