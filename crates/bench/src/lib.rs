@@ -81,12 +81,10 @@ pub fn triple_distance(domain: &DomainVocabulary) -> TripleDistance {
 pub fn embed_triples(triples: &[Triple], dims: usize, seed: u64) -> Embedding {
     let domain = DomainVocabulary::new(8); // vocabularies are actor-independent
     let distance = triple_distance(&domain);
-    let resolved: Vec<_> = triples.iter().map(|t| distance.resolve(t)).collect();
+    let rows = distance.rows(triples);
     FastMap::new(dims)
         .with_seed(seed)
-        .embed(triples.len(), &|i, j| {
-            distance.resolved_distance((&triples[i], resolved[i]), (&triples[j], resolved[j]))
-        })
+        .embed_rows(triples.len(), &|s| rows.row(s))
 }
 
 /// `n` embedded semantic points (the standard efficiency workload).

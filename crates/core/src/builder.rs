@@ -125,11 +125,11 @@ impl SemTreeBuilder {
     /// Add a document as raw text; triples are extracted with the
     /// requirements NLP pipeline. Returns how many triples were extracted.
     pub fn add_document_text(&mut self, document: impl Into<String>, text: &str) -> usize {
-        let triples = self.extractor.extract(text);
-        let n = triples.len();
         let doc = self.store.create_document(document);
-        self.store.insert_all(doc, triples);
-        n
+        let store = &mut self.store;
+        self.extractor.extract_each(text, |triple| {
+            store.insert_ref(doc, triple);
+        })
     }
 
     /// Absorb an existing store (documents and triples are re-inserted,
@@ -139,7 +139,7 @@ impl SemTreeBuilder {
             let new_doc = self.store.create_document(doc.name.clone());
             for &tid in &doc.triples {
                 let t = store.get(tid).expect("document references interned triple");
-                self.store.insert(new_doc, t.clone());
+                self.store.insert_ref(new_doc, t.view());
             }
         }
         self

@@ -67,16 +67,6 @@ pub struct SemTree {
 /// A triple with its vocabulary lookups done.
 type Resolved<'t> = (&'t Triple, TripleResolution);
 
-/// The Eq. 1 distance between `triples[i]` and `triples[j]`, every triple
-/// resolved once up front: the oracle the build embeds with.
-fn resolved_oracle<'t>(
-    distance: &'t TripleDistance,
-    triples: &'t [Triple],
-) -> impl Fn(usize, usize) -> f64 + Sync + 't {
-    let resolved: Vec<TripleResolution> = triples.iter().map(|t| distance.resolve(t)).collect();
-    move |i, j| distance.resolved_distance((&triples[i], resolved[i]), (&triples[j], resolved[j]))
-}
-
 impl SemTree {
     /// Start building an index.
     #[must_use]
@@ -92,11 +82,12 @@ impl SemTree {
         let triples = store.triples();
         let n = triples.len();
 
-        // FastMap over the semantic distance (FastMap keeps the rows it
-        // reads, so no pair is evaluated twice).
+        // FastMap over the semantic distance, each row it reads built
+        // from term distances over the store's distinct terms.
+        let rows = distance.rows(triples);
         let embedding = FastMap::new(builder.dimensions)
             .with_seed(builder.seed)
-            .embed(n, &resolved_oracle(&distance, triples));
+            .embed_rows(n, &|s| rows.row(s));
         let pivots = resolve_pivots(&distance, &embedding, triples);
 
         // Load the distributed tree; the embedding is the fan-out sample.
@@ -503,7 +494,13 @@ mod tests {
         let (n, evaluations, memo_pairs) = {
             let triples = idx.store.triples();
             let n = triples.len();
-            let oracle = resolved_oracle(&idx.distance, triples);
+            // Eq. 1 by pairs, every triple resolved once: the oracle the
+            // build embedded with before it read rows.
+            let resolved: Vec<_> = triples.iter().map(|t| idx.distance.resolve(t)).collect();
+            let oracle = |i: usize, j: usize| {
+                let (a, b) = ((&triples[i], resolved[i]), (&triples[j], resolved[j]));
+                idx.distance.resolved_distance(a, b)
+            };
             let fastmap = FastMap::new(6).with_seed(17);
             let bits = |e: &Embedding| -> Vec<u64> {
                 (0..e.len())
@@ -511,7 +508,7 @@ mod tests {
                     .collect()
             };
 
-            // The build's oracle, counted: the same embedding the index holds.
+            // The pair oracle, counted: the embedding the rows gave the index.
             let evaluations = AtomicUsize::new(0);
             let counted = fastmap.embed(n, &|i, j| {
                 evaluations.fetch_add(1, Ordering::Relaxed);

@@ -9,6 +9,7 @@
 //! query triples.
 
 use std::ops::Deref;
+use std::sync::OnceLock;
 
 use semtree_model::{DocumentId, Triple, TripleId};
 use semtree_nlp::SvoExtractor;
@@ -106,7 +107,8 @@ impl PartialEq for Matched {
 /// Ranks documents by the semantic similarity of their triples to a query.
 pub struct DocumentRetriever<'a> {
     index: &'a SemTree,
-    extractor: SvoExtractor,
+    /// Built by the first [`DocumentRetriever::query_text`].
+    extractor: OnceLock<SvoExtractor>,
     /// Triple-level neighbourhood size per query triple.
     k: usize,
     /// Query options for the underlying triple searches.
@@ -120,7 +122,7 @@ impl<'a> DocumentRetriever<'a> {
     pub fn new(index: &'a SemTree) -> Self {
         DocumentRetriever {
             index,
-            extractor: SvoExtractor::requirements(),
+            extractor: OnceLock::new(),
             k: 10,
             opts: QueryOptions::default(),
         }
@@ -251,7 +253,8 @@ impl<'a> DocumentRetriever<'a> {
     /// no triple could be extracted.
     #[must_use]
     pub fn query_text(&self, text: &str) -> Vec<DocumentHit<'a>> {
-        let queries = self.extractor.extract(text);
+        let extractor = self.extractor.get_or_init(SvoExtractor::requirements);
+        let queries = extractor.extract(text);
         self.query_triples(&queries)
     }
 }

@@ -50,5 +50,5 @@ pub use cache::MemoizedDistance;
 pub use matrix::DistanceMatrix;
 pub use registry::VocabularyRegistry;
 pub use term_distance::TermDistanceConfig;
-pub use triple_distance::{TripleDistance, TripleResolution};
+pub use triple_distance::{TripleDistance, TripleResolution, TripleRows};
 pub use weights::{Weights, WeightsError};

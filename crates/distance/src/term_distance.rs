@@ -301,6 +301,71 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #[test]
+        fn rows_embed_what_the_pair_oracle_embeds_bit_for_bit(
+            measure in 0usize..5,
+            fallback in 0u8..2,
+            penalty in 0.0f64..=1.0,
+            standard in 0u8..2,
+            weights in (0.0f64..1.0, 0.0f64..1.0, 0.01f64..1.0),
+            picks in proptest::collection::vec((0usize..23, 0usize..23, 0usize..23), 0..60),
+            k in 1usize..6,
+            seed in 0u64..u64::MAX,
+        ) {
+            use semtree_fastmap::{Embedding, FastMap};
+            use semtree_model::Triple;
+
+            use crate::{TripleDistance, Weights};
+
+            let mut r = VocabularyRegistry::new();
+            if standard == 1 {
+                r.register_standard(Arc::new(wordnet::mini_taxonomy()));
+            }
+            r.register("Fun", dag());
+            let cfg = TermDistanceConfig {
+                semantic: SimilarityMeasure::ALL[measure],
+                mixed_penalty: penalty,
+                string_fallback: fallback == 1,
+            };
+            let (alpha, beta, gamma) = weights;
+            let weights = Weights::normalised(alpha, beta, gamma).unwrap();
+            let distance = TripleDistance::with_config(weights, cfg, Arc::new(r));
+            let terms = operands();
+            assert_eq!(terms.len(), 23, "picks must draw from every operand");
+            let triples: Vec<Triple> = picks
+                .iter()
+                .map(|&(s, p, o)| Triple::new(terms[s].clone(), terms[p].clone(), terms[o].clone()))
+                .collect();
+            let n = triples.len();
+            let resolved: Vec<_> = triples.iter().map(|t| distance.resolve(t)).collect();
+            let pair = |i: usize, j: usize| {
+                distance.resolved_distance((&triples[i], resolved[i]), (&triples[j], resolved[j]))
+            };
+            let rows = distance.rows(&triples);
+
+            // The row contract: every off-diagonal entry is the pair's.
+            for s in 0..n {
+                let row = rows.row(s);
+                for x in (0..n).filter(|&x| x != s) {
+                    let want = pair(s.min(x), s.max(x)).to_bits();
+                    proptest::prop_assert_eq!(row(x).to_bits(), want, "row {} entry {}", s, x);
+                }
+            }
+            let bits = |e: &Embedding| -> Vec<u64> {
+                let coords = (0..e.len()).flat_map(|i| e.point(i).iter().map(|c| c.to_bits()));
+                let pivots = e.pivots().iter().flat_map(|p| [p.a as u64, p.b as u64, p.d_ab.to_bits()]);
+                coords.chain(pivots).collect()
+            };
+            for threads in [1, 3] {
+                let fastmap = FastMap::new(k).with_seed(seed).with_threads(threads);
+                let want = fastmap.embed(n, &pair);
+                let got = fastmap.embed_rows(n, &|s| rows.row(s));
+                proptest::prop_assert_eq!(bits(&got), bits(&want), "threads {}", threads);
+            }
+        }
+    }
+
     #[test]
     fn distance_is_symmetric_across_kinds() {
         let cfg = TermDistanceConfig::default();

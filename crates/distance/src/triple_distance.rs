@@ -1,8 +1,9 @@
 //! Eq. 1: the weighted triple distance.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use semtree_model::Triple;
+use semtree_model::{Term, Triple};
 
 use crate::registry::{TermResolution, VocabularyRegistry};
 use crate::term_distance::TermDistanceConfig;
@@ -104,6 +105,79 @@ impl TripleDistance {
         let dp = term(1, &a.predicate, &b.predicate);
         let dobj = term(2, &a.object, &b.object);
         self.weights.combine(ds, dp, dobj)
+    }
+}
+
+/// Eq. 1 over one set of triples, a row at a time (see
+/// [`TripleDistance::rows`]).
+#[derive(Debug)]
+pub struct TripleRows<'t> {
+    distance: &'t TripleDistance,
+    /// Per role (subject, predicate, object), its distinct terms, each
+    /// resolved once.
+    terms: [Vec<(&'t Term, TermResolution)>; 3],
+    /// Per triple, the ids of its subject, predicate and object in
+    /// `terms`.
+    ids: Vec<[usize; 3]>,
+}
+
+impl TripleDistance {
+    /// Eq. 1 between the triples of `triples`, served by rows. Eq. 1 is a
+    /// weighted sum of per-role term distances, and a corpus of many
+    /// triples has few distinct terms per role, so each distinct term is
+    /// resolved once here and a row is built from term distances.
+    #[must_use]
+    pub fn rows<'t>(&'t self, triples: &'t [Triple]) -> TripleRows<'t> {
+        let mut index: [HashMap<&Term, usize>; 3] = Default::default();
+        let mut terms: [Vec<_>; 3] = Default::default();
+        let ids = triples
+            .iter()
+            .map(|t| {
+                let roles = [&t.subject, &t.predicate, &t.object];
+                std::array::from_fn(|role| {
+                    *index[role].entry(roles[role]).or_insert_with(|| {
+                        let term = roles[role];
+                        terms[role].push((term, self.registry.resolve_term(term)));
+                        terms[role].len() - 1
+                    })
+                })
+            })
+            .collect();
+        TripleRows {
+            distance: self,
+            terms,
+            ids,
+        }
+    }
+}
+
+impl TripleRows<'_> {
+    /// The row of triple `s`: entry `x` is
+    /// `resolved_distance(triples[min(s, x)], triples[max(s, x)])` bit for
+    /// bit. Building it compares each of `s`'s three terms with every
+    /// distinct term of its role, in both operand orders (memory: two
+    /// `f64` per distinct term); an entry is then three lookups and
+    /// [`Weights::combine`], the operand order taken from whether
+    /// `x > s`.
+    pub fn row(&self, s: usize) -> impl Fn(usize) -> f64 + Sync + '_ {
+        let d = self.distance;
+        let term = |a, b| d.terms.resolved_distance(&d.registry, a, b);
+        // Per role: `d(t, own)` for every term `t` of the role (read for
+        // entries `x < s`, where `s` is the second operand), then
+        // `d(own, t)` (read for entries `x > s`).
+        let rows: [Vec<f64>; 3] = std::array::from_fn(|role| {
+            let terms = &self.terms[role];
+            let own = terms[self.ids[s][role]];
+            let before = terms.iter().map(|&t| term(t, own));
+            before.chain(terms.iter().map(|&t| term(own, t))).collect()
+        });
+        move |x| {
+            let after = usize::from(x > s);
+            let [ds, dp, dobj] = std::array::from_fn(|role| {
+                rows[role][after * self.terms[role].len() + self.ids[x][role]]
+            });
+            d.weights.combine(ds, dp, dobj)
+        }
     }
 }
 

@@ -68,27 +68,46 @@ impl FastMap {
         self.k
     }
 
-    /// Run FastMap over `n` objects with distance oracle `dist`
-    /// (symmetric, non-negative, `dist(i,i) = 0`). The oracle must be
-    /// `Sync`: per-axis pivot scans and coordinate columns are computed
-    /// by the `semtree-par` pool, which calls `dist`
-    /// concurrently on disjoint object ranges.
+    /// Run FastMap over `n` objects with the pair oracle `dist`
+    /// (symmetric, non-negative, `dist(i,i) = 0`): [`FastMap::embed_rows`]
+    /// with the row of `s` read as `x ↦ dist(min(s, x), max(s, x))`. The
+    /// oracle must be `Sync`: each row is filled by the `semtree-par`
+    /// pool, which calls `dist` concurrently on disjoint object ranges.
     ///
-    /// Every distance FastMap reads has a *row source* on one side: the
-    /// object a pivot hop scans from, or one of an axis's two pivots. The
-    /// first time an object is a source, its row `d(s, ·)` is computed
-    /// with one parallel map and kept; every later read of that source is
-    /// an index into its row. So the oracle is only ever called as
-    /// `dist(i, j)` with `i < j`, never on the diagonal, and at most once
-    /// per unordered pair: a row copies its entries for earlier sources
-    /// from their rows. With `R` distinct sources that is
-    /// `R·(n − 1) − R·(R − 1)/2` calls, and `R ≤ k·(PIVOT_HOPS + 1)` with
-    /// 5 hops. The rows are held until `embed` returns, 8·n bytes each:
-    /// ~18 MB for 22 rows over 104k objects.
+    /// So the oracle is only ever called as `dist(i, j)` with `i < j`,
+    /// never on the diagonal, and at most once per unordered pair. With
+    /// `R` distinct row sources that is `R·(n − 1) − R·(R − 1)/2` calls,
+    /// and `R ≤ k·(PIVOT_HOPS + 1)` with 5 hops.
     #[must_use]
     pub fn embed<F>(&self, n: usize, dist: &F) -> Embedding
     where
         F: Fn(usize, usize) -> f64 + Sync,
+    {
+        self.embed_rows(n, &|s| move |x: usize| dist(s.min(x), s.max(x)))
+    }
+
+    /// Run FastMap over `n` objects whose distances come a row at a time:
+    /// `row(s)` is the row `d(s, ·)` as a function of the other object.
+    /// Every distance FastMap reads has a *row source* on one side: the
+    /// object a pivot hop scans from, or one of an axis's two pivots.
+    /// The first time an object is a source, `row` is called once for it
+    /// and its row is filled with one parallel map and kept; every later
+    /// read of that source is an index into the kept row.
+    ///
+    /// The contract, which makes the result bit-identical to
+    /// [`FastMap::embed`] over the pair oracle the rows are read from:
+    /// - entry `x` of `row(s)` is the pair oracle's `d(min(s, x), max(s, x))`;
+    /// - an entry is only asked for `x ≠ s` whose own row is not kept yet
+    ///   (the diagonal is 0, and an entry for an earlier source is copied
+    ///   from that source's row), from any of the pool's threads at once.
+    ///
+    /// The rows are held until `embed_rows` returns, 8·n bytes each:
+    /// ~18 MB for 22 rows over 104k objects.
+    #[must_use]
+    pub fn embed_rows<R, E>(&self, n: usize, row: &R) -> Embedding
+    where
+        R: Fn(usize) -> E,
+        E: Fn(usize) -> f64 + Sync,
     {
         let pool = if self.threads == 0 {
             Pool::new()
@@ -129,7 +148,7 @@ impl FastMap {
             let mut a = rng.random_range(0..n);
             let mut b = a;
             for _ in 0..PIVOT_HOPS {
-                let ib = kept_row(&mut rows, b, dist, &pool, n);
+                let ib = kept_row(&mut rows, b, row, &pool, n);
                 let row_b = &rows[ib].1;
                 let far = pool
                     .reduce(
@@ -154,7 +173,7 @@ impl FastMap {
                 b = far;
             }
             // `a` was a hop's source, so its row is kept already.
-            let ia = kept_row(&mut rows, a, dist, &pool, n);
+            let ia = kept_row(&mut rows, a, row, &pool, n);
             let d_ab2 = proj2(rows[ia].1[b], a, b, &coords);
             if d_ab2 <= f64::EPSILON {
                 // All residual distances are zero: remaining axes are 0.
@@ -163,7 +182,7 @@ impl FastMap {
             }
             let d_ab = d_ab2.sqrt();
 
-            let ib = kept_row(&mut rows, b, dist, &pool, n);
+            let ib = kept_row(&mut rows, b, row, &pool, n);
             let (row_a, row_b) = (&rows[ia].1, &rows[ib].1);
             let column = pool.map(n, &|i| {
                 (proj2(row_a[i], a, i, &coords) + d_ab2 - proj2(row_b[i], b, i, &coords))
@@ -187,31 +206,33 @@ impl FastMap {
 /// The index in `rows` of source `s`'s row `d(s, ·)` over `n` objects,
 /// computing and keeping the row on first use. The diagonal is 0 without
 /// a call, an entry for an earlier source is copied from that source's
-/// row, and every other entry is `dist(min, max)`.
-fn kept_row<F>(
+/// row, and every other entry is read from `row(s)`.
+fn kept_row<R, E>(
     rows: &mut Vec<(usize, Vec<f64>)>,
     s: usize,
-    dist: &F,
+    row: &R,
     pool: &Pool,
     n: usize,
 ) -> usize
 where
-    F: Fn(usize, usize) -> f64 + Sync,
+    R: Fn(usize) -> E,
+    E: Fn(usize) -> f64 + Sync,
 {
     if let Some(i) = rows.iter().position(|(source, _)| *source == s) {
         return i;
     }
     let kept = &*rows;
-    let row = pool.map(n, &|x| {
+    let entry = row(s);
+    let filled = pool.map(n, &|x| {
         if x == s {
             0.0
         } else if let Some((_, row)) = kept.iter().find(|(source, _)| *source == x) {
             row[s]
         } else {
-            dist(s.min(x), s.max(x))
+            entry(x)
         }
     });
-    rows.push((s, row));
+    rows.push((s, filled));
     rows.len() - 1
 }
 

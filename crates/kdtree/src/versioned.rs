@@ -2302,4 +2302,65 @@ mod tests {
             }
         }
     }
+
+    /// Point slots `tree` has allocated, live and dead: every node's
+    /// first block and every overflow block behind it.
+    fn allocated_slots(tree: &VersionedKdTree) -> usize {
+        let arena = tree.arena();
+        let mut slots = 0;
+        for node in (0..arena.nodes()).filter_map(|idx| arena.node(idx)) {
+            let mut block = Some(&node.bucket);
+            while let Some(b) = block {
+                slots += b.payloads.len();
+                block = b.next.get().map(|next| &**next);
+            }
+        }
+        slots
+    }
+
+    /// DESIGN §14's bounded garbage, counted: growing a tree by inserts
+    /// from n to 4n points does not raise the slots it holds per point.
+    #[test]
+    fn allocated_slots_per_point_stay_bounded_as_inserts_grow_the_tree() {
+        const N: usize = 25_000;
+        let mut rng = StdRng::seed_from_u64(14);
+        let mut uniform = || -> Vec<f64> { (0..6).map(|_| rng.random_range(0.0..1.0)).collect() };
+        let distinct: Vec<Vec<f64>> = (0..4 * N / 6).map(|_| uniform()).collect();
+        let populations: [(&str, Vec<Vec<f64>>); 2] = [
+            ("uniform", (0..4 * N).map(|_| uniform()).collect()),
+            // 6 copies of each distinct point, one round of copies after
+            // the other.
+            (
+                "duplicates",
+                (0..4 * N)
+                    .map(|i| distinct[i % distinct.len()].clone())
+                    .collect(),
+            ),
+        ];
+        for (name, points) in populations {
+            let mut tree = VersionedKdTree::new(KdConfig::new(6));
+            let mut ratios = Vec::new();
+            for (i, p) in points.iter().enumerate() {
+                assert!(tree.insert(p, i as u64));
+                if [N, 4 * N].contains(&tree.len()) {
+                    ratios.push(allocated_slots(&tree) as f64 / tree.len() as f64);
+                }
+            }
+            let [at_n, at_4n] = ratios[..] else {
+                unreachable!()
+            };
+            assert!(
+                at_n <= 3.5 && at_4n <= 3.5,
+                "{name}: {at_n} then {at_4n} slots per point"
+            );
+            // Leaf occupancy cycles as leaves fill and split, so the
+            // ratio wanders by under a percent at any size; garbage that
+            // grew with the inserts (a path copied per insert) would add
+            // whole slots per point.
+            assert!(
+                at_4n <= at_n * 1.01,
+                "{name}: {at_n} slots per point at n, {at_4n} at 4n"
+            );
+        }
+    }
 }

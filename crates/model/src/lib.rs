@@ -47,5 +47,5 @@ pub use document::{Document, DocumentId, DocumentMeta};
 pub use error::ModelError;
 pub use prefix::PrefixTable;
 pub use store::{StoreStats, TripleStore};
-pub use term::{Concept, Literal, LiteralType, Term};
-pub use triple::{Triple, TripleId, TriplePattern, TripleRole};
+pub use term::{Concept, Literal, LiteralType, Term, TermRef};
+pub use triple::{Triple, TripleId, TriplePattern, TripleRef, TripleRole};

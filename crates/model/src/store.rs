@@ -1,12 +1,14 @@
 //! In-memory interning triple store with pattern matching.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, RandomState};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
 
 use crate::document::{Document, DocumentId};
 use crate::error::ModelError;
 use crate::prefix::PrefixTable;
-use crate::triple::{Triple, TripleId, TriplePattern};
+use crate::term::{Term, TermRef};
+use crate::triple::{Triple, TripleId, TriplePattern, TripleRef};
 
 /// Aggregate counts over a [`TripleStore`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -20,8 +22,38 @@ pub struct StoreStats {
     pub occurrences: usize,
 }
 
-/// Where a hash chain ends in [`TripleStore`]'s `next`.
+/// Where a hash chain ends in [`TripleStore`]'s `term_next`.
 const CHAIN_END: u32 = u32::MAX;
+
+/// The hasher of `term_heads`, whose keys are hashes already: a key
+/// hashes to itself. Only `write_u64` is called; `write` folds bytes in
+/// to be a `Hasher` at all.
+#[derive(Debug, Default)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// The dense id of the entry to be pushed onto a table of `len` entries.
+fn next_id(len: usize) -> u32 {
+    u32::try_from(len)
+        .ok()
+        .filter(|&id| id != CHAIN_END)
+        .expect("term and triple counts fit u32")
+}
 
 /// An in-memory triple store.
 ///
@@ -30,17 +62,27 @@ const CHAIN_END: u32 = u32::MAX;
 /// its document. This mirrors the paper's setting where "a requirement
 /// contains more than one sentence and a sentence can include several
 /// triples" and identical assertions recur across requirements.
+///
+/// Terms are interned too, each distinct [`Term`] once under a dense term
+/// id, and a triple is keyed by its three term ids. Every stored triple
+/// naming a term shares that term's strings, and inserting a
+/// [`TripleRef`] builds a term only the first time the store sees it.
 #[derive(Debug, Clone, Default)]
 pub struct TripleStore {
-    triples: Vec<Triple>,
-    /// The hash function `heads` is keyed under.
+    /// Every distinct term, by term id.
+    terms: Vec<Term>,
+    /// Hashes a term for `term_heads`.
     hasher: RandomState,
-    /// A triple's hash → the newest id with that hash, the head of its
-    /// chain. The triple itself lives only in `triples`.
-    heads: HashMap<u64, TripleId>,
-    /// `next[id]`: the next older id whose triple has the same hash, or
+    /// A term's hash → the newest term id with that hash, the head of its
+    /// chain. The term itself lives only in `terms`.
+    term_heads: HashMap<u64, u32, BuildHasherDefault<PreHashed>>,
+    /// `term_next[id]`: the next older term id with the same hash, or
     /// `CHAIN_END`.
-    next: Vec<u32>,
+    term_next: Vec<u32>,
+    /// Every distinct triple, by id, built from `terms`' strings.
+    triples: Vec<Triple>,
+    /// A triple's subject, predicate and object term ids → its id.
+    ids: HashMap<[u32; 3], TripleId>,
     documents: Vec<Document>,
     /// For each triple, the documents it occurs in (sorted, deduplicated).
     containing: Vec<Vec<DocumentId>>,
@@ -78,11 +120,32 @@ impl TripleStore {
     /// # Panics
     /// Panics if `doc` was not created by this store.
     pub fn insert(&mut self, doc: DocumentId, triple: Triple) -> TripleId {
+        self.insert_ref(doc, triple.view())
+    }
+
+    /// [`Self::insert`] for a borrowed triple: only a term the store has
+    /// not seen yet is built.
+    ///
+    /// # Panics
+    /// Panics if `doc` was not created by this store.
+    pub fn insert_ref(&mut self, doc: DocumentId, triple: TripleRef<'_>) -> TripleId {
         assert!(
             doc.index() < self.documents.len(),
             "document {doc} does not belong to this store"
         );
-        let id = self.intern(self.hasher.hash_one(&triple), triple);
+        let key = [triple.subject, triple.predicate, triple.object]
+            .map(|term| self.intern_term(self.hasher.hash_one(term), term));
+        let next = TripleId(next_id(self.triples.len()));
+        let id = match self.ids.entry(key) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let id = *e.insert(next);
+                let [s, p, o] = key.map(|t| self.terms[t as usize].clone());
+                self.triples.push(Triple::new(s, p, o));
+                self.containing.push(Vec::new());
+                id
+            }
+        };
         self.documents[doc.index()].triples.push(id);
         let docs = &mut self.containing[id.index()];
         if let Err(pos) = docs.binary_search(&doc) {
@@ -92,34 +155,27 @@ impl TripleStore {
         id
     }
 
-    /// The id of `triple`, whose hash is `hash`, interning it first if it
+    /// The id of `term`, whose hash is `hash`, interning it first if it
     /// is new. A new id becomes the head of its hash's chain.
-    fn intern(&mut self, hash: u64, triple: Triple) -> TripleId {
-        if let Some(id) = self.find(hash, &triple) {
+    fn intern_term(&mut self, hash: u64, term: TermRef<'_>) -> u32 {
+        if let Some(id) = self.find_term(hash, term) {
             return id;
         }
-        let id = u32::try_from(self.triples.len())
-            .ok()
-            .filter(|&id| id != CHAIN_END)
-            .expect("triple count fits u32");
-        let next = self
-            .heads
-            .insert(hash, TripleId(id))
-            .map_or(CHAIN_END, |older| older.0);
-        self.next.push(next);
-        self.triples.push(triple);
-        self.containing.push(Vec::new());
-        TripleId(id)
+        let id = next_id(self.terms.len());
+        let next = self.term_heads.insert(hash, id).unwrap_or(CHAIN_END);
+        self.term_next.push(next);
+        self.terms.push(term.to_term());
+        id
     }
 
-    /// Walk `hash`'s chain for an id whose triple is `triple`.
-    fn find(&self, hash: u64, triple: &Triple) -> Option<TripleId> {
-        let mut id = self.heads.get(&hash)?.0;
+    /// Walk `hash`'s chain for the id of `term`.
+    fn find_term(&self, hash: u64, term: TermRef<'_>) -> Option<u32> {
+        let mut id = *self.term_heads.get(&hash)?;
         loop {
-            if self.triples[id as usize] == *triple {
-                return Some(TripleId(id));
+            if self.terms[id as usize].view() == term {
+                return Some(id);
             }
-            id = self.next[id as usize];
+            id = self.term_next[id as usize];
             if id == CHAIN_END {
                 return None;
             }
@@ -150,7 +206,15 @@ impl TripleStore {
     /// The id of an already-interned triple, if present.
     #[must_use]
     pub fn id_of(&self, triple: &Triple) -> Option<TripleId> {
-        self.find(self.hasher.hash_one(triple), triple)
+        let mut key = [0; 3];
+        for (id, term) in key
+            .iter_mut()
+            .zip([&triple.subject, &triple.predicate, &triple.object])
+        {
+            let term = term.view();
+            *id = self.find_term(self.hasher.hash_one(term), term)?;
+        }
+        self.ids.get(&key).copied()
     }
 
     /// Look a document up by id.
@@ -220,7 +284,7 @@ impl TripleStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::Term;
+    use crate::term::{Literal, LiteralType};
 
     fn t(s: &str, p: &str, o: &str) -> Triple {
         Triple::new(
@@ -316,21 +380,112 @@ mod tests {
     }
 
     #[test]
-    fn triples_sharing_one_hash_still_intern_apart() {
-        // Every triple on one chain: each must find its own id, and only it.
+    fn terms_sharing_one_hash_still_intern_apart() {
+        // Every term on one chain: each must find its own id, and only it,
+        // down to terms that differ only in type, prefix or kind.
+        let mut terms: Vec<Term> = (0..1000).map(|i| Term::literal(format!("A{i}"))).collect();
+        terms.extend(near_twins());
         let mut store = TripleStore::new();
-        let triples: Vec<Triple> = (0..1000).map(|i| t(&format!("A{i}"), "p", "x")).collect();
-        for (i, triple) in triples.iter().enumerate() {
-            assert_eq!(store.intern(7, triple.clone()), TripleId(i as u32));
+        for (i, term) in terms.iter().enumerate() {
+            assert_eq!(store.intern_term(7, term.view()), i as u32);
         }
-        assert_eq!(store.len(), 1000);
-        for (i, triple) in triples.iter().enumerate() {
-            assert_eq!(store.intern(7, triple.clone()), TripleId(i as u32));
-            assert_eq!(store.find(7, triple), Some(TripleId(i as u32)));
+        for (i, term) in terms.iter().enumerate() {
+            assert_eq!(store.intern_term(7, term.view()), i as u32);
+            assert_eq!(store.find_term(7, term.view()), Some(i as u32));
         }
-        assert_eq!(store.len(), 1000, "a duplicate interned anew");
-        assert_eq!(store.find(7, &t("B", "p", "x")), None);
-        assert_eq!(store.find(8, &triples[0]), None);
+        assert_eq!(store.terms.len(), terms.len(), "a duplicate interned anew");
+        assert_eq!(store.find_term(7, TermRef::literal("B")), None);
+        assert_eq!(store.find_term(8, terms[0].view()), None);
+    }
+
+    /// Terms that differ only in literal type, in prefix, or in being a
+    /// literal or a concept.
+    fn near_twins() -> Vec<Term> {
+        vec![
+            Term::literal("42"),
+            Term::Literal(Literal::typed("42", LiteralType::String)),
+            Term::Literal(Literal::typed("42", LiteralType::Decimal)),
+            Term::concept("42"),
+            Term::concept_in("Fun", "42"),
+            Term::concept_in("CmdType", "42"),
+            Term::concept_in("Fun", "accept_cmd"),
+            Term::literal("accept_cmd"),
+        ]
+    }
+
+    /// The store before terms were interned: every distinct triple keyed
+    /// by a copy of itself.
+    #[derive(Default)]
+    struct TripleKeyed {
+        ids: HashMap<Triple, TripleId>,
+        triples: Vec<Triple>,
+        documents: Vec<Vec<TripleId>>,
+        containing: Vec<Vec<DocumentId>>,
+        occurrences: usize,
+    }
+
+    impl TripleKeyed {
+        fn insert(&mut self, doc: DocumentId, triple: Triple) -> TripleId {
+            let next = TripleId(self.triples.len() as u32);
+            let id = *self.ids.entry(triple.clone()).or_insert_with(|| {
+                self.triples.push(triple);
+                self.containing.push(Vec::new());
+                next
+            });
+            self.documents[doc.index()].push(id);
+            let docs = &mut self.containing[id.index()];
+            if let Err(pos) = docs.binary_search(&doc) {
+                docs.insert(pos, doc);
+            }
+            self.occurrences += 1;
+            id
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn the_term_keyed_store_matches_the_triple_keyed_one(
+            documents in 1usize..5,
+            inserts in proptest::collection::vec(
+                (0usize..8, 0usize..8, 0usize..8, 0usize..5, 0u8..2),
+                0..120,
+            ),
+        ) {
+            let terms = near_twins();
+            let triple = |s: usize, p: usize, o: usize| {
+                Triple::new(terms[s].clone(), terms[p].clone(), terms[o].clone())
+            };
+            let mut store = TripleStore::new();
+            let mut want = TripleKeyed::default();
+            let docs: Vec<DocumentId> = (0..documents)
+                .map(|d| {
+                    want.documents.push(Vec::new());
+                    store.create_document(format!("D{d}"))
+                })
+                .collect();
+            for &(s, p, o, d, borrowed) in &inserts {
+                let (doc, t) = (docs[d % documents], triple(s, p, o));
+                let got = if borrowed == 1 {
+                    store.insert_ref(doc, t.view())
+                } else {
+                    store.insert(doc, t.clone())
+                };
+                proptest::prop_assert_eq!(got, want.insert(doc, t));
+            }
+            proptest::prop_assert_eq!(store.triples(), &want.triples[..]);
+            proptest::prop_assert_eq!(store.stats().occurrences, want.occurrences);
+            for (doc, ids) in docs.iter().zip(&want.documents) {
+                proptest::prop_assert_eq!(&store.document(*doc).unwrap().triples, ids);
+            }
+            for (id, containing) in want.containing.iter().enumerate() {
+                let got = store.documents_of(TripleId(id as u32)).unwrap();
+                proptest::prop_assert_eq!(got, &containing[..]);
+            }
+            for (s, p, o) in (0..8).flat_map(|s| (0..8).flat_map(move |p| (0..8).map(move |o| (s, p, o)))) {
+                let t = triple(s, p, o);
+                proptest::prop_assert_eq!(store.id_of(&t), want.ids.get(&t).copied(), "{}", t);
+            }
+        }
     }
 
     #[test]

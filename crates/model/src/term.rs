@@ -206,6 +206,46 @@ impl Term {
             Term::Literal(_) => None,
         }
     }
+
+    /// This term as a borrowed view.
+    #[must_use]
+    pub fn view(&self) -> TermRef<'_> {
+        match self {
+            Term::Literal(l) => TermRef::Literal(&l.value, l.dtype),
+            Term::Concept(c) => TermRef::Concept(c.prefix.as_deref(), &c.name),
+        }
+    }
+}
+
+/// A [`Term`] whose strings are borrowed: two terms are equal exactly
+/// when their views are, so a term can be looked up without being built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TermRef<'a> {
+    /// A typed constant: its lexical form and type.
+    Literal(&'a str, LiteralType),
+    /// A vocabulary concept: its prefix (`None` for the standard
+    /// vocabulary) and name.
+    Concept(Option<&'a str>, &'a str),
+}
+
+impl<'a> TermRef<'a> {
+    /// A literal, its type inferred as [`Literal::new`] infers it.
+    #[must_use]
+    pub fn literal(value: &'a str) -> Self {
+        TermRef::Literal(value, LiteralType::infer(value))
+    }
+
+    /// The owned term.
+    #[must_use]
+    pub fn to_term(self) -> Term {
+        match self {
+            TermRef::Literal(value, dtype) => Term::Literal(Literal::typed(value, dtype)),
+            TermRef::Concept(prefix, name) => Term::Concept(Concept {
+                prefix: prefix.map(Arc::from),
+                name: name.into(),
+            }),
+        }
+    }
 }
 
 impl fmt::Display for Term {

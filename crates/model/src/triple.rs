@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::term::Term;
+use crate::term::{Term, TermRef};
 
 /// Dense identifier of a triple inside a [`crate::TripleStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -76,6 +76,16 @@ impl Triple {
         }
     }
 
+    /// This triple as a borrowed view.
+    #[must_use]
+    pub fn view(&self) -> TripleRef<'_> {
+        TripleRef {
+            subject: self.subject.view(),
+            predicate: self.predicate.view(),
+            object: self.object.view(),
+        }
+    }
+
     /// A copy of this triple with the predicate replaced — how the
     /// case study builds *target* triples (same subject and object, antonym
     /// predicate).
@@ -92,6 +102,31 @@ impl Triple {
 impl fmt::Display for Triple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({}, {}, {})", self.subject, self.predicate, self.object)
+    }
+}
+
+/// A [`Triple`] whose terms are [borrowed views](TermRef): what an
+/// extractor hands a [`crate::TripleStore`], which builds a term only the
+/// first time it sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TripleRef<'a> {
+    /// The subject.
+    pub subject: TermRef<'a>,
+    /// The predicate.
+    pub predicate: TermRef<'a>,
+    /// The object.
+    pub object: TermRef<'a>,
+}
+
+impl TripleRef<'_> {
+    /// The owned triple.
+    #[must_use]
+    pub fn to_triple(self) -> Triple {
+        Triple::new(
+            self.subject.to_term(),
+            self.predicate.to_term(),
+            self.object.to_term(),
+        )
     }
 }
 

@@ -3,9 +3,10 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
-use semtree_model::{Term, Triple};
+use semtree_model::{Term, TermRef, Triple, TripleRef};
 
 use crate::stem::light_stem;
 use crate::stopwords::is_stopword;
@@ -140,7 +141,7 @@ impl SvoExtractor {
     /// to their active form first.
     pub fn extract_sentence_all(&self, sentence: &str) -> Result<Vec<Triple>, ExtractError> {
         let mut out = Vec::new();
-        self.extract_into(sentence, &mut out)?;
+        self.sentence_each(sentence, &mut |t| out.push(t.to_triple()))?;
         Ok(out)
     }
 
@@ -149,16 +150,30 @@ impl SvoExtractor {
     #[must_use]
     pub fn extract(&self, text: &str) -> Vec<Triple> {
         let mut out = Vec::new();
-        for sentence in sentences(text) {
-            // A sentence that fails adds nothing to `out`.
-            let _ = self.extract_into(sentence, &mut out);
-        }
+        self.extract_each(text, |t| out.push(t.to_triple()));
         out
     }
 
-    /// [`SvoExtractor::extract_sentence_all`], appending to `out`, which
-    /// an error leaves as it was.
-    fn extract_into(&self, sentence: &str, out: &mut Vec<Triple>) -> Result<(), ExtractError> {
+    /// [`SvoExtractor::extract`], handing each triple to `sink` as a
+    /// borrowed view instead of building it; returns how many there were.
+    /// A [`semtree_model::TripleStore::insert_ref`] sink builds a term only
+    /// the first time the store sees it.
+    pub fn extract_each(&self, text: &str, mut sink: impl FnMut(TripleRef<'_>)) -> usize {
+        let mut n = 0;
+        for sentence in sentences(text) {
+            // A sentence that fails hands `sink` nothing.
+            n += self.sentence_each(sentence, &mut sink).unwrap_or(0);
+        }
+        n
+    }
+
+    /// Hand every triple `sentence` asserts to `sink` and count them; on
+    /// an error, `sink` was handed nothing.
+    fn sentence_each(
+        &self,
+        sentence: &str,
+        sink: &mut impl FnMut(TripleRef<'_>),
+    ) -> Result<usize, ExtractError> {
         // Leading subordinate clause ("When in safe mode, …", "During the
         // pre-launch phase, …") is scoped context, not part of the SVO
         // core: drop everything up to the first comma.
@@ -204,12 +219,18 @@ impl SvoExtractor {
         // Subject conjunctions ("OBSW001 and OBSW002 shall …") assert the
         // statement for each actor.
         // One buffer holds each conjunct's words in turn; none is longer
-        // than the sentence.
+        // than the sentence. The conjuncts it yields are kept back to back
+        // in `kept`, subjects then object parameters, as byte ranges.
         let mut text = String::with_capacity(sentence.len());
+        let mut kept = String::with_capacity(sentence.len());
+        let mut keep = |conjunct: &str| {
+            kept.push_str(conjunct);
+            kept.len() - conjunct.len()..kept.len()
+        };
         let mut subjects = Vec::new();
         let subject_words = subject_range.map(|i| (&*lower[i], words[i].text));
         conjuncts(&mut text, subject_words, |subject, _| {
-            subjects.push(Term::literal(subject));
+            subjects.push(keep(subject));
         });
         if subjects.is_empty() {
             return Err(ExtractError::NoSubject);
@@ -237,12 +258,12 @@ impl SvoExtractor {
         // conjunct distributes to earlier ones ("start-up and shut-down
         // commands"). Each conjunct keeps its parameter (`None` when it is
         // a bare class noun) and the class column its own noun names.
-        let mut objects: Vec<(Option<Arc<str>>, Option<usize>)> = Vec::new();
+        let mut objects: Vec<(Option<Range<usize>>, Option<usize>)> = Vec::new();
         let object_words = lower[object_range].iter().map(|w| (&**w, &**w));
         conjuncts(&mut text, object_words, |object, last| {
             objects.push(match self.classes.get(&*light_stem(&object[last..])) {
-                Some(&column) => ((last > 0).then(|| object[..last - 1].into()), Some(column)),
-                None => (Some(object.into()), None),
+                Some(&column) => ((last > 0).then(|| keep(&object[..last - 1])), Some(column)),
+                None => (Some(keep(object)), None),
             });
         });
         if objects.is_empty() {
@@ -257,30 +278,36 @@ impl SvoExtractor {
         }
 
         let predicates = &self.predicates[verb];
-        let before = out.len();
+        let subjects: Vec<TermRef<'_>> = subjects
+            .into_iter()
+            .map(|subject| TermRef::literal(&kept[subject]))
+            .collect();
+        let mut emitted = 0;
         for (parameter, class) in objects {
             let Some(parameter) = parameter else {
                 continue; // a bare class noun carries no parameter
             };
+            let parameter = &kept[parameter];
             let (predicate, object) = match class {
                 Some(column) => (
                     &predicates[column + 1],
-                    Term::concept_in(self.prefixes[column].clone(), parameter),
+                    TermRef::Concept(Some(&self.prefixes[column]), parameter),
                 ),
-                None => (&predicates[0], Term::concept(parameter)),
+                None => (&predicates[0], TermRef::Concept(None, parameter)),
             };
-            for subject in &subjects {
-                out.push(Triple::new(
-                    subject.clone(),
-                    predicate.clone(),
-                    object.clone(),
-                ));
+            for &subject in &subjects {
+                sink(TripleRef {
+                    subject,
+                    predicate: predicate.view(),
+                    object,
+                });
             }
+            emitted += subjects.len();
         }
-        if out.len() == before {
+        if emitted == 0 {
             return Err(ExtractError::NoObject);
         }
-        Ok(())
+        Ok(emitted)
     }
 }
 

@@ -27,8 +27,13 @@
 //! did; [`is_stopword`] and [`light_stem`] allocate nothing for a word
 //! that is already lowercase. Every predicate the extractor can emit
 //! (`Fun:<verb>` and `Fun:<verb>_<class>`) and every object prefix is
-//! built once, in [`SvoExtractor::requirements`]; a triple clones those
-//! terms and allocates only its subject and object.
+//! built once, in [`SvoExtractor::requirements`]. A sentence's subject
+//! and object conjuncts are kept in one buffer, and every triple is
+//! handed out as a borrowed [`semtree_model::TripleRef`] by
+//! [`SvoExtractor::extract_each`], so a `TripleStore` sink builds a term
+//! only the first time it sees it. [`SvoExtractor::extract`] and
+//! [`SvoExtractor::extract_sentence_all`] build owned triples from the
+//! same views.
 //!
 //! # Example
 //!

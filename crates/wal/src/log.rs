@@ -89,6 +89,10 @@ pub enum WalError {
     /// A file is malformed: bad magic, bad checksum, truncated interior
     /// segment, or an undecodable record.
     Corrupt(String),
+    /// An append failed and its partial frame could not be cut off the
+    /// open segment, so this log refuses every append until
+    /// [`Wal::resume`] repairs it.
+    Torn,
 }
 
 impl fmt::Display for WalError {
@@ -96,6 +100,9 @@ impl fmt::Display for WalError {
         match self {
             WalError::Io(e) => write!(f, "wal i/o error: {e}"),
             WalError::Corrupt(msg) => write!(f, "wal corrupt: {msg}"),
+            WalError::Torn => f.write_str(
+                "wal refuses appends: a failed append left a partial frame; resume the log",
+            ),
         }
     }
 }
@@ -196,8 +203,12 @@ impl WalState {
 struct Inner {
     file: File,
     segment_index: u64,
+    /// Bytes of whole frames in the open segment, after its header.
     segment_written: u64,
     next_lsn: u64,
+    /// A failed append's partial frame could not be cut off: every later
+    /// append is refused.
+    torn: bool,
     /// partition → highest LSN written for it in the *current* segment.
     current_coverage: HashMap<u32, u64>,
     /// sealed segment index → partition → highest LSN for it there.
@@ -314,6 +325,7 @@ impl Wal {
                 segment_index: 1,
                 segment_written: 0,
                 next_lsn: 1,
+                torn: false,
                 current_coverage: HashMap::new(),
                 sealed: BTreeMap::new(),
                 snapshot_lsn: HashMap::new(),
@@ -371,6 +383,7 @@ impl Wal {
                 segment_index: next_segment,
                 segment_written: 0,
                 next_lsn: state.next_lsn,
+                torn: false,
                 current_coverage: HashMap::new(),
                 sealed,
                 snapshot_lsn,
@@ -389,10 +402,18 @@ impl Wal {
     /// frame is written and flushed before this returns, so a caller
     /// that applies the state change *after* logging it can never have
     /// applied a mutation whose record another reader cannot load.
+    ///
+    /// A failed write takes no LSN and leaves no bytes behind: the open
+    /// segment is cut back to its last whole frame, so a later record
+    /// is never written behind a partial one. If even the cut fails,
+    /// this and every later append return [`WalError::Torn`] until
+    /// [`Wal::resume`] repairs the segment.
     pub fn append(&self, record: &WalRecord) -> Result<u64, WalError> {
         let mut inner = self.inner.lock();
+        if inner.torn {
+            return Err(WalError::Torn);
+        }
         let lsn = inner.next_lsn;
-        inner.next_lsn += 1;
 
         let mut payload = Vec::with_capacity(16 + record.encoded_len());
         lsn.encode(&mut payload);
@@ -408,13 +429,28 @@ impl Wal {
         crc32(&payload).encode(&mut frame);
         frame.extend_from_slice(&payload);
 
-        inner.file.write_all(&frame)?;
+        if let Err(e) = inner
+            .file
+            .write_all(&frame)
+            .and_then(|()| inner.file.flush())
+        {
+            // The segment is opened for appending, so the next write
+            // lands wherever this cut leaves its end.
+            let intact = SEGMENT_HEADER_LEN as u64 + inner.segment_written;
+            let cut = OpenOptions::new()
+                .write(true)
+                .open(segment_path(&self.dir, inner.segment_index))
+                .and_then(|file| file.set_len(intact));
+            inner.torn = cut.is_err();
+            return Err(e.into());
+        }
+        inner.next_lsn += 1;
         inner.segment_written += frame.len() as u64;
-
-        let partition = record.partition();
-        let top = inner.current_coverage.entry(partition).or_insert(0);
+        let top = inner
+            .current_coverage
+            .entry(record.partition())
+            .or_insert(0);
         *top = (*top).max(lsn);
-        inner.file.flush()?;
         if inner.segment_written >= self.options.segment_bytes {
             Self::seal_in(&self.dir, &mut inner)?;
         }
@@ -928,5 +964,90 @@ impl fmt::Display for WalReport {
             )?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tmpdir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir()
+            .join("semtree-wal-tests")
+            .join(format!("{name}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn insert(payload: u64) -> WalRecord {
+        WalRecord::PointInsert {
+            partition: 7,
+            node: 0,
+            point: vec![payload as f64],
+            payload,
+        }
+    }
+
+    /// What a write that failed half-way leaves in the open segment.
+    fn write_stray_bytes(path: &Path) {
+        let mut file = OpenOptions::new().append(true).open(path).unwrap();
+        file.write_all(&[0xAB; 5]).unwrap();
+    }
+
+    /// Put a read-only handle on `path` in place of the open segment's,
+    /// so the next append's write fails; returns the writable handle.
+    fn fail_writes(wal: &Wal, path: &Path) -> File {
+        let read_only = File::open(path).unwrap();
+        std::mem::replace(&mut wal.inner.lock().file, read_only)
+    }
+
+    #[test]
+    fn a_failed_append_leaves_no_torn_frame_behind() {
+        let dir = tmpdir("failed-append");
+        let wal = Wal::create(&dir, 1, b"", WalOptions::default()).unwrap();
+        for i in 0..3 {
+            assert_eq!(wal.append(&insert(i)).unwrap(), i + 1);
+        }
+        let path = segment_path(&dir, 1);
+        write_stray_bytes(&path);
+        let writable = fail_writes(&wal, &path);
+        assert!(matches!(wal.append(&insert(99)), Err(WalError::Io(_))));
+        wal.inner.lock().file = writable;
+        for i in 3..6 {
+            assert_eq!(wal.append(&insert(i)).unwrap(), i + 1);
+        }
+
+        let state = Wal::load(&dir).unwrap();
+        assert!(!state.torn_tail);
+        let want: Vec<(u64, WalRecord)> = (0..6).map(|i| (i + 1, insert(i))).collect();
+        assert_eq!(state.tail, want);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_cut_refuses_appends_until_resume() {
+        let dir = tmpdir("failed-cut");
+        let wal = Wal::create(&dir, 1, b"", WalOptions::default()).unwrap();
+        wal.append(&insert(0)).unwrap();
+        let path = segment_path(&dir, 1);
+        write_stray_bytes(&path);
+        // With the segment moved away, the cut cannot open it.
+        let aside = dir.join("aside");
+        let writable = fail_writes(&wal, &path);
+        fs::rename(&path, &aside).unwrap();
+        assert!(matches!(wal.append(&insert(99)), Err(WalError::Io(_))));
+        fs::rename(&aside, &path).unwrap();
+        wal.inner.lock().file = writable;
+        assert!(matches!(wal.append(&insert(1)), Err(WalError::Torn)));
+        drop(wal);
+
+        let (wal, state) = Wal::resume(&dir, WalOptions::default()).unwrap();
+        assert_eq!(state.tail, vec![(1, insert(0))]);
+        assert_eq!(wal.append(&insert(1)).unwrap(), 2);
+        drop(wal);
+        let state = Wal::load(&dir).unwrap();
+        assert!(!state.torn_tail);
+        assert_eq!(state.tail, vec![(1, insert(0)), (2, insert(1))]);
+        let _ = fs::remove_dir_all(&dir);
     }
 }
