@@ -14,7 +14,8 @@ use std::time::Instant;
 
 use semtree_bench::{
     build_chain_dist_tree, build_dist_tree, dist_knn, dist_range, distinct_triples, embed_triples,
-    pick_radius, query_points, registry_for, semantic_points, triple_distance, BUCKET, DIMS,
+    pick_radius, query_points, registry_for, semantic_points, store_of, triple_distance, BUCKET,
+    DIMS,
 };
 use semtree_core::{SemTree, TripleId, Weights};
 use semtree_distance::TripleDistance;
@@ -451,7 +452,8 @@ fn ablation_weights(quick: bool) -> ExperimentTable {
 
 /// Ablation: FastMap dimensionality vs embedding stress and recall@5.
 fn ablation_dim() -> ExperimentTable {
-    let triples = distinct_triples(2_000, 0xD1);
+    let store = store_of(distinct_triples(2_000, 0xD1));
+    let triples = store.triples();
     let domain = semtree_reqgen::DomainVocabulary::new(8);
     let distance = triple_distance(&domain);
     let mut table = ExperimentTable::new("Ablation: FastMap dimensionality", "k", "value");
@@ -459,7 +461,7 @@ fn ablation_dim() -> ExperimentTable {
     let mut time_series = Series::new("embed seconds");
     for k in [2usize, 4, 8, 16] {
         let t0 = Instant::now();
-        let emb = embed_triples(&triples, k, 0xD1);
+        let emb = embed_triples(&store, k, 0xD1);
         let secs = t0.elapsed().as_secs_f64();
         let s = stress(&emb, &|i, j| distance.distance(&triples[i], &triples[j]));
         stress_series.push(k as f64, s);

@@ -15,7 +15,7 @@ use semtree_cluster::CostModel;
 use semtree_dist::{DistConfig, DistSemTree, Neighbor, Query, QueryOutcome};
 use semtree_distance::{TripleDistance, VocabularyRegistry, Weights};
 use semtree_fastmap::{Embedding, FastMap};
-use semtree_model::{Term, Triple};
+use semtree_model::{Term, Triple, TripleStore};
 use semtree_reqgen::{CorpusGenerator, DomainVocabulary, GenConfig};
 use semtree_vocab::wordnet;
 
@@ -76,22 +76,34 @@ pub fn triple_distance(domain: &DomainVocabulary) -> TripleDistance {
     TripleDistance::new(Weights::default(), Arc::new(registry_for(domain)))
 }
 
-/// FastMap-embed a triple set with the Eq. 1 distance.
+/// A store holding `triples` in one document, in order: distinct
+/// triples keep their positions as ids.
 #[must_use]
-pub fn embed_triples(triples: &[Triple], dims: usize, seed: u64) -> Embedding {
+pub fn store_of(triples: impl IntoIterator<Item = Triple>) -> TripleStore {
+    let mut store = TripleStore::new();
+    let doc = store.create_document("triples");
+    store.insert_all(doc, triples);
+    store
+}
+
+/// FastMap-embed a store's distinct triples, by id, with the Eq. 1
+/// distance.
+#[must_use]
+pub fn embed_triples(store: &TripleStore, dims: usize, seed: u64) -> Embedding {
     let domain = DomainVocabulary::new(8); // vocabularies are actor-independent
     let distance = triple_distance(&domain);
-    let rows = distance.rows(triples);
+    let resolutions = distance.resolve_terms(store);
+    let rows = distance.rows(store, &resolutions);
     FastMap::new(dims)
         .with_seed(seed)
-        .embed_rows(triples.len(), &|s| rows.row(s))
+        .embed_rows(store.len(), &|s| rows.row(s))
 }
 
 /// `n` embedded semantic points (the standard efficiency workload).
 #[must_use]
 pub fn semantic_points(n: usize, seed: u64) -> Vec<Vec<f64>> {
-    let triples = distinct_triples(n, seed);
-    let embedding = embed_triples(&triples, DIMS, seed);
+    let store = store_of(distinct_triples(n, seed));
+    let embedding = embed_triples(&store, DIMS, seed);
     embedding.iter().map(|(_, p)| p.to_vec()).collect()
 }
 
@@ -105,8 +117,7 @@ pub fn semantic_points(n: usize, seed: u64) -> Vec<Vec<f64>> {
 pub fn occurrence_points(documents: usize, seed: u64) -> Vec<Vec<f64>> {
     let config = GenConfig::small().with_documents(documents).with_seed(seed);
     let store = CorpusGenerator::new(config).generate().store;
-    let triples: Vec<Triple> = store.iter().map(|(_, t)| t.clone()).collect();
-    let embedding = embed_triples(&triples, DIMS, seed);
+    let embedding = embed_triples(&store, DIMS, seed);
     store
         .documents()
         .flat_map(|doc| doc.triples.iter())

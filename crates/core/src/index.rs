@@ -2,7 +2,7 @@
 
 use semtree_cluster::{ClusterError, MetricsSnapshot};
 use semtree_dist::{DistConfig, DistSemTree, GlobalStats, Neighbor, Query, QueryOutcome};
-use semtree_distance::{TripleDistance, TripleResolution};
+use semtree_distance::{TermResolutions, TripleDistance, TripleResolution};
 use semtree_fastmap::{Embedding, FastMap};
 use semtree_model::{Triple, TripleId, TripleStore};
 
@@ -10,25 +10,17 @@ use crate::builder::SemTreeBuilder;
 use crate::error::BuildError;
 use crate::hit::Hit;
 
+/// How many candidates a refined k-NN reads per answer it returns.
+const OVERFETCH: usize = 4;
+
 /// Per-query tuning.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct QueryOptions {
     /// Re-rank candidates by the true semantic distance. The KD-tree works
-    /// in the (lossy) FastMap space; refinement over-fetches
-    /// `k × overfetch`, recomputes Eq. 1 on the candidates, and keeps the
-    /// best `k` — the standard filter-and-refine step (DESIGN.md §5).
+    /// in the (lossy) FastMap space; refinement over-fetches `4 × k`,
+    /// recomputes Eq. 1 on the candidates, and keeps the best `k` — the
+    /// standard filter-and-refine step (DESIGN.md §5).
     pub refine: bool,
-    /// Over-fetch multiplier used when `refine` is set (≥ 1).
-    pub overfetch: usize,
-}
-
-impl Default for QueryOptions {
-    fn default() -> Self {
-        QueryOptions {
-            refine: false,
-            overfetch: 4,
-        }
-    }
 }
 
 impl QueryOptions {
@@ -38,13 +30,10 @@ impl QueryOptions {
         QueryOptions::default()
     }
 
-    /// Filter-and-refine with the default over-fetch.
+    /// Filter-and-refine.
     #[must_use]
     pub fn refined() -> Self {
-        QueryOptions {
-            refine: true,
-            overfetch: 4,
-        }
+        QueryOptions { refine: true }
     }
 }
 
@@ -54,10 +43,9 @@ pub struct SemTree {
     store: TripleStore,
     distance: TripleDistance,
     embedding: Embedding,
-    /// The embedding's distinct pivot triples, resolved, by ascending
-    /// index. Pivots always name build-set triples, so inserts leave this
-    /// alone.
-    pivots: Vec<(usize, TripleResolution)>,
+    /// Every term of `store`'s term table, resolved; each insert resolves
+    /// the terms it interned.
+    resolutions: TermResolutions,
     tree: DistSemTree,
     dimensions: usize,
     bucket_size: usize,
@@ -66,6 +54,10 @@ pub struct SemTree {
 
 /// A triple with its vocabulary lookups done.
 type Resolved<'t> = (&'t Triple, TripleResolution);
+
+/// A neighbour as a query ranks it: its id, its distance in the embedded
+/// space and, when refined, its Eq. 1 distance.
+type Ranked = (TripleId, f64, Option<f64>);
 
 impl SemTree {
     /// Start building an index.
@@ -79,16 +71,14 @@ impl SemTree {
         distance: TripleDistance,
     ) -> Result<SemTree, BuildError> {
         let store = builder.store;
-        let triples = store.triples();
-        let n = triples.len();
+        let resolutions = distance.resolve_terms(&store);
 
         // FastMap over the semantic distance, each row it reads built
-        // from term distances over the store's distinct terms.
-        let rows = distance.rows(triples);
+        // from term distances over the store's term table.
+        let rows = distance.rows(&store, &resolutions);
         let embedding = FastMap::new(builder.dimensions)
             .with_seed(builder.seed)
-            .embed_rows(n, &|s| rows.row(s));
-        let pivots = resolve_pivots(&distance, &embedding, triples);
+            .embed_rows(store.len(), &|s| rows.row(s));
 
         // Load the distributed tree; the embedding is the fan-out sample.
         let tree = build_tree(
@@ -103,7 +93,7 @@ impl SemTree {
             store,
             distance,
             embedding,
-            pivots,
+            resolutions,
             tree,
             dimensions: builder.dimensions,
             bucket_size: builder.bucket_size,
@@ -124,12 +114,12 @@ impl SemTree {
     ) -> SemTree {
         let dimensions = embedding.dimensions();
         let tree = build_tree(&embedding, dimensions, bucket_size, partitions, cost);
-        let pivots = resolve_pivots(&distance, &embedding, store.triples());
+        let resolutions = distance.resolve_terms(&store);
         SemTree {
             store,
             distance,
             embedding,
-            pivots,
+            resolutions,
             tree,
             dimensions,
             bucket_size,
@@ -196,25 +186,22 @@ impl SemTree {
     /// FastMap space: the coordinates
     /// `embedding().project_with(|p| distance().distance(query, p's triple))`
     /// gives, bit for bit. The query's vocabulary lookups are done once;
-    /// the pivots' were done when the index was built or loaded, so each
-    /// of the (up to two per axis) Eq. 1 evaluations does none.
+    /// the stored triples' are read by term id, so each of the (up to two
+    /// per axis) Eq. 1 evaluations does none.
     #[must_use]
     pub fn project(&self, query: &Triple) -> Vec<f64> {
         self.project_resolved((query, self.distance.resolve(query)))
     }
 
     fn project_resolved(&self, query: Resolved) -> Vec<f64> {
-        let triples = self.store.triples();
-        self.embedding.project_with(&|pivot| {
-            let resolution = match self.pivots.binary_search_by_key(&pivot, |&(i, _)| i) {
-                Ok(at) => self.pivots[at].1,
-                // Every embedding pivot is in `pivots`; resolving is the
-                // same answer regardless.
-                Err(_) => self.distance.resolve(&triples[pivot]),
-            };
-            self.distance
-                .resolved_distance(query, (&triples[pivot], resolution))
-        })
+        self.embedding
+            .project_with(&|pivot| self.distance.resolved_distance(query, self.resolved(pivot)))
+    }
+
+    /// The stored triple at index `i` with its resolution, read by term id.
+    fn resolved(&self, i: usize) -> Resolved<'_> {
+        let ids = self.store.term_ids()[i];
+        (&self.store.triples()[i], self.resolutions.triple(ids))
     }
 
     /// k-nearest triples by example (paper §III-B.3), default options.
@@ -226,57 +213,33 @@ impl SemTree {
     /// k-nearest with explicit [`QueryOptions`].
     #[must_use]
     pub fn knn_with(&self, query: &Triple, k: usize, opts: QueryOptions) -> Vec<Hit> {
-        let query = (query, self.distance.resolve(query));
-        let point = self.project_resolved(query);
-        let fetch = if opts.refine {
-            k.saturating_mul(opts.overfetch.max(1))
-        } else {
-            k
-        };
-        let neighbors = read_neighbors(&self.tree, Query::knn(&point, fetch));
-        let mut hits: Vec<Hit> = neighbors
-            .into_iter()
-            .map(|n| self.to_hit(n.payload, n.dist, opts.refine.then_some(query)))
-            .collect();
-        if opts.refine {
-            hits.sort_by(|a, b| a.ranking_distance().total_cmp(&b.ranking_distance()));
-            hits.truncate(k);
-        }
-        hits
+        self.nearest(query, k, opts).map(|r| self.hit(r)).collect()
     }
 
-    /// [`Self::knn_with`] as `(id, ranking distance)` pairs in hit order,
-    /// without cloning a triple into a [`Hit`] per neighbour. Refined
-    /// queries take `knn_with`, which needs the triples for Eq. 1.
+    /// [`Self::knn_with`] in hit order, without cloning a triple into a
+    /// [`Hit`] per neighbour.
     pub(crate) fn nearest(
         &self,
         query: &Triple,
         k: usize,
         opts: QueryOptions,
-    ) -> Vec<(TripleId, f64)> {
-        if opts.refine {
-            return self
-                .knn_with(query, k, opts)
-                .iter()
-                .map(|h| (h.id, h.ranking_distance()))
-                .collect();
-        }
-        let point = self.project(query);
-        read_neighbors(&self.tree, Query::Knn { point, k })
-            .into_iter()
-            .map(|n| (triple_id(n.payload), n.dist))
-            .collect()
+    ) -> impl Iterator<Item = Ranked> {
+        let fetch = if opts.refine {
+            k.saturating_mul(OVERFETCH)
+        } else {
+            k
+        };
+        let read = |point| Query::Knn { point, k: fetch };
+        self.ranked(query, opts.refine, read).into_iter().take(k)
     }
 
     /// Range query in the embedded space (paper §III-B.4): all triples
     /// whose FastMap image lies within `radius` of the query's image.
     #[must_use]
     pub fn range(&self, query: &Triple, radius: f64) -> Vec<Hit> {
-        let point = self.project(query);
-        read_neighbors(&self.tree, Query::range(&point, radius))
-            .into_iter()
-            .map(|n| self.to_hit(n.payload, n.dist, None))
-            .collect()
+        let read = |point| Query::Range { point, radius };
+        let ranked = self.ranked(query, false, read);
+        ranked.into_iter().map(|r| self.hit(r)).collect()
     }
 
     /// Range query by *semantic* radius: over-fetches in the embedded
@@ -284,28 +247,52 @@ impl SemTree {
     /// Eq. 1 distance is within `radius`.
     #[must_use]
     pub fn range_semantic(&self, query: &Triple, radius: f64, slack: f64) -> Vec<Hit> {
-        let slack = slack.max(1.0);
-        let query = (query, self.distance.resolve(query));
-        let point = self.project_resolved(query);
-        let mut hits: Vec<Hit> = read_neighbors(&self.tree, Query::range(&point, radius * slack))
+        let radius_embedded = radius * slack.max(1.0);
+        let read = |point| Query::Range {
+            point,
+            radius: radius_embedded,
+        };
+        self.ranked(query, true, read)
             .into_iter()
-            .map(|n| self.to_hit(n.payload, n.dist, Some(query)))
-            .filter(|h| h.semantic_distance.is_some_and(|d| d <= radius))
-            .collect();
-        hits.sort_by(|a, b| a.ranking_distance().total_cmp(&b.ranking_distance()));
-        hits
+            .filter(|&(_, _, semantic)| semantic.is_some_and(|d| d <= radius))
+            .map(|r| self.hit(r))
+            .collect()
     }
 
-    fn to_hit(&self, payload: u64, embedded: f64, refine_against: Option<Resolved>) -> Hit {
-        let id = triple_id(payload);
-        let triple = self.store.triples()[id.index()].clone();
-        let semantic = refine_against.map(|q| {
-            self.distance
-                .resolved_distance(q, (&triple, self.distance.resolve(&triple)))
-        });
+    /// The tree's neighbours of `query`'s image, read by the query `read`
+    /// makes of that image. Raw, they stay in the tree's order. Refined,
+    /// each gets its Eq. 1 distance to `query` from the resolutions held by
+    /// term id, and they are sorted by it, stably.
+    fn ranked(
+        &self,
+        query: &Triple,
+        refine: bool,
+        read: impl FnOnce(Vec<f64>) -> Query,
+    ) -> Vec<Ranked> {
+        let query = (query, self.distance.resolve(query));
+        let point = self.project_resolved(query);
+        let mut ranked: Vec<Ranked> = read_neighbors(&self.tree, read(point))
+            .into_iter()
+            .map(|n| {
+                let id = triple_id(n.payload);
+                let semantic = refine.then(|| {
+                    self.distance
+                        .resolved_distance(query, self.resolved(id.index()))
+                });
+                (id, n.dist, semantic)
+            })
+            .collect();
+        if refine {
+            ranked.sort_by(|a, b| a.2.unwrap_or(a.1).total_cmp(&b.2.unwrap_or(b.1)));
+        }
+        ranked
+    }
+
+    /// A ranked neighbour as a [`Hit`], its triple cloned from the store.
+    fn hit(&self, (id, embedded, semantic): Ranked) -> Hit {
         Hit {
             id,
-            triple,
+            triple: self.store.triples()[id.index()].clone(),
             embedded_distance: embedded,
             semantic_distance: semantic,
         }
@@ -338,6 +325,7 @@ impl SemTree {
         };
         let known = self.store.len();
         let id = self.store.insert(doc, triple);
+        self.resolutions.extend(&self.distance, &self.store);
         if self.store.len() == known {
             return (id, false);
         }
@@ -394,21 +382,6 @@ fn insert_point(tree: &DistSemTree, point: &[f64], payload: u64) {
     tree.query(Query::insert(point, payload))
         .and_then(QueryOutcome::inserted)
         .expect("in-process cluster insert failed");
-}
-
-/// The embedding's distinct pivot triples with their resolutions, by
-/// ascending index.
-fn resolve_pivots(
-    distance: &TripleDistance,
-    embedding: &Embedding,
-    triples: &[Triple],
-) -> Vec<(usize, TripleResolution)> {
-    let mut ids: Vec<usize> = embedding.pivots().iter().flat_map(|p| [p.a, p.b]).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    ids.into_iter()
-        .map(|i| (i, distance.resolve(&triples[i])))
-        .collect()
 }
 
 /// Build (or rebuild) the distributed tree over an embedding's points.
@@ -651,6 +624,46 @@ mod tests {
         }
     }
 
+    /// Refined `knn_with` and `range_semantic` against the raw answers
+    /// re-ranked by the unresolved Eq. 1 with a stable sort: ids, both
+    /// distances' bits.
+    fn assert_refines_as_eq1(idx: &SemTree, queries: &[Triple]) {
+        let bits = |hits: Vec<Hit>| -> Vec<(TripleId, u64, Option<u64>)> {
+            let bits = |h: Hit| {
+                (
+                    h.id,
+                    h.embedded_distance.to_bits(),
+                    h.semantic_distance.map(f64::to_bits),
+                )
+            };
+            hits.into_iter().map(bits).collect()
+        };
+        let eq1 = |q: &Triple, hits: Vec<Hit>| -> Vec<Hit> {
+            let mut hits: Vec<Hit> = hits
+                .into_iter()
+                .map(|h| Hit {
+                    semantic_distance: Some(idx.distance().distance(q, &h.triple)),
+                    ..h
+                })
+                .collect();
+            hits.sort_by(|a, b| a.ranking_distance().total_cmp(&b.ranking_distance()));
+            hits
+        };
+        for q in queries {
+            for k in [1, 3, 8] {
+                let mut want = eq1(q, idx.knn_with(q, 4 * k, QueryOptions::raw()));
+                want.truncate(k);
+                let got = idx.knn_with(q, k, QueryOptions::refined());
+                assert_eq!(bits(got), bits(want), "{q} k={k}");
+            }
+            let (radius, slack) = (0.4, 2.0);
+            let mut want = eq1(q, idx.range(q, radius * slack));
+            want.retain(|h| h.ranking_distance() <= radius);
+            let got = idx.range_semantic(q, radius, slack);
+            assert_eq!(bits(got), bits(want), "{q} range");
+        }
+    }
+
     #[test]
     fn project_is_unresolved_eq1_bit_for_bit() {
         let held_out = [
@@ -666,9 +679,11 @@ mod tests {
         ];
         let mut idx = small_index(1);
         assert_projects_as_eq1(&idx, &held_out);
+        assert_refines_as_eq1(&idx, &held_out);
         for (i, t) in held_out.iter().enumerate() {
             idx.insert_triple("late", t.clone());
             assert_projects_as_eq1(&idx, &held_out[i..]);
+            assert_refines_as_eq1(&idx, &held_out);
         }
         let saved = crate::persist::save_index_string(&idx);
         let loaded = crate::persist::load_index_str(
@@ -678,6 +693,7 @@ mod tests {
         )
         .unwrap();
         assert_projects_as_eq1(&loaded, &held_out);
+        assert_refines_as_eq1(&loaded, &held_out);
         for q in &held_out {
             assert_eq!(loaded.project(q), idx.project(q));
         }

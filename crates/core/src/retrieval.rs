@@ -171,7 +171,9 @@ impl<'a> DocumentRetriever<'a> {
         let mut slots: Vec<Slot> = Vec::with_capacity(documents.min(queries.len() * self.k));
 
         for (query, triple) in queries.iter().enumerate() {
-            for (tid, d) in self.index.nearest(triple, self.k, self.opts) {
+            for (tid, embedded, semantic) in self.index.nearest(triple, self.k, self.opts) {
+                // The distance the hit was ranked by.
+                let d = semantic.unwrap_or(embedded);
                 let docs = store
                     .documents_of(tid)
                     .expect("hit ids come from the store");

@@ -40,15 +40,13 @@
 //! ```
 
 mod cache;
-mod matrix;
 mod registry;
 mod term_distance;
 mod triple_distance;
 mod weights;
 
 pub use cache::MemoizedDistance;
-pub use matrix::DistanceMatrix;
 pub use registry::VocabularyRegistry;
 pub use term_distance::TermDistanceConfig;
-pub use triple_distance::{TripleDistance, TripleResolution, TripleRows};
+pub use triple_distance::{TermResolutions, TripleDistance, TripleResolution, TripleRows};
 pub use weights::{Weights, WeightsError};

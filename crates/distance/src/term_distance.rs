@@ -314,7 +314,7 @@ mod tests {
             seed in 0u64..u64::MAX,
         ) {
             use semtree_fastmap::{Embedding, FastMap};
-            use semtree_model::Triple;
+            use semtree_model::{Triple, TripleStore};
 
             use crate::{TripleDistance, Weights};
 
@@ -333,16 +333,19 @@ mod tests {
             let distance = TripleDistance::with_config(weights, cfg, Arc::new(r));
             let terms = operands();
             assert_eq!(terms.len(), 23, "picks must draw from every operand");
-            let triples: Vec<Triple> = picks
-                .iter()
-                .map(|&(s, p, o)| Triple::new(terms[s].clone(), terms[p].clone(), terms[o].clone()))
-                .collect();
+            let mut store = TripleStore::new();
+            let doc = store.create_document("D");
+            for &(s, p, o) in &picks {
+                store.insert(doc, Triple::new(terms[s].clone(), terms[p].clone(), terms[o].clone()));
+            }
+            let triples = store.triples();
             let n = triples.len();
             let resolved: Vec<_> = triples.iter().map(|t| distance.resolve(t)).collect();
             let pair = |i: usize, j: usize| {
                 distance.resolved_distance((&triples[i], resolved[i]), (&triples[j], resolved[j]))
             };
-            let rows = distance.rows(&triples);
+            let resolutions = distance.resolve_terms(&store);
+            let rows = distance.rows(&store, &resolutions);
 
             // The row contract: every off-diagonal entry is the pair's.
             for s in 0..n {

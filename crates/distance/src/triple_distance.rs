@@ -1,9 +1,8 @@
 //! Eq. 1: the weighted triple distance.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use semtree_model::{Term, Triple};
+use semtree_model::{Term, Triple, TripleStore};
 
 use crate::registry::{TermResolution, VocabularyRegistry};
 use crate::term_distance::TermDistanceConfig;
@@ -108,45 +107,70 @@ impl TripleDistance {
     }
 }
 
-/// Eq. 1 over one set of triples, a row at a time (see
+/// The vocabulary lookups of every term of a [`TripleStore`]'s term
+/// table, by term id: each distinct term is resolved once, and a stored
+/// triple's [`TripleResolution`] is three reads at its
+/// [`TripleStore::term_ids`]. Only meaningful next to the store it was
+/// resolved from, under the same distance.
+#[derive(Debug, Default)]
+pub struct TermResolutions(Vec<TermResolution>);
+
+impl TermResolutions {
+    /// Resolve the terms of `store` this table does not hold yet: a
+    /// store's term table only grows, so after an insert this resolves
+    /// just the terms the insert interned.
+    pub fn extend(&mut self, distance: &TripleDistance, store: &TripleStore) {
+        let new = &store.terms()[self.0.len()..];
+        self.0
+            .extend(new.iter().map(|t| distance.registry.resolve_term(t)));
+    }
+
+    /// The resolution of the stored triple whose term ids are `ids`.
+    #[must_use]
+    pub fn triple(&self, ids: [u32; 3]) -> TripleResolution {
+        TripleResolution(ids.map(|t| self.0[t as usize]))
+    }
+}
+
+/// Eq. 1 over the triples of one store, a row at a time (see
 /// [`TripleDistance::rows`]).
 #[derive(Debug)]
 pub struct TripleRows<'t> {
     distance: &'t TripleDistance,
-    /// Per role (subject, predicate, object), its distinct terms, each
-    /// resolved once.
-    terms: [Vec<(&'t Term, TermResolution)>; 3],
-    /// Per triple, the ids of its subject, predicate and object in
-    /// `terms`.
-    ids: Vec<[usize; 3]>,
+    /// The store's term table.
+    terms: &'t [Term],
+    /// `terms`' resolutions, by term id.
+    resolutions: &'t TermResolutions,
+    /// Per triple, the term ids of its subject, predicate and object.
+    ids: &'t [[u32; 3]],
 }
 
 impl TripleDistance {
-    /// Eq. 1 between the triples of `triples`, served by rows. Eq. 1 is a
-    /// weighted sum of per-role term distances, and a corpus of many
-    /// triples has few distinct terms per role, so each distinct term is
-    /// resolved once here and a row is built from term distances.
+    /// Resolve every term of `store`'s term table once.
     #[must_use]
-    pub fn rows<'t>(&'t self, triples: &'t [Triple]) -> TripleRows<'t> {
-        let mut index: [HashMap<&Term, usize>; 3] = Default::default();
-        let mut terms: [Vec<_>; 3] = Default::default();
-        let ids = triples
-            .iter()
-            .map(|t| {
-                let roles = [&t.subject, &t.predicate, &t.object];
-                std::array::from_fn(|role| {
-                    *index[role].entry(roles[role]).or_insert_with(|| {
-                        let term = roles[role];
-                        terms[role].push((term, self.registry.resolve_term(term)));
-                        terms[role].len() - 1
-                    })
-                })
-            })
-            .collect();
+    pub fn resolve_terms(&self, store: &TripleStore) -> TermResolutions {
+        let mut resolutions = TermResolutions::default();
+        resolutions.extend(self, store);
+        resolutions
+    }
+
+    /// Eq. 1 between the triples of `store`, served by rows, over the
+    /// store's term table as `resolutions` resolved it. Eq. 1 is a
+    /// weighted sum of per-role term distances, and a corpus of many
+    /// triples has few distinct terms, so a row is built from term
+    /// distances and entries are read by term id.
+    #[must_use]
+    pub fn rows<'t>(
+        &'t self,
+        store: &'t TripleStore,
+        resolutions: &'t TermResolutions,
+    ) -> TripleRows<'t> {
+        debug_assert_eq!(resolutions.0.len(), store.terms().len());
         TripleRows {
             distance: self,
-            terms,
-            ids,
+            terms: store.terms(),
+            resolutions,
+            ids: store.term_ids(),
         }
     }
 }
@@ -154,28 +178,29 @@ impl TripleDistance {
 impl TripleRows<'_> {
     /// The row of triple `s`: entry `x` is
     /// `resolved_distance(triples[min(s, x)], triples[max(s, x)])` bit for
-    /// bit. Building it compares each of `s`'s three terms with every
-    /// distinct term of its role, in both operand orders (memory: two
-    /// `f64` per distinct term); an entry is then three lookups and
-    /// [`Weights::combine`], the operand order taken from whether
-    /// `x > s`.
+    /// bit. Building it compares each of `s`'s three terms with every term
+    /// of the table, in both operand orders (memory: six `f64` per term;
+    /// a pair of terms of different kinds is the mixed penalty at once);
+    /// an entry is then three lookups and [`Weights::combine`], the
+    /// operand order taken from whether `x > s`.
     pub fn row(&self, s: usize) -> impl Fn(usize) -> f64 + Sync + '_ {
         let d = self.distance;
-        let term = |a, b| d.terms.resolved_distance(&d.registry, a, b);
-        // Per role: `d(t, own)` for every term `t` of the role (read for
-        // entries `x < s`, where `s` is the second operand), then
-        // `d(own, t)` (read for entries `x > s`).
+        let n = self.terms.len();
+        let term = |t: usize| (&self.terms[t], self.resolutions.0[t]);
+        // Per role: `d(t, own)` for every term `t` (read for entries
+        // `x < s`, where `s` is the second operand), then `d(own, t)`
+        // (read for entries `x > s`).
         let rows: [Vec<f64>; 3] = std::array::from_fn(|role| {
-            let terms = &self.terms[role];
-            let own = terms[self.ids[s][role]];
-            let before = terms.iter().map(|&t| term(t, own));
-            before.chain(terms.iter().map(|&t| term(own, t))).collect()
+            let own = term(self.ids[s][role] as usize);
+            let all = || (0..n).map(term);
+            let before = all().map(|t| d.terms.resolved_distance(&d.registry, t, own));
+            let after = all().map(|t| d.terms.resolved_distance(&d.registry, own, t));
+            before.chain(after).collect()
         });
         move |x| {
             let after = usize::from(x > s);
-            let [ds, dp, dobj] = std::array::from_fn(|role| {
-                rows[role][after * self.terms[role].len() + self.ids[x][role]]
-            });
+            let [ds, dp, dobj] =
+                std::array::from_fn(|role| rows[role][after * n + self.ids[x][role] as usize]);
             d.weights.combine(ds, dp, dobj)
         }
     }
@@ -256,6 +281,33 @@ mod tests {
         // Only the subject differs: distance = α · ds.
         let expected = d.weights().alpha() * (1.0 / 7.0);
         assert!((d.distance(&a, &b) - expected).abs() < 1e-12);
+    }
+
+    #[test]
+    fn term_resolutions_resolve_each_stored_triple_as_resolve_does() {
+        let d = dist();
+        let mut store = TripleStore::new();
+        let doc = store.create_document("D");
+        let mut resolutions = d.resolve_terms(&store);
+        let batches = [
+            vec![
+                t("OBSW001", "accept", "start"),
+                t("OBSW002", "send", "message"),
+            ],
+            vec![t("OBSW001", "acceptx", "start"), t("accept", "send", "zzz")],
+            vec![Triple::new(
+                Term::concept("accept"),
+                Term::literal("send"),
+                Term::concept_in("Ghost", "start"),
+            )],
+        ];
+        for batch in batches {
+            store.insert_all(doc, batch);
+            resolutions.extend(&d, &store);
+            for (triple, &ids) in store.triples().iter().zip(store.term_ids()) {
+                assert_eq!(resolutions.triple(ids), d.resolve(triple), "{triple}");
+            }
+        }
     }
 
     #[test]

@@ -81,6 +81,9 @@ pub struct TripleStore {
     term_next: Vec<u32>,
     /// Every distinct triple, by id, built from `terms`' strings.
     triples: Vec<Triple>,
+    /// Every distinct triple's subject, predicate and object term ids, by
+    /// id.
+    keys: Vec<[u32; 3]>,
     /// A triple's subject, predicate and object term ids → its id.
     ids: HashMap<[u32; 3], TripleId>,
     documents: Vec<Document>,
@@ -142,6 +145,7 @@ impl TripleStore {
                 let id = *e.insert(next);
                 let [s, p, o] = key.map(|t| self.terms[t as usize].clone());
                 self.triples.push(Triple::new(s, p, o));
+                self.keys.push(key);
                 self.containing.push(Vec::new());
                 id
             }
@@ -201,6 +205,19 @@ impl TripleStore {
     #[must_use]
     pub fn triples(&self) -> &[Triple] {
         &self.triples
+    }
+
+    /// Every distinct term, by term id.
+    #[must_use]
+    pub fn terms(&self) -> &[Term] {
+        &self.terms
+    }
+
+    /// Every distinct triple's subject, predicate and object term ids
+    /// (indexes into [`Self::terms`]), indexed by [`TripleId`].
+    #[must_use]
+    pub fn term_ids(&self) -> &[[u32; 3]] {
+        &self.keys
     }
 
     /// The id of an already-interned triple, if present.
@@ -473,6 +490,11 @@ mod tests {
                 proptest::prop_assert_eq!(got, want.insert(doc, t));
             }
             proptest::prop_assert_eq!(store.triples(), &want.triples[..]);
+            proptest::prop_assert_eq!(store.term_ids().len(), store.len());
+            for (stored, ids) in store.triples().iter().zip(store.term_ids()) {
+                let [s, p, o] = ids.map(|id| store.terms()[id as usize].clone());
+                proptest::prop_assert_eq!(stored, &Triple::new(s, p, o));
+            }
             proptest::prop_assert_eq!(store.stats().occurrences, want.occurrences);
             for (doc, ids) in docs.iter().zip(&want.documents) {
                 proptest::prop_assert_eq!(&store.document(*doc).unwrap().triples, ids);
