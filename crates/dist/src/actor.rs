@@ -4,9 +4,10 @@ use std::sync::Arc;
 
 use semtree_cluster::{ClusterError, ComputeNodeId, Handler, NodeCtx};
 
+use crate::config::SharedConfig;
 use crate::proto::{Req, Resp};
 use crate::store::{LocalNodeId, PartitionStore};
-use crate::tree::{unexpected, SharedConfig};
+use crate::tree::unexpected;
 
 /// The least number of records a partition logs between two snapshots.
 const SNAPSHOT_FLOOR: usize = 256;

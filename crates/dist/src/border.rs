@@ -8,9 +8,10 @@ use std::sync::Arc;
 use semtree_cluster::{ClusterError, ComputeNodeId, ReplyHandle, Transport};
 use semtree_kdtree::versioned::{InPlace, NeedsMailbox, RemoteOps, StdShim, Tree};
 
+use crate::config::SharedConfig;
 use crate::proto::{Req, Resp};
 use crate::store::LocalNodeId;
-use crate::tree::{unexpected, SharedConfig};
+use crate::tree::unexpected;
 
 /// Search hits in wire form: `(distance, payload)` pairs.
 type Hits = Vec<(f64, u64)>;

@@ -68,21 +68,28 @@
 
 mod actor;
 mod border;
+mod client;
 mod colimage;
+mod config;
 mod deploy;
 mod proto;
+mod query;
 mod recovery;
+mod serve;
 mod store;
 mod tree;
 
+pub use client::{ClientMetrics, ClientReq, ClientResp, NetClient, PendingReply, PipelinedClient};
+pub use config::{CapacityPolicy, DistConfig};
 pub use deploy::{
-    build_local_durable, build_tree, join_cluster, serve_clients_with, serve_cluster,
-    ClientMetrics, ClientReq, ClientResp, DeployError, DistFabric, NetClient, NetDeployConfig,
-    PendingReply, PipelinedClient, ServeOptions, WorkerHandle,
+    build_local_durable, build_tree, join_cluster, serve_cluster, DeployError, DistFabric,
+    NetDeployConfig, WorkerHandle,
 };
 pub use proto::{PartitionStats, Req, Resp};
+pub use query::{Query, QueryOutcome};
 pub use recovery::{inspect_wal, SnapshotCompression, WalInspection};
 pub use semtree_kdtree::Neighbor;
 pub use semtree_wal::WalOptions;
+pub use serve::{serve_clients_with, ServeOptions};
 pub use store::LocalNodeId;
-pub use tree::{CapacityPolicy, DistConfig, DistSemTree, GlobalStats, Query, QueryOutcome};
+pub use tree::{DistSemTree, GlobalStats};

@@ -295,7 +295,9 @@ mod tests {
     use semtree_cluster::CostModel;
     use semtree_wal::WalOptions;
 
-    use crate::tree::{CapacityPolicy, DistConfig, DistSemTree, Query, QueryOutcome};
+    use crate::config::{CapacityPolicy, DistConfig};
+    use crate::query::{Query, QueryOutcome};
+    use crate::tree::DistSemTree;
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir =

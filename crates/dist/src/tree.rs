@@ -1,252 +1,22 @@
-//! The `DistSemTree` facade: configuration, construction, and the public
+//! The `DistSemTree` facade: construction, and the public
 //! insert/k-NN/range operations.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use semtree_cluster::{
-    ChannelFabric, ClusterError, ClusterMetrics, CompleteFn, ComputeNodeId, CostModel, Transport,
+    ChannelFabric, ClusterError, CompleteFn, ComputeNodeId, CostModel, Transport,
 };
 use semtree_kdtree::versioned::{InPlace, StdShim, Tree};
-use semtree_kdtree::{KdConfig, Neighbor, SplitRule};
+use semtree_kdtree::{KdConfig, Neighbor};
 use semtree_par::Pool;
 
 use crate::actor::PartitionActor;
+use crate::config::{DistConfig, SharedConfig};
 use crate::proto::{PartitionStats, Req, Resp};
+use crate::query::{Query, QueryOutcome};
 use crate::recovery::WalHandle;
 use crate::store::{Child, LocalNodeId, PartitionStore};
-
-/// The per-partition *resource condition* of the insertion algorithm: "the
-/// condition can be dynamically evaluated at run-time — for example, it may
-/// depend on the percentage of the available storage resources of each
-/// partition — or statically fixed".
-#[derive(Clone)]
-pub enum CapacityPolicy {
-    /// Never triggers build-partition.
-    Unlimited,
-    /// Statically fixed: at most this many points per partition.
-    MaxPoints(usize),
-    /// Dynamically evaluated: the closure receives the partition's current
-    /// point count and returns `true` when the partition is over budget.
-    Dynamic(Arc<dyn Fn(usize) -> bool + Send + Sync>),
-}
-
-impl CapacityPolicy {
-    pub(crate) fn exceeded(&self, points: usize) -> bool {
-        match self {
-            CapacityPolicy::Unlimited => false,
-            CapacityPolicy::MaxPoints(max) => points > *max,
-            CapacityPolicy::Dynamic(f) => f(points),
-        }
-    }
-}
-
-impl std::fmt::Debug for CapacityPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CapacityPolicy::Unlimited => f.write_str("Unlimited"),
-            CapacityPolicy::MaxPoints(n) => write!(f, "MaxPoints({n})"),
-            CapacityPolicy::Dynamic(_) => f.write_str("Dynamic(..)"),
-        }
-    }
-}
-
-/// Distributed-tree configuration.
-#[derive(Debug, Clone)]
-pub struct DistConfig {
-    pub(crate) dims: usize,
-    pub(crate) bucket_size: usize,
-    pub(crate) capacity: CapacityPolicy,
-    pub(crate) max_partitions: usize,
-    pub(crate) split_rule: SplitRule,
-}
-
-impl DistConfig {
-    /// Defaults: bucket size 32, unlimited capacity, up to 64 partitions.
-    ///
-    /// # Panics
-    /// Panics if `dims == 0`.
-    #[must_use]
-    pub fn new(dims: usize) -> Self {
-        assert!(dims > 0, "dimensionality must be at least 1");
-        DistConfig {
-            dims,
-            bucket_size: 32,
-            capacity: CapacityPolicy::Unlimited,
-            max_partitions: 64,
-            split_rule: SplitRule::Cycle,
-        }
-    }
-
-    /// Leaf split rule; [`SplitRule::DegenerateMin`] reproduces the
-    /// paper's "totally unbalanced" series.
-    #[must_use]
-    pub fn with_split_rule(mut self, split_rule: SplitRule) -> Self {
-        self.split_rule = split_rule;
-        self
-    }
-
-    /// Leaf bucket capacity `Bs`.
-    ///
-    /// # Panics
-    /// Panics if `bucket_size == 0`.
-    #[must_use]
-    pub fn with_bucket_size(mut self, bucket_size: usize) -> Self {
-        assert!(bucket_size > 0, "bucket size must be at least 1");
-        self.bucket_size = bucket_size;
-        self
-    }
-
-    /// Per-partition resource condition.
-    #[must_use]
-    pub fn with_capacity(mut self, capacity: CapacityPolicy) -> Self {
-        self.capacity = capacity;
-        self
-    }
-
-    /// Cap on the number of compute nodes / partitions.
-    ///
-    /// # Panics
-    /// Panics if `max_partitions == 0`.
-    #[must_use]
-    pub fn with_max_partitions(mut self, max_partitions: usize) -> Self {
-        assert!(max_partitions > 0, "at least one partition is required");
-        self.max_partitions = max_partitions;
-        self
-    }
-
-    /// Point dimensionality.
-    #[must_use]
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
-    /// Leaf bucket capacity.
-    #[must_use]
-    pub fn bucket_size(&self) -> usize {
-        self.bucket_size
-    }
-
-    /// The per-partition tree configuration this implies.
-    pub(crate) fn kd(&self) -> KdConfig {
-        KdConfig::new(self.dims)
-            .with_bucket_size(self.bucket_size)
-            .with_split_rule(self.split_rule)
-    }
-}
-
-/// Planar points (`dims = 2`) with [`DistConfig::new`]'s defaults —
-/// mirrors `KdConfig::default()` so the two tree layers start from the
-/// same configuration shape.
-impl Default for DistConfig {
-    fn default() -> Self {
-        DistConfig::new(2)
-    }
-}
-
-/// One slot of [`SharedConfig`]'s read-handle registry.
-type ReadSlot = Option<(ComputeNodeId, Arc<Tree>)>;
-
-/// Configuration + partition accounting shared by every actor.
-pub(crate) struct SharedConfig {
-    /// Dimensions, bucket size and split rule of every partition's tree.
-    pub(crate) kd: KdConfig,
-    pub(crate) capacity: CapacityPolicy,
-    pub(crate) max_partitions: usize,
-    /// The process-wide WAL, `None` when running without durability.
-    pub(crate) wal: Option<Arc<WalHandle>>,
-    partitions: AtomicUsize,
-    /// The trees of the partitions this process hosts, registered by
-    /// their actors and read lock-free by every other thread: one slot
-    /// per local index of the hosting compute node, holding the node's
-    /// full id (a lookup checks its process part) and its tree. Leaf lock
-    /// (rank 21 in semtree-check's order): nothing is acquired while it
-    /// is held, and readers share it.
-    read_handles: RwLock<Vec<ReadSlot>>,
-    /// Metrics sink for optimistic-read retry accounting; set once the
-    /// owning fabric is known, absent in bare unit-test stores.
-    pub(crate) metrics: OnceLock<Arc<ClusterMetrics>>,
-}
-
-impl SharedConfig {
-    pub(crate) fn new(config: &DistConfig, wal: Option<Arc<WalHandle>>) -> Arc<Self> {
-        Arc::new(SharedConfig {
-            kd: config.kd(),
-            capacity: config.capacity.clone(),
-            max_partitions: config.max_partitions,
-            wal,
-            partitions: AtomicUsize::new(0),
-            read_handles: RwLock::new(Vec::new()),
-            metrics: OnceLock::new(),
-        })
-    }
-
-    /// Publish (or replace) the tree of the partition hosted on `node`.
-    pub(crate) fn register_read_handle(&self, node: ComputeNodeId, tree: &Arc<Tree>) {
-        let mut slots = self
-            .read_handles
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        let at = node.local_index();
-        if slots.len() <= at {
-            slots.resize(at + 1, None);
-        }
-        slots[at] = Some((node, Arc::clone(tree)));
-    }
-
-    /// Withdraw `node`'s tree once its actor is gone — a dead partition
-    /// must fail reads the way it fails writes, not answer them from a
-    /// frozen tree — unless the entry is no longer `tree`.
-    pub(crate) fn unregister_read_handle(&self, node: ComputeNodeId, tree: &Arc<Tree>) {
-        let mut slots = self
-            .read_handles
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(slot) = slots.get_mut(node.local_index()) {
-            if slot
-                .as_ref()
-                .is_some_and(|(id, held)| *id == node && Arc::ptr_eq(held, tree))
-            {
-                *slot = None;
-            }
-        }
-    }
-
-    /// The tree registered for `node`, if this process hosts it.
-    pub(crate) fn read_handle(&self, node: ComputeNodeId) -> Option<Arc<Tree>> {
-        let slots = self
-            .read_handles
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        let (id, tree) = slots.get(node.local_index())?.as_ref()?;
-        (*id == node).then(|| Arc::clone(tree))
-    }
-
-    /// Attach the cluster metrics sink (idempotent; first caller wins).
-    pub(crate) fn set_metrics(&self, metrics: Arc<ClusterMetrics>) {
-        let _ = self.metrics.set(metrics);
-    }
-
-    /// Atomically claim a slot for one more partition; `false` when the
-    /// cluster is out of compute nodes.
-    pub(crate) fn try_reserve_partition(&self) -> bool {
-        self.partitions
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |cur| {
-                (cur < self.max_partitions).then_some(cur + 1)
-            })
-            .is_ok()
-    }
-
-    /// Return a previously reserved slot (a build-partition transfer
-    /// failed after reserving).
-    pub(crate) fn release_partition(&self) {
-        self.partitions.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    fn partition_count(&self) -> usize {
-        self.partitions.load(Ordering::SeqCst)
-    }
-}
 
 /// Whole-tree statistics gathered by walking the partition tree.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -284,134 +54,6 @@ impl GlobalStats {
     #[must_use]
     pub fn root_routing_nodes(&self) -> usize {
         self.partitions.first().map_or(0, |(_, s)| s.routing)
-    }
-}
-
-/// One typed request against a [`DistSemTree`] — the input to
-/// [`DistSemTree::query`], the unified entry point that replaced the
-/// accreted `try_*`/panicking method pairs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Query {
-    /// Store one point with its payload (the distributed insertion
-    /// algorithm, starting "from the root node of the root partition").
-    Insert {
-        /// Point coordinates (must match the configured dimensionality).
-        point: Vec<f64>,
-        /// Caller-owned identifier carried with the point.
-        payload: u64,
-    },
-    /// The `k` nearest stored points to `point`.
-    Knn {
-        /// Query point.
-        point: Vec<f64>,
-        /// Result-set size `K`.
-        k: usize,
-    },
-    /// The `k` nearest stored points to every entry of `points`: one
-    /// [`Query::Knn`] read each, fanned out over the caller's cores.
-    KnnBatch {
-        /// Query points, answered in order.
-        points: Vec<Vec<f64>>,
-        /// Result-set size `K` per query.
-        k: usize,
-    },
-    /// Every stored point within `radius` of `point` (inclusive).
-    Range {
-        /// Query point.
-        point: Vec<f64>,
-        /// Inclusive search radius `D`.
-        radius: f64,
-    },
-}
-
-impl Query {
-    /// [`Query::Insert`] from borrowed coordinates.
-    #[must_use]
-    pub fn insert(point: &[f64], payload: u64) -> Self {
-        Query::Insert {
-            point: point.to_vec(),
-            payload,
-        }
-    }
-
-    /// [`Query::Knn`] from borrowed coordinates.
-    #[must_use]
-    pub fn knn(point: &[f64], k: usize) -> Self {
-        Query::Knn {
-            point: point.to_vec(),
-            k,
-        }
-    }
-
-    /// [`Query::KnnBatch`] from borrowed query points.
-    #[must_use]
-    pub fn knn_batch(points: &[Vec<f64>], k: usize) -> Self {
-        Query::KnnBatch {
-            points: points.to_vec(),
-            k,
-        }
-    }
-
-    /// [`Query::Range`] from borrowed coordinates.
-    #[must_use]
-    pub fn range(point: &[f64], radius: f64) -> Self {
-        Query::Range {
-            point: point.to_vec(),
-            radius,
-        }
-    }
-}
-
-/// The successful result of [`DistSemTree::query`], one variant per
-/// [`Query`] shape. The typed accessors convert a shape mismatch into a
-/// [`ClusterError`] instead of panicking.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QueryOutcome {
-    /// An [`Query::Insert`] was applied and acknowledged.
-    Inserted,
-    /// Hits for [`Query::Knn`] / [`Query::Range`], closest first.
-    Neighbors(Vec<Neighbor<u64>>),
-    /// Per-query hits for [`Query::KnnBatch`], in input order, each
-    /// closest first.
-    NeighborBatches(Vec<Vec<Neighbor<u64>>>),
-}
-
-impl QueryOutcome {
-    fn mismatch(expected: &str, got: &Self) -> ClusterError {
-        ClusterError::Remote(format!("expected {expected} outcome, got {got:?}"))
-    }
-
-    /// Confirm this outcome acknowledges an insert.
-    ///
-    /// # Errors
-    /// Fails when the outcome is not [`QueryOutcome::Inserted`].
-    pub fn inserted(self) -> Result<(), ClusterError> {
-        match self {
-            QueryOutcome::Inserted => Ok(()),
-            other => Err(Self::mismatch("insert", &other)),
-        }
-    }
-
-    /// The neighbour list of a k-NN or range outcome.
-    ///
-    /// # Errors
-    /// Fails when the outcome is not [`QueryOutcome::Neighbors`].
-    pub fn neighbors(self) -> Result<Vec<Neighbor<u64>>, ClusterError> {
-        match self {
-            QueryOutcome::Neighbors(hits) => Ok(hits),
-            other => Err(Self::mismatch("neighbors", &other)),
-        }
-    }
-
-    /// The per-query neighbour lists of a batched k-NN outcome.
-    ///
-    /// # Errors
-    /// Fails when the outcome is not [`QueryOutcome::NeighborBatches`].
-    pub fn neighbor_batches(self) -> Result<Vec<Vec<Neighbor<u64>>>, ClusterError> {
-        match self {
-            QueryOutcome::NeighborBatches(batches) => Ok(batches),
-            other => Err(Self::mismatch("neighbor batches", &other)),
-        }
     }
 }
 
@@ -457,7 +99,7 @@ pub struct DistSemTree {
     /// The cores a [`Query::KnnBatch`] is fanned out over.
     pool: Pool,
     root: ComputeNodeId,
-    shared: Arc<SharedConfig>,
+    pub(crate) shared: Arc<SharedConfig>,
     /// Shared (not inline) so pipelined completion callbacks can bump it
     /// from whatever thread finishes an insert.
     inserted: Arc<AtomicU64>,
@@ -717,44 +359,6 @@ impl DistSemTree {
         self.read(query, None).ok().map(Ok)
     }
 
-    /// The input contract of every data operation, checked once here —
-    /// before the read path and before any actor — for in-process and
-    /// served callers alike: every point has exactly `dims` finite
-    /// coordinates, and a range radius is finite and non-negative.
-    /// (`PartitionStore` re-checks dimensionality on its side of the
-    /// wire and answers a mismatch with an error reply.)
-    fn validate(&self, query: &Query) -> Result<(), ClusterError> {
-        let dims = self.shared.kd.dims();
-        let check = |point: &Vec<f64>| {
-            if point.len() != dims {
-                return Err(ClusterError::InvalidRequest(format!(
-                    "point has {} dimensions, the index expects {dims}",
-                    point.len()
-                )));
-            }
-            if !point.iter().all(|c| c.is_finite()) {
-                return Err(ClusterError::InvalidRequest(
-                    "point has a non-finite coordinate".into(),
-                ));
-            }
-            Ok(())
-        };
-        match query {
-            Query::Insert { point, .. } | Query::Knn { point, .. } => check(point),
-            Query::KnnBatch { points, .. } => points.iter().try_for_each(check),
-            Query::Range { point, radius } => {
-                check(point)?;
-                if radius.is_finite() && *radius >= 0.0 {
-                    Ok(())
-                } else {
-                    Err(ClusterError::InvalidRequest(format!(
-                        "radius {radius} is not a finite non-negative number"
-                    )))
-                }
-            }
-        }
-    }
-
     /// A k-NN, range or batch read, walked on this thread from the root
     /// partition's root, crossing every border by the
     /// [`Borders`](crate::border::Borders) rule. Without a `transport`, a
@@ -978,6 +582,8 @@ fn build_fanout(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CapacityPolicy;
+    use semtree_kdtree::SplitRule;
     use semtree_par::metric::euclidean;
 
     fn grid(n: usize) -> Vec<(Vec<f64>, u64)> {
@@ -1663,16 +1269,5 @@ mod tests {
         assert!(tree.partition_count() > 1);
         assert_eq!(tree.verify(), Vec::<String>::new());
         tree.shutdown();
-    }
-
-    #[test]
-    fn capacity_policy_debug_formats() {
-        assert_eq!(format!("{:?}", CapacityPolicy::Unlimited), "Unlimited");
-        assert_eq!(
-            format!("{:?}", CapacityPolicy::MaxPoints(5)),
-            "MaxPoints(5)"
-        );
-        let d = CapacityPolicy::Dynamic(Arc::new(|_| false));
-        assert_eq!(format!("{d:?}"), "Dynamic(..)");
     }
 }
