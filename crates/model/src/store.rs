@@ -267,12 +267,30 @@ impl TripleStore {
         self.documents.iter()
     }
 
-    /// Iterate the distinct triples matching `pattern`.
+    /// Iterate the distinct triples matching `pattern`. Each bound
+    /// position is resolved to its term id once, so a term this store
+    /// never interned matches nothing, and the scan compares term ids,
+    /// no strings.
     pub fn matching<'a>(
         &'a self,
-        pattern: &'a TriplePattern,
+        pattern: &TriplePattern,
     ) -> impl Iterator<Item = (TripleId, &'a Triple)> + 'a {
-        self.iter().filter(move |(_, t)| pattern.matches(t))
+        let mut unknown = false;
+        let bound = [&pattern.subject, &pattern.predicate, &pattern.object].map(|term| {
+            let term = term.as_ref()?.view();
+            let id = self.find_term(self.hasher.hash_one(term), term);
+            unknown |= id.is_none();
+            id
+        });
+        let keys = if unknown { &[][..] } else { &self.keys[..] };
+        keys.iter()
+            .enumerate()
+            .filter(move |(_, key)| {
+                key.iter()
+                    .zip(bound)
+                    .all(|(id, want)| want.is_none_or(|want| *id == want))
+            })
+            .map(|(i, _)| (TripleId(i as u32), &self.triples[i]))
     }
 
     /// Number of distinct triples.
@@ -506,6 +524,38 @@ mod tests {
             for (s, p, o) in (0..8).flat_map(|s| (0..8).flat_map(move |p| (0..8).map(move |o| (s, p, o)))) {
                 let t = triple(s, p, o);
                 proptest::prop_assert_eq!(store.id_of(&t), want.ids.get(&t).copied(), "{}", t);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// `matching` by term id answers what the string filter
+        /// `TriplePattern::matches` answers over every stored triple, for
+        /// patterns binding near-twin terms, terms absent from this
+        /// store and terms no store ever saw.
+        #[test]
+        fn matching_by_term_id_is_the_string_filter(
+            inserts in proptest::collection::vec((0usize..8, 0usize..8, 0usize..8), 0..60),
+            patterns in proptest::collection::vec(
+                proptest::collection::vec(0usize..13, 3),
+                1..20,
+            ),
+        ) {
+            let mut terms = near_twins();
+            terms.extend([Term::literal("43"), Term::concept_in("Fun", "accept")]);
+            let mut store = TripleStore::new();
+            let d = store.create_document("D");
+            for &(s, p, o) in &inserts {
+                let t = Triple::new(terms[s].clone(), terms[p].clone(), terms[o].clone());
+                store.insert(d, t);
+            }
+            for bound in &patterns {
+                // 10 terms to bind, and 10..13 leaves the position free.
+                let [s, p, o] = [0, 1, 2].map(|at| terms.get(bound[at]).cloned());
+                let pattern = TriplePattern { subject: s, predicate: p, object: o };
+                let got: Vec<_> = store.matching(&pattern).collect();
+                let want: Vec<_> = store.iter().filter(|(_, t)| pattern.matches(t)).collect();
+                proptest::prop_assert_eq!(got, want, "{:?}", pattern);
             }
         }
     }
