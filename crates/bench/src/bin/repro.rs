@@ -274,10 +274,7 @@ fn effectiveness_run(
     let corpus = CorpusGenerator::new(gen_cfg).generate();
 
     let registry = Arc::new(registry_for(&corpus.domain));
-    let term_cfg = semtree_distance::TermDistanceConfig {
-        semantic: measure,
-        ..Default::default()
-    };
+    let term_cfg = semtree_distance::TermDistanceConfig { semantic: measure };
     let distance = TripleDistance::with_config(weights, term_cfg, registry);
 
     let mut builder = SemTree::builder().dimensions(dims).bucket_size(BUCKET);

@@ -208,7 +208,6 @@ fn pipeline_fingerprint_is_unchanged() {
         Weights::default(),
         TermDistanceConfig {
             semantic: SimilarityMeasure::Lin,
-            ..TermDistanceConfig::default()
         },
         Arc::new(registry(&corpus.domain, Arc::new(fun))),
     );

@@ -6,33 +6,29 @@ use semtree_vocab::strings::normalised_levenshtein;
 
 use crate::registry::{TermResolution, VocabularyRegistry};
 
+/// Distance charged when the two elements are not comparable: mixed
+/// kinds (literal vs concept), literals of different types, or concepts
+/// from different vocabularies. The paper leaves this case open; 1.0
+/// (maximally distant) is the conservative choice.
+const MIXED_PENALTY: f64 = 1.0;
+
 /// Configuration of the element-level distance. Two literals of the same
 /// type are always compared by
 /// [`normalised_levenshtein`](semtree_vocab::strings::normalised_levenshtein),
-/// the paper's named string measure.
+/// the paper's named string measure, and so are the names of two concepts
+/// of one vocabulary when either is missing from its taxonomy: that keeps
+/// out-of-vocabulary concepts (noisy NLP output) comparable.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TermDistanceConfig {
     /// Taxonomy measure used when both elements are concepts of the same
     /// vocabulary (paper default: Wu & Palmer).
     pub semantic: SimilarityMeasure,
-    /// Distance charged when the two elements are not comparable: mixed
-    /// kinds (literal vs concept), literals of different types, or concepts
-    /// from different vocabularies. The paper leaves this case open; 1.0
-    /// (maximally distant) is the conservative default.
-    pub mixed_penalty: f64,
-    /// When a concept is missing from its taxonomy, compare the concept
-    /// names as same-typed literals are compared (normalised Levenshtein)
-    /// instead of charging the mixed penalty. Keeps out-of-vocabulary
-    /// concepts comparable (useful with noisy NLP output).
-    pub string_fallback: bool,
 }
 
 impl Default for TermDistanceConfig {
     fn default() -> Self {
         TermDistanceConfig {
             semantic: SimilarityMeasure::WuPalmer,
-            mixed_penalty: 1.0,
-            string_fallback: true,
         }
     }
 }
@@ -64,12 +60,12 @@ impl TermDistanceConfig {
                 if la.dtype == lb.dtype {
                     normalised_levenshtein(&la.value, &lb.value)
                 } else {
-                    self.mixed_penalty
+                    MIXED_PENALTY
                 }
             }
             (Term::Concept(ca), Term::Concept(cb)) => {
                 if ca.prefix != cb.prefix {
-                    return self.mixed_penalty;
+                    return MIXED_PENALTY;
                 }
                 // One prefix, one slot: `a`'s is `b`'s.
                 match (ra.0, rb.0) {
@@ -78,18 +74,10 @@ impl TermDistanceConfig {
                             .semantic
                             .similarity_ids(registry.taxonomy(slot), ia, ib)
                     }
-                    _ => self.fallback(&ca.name, &cb.name),
+                    _ => normalised_levenshtein(&ca.name, &cb.name),
                 }
             }
-            _ => self.mixed_penalty,
-        }
-    }
-
-    fn fallback(&self, a: &str, b: &str) -> f64 {
-        if self.string_fallback {
-            normalised_levenshtein(a, b)
-        } else {
-            self.mixed_penalty
+            _ => MIXED_PENALTY,
         }
     }
 }
@@ -128,7 +116,7 @@ mod tests {
         let r = registry();
         let a = Term::Literal(Literal::typed("42", LiteralType::Integer));
         let b = Term::Literal(Literal::typed("42", LiteralType::String));
-        assert_eq!(cfg.distance(&r, &a, &b), cfg.mixed_penalty);
+        assert_eq!(cfg.distance(&r, &a, &b), MIXED_PENALTY);
     }
 
     #[test]
@@ -153,7 +141,7 @@ mod tests {
             &Term::concept_in("Fun", "accept"),
             &Term::concept("accept"),
         );
-        assert_eq!(d, cfg.mixed_penalty);
+        assert_eq!(d, MIXED_PENALTY);
     }
 
     #[test]
@@ -164,15 +152,6 @@ mod tests {
         assert!(
             d < 1.0,
             "string fallback should see the near-identical names"
-        );
-
-        let strict = TermDistanceConfig {
-            string_fallback: false,
-            ..cfg
-        };
-        assert_eq!(
-            strict.distance(&r, &Term::concept("acceptx"), &Term::concept("accepty")),
-            1.0
         );
     }
 
@@ -194,7 +173,7 @@ mod tests {
         let r = registry();
         assert_eq!(
             cfg.distance(&r, &Term::literal("accept"), &Term::concept("accept")),
-            cfg.mixed_penalty
+            MIXED_PENALTY
         );
     }
 
@@ -211,22 +190,22 @@ mod tests {
                 if la.dtype == lb.dtype {
                     normalised_levenshtein(&la.value, &lb.value)
                 } else {
-                    cfg.mixed_penalty
+                    MIXED_PENALTY
                 }
             }
             (Term::Concept(ca), Term::Concept(cb)) => {
                 if ca.prefix != cb.prefix {
-                    return cfg.mixed_penalty;
+                    return MIXED_PENALTY;
                 }
                 let Some(tax) = registry.resolve(ca.prefix.as_deref()) else {
-                    return cfg.fallback(&ca.name, &cb.name);
+                    return normalised_levenshtein(&ca.name, &cb.name);
                 };
                 match (tax.id_of(&ca.name), tax.id_of(&cb.name)) {
                     (Some(ia), Some(ib)) => 1.0 - cfg.semantic.similarity_ids(tax, ia, ib),
-                    _ => cfg.fallback(&ca.name, &cb.name),
+                    _ => normalised_levenshtein(&ca.name, &cb.name),
                 }
             }
-            _ => cfg.mixed_penalty,
+            _ => MIXED_PENALTY,
         }
     }
 
@@ -274,8 +253,6 @@ mod tests {
         #[test]
         fn resolved_distance_is_the_oracle_bit_for_bit(
             measure in 0usize..5,
-            fallback in 0u8..2,
-            penalty in 0.0f64..=1.0,
             standard in 0u8..2,
         ) {
             // Without a standard taxonomy, unprefixed concepts are an
@@ -287,8 +264,6 @@ mod tests {
             r.register("Fun", dag());
             let cfg = TermDistanceConfig {
                 semantic: SimilarityMeasure::ALL[measure],
-                mixed_penalty: penalty,
-                string_fallback: fallback == 1,
             };
             let terms = operands();
             for a in &terms {
@@ -305,8 +280,6 @@ mod tests {
         #[test]
         fn rows_embed_what_the_pair_oracle_embeds_bit_for_bit(
             measure in 0usize..5,
-            fallback in 0u8..2,
-            penalty in 0.0f64..=1.0,
             standard in 0u8..2,
             weights in (0.0f64..1.0, 0.0f64..1.0, 0.01f64..1.0),
             picks in proptest::collection::vec((0usize..23, 0usize..23, 0usize..23), 0..60),
@@ -325,8 +298,6 @@ mod tests {
             r.register("Fun", dag());
             let cfg = TermDistanceConfig {
                 semantic: SimilarityMeasure::ALL[measure],
-                mixed_penalty: penalty,
-                string_fallback: fallback == 1,
             };
             let (alpha, beta, gamma) = weights;
             let weights = Weights::normalised(alpha, beta, gamma).unwrap();
