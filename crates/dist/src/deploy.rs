@@ -1,6 +1,5 @@
 //! Multi-process deployment over `semtree-net`: coordinator/worker
 //! bootstrap and the wire form of the shared configuration.
-
 //!
 //! A deployment is one **coordinator** process (hosts the root partition
 //! and answers clients) plus any number of **worker** processes (host
