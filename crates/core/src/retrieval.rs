@@ -54,17 +54,6 @@ impl Matched {
         }
     }
 
-    /// Replace the last match with `m` when `m` is strictly closer.
-    fn improve_last(&mut self, m: (TripleId, f64)) {
-        let last = match &mut self.0 {
-            Repr::One(last) => Some(last),
-            Repr::Spilled(all) => all.last_mut(),
-        };
-        if let Some(last) = last.filter(|last| m.1 < last.1) {
-            *last = m;
-        }
-    }
-
     /// Move the matches out, leaving an empty list.
     fn take(&mut self) -> Self {
         std::mem::replace(self, Matched(Repr::Spilled(Vec::new())))
@@ -156,7 +145,7 @@ impl<'a> DocumentRetriever<'a> {
     #[must_use]
     pub fn query_triples(&self, queries: &[Triple]) -> Vec<DocumentHit<'a>> {
         /// One document that matched: one match per query triple that
-        /// reached it, the last one being `query`'s best so far.
+        /// reached it, the last one being `query`'s.
         struct Slot {
             doc: DocumentId,
             query: usize,
@@ -171,9 +160,17 @@ impl<'a> DocumentRetriever<'a> {
         let mut slots: Vec<Slot> = Vec::with_capacity(documents.min(queries.len() * self.k));
 
         for (query, triple) in queries.iter().enumerate() {
+            // `nearest` yields hits by ascending `d`, so a document's first
+            // hit for a query triple is its best one.
+            let mut previous = None;
             for (tid, embedded, semantic) in self.index.nearest(triple, self.k, self.opts) {
                 // The distance the hit was ranked by.
                 let d = semantic.unwrap_or(embedded);
+                debug_assert!(
+                    previous.is_none_or(|p: f64| p.total_cmp(&d).is_le()),
+                    "{previous:?} then {d}"
+                );
+                previous = Some(d);
                 let docs = store
                     .documents_of(tid)
                     .expect("hit ids come from the store");
@@ -189,11 +186,7 @@ impl<'a> DocumentRetriever<'a> {
                         continue;
                     }
                     let slot = &mut slots[s as usize];
-                    if slot.query == query {
-                        // The first minimal hit in hit order is the
-                        // document's best for this query triple.
-                        slot.matched.improve_last((tid, d));
-                    } else {
+                    if slot.query != query {
                         slot.query = query;
                         slot.matched.push((tid, d));
                     }

@@ -1,7 +1,5 @@
 //! SVO extraction for the controlled requirements grammar.
 
-use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -10,7 +8,7 @@ use semtree_model::{Term, TermRef, Triple, TripleRef};
 
 use crate::stem::light_stem;
 use crate::stopwords::is_stopword;
-use crate::tokenizer::{sentences, tokenize, Token, TokenKind};
+use crate::tokenizer::{each_token, push_lowercase, sentences, TokenKind};
 
 /// Extraction failure for a single sentence.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,20 +36,49 @@ impl fmt::Display for ExtractError {
 
 impl std::error::Error for ExtractError {}
 
+/// The modal verbs a requirement turns on.
+const MODALS: [&str; 4] = ["shall", "must", "will", "should"];
+
+/// The action verbs, one row each.
+const VERBS: [&str; 20] = [
+    "accept", "reject", "block", "allow", "send", "receive", "acquire", "release", "start", "stop",
+    "enable", "disable", "monitor", "verify", "validate", "check", "transmit", "process", "store",
+    "discard",
+];
+
+/// The verb a negation folds each of these to (`shall not accept` →
+/// `block`); every other verb keeps its own row.
+const NEGATIONS: [(&str, &str); 5] = [
+    ("accept", "block"),
+    ("allow", "reject"),
+    ("enable", "disable"),
+    ("start", "stop"),
+    ("send", "discard"),
+];
+
+/// The object classes, one column each: (class noun, predicate suffix,
+/// object prefix).
+const CLASSES: [(&str, &str, &str); 8] = [
+    ("command", "cmd", "CmdType"),
+    ("message", "msg", "MsgType"),
+    ("input", "in", "InType"),
+    ("output", "out", "OutType"),
+    ("mode", "mode", "ModeType"),
+    ("signal", "sig", "SigType"),
+    ("telemetry", "tm", "TmType"),
+    ("parameter", "par", "ParType"),
+];
+
+/// The row of `verb` in [`VERBS`].
+fn verb_row(verb: &str) -> Option<usize> {
+    VERBS.iter().position(|&v| v == verb)
+}
+
 /// Extracts `(Actor, Fun:<verb>_<class>, <ClassType>:<parameter>)` triples
 /// from `"<Actor> shall [not] <verb> the <parameter> <class>"` sentences —
 /// the unary-function reading of requirements from the paper's §III-A.
 #[derive(Debug, Clone)]
 pub struct SvoExtractor {
-    modals: [&'static str; 4],
-    /// stem → row of its canonical verb.
-    verbs: HashMap<&'static str, usize>,
-    /// Per verb row, the row a negation folds it to (`shall not accept`
-    /// → `block`); its own row when it has no antonym.
-    antonyms: Vec<usize>,
-    /// object-class noun → its class column: `command` → the column of
-    /// (`cmd`, `CmdType`).
-    classes: HashMap<&'static str, usize>,
     /// Object prefix per class column, `CmdType`, ….
     prefixes: Vec<Arc<str>>,
     /// Per verb row, `Fun:<verb>` then `Fun:<verb>_<suffix>` per class
@@ -59,46 +86,32 @@ pub struct SvoExtractor {
     predicates: Vec<Vec<Term>>,
 }
 
+/// The buffers a sentence's parse fills, kept across the sentences of one
+/// text and cleared per sentence.
+#[derive(Default)]
+struct Scratch<'a> {
+    /// The sentence's words (its non-punctuation tokens), as written.
+    words: Vec<&'a str>,
+    /// Each word lowercased, back to back…
+    lowered: String,
+    /// …at these byte ranges, one per word.
+    lower: Vec<Range<usize>>,
+    /// One conjunct's words, joined in turn.
+    text: String,
+    /// The conjuncts kept, subjects then object parameters, back to back.
+    kept: String,
+    /// Each subject's byte range in `kept`.
+    subjects: Vec<Range<usize>>,
+    /// Each object conjunct's parameter (its range in `kept`, `None` for
+    /// a bare class noun) and its class column.
+    objects: Vec<(Option<Range<usize>>, Option<usize>)>,
+}
+
 impl SvoExtractor {
     /// The extractor configured for on-board-software requirements, with
     /// the verb/class lexicon the synthetic corpus also uses.
     #[must_use]
     pub fn requirements() -> Self {
-        const VERBS: [&str; 20] = [
-            "accept", "reject", "block", "allow", "send", "receive", "acquire", "release", "start",
-            "stop", "enable", "disable", "monitor", "verify", "validate", "check", "transmit",
-            "process", "store", "discard",
-        ];
-        const NEGATIONS: [(&str, &str); 5] = [
-            ("accept", "block"),
-            ("allow", "reject"),
-            ("enable", "disable"),
-            ("start", "stop"),
-            ("send", "discard"),
-        ];
-        // (class noun, predicate suffix, object prefix).
-        const CLASSES: [(&str, &str, &str); 8] = [
-            ("command", "cmd", "CmdType"),
-            ("message", "msg", "MsgType"),
-            ("input", "in", "InType"),
-            ("output", "out", "OutType"),
-            ("mode", "mode", "ModeType"),
-            ("signal", "sig", "SigType"),
-            ("telemetry", "tm", "TmType"),
-            ("parameter", "par", "ParType"),
-        ];
-        let verbs: HashMap<_, _> = VERBS.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        let antonyms = VERBS
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                NEGATIONS
-                    .iter()
-                    .find(|(from, _)| from == v)
-                    .and_then(|(_, to)| verbs.get(to).copied())
-                    .unwrap_or(i)
-            })
-            .collect();
         let fun: Arc<str> = Arc::from("Fun");
         let predicates = VERBS
             .iter()
@@ -111,14 +124,6 @@ impl SvoExtractor {
             })
             .collect();
         SvoExtractor {
-            modals: ["shall", "must", "will", "should"],
-            verbs,
-            antonyms,
-            classes: CLASSES
-                .iter()
-                .enumerate()
-                .map(|(i, &(noun, _, _))| (noun, i))
-                .collect(),
             prefixes: CLASSES
                 .iter()
                 .map(|&(_, _, prefix)| prefix.into())
@@ -141,7 +146,9 @@ impl SvoExtractor {
     /// to their active form first.
     pub fn extract_sentence_all(&self, sentence: &str) -> Result<Vec<Triple>, ExtractError> {
         let mut out = Vec::new();
-        self.sentence_each(sentence, &mut |t| out.push(t.to_triple()))?;
+        self.sentence_each(sentence, &mut Scratch::default(), &mut |t| {
+            out.push(t.to_triple());
+        })?;
         Ok(out)
     }
 
@@ -157,100 +164,127 @@ impl SvoExtractor {
     /// [`SvoExtractor::extract`], handing each triple to `sink` as a
     /// borrowed view instead of building it; returns how many there were.
     /// A [`semtree_model::TripleStore::insert_ref`] sink builds a term only
-    /// the first time the store sees it.
+    /// the first time the store sees it. Every sentence is parsed over the
+    /// same buffers.
     pub fn extract_each(&self, text: &str, mut sink: impl FnMut(TripleRef<'_>)) -> usize {
+        let mut scratch = Scratch::default();
         let mut n = 0;
         for sentence in sentences(text) {
             // A sentence that fails hands `sink` nothing.
-            n += self.sentence_each(sentence, &mut sink).unwrap_or(0);
+            n += self
+                .sentence_each(sentence, &mut scratch, &mut sink)
+                .unwrap_or(0);
         }
         n
     }
 
     /// Hand every triple `sentence` asserts to `sink` and count them; on
-    /// an error, `sink` was handed nothing.
-    fn sentence_each(
+    /// an error, `sink` was handed nothing. `scratch` holds whatever an
+    /// earlier sentence left in it.
+    fn sentence_each<'a>(
         &self,
-        sentence: &str,
+        sentence: &'a str,
+        scratch: &mut Scratch<'a>,
         sink: &mut impl FnMut(TripleRef<'_>),
     ) -> Result<usize, ExtractError> {
+        let Scratch {
+            words,
+            lowered,
+            lower,
+            text,
+            kept,
+            subjects,
+            objects,
+        } = scratch;
+        words.clear();
+        lowered.clear();
+        lower.clear();
+        kept.clear();
+        subjects.clear();
+        objects.clear();
+
         // Leading subordinate clause ("When in safe mode, …", "During the
         // pre-launch phase, …") is scoped context, not part of the SVO
         // core: drop everything up to the first comma.
         let sentence = strip_condition_clause(sentence);
-        let mut words = tokenize(sentence);
-        words.retain(|t| t.kind != TokenKind::Punct);
-        let lower: Vec<Cow<'_, str>> = words.iter().map(Token::lower).collect();
+        each_token(sentence, |token| {
+            if token.kind != TokenKind::Punct {
+                words.push(token.text);
+                let start = lowered.len();
+                push_lowercase(lowered, token.text);
+                lower.push(start..lowered.len());
+            }
+        });
+        let lower = |i: usize| &lowered[lower[i].clone()];
+        let n_words = words.len();
 
-        let modal_idx = lower
-            .iter()
-            .position(|w| self.modals.contains(&&**w))
+        let modal_idx = (0..n_words)
+            .position(|i| MODALS.contains(&lower(i)))
             .ok_or(ExtractError::NoModal)?;
 
         // Optional negation directly after the modal ("shall not …",
         // "shall not be … by …").
         let mut idx = modal_idx + 1;
         let mut negated = false;
-        while lower.get(idx).is_some_and(|w| w == "not" || w == "never") {
+        while idx < n_words && matches!(lower(idx), "not" | "never") {
             negated = true;
             idx += 1;
         }
 
         // Passive voice: "<object> shall [not] be <participle> by <subject>".
-        let passive = lower.get(idx).is_some_and(|w| w == "be");
+        let passive = idx < n_words && lower(idx) == "be";
         let (verb_idx, subject_range, object_range) = if passive {
             let verb_idx = idx + 1;
-            if verb_idx >= words.len() {
+            if verb_idx >= n_words {
                 return Err(ExtractError::NoVerb(String::new()));
             }
-            let by_idx = lower[verb_idx + 1..]
-                .iter()
-                .position(|w| w == "by")
-                .map(|p| p + verb_idx + 1)
+            let by_idx = (verb_idx + 1..n_words)
+                .find(|&i| lower(i) == "by")
                 .ok_or(ExtractError::NoSubject)?;
-            (verb_idx, by_idx + 1..words.len(), 0..modal_idx)
+            (verb_idx, by_idx + 1..n_words, 0..modal_idx)
         } else {
-            if idx >= words.len() {
+            if idx >= n_words {
                 return Err(ExtractError::NoVerb(String::new()));
             }
-            (idx, 0..modal_idx, idx + 1..words.len())
+            (idx, 0..modal_idx, idx + 1..n_words)
         };
 
         // Subject conjunctions ("OBSW001 and OBSW002 shall …") assert the
         // statement for each actor.
-        // One buffer holds each conjunct's words in turn; none is longer
-        // than the sentence. The conjuncts it yields are kept back to back
-        // in `kept`, subjects then object parameters, as byte ranges.
-        let mut text = String::with_capacity(sentence.len());
-        let mut kept = String::with_capacity(sentence.len());
+        // `text` holds each conjunct's words in turn; the conjuncts it
+        // yields are kept back to back in `kept`, subjects then object
+        // parameters, as byte ranges.
         let mut keep = |conjunct: &str| {
             kept.push_str(conjunct);
             kept.len() - conjunct.len()..kept.len()
         };
-        let mut subjects = Vec::new();
-        let subject_words = subject_range.map(|i| (&*lower[i], words[i].text));
-        conjuncts(&mut text, subject_words, |subject, _| {
+        let subject_words = subject_range.map(|i| (lower(i), words[i]));
+        conjuncts(text, subject_words, |subject, _| {
             subjects.push(keep(subject));
         });
         if subjects.is_empty() {
             return Err(ExtractError::NoSubject);
         }
 
-        let raw_verb = words[verb_idx].text;
+        let raw_verb = words[verb_idx];
         let stem = light_stem(raw_verb);
         // The light stemmer may leave a dropped silent `e` unrestored
         // ("validated" → "validat"); retry lexicon lookup with it appended.
-        let mut verb = match self.verbs.get(&*stem) {
-            Some(&row) => row,
-            None => *self
-                .verbs
-                .get(format!("{stem}e").as_str())
-                .ok_or_else(|| ExtractError::NoVerb(raw_verb.to_string()))?,
-        };
+        let mut verb = verb_row(&stem)
+            .or_else(|| {
+                VERBS
+                    .iter()
+                    .position(|v| v.strip_suffix('e') == Some(&*stem))
+            })
+            .ok_or_else(|| ExtractError::NoVerb(raw_verb.to_string()))?;
         if negated {
             // `shall not accept` ≡ `shall block`: fold the negation into
             // the antonym action so the antinomy machinery sees it.
-            verb = self.antonyms[verb];
+            verb = NEGATIONS
+                .iter()
+                .find(|&&(from, _)| from == VERBS[verb])
+                .and_then(|&(_, to)| verb_row(to))
+                .unwrap_or(verb);
         }
 
         // Object conjunctions: split on and/or *before* stopword removal,
@@ -258,11 +292,11 @@ impl SvoExtractor {
         // conjunct distributes to earlier ones ("start-up and shut-down
         // commands"). Each conjunct keeps its parameter (`None` when it is
         // a bare class noun) and the class column its own noun names.
-        let mut objects: Vec<(Option<Range<usize>>, Option<usize>)> = Vec::new();
-        let object_words = lower[object_range].iter().map(|w| (&**w, &**w));
-        conjuncts(&mut text, object_words, |object, last| {
-            objects.push(match self.classes.get(&*light_stem(&object[last..])) {
-                Some(&column) => ((last > 0).then(|| keep(&object[..last - 1])), Some(column)),
+        let object_words = object_range.map(|i| (lower(i), lower(i)));
+        conjuncts(text, object_words, |object, last| {
+            let noun = light_stem(&object[last..]);
+            objects.push(match CLASSES.iter().position(|&(n, _, _)| n == noun) {
+                Some(column) => ((last > 0).then(|| keep(&object[..last - 1])), Some(column)),
                 None => (Some(keep(object)), None),
             });
         });
@@ -278,26 +312,22 @@ impl SvoExtractor {
         }
 
         let predicates = &self.predicates[verb];
-        let subjects: Vec<TermRef<'_>> = subjects
-            .into_iter()
-            .map(|subject| TermRef::literal(&kept[subject]))
-            .collect();
         let mut emitted = 0;
-        for (parameter, class) in objects {
+        for (parameter, class) in objects.iter() {
             let Some(parameter) = parameter else {
                 continue; // a bare class noun carries no parameter
             };
-            let parameter = &kept[parameter];
-            let (predicate, object) = match class {
+            let parameter = &kept[parameter.clone()];
+            let (predicate, object) = match *class {
                 Some(column) => (
                     &predicates[column + 1],
                     TermRef::Concept(Some(&self.prefixes[column]), parameter),
                 ),
                 None => (&predicates[0], TermRef::Concept(None, parameter)),
             };
-            for &subject in &subjects {
+            for subject in subjects.iter() {
                 sink(TripleRef {
-                    subject,
+                    subject: TermRef::literal(&kept[subject.clone()]),
                     predicate: predicate.view(),
                     object,
                 });
@@ -346,9 +376,14 @@ fn conjuncts<'w>(
 fn strip_condition_clause(sentence: &str) -> &str {
     const CONDITIONS: [&str; 6] = ["when ", "while ", "if ", "during ", "after ", "before "];
     let trimmed = sentence.trim_start();
-    let opens_with = |keyword: &str| {
-        let mut lower = trimmed.chars().flat_map(char::to_lowercase);
-        keyword.chars().all(|k| lower.next() == Some(k))
+    let opens_with = |keyword: &str| match trimmed.as_bytes().get(..keyword.len()) {
+        Some(head) if head.is_ascii() => head.eq_ignore_ascii_case(keyword.as_bytes()),
+        // A char that is not ASCII may lowercase to ASCII (the Kelvin
+        // sign → `k`), so such a head is compared char by char.
+        _ => {
+            let mut lower = trimmed.chars().flat_map(char::to_lowercase);
+            keyword.chars().all(|k| lower.next() == Some(k))
+        }
     };
     if CONDITIONS.iter().any(|c| opens_with(c)) {
         if let Some(comma) = trimmed.find(',') {

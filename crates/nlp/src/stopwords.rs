@@ -2,17 +2,18 @@
 
 use crate::tokenizer::lowercase;
 
-/// Stopwords the extractor skips when assembling subject/object phrases.
-static STOPWORDS: &[&str] = &[
-    "a", "an", "the", "this", "that", "these", "those", "of", "in", "on", "at", "to", "from", "by",
-    "with", "and", "or", "for", "as", "is", "are", "be", "been", "was", "were", "it", "its", "any",
-    "all", "each", "every", "when", "then", "than", "so", "such", "via",
-];
-
-/// Whether `word` (matched case-insensitively) is a stopword.
+/// Whether `word` (matched case-insensitively) is a stopword: one of the
+/// 37 words the extractor skips when assembling subject/object phrases.
 #[must_use]
+#[rustfmt::skip]
 pub fn is_stopword(word: &str) -> bool {
-    STOPWORDS.contains(&&*lowercase(word))
+    matches!(
+        &*lowercase(word),
+        "a" | "an" | "the" | "this" | "that" | "these" | "those" | "of" | "in" | "on" | "at"
+            | "to" | "from" | "by" | "with" | "and" | "or" | "for" | "as" | "is" | "are" | "be"
+            | "been" | "was" | "were" | "it" | "its" | "any" | "all" | "each" | "every" | "when"
+            | "then" | "than" | "so" | "such" | "via"
+    )
 }
 
 #[cfg(test)]

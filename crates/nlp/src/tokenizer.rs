@@ -29,12 +29,11 @@ impl<'a> Token<'a> {
         lowercase(self.text)
     }
 
-    fn word(text: &'a str) -> Self {
-        let has_digit = text.chars().any(|c| c.is_ascii_digit());
-        let has_alpha = text.chars().any(char::is_alphabetic);
-        let kind = if has_digit {
+    /// A word, classed by whether it holds an ASCII digit or a letter.
+    fn word(text: &'a str, digit: bool, alpha: bool) -> Self {
+        let kind = if digit {
             TokenKind::Identifier
-        } else if has_alpha {
+        } else if alpha {
             TokenKind::Word
         } else {
             TokenKind::Punct
@@ -58,6 +57,18 @@ pub(crate) fn lowercase(word: &str) -> Cow<'_, str> {
     }
 }
 
+/// `word` lowercased onto the end of `buf`, as [`lowercase`] gives it:
+/// ASCII in place, anything else through `str::to_lowercase`.
+pub(crate) fn push_lowercase(buf: &mut String, word: &str) {
+    if word.is_ascii() {
+        let start = buf.len();
+        buf.push_str(word);
+        buf[start..].make_ascii_lowercase();
+    } else {
+        buf.push_str(&word.to_lowercase());
+    }
+}
+
 /// Tokenize one sentence. Words keep internal hyphens (`start-up`,
 /// `pre-launch`); everything else splits on non-alphanumerics.
 #[must_use]
@@ -65,37 +76,59 @@ pub fn tokenize(sentence: &str) -> Vec<Token<'_>> {
     // Room for words of about five bytes with their separators, so a
     // requirement sentence does not regrow the vector.
     let mut out = Vec::with_capacity(sentence.len() / 4);
-    // Byte offset where the word being scanned starts.
-    let mut start = None;
-    let mut prev = None;
-    let mut chars = sentence.char_indices().peekable();
-    while let Some((i, c)) = chars.next() {
-        let joins = c.is_alphanumeric()
+    each_token(sentence, |token| out.push(token));
+    out
+}
+
+/// [`tokenize`], handing each token to `emit` in order. One pass over
+/// the bytes, which decodes a `char` only where a byte is not ASCII.
+pub(crate) fn each_token<'a>(sentence: &'a str, mut emit: impl FnMut(Token<'a>)) {
+    // The word being scanned: its start offset, and whether it holds an
+    // ASCII digit and a letter so far.
+    let mut word: Option<(usize, bool, bool)> = None;
+    // Whether the char before offset `i` is alphanumeric.
+    let mut prev_alnum = false;
+    let mut i = 0;
+    while let Some(c) = char_at(sentence, i) {
+        let alnum = c.is_alphanumeric();
+        let joins = alnum
             || c == '_'
             || (c == '-'
-                && prev.is_some_and(char::is_alphanumeric)
-                && chars
-                    .peek()
-                    .is_some_and(|&(_, next)| next.is_alphanumeric()));
+                && prev_alnum
+                && char_at(sentence, i + 1).is_some_and(char::is_alphanumeric));
+        let end = i + c.len_utf8();
         if joins {
-            start.get_or_insert(i);
+            let (_, digit, alpha) = word.get_or_insert((i, false, false));
+            *digit |= c.is_ascii_digit();
+            *alpha |= c.is_alphabetic();
         } else {
-            if let Some(s) = start.take() {
-                out.push(Token::word(&sentence[s..i]));
+            if let Some((start, digit, alpha)) = word.take() {
+                emit(Token::word(&sentence[start..i], digit, alpha));
             }
             if !c.is_whitespace() {
-                out.push(Token {
-                    text: &sentence[i..i + c.len_utf8()],
+                emit(Token {
+                    text: &sentence[i..end],
                     kind: TokenKind::Punct,
                 });
             }
         }
-        prev = Some(c);
+        prev_alnum = alnum;
+        i = end;
     }
-    if let Some(s) = start {
-        out.push(Token::word(&sentence[s..]));
+    if let Some((start, digit, alpha)) = word {
+        emit(Token::word(&sentence[start..], digit, alpha));
     }
-    out
+}
+
+/// The char that starts at byte `i` of `s` (a char boundary), or `None`
+/// past its end.
+fn char_at(s: &str, i: usize) -> Option<char> {
+    let b = *s.as_bytes().get(i)?;
+    if b.is_ascii() {
+        Some(char::from(b))
+    } else {
+        s[i..].chars().next()
+    }
 }
 
 /// Split text into sentences on `.`, `!`, `?` and newlines, ignoring

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use semtree_model::Term;
-use semtree_nlp::{tokenize, SvoExtractor};
+use semtree_nlp::{is_stopword, tokenize, SvoExtractor, Token, TokenKind};
 
 /// Pieces a requirement sentence is assembled from: actors, modals,
 /// lexicon verbs (bare and inflected), class nouns, stopwords,
@@ -91,6 +91,99 @@ const VERBS: &[&str] = &[
 /// or a hyphen.
 const GLUE: &[&str] = &[" ", " ", " ", "", "-"];
 
+/// Pieces a tokenizer input is glued from, with nothing between them:
+/// ASCII words in either case, digits, `_`, hyphens (which land at word
+/// edges, between words and between punctuation), punctuation,
+/// whitespace (including the multi-byte no-break space and U+0085), and
+/// multi-byte letters and digits.
+const TOKEN_PIECES: &[&str] = &[
+    "start", "Up", "OBSW001", "x", "42", "7", "_", "-", "-", "--", ",", ".", "(", "!", " ", " ",
+    "\t", "\n", "\u{A0}", "\u{85}", "½", "İ", "\u{212A}", "ß", "Σ", "αβγ", "ΟΔΟΣ", "٣", "é", "ǅ",
+];
+
+/// The tokenizer as it was before its one-pass byte loop: a peekable
+/// walk over every `char`, each word classed by two more scans of its
+/// text. The reference the byte loop must match token for token.
+fn reference_tokenize(sentence: &str) -> Vec<Token<'_>> {
+    let word = |text| {
+        let has_digit = str::chars(text).any(|c| c.is_ascii_digit());
+        let has_alpha = str::chars(text).any(char::is_alphabetic);
+        let kind = if has_digit {
+            TokenKind::Identifier
+        } else if has_alpha {
+            TokenKind::Word
+        } else {
+            TokenKind::Punct
+        };
+        Token { text, kind }
+    };
+    let mut out = Vec::new();
+    let mut start = None;
+    let mut prev = None;
+    let mut chars = sentence.char_indices().peekable();
+    while let Some((i, c)) = chars.next() {
+        let joins = c.is_alphanumeric()
+            || c == '_'
+            || (c == '-'
+                && prev.is_some_and(char::is_alphanumeric)
+                && chars
+                    .peek()
+                    .is_some_and(|&(_, next)| next.is_alphanumeric()));
+        if joins {
+            start.get_or_insert(i);
+        } else {
+            if let Some(s) = start.take() {
+                out.push(word(&sentence[s..i]));
+            }
+            if !c.is_whitespace() {
+                out.push(Token {
+                    text: &sentence[i..i + c.len_utf8()],
+                    kind: TokenKind::Punct,
+                });
+            }
+        }
+        prev = Some(c);
+    }
+    if let Some(s) = start {
+        out.push(word(&sentence[s..]));
+    }
+    out
+}
+
+/// The stopword list, as `is_stopword` held it before it became a `match`.
+const STOPWORDS: [&str; 37] = [
+    "a", "an", "the", "this", "that", "these", "those", "of", "in", "on", "at", "to", "from", "by",
+    "with", "and", "or", "for", "as", "is", "are", "be", "been", "was", "were", "it", "its", "any",
+    "all", "each", "every", "when", "then", "than", "so", "such", "via",
+];
+
+/// Ways to disguise a stopword: cut its last char, lengthen it, or swap
+/// an `i` or `k` for a capital that lowercases to more than that letter.
+const EDITS: &[fn(&str) -> String] = &[
+    |w| w.to_string(),
+    |w| w.to_string(),
+    |w| w[..w.len() - 1].to_string(),
+    |w| format!("{w}s"),
+    |w| format!("x{w}"),
+    |w| w.replacen('i', "İ", 1),
+    |w| w.replacen('k', "\u{212A}", 1),
+];
+
+#[test]
+fn every_stopword_is_one_in_lower_upper_and_title_case() {
+    for w in STOPWORDS {
+        let title = w[..1].to_uppercase() + &w[1..];
+        for form in [w.to_string(), w.to_uppercase(), title] {
+            assert!(is_stopword(&form), "{form:?}");
+        }
+    }
+    for w in [
+        "command", "OBSW001", "accept", "start-up", "", "İt", "whEn-", "thé",
+    ] {
+        assert!(!is_stopword(w), "{w:?}");
+    }
+}
+
 fn phrase(picks: &[(usize, usize)]) -> String {
     picks
         .iter()
@@ -108,6 +201,34 @@ proptest! {
         let joined: String = tokenize(&s).iter().map(|t| t.text).collect();
         let expected: String = s.chars().filter(|c| !c.is_whitespace()).collect();
         prop_assert_eq!(joined, expected);
+    }
+
+    #[test]
+    fn the_byte_loop_tokenizes_as_the_char_walk_did(
+        picks in prop::collection::vec(0..TOKEN_PIECES.len(), 0..24),
+    ) {
+        let s: String = picks.iter().map(|&p| TOKEN_PIECES[p]).collect();
+        prop_assert_eq!(tokenize(&s), reference_tokenize(&s), "{:?}", s);
+    }
+
+    #[test]
+    fn is_stopword_is_membership_of_the_lowercased_word(
+        word in 0..STOPWORDS.len(),
+        edit in 0..EDITS.len(),
+        case_mask in 0..256usize,
+    ) {
+        let edited = EDITS[edit](STOPWORDS[word]);
+        // Uppercase the chars the mask's bits pick.
+        let mut cased = String::new();
+        for (i, c) in edited.chars().enumerate() {
+            if (case_mask >> (i % 8)) & 1 == 1 {
+                cased.extend(c.to_uppercase());
+            } else {
+                cased.push(c);
+            }
+        }
+        let expected = STOPWORDS.contains(&cased.to_lowercase().as_str());
+        prop_assert_eq!(is_stopword(&cased), expected, "{:?}", cased);
     }
 
     #[test]
