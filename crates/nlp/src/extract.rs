@@ -95,7 +95,7 @@ struct Scratch<'a> {
     /// Each word lowercased, back to back…
     lowered: String,
     /// …at these byte ranges, one per word.
-    lower: Vec<Range<usize>>,
+    lower_spans: Vec<Range<usize>>,
     /// One conjunct's words, joined in turn.
     text: String,
     /// The conjuncts kept, subjects then object parameters, back to back.
@@ -190,7 +190,7 @@ impl SvoExtractor {
         let Scratch {
             words,
             lowered,
-            lower,
+            lower_spans,
             text,
             kept,
             subjects,
@@ -198,7 +198,7 @@ impl SvoExtractor {
         } = scratch;
         words.clear();
         lowered.clear();
-        lower.clear();
+        lower_spans.clear();
         kept.clear();
         subjects.clear();
         objects.clear();
@@ -212,10 +212,10 @@ impl SvoExtractor {
                 words.push(token.text);
                 let start = lowered.len();
                 push_lowercase(lowered, token.text);
-                lower.push(start..lowered.len());
+                lower_spans.push(start..lowered.len());
             }
         });
-        let lower = |i: usize| &lowered[lower[i].clone()];
+        let lower = |i: usize| &lowered[lower_spans[i].clone()];
         let n_words = words.len();
 
         let modal_idx = (0..n_words)

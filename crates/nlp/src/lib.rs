@@ -19,21 +19,25 @@
 //!
 //! # What a sentence costs
 //!
-//! [`tokenize`] hands out [`Token`]s that borrow their text from the
-//! sentence, and the extractor's words are its non-punctuation tokens.
-//! Each word is lowercased once, borrowed when it already is lowercase
-//! ASCII and put through `str::to_lowercase` otherwise, so Unicode case
-//! mappings (the Kelvin sign, `İ`, a final `Σ`) come out as they always
-//! did; [`is_stopword`] and [`light_stem`] allocate nothing for a word
-//! that is already lowercase. Every predicate the extractor can emit
-//! (`Fun:<verb>` and `Fun:<verb>_<class>`) and every object prefix is
-//! built once, in [`SvoExtractor::requirements`]. A sentence's subject
-//! and object conjuncts are kept in one buffer, and every triple is
-//! handed out as a borrowed [`semtree_model::TripleRef`] by
-//! [`SvoExtractor::extract_each`], so a `TripleStore` sink builds a term
-//! only the first time it sees it. [`SvoExtractor::extract`] and
-//! [`SvoExtractor::extract_sentence_all`] build owned triples from the
-//! same views.
+//! [`tokenize`] is one pass over the sentence's bytes that decodes a
+//! `char` only where a byte is not ASCII, and hands out [`Token`]s that
+//! borrow their text from the sentence. [`SvoExtractor::extract_each`]
+//! parses all of a text's sentences over one scratch that it clears per
+//! sentence: the words, their lowercase forms back to back in one
+//! buffer, the conjunct buffers and the subject and object lists, so a
+//! sentence allocates nothing once the scratch has grown. A word is
+//! lowercased once into that buffer, ASCII in place and anything else
+//! through `str::to_lowercase`, so Unicode case mappings (the Kelvin
+//! sign, `İ`, a final `Σ`) come out as they always did. [`is_stopword`]
+//! is a `match`, the verb and class lexicons are constant tables
+//! searched by position, and [`light_stem`] allocates nothing for a
+//! word that is already lowercase. Every predicate the extractor can
+//! emit (`Fun:<verb>` and `Fun:<verb>_<class>`) and every object prefix
+//! is built once, in [`SvoExtractor::requirements`]. Every triple is
+//! handed out as a borrowed [`semtree_model::TripleRef`], so a
+//! `TripleStore` sink builds a term only the first time it sees it.
+//! [`SvoExtractor::extract`] and [`SvoExtractor::extract_sentence_all`]
+//! build owned triples from the same views.
 //!
 //! # Example
 //!
