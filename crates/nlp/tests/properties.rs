@@ -157,8 +157,9 @@ const STOPWORDS: [&str; 37] = [
     "all", "each", "every", "when", "then", "than", "so", "such", "via",
 ];
 
-/// Ways to disguise a stopword: cut its last char, lengthen it, or swap
-/// an `i` or `k` for a capital that lowercases to more than that letter.
+/// Edits of a stopword: none (twice, so that many cases stay
+/// stopwords), cut its last char, lengthen it, or swap an `i` or `k` for
+/// a capital that lowercases to something else.
 const EDITS: &[fn(&str) -> String] = &[
     |w| w.to_string(),
     |w| w.to_string(),
