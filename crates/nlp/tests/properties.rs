@@ -158,8 +158,9 @@ const STOPWORDS: [&str; 37] = [
 ];
 
 /// Edits of a stopword: none (twice, so that many cases stay
-/// stopwords), cut its last char, lengthen it, or swap an `i` or `k` for
-/// a capital that lowercases to something else.
+/// stopwords), cut its last char, lengthen it, or swap an `i` for `İ` or
+/// an `o` for the Greek capital omicron, look-alikes whose lowercase is
+/// not the ASCII letter.
 const EDITS: &[fn(&str) -> String] = &[
     |w| w.to_string(),
     |w| w.to_string(),
@@ -167,7 +168,7 @@ const EDITS: &[fn(&str) -> String] = &[
     |w| format!("{w}s"),
     |w| format!("x{w}"),
     |w| w.replacen('i', "İ", 1),
-    |w| w.replacen('k', "\u{212A}", 1),
+    |w| w.replacen('o', "\u{39F}", 1),
 ];
 
 #[test]
