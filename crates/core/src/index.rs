@@ -213,10 +213,7 @@ impl SemTree {
     /// k-nearest with explicit [`QueryOptions`].
     #[must_use]
     pub fn knn_with(&self, query: &Triple, k: usize, opts: QueryOptions) -> Vec<Hit> {
-        if opts.refine {
-            return self.nearest(query, k, opts).map(|r| self.hit(r)).collect();
-        }
-        self.raw_hits(query, |point| Query::Knn { point, k })
+        self.nearest(query, k, opts).map(|r| self.hit(r)).collect()
     }
 
     /// [`Self::knn_with`] in hit order, without cloning a triple into a
@@ -240,7 +237,9 @@ impl SemTree {
     /// whose FastMap image lies within `radius` of the query's image.
     #[must_use]
     pub fn range(&self, query: &Triple, radius: f64) -> Vec<Hit> {
-        self.raw_hits(query, |point| Query::Range { point, radius })
+        let read = |point| Query::Range { point, radius };
+        let ranked = self.ranked(query, false, read);
+        ranked.into_iter().map(|r| self.hit(r)).collect()
     }
 
     /// Range query by *semantic* radius: over-fetches in the embedded
@@ -287,16 +286,6 @@ impl SemTree {
             ranked.sort_by(|a, b| a.2.unwrap_or(a.1).total_cmp(&b.2.unwrap_or(b.1)));
         }
         ranked
-    }
-
-    /// The tree's neighbours of `query`'s image as hits, in the tree's
-    /// order, read by the query `read` makes of that image: what
-    /// [`Self::ranked`] gives unrefined, without its intermediate list.
-    fn raw_hits(&self, query: &Triple, read: impl FnOnce(Vec<f64>) -> Query) -> Vec<Hit> {
-        read_neighbors(&self.tree, read(self.project(query)))
-            .into_iter()
-            .map(|n| self.hit((triple_id(n.payload), n.dist, None)))
-            .collect()
     }
 
     /// A ranked neighbour as a [`Hit`], its triple cloned from the store.
@@ -571,6 +560,23 @@ mod tests {
         }
         single.shutdown();
         multi.shutdown();
+    }
+
+    #[test]
+    fn nearest_is_ascending_on_a_partitioned_tree() {
+        let idx = small_index(3);
+        assert!(idx.tree_stats().unwrap().partitions.len() > 1);
+        for opts in [QueryOptions::default(), QueryOptions::refined()] {
+            for q in [triple("ACT00", "accept", "command"), triple("ACT03", "stop", "signal")] {
+                let d: Vec<f64> = idx
+                    .nearest(&q, 12, opts)
+                    .map(|(_, embedded, semantic)| semantic.unwrap_or(embedded))
+                    .collect();
+                assert_eq!(d.len(), 12);
+                assert!(d.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()), "{d:?}");
+            }
+        }
+        idx.shutdown();
     }
 
     #[test]

@@ -161,7 +161,11 @@ impl<'a> DocumentRetriever<'a> {
 
         for (query, triple) in queries.iter().enumerate() {
             // `nearest` yields hits by ascending `d`, so a document's first
-            // hit for a query triple is its best one.
+            // hit for a query triple is its best one. Raw, that is the dist
+            // k-NN read's order: the walk over every partition fills one
+            // candidate heap and drains it sorted by `total_cmp`. Refined,
+            // `ranked` sorts by `d` itself. `nearest_is_ascending_on_a_
+            // partitioned_tree` pins both.
             let mut previous = None;
             for (tid, embedded, semantic) in self.index.nearest(triple, self.k, self.opts) {
                 // The distance the hit was ranked by.

@@ -90,12 +90,11 @@ pub struct SvoExtractor {
 /// text and cleared per sentence.
 #[derive(Default)]
 struct Scratch<'a> {
-    /// The sentence's words (its non-punctuation tokens), as written.
-    words: Vec<&'a str>,
-    /// Each word lowercased, back to back…
+    /// The sentence's words (its non-punctuation tokens), as written and
+    /// with the byte range of their lowercase form in `lowered`.
+    words: Vec<(&'a str, Range<usize>)>,
+    /// The words lowercased, back to back.
     lowered: String,
-    /// …at these byte ranges, one per word.
-    lower_spans: Vec<Range<usize>>,
     /// One conjunct's words, joined in turn.
     text: String,
     /// The conjuncts kept, subjects then object parameters, back to back.
@@ -190,7 +189,6 @@ impl SvoExtractor {
         let Scratch {
             words,
             lowered,
-            lower_spans,
             text,
             kept,
             subjects,
@@ -198,7 +196,6 @@ impl SvoExtractor {
         } = scratch;
         words.clear();
         lowered.clear();
-        lower_spans.clear();
         kept.clear();
         subjects.clear();
         objects.clear();
@@ -209,13 +206,12 @@ impl SvoExtractor {
         let sentence = strip_condition_clause(sentence);
         each_token(sentence, |token| {
             if token.kind != TokenKind::Punct {
-                words.push(token.text);
                 let start = lowered.len();
                 push_lowercase(lowered, token.text);
-                lower_spans.push(start..lowered.len());
+                words.push((token.text, start..lowered.len()));
             }
         });
-        let lower = |i: usize| &lowered[lower_spans[i].clone()];
+        let lower = |i: usize| &lowered[words[i].1.clone()];
         let n_words = words.len();
 
         let modal_idx = (0..n_words)
@@ -258,7 +254,7 @@ impl SvoExtractor {
             kept.push_str(conjunct);
             kept.len() - conjunct.len()..kept.len()
         };
-        let subject_words = subject_range.map(|i| (lower(i), words[i]));
+        let subject_words = subject_range.map(|i| (lower(i), words[i].0));
         conjuncts(text, subject_words, |subject, _| {
             subjects.push(keep(subject));
         });
@@ -266,7 +262,7 @@ impl SvoExtractor {
             return Err(ExtractError::NoSubject);
         }
 
-        let raw_verb = words[verb_idx];
+        let raw_verb = words[verb_idx].0;
         let stem = light_stem(raw_verb);
         // The light stemmer may leave a dropped silent `e` unrestored
         // ("validated" → "validat"); retry lexicon lookup with it appended.
@@ -376,14 +372,12 @@ fn conjuncts<'w>(
 fn strip_condition_clause(sentence: &str) -> &str {
     const CONDITIONS: [&str; 6] = ["when ", "while ", "if ", "during ", "after ", "before "];
     let trimmed = sentence.trim_start();
-    let opens_with = |keyword: &str| match trimmed.as_bytes().get(..keyword.len()) {
-        Some(head) if head.is_ascii() => head.eq_ignore_ascii_case(keyword.as_bytes()),
-        // A char that is not ASCII may lowercase to ASCII (the Kelvin
-        // sign → `k`), so such a head is compared char by char.
-        _ => {
-            let mut lower = trimmed.chars().flat_map(char::to_lowercase);
-            keyword.chars().all(|k| lower.next() == Some(k))
-        }
+    // Only ASCII letters, the Kelvin sign (→ `k`) and `İ` (→ `i̇`)
+    // lowercase to ASCII, and no keyword holds `k` or `i̇`, so an ASCII
+    // case-insensitive compare gives what a Unicode one would.
+    let opens_with = |keyword: &str| {
+        (trimmed.as_bytes().get(..keyword.len()))
+            .is_some_and(|head| head.eq_ignore_ascii_case(keyword.as_bytes()))
     };
     if CONDITIONS.iter().any(|c| opens_with(c)) {
         if let Some(comma) = trimmed.find(',') {
@@ -547,6 +541,8 @@ mod tests {
             )
             .unwrap();
         assert_eq!(t.subject, Term::literal("PSU001"));
+        assert_eq!(strip_condition_clause(" WHILE idle, x"), "x");
+        assert_eq!(strip_condition_clause("İf idle, x"), "İf idle, x");
     }
 
     #[test]

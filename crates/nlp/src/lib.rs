@@ -19,25 +19,24 @@
 //!
 //! # What a sentence costs
 //!
-//! [`tokenize`] is one pass over the sentence's bytes that decodes a
-//! `char` only where a byte is not ASCII, and hands out [`Token`]s that
-//! borrow their text from the sentence. [`SvoExtractor::extract_each`]
-//! parses all of a text's sentences over one scratch that it clears per
-//! sentence: the words, their lowercase forms back to back in one
-//! buffer, the conjunct buffers and the subject and object lists, so a
-//! sentence allocates nothing once the scratch has grown. A word is
-//! lowercased once into that buffer, ASCII in place and anything else
-//! through `str::to_lowercase`, so Unicode case mappings (the Kelvin
-//! sign, `İ`, a final `Σ`) come out as they always did. [`is_stopword`]
-//! is a `match`, the verb and class lexicons are constant tables
-//! searched by position, and [`light_stem`] allocates nothing for a
-//! word that is already lowercase. Every predicate the extractor can
-//! emit (`Fun:<verb>` and `Fun:<verb>_<class>`) and every object prefix
-//! is built once, in [`SvoExtractor::requirements`]. Every triple is
-//! handed out as a borrowed [`semtree_model::TripleRef`], so a
-//! `TripleStore` sink builds a term only the first time it sees it.
-//! [`SvoExtractor::extract`] and [`SvoExtractor::extract_sentence_all`]
-//! build owned triples from the same views.
+//! [`tokenize`] hands out [`Token`]s that borrow their text from the
+//! sentence. [`SvoExtractor::extract_each`] parses all of a text's
+//! sentences over one scratch that it clears per sentence: the words,
+//! their lowercase forms back to back in one buffer, the conjunct
+//! buffers and the subject and object lists, so a sentence allocates
+//! nothing once the scratch has grown. A word is lowercased once, ASCII
+//! in place and anything else through `str::to_lowercase`, so Unicode
+//! case mappings (the Kelvin sign, `İ`, a final `Σ`) come out as they
+//! always did. [`is_stopword`] is a `match`, the verb and class lexicons
+//! are constant tables searched by position, and [`light_stem`]
+//! allocates nothing for a word that is already lowercase. Every
+//! predicate the extractor can emit (`Fun:<verb>` and
+//! `Fun:<verb>_<class>`) and every object prefix is built once, in
+//! [`SvoExtractor::requirements`]. Every triple is handed out as a
+//! borrowed [`semtree_model::TripleRef`], so a `TripleStore` sink builds
+//! a term only the first time it sees it. [`SvoExtractor::extract`] and
+//! [`SvoExtractor::extract_sentence_all`] build owned triples from the
+//! same views.
 //!
 //! # Example
 //!

@@ -29,11 +29,12 @@ impl<'a> Token<'a> {
         lowercase(self.text)
     }
 
-    /// A word, classed by whether it holds an ASCII digit or a letter.
-    fn word(text: &'a str, digit: bool, alpha: bool) -> Self {
-        let kind = if digit {
+    fn word(text: &'a str) -> Self {
+        let has_digit = text.chars().any(|c| c.is_ascii_digit());
+        let has_alpha = text.chars().any(char::is_alphabetic);
+        let kind = if has_digit {
             TokenKind::Identifier
-        } else if alpha {
+        } else if has_alpha {
             TokenKind::Word
         } else {
             TokenKind::Punct
@@ -42,10 +43,8 @@ impl<'a> Token<'a> {
     }
 }
 
-/// `word` lowercased, borrowed when it already is lowercase ASCII.
-/// Anything else goes through `str::to_lowercase`, which keeps the
-/// Unicode mappings an ASCII-only fold would miss (the Kelvin sign → `k`,
-/// `İ` → `i̇`, a final `Σ` → `ς`).
+/// `word` lowercased, borrowed when it already is lowercase ASCII and
+/// folded by [`push_lowercase`] otherwise.
 pub(crate) fn lowercase(word: &str) -> Cow<'_, str> {
     if word
         .bytes()
@@ -53,12 +52,16 @@ pub(crate) fn lowercase(word: &str) -> Cow<'_, str> {
     {
         Cow::Borrowed(word)
     } else {
-        Cow::Owned(word.to_lowercase())
+        let mut lower = String::with_capacity(word.len());
+        push_lowercase(&mut lower, word);
+        Cow::Owned(lower)
     }
 }
 
-/// `word` lowercased onto the end of `buf`, as [`lowercase`] gives it:
-/// ASCII in place, anything else through `str::to_lowercase`.
+/// `word` lowercased onto the end of `buf`: ASCII in place, anything
+/// else through `str::to_lowercase`, which keeps the Unicode mappings an
+/// ASCII-only fold would miss (the Kelvin sign → `k`, `İ` → `i̇`, a final
+/// `Σ` → `ς`).
 pub(crate) fn push_lowercase(buf: &mut String, word: &str) {
     if word.is_ascii() {
         let start = buf.len();
@@ -80,54 +83,37 @@ pub fn tokenize(sentence: &str) -> Vec<Token<'_>> {
     out
 }
 
-/// [`tokenize`], handing each token to `emit` in order. One pass over
-/// the bytes, which decodes a `char` only where a byte is not ASCII.
+/// [`tokenize`], handing each token to `emit` in order.
 pub(crate) fn each_token<'a>(sentence: &'a str, mut emit: impl FnMut(Token<'a>)) {
-    // The word being scanned: its start offset, and whether it holds an
-    // ASCII digit and a letter so far.
-    let mut word: Option<(usize, bool, bool)> = None;
-    // Whether the char before offset `i` is alphanumeric.
-    let mut prev_alnum = false;
-    let mut i = 0;
-    while let Some(c) = char_at(sentence, i) {
-        let alnum = c.is_alphanumeric();
-        let joins = alnum
+    // Byte offset where the word being scanned starts.
+    let mut start = None;
+    let mut prev = None;
+    let mut chars = sentence.char_indices().peekable();
+    while let Some((i, c)) = chars.next() {
+        let joins = c.is_alphanumeric()
             || c == '_'
             || (c == '-'
-                && prev_alnum
-                && char_at(sentence, i + 1).is_some_and(char::is_alphanumeric));
-        let end = i + c.len_utf8();
+                && prev.is_some_and(char::is_alphanumeric)
+                && chars
+                    .peek()
+                    .is_some_and(|&(_, next)| next.is_alphanumeric()));
         if joins {
-            let (_, digit, alpha) = word.get_or_insert((i, false, false));
-            *digit |= c.is_ascii_digit();
-            *alpha |= c.is_alphabetic();
+            start.get_or_insert(i);
         } else {
-            if let Some((start, digit, alpha)) = word.take() {
-                emit(Token::word(&sentence[start..i], digit, alpha));
+            if let Some(s) = start.take() {
+                emit(Token::word(&sentence[s..i]));
             }
             if !c.is_whitespace() {
                 emit(Token {
-                    text: &sentence[i..end],
+                    text: &sentence[i..i + c.len_utf8()],
                     kind: TokenKind::Punct,
                 });
             }
         }
-        prev_alnum = alnum;
-        i = end;
+        prev = Some(c);
     }
-    if let Some((start, digit, alpha)) = word {
-        emit(Token::word(&sentence[start..], digit, alpha));
-    }
-}
-
-/// The char that starts at byte `i` of `s` (a char boundary), or `None`
-/// past its end.
-fn char_at(s: &str, i: usize) -> Option<char> {
-    let b = *s.as_bytes().get(i)?;
-    if b.is_ascii() {
-        Some(char::from(b))
-    } else {
-        s[i..].chars().next()
+    if let Some(s) = start {
+        emit(Token::word(&sentence[s..]));
     }
 }
 

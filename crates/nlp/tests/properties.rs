@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use semtree_model::Term;
-use semtree_nlp::{is_stopword, tokenize, SvoExtractor, Token, TokenKind};
+use semtree_nlp::{is_stopword, tokenize, SvoExtractor};
 
 /// Pieces a requirement sentence is assembled from: actors, modals,
 /// lexicon verbs (bare and inflected), class nouns, stopwords,
@@ -91,65 +91,6 @@ const VERBS: &[&str] = &[
 /// or a hyphen.
 const GLUE: &[&str] = &[" ", " ", " ", "", "-"];
 
-/// Pieces a tokenizer input is glued from, with nothing between them:
-/// ASCII words in either case, digits, `_`, hyphens (which land at word
-/// edges, between words and between punctuation), punctuation,
-/// whitespace (including the multi-byte no-break space and U+0085), and
-/// multi-byte letters and digits.
-const TOKEN_PIECES: &[&str] = &[
-    "start", "Up", "OBSW001", "x", "42", "7", "_", "-", "-", "--", ",", ".", "(", "!", " ", " ",
-    "\t", "\n", "\u{A0}", "\u{85}", "½", "İ", "\u{212A}", "ß", "Σ", "αβγ", "ΟΔΟΣ", "٣", "é", "ǅ",
-];
-
-/// The tokenizer as it was before its one-pass byte loop: a peekable
-/// walk over every `char`, each word classed by two more scans of its
-/// text. The reference the byte loop must match token for token.
-fn reference_tokenize(sentence: &str) -> Vec<Token<'_>> {
-    let word = |text| {
-        let has_digit = str::chars(text).any(|c| c.is_ascii_digit());
-        let has_alpha = str::chars(text).any(char::is_alphabetic);
-        let kind = if has_digit {
-            TokenKind::Identifier
-        } else if has_alpha {
-            TokenKind::Word
-        } else {
-            TokenKind::Punct
-        };
-        Token { text, kind }
-    };
-    let mut out = Vec::new();
-    let mut start = None;
-    let mut prev = None;
-    let mut chars = sentence.char_indices().peekable();
-    while let Some((i, c)) = chars.next() {
-        let joins = c.is_alphanumeric()
-            || c == '_'
-            || (c == '-'
-                && prev.is_some_and(char::is_alphanumeric)
-                && chars
-                    .peek()
-                    .is_some_and(|&(_, next)| next.is_alphanumeric()));
-        if joins {
-            start.get_or_insert(i);
-        } else {
-            if let Some(s) = start.take() {
-                out.push(word(&sentence[s..i]));
-            }
-            if !c.is_whitespace() {
-                out.push(Token {
-                    text: &sentence[i..i + c.len_utf8()],
-                    kind: TokenKind::Punct,
-                });
-            }
-        }
-        prev = Some(c);
-    }
-    if let Some(s) = start {
-        out.push(word(&sentence[s..]));
-    }
-    out
-}
-
 /// The stopword list, as `is_stopword` held it before it became a `match`.
 const STOPWORDS: [&str; 37] = [
     "a", "an", "the", "this", "that", "these", "those", "of", "in", "on", "at", "to", "from", "by",
@@ -203,14 +144,6 @@ proptest! {
         let joined: String = tokenize(&s).iter().map(|t| t.text).collect();
         let expected: String = s.chars().filter(|c| !c.is_whitespace()).collect();
         prop_assert_eq!(joined, expected);
-    }
-
-    #[test]
-    fn the_byte_loop_tokenizes_as_the_char_walk_did(
-        picks in prop::collection::vec(0..TOKEN_PIECES.len(), 0..24),
-    ) {
-        let s: String = picks.iter().map(|&p| TOKEN_PIECES[p]).collect();
-        prop_assert_eq!(tokenize(&s), reference_tokenize(&s), "{:?}", s);
     }
 
     #[test]
