@@ -164,8 +164,8 @@ impl<'a> DocumentRetriever<'a> {
             // hit for a query triple is its best one. Raw, that is the dist
             // k-NN read's order: the walk over every partition fills one
             // candidate heap and drains it sorted by `total_cmp`. Refined,
-            // `ranked` sorts by `d` itself. `nearest_is_ascending_on_a_
-            // partitioned_tree` pins both.
+            // `ranked` sorts by `d` itself. A test in `index.rs` pins both
+            // on a partitioned tree.
             let mut previous = None;
             for (tid, embedded, semantic) in self.index.nearest(triple, self.k, self.opts) {
                 // The distance the hit was ranked by.
