@@ -567,7 +567,10 @@ mod tests {
         let idx = small_index(3);
         assert!(idx.tree_stats().unwrap().partitions.len() > 1);
         for opts in [QueryOptions::default(), QueryOptions::refined()] {
-            for q in [triple("ACT00", "accept", "command"), triple("ACT03", "stop", "signal")] {
+            for q in [
+                triple("ACT00", "accept", "command"),
+                triple("ACT03", "stop", "signal"),
+            ] {
                 let d: Vec<f64> = idx
                     .nearest(&q, 12, opts)
                     .map(|(_, embedded, semantic)| semantic.unwrap_or(embedded))
