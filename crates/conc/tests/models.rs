@@ -78,6 +78,12 @@ const TARGETS: &[Target] = &[
         spurious_budget: 0,
     },
     Target {
+        name: "kdtree_read_duplicate_split",
+        what: "Versioned KD-tree optimistic knn vs copies that leave a leaf over-full, then a point that splits it from one read of its chained bucket: every validated read equals the prefix its version names",
+        body: kdtree_read_duplicate_split,
+        spurious_budget: 0,
+    },
+    Target {
         name: "kdtree_read_widen",
         what: "Versioned KD-tree optimistic knn vs an insert that widens a leaf's box: a read the old box prunes still equals the prefix its version names",
         body: kdtree_read_widen,
@@ -439,6 +445,67 @@ fn kdtree_read_split() {
     assert_eq!(stats.version, 6, "three inserts, one transaction each");
     let got: Vec<u64> = hits.iter().map(|h| h.payload).collect();
     assert_eq!(got, EXPECTED[3]);
+    drop(tree);
+}
+
+// ---------------------------------------------------------------------
+// Target 8': the same race over copies that no plane divides.
+// ---------------------------------------------------------------------
+
+/// One writer inserts the point 2.0 three times into a `bucket_size = 1`
+/// tree — the root leaf goes over-full with a box that is one point, so
+/// it does not split, and the third copy lands in an overflow block —
+/// then 0.0, which splits the leaf from one read of both blocks into
+/// `{0.0}` and the three copies. A reader runs a bounded optimistic
+/// 4-NN meanwhile. A read validated at version `2n` must return exactly
+/// the answer for the n-insert prefix: a split that lost the overflow
+/// block, or an over-full leaf that published half a split, shows here.
+fn kdtree_read_duplicate_split() {
+    // Inserts, in order: 2.0 → payloads 0, 1, 2, then 0.0 → 3. 4-NN of
+    // query 0.9, by prefix length (nearest first, ties by payload):
+    const EXPECTED: [&[u64]; 5] = [&[], &[0], &[0, 1], &[0, 1, 2], &[3, 0, 1, 2]];
+
+    let mut tree = VersionedKdTree::<ModelShim>::new(KdConfig::new(1).with_bucket_size(1));
+    let reader = tree.reader();
+
+    let writer = ModelShim::spawn(move || {
+        for (x, payload) in [(2.0, 0), (2.0, 1), (2.0, 2), (0.0, 3)] {
+            assert!(tree.insert(&[x], payload), "arena cannot exhaust here");
+        }
+        tree
+    });
+
+    let observer = {
+        let reader = reader.clone();
+        ModelShim::spawn(move || {
+            if let Some((hits, stats)) = reader.knn_bounded(&[0.9], 4, 4) {
+                assert_eq!(stats.version % 2, 0, "validated against an odd version");
+                let prefix = usize::try_from(stats.version / 2).unwrap_or(usize::MAX);
+                assert!(
+                    prefix <= 4,
+                    "version {} names a phantom prefix",
+                    stats.version
+                );
+                let got: Vec<u64> = hits.iter().map(|h| h.payload).collect();
+                assert_eq!(
+                    got, EXPECTED[prefix],
+                    "read validated at version {} must equal its prefix",
+                    stats.version
+                );
+            }
+        })
+    };
+
+    let tree = ModelShim::join(writer);
+    ModelShim::join(observer);
+
+    // Quiescent: one split, the copies in one leaf of the new routing
+    // root.
+    let (hits, stats) = reader.knn(&[0.9], 4);
+    assert_eq!(stats.retries, 0, "no writer left to race");
+    assert_eq!(stats.version, 8, "four inserts, one transaction each");
+    let got: Vec<u64> = hits.iter().map(|h| h.payload).collect();
+    assert_eq!(got, EXPECTED[4]);
     drop(tree);
 }
 

@@ -293,6 +293,8 @@ mod tests {
     use std::path::PathBuf;
 
     use semtree_cluster::CostModel;
+    use semtree_kdtree::versioned::RemoteOps;
+    use semtree_net::Encode;
     use semtree_wal::WalOptions;
 
     use crate::config::{CapacityPolicy, DistConfig};
@@ -390,6 +392,98 @@ mod tests {
         let after = images(&replayed(&dir));
         assert_eq!(
             before, after,
+            "snapshot + compaction changed the replayed structure"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A partition with no links below it: a walk never crosses.
+    struct NoLinks;
+
+    impl RemoteOps for NoLinks {
+        type Error = String;
+        fn insert(&self, partition: u32, _: u32, _: &[f64], _: u64) -> Result<(), String> {
+            Err(format!("no link to partition {partition}"))
+        }
+        fn knn(
+            &self,
+            partition: u32,
+            _: u32,
+            _: &[f64],
+            _: usize,
+            _: Option<f64>,
+        ) -> Result<Vec<(f64, u64)>, String> {
+            Err(format!("no link to partition {partition}"))
+        }
+        fn range(
+            &self,
+            partition: u32,
+            _: u32,
+            _: &[f64],
+            _: f64,
+        ) -> Result<Vec<(f64, u64)>, String> {
+            Err(format!("no link to partition {partition}"))
+        }
+    }
+
+    /// The duplicate-heavy twin of the test above, on one partition
+    /// written the way its actor writes it (log the insert, apply it,
+    /// log its splits): most inserts repeat one of three points, so
+    /// leaves go over-full with copies no plane divides, and later
+    /// distinct points land in those leaves and split them, overflow
+    /// blocks included. The live store's image must equal the image of
+    /// its replay, before and after a mid-run snapshot and compaction.
+    #[test]
+    fn duplicate_heavy_replay_is_structurally_identical() {
+        let dir = scratch_dir("duplicates");
+        let config = DistConfig::new(2).with_bucket_size(4);
+        let blob = NetDeployConfig::from_config(&config)
+            .expect("config")
+            .to_bytes();
+        let options = WalOptions::default().with_segment_bytes(4096);
+        let handle = WalHandle::new(Wal::create(&dir, 0, &blob, options).expect("create"));
+        let p = ComputeNodeId(0);
+        let build = || PartitionStore::raw_leaf(config.kd(), &[], 0);
+        let mut store = handle.apply_create(p, 0, &[], build).expect("create");
+        let copies = [[1.0, 1.0], [1.0, -0.0], [4.0, 1.0]];
+        let mut splits = Vec::new();
+        for i in 0..600u64 {
+            let point = if i < 400 || i % 3 == 0 {
+                copies[(i % 7 % 3) as usize]
+            } else {
+                // Distinct points next to the copies, in their leaves.
+                copies[(i % 3) as usize].map(|c| c + (i % 11) as f64 / 16.0)
+            };
+            splits.clear();
+            let apply = || store.insert_logged(LocalNodeId(0), &point, i, &NoLinks, &mut splits);
+            let stored = handle.apply_insert(p, LocalNodeId(0), &point, i, apply);
+            assert_eq!(stored.expect("append"), Ok(true));
+            handle.log_splits(p, &splits).expect("log splits");
+            if i == 450 {
+                handle
+                    .snapshot_image(p, &store.snapshot())
+                    .expect("snapshot");
+            }
+        }
+        assert!(
+            store.stats().leaves > 3,
+            "the distinct points must have split the over-full leaves"
+        );
+        let live = vec![(0, store.snapshot())];
+        assert_eq!(
+            images(&replayed(&dir)),
+            live,
+            "replay changed the structure"
+        );
+
+        handle
+            .snapshot_image(p, &store.snapshot())
+            .expect("snapshot");
+        handle.compact().expect("compact");
+        drop(handle);
+        assert_eq!(
+            images(&replayed(&dir)),
+            live,
             "snapshot + compaction changed the replayed structure"
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -21,23 +21,25 @@ pub enum SplitRule {
 }
 
 /// The one split rule (`Sr`, `Sv`) of the tree, for a leaf split and a
-/// bulk load alike, over a bucket whose points `coords` exposes. The
-/// rule's preferred dimension comes first — `depth mod k`, or the lowest
-/// dimension of the widest spread — then the next ones in turn while a
-/// dimension is constant. `Sv` is the median, stepped down
-/// to the largest value below the maximum when the median is the
-/// maximum, so `<= Sv` leaves both sides non-empty; under
-/// [`SplitRule::DegenerateMin`] it is the minimum. `None` when every
-/// point is the same.
-pub(crate) fn choose_split<T>(
+/// bulk load alike, over a bucket given as its points' coordinate
+/// `rows`. The rule's preferred dimension comes first — `depth mod k`,
+/// or the lowest dimension of the widest spread — then the next ones in
+/// turn while a dimension is constant. `Sv` is the median (the middle
+/// value in [`f64::total_cmp`] order), stepped down to the largest value
+/// below the maximum when the median is the maximum, so `<= Sv` leaves
+/// both sides non-empty; under [`SplitRule::DegenerateMin`] it is the
+/// minimum. `None` when every dimension is constant under `==`.
+///
+/// The median is selected, not sorted for: `select_nth_unstable_by`
+/// puts the same bits at the middle index that a sort by the same
+/// total order would, and the step down is one pass.
+pub(crate) fn choose_split<'a>(
     config: &KdConfig,
-    bucket: &[T],
-    coords: impl Fn(&T) -> &[f64],
+    rows: impl Iterator<Item = &'a [f64]> + Clone,
     depth: u32,
 ) -> Option<(usize, f64)> {
     let dims = config.dims;
-    let coords = &coords;
-    let values = |dim: usize| bucket.iter().map(move |p| coords(p)[dim]);
+    let values = |dim: usize| rows.clone().map(move |row| row[dim]);
     let span = |dim: usize| {
         let fold = |(lo, hi): (f64, f64), v: f64| (lo.min(v), hi.max(v));
         values(dim).fold((f64::INFINITY, f64::NEG_INFINITY), fold)
@@ -55,24 +57,25 @@ pub(crate) fn choose_split<T>(
             best
         }
     };
+    let mut column = Vec::new();
     (0..dims)
         .map(|offset| (preferred + offset) % dims)
         .find_map(|dim| {
-            if config.split_rule == SplitRule::DegenerateMin {
-                let (min, max) = span(dim);
-                return (min < max).then_some((dim, min));
-            }
-            let mut sorted: Vec<f64> = values(dim).collect();
-            sorted.sort_by(f64::total_cmp);
-            let (min, max) = (*sorted.first()?, *sorted.last()?);
-            if min == max {
+            let (min, max) = span(dim);
+            if min >= max {
                 return None;
             }
-            let mid = sorted[sorted.len() / 2];
+            if config.split_rule == SplitRule::DegenerateMin {
+                return Some((dim, min));
+            }
+            column.clear();
+            column.extend(values(dim));
+            let half = column.len() / 2;
+            let mid = *column.select_nth_unstable_by(half, f64::total_cmp).1;
             let val = if mid < max {
                 mid
             } else {
-                *sorted.iter().rev().find(|&&v| v < max)?
+                values(dim).filter(|&v| v < max).max_by(f64::total_cmp)?
             };
             Some((dim, val))
         })
@@ -154,6 +157,7 @@ mod tests {
     use crate::testing::{grid, grown, line, Tree};
     use crate::versioned::Child;
     use crate::TreeShape;
+    use proptest::prelude::*;
 
     #[test]
     fn empty_tree() {
@@ -292,8 +296,82 @@ mod tests {
         ];
         for (rule, depth, bucket, want) in cases {
             let config = KdConfig::new(2).with_split_rule(rule);
-            let got = choose_split(&config, bucket, |p| &p[..], depth);
+            let got = choose_split(&config, bucket.iter().map(|p| &p[..]), depth);
             assert_eq!(got, want, "{rule:?} at depth {depth} on {bucket:?}");
+        }
+    }
+
+    /// The rule as a sort over each dimension's values, which
+    /// [`choose_split`]'s selection replaced: the oracle of the property
+    /// below.
+    fn sorted_split(config: &KdConfig, bucket: &[Vec<f64>], depth: u32) -> Option<(usize, f64)> {
+        let dims = config.dims;
+        let values = |dim: usize| bucket.iter().map(move |p| p[dim]);
+        let span = |dim: usize| {
+            let fold = |(lo, hi): (f64, f64), v: f64| (lo.min(v), hi.max(v));
+            values(dim).fold((f64::INFINITY, f64::NEG_INFINITY), fold)
+        };
+        let preferred = match config.split_rule {
+            SplitRule::Cycle | SplitRule::DegenerateMin => depth as usize % dims,
+            SplitRule::WidestSpread => {
+                let (mut best, mut best_spread) = (0, f64::NEG_INFINITY);
+                for dim in 0..dims {
+                    let (lo, hi) = span(dim);
+                    if hi - lo > best_spread {
+                        (best, best_spread) = (dim, hi - lo);
+                    }
+                }
+                best
+            }
+        };
+        (0..dims)
+            .map(|offset| (preferred + offset) % dims)
+            .find_map(|dim| {
+                if config.split_rule == SplitRule::DegenerateMin {
+                    let (min, max) = span(dim);
+                    return (min < max).then_some((dim, min));
+                }
+                let mut sorted: Vec<f64> = values(dim).collect();
+                sorted.sort_by(f64::total_cmp);
+                let (min, max) = (*sorted.first()?, *sorted.last()?);
+                if min == max {
+                    return None;
+                }
+                let mid = sorted[sorted.len() / 2];
+                let val = if mid < max {
+                    mid
+                } else {
+                    *sorted.iter().rev().find(|&&v| v < max)?
+                };
+                Some((dim, val))
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The selected median and the one-pass step down give the sort's
+        /// plane bit for bit, under every rule, on buckets drawn from a
+        /// few values with `-0.0` and `0.0` among them, so ties, constant
+        /// dimensions and medians at the maximum are the rule.
+        #[test]
+        fn selection_splits_where_the_sort_did(
+            cells in prop::collection::vec(0usize..6, 0..120),
+            dims in 1usize..4,
+            depth in 0u32..8,
+        ) {
+            const VALUES: [f64; 6] = [-0.0, 0.0, 1.0, -2.5, 3.0, 0.0];
+            let bucket: Vec<Vec<f64>> = cells
+                .chunks_exact(dims)
+                .map(|row| row.iter().map(|&c| VALUES[c]).collect())
+                .collect();
+            let bits = |split: Option<(usize, f64)>| split.map(|(dim, val)| (dim, val.to_bits()));
+            for rule in [SplitRule::Cycle, SplitRule::WidestSpread, SplitRule::DegenerateMin] {
+                let config = KdConfig::new(dims).with_split_rule(rule);
+                let got = choose_split(&config, bucket.iter().map(|p| &p[..]), depth);
+                let want = sorted_split(&config, &bucket, depth);
+                prop_assert_eq!(bits(got), bits(want), "{:?} at depth {} on {:?}", rule, depth, bucket);
+            }
         }
     }
 }

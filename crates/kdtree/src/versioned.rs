@@ -78,6 +78,7 @@
 
 use std::cell::Cell;
 use std::collections::BinaryHeap;
+use std::iter::repeat_n;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
@@ -273,6 +274,20 @@ impl<S: Shim> Node<S> {
         out
     }
 
+    /// The bucket read out in one scan: every point's coordinates, row
+    /// after row (`dims` per point), and the payloads, in insertion order
+    /// (complete for the writer).
+    fn read_out(&self) -> (Vec<f64>, Vec<u64>) {
+        let count = self.point_count();
+        let mut coords = Vec::with_capacity(count * self.dims);
+        let mut payloads = Vec::with_capacity(count);
+        let _ = self.scan(|words, payload| {
+            coords.extend(words.iter().map(|w| f64::from_bits(w.load(Relaxed))));
+            payloads.push(payload.load(Relaxed));
+        });
+        (coords, payloads)
+    }
+
     /// Visit the bucket's slots in insertion order, in place: a slot's
     /// coordinate words and its payload word. Returns how many were
     /// visited; `None` when the overflow link the length promises is not
@@ -306,7 +321,21 @@ impl<S: Shim> Node<S> {
         words.split_at(words.len() / 2)
     }
 
+    /// Whether the box is one point: `low == high` in every dimension. A
+    /// leaf's box is the componentwise min and max of its own points (an
+    /// opened box is a routing node's), so for a leaf holding points this
+    /// is exactly "every dimension is constant", when no plane divides
+    /// the bucket.
+    fn is_one_point(&self) -> bool {
+        let (lows, highs) = self.bbox();
+        let bound = |w: &AtomicU64| f64::from_bits(w.load(Relaxed));
+        lows.iter()
+            .zip(highs)
+            .all(|(lo, hi)| bound(lo) == bound(hi))
+    }
+
     /// The box as `(lows, highs)`.
+    #[cfg(test)]
     fn bounds(&self) -> (Vec<f64>, Vec<f64>) {
         let read = |words: &[AtomicU64]| {
             let bound = |w: &AtomicU64| f64::from_bits(w.load(Relaxed));
@@ -318,16 +347,16 @@ impl<S: Shim> Node<S> {
 
     /// Widen the box to hold the box `[lows, highs]` (writer only, before
     /// the length covers a point it adds); `false` when it already did.
-    fn widen(&self, lows: &[f64], highs: &[f64]) -> bool {
+    fn widen(&self, lows: impl Iterator<Item = f64>, highs: impl Iterator<Item = f64>) -> bool {
         let (lo_words, hi_words) = self.bbox();
         let mut wider = false;
-        for (word, &lo) in lo_words.iter().zip(lows) {
+        for (word, lo) in lo_words.iter().zip(lows) {
             if lo < f64::from_bits(word.load(Relaxed)) {
                 word.store(lo.to_bits(), Relaxed);
                 wider = true;
             }
         }
-        for (word, &hi) in hi_words.iter().zip(highs) {
+        for (word, hi) in hi_words.iter().zip(highs) {
             if hi > f64::from_bits(word.load(Relaxed)) {
                 word.store(hi.to_bits(), Relaxed);
                 wider = true;
@@ -1054,19 +1083,19 @@ impl<S: Shim> Tree<S> {
 
     /// Publish a node in the next arena slot; `None` when the arena is
     /// exhausted or a point does not [fit](Tree::fits). Its box is the
-    /// bounding box of `points` — empty for a node born routing, which
-    /// gets the box and no point slots — and its ancestors' boxes widen
-    /// to it.
-    fn push(
+    /// bounding box of `points`, widened as each is written — empty for a
+    /// node born routing, which gets the box and no point slots — and its
+    /// ancestors' boxes widen to it.
+    fn push<'p>(
         &self,
         depth: u32,
         parent: Option<(u32, bool)>,
-        points: &[(Vec<f64>, u64)],
+        points: impl ExactSizeIterator<Item = (&'p [f64], u64)> + Clone,
         routing: Option<Routing<S>>,
     ) -> Option<u32> {
         let idx = S::load(&self.next);
         let dims = self.config.dims();
-        if idx >= MAX_NODES || !points.iter().all(|(c, _)| self.fits(c)) {
+        if idx >= MAX_NODES || !points.clone().all(|(c, _)| self.fits(c)) {
             return None;
         }
         let slots = match routing {
@@ -1081,11 +1110,10 @@ impl<S: Shim> Tree<S> {
             bucket: Block::with_capacity(slots, dims, true),
             routing: routing.map_or_else(OnceLock::new, OnceLock::from),
         };
-        for (at, (coords, payload)) in points.iter().enumerate() {
-            node.bucket.write(at, coords, *payload);
-            node.widen(coords, coords);
+        for (at, (coords, payload)) in points.enumerate() {
+            node.bucket.write(at, coords, payload);
+            node.widen(coords.iter().copied(), coords.iter().copied());
         }
-        let (lows, highs) = node.bounds();
         #[allow(clippy::cast_possible_truncation)]
         let idx32 = idx as u32;
         let (chunk, offset) = locate(idx32);
@@ -1097,18 +1125,27 @@ impl<S: Shim> Tree<S> {
         // `set` fails only if the slot was already published, which a
         // single writer never does; treat it as exhaustion rather than
         // corrupting the arena.
-        slot.get(offset)?.set(node).ok()?;
+        let slot = slot.get(offset)?;
+        slot.set(node).ok()?;
         S::store_release(&self.next, idx + 1);
-        self.widen_up(parent.map(|(up, _)| up), &lows, &highs);
+        let (lows, highs) = slot.get()?.bbox();
+        let bound = |w: &AtomicU64| f64::from_bits(w.load(Relaxed));
+        let up = parent.map(|(up, _)| up);
+        self.widen_up(up, lows.iter().map(bound), highs.iter().map(bound));
         Some(idx32)
     }
 
     /// Widen the box of `at`, then of each ancestor, to hold `[lows,
     /// highs]`, up to the first that already holds it: that node's box
     /// holds its own box, and so do its ancestors'.
-    fn widen_up(&self, mut at: Option<u32>, lows: &[f64], highs: &[f64]) {
+    fn widen_up(
+        &self,
+        mut at: Option<u32>,
+        lows: impl Iterator<Item = f64> + Clone,
+        highs: impl Iterator<Item = f64> + Clone,
+    ) {
         while let Some(node) = at.and_then(|id| self.node(id)) {
-            if !node.widen(lows, highs) {
+            if !node.widen(lows.clone(), highs.clone()) {
                 return;
             }
             at = node.parent.map(|(up, _)| up);
@@ -1119,8 +1156,8 @@ impl<S: Shim> Tree<S> {
     /// below them, whose points a box here cannot hold.
     fn open_up(&self, at: u32) {
         let dims = self.config.dims();
-        let (lows, highs) = (vec![f64::NEG_INFINITY; dims], vec![f64::INFINITY; dims]);
-        self.widen_up(Some(at), &lows, &highs);
+        let (lows, highs) = (f64::NEG_INFINITY, f64::INFINITY);
+        self.widen_up(Some(at), repeat_n(lows, dims), repeat_n(highs, dims));
     }
 
     /// Publish one point in `leaf`'s next free slot and widen the boxes
@@ -1141,7 +1178,8 @@ impl<S: Shim> Tree<S> {
             block = block.next.get_or_init(grow);
         }
         block.write(at, point, payload);
-        self.widen_up(Some(leaf), point, point);
+        let coords = point.iter().copied();
+        self.widen_up(Some(leaf), coords.clone(), coords);
         S::store_release(&node.len, len + 1);
         Some(())
     }
@@ -1174,39 +1212,56 @@ impl<S: Shim> Tree<S> {
         true
     }
 
-    /// Partition `leaf`'s copied-out `bucket` at the plane into two
-    /// freshly pushed children at depth `below` (`<=` goes left). The
-    /// leaf itself is untouched until [`Tree::set_routing`].
+    /// Partition `leaf`'s bucket, [read out](Node::read_out) as
+    /// `(coords, payloads)`, at the plane into two freshly pushed
+    /// children at depth `below` (`<=` goes left), each keeping insertion
+    /// order. The leaf itself is untouched until [`Tree::set_routing`].
     fn push_children(
         &self,
         (leaf, below): (u32, u32),
-        bucket: Vec<(Vec<f64>, u64)>,
+        (coords, payloads): (&[f64], &[u64]),
         split_dim: usize,
         split_val: f64,
     ) -> Option<(u32, u32)> {
         if S::load(&self.next) + 2 > MAX_NODES {
             return None;
         }
-        let (lb, rb): (Vec<_>, Vec<_>) = bucket
-            .into_iter()
-            .partition(|(c, _)| c[split_dim] <= split_val);
-        let left = self.push(below, Some((leaf, true)), &lb, None)?;
-        Some((left, self.push(below, Some((leaf, false)), &rb, None)?))
+        let dims = self.config.dims();
+        let row = |i: usize| &coords[i * dims..][..dims];
+        let (lb, rb): (Vec<usize>, Vec<usize>) =
+            (0..payloads.len()).partition(|&i| row(i)[split_dim] <= split_val);
+        let point = |&i: &usize| (row(i), payloads[i]);
+        let left = self.push(below, Some((leaf, true)), lb.iter().map(point), None)?;
+        let right = self.push(below, Some((leaf, false)), rb.iter().map(point), None)?;
+        Some((left, right))
     }
 
     /// Split `leaf` while it is over capacity and a plane exists,
-    /// reporting each split parent-first; an unsplittable bucket (all
-    /// duplicates) stays over-full.
+    /// reporting each split parent-first. A leaf whose box is one point
+    /// holds copies of that point, which no plane divides: it stays
+    /// over-full, and its bucket is not read.
     fn split(&self, leaf: u32, splits: &mut Vec<SplitEvent>) {
         let Some(node) = self.node(leaf) else { return };
         if node.point_count() <= self.config.bucket_size() {
             return;
         }
-        let bucket = node.bucket();
-        let split = choose_split(&self.config, &bucket, |(c, _)| c, node.depth);
-        let Some((split_dim, split_val)) = split else {
+        if node.is_one_point() {
+            debug_assert!(
+                {
+                    let bucket = node.bucket();
+                    let rows = bucket.iter().map(|(c, _)| &c[..]);
+                    choose_split(&self.config, rows, node.depth).is_none()
+                },
+                "leaf {leaf}'s box is one point, yet a plane divides its bucket"
+            );
+            return;
+        }
+        let (coords, payloads) = node.read_out();
+        let rows = coords.chunks_exact(self.config.dims());
+        let Some((split_dim, split_val)) = choose_split(&self.config, rows, node.depth) else {
             return;
         };
+        let bucket = (&coords[..], &payloads[..]);
         let below = (leaf, node.depth + 1);
         let Some((left, right)) = self.push_children(below, bucket, split_dim, split_val) else {
             return;
@@ -1286,6 +1341,7 @@ impl<S: Shim> TreeWriter<S> {
         parent: Option<(u32, bool)>,
         points: &[(Vec<f64>, u64)],
     ) -> Option<u32> {
+        let points = points.iter().map(|(c, p)| (&c[..], *p));
         self.tree.push(depth, parent, points, None)
     }
 
@@ -1302,7 +1358,9 @@ impl<S: Shim> TreeWriter<S> {
         children: [Child; 2],
     ) -> Option<u32> {
         let routing = new_routing(split_dim, split_val, children)?;
-        let id = self.tree.push(depth, parent, &[], Some(routing))?;
+        let id = self
+            .tree
+            .push(depth, parent, std::iter::empty(), Some(routing))?;
         if children.iter().any(|c| matches!(c, Child::Remote { .. })) {
             self.tree.open_up(id);
         }
@@ -1388,9 +1446,15 @@ impl<S: Shim> TreeWriter<S> {
             return Err(format!("split of node {leaf} on dimension {split_dim}"));
         }
         let _txn = self.tree.begin();
+        let (coords, payloads) = node.read_out();
         let (left, right) = self
             .tree
-            .push_children((leaf, node.depth + 1), node.bucket(), split_dim, split_val)
+            .push_children(
+                (leaf, node.depth + 1),
+                (&coords, &payloads),
+                split_dim,
+                split_val,
+            )
             .ok_or("node arena exhausted")?;
         if (left, right) != (event.left, event.right) {
             return Err(format!(
@@ -1491,7 +1555,7 @@ impl<S: Shim> VersionedKdTree<S> {
         while let Some((range, depth, parent)) = todo.pop() {
             let bucket = &mut points[range.clone()];
             let split = (bucket.len() > config.bucket_size())
-                .then(|| choose_split(&config, bucket, |(c, _)| c, depth))
+                .then(|| choose_split(&config, bucket.iter().map(|(c, _)| &c[..]), depth))
                 .flatten();
             let pushed = match split {
                 None => writer.push_leaf(depth, parent, bucket),
@@ -2298,6 +2362,46 @@ mod tests {
                 for (q, (hits, worst, radius)) in queries.iter().zip(pruned) {
                     let open = raw_walks(&tree, q, k, worst, radius);
                     prop_assert_eq!(&hits, &open, "{}: walks at {:?}", path, q);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// A leaf's box is one point exactly when no plane divides its
+        /// bucket, under every rule — the fact `Tree::split`'s early
+        /// return stands on. Streams of copies of a few prototypes, with
+        /// `-0.0` and `0.0` among the coordinates, go in through the
+        /// writer with buckets of one to four slots, so over-full leaves
+        /// chain overflow blocks.
+        #[test]
+        fn a_leaf_box_is_one_point_exactly_when_no_plane_divides_it(
+            prototypes in prop::collection::vec(prop::collection::vec(0usize..4, 3), 1..6),
+            picks in prop::collection::vec(0usize..5, 1..200),
+            dims in 1usize..4,
+            bucket in 1usize..5,
+        ) {
+            const VALUES: [f64; 4] = [-0.0, 0.0, 1.0, -2.5];
+            let nowhere = InPlace::<StdShim, _>::nowhere();
+            for rule in [SplitRule::Cycle, SplitRule::WidestSpread, SplitRule::DegenerateMin] {
+                let config = KdConfig::new(dims).with_bucket_size(bucket).with_split_rule(rule);
+                let mut writer = TreeWriter::<StdShim>::new(config);
+                prop_assert_eq!(writer.push_leaf(0, None, &[]), Some(0));
+                for (i, &pick) in picks.iter().enumerate() {
+                    let cells = &prototypes[pick % prototypes.len()][..dims];
+                    let point: Vec<f64> = cells.iter().map(|&c| VALUES[c]).collect();
+                    let stored = writer.insert(0, &point, i as u64, &nowhere, &mut Vec::new());
+                    prop_assert_eq!(stored, Some(Ok(true)));
+                }
+                let tree = writer.tree();
+                for (id, node) in tree.reachable() {
+                    if node.routing().is_some() || node.point_count() == 0 {
+                        continue;
+                    }
+                    let bucket = node.bucket();
+                    let rows = bucket.iter().map(|(c, _)| &c[..]);
+                    let unsplittable = choose_split(&config, rows, node.depth).is_none();
+                    prop_assert_eq!(node.is_one_point(), unsplittable, "{:?}: leaf {}", rule, id);
                 }
             }
         }
