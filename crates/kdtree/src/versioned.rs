@@ -27,9 +27,11 @@
 //!   whose box lies no nearer than its cut, without reading a point.
 //! - **Splits publish, they do not replace.** An over-full leaf becomes
 //!   a routing node by publishing its routing part once, after both
-//!   children are fully built. Each child edge is one atomic word
-//!   holding `Local(node)` or `Remote{partition, node}`, so relinking a
-//!   subtree to another partition is one release store.
+//!   children are fully built, each from one read of the leaf's bucket.
+//!   A leaf whose box is one point holds copies no plane divides, so it
+//!   stays over-full and its bucket is not read. Each child edge is one
+//!   atomic word holding `Local(node)` or `Remote{partition, node}`, so
+//!   relinking a subtree to another partition is one release store.
 //! - **A tree-level seqlock.** The writer brackets every mutation with
 //!   `version += 1` (odd = in progress, even = quiescent). A reader
 //!   snapshots the version, traverses without any lock, then validates
@@ -73,8 +75,9 @@
 //! The module is generic over the [`semtree_conc::shim::Shim`], so the
 //! same code runs under real atomics in production and under the
 //! deterministic model checker (`kdtree_read_split`,
-//! `kdtree_read_widen`, `kdtree_read_widen_up` and
-//! `partition_read_relink` in `crates/conc/tests/models.rs`).
+//! `kdtree_read_duplicate_split`, `kdtree_read_widen`,
+//! `kdtree_read_widen_up` and `partition_read_relink` in
+//! `crates/conc/tests/models.rs`).
 
 use std::cell::Cell;
 use std::collections::BinaryHeap;
@@ -266,12 +269,9 @@ impl<S: Shim> Node<S> {
     /// writer, which cannot race itself).
     #[must_use]
     pub fn bucket(&self) -> Vec<(Vec<f64>, u64)> {
-        let mut out = Vec::with_capacity(self.point_count());
-        let _ = self.scan(|words, payload| {
-            let coords = words.iter().map(|w| f64::from_bits(w.load(Relaxed)));
-            out.push((coords.collect(), payload.load(Relaxed)));
-        });
-        out
+        let (coords, payloads) = self.read_out();
+        let rows = coords.chunks_exact(self.dims).map(<[f64]>::to_vec);
+        rows.zip(payloads).collect()
     }
 
     /// The bucket read out in one scan: every point's coordinates, row
